@@ -1,23 +1,20 @@
 """Tentpole — topology-aware multi-GPU composition.
 
-The whole fit (graph upload, Laplacian, sharded eigensolve, multi-device
-k-means) runs as ONE multi-device plan: rows are partitioned once, the
-embedding shards stay resident on their owners between the eigensolve and
-k-means, and every inter-stage gather/scatter the phase-by-phase path
-paid for is elided.  This bench maps the three claims the regression
-gate freezes:
+With ``devices > 1`` and a configuration that admits composition, the
+whole fit (graph upload, Laplacian, sharded eigensolve, multi-device
+k-means) runs as ONE multi-device plan: rows are partitioned once into
+nnz-balanced contiguous blocks, and the embedding shards stay resident on
+their owners between the eigensolve and k-means.  This bench records the
+four things the regression gate freezes:
 
-1. **Composition wins.**  The composed fit beats the phase-by-phase
-   multi-device fit (sharded eigensolve, then single-device k-means with
-   a full re-upload) end to end at two devices.
-2. **Min-cut cuts halo.**  On community graphs with shuffled vertex ids
-   the BFS-grow min-cut partitioner reduces per-step halo bytes by at
-   least 20% versus contiguous row splits — contiguous splits cannot see
-   a community structure that a permutation has scattered.
-3. **Bit-identity.**  Composition is a pure *time* optimization: labels
-   and spectra are bit-identical at every device count and partition
-   mode, and the analytic transfer ledger of the composed k-means equals
+1. **Bit-identity.**  Composition is a pure *time* optimization: labels,
+   spectra and embeddings are bit-identical at 1, 2 and 4 devices.
+2. **Ledger.**  The analytic transfer plan of the composed k-means equals
    the device traffic meters exactly (``ledger == meter``).
+3. **Makespan.**  The 2-device composed fit's modeled end-to-end time
+   (creep-gated).
+4. **Halo.**  Per-step halo bytes of the nnz partition on dblp and two
+   shuffled-community graphs (creep-gated).
 """
 
 import numpy as np
@@ -26,11 +23,9 @@ import pytest
 from repro.core.pipeline import SpectralClustering
 from repro.cuda.device import Device
 from repro.cusparse.matrices import csr_to_device
-from repro.cusparse.partition import partition_bounds, partition_csr
+from repro.cusparse.partition import device_group, partition_csr
 from repro.datasets.registry import load_dataset
 from repro.datasets.sbm import stochastic_block_model
-from repro.hw.costmodel import TransferCostModel
-from repro.hw.topology import paper_topology
 from repro.kmeans.init import kmeans_plus_plus
 from repro.kmeans.multi_gpu import kmeans_composed
 from repro.sparse.construct import from_edge_list
@@ -39,15 +34,13 @@ from conftest import BENCH_SCALES
 
 #: device counts the bit-parity sweep covers
 DEVICE_COUNTS = (1, 2, 4)
-#: the makespan-comparison workload: dblp is the paper's eigensolver-bound
-#: graph, run above bench scale so both stages have real work to overlap
+#: the makespan workload: dblp is the paper's eigensolver-bound graph,
+#: run above bench scale so both stages have real work to overlap
 COMPOSED_WORKLOAD = ("dblp", 0.1)
-#: the halo gate: mincut must cut >= 20% of rows-mode halo bytes
-MIN_HALO_REDUCTION = 0.2
 
-#: shuffled-community graphs for the partitioner comparison.  Vertex ids
-#: are permuted so contiguous ("rows"/"nnz") splits straddle every
-#: community; the min-cut BFS-grow partitioner rediscovers them.
+#: shuffled-community graphs for the halo record.  Vertex ids are
+#: permuted so contiguous row blocks straddle every community — the
+#: worst case for a contiguous partitioner's halo.
 SBM_WORKLOADS = {
     "sbm4x60": dict(sizes=[60, 60, 60, 60], p_in=0.25, p_out=0.01,
                     graph_seed=7, perm_seed=3),
@@ -67,18 +60,6 @@ def _shuffled_sbm(spec: dict):
     return from_edge_list(perm[edges], n_nodes=n).to_csr()
 
 
-def _device_group(p: int) -> list[Device]:
-    """p topology-aware devices on one shared timeline."""
-    topo = paper_topology(p)
-    primary = Device(device_index=0, topology=topo)
-    primary.transfer_cost = TransferCostModel(primary.pcie, topo)
-    return [primary] + [
-        Device(primary.spec, primary.pcie, timeline=primary.timeline,
-               device_index=d, topology=topo)
-        for d in range(1, p)
-    ]
-
-
 def _fit(name: str, scale: float, **kw):
     ds = load_dataset(name, scale=scale, seed=0)
     est = SpectralClustering(
@@ -87,70 +68,48 @@ def _fit(name: str, scale: float, **kw):
     return est.fit(graph=ds.graph)
 
 
-def _composed_vs_phased() -> dict:
-    """End-to-end makespan: one composed plan vs phase-by-phase at 2 dev.
-
-    The phased baseline is PR-5's best multi-device configuration — the
-    eigensolve sharded over 2 devices, k-means on one — which gathers the
-    embedding off-device between the stages and re-uploads it.  The
-    composed fit partitions once and keeps shards resident.
-    """
+def _composed() -> dict:
+    """End-to-end modeled makespan of the composed fit at 2 devices."""
     name, scale = COMPOSED_WORKLOAD
-    composed = _fit(name, scale, fit_devices=2)
-    phased = _fit(name, scale, eig_devices=2)
-    assert composed.labels.tobytes() == phased.labels.tobytes()
-    t_c = composed.timings.total_simulated()
-    t_p = phased.timings.total_simulated()
+    composed = _fit(name, scale, devices=2)
     return {
         "dataset": name,
         "scale": scale,
         "n_devices": 2,
-        "total_composed_s": t_c,
-        "total_phased_s": t_p,
-        "speedup_vs_phased": t_p / t_c,
+        "total_composed_s": composed.timings.total_simulated(),
         "kmeans_composed_s": composed.timings.simulated["kmeans"],
-        "kmeans_phased_s": phased.timings.simulated["kmeans"],
         "composed_stats": composed.eig_stats["composed"],
     }
 
 
 def _partition_halo() -> dict:
-    """Per-step halo bytes of every partition mode on every workload."""
+    """Per-step halo bytes of the 2-device partition on every workload."""
     graphs = {nm: _shuffled_sbm(spec) for nm, spec in SBM_WORKLOADS.items()}
     ds = load_dataset("dblp", scale=BENCH_SCALES["dblp"], seed=0)
     graphs["dblp"] = ds.graph.to_csr()
 
     out = {}
     for nm, host in graphs.items():
-        halo = {}
-        for mode in ("rows", "nnz", "mincut"):
-            devices = _device_group(2)
-            plan = partition_csr(
-                csr_to_device(devices[0], host), devices, mode=mode
-            )
-            halo[mode] = int(plan.step_halo_bytes())
-            plan.free()
+        devices = device_group(Device(), 2)
+        plan = partition_csr(csr_to_device(devices[0], host), devices)
         out[nm] = {
             "n": int(host.shape[0]),
-            "step_halo_bytes": halo,
-            "mincut_reduction_vs_rows": 1.0 - halo["mincut"] / halo["rows"],
+            "step_halo_bytes": int(plan.step_halo_bytes()),
         }
+        plan.free()
     return out
 
 
 def _bit_parity() -> bool:
-    """Labels and spectra identical at every device count and mode."""
+    """Labels, spectra and embeddings identical at every device count."""
     name, scale = "dblp", BENCH_SCALES["dblp"]
     ref = _fit(name, scale)
     ok = True
     for p in DEVICE_COUNTS[1:]:
-        r = _fit(name, scale, fit_devices=p)
+        r = _fit(name, scale, devices=p)
         ok = ok and r.labels.tobytes() == ref.labels.tobytes()
         ok = ok and r.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
         ok = ok and r.embedding.tobytes() == ref.embedding.tobytes()
-    for mode in ("rows", "mincut"):
-        r = _fit(name, scale, fit_devices=2, partition_mode=mode)
-        ok = ok and r.labels.tobytes() == ref.labels.tobytes()
     return ok
 
 
@@ -167,12 +126,8 @@ def _ledger_vs_meter() -> dict:
     V = centers[r.integers(0, k, n)] + r.standard_normal((n, d))
     C0 = kmeans_plus_plus(V[:1000], k, np.random.default_rng(1))
 
-    devices = _device_group(2)
-    bounds = partition_bounds(n, 2)
-    row_sets = [
-        np.arange(bounds[j], bounds[j + 1], dtype=np.int64)
-        for j in range(2)
-    ]
+    devices = device_group(Device(), 2)
+    row_sets = np.array_split(np.arange(n, dtype=np.int64), 2)
     _, _, plan = kmeans_composed(
         devices, row_sets, V, k, initial_centroids=C0, max_iter=6
     )
@@ -202,10 +157,9 @@ _cache: dict | None = None
 def topology_composition_summary() -> dict:
     """Machine-readable summary (consumed by BENCH_regression.json).
 
-    The regression gate (``check_regression.py``) refuses any run where
-    the composed fit loses its 2-device win, mincut drops below the 20%
-    halo-reduction bar on a community graph, a bit diverges across
-    device counts, or the k-means ledger drifts from the meters.
+    The regression gate (``check_regression.py``) refuses any run where a
+    bit diverges across device counts, the k-means ledger drifts from the
+    meters, or the composed makespan or any workload's halo bytes creep.
     """
     global _cache
     if _cache is not None:
@@ -213,8 +167,7 @@ def topology_composition_summary() -> dict:
     ledger = _ledger_vs_meter()
     _cache = {
         "device_counts": list(DEVICE_COUNTS),
-        "min_halo_reduction": MIN_HALO_REDUCTION,
-        "composed": _composed_vs_phased(),
+        "composed": _composed(),
         "partitions": _partition_halo(),
         "bit_identical": _bit_parity(),
         "ledger": ledger,
@@ -234,27 +187,16 @@ def test_topology_composition_report(summary, write_table):
         "Tentpole: topology-aware multi-GPU composition "
         "(one partition, resident shards, composed k-means)",
         "",
-        f"end-to-end @ 2 devices on {comp['dataset']} "
-        f"(scale {comp['scale']}):",
-        f"{'path':<22}{'total/s':>12}{'kmeans/s':>12}",
-        "-" * 46,
-        f"{'phase-by-phase':<22}{comp['total_phased_s']:>12.5f}"
-        f"{comp['kmeans_phased_s']:>12.5f}",
-        f"{'composed plan':<22}{comp['total_composed_s']:>12.5f}"
-        f"{comp['kmeans_composed_s']:>12.5f}",
-        f"{'speedup':<22}{comp['speedup_vs_phased']:>11.3f}x",
+        f"composed fit @ 2 devices on {comp['dataset']} "
+        f"(scale {comp['scale']}): total {comp['total_composed_s']:.5f} s, "
+        f"kmeans {comp['kmeans_composed_s']:.5f} s",
         "",
-        "per-step halo bytes @ 2 devices:",
-        f"{'dataset':<10}{'rows':>10}{'nnz':>10}{'mincut':>10}"
-        f"{'cut vs rows':>13}",
-        "-" * 53,
+        "per-step halo bytes @ 2 devices (nnz-balanced blocks):",
+        f"{'dataset':<10}{'n':>8}{'halo B':>10}",
+        "-" * 28,
     ]
     for nm, wl in summary["partitions"].items():
-        h = wl["step_halo_bytes"]
-        lines.append(
-            f"{nm:<10}{h['rows']:>10,}{h['nnz']:>10,}{h['mincut']:>10,}"
-            f"{wl['mincut_reduction_vs_rows']:>12.1%}"
-        )
+        lines.append(f"{nm:<10}{wl['n']:>8,}{wl['step_halo_bytes']:>10,}")
     lines += [
         "",
         "identical labels/spectra at every device count (asserted); "
@@ -262,30 +204,16 @@ def test_topology_composition_report(summary, write_table):
     ]
     write_table("topology_composition", "\n".join(lines))
 
-    # the acceptance bars the regression gate freezes
-    assert comp["speedup_vs_phased"] > 1.0
-    for nm in SBM_WORKLOADS:
-        red = summary["partitions"][nm]["mincut_reduction_vs_rows"]
-        assert red >= MIN_HALO_REDUCTION, (nm, red)
     assert summary["bit_identical"] is True
     assert summary["ledger_ok"] is True
 
 
 def test_resident_shards_elide_kmeans_upload(summary):
     """The composed fit's k-means never re-uploads the embedding: the
-    shard uploads the phased path pays for appear as elided bytes."""
+    shard uploads appear as elided bytes."""
     tr = summary["composed"]["composed_stats"]["kmeans_transfers"]
     assert tr["elided_bytes"] > 0
     assert tr["elided_count"] >= summary["composed"]["n_devices"]
-
-
-def test_nnz_mode_halo_tracks_rows(summary):
-    """nnz balancing targets load, not cut: its halo stays in the same
-    regime as contiguous rows (both far above mincut on communities)."""
-    for nm in SBM_WORKLOADS:
-        h = summary["partitions"][nm]["step_halo_bytes"]
-        assert h["mincut"] < h["nnz"]
-        assert h["mincut"] < h["rows"]
 
 
 def test_bench_composed_fit(benchmark):
@@ -293,7 +221,7 @@ def test_bench_composed_fit(benchmark):
     ds = load_dataset(name, scale=scale, seed=0)
     benchmark.pedantic(
         lambda: SpectralClustering(
-            n_clusters=ds.n_clusters, eig_tol=1e-8, seed=0, fit_devices=2
+            n_clusters=ds.n_clusters, eig_tol=1e-8, seed=0, devices=2
         ).fit(graph=ds.graph),
         rounds=1, iterations=1,
     )

@@ -63,9 +63,7 @@ def _cmd_run(args) -> int:
     k = args.clusters if args.clusters else ds.n_clusters
     sc = SpectralClustering(
         n_clusters=k, eig_tol=args.tol, seed=args.seed,
-        eig_devices=args.eig_devices,
-        fit_devices=args.fit_devices,
-        partition_mode=args.partition_mode,
+        devices=args.devices,
         precision=args.precision, embedding=args.embedding,
         filter_order=args.filter_order, n_signals=args.n_signals,
         sample_frac=args.sample_frac, lift=args.lift,
@@ -284,20 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(run_p)
     run_p.add_argument("--clusters", type=int, default=0,
                        help="override the dataset's cluster count")
-    run_p.add_argument("--eig-devices", type=int, default=1,
-                       help="shard the eigensolver's SpMV across this many "
-                       "simulated devices (row partition + overlapped halo "
-                       "exchange; results are bit-identical)")
-    run_p.add_argument("--fit-devices", type=int, default=1,
-                       help="compose the whole fit (operator upload, "
-                       "sharded eigensolve, multi-device k-means) over this "
-                       "many simulated devices with one row partition and "
-                       "resident shards; results are bit-identical")
-    run_p.add_argument("--partition-mode", default="nnz",
-                       choices=("rows", "nnz", "mincut"),
-                       help="row partitioner for multi-device runs: uniform "
-                       "row split, nnz-balanced blocks (default), or "
-                       "BFS-grown min-cut (minimizes halo traffic)")
+    run_p.add_argument("--devices", type=int, default=1,
+                       help="simulated devices the fit spans: one "
+                       "nnz-balanced row partition, composed end to end when "
+                       "the config admits it, else a sharded embedding; "
+                       "results match --devices 1")
     run_p.add_argument("--precision", default="fp64",
                        choices=("fp64", "fp32", "fp16"),
                        help="eigensolver storage precision; reduced modes "

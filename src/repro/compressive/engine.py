@@ -57,16 +57,15 @@ from repro.cuda.memory import BufferGroup
 from repro.cusparse.formats import autotune_spmm_format, convert_for_spmv
 from repro.cusparse.matrices import DeviceCSR, cast_csr
 from repro.cusparse.partition import (
-    PARTITION_MODES,
+    device_group,
     partition_csr,
     partition_rows,
     spmm_partitioned,
 )
 from repro.cusparse.spmm import spmm_any
 from repro.errors import CudaError, DeviceMemoryError, EigensolverError
-from repro.hw.costmodel import CPUCostModel, GPUCostModel, TransferCostModel
+from repro.hw.costmodel import CPUCostModel, GPUCostModel
 from repro.hw.spec import CPUSpec, XEON_E5_2690
-from repro.hw.topology import paper_topology
 from repro.linalg.rci import TransferLedger
 from repro.linalg.spectrum import (
     SpectrumEstimate,
@@ -229,7 +228,6 @@ def compressive_embedding(
     precision: str = "fp64",
     spectral_radius: float = 1.0,
     cpu_spec: CPUSpec = XEON_E5_2690,
-    partition_mode: str = "nnz",
 ) -> tuple[np.ndarray, CompressiveStats]:
     """Compute the compressive spectral feature sketch ``F`` (``n × d``).
 
@@ -289,11 +287,6 @@ def compressive_embedding(
                 "n_devices > 1 stores row blocks as split local/halo CSR; "
                 f"spmv_format={spmv_format!r} is not supported"
             )
-        if partition_mode not in PARTITION_MODES:
-            raise ValueError(
-                f"partition_mode must be one of {PARTITION_MODES}, "
-                f"got {partition_mode!r}"
-            )
     n = A.shape[0]
     if k < 1:
         raise EigensolverError(f"compressive embedding needs k >= 1, got {k}")
@@ -335,21 +328,9 @@ def compressive_embedding(
     row_sets: list[np.ndarray] | None = None
     row_counts: tuple[int, ...] = ()
     if n_devices > 1:
-        topo = paper_topology(n_devices)
-        all_devices += [
-            Device(
-                device.spec, device.pcie, timeline=device.timeline,
-                device_index=dd, topology=topo,
-            )
-            for dd in range(1, n_devices)
-        ]
-        row_sets, _, bounds = partition_rows(
-            A.indptr.data, A.indices.data, n_devices, mode=partition_mode
-        )
+        all_devices = device_group(device, n_devices)
+        row_sets, _, bounds = partition_rows(A.indptr.data, n_devices)
         row_counts = tuple(int(r.size) for r in row_sets)
-        device.device_index = 0
-        device.topology = topo
-        device.transfer_cost = TransferCostModel(device.pcie, topo)
     shard_upload_total = 0
     n_block_products = 0
     ledger_multi: TransferLedger | None = None
@@ -491,7 +472,7 @@ def compressive_embedding(
                 if n_devices > 1:
                     part = partition_csr(
                         A_solve, all_devices, rows_cache=rows_cache,
-                        mode=partition_mode, row_sets=row_sets,
+                        row_sets=row_sets,
                     )
                     shard_upload_total += part.shard_upload_bytes
                     P = part
@@ -580,7 +561,6 @@ def compressive_embedding(
                         + filter_applications * bpa_filter
                     )
                     partition_info = {
-                        "mode": partition_mode,
                         "row_counts": list(row_counts),
                         **(
                             {"bounds": [int(b) for b in bounds]}

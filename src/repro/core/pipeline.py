@@ -72,7 +72,7 @@ from repro.core.workflow import EMBEDDING_MODES, hybrid_eigensolver
 from repro.cuda.device import Device
 from repro.cuda.profiler import Profiler
 from repro.cusparse.matrices import coo_to_device, csr_to_device
-from repro.cusparse.partition import PARTITION_MODES, partition_csr
+from repro.cusparse.partition import device_group, partition_csr
 from repro.errors import ChaosError, ClusteringError, CudaError, DeviceMemoryError
 from repro.graph.build import build_similarity_device, build_similarity_graph
 from repro.graph.components import remove_isolated
@@ -84,8 +84,6 @@ from repro.graph.laplacian import (
     rw_normalized_adjacency,
     sym_normalized_adjacency,
 )
-from repro.hw.costmodel import TransferCostModel
-from repro.hw.topology import paper_topology
 from repro.kmeans.cpu import kmeans_cpu
 from repro.kmeans.gpu import kmeans_device
 from repro.kmeans.multi_gpu import kmeans_composed
@@ -146,20 +144,18 @@ def _run_resilient(device, policy, stage, gpu_attempts, cpu_fn):
 class _ComposedPlan:
     """Per-fit state of the one-plan multi-device composition.
 
-    Created (empty) when ``fit_devices > 1``; :meth:`build` runs once,
-    right after the operator stage, and is the *only* place the fit
-    partitions rows: the peer device group, the PCIe topology, and the
+    Created (empty) when the fit composes (see
+    :attr:`SpectralClustering.composes`); :meth:`build` runs once, right
+    after the operator stage, and is the *only* place the fit partitions
+    rows: the device group and the
     :class:`~repro.cusparse.partition.PartitionedCSR` built here are
     reused by the sharded eigensolve (which elides its result D2H) and by
     the composed k-means (which consumes the still-resident embedding
     shards) — no re-gather/re-scatter between stages.
     """
 
-    def __init__(self, n_devices: int, mode: str) -> None:
+    def __init__(self, n_devices: int) -> None:
         self.n_devices = n_devices
-        self.mode = mode
-        self.devices: list[Device] | None = None
-        self.topology = None
         self.plan = None
         self.kmeans_timings = None
         self.kmeans_plan: dict | None = None
@@ -171,29 +167,20 @@ class _ComposedPlan:
     def build(self, device: Device, dcsr) -> None:
         """Partition ``dcsr`` once over a fresh topology-aware device
         group (device 0 is the pipeline's primary device)."""
-        topo = paper_topology(self.n_devices)
-        device.device_index = 0
-        device.topology = topo
-        device.transfer_cost = TransferCostModel(device.pcie, topo)
-        self.topology = topo
-        self.devices = [device] + [
-            Device(
-                device.spec, device.pcie, timeline=device.timeline,
-                device_index=dd, topology=topo,
-            )
-            for dd in range(1, self.n_devices)
-        ]
-        self.plan = partition_csr(dcsr, self.devices, mode=self.mode)
+        self.plan = partition_csr(dcsr, device_group(device, self.n_devices))
+
+    @property
+    def devices(self) -> list[Device]:
+        return self.plan.devices
 
     @property
     def row_sets(self):
-        return [shard.rows for shard in self.plan.shards]
+        return self.plan.row_sets
 
     def summary(self) -> dict:
         """Composition evidence surfaced on ``result.eig_stats``."""
         out = {
             "n_devices": self.n_devices,
-            "partition_mode": self.mode,
             "row_counts": [int(r.size) for r in self.row_sets],
             "step_halo_bytes": int(self.plan.step_halo_bytes()),
         }
@@ -263,39 +250,23 @@ class SpectralClustering:
         SpMV operand format for the eigensolver: 'auto' (default) lets
         the row-length-statistics autotuner choose between 'csr', 'ell'
         and 'hyb'; or force one.  Format only changes charged time.
-    eig_devices:
-        Shard the eigensolver across this many simulated GPUs (default
-        1).  The normalized operator splits into row blocks with
-        local/halo column separation; each SpMV overlaps the local
-        kernel with device-to-device halo exchange on copy streams
-        (:mod:`repro.cusparse.partition`).  Spectra, embeddings and
-        labels are bit-identical to the single-device run — only the
-        charged makespan changes.  Requires ``eig_residency='device'``
-        and a CSR-compatible ``eig_spmv_format`` ('auto' or 'csr').
-    fit_devices:
-        Compose the *whole* fit — graph upload, Laplacian, sharded
-        eigensolve, and multi-device k-means — as one multi-device plan
-        spanning this many simulated GPUs (default 1).  Rows are
-        partitioned once (``partition_mode``) right after the operator
-        stage; the eigensolver reuses that plan and keeps its Ritz block
-        sharded (the result D2H is elided), and the k-means stage runs
-        on the still-resident shards — no re-gather/re-scatter between
-        stages.  Labels, spectra and embeddings stay bit-identical to
-        ``fit_devices=1`` at every device count.  Requires
-        ``eig_residency='device'``, an exact eigensolver embedding
-        ('lanczos' or 'power'), ``precision='fp64'``, a CSR-compatible
-        ``eig_spmv_format``, and ``eig_devices`` either 1 or equal to
-        ``fit_devices``.  Composition evidence (partition mode, halo
-        bytes, k-means transfer plan) lands on
-        ``result.eig_stats['composed']``.
-    partition_mode:
-        Row partitioner for every multi-device path (``eig_devices`` or
-        ``fit_devices`` > 1): 'nnz' (default) balances nonzeros per
-        device with contiguous row blocks; 'rows' is the uniform
-        row-count split (the pre-topology behavior); 'mincut' grows
-        BFS clusters to minimize cross-device halo traffic (row sets may
-        be non-contiguous).  All modes are bit-identical; only charged
-        transfer/kernel time changes.
+    devices:
+        Simulated GPUs the fit spans (default 1).  The normalized
+        operator splits into nnz-balanced row blocks with local/halo
+        column separation; each SpMV overlaps the local kernel with
+        device-to-device halo exchange on copy streams
+        (:mod:`repro.cusparse.partition`).  When the configuration
+        admits composition (:attr:`composes`: an exact eigensolver
+        embedding, ``precision='fp64'`` and the default fused SpMM
+        k-means) the *whole* fit runs as one multi-device plan: rows
+        are partitioned once right after the operator stage, the
+        eigensolver keeps its Ritz block sharded, and k-means runs on
+        the still-resident shards; evidence (halo bytes, k-means
+        transfer plan) lands on ``result.eig_stats['composed']``.
+        Otherwise only the embedding stage is sharded.  Either way the
+        answer matches ``devices=1`` — only the charged makespan
+        changes.  Requires ``eig_residency='device'`` and a
+        CSR-compatible ``eig_spmv_format`` ('auto' or 'csr').
     precision:
         Storage precision for the eigensolver's operator values and
         iteration vectors: 'fp64' (default — the exact path, bit-identical
@@ -380,9 +351,7 @@ class SpectralClustering:
         eig_maxiter: int | None = None,
         eig_residency: str = "device",
         eig_spmv_format: str = "auto",
-        eig_devices: int = 1,
-        fit_devices: int = 1,
-        partition_mode: str = "nnz",
+        devices: int = 1,
         precision: str = "fp64",
         embedding: str = "lanczos",
         filter_order: int | None = None,
@@ -421,59 +390,17 @@ class SpectralClustering:
                 f"eig_spmv_format must be 'auto', 'csr', 'ell' or 'hyb', "
                 f"got {eig_spmv_format!r}"
             )
-        if not isinstance(eig_devices, int) or eig_devices < 1:
+        if not isinstance(devices, int) or devices < 1:
             raise ClusteringError(
-                f"eig_devices must be an int >= 1, got {eig_devices!r}"
+                f"devices must be an int >= 1, got {devices!r}"
             )
-        if eig_devices > 1 and eig_residency != "device":
+        if devices > 1 and eig_residency != "device":
+            raise ClusteringError("devices > 1 requires eig_residency='device'")
+        if devices > 1 and eig_spmv_format not in ("auto", "csr"):
             raise ClusteringError(
-                "eig_devices > 1 requires eig_residency='device'"
-            )
-        if eig_devices > 1 and eig_spmv_format not in ("auto", "csr"):
-            raise ClusteringError(
-                "eig_devices > 1 requires eig_spmv_format 'auto' or 'csr' "
+                "devices > 1 requires eig_spmv_format 'auto' or 'csr' "
                 "(row blocks are stored as split local/halo CSR)"
             )
-        if not isinstance(fit_devices, int) or fit_devices < 1:
-            raise ClusteringError(
-                f"fit_devices must be an int >= 1, got {fit_devices!r}"
-            )
-        if partition_mode not in PARTITION_MODES:
-            raise ClusteringError(
-                f"partition_mode must be one of {PARTITION_MODES}, "
-                f"got {partition_mode!r}"
-            )
-        if fit_devices > 1:
-            if eig_residency != "device":
-                raise ClusteringError(
-                    "fit_devices > 1 requires eig_residency='device'"
-                )
-            if embedding not in EMBEDDING_MODES:
-                raise ClusteringError(
-                    "fit_devices > 1 requires an eigensolver embedding "
-                    f"({EMBEDDING_MODES}); the compressive tier shards via "
-                    "eig_devices instead"
-                )
-            if precision != "fp64":
-                raise ClusteringError(
-                    "fit_devices > 1 requires precision='fp64' (the "
-                    "composed plan partitions the fp64 operator once)"
-                )
-            if eig_spmv_format not in ("auto", "csr"):
-                raise ClusteringError(
-                    "fit_devices > 1 requires eig_spmv_format 'auto' or "
-                    "'csr' (row blocks are stored as split local/halo CSR)"
-                )
-            if eig_devices not in (1, fit_devices):
-                raise ClusteringError(
-                    f"eig_devices ({eig_devices}) must be 1 or equal to "
-                    f"fit_devices ({fit_devices}) when composing the fit"
-                )
-            if kmeans_update != "spmm" or not kmeans_fused:
-                raise ClusteringError(
-                    "fit_devices > 1 requires the default k-means path "
-                    "(kmeans_update='spmm', kmeans_fused=True)"
-                )
         if precision not in PRECISIONS:
             raise ClusteringError(
                 f"precision must be one of {PRECISIONS}, got {precision!r}"
@@ -528,9 +455,7 @@ class SpectralClustering:
         self.eig_maxiter = eig_maxiter
         self.eig_residency = eig_residency
         self.eig_spmv_format = eig_spmv_format
-        self.eig_devices = eig_devices
-        self.fit_devices = fit_devices
-        self.partition_mode = partition_mode
+        self.devices = devices
         self.precision = precision
         self.embedding = embedding
         self.filter_order = filter_order
@@ -563,6 +488,24 @@ class SpectralClustering:
             return ResiliencePolicy()
         return self.resilience
 
+    @property
+    def composes(self) -> bool:
+        """Whether ``devices > 1`` runs the whole fit as one composed plan.
+
+        Composition needs an exact eigensolver embedding ('lanczos' or
+        'power'), ``precision='fp64'`` (the plan partitions the fp64
+        operator once) and the default fused SpMM k-means that
+        :func:`~repro.kmeans.multi_gpu.kmeans_composed` reproduces bit
+        for bit; any other configuration shards only the embedding.
+        """
+        return (
+            self.devices > 1
+            and self.embedding in EMBEDDING_MODES
+            and self.precision == "fp64"
+            and self.kmeans_update == "spmm"
+            and self.kmeans_fused
+        )
+
     def _model_params(self) -> dict:
         """Constructor kwargs that re-create this estimator bit for bit
         (runtime objects — device, chaos plan, policy — excluded)."""
@@ -577,9 +520,7 @@ class SpectralClustering:
             "eig_maxiter": self.eig_maxiter,
             "eig_residency": self.eig_residency,
             "eig_spmv_format": self.eig_spmv_format,
-            "eig_devices": self.eig_devices,
-            "fit_devices": self.fit_devices,
-            "partition_mode": self.partition_mode,
+            "devices": self.devices,
             "precision": self.precision,
             "embedding": self.embedding,
             "filter_order": self.filter_order,
@@ -710,11 +651,7 @@ class SpectralClustering:
         timings = StageTimings()
         resilience: dict[str, dict] = {}
 
-        composed = (
-            _ComposedPlan(self.fit_devices, self.partition_mode)
-            if self.fit_devices > 1
-            else None
-        )
+        composed = _ComposedPlan(self.devices) if self.composes else None
         composed_summary = None
         # stage-level capture of the artifacts the fitted model reuses
         # (similarity graph, pre-normalization basis, degrees); only the
@@ -999,8 +936,7 @@ class SpectralClustering:
                 seed=self.seed, policy=policy,
                 residency=self.eig_residency,
                 spmv_format=self.eig_spmv_format,
-                n_devices=self.eig_devices, precision=self.precision,
-                partition_mode=self.partition_mode,
+                n_devices=self.devices, precision=self.precision,
             )
             _note(resilience, "eigensolver", {
                 "retries": stats.spmv_retries,
@@ -1041,17 +977,11 @@ class SpectralClustering:
             policy=policy, residency=self.eig_residency,
             spmv_format=self.eig_spmv_format,
             # staged entry points (embed/fit_embedding — the serving
-            # layer) have no composed plan to reuse, but a fit_devices
-            # request still shards the solve across the same device count
-            # so staged and composed runs agree on placement
-            n_devices=(
-                composed.n_devices if composed is not None
-                else max(self.eig_devices, self.fit_devices)
-            ),
+            # layer) have no composed plan to reuse but still shard the
+            # solve across the same device count
+            n_devices=self.devices,
             precision=self.precision, embedding=self.embedding,
-            partition_mode=self.partition_mode,
             plan=composed.plan if composed is not None else None,
-            topology=composed.topology if composed is not None else None,
             elide_result_d2h=composed is not None,
         )
         _note(resilience, "eigensolver", {

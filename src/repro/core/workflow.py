@@ -35,8 +35,8 @@ from repro.cusparse.formats import (
 )
 from repro.cusparse.matrices import DeviceCSR, cast_csr
 from repro.cusparse.partition import (
-    PARTITION_MODES,
     PartitionedCSR,
+    device_group,
     partition_csr,
     partition_rows,
     spmm_partitioned,
@@ -45,9 +45,8 @@ from repro.cusparse.partition import (
 from repro.cusparse.spmm import csrmm, spmm_any
 from repro.cusparse.spmv import csrmv, spmv_any
 from repro.errors import CudaError, DeviceMemoryError
-from repro.hw.costmodel import CPUCostModel, TransferCostModel
+from repro.hw.costmodel import CPUCostModel
 from repro.hw.spec import CPUSpec, XEON_E5_2690
-from repro.hw.topology import PCIeTopology, paper_topology
 from repro.linalg.eigsolver import SymEigProblem
 from repro.linalg.power import default_power_iterations, power_embedding
 from repro.linalg.rci import LanczosCheckpoint, TransferLedger
@@ -390,9 +389,7 @@ def hybrid_eigensolver(
     embedding: str = "lanczos",
     refine_steps: int | None = None,
     power_q: int | None = None,
-    partition_mode: str = "nnz",
     plan: PartitionedCSR | None = None,
-    topology: PCIeTopology | None = None,
     elide_result_d2h: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, EigStats]:
     """Algorithm 3: the reverse-communication loop with GPU SpMV.
@@ -429,8 +426,10 @@ def hybrid_eigensolver(
         All formats share one reference substrate arithmetic, so this only
         changes charged time.
     n_devices:
-        Shard the solve across this many GPUs (default 1).  The operator
-        is split into row blocks (:mod:`repro.cusparse.partition`), each
+        Shard the solve across this many GPUs (default 1), grouped by
+        :func:`~repro.cusparse.partition.device_group` on the paper's
+        PCIe topology.  The operator is split into nnz-balanced row
+        blocks (:mod:`repro.cusparse.partition`), each
         SpMV runs a local kernel immediately while halo segments of the
         iteration vector travel device-to-device on dedicated copy
         streams, the Lanczos basis lives in per-device blocks, and the
@@ -470,13 +469,6 @@ def hybrid_eigensolver(
     power_q:
         Power-iteration count for ``embedding="power"``
         (default ``max(8, ceil(2·log2 n))``).
-    partition_mode:
-        Row-partitioning strategy for ``n_devices > 1``: ``"nnz"``
-        (default) balances nonzeros over contiguous blocks, ``"rows"``
-        is the PR-5 uniform row split, ``"mincut"`` grows connected,
-        nnz-balanced row sets that minimize the per-step halo.  Every
-        mode drives the same substrate arithmetic — spectra stay
-        bit-identical; only halo bytes and charged time change.
     plan:
         A prebuilt :class:`~repro.cusparse.partition.PartitionedCSR` to
         reuse (the composed multi-device fit partitions once and keeps
@@ -484,11 +476,6 @@ def hybrid_eigensolver(
         become the device group — its first shard must live on
         ``device`` — and the plan is *not* freed on exit; the caller
         owns it.
-    topology:
-        PCIe/NUMA topology pricing peer copies per (src, dst) pair.
-        Defaults to :func:`~repro.hw.topology.paper_topology` for the
-        device count; at 2 devices every pair is switch-direct, so
-        pricing matches the flat single-link law exactly.
     elide_result_d2h:
         Keep the Ritz block ``U`` on the devices instead of shipping it
         down (composed fits hand the shards straight to multi-device
@@ -521,11 +508,6 @@ def hybrid_eigensolver(
             raise ValueError(
                 "n_devices > 1 stores row blocks as split local/halo CSR; "
                 f"spmv_format={spmv_format!r} is not supported"
-            )
-        if partition_mode not in PARTITION_MODES:
-            raise ValueError(
-                f"partition_mode must be one of {PARTITION_MODES}, "
-                f"got {partition_mode!r}"
             )
         if plan is not None:
             if len(plan.shards) != n_devices:
@@ -592,30 +574,15 @@ def hybrid_eigensolver(
     row_sets: list[np.ndarray] | None = None
     row_counts: tuple[int, ...] = ()
     if n_devices > 1:
-        topo = topology if topology is not None else paper_topology(n_devices)
         if plan is not None:
             # composed fit: the device group and row layout come from the
             # prebuilt plan; the shards stay resident across stages
-            all_devices = [s.device for s in plan.shards]
-            row_sets = [s.rows for s in plan.shards]
+            all_devices = plan.devices
+            row_sets = plan.row_sets
             bounds = plan.bounds
-            partition_mode = plan.mode
         else:
-            all_devices += [
-                Device(
-                    device.spec, device.pcie, timeline=device.timeline,
-                    device_index=d, topology=topo,
-                )
-                for d in range(1, n_devices)
-            ]
-            row_sets, _, bounds = partition_rows(
-                A.indptr.data, A.indices.data, n_devices, mode=partition_mode
-            )
-        # the primary joins the peer group at slot 0: halo copies landing
-        # on it (and on the peers) price per (src, dst) pair
-        device.device_index = 0
-        device.topology = topo
-        device.transfer_cost = TransferCostModel(device.pcie, topo)
+            all_devices = device_group(device, n_devices)
+            row_sets, _, bounds = partition_rows(A.indptr.data, n_devices)
         row_counts = tuple(int(r.size) for r in row_sets)
     copy_streams = [
         Stream(dev, name=f"dev{d}/copyEngine")
@@ -750,7 +717,7 @@ def hybrid_eigensolver(
                     else:
                         part = partition_csr(
                             A_solve, all_devices, rows_cache=rows_cache,
-                            mode=partition_mode, row_sets=row_sets,
+                            row_sets=row_sets,
                         )
                     shard_upload_total += part.shard_upload_bytes
                     ledger_multi = TransferLedger(
@@ -981,7 +948,7 @@ def hybrid_eigensolver(
                         else:
                             part = partition_csr(
                                 A_solve, all_devices, rows_cache=rows_cache,
-                                mode=partition_mode, row_sets=row_sets,
+                                row_sets=row_sets,
                             )
                         shard_upload_total += part.shard_upload_bytes
                         ledger_multi = TransferLedger(
@@ -1392,7 +1359,6 @@ def hybrid_eigensolver(
         n_devices=n_devices,
         partition=(
             {
-                "mode": partition_mode,
                 "row_counts": list(row_counts),
                 **(
                     {"bounds": [int(b) for b in bounds]}

@@ -24,7 +24,6 @@ from repro.cusparse.conversions import coo2csr, csr2csc, csr2coo
 from repro.cusparse.partition import (
     CSRShard,
     PartitionedCSR,
-    partition_bounds,
     partition_csr,
     spmv_partitioned,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "spmv_any",
     "CSRShard",
     "PartitionedCSR",
-    "partition_bounds",
     "partition_csr",
     "spmv_partitioned",
     "coo_to_device",

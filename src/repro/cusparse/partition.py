@@ -3,12 +3,9 @@
 The multi-GPU eigensolver follows the classic distributed-memory Lanczos
 recipe (1-D row partitioning with communication/computation overlap):
 
-* the matrix is split into **row sets**, one per device — contiguous
-  blocks balanced by row count (``mode="rows"``), contiguous blocks
-  balanced by nnz (``mode="nnz"``, the default: row-count splits starve
-  or overload devices on skewed degree distributions), or graph-aware
-  sets grown by a greedy BFS/min-cut heuristic (``mode="mincut"``) that
-  shrink the halo itself;
+* the matrix is split into contiguous **row blocks**, one per device,
+  balanced by nnz (row-count splits starve or overload devices on skewed
+  degree distributions);
 * on each device the set's columns are split into a **local** part
   (columns owned by this device — the x entries are already resident)
   and a **halo** part (columns owned by peers);
@@ -22,15 +19,13 @@ recipe (1-D row partitioning with communication/computation overlap):
 
 Bit-identity invariant
 ----------------------
-Numerics never change with the device count **or the partition mode**:
+Numerics never change with the device count or the row layout:
 :func:`spmv_partitioned` computes the product through the canonical
 CSR-order substrate triple — the identical ``np.bincount`` that
 :func:`~repro.cusparse.spmv.csrmv` performs on one device.  Partitioning
 changes only the *charged time* (and where the bytes flow), never a
 float, which is what pins multi-device spectra to the single-device
-path bit-for-bit.  That is also what makes non-contiguous min-cut row
-sets cheap to support: they redistribute charged work and halo bytes,
-while the arithmetic stays the one host-side reference reduction.
+path bit-for-bit.
 """
 
 from __future__ import annotations
@@ -45,11 +40,9 @@ from repro.cuda.memory import BufferGroup, DeviceArray
 from repro.cuda.stream import Stream
 from repro.cusparse.matrices import DeviceCSR
 from repro.errors import SparseValueError
+from repro.hw.costmodel import TransferCostModel
+from repro.hw.topology import paper_topology
 from repro.precision import as_f64, kernel_letter
-
-
-#: supported row-partitioning strategies (see :func:`partition_rows`)
-PARTITION_MODES = ("rows", "nnz", "mincut")
 
 
 def _check_split(n: int, n_devices: int) -> None:
@@ -61,26 +54,16 @@ def _check_split(n: int, n_devices: int) -> None:
         )
 
 
-def partition_bounds(n: int, n_devices: int) -> np.ndarray:
-    """Balanced contiguous row-block bounds: ``bounds[d]:bounds[d+1]``.
-
-    Same even split the multi-GPU k-means path uses; every device gets
-    ``n/n_devices`` rows up to rounding.  Blind to nnz skew — a device
-    landing the dense rows of a power-law graph becomes the straggler —
-    which is why :func:`partition_csr` defaults to ``mode="nnz"``.
-    """
-    _check_split(n, n_devices)
-    return np.linspace(0, n, n_devices + 1).astype(np.int64)
-
-
 def partition_bounds_nnz(indptr: np.ndarray, n_devices: int) -> np.ndarray:
-    """Contiguous row-block bounds balanced by **nnz** instead of rows.
+    """Contiguous row-block bounds balanced by **nnz**:
+    ``bounds[d]:bounds[d+1]`` is device ``d``'s block.
 
     Each cut lands where the cumulative nnz (which ``indptr`` already is)
     crosses the next ``total/p`` target, so every device owns roughly the
     same number of matrix entries — the quantity SpMV time actually
-    scales with.  Cuts are clamped so every device keeps at least one
-    row.
+    scales with (an even row-count split starves or overloads devices on
+    skewed degree distributions).  Cuts are clamped so every device keeps
+    at least one row.
     """
     n = len(indptr) - 1
     _check_split(n, n_devices)
@@ -99,137 +82,16 @@ def partition_bounds_nnz(indptr: np.ndarray, n_devices: int) -> np.ndarray:
     return bounds
 
 
-def partition_owner_mincut(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n_devices: int,
-    sweeps: int = 3,
-    balance_slack: float = 0.10,
-) -> np.ndarray:
-    """Greedy min-cut row partitioning: BFS-grow + boundary refinement.
-
-    Returns ``owner`` (device id per row).  Two phases, both heuristics in
-    the lineage of lightweight streaming partitioners:
-
-    1. **BFS-grow**: each device grows a connected region from an
-       unassigned seed, admitting neighbors breadth-first until its nnz
-       budget (``total/p``) fills; disconnected leftovers seed fresh BFS
-       waves.  Connected regions keep most edges internal, which is the
-       whole halo win.
-    2. **Refinement sweeps**: every boundary row computes its connectivity
-       to each part; rows move to their best-connected part in decreasing
-       gain order while parts stay within ``balance_slack`` of the nnz
-       ideal — one-sided Fiduccia–Mattheyses without the bucket queues.
-
-    Row sets are generally **non-contiguous**; downstream this is free
-    because the SpMV numerics run on the canonical host-side triple and
-    only charged time follows the partition.
-    """
-    n = len(indptr) - 1
-    _check_split(n, n_devices)
-    p = n_devices
-    owner = np.zeros(n, dtype=np.int64)
-    if p == 1:
-        return owner
-    row_nnz = np.diff(indptr).astype(np.int64)
-    # weight empty rows as 1 so budgets always fill and every part is
-    # non-empty even on diagonal-free corners
-    weight = np.maximum(row_nnz, 1)
-    total = int(weight.sum())
-    budget = total / p
-
-    owner[:] = -1
-    unassigned = n
-    next_seed = 0
-    from collections import deque
-
-    for d in range(p - 1):
-        acc = 0
-        queue: deque = deque()
-        while unassigned > (p - 1 - d):
-            if not queue:
-                while next_seed < n and owner[next_seed] != -1:
-                    next_seed += 1
-                if next_seed == n:
-                    break
-                if acc and acc + weight[next_seed] > budget:
-                    break  # device full; the seed waits for the next one
-                queue.append(next_seed)
-            r = queue.popleft()
-            if owner[r] != -1:
-                continue
-            if acc and acc + weight[r] > budget:
-                continue  # too heavy for the remaining budget; skip
-            owner[r] = d
-            acc += int(weight[r])
-            unassigned -= 1
-            if acc >= budget:
-                break
-            neigh = indices[indptr[r]:indptr[r + 1]]
-            queue.extend(neigh[owner[neigh] == -1].tolist())
-    owner[owner == -1] = p - 1
-
-    # refinement: move boundary rows toward their best-connected part
-    seg_rows = np.repeat(np.arange(n, dtype=np.int64), row_nnz)
-    part_w = np.bincount(owner, weights=weight, minlength=p)
-    part_rows = np.bincount(owner, minlength=p)
-    lo_w = (1.0 - balance_slack) * budget
-    hi_w = (1.0 + balance_slack) * budget
-    rows_idx = np.arange(n)
-    for _ in range(max(0, sweeps)):
-        conn = np.zeros((n, p), dtype=np.int64)
-        np.add.at(conn, (seg_rows, owner[indices]), 1)
-        cur = conn[rows_idx, owner]
-        best = conn.argmax(axis=1)
-        gain = conn[rows_idx, best] - cur
-        movers = np.flatnonzero((best != owner) & (gain > 0))
-        if movers.size == 0:
-            break
-        moved = 0
-        for r in movers[np.argsort(-gain[movers])]:
-            src, dst = int(owner[r]), int(best[r])
-            w = int(weight[r])
-            if part_rows[src] <= 1:
-                continue
-            if part_w[src] - w < lo_w or part_w[dst] + w > hi_w:
-                continue
-            owner[r] = dst
-            part_w[src] -= w
-            part_w[dst] += w
-            part_rows[src] -= 1
-            part_rows[dst] += 1
-            moved += 1
-        if moved == 0:
-            break
-    return owner
-
-
 def partition_rows(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n_devices: int,
-    mode: str = "nnz",
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
-    """Compute per-device row sets for one partitioning ``mode``.
+    indptr: np.ndarray, n_devices: int
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Per-device row sets of the nnz-balanced contiguous partition.
 
     Returns ``(row_sets, owner, bounds)`` where ``row_sets[d]`` is the
     sorted global row ids device ``d`` owns, ``owner`` maps every row to
-    its device, and ``bounds`` is the contiguous block boundary array for
-    the contiguous modes (``None`` for ``mincut``).
+    its device, and ``bounds`` is the block boundary array.
     """
-    n = len(indptr) - 1
-    if mode == "rows":
-        bounds = partition_bounds(n, n_devices)
-    elif mode == "nnz":
-        bounds = partition_bounds_nnz(indptr, n_devices)
-    elif mode == "mincut":
-        owner = partition_owner_mincut(indptr, indices, n_devices)
-        row_sets = [np.flatnonzero(owner == d) for d in range(n_devices)]
-        return row_sets, owner, None
-    else:
-        raise SparseValueError(
-            f"unknown partition mode {mode!r}; expected one of {PARTITION_MODES}"
-        )
+    bounds = partition_bounds_nnz(indptr, n_devices)
     owner = np.repeat(
         np.arange(n_devices, dtype=np.int64), np.diff(bounds)
     )
@@ -240,15 +102,35 @@ def partition_rows(
     return row_sets, owner, bounds
 
 
+def device_group(device: Device, n_devices: int) -> list[Device]:
+    """``device`` plus ``n_devices - 1`` peers sharing its timeline.
+
+    Every member, the primary included (slot 0), is wired to one
+    :func:`~repro.hw.topology.paper_topology`, so halo and allreduce
+    copies price per (src, dst) pair.  The primary is mutated in place.
+    """
+    topo = paper_topology(n_devices)
+    device.device_index = 0
+    device.topology = topo
+    device.transfer_cost = TransferCostModel(device.pcie, topo)
+    return [device] + [
+        Device(
+            device.spec, device.pcie, timeline=device.timeline,
+            device_index=d, topology=topo,
+        )
+        for d in range(1, n_devices)
+    ]
+
+
 @dataclass
 class CSRShard:
     """One device's row set, stored as split local + halo CSR parts.
 
     ``rows`` holds the global row ids this device owns (sorted; a
-    contiguous range under the ``rows``/``nnz`` modes, arbitrary under
-    ``mincut``).  ``local_indices`` are offsets into the device's own x
-    shard; ``halo_indices`` are offsets into ``halo_buf``, the receive
-    buffer the peer copies land in.  ``halo_cols`` (host metadata) maps
+    contiguous range unless explicit row sets were passed).
+    ``local_indices`` are offsets into the device's own x shard;
+    ``halo_indices`` are offsets into ``halo_buf``, the receive buffer
+    the peer copies land in.  ``halo_cols`` (host metadata) maps
     those slots back to global column ids, and ``halo_src_counts[e]``
     says how many of them device ``e`` owns — one peer copy per nonzero
     entry per SpMV.
@@ -301,10 +183,9 @@ class PartitionedCSR:
 
     shape: tuple[int, int]
     nnz: int
-    mode: str
     #: device id per global row
     owner: np.ndarray
-    #: contiguous block boundaries for the contiguous modes, None for mincut
+    #: contiguous block boundaries (None when built from explicit row sets)
     bounds: np.ndarray | None
     shards: list[CSRShard]
     sub_rows: np.ndarray = field(repr=False)
@@ -416,15 +297,12 @@ def partition_csr(
     A: DeviceCSR,
     devices: list[Device],
     rows_cache: np.ndarray | None = None,
-    mode: str = "nnz",
     row_sets: list[np.ndarray] | None = None,
 ) -> PartitionedCSR:
     """Split ``A`` into per-device row sets with local/halo column parts.
 
-    ``mode`` picks the partitioning strategy (see :func:`partition_rows`);
-    ``"nnz"`` is the default because row-count splits ignore degree skew.
-    Pass ``row_sets`` (with matching ``mode`` for bookkeeping) to reuse a
-    partition computed once by a composed multi-stage plan.
+    Rows split into nnz-balanced contiguous blocks (:func:`partition_rows`)
+    unless ``row_sets`` passes a partition computed once elsewhere.
 
     Device 0 (which holds ``A``) keeps its row set in place; every other
     device receives its raw rows over the modeled bus as one peer copy on
@@ -464,7 +342,7 @@ def partition_csr(
             raise SparseValueError("row sets do not cover every row")
         bounds = None
     else:
-        row_sets, owner, bounds = partition_rows(indptr, indices, p, mode=mode)
+        row_sets, owner, bounds = partition_rows(indptr, p)
     local_slot = np.empty(n, dtype=np.int64)
     for rows_d in row_sets:
         local_slot[rows_d] = np.arange(rows_d.size, dtype=np.int64)
@@ -555,7 +433,6 @@ def partition_csr(
     out = PartitionedCSR(
         shape=A.shape,
         nnz=A.nnz,
-        mode=mode,
         owner=owner,
         bounds=bounds,
         shards=shards,

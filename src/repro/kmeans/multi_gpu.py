@@ -2,26 +2,10 @@
 
 The paper's platform model (§III.B) is "a host CPU and several GPUs as
 co-processors" although its evaluation uses one K20c; this module carries
-Algorithm 4 to the multi-device setting as a natural extension:
+Algorithm 4 to the multi-device setting as the k-means stage of the
+composed multi-device fit.
 
-* the data rows are block-partitioned across devices (step 1 transfers
-  each shard to its device);
-* each iteration, every device computes distances/labels for its shard
-  and a *partial* centroid sum via the same sort+segmented-reduction
-  scheme;
-* the host reduces the partial sums (one small D2H per device), forms the
-  new centroids, and broadcasts them back (one small H2D per device) —
-  the classic allreduce-through-host pattern of pre-NCCL CUDA;
-* convergence is the global label-change count.
-
-Simulated wall-clock of an iteration is the *maximum* over devices (they
-run concurrently) plus the serialized host reduction; the returned
-:class:`MultiDeviceTimings` exposes both, and tests assert the parallel
-time approaches ``1/n_devices`` of the single-device time for balanced
-shards.
-
-:func:`kmeans_composed` is the topology-aware successor used by the
-composed multi-device fit: it consumes an existing row partition (the same
+:func:`kmeans_composed` consumes an existing row partition (the same
 ``row_sets`` the sharded eigensolver ran on, so the embedding shards stay
 resident and the V upload is elided), replicates :func:`kmeans_device`'s
 fused+SpMM arithmetic on the full host mirror so labels, centroids, and
@@ -39,17 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import cublas, thrust
 from repro.cuda.device import Device
-from repro.cuda.kernel import launch
-from repro.cuda.launch import grid_1d
 from repro.cuda.memory import BufferGroup
 from repro.errors import ClusteringError
-from repro.kmeans.gpu import argmin_rows, compute_norms, init_distances
-from repro.kmeans.init import kmeans_plus_plus
 from repro.kmeans.utils import (
     KMeansResult,
-    inertia as _inertia,
     relabel_empty_clusters,
     validate_inputs,
 )
@@ -59,146 +37,12 @@ from repro.kmeans.utils import (
 class MultiDeviceTimings:
     """Simulated time accounting for a multi-GPU run.
 
-    ``parallel_seconds`` is the makespan (max per-device elapsed each
-    iteration, summed); ``per_device_seconds`` the raw per-device totals;
-    ``host_reduce_seconds`` the serialized reduction/broadcast share
-    (already included in the makespan).
+    ``parallel_seconds`` is the makespan of the whole call;
+    ``per_device_seconds`` the raw per-device busy totals.
     """
 
     parallel_seconds: float = 0.0
     per_device_seconds: list = field(default_factory=list)
-    host_reduce_seconds: float = 0.0
-
-
-def kmeans_multi_device(
-    devices: list[Device],
-    V: np.ndarray,
-    k: int,
-    max_iter: int = 300,
-    seed: int | None = 0,
-    initial_centroids: np.ndarray | None = None,
-    block: int = 256,
-) -> tuple[KMeansResult, MultiDeviceTimings]:
-    """Algorithm 4 sharded across ``devices``.
-
-    Seeding runs on the host (k-means++ over the full data — a scalable
-    seeding would sample per shard; kept simple and identical to the
-    single-device path so results are comparable bit-for-bit).
-    """
-    if not devices:
-        raise ClusteringError("need at least one device")
-    V = validate_inputs(V, k)
-    n, d = V.shape
-    if len(devices) > n:
-        raise ClusteringError(f"{len(devices)} devices for {n} points")
-    rng = np.random.default_rng(seed)
-
-    if initial_centroids is not None:
-        C = np.array(initial_centroids, dtype=np.float64, copy=True)
-        if C.shape != (k, d):
-            raise ClusteringError(
-                f"initial centroids have shape {C.shape}, expected {(k, d)}"
-            )
-    else:
-        C = kmeans_plus_plus(V, k, rng)
-
-    # ---- shard the rows -------------------------------------------------
-    n_dev = len(devices)
-    bounds = np.linspace(0, n, n_dev + 1).astype(np.int64)
-    shards = []
-    setup_times = []
-    for dev, lo, hi in zip(devices, bounds[:-1], bounds[1:]):
-        t0 = dev.elapsed
-        dV = dev.to_device(V[lo:hi])
-        dVnorm = dev.empty(hi - lo, dtype=np.float64)
-        launch(compute_norms, grid_1d(hi - lo, block), dV, dVnorm,
-               n_threads=hi - lo)
-        setup_times.append(dev.elapsed - t0)
-        shards.append((dev, int(lo), int(hi), dV, dVnorm))
-
-    labels = np.full(n, -1, dtype=np.int64)
-    timings = MultiDeviceTimings(per_device_seconds=list(setup_times))
-    # shard uploads happen concurrently across devices; the makespan pays
-    # the slowest (fair against the single-device path, which pays its
-    # full upload)
-    timings.parallel_seconds += max(setup_times)
-    history: list[float] = []
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        iter_dev_times = []
-        partial_sums = np.zeros((n_dev, k, d))
-        partial_counts = np.zeros((n_dev, k), dtype=np.int64)
-        old = labels.copy()
-        for idx, (dev, lo, hi, dV, dVnorm) in enumerate(shards):
-            t0 = dev.elapsed
-            t = hi - lo
-            # broadcast current centroids (H2D) and compute shard labels
-            dC = dev.to_device(C)
-            dCnorm = dev.empty(k, dtype=np.float64)
-            launch(compute_norms, grid_1d(k, block), dC, dCnorm, n_threads=k)
-            dS = dev.empty((t, k), dtype=np.float64)
-            launch(init_distances, grid_1d(t, block), dS, dVnorm, dCnorm,
-                   n_threads=t)
-            cublas.gemm(dV, dC, dS, alpha=-2.0, beta=1.0, transb=True)
-            dlab = dev.empty(t, dtype=np.int64)
-            launch(argmin_rows, grid_1d(t, block), dS, dlab, n_threads=t)
-
-            # shard-local partial centroid sums (sort + segmented reduce)
-            dkeys = dlab.copy()
-            dvals = dV.copy()
-            thrust.sort_by_key(dkeys, dvals)
-            uniq, sums = thrust.reduce_by_key(dkeys, dvals)
-            ones = dev.full(t, 1.0)
-            uniq2, counts = thrust.reduce_by_key(dkeys, ones)
-
-            labels[lo:hi] = dlab.copy_to_host()
-            present = uniq.copy_to_host()
-            partial_sums[idx][present] = sums.copy_to_host()
-            partial_counts[idx][present] = counts.copy_to_host().astype(np.int64)
-
-            for buf in (dC, dCnorm, dS, dlab, dkeys, dvals, uniq, uniq2,
-                        sums, ones, counts):
-                buf.free()
-            iter_dev_times.append(dev.elapsed - t0)
-
-        # ---- host reduction (serialized) --------------------------------
-        sums_total = partial_sums.sum(axis=0)
-        counts_total = partial_counts.sum(axis=0)
-        nonzero = counts_total > 0
-        C[nonzero] = sums_total[nonzero] / counts_total[nonzero, None]
-        C, labels, counts_total = relabel_empty_clusters(
-            V, C, labels, counts_total
-        )
-        # charge the reduction as host time on device 0's timeline
-        reduce_s = devices[0].charge_cpu(
-            "centroid_allreduce", n_dev * k * d * 8.0 / 25.6e9
-        )
-        timings.host_reduce_seconds += reduce_s
-
-        for i, dt in enumerate(iter_dev_times):
-            timings.per_device_seconds[i] += dt
-        timings.parallel_seconds += max(iter_dev_times) + reduce_s
-
-        changes = int(np.count_nonzero(labels != old))
-        history.append(_inertia(V, C, labels))
-        if changes == 0:
-            converged = True
-            break
-
-    for dev, lo, hi, dV, dVnorm in shards:
-        dV.free()
-        dVnorm.free()
-
-    result = KMeansResult(
-        labels=labels,
-        centroids=C,
-        inertia=history[-1] if history else 0.0,
-        n_iter=it,
-        converged=converged,
-        inertia_history=history,
-    )
-    return result, timings
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +218,9 @@ def kmeans_composed(
     """Algorithm 4 over an existing multi-device row partition.
 
     The composed stage of the one-plan fit: rows were partitioned once
-    (by the graph-aware partitioner) and the embedding block is already
-    sharded across ``devices`` when the eigensolver hands over, so this
-    path skips the re-gather/re-scatter a phase-by-phase fit pays.
+    and the embedding block is already sharded across ``devices`` when
+    the eigensolver hands over, so nothing is re-gathered or re-scattered
+    between the stages.
 
     Numerics are **bit-identical** to :func:`~repro.kmeans.gpu.kmeans_device`
     on its default path (fused assignment, SpMM centroid update,
@@ -607,7 +451,6 @@ def kmeans_composed(
     timings = MultiDeviceTimings(
         parallel_seconds=ch.now - t_start,
         per_device_seconds=list(ch.per_device),
-        host_reduce_seconds=0.0,
     )
     result = KMeansResult(
         labels=labels,

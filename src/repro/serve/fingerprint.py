@@ -107,7 +107,7 @@ def embedding_key(
     ``embedding`` are included because reduced-precision and power-
     iteration embeddings are tolerance-band accurate rather than
     bit-identical — an fp16 solve must never shadow an fp64 one (unlike
-    ``eig_devices``/``eig_residency``, which are bit-identical placements
+    ``devices``/``eig_residency``, which are bit-identical placements
     and deliberately excluded).  ``filter_order``/``n_signals`` shape the
     compressive tier's feature sketch (a different polynomial degree or
     sketch width is a different embedding); they stay ``None`` on the

@@ -47,8 +47,10 @@ from repro.errors import ServiceError
 from repro.sparse.csr import CSRMatrix
 
 #: bump when the on-disk layout changes; readers treat any other value
-#: as a miss
-FORMAT_VERSION = 1
+#: as a miss.  Version 2: stored model ``params`` carry the single
+#: ``devices`` knob; version-1 params name per-stage device knobs the
+#: estimator no longer accepts, so refitting from them would raise
+FORMAT_VERSION = 2
 
 _KIND_EMBEDDING = "embedding"
 _KIND_MODEL = "model"

@@ -70,15 +70,10 @@ class ClusterRequest:
     m: int | None = None
     eig_tol: float = 1e-8
     eig_maxiter: int | None = None
-    #: GPUs the eigensolve spans (row-partitioned; bit-identical output,
+    #: GPUs the solve spans (row-partitioned; same output as one device,
     #: so deliberately NOT part of embedding_key — a multi-device solve
     #: can serve a cached single-device embedding and vice versa)
-    eig_devices: int = 1
-    #: GPUs the *composed* fit spans (one partition across eigensolve and
-    #: k-means) and the row-partitioner mode; bit-identical output, so —
-    #: like eig_devices — deliberately NOT part of embedding_key
-    fit_devices: int = 1
-    partition_mode: str = "nnz"
+    devices: int = 1
     #: storage precision of the eigensolve ('fp64'/'fp32'/'fp16') — part
     #: of embedding_key: reduced embeddings are tolerance-band accurate,
     #: not bit-identical, so they must not shadow exact ones
@@ -136,9 +131,7 @@ class ClusterRequest:
             m=self.m,
             eig_tol=self.eig_tol,
             eig_maxiter=self.eig_maxiter,
-            eig_devices=self.eig_devices,
-            fit_devices=self.fit_devices,
-            partition_mode=self.partition_mode,
+            devices=self.devices,
             precision=self.precision,
             embedding=self.embedding,
             filter_order=self.filter_order,

@@ -497,7 +497,7 @@ class StreamScheduler:
         the time it burned, exactly like a real stream.
 
         ``width > 1`` is for gang-scheduled multi-device work (a
-        row-partitioned eigensolve spanning ``eig_devices`` GPUs): the
+        row-partitioned eigensolve spanning ``devices`` GPUs): the
         unit reserves that many lanes — preferring one lane on each
         distinct device before doubling up streams — and all of them
         block for the unit's full duration from a common start, so the

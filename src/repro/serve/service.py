@@ -488,12 +488,8 @@ class ClusterService:
                         fn=self._scoped(leader, self._solve_fn(leader, op)),
                         device=self.scheduler.devices[op_unit.device_index],
                         # a row-partitioned solve pins one lane per GPU it
-                        # spans (gang-scheduled from a common start);
-                        # composed-fit requests span fit_devices lanes
-                        width=min(
-                            max(1, leader.eig_devices, leader.fit_devices),
-                            len(self.scheduler.lanes),
-                        ),
+                        # spans (gang-scheduled from a common start)
+                        width=min(max(1, leader.devices), len(self.scheduler.lanes)),
                     )
                     batch_end = max(batch_end, unit.end)
                     if unit.ok:

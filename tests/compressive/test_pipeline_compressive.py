@@ -126,7 +126,8 @@ class TestConfiguration:
     def test_multi_device_and_fp32(self, sbm_graph):
         W, truth = sbm_graph
         single = _fit(W, embedding="compressive")
-        multi = _fit(W, embedding="compressive", eig_devices=2)
+        multi = _fit(W, embedding="compressive", devices=2)
+        assert "composed" not in multi.eig_stats
         assert single.embedding.tobytes() == multi.embedding.tobytes()
         assert np.array_equal(single.labels, multi.labels)
         reduced = _fit(W, embedding="compressive", precision="fp32")

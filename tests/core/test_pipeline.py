@@ -164,25 +164,31 @@ class TestDeviceSharing:
 
 
 class TestMultiDevicePipeline:
-    """eig_devices > 1 through the full fit(): same answer, honest knobs."""
-
-    def _fit(self, W, p):
-        return SpectralClustering(n_clusters=6, seed=0, eig_devices=p).fit(
-            graph=W
-        )
+    """devices > 1 through the full fit(): same answer, honest knobs.
+    (The devices x embedding x precision matrix lives in
+    tests/core/test_precision_parity.py.)"""
 
     def test_bit_identical_results_across_device_counts(self, sbm_graph):
+        """The sort k-means does not compose, so only the embedding is
+        sharded — and still reproduces the single-device fit."""
         W, _ = sbm_graph
-        ref = self._fit(W, 1)
+
+        def fit(p):
+            return SpectralClustering(
+                n_clusters=6, seed=0, devices=p, kmeans_update="sort"
+            ).fit(graph=W)
+
+        ref = fit(1)
         for p in (2, 4):
-            res = self._fit(W, p)
+            res = fit(p)
+            assert "composed" not in res.eig_stats
             assert res.labels.tobytes() == ref.labels.tobytes()
             assert res.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
             assert res.embedding.tobytes() == ref.embedding.tobytes()
 
     def test_eig_stats_expose_partition(self, sbm_graph):
         W, _ = sbm_graph
-        res = self._fit(W, 2)
+        res = SpectralClustering(n_clusters=6, seed=0, devices=2).fit(graph=W)
         assert res.eig_stats["n_devices"] == 2
         assert res.eig_stats["partition"] is not None
         assert res.eig_stats["bytes_p2p"] > 0
@@ -190,23 +196,22 @@ class TestMultiDevicePipeline:
 
     def test_validation(self, sbm_graph):
         with pytest.raises(ClusteringError):
-            SpectralClustering(n_clusters=3, eig_devices=0)
+            SpectralClustering(n_clusters=3, devices=0)
+        with pytest.raises(ClusteringError):
+            SpectralClustering(n_clusters=3, devices=2, eig_residency="host")
         with pytest.raises(ClusteringError):
             SpectralClustering(
-                n_clusters=3, eig_devices=2, eig_residency="host"
-            )
-        with pytest.raises(ClusteringError):
-            SpectralClustering(
-                n_clusters=3, eig_devices=2, eig_spmv_format="hyb"
+                n_clusters=3, devices=2, eig_spmv_format="hyb"
             )
 
 
 class TestComposedFit:
-    """fit_devices > 1: one partition, resident shards, same answer."""
+    """devices > 1 on a composable config: one partition, resident
+    shards, same answer."""
 
-    def _fit(self, W, p, mode="nnz", **kw):
+    def _fit(self, W, p, **kw):
         return SpectralClustering(
-            n_clusters=6, seed=0, fit_devices=p, partition_mode=mode, **kw
+            n_clusters=6, seed=0, devices=p, **kw
         ).fit(graph=W)
 
     def test_bit_identical_across_device_counts(self, sbm_graph):
@@ -214,23 +219,16 @@ class TestComposedFit:
         ref = SpectralClustering(n_clusters=6, seed=0).fit(graph=W)
         for p in (2, 4):
             res = self._fit(W, p)
+            assert "composed" in res.eig_stats
             assert res.labels.tobytes() == ref.labels.tobytes()
             assert res.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
             assert res.embedding.tobytes() == ref.embedding.tobytes()
 
-    @pytest.mark.parametrize("mode", ["rows", "nnz", "mincut"])
-    def test_bit_identical_across_partition_modes(self, sbm_graph, mode):
-        W, _ = sbm_graph
-        ref = SpectralClustering(n_clusters=6, seed=0).fit(graph=W)
-        res = self._fit(W, 2, mode=mode)
-        assert res.labels.tobytes() == ref.labels.tobytes()
-
     def test_eig_stats_expose_composition(self, sbm_graph):
         W, _ = sbm_graph
-        res = self._fit(W, 2, mode="mincut")
+        res = self._fit(W, 2)
         comp = res.eig_stats["composed"]
         assert comp["n_devices"] == 2
-        assert comp["partition_mode"] == "mincut"
         assert sum(comp["row_counts"]) == W.shape[0]
         assert comp["step_halo_bytes"] > 0
         assert comp["kmeans_makespan_s"] > 0
@@ -238,14 +236,12 @@ class TestComposedFit:
         assert comp["kmeans_transfers"]["elided_bytes"] > 0
         # the sharded eigensolve ran on the same plan
         assert res.eig_stats["n_devices"] == 2
-        assert res.eig_stats["partition"] is not None
+        assert res.eig_stats["partition"]["row_counts"] == comp["row_counts"]
 
     def test_resident_shards_skip_embedding_upload(self, sbm_graph):
-        """The phased path re-uploads the full embedding for k-means;
-        the composed path's shards are resident, so those bytes appear
-        as elided transfers and the stage's charged H2D stays small.
-        (The resulting end-to-end makespan win is a bench-scale claim,
-        gated in benchmarks/bench_topology_composition.py.)"""
+        """A single-device k-means uploads the full embedding; the
+        composed path's shards are resident, so those bytes appear as
+        elided transfers and the stage's charged H2D stays small."""
         W, _ = sbm_graph
         res = self._fit(W, 2)
         tr = res.eig_stats["composed"]["kmeans_transfers"]
@@ -254,21 +250,16 @@ class TestComposedFit:
         assert tr["h2d_bytes"] < embedding_bytes
 
     def test_validation(self):
-        with pytest.raises(ClusteringError):
-            SpectralClustering(n_clusters=3, fit_devices=0)
-        with pytest.raises(ClusteringError):
-            SpectralClustering(n_clusters=3, fit_devices=2, partition_mode="metis")
-        with pytest.raises(ClusteringError):
-            SpectralClustering(
-                n_clusters=3, fit_devices=2, eig_residency="host"
-            )
-        with pytest.raises(ClusteringError):
-            SpectralClustering(
-                n_clusters=3, fit_devices=2, precision="fp32"
-            )
-        with pytest.raises(ClusteringError):
-            SpectralClustering(
-                n_clusters=3, fit_devices=2, kmeans_update="atomic"
-            )
-        with pytest.raises(ClusteringError):
-            SpectralClustering(n_clusters=3, fit_devices=2, eig_devices=3)
+        """Composition is chosen from the config, never requested: only
+        an exact fp64 eigensolver embedding with the default k-means
+        composes; every other config shards the embedding alone."""
+        for kw in ({}, {"embedding": "power"}, {"objective": "ratiocut"}):
+            assert SpectralClustering(n_clusters=3, devices=2, **kw).composes
+        for kw in (
+            {"precision": "fp32"},
+            {"embedding": "compressive"},
+            {"kmeans_update": "sort"},
+            {"kmeans_fused": False},
+        ):
+            assert not SpectralClustering(n_clusters=3, devices=2, **kw).composes
+        assert not SpectralClustering(n_clusters=3).composes

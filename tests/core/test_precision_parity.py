@@ -1,12 +1,14 @@
-"""Parity grid over ``precision x embedding x n_devices x spmv_format``.
+"""Parity grid over ``precision x embedding x devices x spmv_format``.
 
 The central promise of the mixed-precision axis: ``precision="fp64"``
 (with the Lanczos embedding) is the *exact* path — bit-identical labels,
 spectra and embedding to a build without the precision axis, across every
-device count and SpMV format the pipeline accepts.  Reduced precisions
-and the power embedding trade bits for bytes; their cells of the grid are
-held to the tolerance bands instead (ARI against the planted SBM
-communities, refined residual under the precision's floor).
+device count and SpMV format the pipeline accepts.  Reduced precisions and the power
+embedding trade bits for bytes; their cells of the grid are held to the
+tolerance bands instead (ARI against the planted SBM communities, refined
+residual under the precision's floor).  The ``devices`` knob never trades
+anything: :class:`TestDeviceParity` pins every device count to the
+single-device answer.
 """
 
 import numpy as np
@@ -77,7 +79,7 @@ class TestExactPathBitIdentity:
         W, _ = grid_graph
         res = _fit(
             W, precision="fp64", embedding="lanczos",
-            eig_devices=n_devices, eig_spmv_format=fmt,
+            devices=n_devices, eig_spmv_format=fmt,
         )
         assert np.array_equal(res.labels, baseline.labels)
         assert res.eigenvalues.tobytes() == baseline.eigenvalues.tobytes()
@@ -91,8 +93,8 @@ class TestExactPathBitIdentity:
         bit-identical to Lanczos) but must itself be deterministic and
         device-count invariant at fp64."""
         W, truth = grid_graph
-        one = _fit(W, embedding="power", eig_devices=1)
-        two = _fit(W, embedding="power", eig_devices=2)
+        one = _fit(W, embedding="power", devices=1)
+        two = _fit(W, embedding="power", devices=2)
         assert one.eigenvalues.tobytes() == two.eigenvalues.tobytes()
         assert one.embedding.tobytes() == two.embedding.tobytes()
         assert np.array_equal(one.labels, two.labels)
@@ -107,7 +109,7 @@ class TestBandedGrid:
         W, truth = grid_graph
         res = _fit(
             W, precision=precision, embedding=embedding,
-            eig_devices=n_devices,
+            devices=n_devices,
         )
         stats = res.eig_stats
         assert stats["precision"] == precision
@@ -144,3 +146,45 @@ class TestBandedGrid:
         b32 = _fit(W, precision="fp32").eig_stats["spmv_bytes"]
         b16 = _fit(W, precision="fp16").eig_stats["spmv_bytes"]
         assert b64 > b32 > b16 > 0
+
+
+#: configurations the device matrix sweeps; the single-device fit of each
+#: is the reference every device count must reproduce
+DEVICE_EMBEDDINGS = ("lanczos", "power", "compressive")
+DEVICE_PRECISIONS = ("fp64", "fp32")
+
+
+@pytest.fixture(scope="module")
+def single_device(grid_graph):
+    W, _ = grid_graph
+    return {
+        (embedding, precision): _fit(W, embedding=embedding, precision=precision)
+        for embedding in DEVICE_EMBEDDINGS
+        for precision in DEVICE_PRECISIONS
+    }
+
+
+class TestDeviceParity:
+    """``devices`` is a placement knob: every device count reproduces the
+    single-device labels, spectrum and embedding bit for bit, whether the
+    config composes the whole fit or shards only the embedding."""
+
+    @pytest.mark.parametrize("precision", DEVICE_PRECISIONS)
+    @pytest.mark.parametrize("embedding", DEVICE_EMBEDDINGS)
+    @pytest.mark.parametrize("devices", (1, 2, 4))
+    def test_matches_single_device(
+        self, grid_graph, single_device, devices, embedding, precision
+    ):
+        W, _ = grid_graph
+        ref = single_device[(embedding, precision)]
+        res = _fit(W, devices=devices, embedding=embedding, precision=precision)
+        assert res.labels.tobytes() == ref.labels.tobytes()
+        assert res.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert res.embedding.tobytes() == ref.embedding.tobytes()
+        assert res.eig_stats["n_devices"] == devices
+        # the whole fit composes exactly when the config admits it: an
+        # exact eigensolver embedding at fp64 with the default k-means
+        composes = (
+            devices > 1 and embedding != "compressive" and precision == "fp64"
+        )
+        assert ("composed" in res.eig_stats) == composes

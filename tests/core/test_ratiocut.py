@@ -71,4 +71,4 @@ class TestRatioCutPipeline:
 
     def test_bad_objective(self):
         with pytest.raises(ClusteringError):
-            SpectralClustering(n_clusters=3, objective="mincut")
+            SpectralClustering(n_clusters=3, objective="maxcut")

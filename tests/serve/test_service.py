@@ -266,20 +266,20 @@ class TestServiceReportShape:
 
 
 class TestMultiDeviceServing:
-    """eig_devices requests gang-schedule across device lanes and still
+    """Multi-device requests gang-schedule across device lanes and still
     share the embedding cache with single-device solves."""
 
     def test_multi_device_request_bit_identical(self, make_request):
         ref, _ = _service().process([make_request()])
         multi, _ = _service(n_devices=2).process(
-            [make_request(eig_devices=2)]
+            [make_request(devices=2)]
         )
         assert multi[0].labels.tobytes() == ref[0].labels.tobytes()
         assert np.array_equal(multi[0].eigenvalues, ref[0].eigenvalues)
 
     def test_solve_occupies_multiple_lanes(self, make_request):
         svc = _service(n_devices=2)
-        svc.process([make_request(eig_devices=2)])
+        svc.process([make_request(devices=2)])
         solves = [
             ev for ev in svc.scheduler.schedule if "eigensolve" in ev.name
         ]
@@ -291,17 +291,17 @@ class TestMultiDeviceServing:
 
     def test_width_capped_by_available_lanes(self, make_request):
         svc = _service(n_devices=1, streams_per_device=1)
-        responses, _ = svc.process([make_request(eig_devices=4)])
+        responses, _ = svc.process([make_request(devices=4)])
         assert responses[0].error is None
 
     def test_device_count_does_not_split_cache(self, make_request):
-        """eig_devices is not part of the embedding key: one solve serves
+        """devices is not part of the embedding key: one solve serves
         both a single- and a multi-device request for the same problem."""
         svc = _service(n_devices=2)
         responses, report = svc.process(
             [
-                make_request(eig_devices=1),
-                make_request(eig_devices=2),
+                make_request(devices=1),
+                make_request(devices=2),
             ]
         )
         solve_names = {
@@ -312,23 +312,24 @@ class TestMultiDeviceServing:
         assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_composed_request_bit_identical(self, make_request):
-        """fit_devices requests run the composed plan through the staged
-        estimator and reproduce the single-device answer bit for bit."""
-        ref, _ = _service().process([make_request()])
+        """A composable multi-device request (power embedding) runs the
+        staged estimator sharded and reproduces the single-device answer
+        bit for bit."""
+        ref, _ = _service().process([make_request(embedding="power")])
         comp, _ = _service(n_devices=2).process(
-            [make_request(fit_devices=2, partition_mode="mincut")]
+            [make_request(embedding="power", devices=2)]
         )
         assert comp[0].labels.tobytes() == ref[0].labels.tobytes()
         assert np.array_equal(comp[0].eigenvalues, ref[0].eigenvalues)
 
     def test_composed_does_not_split_cache(self, make_request):
-        """fit_devices/partition_mode are not part of the embedding key —
-        a composed fit serves a cached single-device embedding too."""
+        """A composable multi-device request serves a cached
+        single-device embedding too."""
         svc = _service(n_devices=2)
         responses, _ = svc.process(
             [
-                make_request(),
-                make_request(fit_devices=2, partition_mode="mincut"),
+                make_request(embedding="power"),
+                make_request(embedding="power", devices=2),
             ]
         )
         solve_names = {
