@@ -2,28 +2,38 @@
 accounting.
 
 :func:`hybrid_eigensolver` is the heart of the paper: ARPACK-style reverse
-communication runs on the (modeled) CPU while every sparse matrix-vector
-product runs on the (simulated) GPU, with the iteration vector crossing the
-PCIe bus twice per Lanczos step.  CPU phases are charged to the shared
-timeline from the Xeon cost model:
+communication runs on the (modeled) CPU and asks for ``y = A x`` without
+knowing where the product runs.  That question is answered by one
+:class:`PlacedOperator` per solve, with four placements:
 
-* per Lanczos step — the ``TakeStep`` orthogonalization sweep, a
-  memory-bound BLAS-2 pass over the current basis (``O(n·j)``);
-* per restart — the m×m tridiagonal eigendecomposition + shift sweeps
-  (``O(m³)``, LAPACK single-threaded) and the BLAS-3 basis update
-  ``V <- V Q`` (``O(n·m·k)``, multithreaded OpenBLAS);
-* at exit — ``FindEigenvectors`` (``O(n·m·k)`` BLAS-3), matching the
-  complexity expression (10) of §IV.B.
+* :class:`HostPlacement` — the paper's Algorithm 3: the iteration vector
+  crosses the PCIe bus twice per product and every CPU phase is charged
+  from the Xeon cost model (the ``TakeStep`` reorthogonalization sweep,
+  ``O(n·j)``; per restart the ``O(m³)`` tridiagonal eigendecomposition +
+  shift sweeps and the ``O(n·m·k)`` basis update; at exit
+  ``FindEigenvectors``, matching the complexity expression (10) of §IV.B);
+* :class:`DevicePlacement` — the vector and basis stay GPU-resident and
+  only ARPACK's small tridiagonal state crosses the bus;
+* :class:`PartitionedPlacement` — the operator and basis are row-sharded
+  over a device group;
+* :class:`CPUPlacement` — the host finishes the solve with the same
+  arithmetic as the device kernels when the device stays unusable.
+
+The drivers — the IRLM loop, the block power iteration, the compressive
+probe + Chebyshev filter (:mod:`repro.compressive.engine`) and the fp64
+refinement pass — are written once against that type, and
+:func:`run_placed` is the one resume-then-fallback loop around them.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.chaos.retry import DISABLED, ResiliencePolicy, TRANSIENT_ERRORS, with_retry
+from repro.chaos.runtime import chaos_check
 from repro.cuda.boundaries import mark_boundary
 from repro.cuda.device import Device
 from repro.cuda.memory import BufferGroup
@@ -43,7 +53,7 @@ from repro.cusparse.partition import (
     spmv_partitioned,
 )
 from repro.cusparse.spmm import csrmm, spmm_any
-from repro.cusparse.spmv import csrmv, spmv_any
+from repro.cusparse.spmv import spmv_any
 from repro.errors import CudaError, DeviceMemoryError
 from repro.hw.costmodel import CPUCostModel
 from repro.hw.spec import CPUSpec, XEON_E5_2690
@@ -55,7 +65,6 @@ from repro.precision import (
     TOL_FLOORS,
     as_f64,
     kernel_letter,
-    precision_of,
     quantize,
     quantize_roundtrip,
     resolve_precision,
@@ -72,31 +81,28 @@ EMBEDDING_MODES = ("lanczos", "power")
 DEFAULT_REFINE_STEPS = 2
 
 
-@dataclass
-class EigStats:
-    """Counters from one hybrid eigensolver run.
+@dataclass(kw_only=True)
+class SolveStats:
+    """Counters every placed solve reports.
 
     ``n_resumes``/``spmv_retries``/``fallback`` report resilience activity:
-    checkpoint restarts after a device failure, recovered per-round-trip
+    checkpoint restarts after a device failure, recovered per-product
     faults, and whether the solve finished on the host (``"cpu"``) instead
     of the device (``None``).  ``residency``/``spmv_format`` record the
     placement and format the solve actually ran with; the transfer counters
     (bytes moved, transfers elided, overlap) quantify what the GPU-resident
-    path saved over the ship-the-vector-twice-per-step baseline.
+    placements saved over the ship-the-vector-twice-per-step baseline.
     """
 
     n_op: int
-    n_restarts: int
-    n_reorth: int
     converged: bool
-    m: int
     k: int
-    pcie_round_trips: int
     wall_seconds: float
+    pcie_round_trips: int = 0
     n_resumes: int = 0
     spmv_retries: int = 0
     fallback: str | None = None
-    residency: str = "host"
+    residency: str = "device"
     spmv_format: str = "csr"
     bytes_h2d: int = 0
     bytes_d2h: int = 0
@@ -108,12 +114,29 @@ class EigStats:
     format_decision: dict | None = None
     n_devices: int = 1
     #: row-partitioning evidence when ``n_devices > 1`` (bounds, halo
-    #: counts, per-step halo bytes, one-time shard distribution bytes)
+    #: counts, one-time shard distribution bytes, products issued)
     partition: dict | None = None
     #: storage precision of the operator values and iteration vectors
     precision: str = "fp64"
-    #: embedding algorithm the solve ran ("lanczos" or "power")
+    #: embedding algorithm the solve ran
     embedding: str = "lanczos"
+    #: modeled SpMV/SpMM device-memory bytes this solve moved (the
+    #: roofline byte expressions, summed — the precision ablation's gate)
+    spmv_bytes: float = 0.0
+    #: summed simulated seconds of the SpMV/SpMM kernels themselves
+    spmv_kernel_s: float = 0.0
+
+    def as_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass(kw_only=True)
+class EigStats(SolveStats):
+    """Counters from one hybrid eigensolver run (Lanczos or power)."""
+
+    n_restarts: int
+    n_reorth: int
+    m: int
     #: fp64 operator applications the refinement pass performed
     #: (``len(refine_history) - 1``: one for the measurement + in-span
     #: polish, one per subspace advance; 0 = the pass never ran)
@@ -123,153 +146,143 @@ class EigStats:
     refine_residual: float | None = None
     #: per-step residual history of the refinement loop (monotone)
     refine_history: list | None = None
-    #: modeled SpMV/SpMM device-memory bytes this solve moved (the
-    #: roofline byte expressions, summed — the precision ablation's gate)
-    spmv_bytes: float = 0.0
-    #: summed simulated seconds of the SpMV/SpMM kernels themselves
-    spmv_kernel_s: float = 0.0
 
-    def as_dict(self) -> dict:
+
+def check_placement(
+    residency: str, spmv_format: str, n_devices: int
+) -> None:
+    """Reject placement requests no :class:`PlacedOperator` can serve."""
+    if residency not in RESIDENCY_MODES:
+        raise ValueError(
+            f"residency must be one of {RESIDENCY_MODES}, got {residency!r}"
+        )
+    if spmv_format not in SPMV_FORMAT_CHOICES:
+        raise ValueError(
+            f"spmv_format must be one of {SPMV_FORMAT_CHOICES}, "
+            f"got {spmv_format!r}"
+        )
+    if n_devices < 1:
+        raise ValueError(f"n_devices must be >= 1, got {n_devices}")
+    if n_devices > 1:
+        if residency != "device":
+            raise ValueError(
+                "n_devices > 1 requires residency='device' (the row-"
+                "partitioned operator and basis live on the GPUs)"
+            )
+        if spmv_format not in ("auto", "csr"):
+            raise ValueError(
+                "n_devices > 1 stores row blocks as split local/halo CSR; "
+                f"spmv_format={spmv_format!r} is not supported"
+            )
+
+
+class Solve:
+    """Per-solve state every placement of one solve shares.
+
+    Holds the operator at its storage precision, the cost models, the
+    resilience policy and the counters the stats report; snapshots the
+    transfer/traffic meters and the timeline length on construction so
+    :meth:`stats_fields` can report this solve's deltas.
+    """
+
+    def __init__(
+        self,
+        device: Device,
+        A: DeviceCSR,
+        k: int,
+        precision: str = "fp64",
+        policy: ResiliencePolicy = DISABLED,
+        cpu_spec: CPUSpec = XEON_E5_2690,
+    ) -> None:
+        self.t0 = time.perf_counter()
+        self.device = device
+        self.A = A
+        self.k = k
+        self.precision = precision
+        self.dtype = resolve_precision(precision)
+        self.vs = self.dtype.itemsize
+        self.policy = policy
+        self.cpu = CPUCostModel(cpu_spec)
+        self.n = A.shape[0]
+        self.rows_cache = np.repeat(
+            np.arange(self.n, dtype=np.int64), np.diff(A.indptr.data)
+        )
+        # reduced-precision solve operand: a device-side streaming cast of
+        # the values (identity for fp64 — A_solve IS A and nothing is
+        # charged); the fp64 operator stays alive for the refinement pass
+        self.A_solve = cast_csr(device, A, self.dtype)
+        # peer devices start with zeroed counters, so summing over the
+        # group after the solve still yields correct deltas against the
+        # primary-only snapshot taken here
+        self.transfers_before = device.transfer_stats()
+        self.traffic_before = device.spmv_traffic_bytes
+        self.events_before = len(device.timeline)
+        #: the devices the solve's meters sum over (a partitioned
+        #: placement replaces this with its device group)
+        self.devices = [device]
+        self.spmv_retries = 0
+        self.round_trips = 0
+        self.n_resumes = 0
+        self.fallback: str | None = None
+        #: analytic SpMM traffic plan: bytes per application summed over
+        #: every completed device block product
+        self.ledger_bytes = 0.0
+
+    def count_retry(self, _attempt: int) -> None:
+        self.spmv_retries += 1
+
+    def retry(self, fn, site: str, errors: tuple = TRANSIENT_ERRORS):
+        return with_retry(
+            fn, self.device, self.policy, site=site, errors=errors,
+            on_retry=self.count_retry,
+        )
+
+    def stats_fields(
+        self, pl: PlacedOperator, embedding: str, evidence: dict
+    ) -> dict:
+        """Free the storage operand and return the :class:`SolveStats`
+        fields of this solve (``evidence`` extends the format decision)."""
+        wall = time.perf_counter() - self.t0
+        if self.A_solve is not self.A:
+            self.A_solve.free()
+        after = _sum_transfer_stats(self.devices)
+        delta = {
+            key: after[key] - val for key, val in self.transfers_before.items()
+        }
+        format_decision = None
+        if pl.decision is not None:
+            format_decision = {
+                **pl.decision.as_dict(), **evidence,
+                "precision": self.precision, "value_itemsize": self.vs,
+            }
         return dict(
-            n_op=self.n_op,
-            n_restarts=self.n_restarts,
-            n_reorth=self.n_reorth,
-            converged=self.converged,
-            m=self.m,
-            k=self.k,
-            pcie_round_trips=self.pcie_round_trips,
-            wall_seconds=self.wall_seconds,
+            wall_seconds=wall,
+            pcie_round_trips=self.round_trips,
             n_resumes=self.n_resumes,
             spmv_retries=self.spmv_retries,
             fallback=self.fallback,
-            residency=self.residency,
-            spmv_format=self.spmv_format,
-            bytes_h2d=self.bytes_h2d,
-            bytes_d2h=self.bytes_d2h,
-            bytes_p2p=self.bytes_p2p,
-            n_p2p=self.n_p2p,
-            transfers_elided=self.transfers_elided,
-            bytes_elided=self.bytes_elided,
-            transfer_overlap_s=self.transfer_overlap_s,
-            format_decision=self.format_decision,
-            n_devices=self.n_devices,
-            partition=self.partition,
+            residency=pl.residency,
+            spmv_format=pl.fmt,
+            bytes_h2d=delta["bytes_h2d"],
+            bytes_d2h=delta["bytes_d2h"],
+            bytes_p2p=delta["bytes_p2p"],
+            n_p2p=delta["n_p2p"],
+            transfers_elided=delta["transfers_elided"],
+            bytes_elided=delta["bytes_elided"],
+            transfer_overlap_s=delta["overlap_s"],
+            format_decision=format_decision,
+            n_devices=len(self.devices),
+            partition=pl.partition_info(),
             precision=self.precision,
-            embedding=self.embedding,
-            refine_steps=self.refine_steps,
-            refine_residual=self.refine_residual,
-            refine_history=self.refine_history,
-            spmv_bytes=self.spmv_bytes,
-            spmv_kernel_s=self.spmv_kernel_s,
+            embedding=embedding,
+            spmv_bytes=(
+                sum(d.spmv_traffic_bytes for d in self.devices)
+                - self.traffic_before
+            ),
+            spmv_kernel_s=_sum_spmv_kernel_seconds(
+                self.device, self.events_before
+            ),
         )
-
-
-def charge_takestep(
-    device: Device, cpu: CPUCostModel, n: int, j_avg: float
-) -> None:
-    """Charge one reverse-communication ``TakeStep`` to the timeline.
-
-    The step's dominant cost is the full-reorthogonalization sweep against
-    the current basis: two passes of ``V_j @ w`` / ``w -= V_jᵀ h`` — a
-    memory-bound read of ``2·j·n`` doubles on the host.
-    """
-    nbytes = 2.0 * j_avg * n * 8.0
-    device.charge_cpu("TakeStep[reorth]", cpu.blas1_time(nbytes))
-
-
-def charge_restart(
-    device: Device, cpu: CPUCostModel, n: int, m: int, kp: int
-) -> None:
-    """Charge one implicit restart: T-eig + shift sweeps + basis update."""
-    # dense tridiagonal eig of the m×m projected matrix (LAPACK, 1 thread)
-    device.charge_cpu("dsteqr[T]", cpu.blas3_time(15.0 * m**3, threads=1))
-    # p = m - kp implicit QR sweeps, O(m) rotations each over Q (m×m)
-    device.charge_cpu(
-        "qr_sweeps", cpu.blas3_time(6.0 * (m - kp) * m * m, threads=1)
-    )
-    # V <- V Q[:, :kp]: (n × m) @ (m × kp) BLAS-3, multithreaded OpenBLAS
-    device.charge_cpu("basis_update[VQ]", cpu.blas3_time(2.0 * n * m * kp))
-
-
-def charge_find_eigenvectors(
-    device: Device, cpu: CPUCostModel, n: int, m: int, k: int
-) -> None:
-    """Charge the ``FindEigenvectors`` post-processing (dseupd analogue)."""
-    device.charge_cpu("FindEigenvectors", cpu.blas3_time(2.0 * n * m * k))
-
-
-def charge_takestep_device(
-    device: Device, n: int, j_avg: float, itemsize: int = 8
-) -> None:
-    """Charge one ``TakeStep`` with the basis kept device-resident.
-
-    The reorthogonalization sweep becomes two cuBLAS gemv launches over the
-    on-device basis (project then update) instead of a host BLAS-2 pass —
-    the same ``O(j·n)`` traffic, but at GPU stream bandwidth.  ``itemsize``
-    is the basis storage width (reduced-precision solves keep the basis at
-    fp32/fp16, so the sweep reads proportionally fewer bytes).
-    """
-    letter = kernel_letter(itemsize)
-    flops = 2.0 * j_avg * n
-    bytes_moved = (j_avg * n + 2.0 * n) * float(itemsize)
-    device.charge_kernel(
-        f"cublas{letter}gemv[proj]", flops, bytes_moved, kind="stream"
-    )
-    device.charge_kernel(
-        f"cublas{letter}gemv[update]", flops, bytes_moved, kind="stream"
-    )
-
-
-def charge_restart_device(
-    device: Device,
-    cpu: CPUCostModel,
-    copy_stream: Stream,
-    n: int,
-    m: int,
-    kp: int,
-    itemsize: int = 8,
-) -> None:
-    """Charge one implicit restart with a device-resident basis.
-
-    Only ARPACK's small tridiagonal state crosses the bus: the ``2m``
-    coefficients come down before the host runs ``dsteqr`` + the shift
-    sweeps, and the ``m x kp`` rotation matrix streams back up on the copy
-    engine *while* the host is still grinding — the H2D lands on the
-    timeline overlapped with the CPU phases via the dedicated stream.  The
-    basis update ``V <- V Q`` then runs as a cublas gemm on the device
-    instead of host BLAS-3.  The two staging buffers cycle through the
-    caching allocator every restart, so after the first restart they are
-    free-list hits.
-
-    ``itemsize`` is the basis storage width.  The staging buffers
-    (``coef``/``qbuf``) are priced at the same width: ARPACK's host copy
-    of the tridiagonal state stays fp64, but what crosses the bus is the
-    device-side storage representation — the same convention
-    :meth:`~repro.linalg.rci.TransferLedger.seed_h2d_bytes` uses, so the
-    ledger's restart entries match the meters at every precision.
-    """
-    stage_dt = np.dtype(f"f{itemsize}")
-    coef = device.empty(2 * m, dtype=stage_dt)
-    qbuf = device.empty((m, kp), dtype=stage_dt)
-    try:
-        # pinned-host staging: the host needs alpha/beta before dsteqr
-        device._record_d2h(coef.nbytes)
-        t_host = device.timeline.clock.now
-        device.charge_cpu("dsteqr[T]", cpu.blas3_time(15.0 * m**3, threads=1))
-        device.charge_cpu(
-            "qr_sweeps", cpu.blas3_time(6.0 * (m - kp) * m * m, threads=1)
-        )
-        # async H2D of Q, hidden behind the host-side restart math
-        copy_stream.enqueue_h2d(qbuf.nbytes, ready_at=t_host)
-        device.charge_kernel(
-            f"cublas{kernel_letter(itemsize)}gemm[VQ]",
-            flops=2.0 * n * m * kp,
-            bytes_moved=(n * m + m * kp + 2.0 * n * kp) * float(itemsize),
-            kind="dense",
-        )
-    finally:
-        coef.free()
-        qbuf.free()
 
 
 def _sum_transfer_stats(devices: list[Device]) -> dict:
@@ -281,93 +294,638 @@ def _sum_transfer_stats(devices: list[Device]) -> dict:
     return out
 
 
-def charge_takestep_multi(
-    devices: list[Device],
-    row_counts: tuple[int, ...],
-    j_avg: float,
-    itemsize: int = 8,
+def _charge_tridiag(
+    device: Device, cpu: CPUCostModel, m: int, kp: int
 ) -> None:
-    """Charge one ``TakeStep`` with the basis row-partitioned over devices.
+    """The host half of every implicit restart: the m×m tridiagonal eig
+    (LAPACK, 1 thread) and ``p = m - kp`` implicit QR sweeps, O(m)
+    rotations each over Q (m×m)."""
+    device.charge_cpu("dsteqr[T]", cpu.blas3_time(15.0 * m**3, threads=1))
+    device.charge_cpu(
+        "qr_sweeps", cpu.blas3_time(6.0 * (m - kp) * m * m, threads=1)
+    )
 
-    Each GPU runs the two reorthogonalization gemvs over its own basis
-    block concurrently (laid at a common start on the shared timeline, so
-    the step costs the makespan over devices).  The ``2j`` projection
-    coefficients are per-step scalar state and stay elided, the same
-    convention the single-device device-resident path uses for per-step
-    coefficient traffic — only restart-boundary state crosses a bus.
+
+class PlacedOperator:
+    """``y = A x`` for the drivers, wherever it runs.
+
+    Algorithm 3's reverse-communication contract: a driver asks for
+    operator applications and never knows where they ran.  Each subclass
+    owns everything placement-specific — workspace allocation (under
+    ``with_retry``), the seed upload, :meth:`apply`, the per-step and
+    per-restart charges, the dense per-application update, the Ritz
+    rotation and download, and the analytic bytes of one product.
+
+    One instance lives for a whole solve (copy streams and counters persist
+    across resumes); :meth:`workspace` and :meth:`prepare` set up one
+    attempt and :meth:`release` tears it down.
     """
-    timeline = devices[0].timeline
-    t0 = timeline.clock.now
-    letter = kernel_letter(itemsize)
-    for d, dev in enumerate(devices):
-        nd = int(row_counts[d])
-        flops = 2.0 * j_avg * nd
-        bytes_moved = (j_avg * nd + 2.0 * nd) * float(itemsize)
-        dt_proj = dev.cost.kernel_time(flops, bytes_moved, kind="stream")
-        timeline.record_at(
-            f"cublas{letter}gemv[proj,dev{d}]", "kernel", t0, dt_proj
+
+    #: the ``residency`` the stats report for this placement
+    residency: str
+
+    def __init__(self, s: Solve, fmt: str = "csr", decision=None) -> None:
+        self.s = s
+        self.fmt = fmt
+        self.decision = decision
+        self.op = s.A_solve
+        self.bufs = BufferGroup()
+        self.pair: tuple = ()
+
+    # ---- one attempt -------------------------------------------------
+    def workspace(self, cols: int | None, basis: int = 0) -> None:
+        """Allocate the ping-pong operand pair (vectors when ``cols`` is
+        None, else ``cols``-wide blocks) plus a ``basis``-row block, per
+        device; a transient or OOM hiccup is retryable."""
+        s = self.s
+
+        def alloc():
+            group = BufferGroup()
+            pairs = []
+            try:
+                for dev, rows in self._slabs():
+                    shape = rows if cols is None else (rows, cols)
+                    pairs.append(group.add(dev.empty(shape, dtype=s.dtype)))
+                    pairs.append(group.add(dev.empty(shape, dtype=s.dtype)))
+                    if basis:
+                        group.add(dev.empty((basis, rows), dtype=s.dtype))
+            except BaseException:
+                group.free_all()
+                raise
+            return group, tuple(pairs[:2])
+
+        self.bufs, self.pair = s.retry(
+            alloc, "eig.alloc", errors=TRANSIENT_ERRORS + (DeviceMemoryError,)
         )
-        dt_upd = dev.cost.kernel_time(flops, bytes_moved, kind="stream")
-        timeline.record_at(
-            f"cublas{letter}gemv[update,dev{d}]", "kernel", t0 + dt_proj, dt_upd
+
+    def prepare(self) -> None:
+        """Materialize the operator in the solve's format (the conversion
+        kernel is charged once, amortized over the attempt)."""
+        if self.fmt != "csr" and self.op is self.s.A_solve:
+            hyb_width = (
+                self.decision.hyb_width if self.decision is not None else None
+            )
+            self.op = convert_for_spmv(
+                self.s.A_solve, self.fmt, hyb_width=hyb_width
+            )
+
+    def upload(self, nbytes: int) -> None:
+        """Ship the seed (or a resumed factorization) to the device."""
+
+    def free_workspace(self) -> None:
+        self.bufs.free_all()
+
+    def release(self) -> None:
+        """Tear down one attempt: workspace, then the converted operator."""
+        self.bufs.free_all()
+        if self.op is not self.s.A_solve:
+            self.op.free()
+            self.op = self.s.A_solve
+
+    def _slabs(self):
+        """``(device, rows)`` for every device holding operator rows."""
+        return [(self.s.device, self.s.n)]
+
+    # ---- products ----------------------------------------------------
+    def apply(self, x: np.ndarray, site: str | None = None) -> np.ndarray:
+        """One operator application to a vector (SpMV) or block (SpMM);
+        ``site`` is an extra chaos site guarding each attempt."""
+        raise NotImplementedError
+
+    def _product(self, dx, dy) -> None:
+        """``dy = op @ dx`` on the device: SpMV for vector operands, SpMM
+        for blocks, through the format-dispatching kernels."""
+        if dx.data.ndim == 1:
+            spmv_any(self.op, dx, dy, rows_cache=self.s.rows_cache)
+        else:
+            spmm_any(self.op, dx, dy)
+
+    def _count(self, x: np.ndarray) -> None:
+        """Meter one completed device product."""
+        if x.ndim == 2:
+            self.s.ledger_bytes += self.bytes_per_application(x.shape[1])
+
+    def bytes_per_application(self, width: int) -> float:
+        """Analytic device-memory bytes of one ``width``-column block
+        product through the materialized operator — the exact expressions
+        ``csrmm``/``ellmm``/``hybmm`` charge to the traffic meter."""
+        cost, op, n, vs = self.s.device.cost, self.op, self.s.n, self.s.vs
+        if self.fmt == "ell":
+            return cost.ellmm_bytes(n, op.nnz, op.width, width, vs)
+        if self.fmt == "hyb":
+            total = cost.ellmm_bytes(n, op.nnz_ell, op.width, width, vs)
+            if op.nnz_coo > 0:
+                total += cost.spmm_bytes(n, op.nnz_coo, width, vs)
+            return total
+        return cost.spmm_bytes(n, op.nnz, width, vs)
+
+    # ---- charges -----------------------------------------------------
+    def charge_step(self, j_avg: float) -> None:
+        """Charge one reverse-communication ``TakeStep`` (the full
+        reorthogonalization sweep against a ``j_avg``-column basis)."""
+        raise NotImplementedError
+
+    def charge_restart(self, m: int, kp: int) -> None:
+        """Charge one implicit restart compacting ``m`` columns to ``kp``."""
+        raise NotImplementedError
+
+    def on_restart(self, m: int, kp: int) -> None:
+        """Restart hook the IRLM loop calls at each restart boundary."""
+        self.charge_restart(m, kp)
+
+    def finish_irlm(self, m: int, n_restarts: int) -> None:
+        """Charge the IRLM exit after ``n_restarts`` restarts of an
+        ``m``-column basis."""
+        raise NotImplementedError
+
+    def dense(self, op: str, tag: str, width: int) -> None:
+        """Charge the dense per-application block update: ``"qr"`` (the
+        panel factorization) or ``"axpy"`` (the three-term recurrence)."""
+        raise NotImplementedError
+
+    def ritz(self, width: int) -> None:
+        """Charge rotating a ``width``-column basis to the ``k`` Ritz
+        vectors and delivering them to the host."""
+        raise NotImplementedError
+
+    def download(self, cols: int) -> None:
+        """Ship an ``n × cols`` result block down to the host."""
+
+    def partition_info(self) -> dict | None:
+        return None
+
+
+class DevicePlacement(PlacedOperator):
+    """GPU-resident: the operand pair (and the Lanczos basis) live in
+    persistent device buffers across reverse-communication steps, so only
+    ARPACK's small tridiagonal state crosses the bus — at restart
+    boundaries, with the Q upload hidden on the copy engine."""
+
+    residency = "device"
+
+    def __init__(self, s: Solve, fmt: str = "csr", decision=None) -> None:
+        super().__init__(s, fmt, decision)
+        self.copy_streams = [Stream(s.device, name="copyEngine")]
+
+    def upload(self, nbytes: int) -> None:
+        self.s.device._record_h2d(nbytes)
+
+    def apply(self, x: np.ndarray, site: str | None = None) -> np.ndarray:
+        s = self.s
+        dx, dy = self.pair
+        dx.data[...] = x  # quantizes to the storage dtype
+
+        def product() -> None:
+            if site is not None:
+                chaos_check(site, s.device)
+            self._product(dx, dy)
+
+        s.retry(product, "eig.spmv")
+        self._count(x)
+        return np.asarray(dy.data, dtype=np.float64).copy()
+
+    def _count(self, x: np.ndarray) -> None:
+        # the operands are already device-resident: no PCIe crossing in
+        # either direction
+        width = x.shape[1] if x.ndim == 2 else 1
+        self.s.device.note_elided_transfer(2, 2 * self.s.n * width * self.s.vs)
+        super()._count(x)
+
+    def charge_step(self, j_avg: float) -> None:
+        # two gemv launches over the on-device basis (project, update): the
+        # host sweep's O(j·n) traffic at GPU stream bandwidth, at the basis
+        # storage width
+        L, vs = kernel_letter(self.s.vs), float(self.s.vs)
+
+        def flops(r):
+            return 2.0 * j_avg * r
+
+        def nbytes(r):
+            return (j_avg * r + 2.0 * r) * vs
+
+        self._launch(
+            (f"cublas{L}gemv", "proj", flops, nbytes, "stream"),
+            (f"cublas{L}gemv", "update", flops, nbytes, "stream"),
         )
-        dev.kernel_launches += 2
+
+    def charge_restart(self, m: int, kp: int) -> None:
+        # the 2m tridiagonal coefficients come down before the host runs
+        # dsteqr + the shift sweeps; the m×kp rotation streams back up on
+        # each copy engine *while* the host grinds, and V <- V Q runs as a
+        # device gemm.  The staging buffers are priced at the basis
+        # storage width (what crosses the bus is the device-side
+        # representation, the TransferLedger convention) and cycle through
+        # the caching allocator, so after the first restart they are hits.
+        s = self.s
+        primary, vs = s.device, s.vs
+        stage_dt = np.dtype(f"f{vs}")
+        coef = primary.empty(2 * m, dtype=stage_dt)
+        qbuf = primary.empty((m, kp), dtype=stage_dt)
+        try:
+            primary._record_d2h(coef.nbytes)
+            t_host = primary.timeline.clock.now
+            _charge_tridiag(primary, s.cpu, m, kp)
+            t_cpu_done = primary.timeline.clock.now
+            ready = [
+                cs.enqueue_h2d(qbuf.nbytes, ready_at=t_host)[1]
+                for cs in self.copy_streams
+            ]
+            self._launch(
+                (
+                    f"cublas{kernel_letter(vs)}gemm", "VQ",
+                    lambda r: 2.0 * r * m * kp,
+                    lambda r: (r * m + m * kp + 2.0 * r * kp) * float(vs),
+                    "dense",
+                ),
+                start=[max(t_cpu_done, t) for t in ready],
+            )
+        finally:
+            coef.free()
+            qbuf.free()
+
+    def finish_irlm(self, m: int, n_restarts: int) -> None:
+        # restarts were charged inline; the Ritz basis assembles on-device
+        # and U comes down once
+        self.s.retry(lambda: self.ritz(m), "eig.result")
+
+    def dense(self, op: str, tag: str, width: int) -> None:
+        L, vs = kernel_letter(self.s.vs), self.s.vs
+        if op == "qr":
+            self._launch((
+                f"cusolver{L}geqrf", tag,
+                lambda r: 2.0 * r * width * width,
+                lambda r: 2.0 * r * width * vs, "dense",
+            ))
+        else:
+            self._launch((
+                f"cublas{L}axpy", tag,
+                lambda r: 3.0 * r * width,
+                lambda r: 5.0 * r * width * vs, "stream",
+            ))
+
+    def ritz(self, width: int) -> None:
+        self._launch(self._ritz_gemm(width))
+        self.download(self.s.k)
+
+    def _ritz_gemm(self, width: int) -> tuple:
+        k, vs = self.s.k, float(self.s.vs)
+        return (
+            f"cublas{kernel_letter(self.s.vs)}gemm", "ritz",
+            lambda r: 2.0 * r * width * k,
+            lambda r: (r * width + width * k + 2.0 * r * k) * vs, "dense",
+        )
+
+    def download(self, cols: int) -> None:
+        self.s.device._record_d2h(self.s.n * cols * self.s.vs)
+
+    def _launch(self, *kernels, start=None) -> None:
+        # one device, one stream: each kernel starts at the clock, when the
+        # previous work ends (``start`` only matters across devices)
+        n = self.s.n
+        for family, tag, flops, nbytes, kind in kernels:
+            self.s.device.charge_kernel(
+                f"{family}[{tag}]", flops=flops(n), bytes_moved=nbytes(n),
+                kind=kind,
+            )
 
 
-def charge_restart_multi(
-    devices: list[Device],
-    cpu: CPUCostModel,
-    copy_streams: list[Stream],
-    row_counts: tuple[int, ...],
-    m: int,
-    kp: int,
-    itemsize: int = 8,
-) -> None:
-    """Charge one implicit restart with the basis sharded over devices.
+class PartitionedPlacement(DevicePlacement):
+    """Row-sharded over a device group: the operator is split into
+    nnz-balanced row blocks (stored as split local/halo CSR), each product
+    runs the local kernels immediately while halo segments travel
+    device-to-device, and the basis lives in per-device row blocks.  Every
+    per-device charge is laid at a common start, so a step costs the
+    makespan over devices.
 
-    The ``2m`` tridiagonal coefficients allgather to the host from device
-    0 (they are replicated scalar state), the host runs ``dsteqr`` + the
-    shift sweeps once, and the ``m x kp`` rotation ``Q`` broadcasts to
-    *every* device on its copy engine — each destination has its own bus
-    link, so the copies land concurrently, hidden behind the host math.
-    The basis update ``V <- V Q`` then runs as one gemm per device over
-    its own row block, concurrent across devices.
+    ``plan`` reuses a prebuilt
+    :class:`~repro.cusparse.partition.PartitionedCSR` (its devices become
+    the group and it is never freed here);
+    ``elide_result_d2h`` keeps result blocks on the devices.
     """
-    primary = devices[0]
-    timeline = primary.timeline
-    stage_dt = np.dtype(f"f{itemsize}")
-    coef = primary.empty(2 * m, dtype=stage_dt)
-    qbuf = primary.empty((m, kp), dtype=stage_dt)
-    try:
-        primary._record_d2h(coef.nbytes)
-        t_host = timeline.clock.now
-        primary.charge_cpu("dsteqr[T]", cpu.blas3_time(15.0 * m**3, threads=1))
-        primary.charge_cpu(
-            "qr_sweeps", cpu.blas3_time(6.0 * (m - kp) * m * m, threads=1)
+
+    def __init__(
+        self,
+        s: Solve,
+        n_devices: int,
+        plan: PartitionedCSR | None = None,
+        elide_result_d2h: bool = False,
+    ) -> None:
+        PlacedOperator.__init__(self, s)
+        self.plan = plan
+        self.elide = elide_result_d2h
+        if plan is not None:
+            s.devices = plan.devices
+            self.row_sets, self.bounds = plan.row_sets, plan.bounds
+        else:
+            s.devices = device_group(s.device, n_devices)
+            self.row_sets, _, self.bounds = partition_rows(
+                s.A.indptr.data, n_devices
+            )
+        self.row_counts = tuple(int(r.size) for r in self.row_sets)
+        self.copy_streams = [
+            Stream(dev, name=f"dev{d}/copyEngine")
+            for d, dev in enumerate(s.devices)
+        ]
+        # scatter/gather byte splits follow the real row layout
+        self.ledger = TransferLedger(
+            n=s.n, m=0, k=s.k, itemsize=s.vs, n_devices=n_devices,
+            row_counts=self.row_counts,
         )
-        t_cpu_done = timeline.clock.now
-        q_ready = []
-        for cs in copy_streams:
-            _, end = cs.enqueue_h2d(qbuf.nbytes, ready_at=t_host)
-            q_ready.append(end)
-        letter = kernel_letter(itemsize)
-        for d, dev in enumerate(devices):
-            nd = int(row_counts[d])
-            dt = dev.cost.kernel_time(
-                2.0 * nd * m * kp,
-                (nd * m + m * kp + 2.0 * nd * kp) * float(itemsize),
-                kind="dense",
+        self.part: PartitionedCSR | None = None
+        self.halo: tuple | None = None
+        self.shard_upload_bytes = 0
+        self.n_matvec = 0
+
+    def _slabs(self):
+        return list(zip(self.s.devices, self.row_counts))
+
+    def prepare(self) -> None:
+        # distribute the operator: row blocks to each device, split into
+        # local/halo parts (P2P + split kernels charged as a makespan)
+        s = self.s
+        if self.part is None:
+            self.part = self.plan
+            if self.part is None:
+                self.part = partition_csr(
+                    s.A_solve, s.devices, rows_cache=s.rows_cache,
+                    row_sets=self.row_sets,
+                )
+            self.shard_upload_bytes += self.part.shard_upload_bytes
+            self.halo = (self.part.halo_counts, self.part.halo_pairs)
+
+    def release(self) -> None:
+        if self.part is not None and self.part is not self.plan:
+            self.part.free()
+        self.part = None
+        super().release()
+
+    def upload(self, nbytes: int) -> None:
+        # each device uploads its row slice concurrently
+        t = self.s.device.timeline.clock.now
+        for dev, part in zip(self.s.devices, self.ledger.shard_split(nbytes)):
+            if part:
+                dev._record_h2d_at(part, t)
+
+    def apply(self, x: np.ndarray, site: str | None = None) -> np.ndarray:
+        # the storage round trip mirrors what landing in the storage-dtype
+        # shards does to the values; the canonical substrate keeps the
+        # product bit-identical to the single-device kernels
+        s = self.s
+        xq = quantize_roundtrip(x, s.dtype)
+        product = spmv_partitioned if x.ndim == 1 else spmm_partitioned
+
+        def partitioned() -> np.ndarray:
+            if site is not None:
+                chaos_check(site, s.device)
+            return product(self.part, xq)
+
+        y = quantize_roundtrip(s.retry(partitioned, "eig.spmv"), s.dtype)
+        # block products count as column-matvec equivalents, so the p2p
+        # plan n_matvec * step_halo_bytes stays exact
+        self.n_matvec += x.shape[1] if x.ndim == 2 else 1
+        self._count(x)
+        return y
+
+    def bytes_per_application(self, width: int) -> float:
+        # each shard's local product plus its halo-segment product
+        cost, vs = self.s.device.cost, self.s.vs
+        total = 0.0
+        for shard in self.part.shards:
+            total += cost.spmm_bytes(shard.n_rows, shard.nnz_local, width, vs)
+            if shard.nnz_halo > 0:
+                total += cost.spmm_halo_bytes(
+                    shard.n_rows, shard.nnz_halo, width, vs
+                )
+        return total
+
+    def download(self, cols: int) -> None:
+        # slices sum to exactly n*cols*itemsize
+        self._launch(then=self._down(cols))
+
+    def ritz(self, width: int) -> None:
+        # each device rotates its own basis block, then ships its slice
+        self._launch(self._ritz_gemm(width), then=self._down(self.s.k))
+
+    def _down(self, cols: int):
+        vs = self.s.vs
+
+        def down(dev: Device, rows: int, t: float) -> None:
+            if self.elide:
+                dev.note_elided_transfer(1, rows * cols * vs)
+            else:
+                dev._record_d2h_at(rows * cols * vs, t)
+
+        return down
+
+    def _launch(self, *kernels, start=None, then=None) -> None:
+        # one chain of kernels per device from a common start (or the
+        # per-device ``start`` list); ``then(dev, rows, end)`` follows each
+        # device's chain
+        tl = self.s.device.timeline
+        t0 = tl.clock.now
+        for d, (dev, rows) in enumerate(self._slabs()):
+            t = t0 if start is None else start[d]
+            for family, tag, flops, nbytes, kind in kernels:
+                dt = dev.cost.kernel_time(flops(rows), nbytes(rows), kind=kind)
+                tl.record_at(f"{family}[{tag},dev{d}]", "kernel", t, dt)
+                dev.kernel_launches += 1
+                t += dt
+            if then is not None:
+                then(dev, rows, t)
+
+    def partition_info(self) -> dict | None:
+        if self.halo is None:
+            return None
+        halo_counts, halo_pairs = self.halo
+        return {
+            "row_counts": list(self.row_counts),
+            **(
+                {"bounds": [int(b) for b in self.bounds]}
+                if self.bounds is not None
+                else {}
+            ),
+            "halo_counts": list(halo_counts),
+            "halo_pairs": halo_pairs,
+            "step_halo_bytes": sum(halo_counts) * self.s.vs,
+            "shard_upload_bytes": self.shard_upload_bytes,
+            "n_matvec": self.n_matvec,
+        }
+
+
+class HostPlacement(PlacedOperator):
+    """The paper's Algorithm 3: every product ships its operand host →
+    device and the result back, and all dense work (reorthogonalization,
+    restarts, block updates) is host CPU time."""
+
+    residency = "host"
+
+    def workspace(self, cols: int | None, basis: int = 0) -> None:
+        # the basis stays on the host: only the operand pair is on-device
+        super().workspace(cols)
+
+    def apply(self, x: np.ndarray, site: str | None = None) -> np.ndarray:
+        s = self.s
+        dx, dy = self.pair
+
+        def roundtrip() -> np.ndarray:
+            # idempotent end to end (dx/dy fully rewritten), so a fault at
+            # any site retries; the legs move the storage-width
+            # representation (quantize is an identity for fp64)
+            if site is not None:
+                chaos_check(site, s.device)
+            dx.copy_from_host(quantize(x, s.dtype))
+            self._product(dx, dy)
+            return dy.copy_to_host()
+
+        y = s.retry(roundtrip, "eig.spmv")
+        s.round_trips += 1
+        self._count(x)
+        return np.asarray(y, dtype=np.float64)
+
+    def charge_step(self, j_avg: float) -> None:
+        # two host passes of V_j @ w / w -= V_jᵀ h: a memory-bound read of
+        # 2·j·n doubles
+        s = self.s
+        s.device.charge_cpu(
+            "TakeStep[reorth]", s.cpu.blas1_time(2.0 * j_avg * s.n * 8.0)
+        )
+
+    def on_restart(self, m: int, kp: int) -> None:
+        """Host restarts are charged at exit, by :meth:`finish_irlm`."""
+
+    def charge_restart(self, m: int, kp: int) -> None:
+        s = self.s
+        _charge_tridiag(s.device, s.cpu, m, kp)
+        # V <- V Q[:, :kp]: (n × m) @ (m × kp) BLAS-3, multithreaded OpenBLAS
+        s.device.charge_cpu(
+            "basis_update[VQ]", s.cpu.blas3_time(2.0 * s.n * m * kp)
+        )
+
+    def finish_irlm(self, m: int, n_restarts: int) -> None:
+        s = self.s
+        for _ in range(n_restarts):
+            self.charge_restart(m, s.k)
+        # FindEigenvectors post-processing (the dseupd analogue)
+        s.device.charge_cpu(
+            "FindEigenvectors", s.cpu.blas3_time(2.0 * s.n * m * s.k)
+        )
+
+    def dense(self, op: str, tag: str, width: int) -> None:
+        s = self.s
+        if op == "qr":
+            s.device.charge_cpu(
+                f"qr[{tag}]", s.cpu.blas3_time(2.0 * s.n * width * width)
             )
-            timeline.record_at(
-                f"cublas{letter}gemm[VQ,dev{d}]",
-                "kernel",
-                max(t_cpu_done, q_ready[d]),
-                dt,
+        else:
+            s.device.charge_cpu(
+                f"axpy[{tag}]", s.cpu.blas1_time(5.0 * s.n * width * 8.0)
             )
-            dev.kernel_launches += 1
-    finally:
-        coef.free()
-        qbuf.free()
+
+    def ritz(self, width: int) -> None:
+        """``U`` is assembled host-side: nothing to charge."""
+
+
+class CPUPlacement(HostPlacement):
+    """The device stayed unusable: the host finishes the solve with the
+    same bincount (SpMV) / gathered-reduceat (SpMM) arithmetic as
+    ``csrmv``/``csrmm`` over the same storage-width values, with the
+    quantize round trip the device buffers apply — so the Ritz pairs
+    match the all-GPU run bit for bit.  Each product is charged as host
+    SpMV time instead of kernels + PCIe transfers.
+
+    ``op``/``dtype`` default to the solve's storage operand; the fp64
+    refinement pass runs over the full-precision operator instead.
+    """
+
+    def __init__(
+        self,
+        s: Solve,
+        op: DeviceCSR | None = None,
+        dtype=None,
+        label: str = "host-fallback",
+    ) -> None:
+        super().__init__(s)
+        A = op if op is not None else s.A_solve
+        self.dtype = np.dtype(dtype) if dtype is not None else s.dtype
+        self.label = label
+        self.nnz = A.nnz
+        self.indptr = A.indptr.data.copy()
+        self.indices = A.indices.data.copy()
+        self.val = A.val.data.copy()
+
+    def workspace(self, cols: int | None, basis: int = 0) -> None:
+        """Host products need no device workspace."""
+
+    def apply(self, x: np.ndarray, site: str | None = None) -> np.ndarray:
+        s = self.s
+        n = s.n
+        xq = quantize_roundtrip(x, self.dtype)
+        if x.ndim == 1:
+            y = np.bincount(
+                s.rows_cache,
+                weights=as_f64(self.val) * xq[self.indices],
+                minlength=n,
+            )
+            s.device.charge_cpu(
+                f"spmv[{self.label}]", s.cpu.spmv_time(n, self.nnz)
+            )
+        else:
+            gathered = as_f64(self.val)[:, None] * xq[self.indices]
+            nonempty = np.flatnonzero(np.diff(self.indptr) > 0)
+            y = np.zeros((n, x.shape[1]))
+            if nonempty.size:
+                y[nonempty] = np.add.reduceat(
+                    gathered, self.indptr[nonempty], axis=0
+                )
+            s.device.charge_cpu(
+                f"spmm[{self.label}]",
+                s.cpu.spmv_time(n, self.nnz) * x.shape[1],
+            )
+        return quantize_roundtrip(y, self.dtype)
+
+
+def place_operator(
+    s: Solve,
+    residency: str = "device",
+    n_devices: int = 1,
+    fmt: str = "csr",
+    decision=None,
+    plan: PartitionedCSR | None = None,
+    elide_result_d2h: bool = False,
+) -> PlacedOperator:
+    """The placement a validated request selects."""
+    if n_devices > 1:
+        return PartitionedPlacement(s, n_devices, plan, elide_result_d2h)
+    if residency == "device":
+        return DevicePlacement(s, fmt, decision)
+    return HostPlacement(s, fmt, decision)
+
+
+def run_placed(s: Solve, pl: PlacedOperator, drive):
+    """Run ``drive(placement)`` with the solve's fault response.
+
+    A device failure tears the attempt down and re-drives on ``pl``
+    (``policy.max_resumes`` times — the drivers resume from their latest
+    checkpoint or replay a seeded start); when the device stays unusable
+    the solve finishes on a :class:`CPUPlacement`.  Returns
+    ``(placement that finished, drive's result)``.
+    """
+    policy = s.policy
+    while True:
+        try:
+            return pl, drive(pl)
+        except CudaError:
+            pl.release()
+            if not policy.enabled:
+                raise
+            if s.n_resumes < policy.max_resumes:
+                s.n_resumes += 1
+                continue
+            if not policy.cpu_fallback:
+                raise
+            s.fallback = "cpu"
+            cpu = CPUPlacement(s)
+            return cpu, drive(cpu)
 
 
 def hybrid_eigensolver(
@@ -392,7 +950,13 @@ def hybrid_eigensolver(
     plan: PartitionedCSR | None = None,
     elide_result_d2h: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, EigStats]:
-    """Algorithm 3: the reverse-communication loop with GPU SpMV.
+    """Algorithm 3: the reverse-communication loop over a placed operator.
+
+    The IRLM (or power) driver runs host-side and asks a
+    :class:`PlacedOperator` for every product; the placement — host round
+    trip, GPU-resident, row-partitioned over several GPUs, or the CPU
+    fallback — decides where it runs and what it costs.  All placements
+    drive the exact same arithmetic, so eigenpairs are bit-identical.
 
     Parameters
     ----------
@@ -405,56 +969,48 @@ def hybrid_eigensolver(
         Passed to :class:`~repro.linalg.eigsolver.SymEigProblem`.
     policy:
         Fault response (default: let device errors propagate).  With an
-        enabled policy each SpMV retries transient faults with backoff, a
-        mid-solve device failure resumes from the latest restart-boundary
+        enabled policy each product retries transient faults with backoff,
+        a mid-solve device failure resumes from the latest restart-boundary
         :class:`~repro.linalg.rci.LanczosCheckpoint` (``policy.max_resumes``
-        attempts), and when the device stays unusable the solve finishes
-        with a host SpMV that performs the *same arithmetic* as
-        ``cusparseDcsrmv``, so the Ritz pairs match the all-GPU run bit
-        for bit.
+        attempts; the seeded power solve simply replays), and when the
+        device stays unusable the solve finishes on the
+        :class:`CPUPlacement` (see :func:`run_placed`).
     residency:
-        ``"device"`` (default) keeps the iteration vector and Lanczos basis
-        in persistent device buffers across reverse-communication steps —
-        only ARPACK's small tridiagonal state crosses the bus, at restart
+        ``"device"`` (default) selects :class:`DevicePlacement`: the
+        iteration vector and Lanczos basis persist on the device and only
+        ARPACK's small tridiagonal state crosses the bus, at restart
         boundaries, with the Q upload hidden on the copy engine.
-        ``"host"`` is the paper's original Algorithm 3: the vector ships
-        over PCIe twice per Lanczos step.  Both placements drive the exact
-        same IRLM arithmetic, so eigenpairs are bit-identical.
+        ``"host"`` selects :class:`HostPlacement`, the paper's original
+        Algorithm 3: the vector ships over PCIe twice per Lanczos step.
     spmv_format:
         ``"auto"`` (default) picks CSR/ELL/HYB per matrix from row-length
         statistics via the cost-model autotuner; or force one format.
         All formats share one reference substrate arithmetic, so this only
         changes charged time.
     n_devices:
-        Shard the solve across this many GPUs (default 1), grouped by
+        Shard the solve across this many GPUs (default 1) with
+        :class:`PartitionedPlacement`, grouped by
         :func:`~repro.cusparse.partition.device_group` on the paper's
-        PCIe topology.  The operator is split into nnz-balanced row
-        blocks (:mod:`repro.cusparse.partition`), each
-        SpMV runs a local kernel immediately while halo segments of the
-        iteration vector travel device-to-device on dedicated copy
-        streams, the Lanczos basis lives in per-device blocks, and the
-        restart rotation applies as one gemm per device; the ``2m``
-        restart coefficients allgather to the host as before.  Requires
-        ``residency="device"`` and CSR (the row blocks are stored as
-        split local/halo CSR).  Numerics are computed through the
-        canonical substrate on every path, so spectra are bit-identical
-        to ``n_devices=1`` — only the charged makespan changes.
+        PCIe topology: nnz-balanced row blocks, halo exchange on dedicated
+        copy streams, per-device basis blocks and restart rotations; the
+        ``2m`` restart coefficients allgather to the host as before.
+        Requires ``residency="device"`` and CSR.  Spectra are
+        bit-identical to ``n_devices=1`` — only the charged makespan
+        changes.
     precision:
         Storage precision of the operator values and iteration vectors:
-        ``"fp64"`` (default, the exact path — bit-identical to a build
-        without this axis), ``"fp32"`` or ``"fp16"``.  Reduced solves
-        accumulate in fp64 (see :mod:`repro.precision`), clamp ``tol``
-        to the storage dtype's noise floor, and finish with
+        ``"fp64"`` (default, the exact path), ``"fp32"`` or ``"fp16"``.
+        Reduced solves accumulate in fp64 (see :mod:`repro.precision`),
+        clamp ``tol`` to the storage dtype's noise floor, and finish with
         ``refine_steps`` fp64 Rayleigh–Ritz corrections against the
         full-precision operator.
     embedding:
         ``"lanczos"`` (default) is the full IRLM loop; ``"power"`` is
         the block power-iteration embedding of Boutsidis et al. — pure
         repeated SpMM (``power_q + 1`` operator applications, no
-        restarts), which rides the partitioned multi-GPU SpMV, the
-        format autotuner, and the caching allocator unchanged.  Power
-        spectra are approximate by design; gate them with the ARI/
-        residual tolerance bands, not bit-identity.
+        restarts) through the same placements.  Power spectra are
+        approximate by design; gate them with the ARI/residual tolerance
+        bands, not bit-identity.
     refine_steps:
         Maximum fp64 subspace advances in the refinement pass after the
         solve (the pass always starts with one operator application that
@@ -487,46 +1043,23 @@ def hybrid_eigensolver(
     (theta, U, stats):
         Eigenvalues ascending, eigenvector columns ``(n, k)``, counters.
     """
-    if residency not in RESIDENCY_MODES:
-        raise ValueError(
-            f"residency must be one of {RESIDENCY_MODES}, got {residency!r}"
-        )
-    if spmv_format not in SPMV_FORMAT_CHOICES:
-        raise ValueError(
-            f"spmv_format must be one of {SPMV_FORMAT_CHOICES}, "
-            f"got {spmv_format!r}"
-        )
-    if n_devices < 1:
-        raise ValueError(f"n_devices must be >= 1, got {n_devices}")
-    if n_devices > 1:
-        if residency != "device":
+    check_placement(residency, spmv_format, n_devices)
+    if plan is not None:
+        if n_devices == 1:
+            raise ValueError("plan requires n_devices > 1")
+        if len(plan.shards) != n_devices:
             raise ValueError(
-                "n_devices > 1 requires residency='device' (the row-"
-                "partitioned basis blocks live on the GPUs)"
+                f"plan has {len(plan.shards)} shards for n_devices={n_devices}"
             )
-        if spmv_format not in ("auto", "csr"):
+        if plan.shards[0].device is not device:
             raise ValueError(
-                "n_devices > 1 stores row blocks as split local/halo CSR; "
-                f"spmv_format={spmv_format!r} is not supported"
+                "plan's first shard must live on the primary device"
             )
-        if plan is not None:
-            if len(plan.shards) != n_devices:
-                raise ValueError(
-                    f"plan has {len(plan.shards)} shards for "
-                    f"n_devices={n_devices}"
-                )
-            if plan.shards[0].device is not device:
-                raise ValueError(
-                    "plan's first shard must live on the primary device"
-                )
-    elif plan is not None:
-        raise ValueError("plan requires n_devices > 1")
     if embedding not in EMBEDDING_MODES:
         raise ValueError(
             f"embedding must be one of {EMBEDDING_MODES}, got {embedding!r}"
         )
-    store_dtype = resolve_precision(precision)
-    vs = store_dtype.itemsize
+    vs = resolve_precision(precision).itemsize
     refine_eff = (
         refine_steps
         if refine_steps is not None
@@ -545,91 +1078,83 @@ def hybrid_eigensolver(
     # floor; asking for residuals below it only burns matvecs that the
     # fp64 refinement pass recovers more cheaply
     tol_eff = max(float(tol), TOL_FLOORS[precision])
-    n = A.shape[0]
-    cpu = CPUCostModel(cpu_spec)
-    t0 = time.perf_counter()
+    s = Solve(device, A, k, precision, policy, cpu_spec)
+    n = s.n
     m_eff = int(m) if m is not None else min(n, max(2 * k + 1, 20))
     j_avg = (k + m_eff) / 2.0
-    rows_cache = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr.data))
-    # reduced-precision solve operand: a device-side streaming cast of the
-    # values (identity for fp64 — A_solve IS A and nothing is charged);
-    # the original fp64 operator stays alive for the refinement pass
-    A_solve = cast_csr(device, A, store_dtype)
-
+    # power-iteration parameters (fixed before format selection so the
+    # SpMM autotuner can amortize conversion over the q+1 applications)
+    q_power = power_q if power_q is not None else default_power_iterations(n)
+    p_power = min(n, k + 2)
     latest_cp: LanczosCheckpoint | None = None
-    n_resumes = 0
-    spmv_retries = 0
-    round_trips = 0
-    fallback: str | None = None
-    prob: SymEigProblem | None = None
-    # peer devices start with zeroed counters, so summing over the group
-    # after the solve still yields correct deltas against the primary-only
-    # snapshot taken here
-    transfers_before = device.transfer_stats()
-    traffic_before = device.spmv_traffic_bytes
-
-    # ---- multi-device context (shared timeline, own allocators/streams) --
-    all_devices = [device]
-    bounds: np.ndarray | None = None
-    row_sets: list[np.ndarray] | None = None
-    row_counts: tuple[int, ...] = ()
-    if n_devices > 1:
-        if plan is not None:
-            # composed fit: the device group and row layout come from the
-            # prebuilt plan; the shards stay resident across stages
-            all_devices = plan.devices
-            row_sets = plan.row_sets
-            bounds = plan.bounds
-        else:
-            all_devices = device_group(device, n_devices)
-            row_sets, _, bounds = partition_rows(A.indptr.data, n_devices)
-        row_counts = tuple(int(r.size) for r in row_sets)
-    copy_streams = [
-        Stream(dev, name=f"dev{d}/copyEngine")
-        for d, dev in enumerate(all_devices)
-    ]
-    shard_upload_total = 0
-    n_matvec = 0
-    ledger_multi: TransferLedger | None = None
 
     def note_cp(cp: LanczosCheckpoint) -> None:
         nonlocal latest_cp
         latest_cp = cp
 
-    def count_retry(_attempt: int) -> None:
-        nonlocal spmv_retries
-        spmv_retries += 1
+    def irlm(pl: PlacedOperator) -> SymEigProblem:
+        # per-attempt workspace: the operand pair plus the (m, n) Lanczos
+        # basis, then the device state is seeded: v0 on a cold start, the
+        # kept factorization after a resume (the device lost it)
+        pl.workspace(None, basis=m_eff)
+        pl.prepare()
+        pl.upload(
+            TransferLedger(n=n, m=m_eff, k=k, itemsize=vs).seed_h2d_bytes(
+                latest_cp
+            )
+        )
 
-    def make_prob(restart_cb=None) -> SymEigProblem:
-        # step 1: initialize the Prob object with parameters (resumes pick
-        # up the factorization and RNG from the latest checkpoint instead)
-        def on_restart_boundary(r: int) -> None:
+        def on_restart_boundary(_r: int) -> None:
             # an implicit restart compacts the factorization to the same
             # checkpointable basis block the resilience layer saves — a
             # preemption-safe point for the serving scheduler
             mark_boundary(device)
-            if restart_cb is not None:
-                restart_cb(r)
+            pl.on_restart(m_eff, k)
 
-        return SymEigProblem(
+        # step 1: initialize the Prob object (resumes pick up the
+        # factorization and RNG from the latest checkpoint instead)
+        prob = SymEigProblem(
             n=n, k=k, which=which, m=m, tol=tol_eff, maxiter=maxiter,
             seed=seed, v0=v0, checkpoint=latest_cp, checkpoint_cb=note_cp,
             restart_cb=on_restart_boundary,
         )
+        # step 2: while !Prob.converge()
+        while not prob.converged():
+            prob.take_step()
+            pl.charge_step(j_avg)
+            if prob.needs_matvec():
+                prob.put_vector(pl.apply(prob.get_vector()))
+        pl.release()
+        return prob
 
-    # power-iteration parameters (fixed before format selection so the
-    # SpMM autotuner can amortize conversion over the q+1 applications)
-    q_power = power_q if power_q is not None else default_power_iterations(n)
-    p_power = min(n, k + 2)
+    def power(pl: PlacedOperator):
+        # pure repeated SpMM — q+1 operator applications, no restarts, no
+        # reorthogonalization sweeps, no tridiagonal host state; the random
+        # start block uploads once
+        pl.workspace(p_power)
+        pl.prepare()
+        pl.upload(n * p_power * vs)
 
-    events_before = len(device.timeline)
+        def apply_block(B: np.ndarray) -> np.ndarray:
+            Z = pl.apply(B)
+            pl.dense("qr", "power", p_power)
+            return Z
+
+        out = power_embedding(
+            apply_block, n, k, q=q_power, seed=seed, which=which
+        )
+        pl.ritz(p_power)
+        pl.free_workspace()
+        pl.release()
+        return out
+
     with device.stage("eigensolver"):
         # ---- SpMV format selection (autotune over row-length stats) ------
         decision = None
         fmt = spmv_format
         if fmt == "auto":
             if n_devices > 1:
-                # the partitioned path stores row blocks as split CSR
+                # the partitioned placement stores row blocks as split CSR
                 fmt = "csr"
             elif embedding == "power":
                 # the power path is pure SpMM: rank candidates by the
@@ -655,738 +1180,88 @@ def hybrid_eigensolver(
                     itemsize=vs,
                 )
                 fmt = decision.format
-        A_op = A_solve
+        pl = place_operator(
+            s, residency, n_devices, fmt, decision, plan, elide_result_d2h
+        )
 
-        def materialize_op() -> None:
-            # conversion kernel charged once, amortized over the solve
-            nonlocal A_op
-            if fmt != "csr" and A_op is A_solve:
-                A_op = convert_for_spmv(
-                    A_solve, fmt,
-                    hyb_width=decision.hyb_width if decision is not None else None,
-                )
-
-        def drop_op() -> None:
-            nonlocal A_op
-            if A_op is not A_solve:
-                A_op.free()
-                A_op = A_solve
-
-        if residency == "device":
-            copy_stream = Stream(device, name="copyEngine")
-        while embedding == "lanczos":
-            bufs = BufferGroup()
-            dx = dy = None
-            part: PartitionedCSR | None = None
-            try:
-                if residency == "device" and n_devices > 1:
-                    # ---- row-partitioned multi-GPU loop ------------------
-                    # per-device workspace: x/y shard pair plus this
-                    # device's (m, n_d) block of the Lanczos basis
-                    def alloc_workspace_multi():
-                        group = BufferGroup()
-                        xs_, ys_ = [], []
-                        try:
-                            for d, dev in enumerate(all_devices):
-                                nd = row_counts[d]
-                                xs_.append(
-                                    group.add(dev.empty(nd, dtype=store_dtype))
-                                )
-                                ys_.append(
-                                    group.add(dev.empty(nd, dtype=store_dtype))
-                                )
-                                group.add(
-                                    dev.empty((m_eff, nd), dtype=store_dtype)
-                                )  # basis block V_d
-                        except BaseException:
-                            group.free_all()
-                            raise
-                        return group, xs_, ys_
-
-                    bufs, xs, ys = with_retry(
-                        alloc_workspace_multi, device, policy,
-                        site="eig.alloc",
-                        errors=TRANSIENT_ERRORS + (DeviceMemoryError,),
-                        on_retry=count_retry,
-                    )
-                    # distribute the operator: row blocks to each device,
-                    # split into local/halo parts (P2P + split kernels
-                    # charged as a makespan over devices)
-                    if plan is not None:
-                        part = plan
-                    else:
-                        part = partition_csr(
-                            A_solve, all_devices, rows_cache=rows_cache,
-                            row_sets=row_sets,
-                        )
-                    shard_upload_total += part.shard_upload_bytes
-                    ledger_multi = TransferLedger(
-                        n=n, m=m_eff, k=k, itemsize=vs, n_devices=n_devices,
-                        halo_counts=part.halo_counts,
-                        halo_pairs=part.halo_pairs,
-                        row_counts=row_counts,
-                    )
-                    ledger = ledger_multi
-                    # scatter the seed (or the resumed factorization) —
-                    # each device uploads its row slice concurrently
-                    t_seed = device.timeline.clock.now
-                    seed_parts = ledger.shard_split(
-                        ledger.seed_h2d_bytes(latest_cp)
-                    )
-                    for dev, nbytes in zip(all_devices, seed_parts):
-                        if nbytes:
-                            dev._record_h2d_at(nbytes, t_seed)
-
-                    def on_restart_multi(_r: int) -> None:
-                        charge_restart_multi(
-                            all_devices, cpu, copy_streams, row_counts,
-                            m_eff, k, itemsize=vs,
-                        )
-
-                    prob = make_prob(restart_cb=on_restart_multi)
-                    P = part
-                    while not prob.converged():
-                        prob.take_step()
-                        charge_takestep_multi(
-                            all_devices, row_counts, j_avg, itemsize=vs
-                        )
-                        if prob.needs_matvec():
-                            xh = prob.get_vector()
-                            # the storage round trip mirrors what landing in
-                            # the store_dtype shard buffers does to the
-                            # values (identity for fp64 — bit-identical)
-                            xq = quantize_roundtrip(xh, store_dtype)
-                            for d, xd in enumerate(xs):
-                                xd.data[...] = xq[row_sets[d]]
-                            yh = with_retry(
-                                lambda: spmv_partitioned(P, xq),
-                                device, policy,
-                                site="eig.spmv", on_retry=count_retry,
-                            )
-                            yq = quantize_roundtrip(yh, store_dtype)
-                            for d, yd in enumerate(ys):
-                                yd.data[...] = yq[row_sets[d]]
-                            prob.put_vector(yq)
-                            n_matvec += 1
-                            device.note_elided_transfer(
-                                2, ledger.step_roundtrip_bytes()
-                            )
-                    if part is not plan:
-                        part.free()
-                    part = None
-                elif residency == "device":
-                    # persistent workspace: the ping-pong pair plus the
-                    # (m, n) Lanczos basis live on the device for the whole
-                    # solve; a transient alloc hiccup is retryable
-                    def alloc_workspace():
-                        group = BufferGroup()
-                        try:
-                            wx = group.add(device.empty(n, dtype=store_dtype))
-                            wy = group.add(device.empty(n, dtype=store_dtype))
-                            group.add(
-                                device.empty((m_eff, n), dtype=store_dtype)
-                            )  # basis V
-                        except BaseException:
-                            group.free_all()
-                            raise
-                        return group, wx, wy
-
-                    bufs, dx, dy = with_retry(
-                        alloc_workspace, device, policy,
-                        site="eig.alloc",
-                        errors=TRANSIENT_ERRORS + (DeviceMemoryError,),
-                        on_retry=count_retry,
-                    )
-                    materialize_op()
-                    # seed the device state: v0 on a cold start, the kept
-                    # factorization after a resume (the device lost it)
-                    ledger = TransferLedger(n=n, m=m_eff, k=k, itemsize=vs)
-                    device._record_h2d(ledger.seed_h2d_bytes(latest_cp))
-
-                    def on_restart(_r: int) -> None:
-                        charge_restart_device(
-                            device, cpu, copy_stream, n, m_eff, k, itemsize=vs
-                        )
-
-                    prob = make_prob(restart_cb=on_restart)
-                    while not prob.converged():
-                        prob.take_step()
-                        charge_takestep_device(device, n, j_avg, itemsize=vs)
-                        if prob.needs_matvec():
-                            # the vector is already device-resident: no
-                            # PCIe crossing in either direction
-                            dx.data[...] = prob.get_vector()
-                            with_retry(
-                                lambda: spmv_any(
-                                    A_op, dx, dy, rows_cache=rows_cache
-                                ),
-                                device, policy,
-                                site="eig.spmv", on_retry=count_retry,
-                            )
-                            prob.put_vector(dy.data.copy())
-                            device.note_elided_transfer(
-                                2, ledger.step_roundtrip_bytes()
-                            )
-                else:
-                    # the ping-pong pair is tiny (2n doubles) — no degrade
-                    # ladder, but a transient alloc hiccup is retryable
-                    dx = with_retry(
-                        lambda: device.empty(n, dtype=store_dtype), device,
-                        policy, site="eig.alloc",
-                        errors=TRANSIENT_ERRORS + (DeviceMemoryError,),
-                        on_retry=count_retry,
-                    )
-                    bufs.add(dx)
-                    dy = with_retry(
-                        lambda: device.empty(n, dtype=store_dtype), device,
-                        policy, site="eig.alloc",
-                        errors=TRANSIENT_ERRORS + (DeviceMemoryError,),
-                        on_retry=count_retry,
-                    )
-                    bufs.add(dy)
-                    materialize_op()
-                    prob = make_prob()
-
-                    # step 2: while !Prob.converge()
-                    while not prob.converged():
-                        prob.take_step()
-                        charge_takestep(device, cpu, n, j_avg)
-                        if prob.needs_matvec():
-                            x = prob.get_vector()
-
-                            def roundtrip() -> np.ndarray:
-                                # transfer Prob.GetVector() host→device, run
-                                # the SpMV, transfer the result back —
-                                # idempotent end to end (dx/dy fully
-                                # rewritten), so a fault at any site retries.
-                                # the H2D/D2H legs move the storage-width
-                                # representation (quantize is an identity
-                                # passthrough for fp64)
-                                dx.copy_from_host(quantize(x, store_dtype))
-                                spmv_any(A_op, dx, dy, rows_cache=rows_cache)
-                                return dy.copy_to_host()
-
-                            y = with_retry(
-                                roundtrip, device, policy,
-                                site="eig.spmv", on_retry=count_retry,
-                            )
-                            prob.put_vector(y)
-                            round_trips += 1
-                bufs.free_all()
-                break
-            except CudaError:
-                if part is not None and part is not plan:
-                    part.free()
-                bufs.free_all()
-                drop_op()
-                if not policy.enabled:
-                    raise
-                if n_resumes < policy.max_resumes:
-                    # resume from the latest restart-boundary checkpoint
-                    n_resumes += 1
-                    continue
-                if not policy.cpu_fallback:
-                    raise
-                prob = None
-                break
-
-        if embedding == "lanczos" and prob is None:
-            # ---- CPU fallback: finish the solve host-side ----------------
-            # Same bincount arithmetic as csrmv over the same storage-width
-            # values (with the quantize round trip the device buffers apply
-            # — an identity for fp64), so the resumed iteration produces
-            # bit-identical Ritz pairs; each product is charged as host
-            # SpMV time instead of kernel + 2 PCIe transfers.
-            fallback = "cpu"
-            indices = A_solve.indices.data.copy()
-            val = A_solve.val.data.copy()
-            nnz = A_solve.nnz
-            prob = make_prob()
-            while not prob.converged():
-                prob.take_step()
-                charge_takestep(device, cpu, n, j_avg)
-                if prob.needs_matvec():
-                    x = prob.get_vector()
-                    xq = quantize_roundtrip(x, store_dtype)
-                    y = np.bincount(
-                        rows_cache,
-                        weights=as_f64(val) * xq[indices],
-                        minlength=n,
-                    )
-                    device.charge_cpu(
-                        "spmv[host-fallback]", cpu.spmv_time(n, nnz)
-                    )
-                    prob.put_vector(quantize_roundtrip(y, store_dtype))
-
-        power_applications = 0
-        power_residual: float | None = None
-        if embedding == "power":
-            # ---- block power-iteration embedding (Boutsidis et al.) ------
-            # pure repeated SpMM — q+1 operator applications, no restarts,
-            # no reorthogonalization sweeps, no tridiagonal host state.  A
-            # hard mid-solve fault restarts the whole solve: the seeded
-            # start block makes the replay deterministic, so there is no
-            # factorization worth checkpointing.
-            letter = kernel_letter(vs)
-            while True:
-                bufs = BufferGroup()
-                part = None
-                dB = dC = None
-                try:
-                    if n_devices > 1:
-                        for d, dev in enumerate(all_devices):
-                            nd = row_counts[d]
-                            # per-device B/Z slabs of the iteration block
-                            bufs.add(
-                                dev.empty((nd, p_power), dtype=store_dtype)
-                            )
-                            bufs.add(
-                                dev.empty((nd, p_power), dtype=store_dtype)
-                            )
-                        if plan is not None:
-                            part = plan
-                        else:
-                            part = partition_csr(
-                                A_solve, all_devices, rows_cache=rows_cache,
-                                row_sets=row_sets,
-                            )
-                        shard_upload_total += part.shard_upload_bytes
-                        ledger_multi = TransferLedger(
-                            n=n, m=p_power, k=k, itemsize=vs,
-                            n_devices=n_devices,
-                            halo_counts=part.halo_counts,
-                            halo_pairs=part.halo_pairs,
-                            row_counts=row_counts,
-                        )
-                        # scatter the random start block, one row slab per
-                        # device, concurrently
-                        t_seed = device.timeline.clock.now
-                        for dev, nbytes in zip(
-                            all_devices,
-                            ledger_multi.shard_split(n * p_power * vs),
-                        ):
-                            if nbytes:
-                                dev._record_h2d_at(nbytes, t_seed)
-                        P = part
-
-                        def apply_block(Bh: np.ndarray) -> np.ndarray:
-                            nonlocal n_matvec
-                            # one row-partitioned SpMM per application —
-                            # the reduceat substrate keeps the block
-                            # product bit-identical to the single-device
-                            # csrmm at every storage precision
-                            Bq = quantize_roundtrip(Bh, store_dtype)
-                            Zh = with_retry(
-                                lambda: spmm_partitioned(P, Bq),
-                                device, policy,
-                                site="eig.spmv", on_retry=count_retry,
-                            )
-                            Z = quantize_roundtrip(Zh, store_dtype)
-                            # column-matvec equivalents, so the p2p plan
-                            # n_matvec * step_halo_bytes stays exact
-                            n_matvec += p_power
-                            device.note_elided_transfer(
-                                2, 2 * n * p_power * vs
-                            )
-                            # TSQR-style panel factorization: one geqrf per
-                            # device over its row slab, concurrent
-                            tq = device.timeline.clock.now
-                            for d, dev in enumerate(all_devices):
-                                nd = row_counts[d]
-                                dtq = dev.cost.kernel_time(
-                                    2.0 * nd * p_power * p_power,
-                                    2.0 * nd * p_power * vs,
-                                    kind="dense",
-                                )
-                                device.timeline.record_at(
-                                    f"cusolver{letter}geqrf[power,dev{d}]",
-                                    "kernel", tq, dtq,
-                                )
-                                dev.kernel_launches += 1
-                            return Z
-                    elif residency == "device":
-                        def alloc_power():
-                            group = BufferGroup()
-                            try:
-                                b = group.add(device.empty(
-                                    (n, p_power), dtype=store_dtype
-                                ))
-                                c = group.add(device.empty(
-                                    (n, p_power), dtype=store_dtype
-                                ))
-                            except BaseException:
-                                group.free_all()
-                                raise
-                            return group, b, c
-
-                        bufs, dB, dC = with_retry(
-                            alloc_power, device, policy, site="eig.alloc",
-                            errors=TRANSIENT_ERRORS + (DeviceMemoryError,),
-                            on_retry=count_retry,
-                        )
-                        materialize_op()
-                        # the random start block uploads once; every later
-                        # application stays device-resident
-                        device._record_h2d(n * p_power * vs)
-
-                        def apply_block(Bh: np.ndarray) -> np.ndarray:
-                            dB.data[...] = Bh  # quantizes to storage dtype
-                            with_retry(
-                                lambda: spmm_any(A_op, dB, dC),
-                                device, policy,
-                                site="eig.spmv", on_retry=count_retry,
-                            )
-                            device.note_elided_transfer(
-                                2, 2 * n * p_power * vs
-                            )
-                            device.charge_kernel(
-                                f"cusolver{letter}geqrf[power]",
-                                flops=2.0 * n * p_power * p_power,
-                                bytes_moved=2.0 * n * p_power * vs,
-                                kind="dense",
-                            )
-                            return np.asarray(
-                                dC.data, dtype=np.float64
-                            ).copy()
-                    else:
-                        dB = with_retry(
-                            lambda: device.empty(
-                                (n, p_power), dtype=store_dtype
-                            ),
-                            device, policy, site="eig.alloc",
-                            errors=TRANSIENT_ERRORS + (DeviceMemoryError,),
-                            on_retry=count_retry,
-                        )
-                        bufs.add(dB)
-                        dC = with_retry(
-                            lambda: device.empty(
-                                (n, p_power), dtype=store_dtype
-                            ),
-                            device, policy, site="eig.alloc",
-                            errors=TRANSIENT_ERRORS + (DeviceMemoryError,),
-                            on_retry=count_retry,
-                        )
-                        bufs.add(dC)
-                        materialize_op()
-
-                        def apply_block(Bh: np.ndarray) -> np.ndarray:
-                            nonlocal round_trips
-
-                            def block_roundtrip() -> np.ndarray:
-                                # idempotent: dB/dC fully rewritten per call
-                                dB.copy_from_host(quantize(Bh, store_dtype))
-                                spmm_any(A_op, dB, dC)
-                                return dC.copy_to_host()
-
-                            Ch = with_retry(
-                                block_roundtrip, device, policy,
-                                site="eig.spmv", on_retry=count_retry,
-                            )
-                            round_trips += 1
-                            # the QR panel factorization runs host-side
-                            device.charge_cpu(
-                                "qr[power]",
-                                cpu.blas3_time(2.0 * n * p_power * p_power),
-                            )
-                            return np.asarray(Ch, dtype=np.float64)
-
-                    theta, U, power_residual, power_applications = (
-                        power_embedding(
-                            apply_block, n, k, q=q_power, seed=seed,
-                            which=which,
-                        )
-                    )
-                    if residency == "device":
-                        # Ritz rotation on-device, then U comes down once
-                        if n_devices > 1:
-                            t_r = device.timeline.clock.now
-                            for d, dev in enumerate(all_devices):
-                                nd = row_counts[d]
-                                dt_r = dev.cost.kernel_time(
-                                    2.0 * nd * p_power * k,
-                                    (
-                                        nd * p_power + p_power * k
-                                        + 2.0 * nd * k
-                                    ) * float(vs),
-                                    kind="dense",
-                                )
-                                device.timeline.record_at(
-                                    f"cublas{letter}gemm[ritz,dev{d}]",
-                                    "kernel", t_r, dt_r,
-                                )
-                                dev.kernel_launches += 1
-                                if elide_result_d2h:
-                                    dev.note_elided_transfer(1, nd * k * vs)
-                                else:
-                                    dev._record_d2h_at(nd * k * vs, t_r + dt_r)
-                        else:
-                            device.charge_kernel(
-                                f"cublas{letter}gemm[ritz]",
-                                flops=2.0 * n * p_power * k,
-                                bytes_moved=(
-                                    n * p_power + p_power * k + 2.0 * n * k
-                                ) * float(vs),
-                                kind="dense",
-                            )
-                            device._record_d2h(n * k * vs)
-                    bufs.free_all()
-                    if part is not None:
-                        if part is not plan:
-                            part.free()
-                        part = None
-                    break
-                except CudaError:
-                    if part is not None and part is not plan:
-                        part.free()
-                    bufs.free_all()
-                    drop_op()
-                    if not policy.enabled:
-                        raise
-                    if n_resumes < policy.max_resumes:
-                        n_resumes += 1
-                        continue
-                    if not policy.cpu_fallback:
-                        raise
-                    # ---- CPU fallback: the whole power solve host-side ---
-                    fallback = "cpu"
-                    indices = A_solve.indices.data.copy()
-                    val = A_solve.val.data.copy()
-                    indptr = A_solve.indptr.data.copy()
-                    nnz = A_solve.nnz
-
-                    def apply_host(Bh: np.ndarray) -> np.ndarray:
-                        # same gathered/reduceat arithmetic as csrmm, with
-                        # the storage round trip on both operands, so the
-                        # host solve matches the all-GPU one bit for bit
-                        Bq = quantize_roundtrip(Bh, store_dtype)
-                        gathered = as_f64(val)[:, None] * Bq[indices]
-                        row_nnz = np.diff(indptr)
-                        nonempty = np.flatnonzero(row_nnz > 0)
-                        prod = np.zeros((n, Bh.shape[1]))
-                        if nonempty.size:
-                            prod[nonempty] = np.add.reduceat(
-                                gathered, indptr[nonempty], axis=0
-                            )
-                        device.charge_cpu(
-                            "spmm[host-fallback]",
-                            cpu.spmv_time(n, nnz) * Bh.shape[1],
-                        )
-                        device.charge_cpu(
-                            "qr[power]",
-                            cpu.blas3_time(2.0 * n * p_power * p_power),
-                        )
-                        return quantize_roundtrip(prod, store_dtype)
-
-                    theta, U, power_residual, power_applications = (
-                        power_embedding(
-                            apply_host, n, k, q=q_power, seed=seed,
-                            which=which,
-                        )
-                    )
-                    break
-
-        drop_op()
         if embedding == "lanczos":
+            done, prob = run_placed(s, pl, irlm)
             # step 3: compute the eigenvectors
             theta, U = prob.find_eigenvectors()
             res = prob.result
-            if residency == "device" and fallback is None:
-                # restarts were charged inline (charge_restart_device /
-                # charge_restart_multi); the Ritz basis assembles
-                # on-device, then U comes down once
-                letter = kernel_letter(vs)
-                if n_devices > 1:
-                    # each device rotates its own basis block and ships its
-                    # row slice down concurrently; slices sum to exactly
-                    # n*k*itemsize
-                    def assemble_ritz() -> None:
-                        tl = device.timeline
-                        t_r = tl.clock.now
-                        for d, dev in enumerate(all_devices):
-                            nd = row_counts[d]
-                            dt = dev.cost.kernel_time(
-                                2.0 * nd * prob.m * k,
-                                (nd * prob.m + prob.m * k + 2.0 * nd * k)
-                                * float(vs),
-                                kind="dense",
-                            )
-                            tl.record_at(
-                                f"cublas{letter}gemm[ritz,dev{d}]",
-                                "kernel", t_r, dt,
-                            )
-                            dev.kernel_launches += 1
-                            if elide_result_d2h:
-                                dev.note_elided_transfer(1, nd * k * vs)
-                            else:
-                                dev._record_d2h_at(nd * k * vs, t_r + dt)
-                else:
-                    def assemble_ritz() -> None:
-                        device.charge_kernel(
-                            f"cublas{letter}gemm[ritz]",
-                            flops=2.0 * n * prob.m * k,
-                            bytes_moved=(
-                                n * prob.m + prob.m * k + 2.0 * n * k
-                            ) * float(vs),
-                            kind="dense",
-                        )
-                        device._record_d2h(
-                            TransferLedger(
-                                n=n, m=prob.m, k=k, itemsize=vs
-                            ).result_d2h_bytes()
-                        )
-
-                with_retry(
-                    assemble_ritz, device, policy,
-                    site="eig.result", on_retry=count_retry,
-                )
-            else:
-                for _ in range(res.n_restarts):
-                    charge_restart(device, cpu, n, prob.m, k)
-                charge_find_eigenvectors(device, cpu, n, prob.m, k)
-            n_op_total = res.n_op
-            n_restarts_total = res.n_restarts
-            n_reorth_total = res.n_reorth
-            converged_flag = res.converged
-            m_used = prob.m
+            done.finish_irlm(prob.m, res.n_restarts)
+            n_op, n_restarts, n_reorth = res.n_op, res.n_restarts, res.n_reorth
+            converged, m_used = res.converged, prob.m
         else:
-            n_op_total = power_applications
-            n_restarts_total = 0
-            n_reorth_total = q_power
-            converged_flag = True
-            m_used = p_power
+            _, (theta, U, _residual, n_op) = run_placed(s, pl, power)
+            n_restarts, n_reorth, converged, m_used = 0, q_power, True, p_power
 
         # ---- fp64 iterative refinement of the reduced-precision solve ----
         # every reduced solve at least *measures* its residual against the
         # full-precision operator; the exact fp64 path skips the pass
-        # entirely unless refinement was explicitly requested, preserving
-        # bit-identity with pre-precision-axis builds
+        # entirely unless refinement was explicitly requested
         refine_residual: float | None = None
         refine_history: list | None = None
         if vs != 8 or refine_eff > 0:
-            host_refine = fallback == "cpu"
-
-            def host_apply64(Bh: np.ndarray) -> np.ndarray:
-                # same gathered/reduceat arithmetic as csrmm on fp64 A
-                gathered = A.val.data[:, None] * Bh[A.indices.data]
-                row_nnz = np.diff(A.indptr.data)
-                nonempty = np.flatnonzero(row_nnz > 0)
-                prod = np.zeros((n, Bh.shape[1]))
-                if nonempty.size:
-                    prod[nonempty] = np.add.reduceat(
-                        gathered, A.indptr.data[nonempty], axis=0
-                    )
-                device.charge_cpu(
-                    "spmm[refine-host]",
-                    cpu.spmv_time(n, A.nnz) * Bh.shape[1],
-                )
-                return prod
-
-            def apply64(Bh: np.ndarray) -> np.ndarray:
-                nonlocal host_refine
-                if not host_refine:
-                    def refine_mm() -> np.ndarray:
-                        # idempotent: fresh staging buffers per attempt
-                        dBr = device.empty(Bh.shape, dtype=np.float64)
-                        try:
-                            dBr.copy_from_host(Bh)
-                            dCr = csrmm(A, dBr)
-                            try:
-                                return dCr.copy_to_host()
-                            finally:
-                                dCr.free()
-                        finally:
-                            dBr.free()
-
-                    try:
-                        return with_retry(
-                            refine_mm, device, policy,
-                            site="eig.refine", on_retry=count_retry,
-                        )
-                    except CudaError:
-                        if not (policy.enabled and policy.cpu_fallback):
-                            raise
-                        host_refine = True
-                return host_apply64(Bh)
-
             theta, U, refine_residual, refine_history = refine_eigenpairs(
-                apply64, theta, U, steps=refine_eff, which=which,
+                _refine_apply(s), theta, U, steps=refine_eff, which=which,
                 target=refine_target,
             )
-    wall = time.perf_counter() - t0
-    if A_solve is not A:
-        A_solve.free()
-    transfers_after = _sum_transfer_stats(all_devices)
-    observed = _harvest_spmv_times(device, n, A.nnz, events_before)
-    format_decision = decision.as_dict() if decision is not None else None
-    if format_decision is not None:
-        format_decision["observed_spmv_s"] = {
-            f: t for f, (t, _c) in observed.items()
-        }
-        format_decision["n_spmv_timed"] = sum(
-            c for (_t, c) in observed.values()
-        )
-        format_decision["precision"] = precision
-        format_decision["value_itemsize"] = vs
+    observed = _harvest_spmv_times(device, n, A.nnz, s.events_before)
     stats = EigStats(
-        n_op=n_op_total,
-        n_restarts=n_restarts_total,
-        n_reorth=n_reorth_total,
-        converged=converged_flag,
+        n_op=n_op,
+        n_restarts=n_restarts,
+        n_reorth=n_reorth,
+        converged=converged,
         m=m_used,
         k=k,
-        pcie_round_trips=round_trips,
-        wall_seconds=wall,
-        n_resumes=n_resumes,
-        spmv_retries=spmv_retries,
-        fallback=fallback,
-        residency=residency,
-        spmv_format=fmt,
-        bytes_h2d=transfers_after["bytes_h2d"] - transfers_before["bytes_h2d"],
-        bytes_d2h=transfers_after["bytes_d2h"] - transfers_before["bytes_d2h"],
-        transfers_elided=(
-            transfers_after["transfers_elided"]
-            - transfers_before["transfers_elided"]
-        ),
-        bytes_elided=(
-            transfers_after["bytes_elided"] - transfers_before["bytes_elided"]
-        ),
-        transfer_overlap_s=(
-            transfers_after["overlap_s"] - transfers_before["overlap_s"]
-        ),
-        format_decision=format_decision,
-        bytes_p2p=transfers_after["bytes_p2p"] - transfers_before["bytes_p2p"],
-        n_p2p=transfers_after["n_p2p"] - transfers_before["n_p2p"],
-        n_devices=n_devices,
-        partition=(
-            {
-                "row_counts": list(row_counts),
-                **(
-                    {"bounds": [int(b) for b in bounds]}
-                    if bounds is not None
-                    else {}
-                ),
-                "halo_counts": list(ledger_multi.halo_counts),
-                "halo_pairs": ledger_multi.halo_pairs,
-                "step_halo_bytes": ledger_multi.step_halo_bytes(),
-                "shard_upload_bytes": shard_upload_total,
-                "n_matvec": n_matvec,
-            }
-            if n_devices > 1 and ledger_multi is not None
-            else None
-        ),
-        precision=precision,
-        embedding=embedding,
         refine_steps=(
             len(refine_history) - 1 if refine_history is not None else 0
         ),
         refine_residual=refine_residual,
         refine_history=refine_history,
-        spmv_bytes=(
-            sum(d.spmv_traffic_bytes for d in all_devices) - traffic_before
-        ),
-        spmv_kernel_s=_sum_spmv_kernel_seconds(device, events_before),
+        **s.stats_fields(pl, embedding, {
+            "observed_spmv_s": {f: t for f, (t, _c) in observed.items()},
+            "n_spmv_timed": sum(c for (_t, c) in observed.values()),
+        }),
     )
     return theta, U, stats
+
+
+def _refine_apply(s: Solve):
+    """The refinement pass's fp64 block product: a staged ``csrmm`` on the
+    full-precision operator (fresh staging buffers per attempt, so every
+    fault retries idempotently), moving to a :class:`CPUPlacement` over
+    the same operator once the device is unusable — or from the start when
+    the solve itself fell back."""
+    host = CPUPlacement(s, op=s.A, dtype=np.float64, label="refine-host")
+    on_device = s.fallback is None
+    policy = s.policy
+
+    def staged_csrmm(B: np.ndarray) -> np.ndarray:
+        dB = s.device.empty(B.shape, dtype=np.float64)
+        try:
+            dB.copy_from_host(B)
+            dC = csrmm(s.A, dB)
+            try:
+                return dC.copy_to_host()
+            finally:
+                dC.free()
+        finally:
+            dB.free()
+
+    def apply64(B: np.ndarray) -> np.ndarray:
+        nonlocal on_device
+        if on_device:
+            try:
+                return s.retry(lambda: staged_csrmm(B), "eig.refine")
+            except CudaError:
+                if not (policy.enabled and policy.cpu_fallback):
+                    raise
+                on_device = False
+        return host.apply(B)
+
+    return apply64
 
 
 #: name fragments identifying SpMV/SpMM kernels on the timeline (any

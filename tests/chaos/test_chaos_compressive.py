@@ -87,6 +87,31 @@ class TestFilterChaos:
         assert plan.n_fired >= 1
         assert np.array_equal(res.labels, clean.labels)
 
+    @pytest.mark.parametrize(
+        "max_fires,resumes,fallback",
+        [(3, 1, None), (None, 3, "cpu")],
+        ids=["resume", "fallback"],
+    )
+    def test_ledger_counts_products_of_failed_attempts(
+        self, sbm_graph, clean, max_fires, resumes, fallback
+    ):
+        """Every completed device product lands in the ledger — the probe
+        products of attempts whose filter phase later died included — so
+        ledger == meter on faulted runs as well as clean ones."""
+        W, _ = sbm_graph
+        plan = FaultPlan(
+            [FaultSpec(site="compressive.filter", fault="transient",
+                       prob=1.0, max_fires=max_fires, stage="eigensolver")]
+        )
+        res = _fit(W, embedding="compressive", chaos=plan)
+        stats = res.eig_stats
+        assert stats["n_resumes"] == resumes
+        assert stats["fallback"] == fallback
+        assert stats["spmv_bytes"] > clean.eig_stats["spmv_bytes"]
+        assert stats["ledger_bytes"] == stats["spmv_bytes"]
+        assert np.array_equal(res.labels, clean.labels)
+        assert res.embedding.tobytes() == clean.embedding.tobytes()
+
     def test_unprotected_filter_raises_typed_error(self, sbm_graph):
         W, _ = sbm_graph
         plan = FaultPlan(
