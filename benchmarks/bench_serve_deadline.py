@@ -19,18 +19,22 @@ the ``serve_deadline`` section of ``BENCH_regression.json``, which
 """
 
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.datasets.sbm import stochastic_block_model
 from repro.serve import (
+    DEFAULT_REQUEST_CONFIG,
     ClusterService,
     ClusterRequest,
     PredictRequest,
     ServiceConfig,
 )
 from repro.sparse.construct import from_edge_list
+
+_K4 = replace(DEFAULT_REQUEST_CONFIG, n_clusters=4)
 
 N_FITS = 6
 N_BG_PREDICTS = 8
@@ -55,7 +59,7 @@ def _config(preemption=True, speculation_window=0.0, cache_dir=None):
 
 def _fit_spec(graph):
     return ClusterRequest(
-        request_id="fitspec", arrival=0.0, graph=graph, n_clusters=4
+        request_id="fitspec", arrival=0.0, graph=graph, config=_K4
     )
 
 
@@ -66,7 +70,7 @@ def _background(graph, shared):
     for i in range(N_FITS):
         trace.append(ClusterRequest(
             request_id=f"f{i}", arrival=0.005 + i * 1e-4,
-            graph=graph, n_clusters=4,
+            graph=graph, config=_K4,
         ))
     return trace
 
@@ -132,7 +136,7 @@ def _labels_by_id(responses):
 def _recurring_trace(graph, gap, n):
     return [
         ClusterRequest(
-            request_id=f"r{i}", arrival=i * gap, graph=graph, n_clusters=4
+            request_id=f"r{i}", arrival=i * gap, graph=graph, config=_K4
         )
         for i in range(n)
     ]

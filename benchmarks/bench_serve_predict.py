@@ -16,6 +16,8 @@ the ``serve_predict`` section of ``BENCH_regression.json``, which
 ``check_regression.py`` gates in CI.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,7 @@ def _refit_parity(name: str, scale: float) -> dict:
         if out.refit:
             break
         weight *= 10.0
-    cold = SpectralClustering(**model.params).fit(graph=model.graph)
+    cold = SpectralClustering(**asdict(model.config)).fit(graph=model.graph)
     identical = bool(
         out.refit
         and np.array_equal(

@@ -13,7 +13,8 @@ platform (real numerics, modeled K20c/Xeon/PCIe time — see DESIGN.md):
 Subpackages
 -----------
 ``repro.core``
-    The public :class:`SpectralClustering` estimator (Figure 2 pipeline).
+    The public :class:`SpectralClustering` estimator (Figure 2 pipeline)
+    and its validated :class:`ClusterConfig`.
 ``repro.cuda`` / ``repro.cublas`` / ``repro.cusparse`` / ``repro.thrust``
     The simulated CUDA runtime and libraries.
 ``repro.sparse``
@@ -32,6 +33,7 @@ Subpackages
 """
 
 from repro._version import __version__
+from repro.core.config import ClusterConfig
 from repro.core.embedding import spectral_embedding
 from repro.core.pipeline import SpectralClustering
 from repro.core.result import ClusteringResult, StageTimings
@@ -40,6 +42,7 @@ from repro.errors import ReproError
 __all__ = [
     "__version__",
     "SpectralClustering",
+    "ClusterConfig",
     "spectral_embedding",
     "ClusteringResult",
     "StageTimings",

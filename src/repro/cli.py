@@ -256,6 +256,8 @@ def _cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.config import LIFT_MODES, PIPELINE_EMBEDDINGS, PRECISIONS
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="fastsc-py: hybrid CPU-GPU spectral clustering (simulated)",
@@ -288,12 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "the config admits it, else a sharded embedding; "
                        "results match --devices 1")
     run_p.add_argument("--precision", default="fp64",
-                       choices=("fp64", "fp32", "fp16"),
+                       choices=PRECISIONS,
                        help="eigensolver storage precision; reduced modes "
                        "accumulate in fp64 and finish with fp64 iterative "
                        "refinement (fp64 stays bit-identical)")
     run_p.add_argument("--embedding", default="lanczos",
-                       choices=("lanczos", "power", "compressive"),
+                       choices=PIPELINE_EMBEDDINGS,
                        help="spectral embedding algorithm: full IRLM, the "
                        "block power iteration (pure repeated SpMM), or the "
                        "compressive tier (Chebyshev graph filtering of "
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "sees before the label lift (default "
                        "O(k log k / n), capped at 1)")
     run_p.add_argument("--lift", default="interp",
-                       choices=("interp", "nearest"),
+                       choices=LIFT_MODES,
                        help="compressive: label lift mode — regularized "
                        "interpolation or nearest sampled centroid")
     run_p.add_argument("--chaos", type=int, default=None, metavar="SEED",

@@ -1,12 +1,14 @@
 """The paper's primary contribution: the hybrid CPU-GPU spectral clustering
 pipeline (Figure 2).
 
-:class:`~repro.core.pipeline.SpectralClustering` is the public estimator;
+:class:`~repro.core.pipeline.SpectralClustering` is the public estimator
+and :class:`~repro.core.config.ClusterConfig` its validated knobs;
 :mod:`repro.core.workflow` contains the hybrid stage runners (Algorithm 1 →
 Algorithm 2 → Algorithm 3 → Algorithm 4) with the CPU/GPU/PCIe time
 accounting; :mod:`repro.core.result` defines the result records.
 """
 
+from repro.core.config import ClusterConfig
 from repro.core.embedding import spectral_embedding
 from repro.core.model import (
     ApplyDeltaResult,
@@ -18,6 +20,7 @@ from repro.core.result import ClusteringResult, EmbeddingResult, StageTimings
 from repro.core.workflow import hybrid_eigensolver, EigStats
 
 __all__ = [
+    "ClusterConfig",
     "SpectralClustering",
     "spectral_embedding",
     "ApplyDeltaResult",

@@ -36,10 +36,11 @@ Three serving-tier entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.core.config import ClusterConfig
 from repro.cusparse.matrices import DeviceCSR
 from repro.cusparse.spmm import csrmm
 from repro.errors import ClusteringError
@@ -139,8 +140,9 @@ class FittedSpectralModel:
         ``(n_anchor, d)`` feature rows of the anchor vertices, or None
         for graph-input fits (predict then requires precomputed
         weights).
-    params:
-        Estimator constructor kwargs — enough to re-fit bit-identically.
+    config:
+        The fit's :class:`~repro.core.config.ClusterConfig` — enough to
+        re-fit bit-identically.
     """
 
     basis: np.ndarray
@@ -153,7 +155,7 @@ class FittedSpectralModel:
     n_total: int
     graph: CSRMatrix
     anchors: np.ndarray | None
-    params: dict
+    config: ClusterConfig
     resilience: dict = field(default_factory=dict)
     drift_scale: float = 1.0
     n_refits: int = 0
@@ -202,7 +204,7 @@ class FittedSpectralModel:
         return pos
 
     def _store_dtype(self):
-        return PRECISION_DTYPES[self.params.get("precision", "fp64")]
+        return PRECISION_DTYPES[self.config.precision]
 
     # ------------------------------------------------------------------
     # predict
@@ -232,7 +234,7 @@ class FittedSpectralModel:
         Runs on ``device`` under ``policy``'s resilience ladder when a
         device is provided; otherwise on the bit-identical host path.
         """
-        if self.params.get("objective") == "ratiocut":
+        if self.config.objective == "ratiocut":
             raise ClusteringError(
                 "predict requires the ncut objective: the Nyström extension "
                 "is derived for the normalized adjacency operators"
@@ -281,15 +283,10 @@ class FittedSpectralModel:
         if feature_path:
             stacked = np.vstack([self.anchors, Xn])
             spairs = np.column_stack([self.n_anchor + rows, cols])
-            kw = (
-                {"sigma": self.params.get("sigma", 1.0)}
-                if self.params.get("similarity") == "expdecay" else {}
-            )
-            vals = pairwise_similarity(
-                stacked, spairs, measure=self.params.get("similarity", "crosscorr"),
-                **kw,
-            )
-            if self.params.get("similarity") != "expdecay":
+            measure = self.config.similarity
+            kw = {"sigma": self.config.sigma} if measure == "expdecay" else {}
+            vals = pairwise_similarity(stacked, spairs, measure=measure, **kw)
+            if measure != "expdecay":
                 # mirror the fit-time graph build: correlation-style
                 # measures keep positive-affinity edges only
                 pos = vals > 0
@@ -324,7 +321,7 @@ class FittedSpectralModel:
             feature_path=feature_path, itemsize=int(np.dtype(store_dtype).itemsize),
         )
 
-        do_normalize = bool(self.params.get("normalize_rows", False))
+        do_normalize = self.config.normalize_rows
 
         def host_path():
             deg = nystrom_degrees(indptr, vals_q)
@@ -562,13 +559,10 @@ class FittedSpectralModel:
         # construction
         from repro.core.pipeline import SpectralClustering
 
-        params = dict(self.params)
-        params["device"] = device
-        params["chaos"] = None
-        if policy is not None:
-            params["resilience"] = policy
         t0 = device.elapsed if device is not None else 0.0
-        res = SpectralClustering(**params).fit(graph=W_new)
+        res = SpectralClustering(
+            **asdict(self.config), device=device, resilience=policy
+        ).fit(graph=W_new)
         sim_time = (device.elapsed - t0) if device is not None else 0.0
         refit_model = res.model
         if refit_model is None:  # pragma: no cover - same param family

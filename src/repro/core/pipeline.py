@@ -55,20 +55,17 @@ from repro.chaos.plan import FaultPlan
 from repro.chaos.retry import ResiliencePolicy, TRANSIENT_ERRORS, with_retry
 from repro.chaos.runtime import chaos as _chaos_scope
 from repro.compressive.engine import compressive_embedding
-from repro.compressive.lift import (
-    LIFT_MODES,
-    lift_labels_device,
-    lift_labels_host,
-)
+from repro.compressive.lift import lift_labels_device, lift_labels_host
 from repro.compressive.sampling import (
     coherence_weights,
     default_sample_frac,
     gather_rows,
     sample_vertices,
 )
+from repro.core.config import ClusterConfig
 from repro.core.model import FittedSpectralModel
 from repro.core.result import ClusteringResult, EmbeddingResult, StageTimings
-from repro.core.workflow import EMBEDDING_MODES, hybrid_eigensolver
+from repro.core.workflow import hybrid_eigensolver
 from repro.cuda.device import Device
 from repro.cuda.profiler import Profiler
 from repro.cusparse.matrices import coo_to_device, csr_to_device
@@ -88,14 +85,9 @@ from repro.kmeans.cpu import kmeans_cpu
 from repro.kmeans.gpu import kmeans_device
 from repro.kmeans.multi_gpu import kmeans_composed
 from repro.linalg.utils import normalize_rows
-from repro.precision import PRECISIONS
 from repro.sparse.construct import diags
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-
-#: embedding algorithms the pipeline accepts: the eigensolver-backed
-#: modes plus the compressive tier (which has its own device driver)
-PIPELINE_EMBEDDINGS = (*EMBEDDING_MODES, "compressive")
 
 
 def _run_resilient(device, policy, stage, gpu_attempts, cpu_fn):
@@ -145,9 +137,9 @@ class _ComposedPlan:
     """Per-fit state of the one-plan multi-device composition.
 
     Created (empty) when the fit composes (see
-    :attr:`SpectralClustering.composes`); :meth:`build` runs once, right
-    after the operator stage, and is the *only* place the fit partitions
-    rows: the device group and the
+    :attr:`~repro.core.config.ClusterConfig.composes`); :meth:`build`
+    runs once, right after the operator stage, and is the *only* place
+    the fit partitions rows: the device group and the
     :class:`~repro.cusparse.partition.PartitionedCSR` built here are
     reused by the sharded eigensolve (which elides its result D2H) and by
     the composed k-means (which consumes the still-resident embedding
@@ -214,118 +206,11 @@ class SpectralClustering:
     ----------
     n_clusters:
         Number of clusters k.
-    similarity:
-        Measure for the point-input path: 'crosscorr' (paper's DTI
-        choice), 'cosine' or 'expdecay'.
-    sigma:
-        Bandwidth for 'expdecay'.
-    operator:
-        'sym' (default) iterates with the symmetric ``D^{-1/2}WD^{-1/2}``
-        and maps eigenvectors back through ``D^{-1/2}`` — the numerically
-        sound realization of the paper's ``D⁻¹W`` largest-eigenvector
-        formulation (identical spectrum, and exactly the generalized
-        eigenvectors of ``Lx = λDx``).  'rw' feeds ``D⁻¹W`` to the
-        symmetric Lanczos machinery verbatim, as the paper describes;
-        offered for ablation.
-    objective:
-        'ncut' (default): the paper's normalized-cut relaxation via
-        ``operator``.  'ratiocut': the Eq. 3 relaxation — smallest
-        eigenvectors of the *unnormalized* ``L = D - W``, computed on the
-        device through a Gershgorin shift (``operator`` is then ignored);
-        ``result.eigenvalues`` holds λ(L) ascending in that mode.
-    m:
-        Lanczos basis size (default ``min(n, max(2k+1, 20))``, the paper's
-        ``m = 2k`` rule).
-    eig_tol:
-        Eigensolver relative tolerance (0 = machine eps).
-    eig_maxiter:
-        Restart cap.
-    eig_residency:
-        Iteration-vector placement for Algorithm 3: 'device' (default)
-        keeps the Lanczos vectors GPU-resident so only ARPACK's small
-        tridiagonal state crosses PCIe at restart boundaries; 'host' is
-        the paper's original ship-the-vector-twice-per-step loop.  Both
-        produce bit-identical eigenpairs.
-    eig_spmv_format:
-        SpMV operand format for the eigensolver: 'auto' (default) lets
-        the row-length-statistics autotuner choose between 'csr', 'ell'
-        and 'hyb'; or force one.  Format only changes charged time.
-    devices:
-        Simulated GPUs the fit spans (default 1).  The normalized
-        operator splits into nnz-balanced row blocks with local/halo
-        column separation; each SpMV overlaps the local kernel with
-        device-to-device halo exchange on copy streams
-        (:mod:`repro.cusparse.partition`).  When the configuration
-        admits composition (:attr:`composes`: an exact eigensolver
-        embedding, ``precision='fp64'`` and the default fused SpMM
-        k-means) the *whole* fit runs as one multi-device plan: rows
-        are partitioned once right after the operator stage, the
-        eigensolver keeps its Ritz block sharded, and k-means runs on
-        the still-resident shards; evidence (halo bytes, k-means
-        transfer plan) lands on ``result.eig_stats['composed']``.
-        Otherwise only the embedding stage is sharded.  Either way the
-        answer matches ``devices=1`` — only the charged makespan
-        changes.  Requires ``eig_residency='device'`` and a
-        CSR-compatible ``eig_spmv_format`` ('auto' or 'csr').
-    precision:
-        Storage precision for the eigensolver's operator values and
-        iteration vectors: 'fp64' (default — the exact path, bit-identical
-        to builds without this knob), 'fp32' or 'fp16'.  Reduced solves
-        accumulate in fp64 and finish with fp64 iterative-refinement
-        steps against the full-precision operator
-        (:mod:`repro.precision`); accuracy is gated by the tolerance
-        bands in the regression harness rather than bit-identity.
-    embedding:
-        Spectral embedding algorithm: 'lanczos' (default) is the full
-        IRLM reverse-communication loop; 'power' is the block
-        power-iteration embedding of Boutsidis et al. — pure repeated
-        SpMM, no restarts — whose embedding is approximate by design but
-        k-means-equivalent on clusterable graphs.  'compressive' is the
-        Chebyshev graph-filtering tier of Tremblay et al.
-        (:mod:`repro.compressive`): no eigenvectors at all — an order-p
-        polynomial filter applied to O(log k) seeded random signals
-        yields the feature sketch, k-means runs on a coherence-sampled
-        vertex subset, and labels lift back by regularized
-        interpolation.  Requires ``objective='ncut'`` (the filter's
-        pass band targets the normalized operators' top-k spectrum).
-    filter_order:
-        Chebyshev polynomial degree for ``embedding='compressive'``
-        (default :data:`repro.compressive.DEFAULT_FILTER_ORDER`).  One
-        SpMM per degree; higher = sharper band edge = better ARI.
-    n_signals:
-        Random-signal count d for ``embedding='compressive'``
-        (default ``max(8, ceil(4·log2(k+1)))``).
-    sample_frac:
-        Fraction of vertices the compressive k-means clusters (default:
-        the ``O(k log k / n)`` heuristic, saturating at 1.0 on small
-        graphs, where downsampling and lifting are skipped entirely).
-    lift:
-        Label-lifting mode for ``embedding='compressive'``: 'interp'
-        (default) is the regularized sketch-space interpolation;
-        'nearest' assigns by nearest sampled centroid (cheap mode).
-    kmeans_init:
-        'k-means++' (paper's choice) or 'random'.
-    kmeans_max_iter:
-        Lloyd iteration cap.
-    kmeans_update:
-        Centroid update for Algorithm 4: 'spmm' (default) builds the
-        one-hot membership CSR on-device and computes centroid sums with
-        one ``cusparseDcsrmm``; 'sort' is the paper's §IV.C
-        sort + segmented-reduction formulation.  Results are bit-identical;
-        only charged time differs.
-    kmeans_fused:
-        Fuse the per-tile distance init, gemm, argmin and label-change
-        count into one kernel (default True), with inertia computed by a
-        charged device kernel.  False keeps the discrete kernel sequence
-        for ablation; bit-identical results either way.
-    normalize_rows:
-        Scale embedding rows to unit norm before k-means (the
-        Ng-Jordan-Weiss variant; the paper does not, so default False).
-    handle_isolated:
-        'remove' (default) drops zero-degree nodes and labels them ``-1``;
-        'error' raises (the paper's stated assumption is ``D_ii > 0``).
-    seed:
-        Seeds the eigensolver start vector and the k-means initialization.
+    **knobs:
+        Any other :class:`~repro.core.config.ClusterConfig` field
+        (``embedding=``, ``precision=``, ``devices=``, ``seed=`` ...);
+        the validated config is kept as :attr:`config`.  Code holding a
+        config passes it as ``**dataclasses.asdict(config)``.
     device:
         Supply a :class:`~repro.cuda.device.Device` to share/inspect the
         timeline; a fresh K20c is created per fit otherwise.
@@ -342,133 +227,18 @@ class SpectralClustering:
     def __init__(
         self,
         n_clusters: int,
-        similarity: str = "crosscorr",
-        sigma: float = 1.0,
-        operator: str = "sym",
-        objective: str = "ncut",
-        m: int | None = None,
-        eig_tol: float = 0.0,
-        eig_maxiter: int | None = None,
-        eig_residency: str = "device",
-        eig_spmv_format: str = "auto",
-        devices: int = 1,
-        precision: str = "fp64",
-        embedding: str = "lanczos",
-        filter_order: int | None = None,
-        n_signals: int | None = None,
-        sample_frac: float | None = None,
-        lift: str = "interp",
-        kmeans_init: str = "k-means++",
-        kmeans_max_iter: int = 300,
-        kmeans_update: str = "spmm",
-        kmeans_fused: bool = True,
-        normalize_rows: bool = False,
-        handle_isolated: str = "remove",
-        seed: int | None = 0,
+        *,
         device: Device | None = None,
         chaos: FaultPlan | int | None = None,
         resilience: ResiliencePolicy | None = None,
+        **knobs,
     ) -> None:
-        if n_clusters < 2:
-            raise ClusteringError(f"n_clusters must be >= 2, got {n_clusters}")
-        if operator not in ("sym", "rw"):
-            raise ClusteringError(f"operator must be 'sym' or 'rw', got {operator!r}")
-        if objective not in ("ncut", "ratiocut"):
-            raise ClusteringError(
-                f"objective must be 'ncut' or 'ratiocut', got {objective!r}"
-            )
-        if handle_isolated not in ("remove", "error"):
-            raise ClusteringError(
-                f"handle_isolated must be 'remove' or 'error', got {handle_isolated!r}"
-            )
-        if eig_residency not in ("device", "host"):
-            raise ClusteringError(
-                f"eig_residency must be 'device' or 'host', got {eig_residency!r}"
-            )
-        if eig_spmv_format not in ("auto", "csr", "ell", "hyb"):
-            raise ClusteringError(
-                f"eig_spmv_format must be 'auto', 'csr', 'ell' or 'hyb', "
-                f"got {eig_spmv_format!r}"
-            )
-        if not isinstance(devices, int) or devices < 1:
-            raise ClusteringError(
-                f"devices must be an int >= 1, got {devices!r}"
-            )
-        if devices > 1 and eig_residency != "device":
-            raise ClusteringError("devices > 1 requires eig_residency='device'")
-        if devices > 1 and eig_spmv_format not in ("auto", "csr"):
-            raise ClusteringError(
-                "devices > 1 requires eig_spmv_format 'auto' or 'csr' "
-                "(row blocks are stored as split local/halo CSR)"
-            )
-        if precision not in PRECISIONS:
-            raise ClusteringError(
-                f"precision must be one of {PRECISIONS}, got {precision!r}"
-            )
-        if embedding not in PIPELINE_EMBEDDINGS:
-            raise ClusteringError(
-                f"embedding must be one of {PIPELINE_EMBEDDINGS}, "
-                f"got {embedding!r}"
-            )
-        if embedding == "compressive" and objective != "ncut":
-            raise ClusteringError(
-                "embedding='compressive' requires objective='ncut' (the "
-                "Chebyshev filter's pass band targets the normalized "
-                "operators' top-k spectrum)"
-            )
-        if filter_order is not None and (
-            not isinstance(filter_order, int) or filter_order < 1
-        ):
-            raise ClusteringError(
-                f"filter_order must be an int >= 1, got {filter_order!r}"
-            )
-        if n_signals is not None and (
-            not isinstance(n_signals, int) or n_signals < 1
-        ):
-            raise ClusteringError(
-                f"n_signals must be an int >= 1, got {n_signals!r}"
-            )
-        if sample_frac is not None and not (0.0 < float(sample_frac) <= 1.0):
-            raise ClusteringError(
-                f"sample_frac must be in (0, 1], got {sample_frac!r}"
-            )
-        if lift not in LIFT_MODES:
-            raise ClusteringError(
-                f"lift must be one of {LIFT_MODES}, got {lift!r}"
-            )
-        if kmeans_update not in ("spmm", "sort"):
-            raise ClusteringError(
-                f"kmeans_update must be 'spmm' or 'sort', got {kmeans_update!r}"
-            )
+        self.config = ClusterConfig(n_clusters=n_clusters, **knobs)
         if chaos is not None and not isinstance(chaos, (int, FaultPlan)):
             raise ChaosError(
                 f"chaos must be a FaultPlan, an int seed or None, "
                 f"got {type(chaos).__name__}"
             )
-        self.n_clusters = n_clusters
-        self.similarity = similarity
-        self.sigma = sigma
-        self.operator = operator
-        self.objective = objective
-        self.m = m
-        self.eig_tol = eig_tol
-        self.eig_maxiter = eig_maxiter
-        self.eig_residency = eig_residency
-        self.eig_spmv_format = eig_spmv_format
-        self.devices = devices
-        self.precision = precision
-        self.embedding = embedding
-        self.filter_order = filter_order
-        self.n_signals = n_signals
-        self.sample_frac = sample_frac
-        self.lift = lift
-        self.kmeans_init = kmeans_init
-        self.kmeans_max_iter = kmeans_max_iter
-        self.kmeans_update = kmeans_update
-        self.kmeans_fused = bool(kmeans_fused)
-        self.normalize_rows = normalize_rows
-        self.handle_isolated = handle_isolated
-        self.seed = seed
         self.device = device
         self.chaos = chaos
         self.resilience = resilience
@@ -487,54 +257,6 @@ class SpectralClustering:
         if self.resilience is None:
             return ResiliencePolicy()
         return self.resilience
-
-    @property
-    def composes(self) -> bool:
-        """Whether ``devices > 1`` runs the whole fit as one composed plan.
-
-        Composition needs an exact eigensolver embedding ('lanczos' or
-        'power'), ``precision='fp64'`` (the plan partitions the fp64
-        operator once) and the default fused SpMM k-means that
-        :func:`~repro.kmeans.multi_gpu.kmeans_composed` reproduces bit
-        for bit; any other configuration shards only the embedding.
-        """
-        return (
-            self.devices > 1
-            and self.embedding in EMBEDDING_MODES
-            and self.precision == "fp64"
-            and self.kmeans_update == "spmm"
-            and self.kmeans_fused
-        )
-
-    def _model_params(self) -> dict:
-        """Constructor kwargs that re-create this estimator bit for bit
-        (runtime objects — device, chaos plan, policy — excluded)."""
-        return {
-            "n_clusters": self.n_clusters,
-            "similarity": self.similarity,
-            "sigma": self.sigma,
-            "operator": self.operator,
-            "objective": self.objective,
-            "m": self.m,
-            "eig_tol": self.eig_tol,
-            "eig_maxiter": self.eig_maxiter,
-            "eig_residency": self.eig_residency,
-            "eig_spmv_format": self.eig_spmv_format,
-            "devices": self.devices,
-            "precision": self.precision,
-            "embedding": self.embedding,
-            "filter_order": self.filter_order,
-            "n_signals": self.n_signals,
-            "sample_frac": self.sample_frac,
-            "lift": self.lift,
-            "kmeans_init": self.kmeans_init,
-            "kmeans_max_iter": self.kmeans_max_iter,
-            "kmeans_update": self.kmeans_update,
-            "kmeans_fused": self.kmeans_fused,
-            "normalize_rows": self.normalize_rows,
-            "handle_isolated": self.handle_isolated,
-            "seed": self.seed,
-        }
 
     def _check_inputs(self, X, edges, graph) -> None:
         point_input = X is not None
@@ -646,19 +368,20 @@ class SpectralClustering:
     def _fit_under_plan(
         self, device, policy, plan, X, edges, graph
     ) -> ClusteringResult:
+        cfg = self.config
         prof = Profiler(device)
         prof.start()
         timings = StageTimings()
         resilience: dict[str, dict] = {}
 
-        composed = _ComposedPlan(self.devices) if self.composes else None
+        composed = _ComposedPlan(cfg.devices) if cfg.composes else None
         composed_summary = None
         # stage-level capture of the artifacts the fitted model reuses
         # (similarity graph, pre-normalization basis, degrees); only the
         # parameterizations with a Nyström extension capture anything
         self._capture = (
             {}
-            if self.objective == "ncut" and self.embedding != "compressive"
+            if cfg.objective == "ncut" and cfg.embedding != "compressive"
             else None
         )
         try:
@@ -689,7 +412,7 @@ class SpectralClustering:
                     n_total=n_total,
                     graph=cap["graph"],
                     anchors=cap.get("anchors"),
-                    params=self._model_params(),
+                    config=self.config,
                     resilience=dict(resilience),
                 )
         finally:
@@ -723,15 +446,16 @@ class SpectralClustering:
         composed: _ComposedPlan | None = None,
     ):
         """Stages 1-3: similarity graph → operator → eigenvectors."""
+        cfg = self.config
         dcoo, n_total, kept = self._similarity_stage(
             device, policy, X, edges, graph, timings, resilience
         )
         n = dcoo.shape[0]
         dcsr = None
         try:
-            if n <= self.n_clusters:
+            if n <= cfg.n_clusters:
                 raise ClusteringError(
-                    f"only {n} non-isolated nodes for k={self.n_clusters} clusters"
+                    f"only {n} non-isolated nodes for k={cfg.n_clusters} clusters"
                 )
             dcsr, shift, deg_kept = self._operator_stage(
                 device, policy, dcoo, timings, resilience
@@ -751,6 +475,7 @@ class SpectralClustering:
     def _similarity_stage(self, device, policy, X, edges, graph, timings, resilience):
         """Stage 1: build/upload the similarity graph; returns
         ``(device COO, n_total, kept)``."""
+        cfg = self.config
 
         def upload(fn, stage_name: str, rec: dict):
             # uploads are idempotent, so even an injected OOM is retryable
@@ -774,12 +499,12 @@ class SpectralClustering:
             def build_gpu(chunk):
                 return lambda: build_similarity_device(
                     device, X_arr, edges_arr,
-                    measure=self.similarity, sigma=self.sigma, edge_chunk=chunk,
+                    measure=cfg.similarity, sigma=cfg.sigma, edge_chunk=chunk,
                 )
 
             def build_cpu():
                 W = build_similarity_graph(
-                    X_arr, edges_arr, measure=self.similarity, sigma=self.sigma
+                    X_arr, edges_arr, measure=cfg.similarity, sigma=cfg.sigma
                 )
                 with device.stage("similarity"):
                     return with_retry(
@@ -798,7 +523,7 @@ class SpectralClustering:
             deg = np.bincount(dcoo.row.data, weights=dcoo.val.data, minlength=n_total)
             kept = np.flatnonzero(deg > 0)
             if kept.size < n_total:
-                if self.handle_isolated == "error":
+                if cfg.handle_isolated == "error":
                     dcoo.free()
                     raise ClusteringError(
                         f"{n_total - kept.size} isolated nodes; the paper "
@@ -835,7 +560,7 @@ class SpectralClustering:
             n_total = graph.shape[0]
             csr = graph if isinstance(graph, CSRMatrix) else graph.to_csr()
             W_sub, kept = remove_isolated(csr)
-            if self.handle_isolated == "error" and kept.size < n_total:
+            if cfg.handle_isolated == "error" and kept.size < n_total:
                 raise ClusteringError(
                     f"{n_total - kept.size} isolated nodes; the paper "
                     "requires D_ii > 0 (use handle_isolated='remove')"
@@ -858,6 +583,7 @@ class SpectralClustering:
     def _operator_stage(self, device, policy, dcoo, timings, resilience):
         """Stage 2 (Algorithm 2): normalized operator in device CSR;
         returns ``(device CSR, shift, kept-degree vector)``."""
+        cfg = self.config
         t0 = time.perf_counter()
         lap_start = device.elapsed
         # keep degrees for the sym->rw eigenvector back-mapping
@@ -871,9 +597,9 @@ class SpectralClustering:
         def lap_gpu():
             if val0 is not None:
                 dcoo.val.data[...] = val0
-            if self.objective == "ratiocut":
+            if cfg.objective == "ratiocut":
                 return device_shifted_laplacian(dcoo)
-            if self.operator == "sym":
+            if cfg.operator == "sym":
                 return device_sym_normalize(dcoo), 0.0
             return device_rw_normalize(dcoo), 0.0
 
@@ -883,12 +609,12 @@ class SpectralClustering:
                 dcoo.row.data.copy(), dcoo.col.data.copy(), vals,
                 dcoo.shape, check=False,
             )
-            if self.objective == "ratiocut":
+            if cfg.objective == "ratiocut":
                 d = degrees(W_host)
                 c = 2.0 * float(d.max()) if d.size else 0.0
                 host_csr = diags(c - d).add(W_host.to_csr())
                 sh = c
-            elif self.operator == "sym":
+            elif cfg.operator == "sym":
                 host_csr = sym_normalized_adjacency(W_host)
                 sh = 0.0
             else:
@@ -924,19 +650,20 @@ class SpectralClustering:
         stays sharded on the devices (result D2H elided) for the
         composed k-means stage.
         """
+        cfg = self.config
         t0 = time.perf_counter()
         eig_start = device.elapsed
-        if self.embedding == "compressive":
+        if cfg.embedding == "compressive":
             # the compressive tier forms no eigenvectors: the Chebyshev-
             # filtered random signals ARE the embedding; the spectrum
             # probe's Ritz values stand in as the eigenvalue evidence
             F, stats = compressive_embedding(
-                device, dcsr, self.n_clusters,
-                filter_order=self.filter_order, n_signals=self.n_signals,
-                seed=self.seed, policy=policy,
-                residency=self.eig_residency,
-                spmv_format=self.eig_spmv_format,
-                n_devices=self.devices, precision=self.precision,
+                device, dcsr, cfg.n_clusters,
+                filter_order=cfg.filter_order, n_signals=cfg.n_signals,
+                seed=cfg.seed, policy=policy,
+                residency=cfg.eig_residency,
+                spmv_format=cfg.eig_spmv_format,
+                n_devices=cfg.devices, precision=cfg.precision,
             )
             _note(resilience, "eigensolver", {
                 "retries": stats.spmv_retries,
@@ -947,10 +674,10 @@ class SpectralClustering:
             if free_operator:
                 dcsr.free()
             theta = np.sort(np.asarray(stats.spectrum["theta"]))[::-1][
-                : self.n_clusters
+                : cfg.n_clusters
             ]
             U = F
-            if self.operator == "sym":
+            if cfg.operator == "sym":
                 # the filtered signals live in the symmetric operator's
                 # eigenbasis; the same D^{-1/2} row scaling as the exact
                 # path maps them to the D^{-1}W geometry k-means expects
@@ -972,15 +699,15 @@ class SpectralClustering:
             with device.stage("partition"):
                 composed.build(device, dcsr)
         theta, U, stats = hybrid_eigensolver(
-            device, dcsr, k=self.n_clusters, m=self.m,
-            tol=self.eig_tol, maxiter=self.eig_maxiter, seed=self.seed,
-            policy=policy, residency=self.eig_residency,
-            spmv_format=self.eig_spmv_format,
+            device, dcsr, k=cfg.n_clusters, m=cfg.m,
+            tol=cfg.eig_tol, maxiter=cfg.eig_maxiter, seed=cfg.seed,
+            policy=policy, residency=cfg.eig_residency,
+            spmv_format=cfg.eig_spmv_format,
             # staged entry points (embed/fit_embedding — the serving
             # layer) have no composed plan to reuse but still shard the
             # solve across the same device count
-            n_devices=self.devices,
-            precision=self.precision, embedding=self.embedding,
+            n_devices=cfg.devices,
+            precision=cfg.precision, embedding=cfg.embedding,
             plan=composed.plan if composed is not None else None,
             elide_result_d2h=composed is not None,
         )
@@ -992,7 +719,7 @@ class SpectralClustering:
         })
         if free_operator:
             dcsr.free()
-        if self.objective == "ratiocut":
+        if cfg.objective == "ratiocut":
             # top of cI - L == bottom of L: report λ(L) ascending
             order = np.argsort(theta)[::-1]
             theta = shift - theta[order]
@@ -1002,7 +729,7 @@ class SpectralClustering:
             order = np.argsort(theta)[::-1]
             theta = theta[order]
             U = U[:, order]
-            if self.operator == "sym":
+            if cfg.operator == "sym":
                 # map eigenvectors of D^{-1/2}WD^{-1/2} to those of D^{-1}W
                 inv_sqrt = 1.0 / np.sqrt(np.where(deg_kept > 0, deg_kept, 1.0))
                 U = U * inv_sqrt[:, None]
@@ -1012,7 +739,7 @@ class SpectralClustering:
             # normalization, plus the degree scaling it was built under
             cap["basis"] = U
             cap["degrees"] = deg_kept
-        embedding = normalize_rows(U) if self.normalize_rows else U
+        embedding = normalize_rows(U) if cfg.normalize_rows else U
         if composed is not None and composed.active:
             # the back-mapping reorder/scale applies shard-locally (one
             # elementwise pass per device, concurrent) so the embedding
@@ -1023,8 +750,8 @@ class SpectralClustering:
                 nd = int(rows.size)
                 dev = composed.devices[j]
                 dt = dev.cost.kernel_time(
-                    2.0 * nd * self.n_clusters,
-                    3.0 * nd * self.n_clusters * 8,
+                    2.0 * nd * cfg.n_clusters,
+                    3.0 * nd * cfg.n_clusters * 8,
                 )
                 tl.record_at(f"scale_rows[dev{j}]", "kernel", t_s, dt)
                 dev.kernel_launches += 1
@@ -1037,7 +764,8 @@ class SpectralClustering:
         composed: _ComposedPlan | None = None,
     ):
         """Stage 4 (Algorithms 4-5): cluster the embedding rows."""
-        if self.embedding == "compressive":
+        cfg = self.config
+        if cfg.embedding == "compressive":
             return self._compressive_kmeans_stage(
                 device, policy, embedding, timings, resilience
             )
@@ -1051,17 +779,17 @@ class SpectralClustering:
 
         def km_gpu(tile):
             return lambda: kmeans_device(
-                device, embedding, self.n_clusters,
-                init=self.kmeans_init, max_iter=self.kmeans_max_iter,
-                seed=self.seed, tile_rows=tile,
-                centroid_update=self.kmeans_update, fused=self.kmeans_fused,
+                device, embedding, cfg.n_clusters,
+                init=cfg.kmeans_init, max_iter=cfg.kmeans_max_iter,
+                seed=cfg.seed, tile_rows=tile,
+                centroid_update=cfg.kmeans_update, fused=cfg.kmeans_fused,
             )
 
         def km_cpu():
             return kmeans_cpu(
-                embedding, self.n_clusters,
-                init=self.kmeans_init, max_iter=self.kmeans_max_iter,
-                seed=self.seed,
+                embedding, cfg.n_clusters,
+                init=cfg.kmeans_init, max_iter=cfg.kmeans_max_iter,
+                seed=cfg.seed,
             )
 
         km, rec = _run_resilient(
@@ -1084,14 +812,15 @@ class SpectralClustering:
         layout as the eigensolve, upload elided, centroid allreduce over
         the peer bus.  Labels are bit-identical to the single-device
         :func:`~repro.kmeans.gpu.kmeans_device` path."""
+        cfg = self.config
         t0 = time.perf_counter()
         km_start = device.elapsed
 
         def km_gpu():
             res, tim, km_plan = kmeans_composed(
                 composed.devices, composed.row_sets, embedding,
-                self.n_clusters, init=self.kmeans_init,
-                max_iter=self.kmeans_max_iter, seed=self.seed,
+                cfg.n_clusters, init=cfg.kmeans_init,
+                max_iter=cfg.kmeans_max_iter, seed=cfg.seed,
                 resident=True,
             )
             composed.kmeans_timings = tim
@@ -1100,9 +829,9 @@ class SpectralClustering:
 
         def km_cpu():
             return kmeans_cpu(
-                embedding, self.n_clusters,
-                init=self.kmeans_init, max_iter=self.kmeans_max_iter,
-                seed=self.seed,
+                embedding, cfg.n_clusters,
+                init=cfg.kmeans_init, max_iter=cfg.kmeans_max_iter,
+                seed=cfg.seed,
             )
 
         km, rec = _run_resilient(device, policy, "kmeans", [km_gpu], km_cpu)
@@ -1125,13 +854,14 @@ class SpectralClustering:
         window; the Chrome trace separates ``sampling`` / ``kmeans`` /
         ``lift`` stage tags.
         """
+        cfg = self.config
         t0 = time.perf_counter()
         km_start = device.elapsed
         n_emb = embedding.shape[0]
-        k = self.n_clusters
+        k = cfg.n_clusters
         frac = (
-            float(self.sample_frac)
-            if self.sample_frac is not None
+            float(cfg.sample_frac)
+            if cfg.sample_frac is not None
             else default_sample_frac(n_emb, k)
         )
         n_s = min(n_emb, max(int(math.ceil(frac * n_emb)), min(n_emb, 2 * k)))
@@ -1142,7 +872,7 @@ class SpectralClustering:
         else:
             with device.stage("sampling"):
                 weights = coherence_weights(device, embedding)
-                idx = sample_vertices(n_emb, weights, n_s, seed=self.seed)
+                idx = sample_vertices(n_emb, weights, n_s, seed=cfg.seed)
                 F_s, rec = _run_resilient(
                     device, policy, "sampling",
                     [lambda: gather_rows(device, embedding, idx)],
@@ -1153,16 +883,16 @@ class SpectralClustering:
         def km_gpu(tile):
             return lambda: kmeans_device(
                 device, F_s, k,
-                init=self.kmeans_init, max_iter=self.kmeans_max_iter,
-                seed=self.seed, tile_rows=tile,
-                centroid_update=self.kmeans_update, fused=self.kmeans_fused,
+                init=cfg.kmeans_init, max_iter=cfg.kmeans_max_iter,
+                seed=cfg.seed, tile_rows=tile,
+                centroid_update=cfg.kmeans_update, fused=cfg.kmeans_fused,
             )
 
         def km_cpu():
             return kmeans_cpu(
                 F_s, k,
-                init=self.kmeans_init, max_iter=self.kmeans_max_iter,
-                seed=self.seed,
+                init=cfg.kmeans_init, max_iter=cfg.kmeans_max_iter,
+                seed=cfg.seed,
             )
 
         km, rec = _run_resilient(
@@ -1180,11 +910,11 @@ class SpectralClustering:
                     device, policy, "lift",
                     [lambda: lift_labels_device(
                         device, embedding, idx, km.labels, km.centroids,
-                        mode=self.lift,
+                        mode=cfg.lift,
                     )],
                     lambda: lift_labels_host(
                         device, embedding, idx, km.labels, km.centroids,
-                        mode=self.lift,
+                        mode=cfg.lift,
                     ),
                 )
                 _note(resilience, "lift", rec)

@@ -35,6 +35,7 @@ from repro.serve.metrics import (
 from repro.serve.persist import FORMAT_VERSION, PersistentStore, StoreStats
 from repro.serve.queue import AdmissionQueue, QueueStats
 from repro.serve.request import (
+    DEFAULT_REQUEST_CONFIG,
     STATUS_FAILED,
     STATUS_OK,
     STATUS_REJECTED,
@@ -76,6 +77,7 @@ __all__ = [
     "ClusterResponse",
     "ClusterService",
     "DEFAULT_CTX_SWITCH_S",
+    "DEFAULT_REQUEST_CONFIG",
     "EmbeddingCache",
     "FORMAT_VERSION",
     "LatencyStats",

@@ -24,6 +24,10 @@ On top of the workload fingerprint sit two composite keys:
   post-processing, so a cache hit is bit-identical to a cold solve by
   construction — the cached array was produced by the exact computation
   the key describes.
+* :func:`model_key` — the fitted-model key: embedding key + k-means knobs.
+
+Both read a :class:`~repro.core.config.ClusterConfig` through the role
+tables below, which give every config field exactly one role.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ import hashlib
 
 import numpy as np
 
+from repro.compressive.filters import DEFAULT_FILTER_ORDER, default_n_signals
+from repro.core.config import ClusterConfig
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
@@ -83,62 +89,88 @@ def operator_key(
     return (fingerprint, operator, objective, handle_isolated)
 
 
-def embedding_key(
-    fingerprint: str,
-    operator: str,
-    objective: str,
-    handle_isolated: str,
-    n_clusters: int,
-    m: int | None,
-    eig_tol: float,
-    eig_maxiter: int | None,
-    seed: int | None,
-    normalize_rows: bool,
-    precision: str = "fp64",
-    embedding: str = "lanczos",
-    filter_order: int | None = None,
-    n_signals: int | None = None,
-) -> tuple:
-    """Embedding-cache key: every parameter that influences stages 1-3.
+# Every ClusterConfig field has exactly one cache-key role: it is in the
+# embedding key, in the model key, or deliberately not keyed (with the
+# reason).  tests/serve/test_fingerprint.py fails when a field has none.
 
-    Note ``seed`` is included because it seeds the Lanczos start vector —
-    two requests with different seeds legitimately produce different
-    embeddings, so they must not share a cache slot.  ``precision`` and
-    ``embedding`` are included because reduced-precision and power-
-    iteration embeddings are tolerance-band accurate rather than
-    bit-identical — an fp16 solve must never shadow an fp64 one (unlike
-    ``devices``/``eig_residency``, which are bit-identical placements
-    and deliberately excluded).  ``filter_order``/``n_signals`` shape the
-    compressive tier's feature sketch (a different polynomial degree or
-    sketch width is a different embedding); they stay ``None`` on the
-    eigenvector embeddings, so compressive keys can never collide with
-    exact or power keys for the same workload.  The compressive
-    ``sample_frac``/``lift`` knobs are stage-4-only (they act after the
-    embedding is built) and are deliberately excluded.
-    """
-    return (
-        fingerprint, operator, objective, handle_isolated,
-        int(n_clusters), m, float(eig_tol), eig_maxiter, seed,
-        bool(normalize_rows), str(precision), str(embedding),
-        None if filter_order is None else int(filter_order),
-        None if n_signals is None else int(n_signals),
+#: Embedding key: the fields that change the embedding (stages 1-3), in
+#: key order.  ``seed`` seeds the Lanczos start vector; ``precision`` and
+#: ``embedding`` select tolerance-band accurate (not bit-identical)
+#: embeddings, so an fp16 or power solve never shadows an exact one;
+#: ``filter_order``/``n_signals`` shape the compressive sketch.
+EMBEDDING_KEY_FIELDS = (
+    "operator", "objective", "handle_isolated", "n_clusters", "m",
+    "eig_tol", "eig_maxiter", "seed", "normalize_rows", "precision",
+    "embedding", "filter_order", "n_signals",
+)
+
+#: Model key: the k-means knobs that shape the centroids (``seed`` is
+#: already in the embedding key and seeds the k-means initialization)
+MODEL_KEY_FIELDS = ("kmeans_init", "kmeans_max_iter")
+
+#: Fields in neither key, and why leaving them out cannot alias results
+UNKEYED_FIELDS = {
+    "devices": "bit-identical placement: a sharded solve equals one device",
+    "eig_residency": "bit-identical placement of the Lanczos vectors",
+    "eig_spmv_format": "bit-identical placement: format only changes time",
+    "kmeans_update": "bit-identical placement of the centroid update",
+    "kmeans_fused": "bit-identical placement of the assignment kernels",
+    "sample_frac": "compressive-only stage-4 knob; compressive fits cache "
+                   "no model",
+    "lift": "compressive-only stage-4 knob; compressive fits cache no model",
+    "similarity": "already in the workload fingerprint",
+    "sigma": "already in the workload fingerprint",
+}
+
+#: the cast that canonicalizes a keyed value (other fields key as is)
+_CASTS = {
+    "n_clusters": int, "eig_tol": float, "normalize_rows": bool,
+    "precision": str, "embedding": str, "filter_order": int,
+    "n_signals": int, "kmeans_init": str, "kmeans_max_iter": int,
+}
+
+
+def _keyed(values: dict, names: tuple) -> tuple:
+    return tuple(
+        _CASTS[name](values[name])
+        if name in _CASTS and values[name] is not None else values[name]
+        for name in names
     )
 
 
-def model_key(
-    embedding_key: tuple, kmeans_init: str, kmeans_max_iter: int
-) -> tuple:
-    """Fitted-model cache key: the embedding key plus the stage-4 knobs
-    that shape the centroids.
+def embedding_key(fingerprint: str, config: ClusterConfig) -> tuple:
+    """Embedding-cache key: the workload fingerprint plus the
+    :data:`EMBEDDING_KEY_FIELDS` values of ``config``.
+
+    The compressive knobs are resolved to the engine defaults, so an
+    explicit-default request shares a slot with an engine-default one;
+    they key ``None`` on the eigenvector embeddings (where they are
+    inert), so compressive keys never collide with exact or power keys
+    for the same workload.
+    """
+    values = vars(config).copy()
+    if config.embedding == "compressive":
+        values["filter_order"] = config.filter_order or DEFAULT_FILTER_ORDER
+        values["n_signals"] = (
+            config.n_signals or default_n_signals(config.n_clusters)
+        )
+    else:
+        values["filter_order"] = values["n_signals"] = None
+    return (fingerprint,) + _keyed(values, EMBEDDING_KEY_FIELDS)
+
+
+def model_key(embedding_key: tuple, config: ClusterConfig) -> tuple:
+    """Fitted-model cache key: the embedding key plus the
+    :data:`MODEL_KEY_FIELDS` values that shape the centroids.
 
     A :class:`~repro.core.model.FittedSpectralModel` adds exactly one
     artifact on top of the embedding — the k-means centroids — so its
     identity is the embedding's identity extended by the k-means
-    parameters (``seed`` is already in the embedding key and seeds the
-    k-means initialization too).  Predict-side knobs (payload size,
-    deadline, priority, chaos plan) are deliberately *outside* the key:
-    every predict against the same fit shares one cached model.
+    parameters.  Predict-side knobs (payload size, deadline, priority,
+    chaos plan) are deliberately *outside* the key: every predict
+    against the same fit shares one cached model.
     """
-    return ("model",) + tuple(embedding_key) + (
-        str(kmeans_init), int(kmeans_max_iter),
+    return (
+        ("model",) + tuple(embedding_key)
+        + _keyed(vars(config), MODEL_KEY_FIELDS)
     )

@@ -15,7 +15,9 @@ warms from disk instead:
   alias;
 - **versioned** — every file carries ``FORMAT_VERSION``; a mismatch is
   treated as a miss (and counted), never a crash, so old caches degrade
-  gracefully across format changes;
+  gracefully across format changes.  A model's stored params are
+  validated as a :class:`~repro.core.config.ClusterConfig` on load; params
+  that no longer validate are a miss counted in ``errors``;
 - **bit-identical round-trip** — arrays are serialized with ``np.savez``
   (dtype- and byte-exact); metadata rides as canonical JSON.  What does
   *not* round-trip is documented: an embedding's device
@@ -36,14 +38,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.config import ClusterConfig
 from repro.core.result import EmbeddingResult, StageTimings
 from repro.cuda.profiler import ProfileReport
-from repro.errors import ServiceError
+from repro.errors import ClusteringError, ServiceError
 from repro.sparse.csr import CSRMatrix
 
 #: bump when the on-disk layout changes; readers treat any other value
@@ -194,7 +197,7 @@ class PersistentStore:
             extra = {
                 "n_total": int(value.n_total),
                 "graph_shape": list(value.graph.shape),
-                "params": _sanitize(value.params),
+                "params": _sanitize(asdict(value.config)),
                 "drift_scale": float(value.drift_scale),
                 "n_refits": int(value.n_refits),
                 "accumulated_drift": float(value._accumulated_drift),
@@ -290,6 +293,11 @@ class PersistentStore:
     def _load_model(npz, meta):
         from repro.core.model import FittedSpectralModel
 
+        try:
+            config = ClusterConfig(**meta["params"])
+        except (TypeError, ClusteringError) as err:
+            # an unknown or invalid knob would only fail later, at refit
+            raise ValueError(f"stored model params: {err}") from err
         graph = CSRMatrix(
             indptr=npz["graph_indptr"],
             indices=npz["graph_indices"],
@@ -308,7 +316,7 @@ class PersistentStore:
             n_total=int(meta["n_total"]),
             graph=graph,
             anchors=npz["anchors"] if meta.get("has_anchors") else None,
-            params=dict(meta.get("params", {})),
+            config=config,
             resilience={},
             drift_scale=float(meta.get("drift_scale", 1.0)),
             n_refits=int(meta.get("n_refits", 0)),

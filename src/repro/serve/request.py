@@ -3,8 +3,9 @@
 A :class:`ClusterRequest` names a workload either by *reference* (a
 registered dataset + scale + generator seed — the JSONL-serializable form
 used in replay traces) or by *value* (an in-memory graph or point set).
-All estimator parameters ride on the request, so any two requests are
-free to differ in ``n_clusters``, seeds, tolerances, or chaos plans while
+All estimator parameters ride on the request as one
+:class:`~repro.core.config.ClusterConfig`, so any two requests are free
+to differ in ``n_clusters``, seeds, tolerances, or chaos plans while
 still sharing a graph.
 
 A :class:`ClusterResponse` carries the clustering output plus the
@@ -14,12 +15,13 @@ the simulated latency breakdown the metrics report aggregates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from repro.chaos.plan import FaultPlan
 from repro.chaos.retry import DISABLED, ResiliencePolicy
+from repro.core.config import ClusterConfig
 from repro.core.pipeline import SpectralClustering
 from repro.core.result import StageTimings
 from repro.errors import RequestError
@@ -37,6 +39,10 @@ from repro.sparse.csr import CSRMatrix
 STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
 STATUS_FAILED = "failed"
+
+#: the knobs a request gets unless it says otherwise: the estimator's
+#: defaults except a two-way split and a 1e-8 eigensolver tolerance
+DEFAULT_REQUEST_CONFIG = ClusterConfig(n_clusters=2, eig_tol=1e-8)
 
 
 @dataclass
@@ -61,40 +67,8 @@ class ClusterRequest:
     X: np.ndarray | None = None
     edges: np.ndarray | None = None
 
-    # -- estimator parameters (defaults mirror SpectralClustering) ------
-    n_clusters: int = 2
-    similarity: str = "crosscorr"
-    sigma: float = 1.0
-    operator: str = "sym"
-    objective: str = "ncut"
-    m: int | None = None
-    eig_tol: float = 1e-8
-    eig_maxiter: int | None = None
-    #: GPUs the solve spans (row-partitioned; same output as one device,
-    #: so deliberately NOT part of embedding_key — a multi-device solve
-    #: can serve a cached single-device embedding and vice versa)
-    devices: int = 1
-    #: storage precision of the eigensolve ('fp64'/'fp32'/'fp16') — part
-    #: of embedding_key: reduced embeddings are tolerance-band accurate,
-    #: not bit-identical, so they must not shadow exact ones
-    precision: str = "fp64"
-    #: spectral embedding algorithm ('lanczos'/'power'/'compressive') —
-    #: part of embedding_key for the same reason
-    embedding: str = "lanczos"
-    #: compressive tier: Chebyshev degree / sketch width (None = engine
-    #: defaults).  Both are part of embedding_key — a different filter
-    #: polynomial or sketch width is a different embedding.
-    filter_order: int | None = None
-    n_signals: int | None = None
-    #: compressive tier: vertex sample fraction and lift mode — stage-4
-    #: knobs (they act after the embedding), so NOT part of embedding_key
-    sample_frac: float | None = None
-    lift: str = "interp"
-    kmeans_init: str = "k-means++"
-    kmeans_max_iter: int = 300
-    normalize_rows: bool = False
-    handle_isolated: str = "remove"
-    seed: int | None = 0
+    #: the estimator knobs (:class:`~repro.core.config.ClusterConfig`)
+    config: ClusterConfig = DEFAULT_REQUEST_CONFIG
 
     # -- fault injection -------------------------------------------------
     chaos: FaultPlan | int | None = None
@@ -122,27 +96,8 @@ class ClusterRequest:
     def estimator(self, device=None) -> SpectralClustering:
         """A fresh estimator configured exactly as this request asks."""
         return SpectralClustering(
+            **asdict(self.config),
             device=device,
-            n_clusters=self.n_clusters,
-            similarity=self.similarity,
-            sigma=self.sigma,
-            operator=self.operator,
-            objective=self.objective,
-            m=self.m,
-            eig_tol=self.eig_tol,
-            eig_maxiter=self.eig_maxiter,
-            devices=self.devices,
-            precision=self.precision,
-            embedding=self.embedding,
-            filter_order=self.filter_order,
-            n_signals=self.n_signals,
-            sample_frac=self.sample_frac,
-            lift=self.lift,
-            kmeans_init=self.kmeans_init,
-            kmeans_max_iter=self.kmeans_max_iter,
-            normalize_rows=self.normalize_rows,
-            handle_isolated=self.handle_isolated,
-            seed=self.seed,
             chaos=self.chaos,
             resilience=DISABLED if self.no_resilience else None,
         )
@@ -169,7 +124,7 @@ class ClusterRequest:
             return graph_fingerprint(self.graph)
         if self.X is not None:
             return points_fingerprint(
-                self.X, self.edges, self.similarity, self.sigma
+                self.X, self.edges, self.config.similarity, self.config.sigma
             )
         raise RequestError(
             f"request {self.request_id!r} is by-reference; resolve the "
@@ -177,39 +132,17 @@ class ClusterRequest:
         )
 
     def operator_key(self, fingerprint: str) -> tuple:
+        cfg = self.config
         return operator_key(
-            fingerprint, self.operator, self.objective, self.handle_isolated
+            fingerprint, cfg.operator, cfg.objective, cfg.handle_isolated
         )
 
     def embedding_key(self, fingerprint: str) -> tuple:
-        # canonicalize the compressive knobs so explicit-default requests
-        # share a slot with engine-default ones, and non-compressive
-        # requests always key (None, None)
-        if self.embedding == "compressive":
-            from repro.compressive.filters import (
-                DEFAULT_FILTER_ORDER,
-                default_n_signals,
-            )
-
-            forder = self.filter_order or DEFAULT_FILTER_ORDER
-            nsig = self.n_signals or default_n_signals(self.n_clusters)
-        else:
-            forder = None
-            nsig = None
-        return embedding_key(
-            fingerprint, self.operator, self.objective, self.handle_isolated,
-            self.n_clusters, self.m, self.eig_tol, self.eig_maxiter,
-            self.seed, self.normalize_rows,
-            precision=self.precision, embedding=self.embedding,
-            filter_order=forder, n_signals=nsig,
-        )
+        return embedding_key(fingerprint, self.config)
 
     def model_key(self, fingerprint: str) -> tuple:
         """Fitted-model cache key (embedding key + k-means knobs)."""
-        return model_key(
-            self.embedding_key(fingerprint),
-            self.kmeans_init, self.kmeans_max_iter,
-        )
+        return model_key(self.embedding_key(fingerprint), self.config)
 
 
 @dataclass

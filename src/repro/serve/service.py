@@ -186,10 +186,11 @@ class ClusterService:
         """Content fingerprint of a fit spec (memoized for dataset refs)."""
         from repro.serve.fingerprint import graph_fingerprint, points_fingerprint
 
+        cfg = req.config
         ref = None
         if req.dataset is not None:
-            sigma = req.sigma if req.similarity == "expdecay" else 1.0
-            ref = (req.dataset, req.scale, req.data_seed, req.similarity, sigma)
+            sigma = cfg.sigma if cfg.similarity == "expdecay" else 1.0
+            ref = (req.dataset, req.scale, req.data_seed, cfg.similarity, sigma)
             fp = self._fp_by_ref.get(ref)
             if fp is not None:
                 return fp
@@ -197,7 +198,7 @@ class ClusterService:
         if graph is not None:
             fp = graph_fingerprint(graph)
         else:
-            fp = points_fingerprint(X, edges, req.similarity, req.sigma)
+            fp = points_fingerprint(X, edges, cfg.similarity, cfg.sigma)
         if ref is not None:
             self._fp_by_ref[ref] = fp
         return fp
@@ -471,10 +472,11 @@ class ClusterService:
                 ]
                 while members:
                     leader = members[0]
-                    if op.n <= leader.n_clusters:
+                    k = leader.config.n_clusters
+                    if op.n <= k:
                         err = ClusteringError(
                             f"only {op.n} non-isolated nodes for "
-                            f"k={leader.n_clusters} clusters"
+                            f"k={k} clusters"
                         )
                         self._fail(
                             responses, leader, err, batch, t_batch, op_unit.end
@@ -483,13 +485,16 @@ class ClusterService:
                         members = members[1:]
                         continue
                     unit = self.scheduler.run(
-                        f"b{batch.batch_id}:eigensolve[k={leader.n_clusters}]",
+                        f"b{batch.batch_id}:eigensolve[k={k}]",
                         ready_at=op_unit.end,
                         fn=self._scoped(leader, self._solve_fn(leader, op)),
                         device=self.scheduler.devices[op_unit.device_index],
                         # a row-partitioned solve pins one lane per GPU it
                         # spans (gang-scheduled from a common start)
-                        width=min(max(1, leader.devices), len(self.scheduler.lanes)),
+                        width=min(
+                            max(1, leader.config.devices),
+                            len(self.scheduler.lanes),
+                        ),
                     )
                     batch_end = max(batch_end, unit.end)
                     if unit.ok:

@@ -8,23 +8,34 @@ replay), or — with ``"kind": "predict"`` — a
 ``"fit"`` sub-object and whose payload is the by-reference synthetic
 form (``n_new``/``new_seed``).  Unknown keys are rejected so a typo'd
 field fails loudly rather than silently falling back to a default.
+
+The lines stay flat: every :class:`~repro.core.config.ClusterConfig`
+field is a trace key beside the request's own keys, and a line names
+only the knobs that differ from
+:data:`~repro.serve.request.DEFAULT_REQUEST_CONFIG`.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
 
-from repro.errors import TraceFormatError
-from repro.serve.request import ClusterRequest, PredictRequest
-
-#: JSONL fields accepted for a trace request (chaos is a seed, not a plan)
-_FIELDS = (
-    "request_id", "arrival", "dataset", "scale", "data_seed",
-    "n_clusters", "similarity", "sigma", "operator", "objective",
-    "m", "eig_tol", "eig_maxiter", "precision", "embedding",
-    "kmeans_init", "kmeans_max_iter",
-    "normalize_rows", "handle_isolated", "seed", "chaos", "no_resilience",
+from repro.core.config import ClusterConfig
+from repro.errors import ClusteringError, TraceFormatError
+from repro.serve.request import (
+    DEFAULT_REQUEST_CONFIG,
+    ClusterRequest,
+    PredictRequest,
 )
+
+#: a trace request's own JSONL keys (chaos is a seed, not a plan)
+_REQUEST_FIELDS = (
+    "request_id", "arrival", "dataset", "scale", "data_seed", "chaos",
+    "no_resilience",
+)
+#: the estimator knobs, one JSONL key per config field
+_KNOBS = tuple(f.name for f in fields(ClusterConfig))
+_FIELDS = _REQUEST_FIELDS + _KNOBS
 
 #: JSONL fields accepted for a predict trace entry
 _PREDICT_FIELDS = (
@@ -47,12 +58,14 @@ def request_to_dict(req: ClusterRequest) -> dict:
         )
     defaults = ClusterRequest(request_id="", dataset=req.dataset)
     out = {"request_id": req.request_id, "dataset": req.dataset}
-    for name in _FIELDS:
-        if name in ("request_id", "dataset"):
-            continue
-        value = getattr(req, name)
-        if value != getattr(defaults, name):
-            out[name] = value
+    for obj, default, names in (
+        (req, defaults, _REQUEST_FIELDS),
+        (req.config, DEFAULT_REQUEST_CONFIG, _KNOBS),
+    ):
+        for name in names:
+            value = getattr(obj, name)
+            if name not in out and value != getattr(default, name):
+                out[name] = value
     return out
 
 
@@ -136,9 +149,13 @@ def request_from_dict(obj: dict, lineno: int | None = None) -> ClusterRequest:
             f"trace entry {obj['request_id']!r}: chaos must be an integer "
             f"seed{where}"
         )
+    knobs = {name: obj[name] for name in _KNOBS if name in obj}
+    rest = {k: v for k, v in obj.items() if k not in knobs}
     try:
-        return ClusterRequest(**obj)
-    except TypeError as err:
+        return ClusterRequest(
+            **rest, config=replace(DEFAULT_REQUEST_CONFIG, **knobs)
+        )
+    except (TypeError, ClusteringError) as err:
         raise TraceFormatError(f"bad trace entry{where}: {err}") from err
 
 
@@ -205,7 +222,10 @@ def synthetic_trace(
             dataset=name,
             scale=scale,
             data_seed=0,
-            n_clusters=int(k_choices[(i // len(datasets)) % len(k_choices)]),
+            config=replace(
+                DEFAULT_REQUEST_CONFIG,
+                n_clusters=int(k_choices[(i // len(datasets)) % len(k_choices)]),
+            ),
             chaos=(
                 int(1000 + i) if chaos_every and (i + 1) % chaos_every == 0
                 else None
@@ -275,7 +295,7 @@ def synthetic_predict_trace(
                     dataset=name,
                     scale=scale,
                     data_seed=0,
-                    n_clusters=k,
+                    config=replace(DEFAULT_REQUEST_CONFIG, n_clusters=k),
                 ),
                 n_new=n_new,
                 new_seed=p,
@@ -296,6 +316,6 @@ def synthetic_predict_trace(
                 dataset=name,
                 scale=scale,
                 data_seed=0,
-                n_clusters=k,
+                config=replace(DEFAULT_REQUEST_CONFIG, n_clusters=k),
             ))
     return requests

@@ -254,12 +254,14 @@ class TestComposedFit:
         an exact fp64 eigensolver embedding with the default k-means
         composes; every other config shards the embedding alone."""
         for kw in ({}, {"embedding": "power"}, {"objective": "ratiocut"}):
-            assert SpectralClustering(n_clusters=3, devices=2, **kw).composes
+            assert SpectralClustering(n_clusters=3, devices=2, **kw).config.composes
         for kw in (
             {"precision": "fp32"},
             {"embedding": "compressive"},
             {"kmeans_update": "sort"},
             {"kmeans_fused": False},
         ):
-            assert not SpectralClustering(n_clusters=3, devices=2, **kw).composes
-        assert not SpectralClustering(n_clusters=3).composes
+            assert not SpectralClustering(
+                n_clusters=3, devices=2, **kw
+            ).config.composes
+        assert not SpectralClustering(n_clusters=3).config.composes

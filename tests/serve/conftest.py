@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from repro.core.config import ClusterConfig
 from repro.datasets.sbm import stochastic_block_model
-from repro.serve.request import ClusterRequest, PredictRequest
+from repro.serve.request import (
+    DEFAULT_REQUEST_CONFIG,
+    ClusterRequest,
+    PredictRequest,
+)
 from repro.sparse.construct import from_edge_list
 
 
@@ -28,16 +35,20 @@ def other_graph(rng):
 
 @pytest.fixture
 def make_request(small_graph):
-    """Factory for by-value requests against the shared small graph."""
+    """Factory for by-value requests against the shared small graph;
+    keyword arguments naming a ClusterConfig field set that knob."""
     counter = {"n": 0}
+    knob_names = {f.name for f in fields(ClusterConfig)}
 
     def factory(arrival=0.0, graph=None, **kw):
         counter["n"] += 1
-        kw.setdefault("n_clusters", 4)
+        knobs = {"n_clusters": 4}
+        knobs.update({k: kw.pop(k) for k in knob_names & set(kw)})
         return ClusterRequest(
             request_id=kw.pop("request_id", f"q{counter['n']:03d}"),
             arrival=arrival,
             graph=graph if graph is not None else small_graph,
+            config=replace(DEFAULT_REQUEST_CONFIG, **knobs),
             **kw,
         )
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import ClusterConfig
 from repro.core.result import EmbeddingResult, StageTimings
 from repro.cuda.profiler import ProfileReport
 from repro.errors import ServiceError
@@ -94,7 +95,7 @@ def _model(n_anchor=8, k=3, d=None):
         n_total=n_anchor,
         graph=graph,
         anchors=None if d is None else np.zeros((n_anchor, d)),
-        params={"n_clusters": k},
+        config=ClusterConfig(n_clusters=k),
     )
 
 

@@ -1,14 +1,53 @@
 """Content fingerprints: workload identity for batching and caching."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from repro.core.config import ClusterConfig
 from repro.serve.fingerprint import (
+    EMBEDDING_KEY_FIELDS,
+    MODEL_KEY_FIELDS,
+    UNKEYED_FIELDS,
     embedding_key,
     graph_fingerprint,
+    model_key,
     operator_key,
     points_fingerprint,
 )
+from repro.serve.request import DEFAULT_REQUEST_CONFIG
+
+_COMPRESSIVE = {"embedding": "compressive"}
+
+#: a valid non-default value for every ClusterConfig field, with the base
+#: knobs it is changed from (the compressive knobs act only there)
+FIELD_CHANGES = {
+    "n_clusters": ({}, 5),
+    "similarity": ({}, "cosine"),
+    "sigma": ({}, 2.5),
+    "operator": ({}, "rw"),
+    "objective": ({}, "ratiocut"),
+    "m": ({}, 32),
+    "eig_tol": ({}, 1e-6),
+    "eig_maxiter": ({}, 10),
+    "eig_residency": ({}, "host"),
+    "eig_spmv_format": ({}, "ell"),
+    "devices": ({}, 2),
+    "precision": ({}, "fp32"),
+    "embedding": ({}, "power"),
+    "filter_order": (_COMPRESSIVE, 96),
+    "n_signals": (_COMPRESSIVE, 8),
+    "sample_frac": (_COMPRESSIVE, 0.5),
+    "lift": (_COMPRESSIVE, "nearest"),
+    "kmeans_init": ({}, "random"),
+    "kmeans_max_iter": ({}, 50),
+    "kmeans_update": ({}, "sort"),
+    "kmeans_fused": ({}, False),
+    "normalize_rows": ({}, True),
+    "handle_isolated": ({}, "error"),
+    "seed": ({}, 1),
+}
 
 
 class TestGraphFingerprint:
@@ -75,10 +114,10 @@ class TestPointsFingerprint:
 
         X = rng.random((15, 3))
         edges = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64)
-        a = ClusterRequest(request_id="a", X=X, edges=edges,
-                           similarity="crosscorr", sigma=1.0)
-        b = ClusterRequest(request_id="b", X=X, edges=edges,
-                           similarity="crosscorr", sigma=3.0)
+        a = ClusterRequest(request_id="a", X=X, edges=edges, config=replace(
+            DEFAULT_REQUEST_CONFIG, similarity="crosscorr", sigma=1.0))
+        b = ClusterRequest(request_id="b", X=X, edges=edges, config=replace(
+            DEFAULT_REQUEST_CONFIG, similarity="crosscorr", sigma=3.0))
         fa, fb = a.workload_fingerprint(), b.workload_fingerprint()
         assert fa == fb
         assert a.embedding_key(fa) == b.embedding_key(fb)
@@ -92,19 +131,46 @@ class TestCompositeKeys:
         assert a != operator_key("fp", "rw", "ncut", "remove")
         assert a != operator_key("other", "sym", "ncut", "remove")
 
-    def test_embedding_key_covers_solver_params(self):
-        base = dict(
-            fingerprint="fp", operator="sym", objective="ncut",
-            handle_isolated="remove", n_clusters=4, m=None, eig_tol=1e-8,
-            eig_maxiter=None, seed=0, normalize_rows=False,
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(ClusterConfig)]
+    )
+    def test_every_field_has_one_key_role(self, name):
+        """Each config field is in exactly one of the embedding key, the
+        model key or the unkeyed table; changing it changes exactly the
+        keys its role says."""
+        roles = [
+            role for role in (EMBEDDING_KEY_FIELDS, MODEL_KEY_FIELDS,
+                              UNKEYED_FIELDS)
+            if name in role
+        ]
+        assert len(roles) == 1, name
+        base_knobs, value = FIELD_CHANGES[name]
+        base = replace(DEFAULT_REQUEST_CONFIG, **base_knobs)
+        changed = replace(base, **{name: value})
+        assert getattr(base, name) != value
+        emb = embedding_key("fp", base)
+        emb_changed = embedding_key("fp", changed)
+        model_changed = model_key(emb_changed, changed) != model_key(emb, base)
+        if roles[0] is EMBEDDING_KEY_FIELDS:
+            assert emb_changed != emb
+        elif roles[0] is MODEL_KEY_FIELDS:
+            assert emb_changed == emb and model_changed
+        else:
+            assert emb_changed == emb and not model_changed
+
+    def test_default_request_key(self):
+        """The key tuples are value-identical to the per-argument form
+        they replaced."""
+        emb = embedding_key("fp", DEFAULT_REQUEST_CONFIG)
+        assert emb == (
+            "fp", "sym", "ncut", "remove", 2, None, 1e-08, None, 0, False,
+            "fp64", "lanczos", None, None,
         )
-        key = embedding_key(**base)
-        assert key == embedding_key(**base)
-        for name, other in [
-            ("n_clusters", 5), ("m", 32), ("eig_tol", 1e-6),
-            ("eig_maxiter", 10), ("seed", 1), ("normalize_rows", True),
-        ]:
-            assert key != embedding_key(**{**base, name: other}), name
+        assert model_key(emb, DEFAULT_REQUEST_CONFIG) == (
+            ("model",) + emb + ("k-means++", 300)
+        )
+        comp = replace(DEFAULT_REQUEST_CONFIG, n_clusters=5, **_COMPRESSIVE)
+        assert embedding_key("fp", comp)[-2:] == (48, 16)
 
     def test_requests_sharing_operator_but_not_embedding(self, make_request):
         """Different k shares the operator key but not the cache key."""

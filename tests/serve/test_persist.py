@@ -1,5 +1,8 @@
 """The persistent cross-process cache: round-trips, staleness, taint."""
 
+import json
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -27,10 +30,24 @@ def _embedding(seed=0, n=40, k=3, resilience=None) -> EmbeddingResult:
 
 
 def _fitted_model(small_graph):
-    from repro.serve.request import ClusterRequest
+    from repro.serve.request import DEFAULT_REQUEST_CONFIG, ClusterRequest
 
-    req = ClusterRequest(request_id="m", graph=small_graph, n_clusters=4)
+    req = ClusterRequest(
+        request_id="m", graph=small_graph,
+        config=replace(DEFAULT_REQUEST_CONFIG, n_clusters=4),
+    )
     return req.estimator().fit(graph=small_graph)
+
+
+def _with_stored_params(path, params) -> None:
+    """Rewrite the params in the metadata of a stored model entry."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    meta = json.loads(arrays["__meta__"].tobytes().decode())
+    meta["params"] = params
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 KEY = ("emb", "fp123", 3, 1e-8, True, None)
@@ -148,20 +165,48 @@ class TestStoreInvalidation:
         model = _fitted_model(small_graph).model
         # the retired knob names are assembled from pieces so that a
         # search of the tree for them finds only the change history
-        params = {k: v for k, v in model.params.items() if k != "devices"}
+        params = {k: v for k, v in asdict(model.config).items()
+                  if k != "devices"}
         params.update({f"{stage}_devices": 1 for stage in ("eig", "fit")})
         params["partition_" + "mode"] = "nnz"
         with pytest.raises(TypeError):
             SpectralClustering(**params)
-        model.params = params
         key = ("model", "fpm", 4)
         store = PersistentStore(tmp_path)
         monkeypatch.setattr("repro.serve.persist.FORMAT_VERSION", 1)
         store.save(key, model)
         monkeypatch.undo()
+        _with_stored_params(store.path_for(key), params)
         assert store.load(key) is None
         assert store.stats.stale == 1
         assert store.stats.errors == 0
+
+    @pytest.mark.parametrize("add, drop", [
+        ({"eig_" + "devices": 1}, ()),  # a knob the config does not declare
+        ({"precision": "fp8"}, ()),  # a value the config rejects
+        ({}, ("n_clusters",)),  # a required knob gone
+    ], ids=["unknown-knob", "invalid-value", "missing-knob"])
+    def test_current_model_with_invalid_params_is_an_error_miss(
+        self, tmp_path, small_graph, add, drop
+    ):
+        """A current-format model entry whose params no longer validate as
+        a ClusterConfig is a miss counted in ``errors``: handing it back
+        would only defer the failure to the model's first refit."""
+        model = _fitted_model(small_graph).model
+        params = {
+            k: v for k, v in {**asdict(model.config), **add}.items()
+            if k not in drop
+        }
+        key = ("model", "fpm", 4)
+        store = PersistentStore(tmp_path)
+        store.save(key, model)
+        _with_stored_params(store.path_for(key), params)
+        assert store.load(key) is None
+        assert store.stats.errors == 1
+        assert store.stats.stale == 0
+        # the untouched entry still loads with an equal config
+        store.save(key, model)
+        assert store.load(key).config == model.config
 
     def test_embedded_key_verified(self, tmp_path):
         import shutil

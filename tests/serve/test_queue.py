@@ -31,7 +31,7 @@ class TestAdmissionQueue:
         reqs = [make_request(n_clusters=2 + (i % 2)) for i in range(6)]
         for r in reqs:
             q.submit(r)
-        taken = q.take(lambda r: r.n_clusters == 2, limit=2)
+        taken = q.take(lambda r: r.config.n_clusters == 2, limit=2)
         assert [t.request_id for t in taken] == [
             reqs[0].request_id, reqs[2].request_id
         ]

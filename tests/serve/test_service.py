@@ -5,6 +5,8 @@ to cold runs, batched+cached service at least 2x the sequential simulated
 throughput on a repeat-heavy workload, and fault isolation inside a batch.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.serve import (
     run_sequential,
     verify_against_cold,
 )
-from repro.serve.request import ClusterRequest
+from repro.serve.request import DEFAULT_REQUEST_CONFIG, ClusterRequest
 
 
 def _service(**kw):
@@ -116,7 +118,10 @@ class TestServiceCorrectness:
         rows = rng.integers(0, n, size=600)
         cols = rng.integers(0, n, size=600)
         edges = np.stack([rows, cols], axis=1)
-        req = ClusterRequest(request_id="pts", X=X, edges=edges, n_clusters=k)
+        req = ClusterRequest(
+            request_id="pts", X=X, edges=edges,
+            config=replace(DEFAULT_REQUEST_CONFIG, n_clusters=k),
+        )
         responses, _ = ClusterService().process([req])
         resp = responses[0]
         assert resp.ok

@@ -54,16 +54,25 @@ def test_top_level_surface():
 
 def test_estimator_signature_stability():
     """The documented constructor arguments exist (downstream code relies
-    on keyword names)."""
+    on keyword names): each is a named parameter or a ClusterConfig field
+    the constructor accepts by keyword."""
+    import dataclasses
+
     import repro
 
     params = inspect.signature(repro.SpectralClustering).parameters
+    knobs = {
+        f.name: f.default for f in dataclasses.fields(repro.ClusterConfig)
+    }
     for expected in (
         "n_clusters", "similarity", "sigma", "operator", "objective", "m",
         "eig_tol", "kmeans_init", "normalize_rows", "handle_isolated",
         "seed", "device",
     ):
-        assert expected in params, expected
+        assert expected in params or expected in knobs, expected
+        if expected in knobs and expected != "n_clusters":
+            est = repro.SpectralClustering(2, **{expected: knobs[expected]})
+            assert getattr(est.config, expected) == knobs[expected]
 
 
 def test_fit_signature_stability():
