@@ -138,4 +138,3 @@ def test_emit_machine_readable_summary(comparison):
         )
     topo = written["topology_composition"]
     assert topo["bit_identical"] is True
-    assert topo["ledger_ok"] is True

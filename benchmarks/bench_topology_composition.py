@@ -1,19 +1,16 @@
-"""Tentpole — topology-aware multi-GPU composition.
+"""Multi-device fits on the paper's PCIe topology.
 
-With ``devices > 1`` and a configuration that admits composition, the
-whole fit (graph upload, Laplacian, sharded eigensolve, multi-device
-k-means) runs as ONE multi-device plan: rows are partitioned once into
-nnz-balanced contiguous blocks, and the embedding shards stay resident on
-their owners between the eigensolve and k-means.  This bench records the
-four things the regression gate freezes:
+With ``devices > 1`` the fit shards the embedding solve over a
+topology-aware device group: rows are split into nnz-balanced contiguous
+blocks, halo segments travel over the peer links, and the Ritz block comes
+back to the primary device, where the single-device k-means runs.  This
+bench records the three things the regression gate freezes:
 
-1. **Bit-identity.**  Composition is a pure *time* optimization: labels,
-   spectra and embeddings are bit-identical at 1, 2 and 4 devices.
-2. **Ledger.**  The analytic transfer plan of the composed k-means equals
-   the device traffic meters exactly (``ledger == meter``).
-3. **Makespan.**  The 2-device composed fit's modeled end-to-end time
-   (creep-gated).
-4. **Halo.**  Per-step halo bytes of the nnz partition on dblp and two
+1. **Bit-identity.**  Sharding is a pure *time* change: labels, spectra
+   and embeddings are bit-identical at 1, 2 and 4 devices.
+2. **Makespan.**  The 2-device sharded fit's modeled end-to-end time
+   (creep-gated) and its k-means time.
+3. **Halo.**  Per-step halo bytes of the nnz partition on dblp and two
    shuffled-community graphs (creep-gated).
 """
 
@@ -26,8 +23,6 @@ from repro.cusparse.matrices import csr_to_device
 from repro.cusparse.partition import device_group, partition_csr
 from repro.datasets.registry import load_dataset
 from repro.datasets.sbm import stochastic_block_model
-from repro.kmeans.init import kmeans_plus_plus
-from repro.kmeans.multi_gpu import kmeans_composed
 from repro.sparse.construct import from_edge_list
 
 from conftest import BENCH_SCALES
@@ -35,8 +30,8 @@ from conftest import BENCH_SCALES
 #: device counts the bit-parity sweep covers
 DEVICE_COUNTS = (1, 2, 4)
 #: the makespan workload: dblp is the paper's eigensolver-bound graph,
-#: run above bench scale so both stages have real work to overlap
-COMPOSED_WORKLOAD = ("dblp", 0.1)
+#: run above bench scale so the sharded solve has real work
+SHARDED_WORKLOAD = ("dblp", 0.1)
 
 #: shuffled-community graphs for the halo record.  Vertex ids are
 #: permuted so contiguous row blocks straddle every community — the
@@ -68,17 +63,16 @@ def _fit(name: str, scale: float, **kw):
     return est.fit(graph=ds.graph)
 
 
-def _composed() -> dict:
-    """End-to-end modeled makespan of the composed fit at 2 devices."""
-    name, scale = COMPOSED_WORKLOAD
-    composed = _fit(name, scale, devices=2)
+def _sharded() -> dict:
+    """End-to-end modeled makespan of the sharded fit at 2 devices."""
+    name, scale = SHARDED_WORKLOAD
+    res = _fit(name, scale, devices=2)
     return {
         "dataset": name,
         "scale": scale,
         "n_devices": 2,
-        "total_composed_s": composed.timings.total_simulated(),
-        "kmeans_composed_s": composed.timings.simulated["kmeans"],
-        "composed_stats": composed.eig_stats["composed"],
+        "total_s": res.timings.total_simulated(),
+        "kmeans_s": res.timings.simulated["kmeans"],
     }
 
 
@@ -113,44 +107,9 @@ def _bit_parity() -> bool:
     return ok
 
 
-def _ledger_vs_meter() -> dict:
-    """The composed k-means' analytic transfer plan vs the device meters.
-
-    Fresh devices run nothing but the composed k-means, so the summed
-    traffic meters must equal the returned plan byte-for-byte — any
-    drift means a charged transfer escaped the ledger (or vice versa).
-    """
-    r = np.random.default_rng(0)
-    k, d, n = 8, 8, 4000
-    centers = r.standard_normal((k, d)) * 6
-    V = centers[r.integers(0, k, n)] + r.standard_normal((n, d))
-    C0 = kmeans_plus_plus(V[:1000], k, np.random.default_rng(1))
-
-    devices = device_group(Device(), 2)
-    row_sets = np.array_split(np.arange(n, dtype=np.int64), 2)
-    _, _, plan = kmeans_composed(
-        devices, row_sets, V, k, initial_centroids=C0, max_iter=6
-    )
-    meter = {key: 0 for key in plan}
-    for dev in devices:
-        m = dev.transfer_stats()
-        meter["h2d_bytes"] += m["bytes_h2d"]
-        meter["d2h_bytes"] += m["bytes_d2h"]
-        meter["p2p_bytes"] += m["bytes_p2p"]
-        meter["elided_bytes"] += m["bytes_elided"]
-        meter["elided_count"] += m["transfers_elided"]
-    checked = ("h2d_bytes", "d2h_bytes", "p2p_bytes",
-               "elided_bytes", "elided_count")
-    return {
-        "plan": {key: int(plan[key]) for key in checked},
-        "meter": {key: int(meter[key]) for key in checked},
-        "ok": all(plan[key] == meter[key] for key in checked),
-    }
-
-
 #: memoized summary — everything is a deterministic function of fixed
 #: seeds, so the fused CI invocation (this bench + bench_regression.py in
-#: one process) computes the composed fits once
+#: one process) computes the multi-device fits once
 _cache: dict | None = None
 
 
@@ -158,20 +117,17 @@ def topology_composition_summary() -> dict:
     """Machine-readable summary (consumed by BENCH_regression.json).
 
     The regression gate (``check_regression.py``) refuses any run where a
-    bit diverges across device counts, the k-means ledger drifts from the
-    meters, or the composed makespan or any workload's halo bytes creep.
+    bit diverges across device counts, or the sharded makespan or any
+    workload's halo bytes creep.
     """
     global _cache
     if _cache is not None:
         return _cache
-    ledger = _ledger_vs_meter()
     _cache = {
         "device_counts": list(DEVICE_COUNTS),
-        "composed": _composed(),
+        "sharded": _sharded(),
         "partitions": _partition_halo(),
         "bit_identical": _bit_parity(),
-        "ledger": ledger,
-        "ledger_ok": ledger["ok"],
     }
     return _cache
 
@@ -182,14 +138,14 @@ def summary():
 
 
 def test_topology_composition_report(summary, write_table):
-    comp = summary["composed"]
+    sh = summary["sharded"]
     lines = [
-        "Tentpole: topology-aware multi-GPU composition "
-        "(one partition, resident shards, composed k-means)",
+        "Multi-device fit: sharded embedding solve, k-means on the "
+        "primary device",
         "",
-        f"composed fit @ 2 devices on {comp['dataset']} "
-        f"(scale {comp['scale']}): total {comp['total_composed_s']:.5f} s, "
-        f"kmeans {comp['kmeans_composed_s']:.5f} s",
+        f"sharded fit @ 2 devices on {sh['dataset']} "
+        f"(scale {sh['scale']}): total {sh['total_s']:.5f} s, "
+        f"kmeans {sh['kmeans_s']:.5f} s",
         "",
         "per-step halo bytes @ 2 devices (nnz-balanced blocks):",
         f"{'dataset':<10}{'n':>8}{'halo B':>10}",
@@ -199,24 +155,14 @@ def test_topology_composition_report(summary, write_table):
         lines.append(f"{nm:<10}{wl['n']:>8,}{wl['step_halo_bytes']:>10,}")
     lines += [
         "",
-        "identical labels/spectra at every device count (asserted); "
-        "k-means transfer ledger == device meters (asserted).",
+        "identical labels/spectra at every device count (asserted).",
     ]
     write_table("topology_composition", "\n".join(lines))
 
     assert summary["bit_identical"] is True
-    assert summary["ledger_ok"] is True
 
 
-def test_resident_shards_elide_kmeans_upload(summary):
-    """The composed fit's k-means never re-uploads the embedding: the
-    shard uploads appear as elided bytes."""
-    tr = summary["composed"]["composed_stats"]["kmeans_transfers"]
-    assert tr["elided_bytes"] > 0
-    assert tr["elided_count"] >= summary["composed"]["n_devices"]
-
-
-def test_bench_composed_fit(benchmark):
+def test_bench_sharded_fit(benchmark):
     name, scale = "dblp", BENCH_SCALES["dblp"]
     ds = load_dataset(name, scale=scale, seed=0)
     benchmark.pedantic(

@@ -184,9 +184,8 @@ def _compare_serve_deadline(
 def _compare_topology_composition(
     baseline: dict, current: dict, rel_tol: float
 ) -> list[str]:
-    """Gate the composed multi-device fit: labels and spectra stay
-    bit-identical at every device count, the k-means transfer ledger
-    equals the device meters, and neither the composed makespan nor any
+    """Gate the multi-device fit: labels and spectra stay bit-identical
+    at every device count, and neither the sharded makespan nor any
     workload's per-step halo bytes creep past the tolerance."""
     failures: list[str] = []
     base = baseline.get("topology_composition")
@@ -200,16 +199,11 @@ def _compare_topology_composition(
             "topology_composition.bit_identical: device counts diverged "
             "(output must be bit-identical)"
         )
-    if cur.get("ledger_ok") is not True:
-        failures.append(
-            "topology_composition.ledger_ok: composed k-means transfer "
-            "ledger diverged from the device traffic meters"
-        )
-    old_t = base.get("composed", {}).get("total_composed_s")
-    new_t = cur.get("composed", {}).get("total_composed_s")
+    old_t = base.get("sharded", {}).get("total_s")
+    new_t = cur.get("sharded", {}).get("total_s")
     if old_t and new_t and new_t > old_t * (1.0 + rel_tol):
         failures.append(
-            f"topology_composition.composed.total_composed_s: "
+            f"topology_composition.sharded.total_s: "
             f"{old_t:.6g} -> {new_t:.6g} "
             f"(+{(new_t / old_t - 1.0) * 100:.1f}%, tolerance "
             f"{rel_tol * 100:.0f}%)"
@@ -579,11 +573,11 @@ def main(argv: list[str] | None = None) -> int:
             )
     topo = current.get("topology_composition")
     if topo:
-        comp = topo.get("composed", {})
-        if comp:
+        sh = topo.get("sharded", {})
+        if sh:
             print(
-                f"topology {comp['dataset']:8s} composed "
-                f"{comp['total_composed_s']:.6g} s  ok"
+                f"topology {sh['dataset']:8s} sharded "
+                f"{sh['total_s']:.6g} s  ok"
             )
         for name in sorted(topo.get("partitions", {})):
             print(

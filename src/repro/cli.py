@@ -285,10 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--clusters", type=int, default=0,
                        help="override the dataset's cluster count")
     run_p.add_argument("--devices", type=int, default=1,
-                       help="simulated devices the fit spans: one "
-                       "nnz-balanced row partition, composed end to end when "
-                       "the config admits it, else a sharded embedding; "
-                       "results match --devices 1")
+                       help="simulated devices the embedding solve is "
+                       "sharded over (nnz-balanced row blocks); k-means runs "
+                       "on the primary device and results match --devices 1")
     run_p.add_argument("--precision", default="fp64",
                        choices=PRECISIONS,
                        help="eigensolver storage precision; reduced modes "

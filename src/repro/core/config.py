@@ -240,21 +240,3 @@ class ClusterConfig:
             )
         # frozen: normalize through object.__setattr__
         object.__setattr__(self, "kmeans_fused", bool(self.kmeans_fused))
-
-    @property
-    def composes(self) -> bool:
-        """Whether ``devices > 1`` runs the whole fit as one composed plan.
-
-        Composition needs an exact eigensolver embedding ('lanczos' or
-        'power'), ``precision='fp64'`` (the plan partitions the fp64
-        operator once) and the default fused SpMM k-means that
-        :func:`~repro.kmeans.multi_gpu.kmeans_composed` reproduces bit
-        for bit; any other configuration shards only the embedding.
-        """
-        return (
-            self.devices > 1
-            and self.embedding in EMBEDDING_MODES
-            and self.precision == "fp64"
-            and self.kmeans_update == "spmm"
-            and self.kmeans_fused
-        )

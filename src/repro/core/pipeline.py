@@ -69,7 +69,6 @@ from repro.core.workflow import hybrid_eigensolver
 from repro.cuda.device import Device
 from repro.cuda.profiler import Profiler
 from repro.cusparse.matrices import coo_to_device, csr_to_device
-from repro.cusparse.partition import device_group, partition_csr
 from repro.errors import ChaosError, ClusteringError, CudaError, DeviceMemoryError
 from repro.graph.build import build_similarity_device, build_similarity_graph
 from repro.graph.components import remove_isolated
@@ -83,7 +82,6 @@ from repro.graph.laplacian import (
 )
 from repro.kmeans.cpu import kmeans_cpu
 from repro.kmeans.gpu import kmeans_device
-from repro.kmeans.multi_gpu import kmeans_composed
 from repro.linalg.utils import normalize_rows
 from repro.sparse.construct import diags
 from repro.sparse.coo import COOMatrix
@@ -131,63 +129,6 @@ def _run_resilient(device, policy, stage, gpu_attempts, cpu_fn):
         return cpu_fn(), rec
     assert last_err is not None
     raise last_err
-
-
-class _ComposedPlan:
-    """Per-fit state of the one-plan multi-device composition.
-
-    Created (empty) when the fit composes (see
-    :attr:`~repro.core.config.ClusterConfig.composes`); :meth:`build`
-    runs once, right after the operator stage, and is the *only* place
-    the fit partitions rows: the device group and the
-    :class:`~repro.cusparse.partition.PartitionedCSR` built here are
-    reused by the sharded eigensolve (which elides its result D2H) and by
-    the composed k-means (which consumes the still-resident embedding
-    shards) — no re-gather/re-scatter between stages.
-    """
-
-    def __init__(self, n_devices: int) -> None:
-        self.n_devices = n_devices
-        self.plan = None
-        self.kmeans_timings = None
-        self.kmeans_plan: dict | None = None
-
-    @property
-    def active(self) -> bool:
-        return self.plan is not None
-
-    def build(self, device: Device, dcsr) -> None:
-        """Partition ``dcsr`` once over a fresh topology-aware device
-        group (device 0 is the pipeline's primary device)."""
-        self.plan = partition_csr(dcsr, device_group(device, self.n_devices))
-
-    @property
-    def devices(self) -> list[Device]:
-        return self.plan.devices
-
-    @property
-    def row_sets(self):
-        return self.plan.row_sets
-
-    def summary(self) -> dict:
-        """Composition evidence surfaced on ``result.eig_stats``."""
-        out = {
-            "n_devices": self.n_devices,
-            "row_counts": [int(r.size) for r in self.row_sets],
-            "step_halo_bytes": int(self.plan.step_halo_bytes()),
-        }
-        if self.kmeans_timings is not None:
-            out["kmeans_makespan_s"] = float(
-                self.kmeans_timings.parallel_seconds
-            )
-        if self.kmeans_plan is not None:
-            out["kmeans_transfers"] = dict(self.kmeans_plan)
-        return out
-
-    def close(self) -> None:
-        if self.plan is not None:
-            self.plan.free()
-            self.plan = None
 
 
 def _fresh_rec() -> dict:
@@ -374,8 +315,6 @@ class SpectralClustering:
         timings = StageTimings()
         resilience: dict[str, dict] = {}
 
-        composed = _ComposedPlan(cfg.devices) if cfg.composes else None
-        composed_summary = None
         # stage-level capture of the artifacts the fitted model reuses
         # (similarity graph, pre-normalization basis, degrees); only the
         # parameterizations with a Nyström extension capture anything
@@ -386,16 +325,11 @@ class SpectralClustering:
         )
         try:
             theta, embedding, kept, n_total, stats = self._embed_stages(
-                device, policy, X, edges, graph, timings, resilience,
-                composed=composed,
+                device, policy, X, edges, graph, timings, resilience
             )
             km = self._kmeans_stage(
-                device, policy, embedding, timings, resilience,
-                composed=composed,
+                device, policy, embedding, timings, resilience
             )
-            if composed is not None and composed.active:
-                composed_summary = composed.summary()
-
             labels_full = np.full(n_total, -1, dtype=np.int64)
             labels_full[kept] = km.labels
             model = None
@@ -417,21 +351,15 @@ class SpectralClustering:
                 )
         finally:
             self._capture = None
-            if composed is not None:
-                composed.close()
 
-        report = prof.stop()
-        eig_stats = stats.as_dict()
-        if composed_summary is not None:
-            eig_stats["composed"] = composed_summary
         return ClusteringResult(
             labels=labels_full,
             eigenvalues=theta,
             embedding=embedding,
             kmeans=km,
             timings=timings,
-            profile=report,
-            eig_stats=eig_stats,
+            profile=prof.stop(),
+            eig_stats=stats.as_dict(),
             kept=kept,
             resilience=resilience,
             fault_events=plan.schedule if plan is not None else (),
@@ -441,10 +369,7 @@ class SpectralClustering:
     # ------------------------------------------------------------------
     # stages (each charges its own simulated + wall time into `timings`)
     # ------------------------------------------------------------------
-    def _embed_stages(
-        self, device, policy, X, edges, graph, timings, resilience,
-        composed: _ComposedPlan | None = None,
-    ):
+    def _embed_stages(self, device, policy, X, edges, graph, timings, resilience):
         """Stages 1-3: similarity graph → operator → eigenvectors."""
         cfg = self.config
         dcoo, n_total, kept = self._similarity_stage(
@@ -457,13 +382,17 @@ class SpectralClustering:
                 raise ClusteringError(
                     f"only {n} non-isolated nodes for k={cfg.n_clusters} clusters"
                 )
+            if n < cfg.devices:
+                raise ClusteringError(
+                    f"devices={cfg.devices} exceeds the {n} non-isolated "
+                    "nodes to shard"
+                )
             dcsr, shift, deg_kept = self._operator_stage(
                 device, policy, dcoo, timings, resilience
             )
             dcoo.free()
             theta, embedding, stats = self._eigensolver_stage(
-                device, policy, dcsr, shift, deg_kept, timings, resilience,
-                composed=composed,
+                device, policy, dcsr, shift, deg_kept, timings, resilience
             )
         finally:
             # a fault that escapes resilience must not leak the operator
@@ -637,18 +566,16 @@ class SpectralClustering:
 
     def _eigensolver_stage(
         self, device, policy, dcsr, shift, deg_kept, timings, resilience,
-        free_operator: bool = True, composed: _ComposedPlan | None = None,
+        free_operator: bool = True,
     ):
         """Stage 3 (Algorithm 3): k leading eigenpairs + back-mapping;
         returns ``(eigenvalues, embedding, stats)``.
 
         ``free_operator=False`` keeps the device CSR alive so several
         solves (different k/seed) can share one operator build — the
-        serving layer's micro-batching path.  With a ``composed`` plan
-        the one-time row partition is built here (charged into the
-        eigensolver window), the solve reuses it, and the Ritz block
-        stays sharded on the devices (result D2H elided) for the
-        composed k-means stage.
+        serving layer's micro-batching path.  ``devices > 1`` shards the
+        solve over a device group; the Ritz block comes back to the
+        primary device for the k-means stage.
         """
         cfg = self.config
         t0 = time.perf_counter()
@@ -693,23 +620,12 @@ class SpectralClustering:
             timings.wall["eigensolver"] = time.perf_counter() - t0
             timings.simulated["eigensolver"] = device.elapsed - eig_start
             return theta, embedding, stats
-        if composed is not None:
-            # the fit's single partitioning point: build the plan on the
-            # device group once, inside the eigensolver timing window
-            with device.stage("partition"):
-                composed.build(device, dcsr)
         theta, U, stats = hybrid_eigensolver(
             device, dcsr, k=cfg.n_clusters, m=cfg.m,
             tol=cfg.eig_tol, maxiter=cfg.eig_maxiter, seed=cfg.seed,
             policy=policy, residency=cfg.eig_residency,
-            spmv_format=cfg.eig_spmv_format,
-            # staged entry points (embed/fit_embedding — the serving
-            # layer) have no composed plan to reuse but still shard the
-            # solve across the same device count
-            n_devices=cfg.devices,
+            spmv_format=cfg.eig_spmv_format, n_devices=cfg.devices,
             precision=cfg.precision, embedding=cfg.embedding,
-            plan=composed.plan if composed is not None else None,
-            elide_result_d2h=composed is not None,
         )
         _note(resilience, "eigensolver", {
             "retries": stats.spmv_retries,
@@ -740,38 +656,16 @@ class SpectralClustering:
             cap["basis"] = U
             cap["degrees"] = deg_kept
         embedding = normalize_rows(U) if cfg.normalize_rows else U
-        if composed is not None and composed.active:
-            # the back-mapping reorder/scale applies shard-locally (one
-            # elementwise pass per device, concurrent) so the embedding
-            # block stays resident for the composed k-means stage
-            tl = device.timeline
-            t_s = tl.clock.now
-            for j, rows in enumerate(composed.row_sets):
-                nd = int(rows.size)
-                dev = composed.devices[j]
-                dt = dev.cost.kernel_time(
-                    2.0 * nd * cfg.n_clusters,
-                    3.0 * nd * cfg.n_clusters * 8,
-                )
-                tl.record_at(f"scale_rows[dev{j}]", "kernel", t_s, dt)
-                dev.kernel_launches += 1
         timings.wall["eigensolver"] = time.perf_counter() - t0
         timings.simulated["eigensolver"] = device.elapsed - eig_start
         return theta, embedding, stats
 
-    def _kmeans_stage(
-        self, device, policy, embedding, timings, resilience,
-        composed: _ComposedPlan | None = None,
-    ):
+    def _kmeans_stage(self, device, policy, embedding, timings, resilience):
         """Stage 4 (Algorithms 4-5): cluster the embedding rows."""
         cfg = self.config
         if cfg.embedding == "compressive":
             return self._compressive_kmeans_stage(
                 device, policy, embedding, timings, resilience
-            )
-        if composed is not None and composed.active:
-            return self._composed_kmeans_stage(
-                device, policy, embedding, timings, resilience, composed
             )
         t0 = time.perf_counter()
         km_start = device.elapsed
@@ -799,42 +693,6 @@ class SpectralClustering:
              km_gpu(max(1, n_emb // 16))],
             km_cpu,
         )
-        _note(resilience, "kmeans", rec)
-        timings.wall["kmeans"] = time.perf_counter() - t0
-        timings.simulated["kmeans"] = device.elapsed - km_start
-        return km
-
-    def _composed_kmeans_stage(
-        self, device, policy, embedding, timings, resilience, composed
-    ):
-        """Stage 4 on the composed plan: the embedding shards never left
-        their devices, so k-means consumes them in place — same row
-        layout as the eigensolve, upload elided, centroid allreduce over
-        the peer bus.  Labels are bit-identical to the single-device
-        :func:`~repro.kmeans.gpu.kmeans_device` path."""
-        cfg = self.config
-        t0 = time.perf_counter()
-        km_start = device.elapsed
-
-        def km_gpu():
-            res, tim, km_plan = kmeans_composed(
-                composed.devices, composed.row_sets, embedding,
-                cfg.n_clusters, init=cfg.kmeans_init,
-                max_iter=cfg.kmeans_max_iter, seed=cfg.seed,
-                resident=True,
-            )
-            composed.kmeans_timings = tim
-            composed.kmeans_plan = km_plan
-            return res
-
-        def km_cpu():
-            return kmeans_cpu(
-                embedding, cfg.n_clusters,
-                init=cfg.kmeans_init, max_iter=cfg.kmeans_max_iter,
-                seed=cfg.seed,
-            )
-
-        km, rec = _run_resilient(device, policy, "kmeans", [km_gpu], km_cpu)
         _note(resilience, "kmeans", rec)
         timings.wall["kmeans"] = time.perf_counter() - t0
         timings.simulated["kmeans"] = device.elapsed - km_start

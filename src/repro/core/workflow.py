@@ -596,31 +596,14 @@ class PartitionedPlacement(DevicePlacement):
     device-to-device, and the basis lives in per-device row blocks.  Every
     per-device charge is laid at a common start, so a step costs the
     makespan over devices.
-
-    ``plan`` reuses a prebuilt
-    :class:`~repro.cusparse.partition.PartitionedCSR` (its devices become
-    the group and it is never freed here);
-    ``elide_result_d2h`` keeps result blocks on the devices.
     """
 
-    def __init__(
-        self,
-        s: Solve,
-        n_devices: int,
-        plan: PartitionedCSR | None = None,
-        elide_result_d2h: bool = False,
-    ) -> None:
+    def __init__(self, s: Solve, n_devices: int) -> None:
         PlacedOperator.__init__(self, s)
-        self.plan = plan
-        self.elide = elide_result_d2h
-        if plan is not None:
-            s.devices = plan.devices
-            self.row_sets, self.bounds = plan.row_sets, plan.bounds
-        else:
-            s.devices = device_group(s.device, n_devices)
-            self.row_sets, _, self.bounds = partition_rows(
-                s.A.indptr.data, n_devices
-            )
+        s.devices = device_group(s.device, n_devices)
+        self.row_sets, _, self.bounds = partition_rows(
+            s.A.indptr.data, n_devices
+        )
         self.row_counts = tuple(int(r.size) for r in self.row_sets)
         self.copy_streams = [
             Stream(dev, name=f"dev{d}/copyEngine")
@@ -644,17 +627,15 @@ class PartitionedPlacement(DevicePlacement):
         # local/halo parts (P2P + split kernels charged as a makespan)
         s = self.s
         if self.part is None:
-            self.part = self.plan
-            if self.part is None:
-                self.part = partition_csr(
-                    s.A_solve, s.devices, rows_cache=s.rows_cache,
-                    row_sets=self.row_sets,
-                )
+            self.part = partition_csr(
+                s.A_solve, s.devices, rows_cache=s.rows_cache,
+                row_sets=self.row_sets,
+            )
             self.shard_upload_bytes += self.part.shard_upload_bytes
             self.halo = (self.part.halo_counts, self.part.halo_pairs)
 
     def release(self) -> None:
-        if self.part is not None and self.part is not self.plan:
+        if self.part is not None:
             self.part.free()
         self.part = None
         super().release()
@@ -710,10 +691,7 @@ class PartitionedPlacement(DevicePlacement):
         vs = self.s.vs
 
         def down(dev: Device, rows: int, t: float) -> None:
-            if self.elide:
-                dev.note_elided_transfer(1, rows * cols * vs)
-            else:
-                dev._record_d2h_at(rows * cols * vs, t)
+            dev._record_d2h_at(rows * cols * vs, t)
 
         return down
 
@@ -890,12 +868,10 @@ def place_operator(
     n_devices: int = 1,
     fmt: str = "csr",
     decision=None,
-    plan: PartitionedCSR | None = None,
-    elide_result_d2h: bool = False,
 ) -> PlacedOperator:
     """The placement a validated request selects."""
     if n_devices > 1:
-        return PartitionedPlacement(s, n_devices, plan, elide_result_d2h)
+        return PartitionedPlacement(s, n_devices)
     if residency == "device":
         return DevicePlacement(s, fmt, decision)
     return HostPlacement(s, fmt, decision)
@@ -947,8 +923,6 @@ def hybrid_eigensolver(
     embedding: str = "lanczos",
     refine_steps: int | None = None,
     power_q: int | None = None,
-    plan: PartitionedCSR | None = None,
-    elide_result_d2h: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, EigStats]:
     """Algorithm 3: the reverse-communication loop over a placed operator.
 
@@ -993,10 +967,10 @@ def hybrid_eigensolver(
         :func:`~repro.cusparse.partition.device_group` on the paper's
         PCIe topology: nnz-balanced row blocks, halo exchange on dedicated
         copy streams, per-device basis blocks and restart rotations; the
-        ``2m`` restart coefficients allgather to the host as before.
-        Requires ``residency="device"`` and CSR.  Spectra are
-        bit-identical to ``n_devices=1`` — only the charged makespan
-        changes.
+        ``2m`` restart coefficients allgather to the host as before, and
+        each device ships its rows of ``U`` back at the end.  Requires
+        ``residency="device"`` and CSR.  Spectra are bit-identical to
+        ``n_devices=1`` — only the charged makespan changes.
     precision:
         Storage precision of the operator values and iteration vectors:
         ``"fp64"`` (default, the exact path), ``"fp32"`` or ``"fp16"``.
@@ -1025,18 +999,6 @@ def hybrid_eigensolver(
     power_q:
         Power-iteration count for ``embedding="power"``
         (default ``max(8, ceil(2·log2 n))``).
-    plan:
-        A prebuilt :class:`~repro.cusparse.partition.PartitionedCSR` to
-        reuse (the composed multi-device fit partitions once and keeps
-        the shards resident across stages).  The plan's shard devices
-        become the device group — its first shard must live on
-        ``device`` — and the plan is *not* freed on exit; the caller
-        owns it.
-    elide_result_d2h:
-        Keep the Ritz block ``U`` on the devices instead of shipping it
-        down (composed fits hand the shards straight to multi-device
-        k-means; the elided bytes are metered like the device-resident
-        loop's elided round trips).
 
     Returns
     -------
@@ -1044,17 +1006,6 @@ def hybrid_eigensolver(
         Eigenvalues ascending, eigenvector columns ``(n, k)``, counters.
     """
     check_placement(residency, spmv_format, n_devices)
-    if plan is not None:
-        if n_devices == 1:
-            raise ValueError("plan requires n_devices > 1")
-        if len(plan.shards) != n_devices:
-            raise ValueError(
-                f"plan has {len(plan.shards)} shards for n_devices={n_devices}"
-            )
-        if plan.shards[0].device is not device:
-            raise ValueError(
-                "plan's first shard must live on the primary device"
-            )
     if embedding not in EMBEDDING_MODES:
         raise ValueError(
             f"embedding must be one of {EMBEDDING_MODES}, got {embedding!r}"
@@ -1180,9 +1131,7 @@ def hybrid_eigensolver(
                     itemsize=vs,
                 )
                 fmt = decision.format
-        pl = place_operator(
-            s, residency, n_devices, fmt, decision, plan, elide_result_d2h
-        )
+        pl = place_operator(s, residency, n_devices, fmt, decision)
 
         if embedding == "lanczos":
             done, prob = run_placed(s, pl, irlm)

@@ -197,17 +197,8 @@ class PartitionedCSR:
         return len(self.shards)
 
     @property
-    def row_sets(self) -> list[np.ndarray]:
-        """Per-device sorted global row ids (the shard layouts)."""
-        return [s.rows for s in self.shards]
-
-    @property
     def row_counts(self) -> tuple[int, ...]:
         return tuple(s.n_rows for s in self.shards)
-
-    @property
-    def devices(self) -> list[Device]:
-        return [s.device for s in self.shards]
 
     @property
     def halo_counts(self) -> tuple[int, ...]:

@@ -7,8 +7,8 @@ the host-link law, while a pair split across host bridges (one hop over
 QPI on the paper-era platforms) pays extra latency and loses bandwidth to
 the bridge staging.  :class:`PCIeTopology` captures exactly that
 distinction — a switch id per device slot plus two link laws — so the halo
-exchange, the composed multi-device fit and the serving scheduler price
-the link a byte actually crosses instead of a platform average.
+exchange of a sharded solve and the serving scheduler price the link a
+byte actually crosses instead of a platform average.
 
 The model deliberately stays two-tier (direct vs. host-bridged); adding
 NVLink-class links later is a third :class:`~repro.hw.spec.PCIeSpec`, not

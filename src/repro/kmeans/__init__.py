@@ -7,8 +7,6 @@
   Thrust primitives, plus uniform random seeding;
 * :mod:`repro.kmeans.cpu` — vectorized host Lloyd iteration (the numeric
   twin of the Matlab/Python baselines);
-* :mod:`repro.kmeans.multi_gpu` — the composed multi-device fit's
-  resident-shard k-means, bit-identical to the single-device path;
 * :mod:`repro.kmeans.utils` — shared label/inertia/validation helpers.
 """
 
@@ -20,11 +18,8 @@ from repro.kmeans.init import (
 )
 from repro.kmeans.cpu import kmeans_cpu
 from repro.kmeans.gpu import kmeans_device
-from repro.kmeans.multi_gpu import MultiDeviceTimings, kmeans_composed
 
 __all__ = [
-    "MultiDeviceTimings",
-    "kmeans_composed",
     "KMeansResult",
     "inertia",
     "relabel_empty_clusters",

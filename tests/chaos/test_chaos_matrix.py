@@ -3,7 +3,10 @@
 Every cell runs the pipeline with one injected fault and requires either
 (a) completion with exactly the clean run's labels, or (b) a typed
 :class:`~repro.errors.ReproError` — never a crash, never silent corruption.
-A second sweep confirms each canonical fault site is genuinely exercised.
+The matrix runs at one and at two devices against the same single-device
+clean labels: a sharded embedding solve must keep every fault site and
+every recovery rung.  A second sweep confirms each canonical fault site is
+genuinely exercised.
 """
 
 import numpy as np
@@ -40,6 +43,16 @@ MATRIX = [
                                       stage="kmeans")),
 ]
 
+#: the matrix at 1 and 2 devices; the 1-device cells keep the bare ids
+DEVICE_MATRIX = [
+    pytest.param(
+        stage, fault, spec, devices,
+        id=f"{stage}-{fault}" + ("" if devices == 1 else f"-devices{devices}"),
+    )
+    for devices in (1, 2)
+    for stage, fault, spec in MATRIX
+]
+
 
 @pytest.fixture
 def clean_labels(sbm_graph):
@@ -48,30 +61,29 @@ def clean_labels(sbm_graph):
 
 
 class TestChaosMatrix:
-    @pytest.mark.parametrize(
-        "stage,fault,spec", MATRIX, ids=[f"{s}-{f}" for s, f, _ in MATRIX]
-    )
+    @pytest.mark.parametrize("stage,fault,spec,devices", DEVICE_MATRIX)
     def test_resilient_run_matches_clean_labels(
-        self, sbm_graph, clean_labels, stage, fault, spec
+        self, sbm_graph, clean_labels, stage, fault, spec, devices
     ):
         W, _ = sbm_graph
         plan = FaultPlan([spec])
-        res = SpectralClustering(n_clusters=6, seed=0, chaos=plan).fit(graph=W)
+        res = SpectralClustering(
+            n_clusters=6, seed=0, chaos=plan, devices=devices
+        ).fit(graph=W)
         assert plan.n_fired >= 1, "the planned fault never fired"
         assert len(res.fault_events) == plan.n_fired
         assert stage in res.degraded_stages
         assert np.array_equal(res.labels, clean_labels)
 
-    @pytest.mark.parametrize(
-        "stage,fault,spec", MATRIX, ids=[f"{s}-{f}" for s, f, _ in MATRIX]
-    )
+    @pytest.mark.parametrize("stage,fault,spec,devices", DEVICE_MATRIX)
     def test_unprotected_run_raises_typed_error(
-        self, sbm_graph, stage, fault, spec
+        self, sbm_graph, stage, fault, spec, devices
     ):
         W, _ = sbm_graph
         plan = FaultPlan([spec])
         sc = SpectralClustering(
-            n_clusters=6, seed=0, chaos=plan, resilience=DISABLED
+            n_clusters=6, seed=0, chaos=plan, resilience=DISABLED,
+            devices=devices,
         )
         with pytest.raises(ReproError):
             sc.fit(graph=W)
@@ -129,12 +141,17 @@ class TestCpuFallback:
         assert res.resilience["kmeans"]["fallback"] == "cpu"
         assert adjusted_rand_index(res.labels, truth) == pytest.approx(1.0)
 
-    def test_oom_degrades_tile_size_not_results(self, sbm_graph, clean_labels):
+    @pytest.mark.parametrize("devices", (1, 2), ids=("devices1", "devices2"))
+    def test_oom_degrades_tile_size_not_results(
+        self, sbm_graph, clean_labels, devices
+    ):
         W, _ = sbm_graph
         plan = FaultPlan(
             [FaultSpec(site="cuda.alloc", fault="oom", nth=1, stage="kmeans")]
         )
-        res = SpectralClustering(n_clusters=6, seed=0, chaos=plan).fit(graph=W)
+        res = SpectralClustering(
+            n_clusters=6, seed=0, chaos=plan, devices=devices
+        ).fit(graph=W)
         assert res.resilience["kmeans"]["degrade_steps"] >= 1
         assert np.array_equal(res.labels, clean_labels)
 

@@ -127,7 +127,6 @@ class TestConfiguration:
         W, truth = sbm_graph
         single = _fit(W, embedding="compressive")
         multi = _fit(W, embedding="compressive", devices=2)
-        assert "composed" not in multi.eig_stats
         assert single.embedding.tobytes() == multi.embedding.tobytes()
         assert np.array_equal(single.labels, multi.labels)
         reduced = _fit(W, embedding="compressive", precision="fp32")

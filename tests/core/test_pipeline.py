@@ -164,13 +164,14 @@ class TestDeviceSharing:
 
 
 class TestMultiDevicePipeline:
-    """devices > 1 through the full fit(): same answer, honest knobs.
-    (The devices x embedding x precision matrix lives in
-    tests/core/test_precision_parity.py.)"""
+    """devices > 1 through the full fit(): the embedding solve is sharded,
+    k-means runs on the primary device, and the answer is the
+    single-device one.  (The devices x embedding x precision matrix lives
+    in tests/core/test_precision_parity.py.)"""
 
     def test_bit_identical_results_across_device_counts(self, sbm_graph):
-        """The sort k-means does not compose, so only the embedding is
-        sharded — and still reproduces the single-device fit."""
+        """A non-default k-means (sort update) on the sharded embedding
+        still reproduces the single-device fit."""
         W, _ = sbm_graph
 
         def fit(p):
@@ -181,7 +182,6 @@ class TestMultiDevicePipeline:
         ref = fit(1)
         for p in (2, 4):
             res = fit(p)
-            assert "composed" not in res.eig_stats
             assert res.labels.tobytes() == ref.labels.tobytes()
             assert res.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
             assert res.embedding.tobytes() == ref.embedding.tobytes()
@@ -203,65 +203,13 @@ class TestMultiDevicePipeline:
             SpectralClustering(
                 n_clusters=3, devices=2, eig_spmv_format="hyb"
             )
-
-
-class TestComposedFit:
-    """devices > 1 on a composable config: one partition, resident
-    shards, same answer."""
-
-    def _fit(self, W, p, **kw):
-        return SpectralClustering(
-            n_clusters=6, seed=0, devices=p, **kw
-        ).fit(graph=W)
-
-    def test_bit_identical_across_device_counts(self, sbm_graph):
-        W, _ = sbm_graph
-        ref = SpectralClustering(n_clusters=6, seed=0).fit(graph=W)
-        for p in (2, 4):
-            res = self._fit(W, p)
-            assert "composed" in res.eig_stats
-            assert res.labels.tobytes() == ref.labels.tobytes()
-            assert res.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
-            assert res.embedding.tobytes() == ref.embedding.tobytes()
-
-    def test_eig_stats_expose_composition(self, sbm_graph):
-        W, _ = sbm_graph
-        res = self._fit(W, 2)
-        comp = res.eig_stats["composed"]
-        assert comp["n_devices"] == 2
-        assert sum(comp["row_counts"]) == W.shape[0]
-        assert comp["step_halo_bytes"] > 0
-        assert comp["kmeans_makespan_s"] > 0
-        # resident shards: the k-means upload was elided, not charged
-        assert comp["kmeans_transfers"]["elided_bytes"] > 0
-        # the sharded eigensolve ran on the same plan
-        assert res.eig_stats["n_devices"] == 2
-        assert res.eig_stats["partition"]["row_counts"] == comp["row_counts"]
-
-    def test_resident_shards_skip_embedding_upload(self, sbm_graph):
-        """A single-device k-means uploads the full embedding; the
-        composed path's shards are resident, so those bytes appear as
-        elided transfers and the stage's charged H2D stays small."""
-        W, _ = sbm_graph
-        res = self._fit(W, 2)
-        tr = res.eig_stats["composed"]["kmeans_transfers"]
-        embedding_bytes = res.embedding.nbytes
-        assert tr["elided_bytes"] >= embedding_bytes
-        assert tr["h2d_bytes"] < embedding_bytes
-
-    def test_validation(self):
-        """Composition is chosen from the config, never requested: only
-        an exact fp64 eigensolver embedding with the default k-means
-        composes; every other config shards the embedding alone."""
-        for kw in ({}, {"embedding": "power"}, {"objective": "ratiocut"}):
-            assert SpectralClustering(n_clusters=3, devices=2, **kw).config.composes
-        for kw in (
-            {"precision": "fp32"},
-            {"embedding": "compressive"},
-            {"kmeans_update": "sort"},
-            {"kmeans_fused": False},
-        ):
-            assert not SpectralClustering(
-                n_clusters=3, devices=2, **kw
-            ).config.composes
-        assert not SpectralClustering(n_clusters=3).config.composes
+        # more devices than graph rows is refused, naming the knob, before
+        # the Laplacian is built — on both entry points
+        six_nodes = from_edge_list(
+            np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]),
+            n_nodes=6,
+        )
+        est = SpectralClustering(n_clusters=2, devices=8)
+        for entry in (est.fit, est.embed):
+            with pytest.raises(ClusteringError, match=r"devices=8.* 6 non-"):
+                entry(graph=six_nodes)

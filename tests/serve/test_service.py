@@ -317,9 +317,9 @@ class TestMultiDeviceServing:
         assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_composed_request_bit_identical(self, make_request):
-        """A composable multi-device request (power embedding) runs the
-        staged estimator sharded and reproduces the single-device answer
-        bit for bit."""
+        """A multi-device request (power embedding) runs the staged
+        estimator with a sharded solve and reproduces the single-device
+        answer bit for bit."""
         ref, _ = _service().process([make_request(embedding="power")])
         comp, _ = _service(n_devices=2).process(
             [make_request(embedding="power", devices=2)]
@@ -328,8 +328,8 @@ class TestMultiDeviceServing:
         assert np.array_equal(comp[0].eigenvalues, ref[0].eigenvalues)
 
     def test_composed_does_not_split_cache(self, make_request):
-        """A composable multi-device request serves a cached
-        single-device embedding too."""
+        """A multi-device request serves a cached single-device
+        embedding too."""
         svc = _service(n_devices=2)
         responses, _ = svc.process(
             [

@@ -115,7 +115,7 @@ def test_gather_matches_fancy_indexing(src, data):
 @settings(max_examples=40, deadline=None)
 @given(keys=keys_arrays, data=st.data())
 def test_sort_then_reduce_consistent_with_bincount(keys, data):
-    """The composed k-means pattern: sort_by_key then reduce_by_key equals
+    """The sort-based centroid update: sort_by_key then reduce_by_key equals
     a host-side grouped sum regardless of initial order."""
     vals = data.draw(
         hnp.arrays(np.float64, keys.shape, elements=finite_doubles)
