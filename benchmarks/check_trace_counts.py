@@ -1,0 +1,78 @@
+#!/usr/bin/env python
+"""Per-layer count gate over the traced perfbench records.
+
+Reads ``perfbench/out/<workload>-seed0-trace1.json`` (written by
+``python3 perfbench/run.py --workload all --seed 0 --trace 1``) and
+asserts the per-op launch, call, byte and timeline-record counts below.
+They are deterministic for seed 0, so a refactor that drops or adds one
+kernel launch, transfer byte or sparse-product call fails here.
+
+Usage::
+
+    python benchmarks/check_trace_counts.py [perfbench/out]
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+#: metric -> value per workload (per traced op, seed 0)
+EXPECTED = {
+    "fit-dti": {
+        "cusparse.spmv_any.calls": 573,
+        "cusparse.spmm_any.calls": 0,
+        "cuda.kernel_launches": 2270,
+        "cuda.pcie_bytes": 24554232,
+        "cusparse.spmv_bytes": 4404573072,
+        "hw.timeline_record.calls": 2400,
+    },
+    "fit-sbm50k-compressive": {
+        "cusparse.spmv_any.calls": 0,
+        "cusparse.spmm_any.calls": 160,
+        "cuda.kernel_launches": 495,
+        "cuda.pcie_bytes": 7758520,
+        "cusparse.spmv_bytes": 5013216256,
+        "hw.timeline_record.calls": 541,
+    },
+    "serve-mixed": {
+        "cusparse.spmv_any.calls": 790,
+        "cusparse.spmm_any.calls": 0,
+        "cuda.kernel_launches": 25787,
+        "cuda.pcie_bytes": 30418144,
+        "cusparse.spmv_bytes": 1731700224,
+        "hw.timeline_record.calls": 30655,
+    },
+}
+
+
+def check(out_dir: Path) -> list[str]:
+    """Return the mismatches (empty = gate passes)."""
+    failures = []
+    for workload, expected in EXPECTED.items():
+        path = out_dir / f"{workload}-seed0-trace1.json"
+        if not path.exists():
+            failures.append(f"{path}: missing (run perfbench with --trace 1)")
+            continue
+        metrics = json.loads(path.read_text())["result"]["metrics"]
+        for name, want in expected.items():
+            got = metrics[name]["value"]
+            if got != want:
+                failures.append(f"{workload}: {name} = {got}, expected {want}")
+    return failures
+
+
+def main(argv: list[str]) -> int:
+    out_dir = Path(argv[1]) if len(argv) > 1 else Path("perfbench/out")
+    failures = check(out_dir)
+    for line in failures:
+        print(f"FAIL {line}", file=sys.stderr)
+    if failures:
+        return 1
+    print(f"trace counts ok: {len(EXPECTED)} workloads")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -258,7 +258,7 @@ def compressive_embedding(
                 fmt = decision.format
         pl = place_operator(s, residency, n_devices, fmt, decision)
         _, (est, Y, filter_applications) = run_placed(s, pl, sketch)
-    shared = s.stats_fields(pl, "compressive", {})
+    shared = s.stats_fields(pl, "compressive")
     partition = shared.pop("partition")
     if partition is not None and s.fallback is None:
         # the tier reports the partition that produced the sketch, without

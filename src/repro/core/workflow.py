@@ -47,8 +47,8 @@ from repro.cusparse.matrices import DeviceCSR, cast_csr
 from repro.cusparse.partition import (
     PartitionedCSR,
     device_group,
+    partition_bounds_nnz,
     partition_csr,
-    partition_rows,
     spmm_partitioned,
     spmv_partitioned,
 )
@@ -63,7 +63,6 @@ from repro.linalg.rci import LanczosCheckpoint, TransferLedger
 from repro.linalg.refine import refine_eigenpairs
 from repro.precision import (
     TOL_FLOORS,
-    as_f64,
     kernel_letter,
     quantize,
     quantize_roundtrip,
@@ -204,9 +203,6 @@ class Solve:
         self.policy = policy
         self.cpu = CPUCostModel(cpu_spec)
         self.n = A.shape[0]
-        self.rows_cache = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(A.indptr.data)
-        )
         # reduced-precision solve operand: a device-side streaming cast of
         # the values (identity for fp64 — A_solve IS A and nothing is
         # charged); the fp64 operator stays alive for the refinement pass
@@ -237,11 +233,9 @@ class Solve:
             on_retry=self.count_retry,
         )
 
-    def stats_fields(
-        self, pl: PlacedOperator, embedding: str, evidence: dict
-    ) -> dict:
+    def stats_fields(self, pl: PlacedOperator, embedding: str) -> dict:
         """Free the storage operand and return the :class:`SolveStats`
-        fields of this solve (``evidence`` extends the format decision)."""
+        fields of this solve."""
         wall = time.perf_counter() - self.t0
         if self.A_solve is not self.A:
             self.A_solve.free()
@@ -252,7 +246,7 @@ class Solve:
         format_decision = None
         if pl.decision is not None:
             format_decision = {
-                **pl.decision.as_dict(), **evidence,
+                **pl.decision.as_dict(),
                 "precision": self.precision, "value_itemsize": self.vs,
             }
         return dict(
@@ -396,7 +390,7 @@ class PlacedOperator:
         """``dy = op @ dx`` on the device: SpMV for vector operands, SpMM
         for blocks, through the format-dispatching kernels."""
         if dx.data.ndim == 1:
-            spmv_any(self.op, dx, dy, rows_cache=self.s.rows_cache)
+            spmv_any(self.op, dx, dy)
         else:
             spmm_any(self.op, dx, dy)
 
@@ -601,10 +595,10 @@ class PartitionedPlacement(DevicePlacement):
     def __init__(self, s: Solve, n_devices: int) -> None:
         PlacedOperator.__init__(self, s)
         s.devices = device_group(s.device, n_devices)
-        self.row_sets, _, self.bounds = partition_rows(
-            s.A.indptr.data, n_devices
-        )
-        self.row_counts = tuple(int(r.size) for r in self.row_sets)
+        # the blocks partition_csr will cut, known before it runs so the
+        # workspace and the scatter/gather byte splits follow them
+        self.bounds = partition_bounds_nnz(s.A.indptr.data, n_devices)
+        self.row_counts = tuple(int(r) for r in np.diff(self.bounds))
         self.copy_streams = [
             Stream(dev, name=f"dev{d}/copyEngine")
             for d, dev in enumerate(s.devices)
@@ -627,10 +621,7 @@ class PartitionedPlacement(DevicePlacement):
         # local/halo parts (P2P + split kernels charged as a makespan)
         s = self.s
         if self.part is None:
-            self.part = partition_csr(
-                s.A_solve, s.devices, rows_cache=s.rows_cache,
-                row_sets=self.row_sets,
-            )
+            self.part = partition_csr(s.A_solve, s.devices)
             self.shard_upload_bytes += self.part.shard_upload_bytes
             self.halo = (self.part.halo_counts, self.part.halo_pairs)
 
@@ -717,11 +708,7 @@ class PartitionedPlacement(DevicePlacement):
         halo_counts, halo_pairs = self.halo
         return {
             "row_counts": list(self.row_counts),
-            **(
-                {"bounds": [int(b) for b in self.bounds]}
-                if self.bounds is not None
-                else {}
-            ),
+            "bounds": [int(b) for b in self.bounds],
             "halo_counts": list(halo_counts),
             "halo_pairs": halo_pairs,
             "step_halo_bytes": sum(halo_counts) * self.s.vs,
@@ -804,12 +791,12 @@ class HostPlacement(PlacedOperator):
 
 
 class CPUPlacement(HostPlacement):
-    """The device stayed unusable: the host finishes the solve with the
-    same bincount (SpMV) / gathered-reduceat (SpMM) arithmetic as
-    ``csrmv``/``csrmm`` over the same storage-width values, with the
-    quantize round trip the device buffers apply — so the Ritz pairs
-    match the all-GPU run bit for bit.  Each product is charged as host
-    SpMV time instead of kernels + PCIe transfers.
+    """The device stayed unusable: the host finishes the solve through the
+    operator's substrate — the product ``csrmv``/``csrmm`` compute, over
+    the same storage-width values — with the quantize round trip the
+    device buffers apply, so the Ritz pairs match the all-GPU run bit for
+    bit.  Each product is charged as host SpMV time instead of kernels +
+    PCIe transfers.
 
     ``op``/``dtype`` default to the solve's storage operand; the fp64
     refinement pass runs over the full-precision operator instead.
@@ -827,9 +814,7 @@ class CPUPlacement(HostPlacement):
         self.dtype = np.dtype(dtype) if dtype is not None else s.dtype
         self.label = label
         self.nnz = A.nnz
-        self.indptr = A.indptr.data.copy()
-        self.indices = A.indices.data.copy()
-        self.val = A.val.data.copy()
+        self.sub = A.substrate
 
     def workspace(self, cols: int | None, basis: int = 0) -> None:
         """Host products need no device workspace."""
@@ -839,22 +824,12 @@ class CPUPlacement(HostPlacement):
         n = s.n
         xq = quantize_roundtrip(x, self.dtype)
         if x.ndim == 1:
-            y = np.bincount(
-                s.rows_cache,
-                weights=as_f64(self.val) * xq[self.indices],
-                minlength=n,
-            )
+            y = self.sub.spmv(xq)
             s.device.charge_cpu(
                 f"spmv[{self.label}]", s.cpu.spmv_time(n, self.nnz)
             )
         else:
-            gathered = as_f64(self.val)[:, None] * xq[self.indices]
-            nonempty = np.flatnonzero(np.diff(self.indptr) > 0)
-            y = np.zeros((n, x.shape[1]))
-            if nonempty.size:
-                y[nonempty] = np.add.reduceat(
-                    gathered, self.indptr[nonempty], axis=0
-                )
+            y = self.sub.spmm(xq)
             s.device.charge_cpu(
                 f"spmm[{self.label}]",
                 s.cpu.spmv_time(n, self.nnz) * x.shape[1],
@@ -1117,18 +1092,8 @@ def hybrid_eigensolver(
                 )
                 fmt = decision.format
             else:
-                # re-runs on the same device rank candidates by the kernel
-                # times actually recorded on earlier solves of this
-                # operator, falling back to the roofline prediction for
-                # untimed formats; measured evidence is fp64-kernel only,
-                # so reduced-precision solves rank purely by prediction
                 decision = autotune_format(
-                    A.indptr.data, device.cost,
-                    measured=(
-                        (device.measured_spmv_times(n, A.nnz) or None)
-                        if vs == 8 else None
-                    ),
-                    itemsize=vs,
+                    A.indptr.data, device.cost, itemsize=vs
                 )
                 fmt = decision.format
         pl = place_operator(s, residency, n_devices, fmt, decision)
@@ -1156,7 +1121,6 @@ def hybrid_eigensolver(
                 _refine_apply(s), theta, U, steps=refine_eff, which=which,
                 target=refine_target,
             )
-    observed = _harvest_spmv_times(device, n, A.nnz, s.events_before)
     stats = EigStats(
         n_op=n_op,
         n_restarts=n_restarts,
@@ -1169,10 +1133,7 @@ def hybrid_eigensolver(
         ),
         refine_residual=refine_residual,
         refine_history=refine_history,
-        **s.stats_fields(pl, embedding, {
-            "observed_spmv_s": {f: t for f, (t, _c) in observed.items()},
-            "n_spmv_timed": sum(c for (_t, c) in observed.values()),
-        }),
+        **s.stats_fields(pl, embedding),
     )
     return theta, U, stats
 
@@ -1231,45 +1192,3 @@ def _sum_spmv_kernel_seconds(device: Device, events_before: int) -> float:
         if any(s in ev.name for s in _SPMV_KERNEL_SUBSTRINGS):
             total += ev.duration
     return total
-
-
-#: SpMV kernel event names -> format key.  ``hybmv`` charges two events per
-#: product (ELL slab + COO tail); only the ``[ell]`` event counts a product.
-_SPMV_EVENT_FORMATS = {
-    "cusparseDcsrmv": ("csr", True),
-    "cusparseDellmv": ("ell", True),
-    "cusparseDhybmv[ell]": ("hyb", True),
-    "cusparseDhybmv[coo]": ("hyb", False),
-}
-
-
-def _harvest_spmv_times(
-    device: Device, n: int, nnz: int, events_before: int
-) -> dict[str, tuple[float, int]]:
-    """Record the SpMV kernel times charged during this solve.
-
-    Scans the timeline window the eigensolver stage appended, aggregates
-    per-format mean seconds per product, and feeds them back to the
-    device's measurement table so the *next* ``autotune_format`` on the
-    same operator ranks by observed kernel time instead of the roofline
-    prediction.  Returns ``{fmt: (mean_seconds, n_products)}``.
-    """
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for ev in device.timeline.events[events_before:]:
-        hit = _SPMV_EVENT_FORMATS.get(ev.name)
-        if hit is None:
-            continue
-        fmt_name, is_product = hit
-        sums[fmt_name] = sums.get(fmt_name, 0.0) + ev.duration
-        if is_product:
-            counts[fmt_name] = counts.get(fmt_name, 0) + 1
-    out: dict[str, tuple[float, int]] = {}
-    for fmt_name, total in sums.items():
-        n_products = counts.get(fmt_name, 0)
-        if n_products == 0:
-            continue
-        per = total / n_products
-        device.note_spmv_time(fmt_name, n, nnz, per)
-        out[fmt_name] = (per, n_products)
-    return out

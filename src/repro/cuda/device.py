@@ -85,9 +85,6 @@ class Device:
         #: the precision ablation can gate on storage-width traffic wins
         self.spmv_traffic_bytes = 0.0
         self._reset_transfer_counters()
-        #: measured SpMV kernel times by (format, n_rows, nnz) — autotuner
-        #: feedback (sum of durations, count of products)
-        self._spmv_measurements: dict[tuple[str, int, int], tuple[float, int]] = {}
 
     def _make_allocator(self) -> Allocator:
         if self.caching:
@@ -341,24 +338,6 @@ class Device:
         """
         self._record_d2h(nbytes)
 
-    def note_spmv_time(
-        self, fmt: str, n_rows: int, nnz: int, seconds: float
-    ) -> None:
-        """Record one measured SpMV kernel duration for ``fmt`` on a matrix
-        of the given shape, feeding :func:`~repro.cusparse.formats.autotune_format`
-        evidence on subsequent solves."""
-        key = (fmt, int(n_rows), int(nnz))
-        total, count = self._spmv_measurements.get(key, (0.0, 0))
-        self._spmv_measurements[key] = (total + float(seconds), count + 1)
-
-    def measured_spmv_times(self, n_rows: int, nnz: int) -> dict[str, float]:
-        """Mean measured per-SpMV seconds by format for a matrix shape."""
-        out: dict[str, float] = {}
-        for (fmt, rows, z), (total, count) in self._spmv_measurements.items():
-            if rows == int(n_rows) and z == int(nnz) and count:
-                out[fmt] = total / count
-        return out
-
     def charge_kernel(
         self,
         name: str,
@@ -450,7 +429,6 @@ class Device:
         self.kernel_launches = 0
         self.spmv_traffic_bytes = 0.0
         self._reset_transfer_counters()
-        self._spmv_measurements = {}
         self.host_pool = PinnedHostPool()
         self._alloc_scope = None
         self._stream_ids_issued = 0

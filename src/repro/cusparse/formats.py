@@ -16,12 +16,13 @@ inspector/executor split ``cusparseDcsrmv`` callers do by hand.
 
 Bit-identity invariant
 ----------------------
-All formats share one reference substrate arithmetic: each carries the
-canonical CSR-order ``(rows, cols, vals)`` triple as a host-side simulation
-mirror, and every SpMV computes the same ``np.bincount`` over it that
-:func:`~repro.cusparse.spmv.csrmv` performs.  Format choice changes only
-the *charged time* and the device-memory footprint, never a float — which
-is what lets the pipeline autotune freely while keeping cluster labels
+All formats compute through one substrate (:mod:`repro.cusparse.substrate`):
+an ELL or HYB operand shares the :class:`~repro.cusparse.substrate.Substrate`
+of the CSR matrix it was converted from, so every SpMV and SpMM reduces
+the same canonical CSR-order arrays in the same order as
+:func:`~repro.cusparse.spmv.csrmv`.  Format choice changes only the
+*charged time* and the device-memory footprint, never a float — which is
+what lets the pipeline autotune freely while keeping cluster labels
 bit-identical.
 """
 
@@ -35,6 +36,7 @@ import numpy as np
 from repro.chaos.runtime import chaos_check
 from repro.cuda.memory import BufferGroup, DeviceArray
 from repro.cusparse.matrices import DeviceCSR
+from repro.cusparse.substrate import Substrate
 from repro.errors import SparseFormatError
 from repro.hw.costmodel import GPUCostModel
 from repro.precision import kernel_letter
@@ -85,18 +87,15 @@ class DeviceELL:
     """ELLPACK matrix on the device: ``(n_rows, width)`` padded layout.
 
     ``cols`` uses ``-1`` for padding slots and ``val`` zero-fills them; the
-    device arrays are the format's real memory footprint.  The substrate
-    triple (``sub_rows``/``sub_cols``/``sub_vals``) is the host-side
-    simulation mirror in canonical CSR order — see the module docstring.
+    device arrays are the format's real memory footprint.  Products read
+    the source CSR's ``substrate`` — see the module docstring.
     """
 
     cols: DeviceArray
     val: DeviceArray
     shape: tuple[int, int]
     nnz: int
-    sub_rows: np.ndarray = field(repr=False)
-    sub_cols: np.ndarray = field(repr=False)
-    sub_vals: np.ndarray = field(repr=False)
+    substrate: Substrate = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.cols.shape != self.val.shape:
@@ -128,9 +127,7 @@ class DeviceHYB:
     coo_val: DeviceArray
     shape: tuple[int, int]
     nnz: int
-    sub_rows: np.ndarray = field(repr=False)
-    sub_cols: np.ndarray = field(repr=False)
-    sub_vals: np.ndarray = field(repr=False)
+    substrate: Substrate = field(repr=False)
 
     @property
     def width(self) -> int:
@@ -156,13 +153,6 @@ class DeviceHYB:
         self.coo_val.free()
 
 
-def _substrate_triple(A: DeviceCSR) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The canonical CSR-order (rows, cols, vals) simulation mirror."""
-    counts = A.row_lengths()
-    rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), counts)
-    return rows, A.indices.data.copy(), A.val.data.copy()
-
-
 def _padded_layout(
     A: DeviceCSR, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,7 +165,7 @@ def _padded_layout(
     mask = slot < width
     cols = np.full((n, max(width, 1)), -1, dtype=np.int64)
     vals = np.zeros((n, max(width, 1)), dtype=A.val.data.dtype)
-    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+    rows = A.substrate.rows
     cols[rows[mask], slot[mask]] = A.indices.data[mask]
     vals[rows[mask], slot[mask]] = A.val.data[mask]
     return cols, vals, mask
@@ -199,7 +189,6 @@ def csr_to_ell(A: DeviceCSR, width: int | None = None) -> DeviceELL:
             f"ELL width {width} drops entries (longest row is larger); "
             "use HYB for skewed matrices"
         )
-    sub_rows, sub_cols, sub_vals = _substrate_triple(A)
     bufs = BufferGroup()
     try:
         cols = bufs.add(dev.empty((n, max(width, 1)), dtype=np.int64))
@@ -218,9 +207,7 @@ def csr_to_ell(A: DeviceCSR, width: int | None = None) -> DeviceELL:
         val=val,
         shape=A.shape,
         nnz=A.nnz,
-        sub_rows=sub_rows,
-        sub_cols=sub_cols,
-        sub_vals=sub_vals,
+        substrate=A.substrate,
     )
 
 
@@ -235,12 +222,10 @@ def csr_to_hyb(A: DeviceCSR, width: int | None = None) -> DeviceHYB:
     dev = A.device
     chaos_check("cusparse.csr2hyb", dev)
     n, _ = A.shape
-    counts = A.row_lengths()
     if width is None:
         width = hyb_ell_width(row_stats(A.indptr.data))
     cols_host, vals_host, mask = _padded_layout(A, width)
     spill = ~mask
-    sub_rows, sub_cols, sub_vals = _substrate_triple(A)
     bufs = BufferGroup()
     try:
         ell_cols = bufs.add(dev.empty((n, width), dtype=np.int64))
@@ -254,7 +239,7 @@ def csr_to_hyb(A: DeviceCSR, width: int | None = None) -> DeviceHYB:
         raise
     ell_cols.data[...] = cols_host
     ell_val.data[...] = vals_host
-    coo_row.data[...] = sub_rows[spill]
+    coo_row.data[...] = A.substrate.rows[spill]
     coo_col.data[...] = A.indices.data[spill]
     coo_val.data[...] = A.val.data[spill]
     vs = A.val.data.dtype.itemsize
@@ -271,9 +256,7 @@ def csr_to_hyb(A: DeviceCSR, width: int | None = None) -> DeviceHYB:
         coo_val=coo_val,
         shape=A.shape,
         nnz=A.nnz,
-        sub_rows=sub_rows,
-        sub_cols=sub_cols,
-        sub_vals=sub_vals,
+        substrate=A.substrate,
     )
 
 
@@ -287,19 +270,11 @@ class FormatDecision:
     predicted_s: dict[str, float]
     #: ELL partition width a HYB conversion would use
     hyb_width: int
-    #: measured per-SpMV seconds fed back from earlier solves on the same
-    #: matrix shape (empty when no measurements exist yet)
-    measured_s: dict[str, float] = field(default_factory=dict)
-    #: evidence class the ranking used per candidate: "measured" when a
-    #: kernel timing was available, "predicted" otherwise
-    evidence: dict[str, str] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
             "format": self.format,
             "predicted_spmv_s": dict(self.predicted_s),
-            "measured_spmv_s": dict(self.measured_s),
-            "evidence": dict(self.evidence),
             "hyb_width": self.hyb_width,
             "row_mean": self.stats.mean,
             "row_max": self.stats.max,
@@ -312,29 +287,20 @@ def autotune_format(
     indptr: np.ndarray,
     cost: GPUCostModel,
     formats: tuple[str, ...] = SPMV_FORMATS,
-    measured: dict[str, float] | None = None,
     itemsize: int = 8,
 ) -> FormatDecision:
     """Choose the cheapest SpMV format from row-length statistics.
 
     Evaluates the calibrated cost-model kernel for each candidate format on
     this matrix's shape and picks the minimum time; ties (and empty
-    matrices) fall back to CSR.  With no ``measured`` evidence the decision
-    is a pure function of ``indptr`` and the device spec — deterministic
-    and free of measurement noise, an analytic stand-in for the
-    probe-and-measure autotuners real libraries use.
-
-    ``measured`` maps formats to mean per-SpMV kernel seconds observed on
-    earlier solves of the same matrix shape
-    (:meth:`~repro.cuda.device.Device.measured_spmv_times`); a measured
-    time overrides the model's prediction for that candidate, so the
-    ranking prefers ground truth where it exists and falls back to the
-    model elsewhere.  The decision records which evidence class each
-    candidate used.
+    matrices) fall back to CSR.  The decision is a pure function of
+    ``indptr`` and the device spec — deterministic and free of measurement
+    noise, an analytic stand-in for the probe-and-measure autotuners real
+    libraries use.  (A simulated kernel's measured time *is* the model's
+    prediction, so timing earlier solves adds no evidence.)
 
     ``itemsize`` is the value-storage width the predictions price — pass
-    the reduced width when tuning for an fp32/fp16 operand (measured
-    evidence should then come from same-width kernels only).
+    the reduced width when tuning for an fp32/fp16 operand.
     """
     for f in formats:
         if f not in SPMV_FORMATS:
@@ -357,26 +323,18 @@ def autotune_format(
             )
     if not predicted:
         raise SparseFormatError("no candidate formats to autotune over")
-    measured_known = {
-        f: float(measured[f])
-        for f in predicted
-        if measured is not None and f in measured
-    }
-    effective = {f: measured_known.get(f, t) for f, t in predicted.items()}
+    return FormatDecision(
+        format=_cheapest(predicted), stats=stats, predicted_s=predicted,
+        hyb_width=K,
+    )
+
+
+def _cheapest(effective: dict[str, float]) -> str:
+    """The minimum-time format; CSR (no conversion) wins ties."""
     best = min(sorted(effective), key=lambda f: effective[f])
     if effective.get("csr", float("inf")) <= effective[best]:
-        best = "csr"  # prefer the no-conversion format on ties
-    return FormatDecision(
-        format=best,
-        stats=stats,
-        predicted_s=predicted,
-        hyb_width=K,
-        measured_s=measured_known,
-        evidence={
-            f: "measured" if f in measured_known else "predicted"
-            for f in predicted
-        },
-    )
+        best = "csr"
+    return best
 
 
 def autotune_spmm_format(
@@ -384,7 +342,6 @@ def autotune_spmm_format(
     cost: GPUCostModel,
     p: int,
     formats: tuple[str, ...] = SPMV_FORMATS,
-    measured: dict[str, float] | None = None,
     conversion_uses: int | None = None,
     itemsize: int = 8,
 ) -> FormatDecision:
@@ -393,9 +350,8 @@ def autotune_spmm_format(
     The SpMM twin of :func:`autotune_format`, reusing the same row-length
     evidence and :class:`FormatDecision` reporting: the calibrated
     per-format SpMM kernels (``spmm_time``/``ellmm_time``/``hybmm_time``)
-    are evaluated on this matrix's shape and the minimum picked, with
-    ``measured`` per-launch seconds overriding predictions where they
-    exist.  Ties fall back to CSR (no conversion needed).
+    are evaluated on this matrix's shape and the minimum picked.  Ties
+    fall back to CSR (no conversion needed).
 
     ``conversion_uses`` charges each non-CSR candidate its CSR->X
     conversion kernel amortized over that many SpMM launches — pass ``1``
@@ -439,30 +395,15 @@ def autotune_spmm_format(
             )
     if not predicted:
         raise SparseFormatError("no candidate formats to autotune over")
-    measured_known = {
-        f: float(measured[f])
-        for f in predicted
-        if measured is not None and f in measured
-    }
-    effective = {f: measured_known.get(f, t) for f, t in predicted.items()}
+    effective = predicted
     if conversion_uses is not None:
         effective = {
             f: t + conversion.get(f, 0.0) / conversion_uses
-            for f, t in effective.items()
+            for f, t in predicted.items()
         }
-    best = min(sorted(effective), key=lambda f: effective[f])
-    if effective.get("csr", float("inf")) <= effective[best]:
-        best = "csr"  # prefer the no-conversion format on ties
     return FormatDecision(
-        format=best,
-        stats=stats,
-        predicted_s=predicted,
+        format=_cheapest(effective), stats=stats, predicted_s=predicted,
         hyb_width=K,
-        measured_s=measured_known,
-        evidence={
-            f: "measured" if f in measured_known else "predicted"
-            for f in predicted
-        },
     )
 
 

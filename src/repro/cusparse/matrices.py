@@ -10,9 +10,11 @@ three COO/CSR arrays costs on real hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.cuda.device import Device
 from repro.cuda.memory import BufferGroup, DeviceArray
+from repro.cusparse.substrate import Substrate
 from repro.errors import SparseFormatError
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
@@ -42,6 +44,13 @@ class DeviceCOO:
     def device(self) -> Device:
         return self.val.device
 
+    @cached_property
+    def substrate(self) -> Substrate:
+        """The product arrays (the row ids are stored, not expanded)."""
+        return Substrate(
+            self.shape[0], self.col.data, self.val.data, rows=self.row.data
+        )
+
     def to_host(self) -> COOMatrix:
         """Copy back to a host COOMatrix (three D2H transfers)."""
         return COOMatrix(
@@ -56,11 +65,16 @@ class DeviceCOO:
         self.row.free()
         self.col.free()
         self.val.free()
+        self.__dict__.pop("substrate", None)  # release the host arrays too
 
 
 @dataclass
 class DeviceCSR:
-    """CSR matrix on the device."""
+    """CSR matrix on the device.
+
+    The structure is fixed once built: the :attr:`substrate` a product
+    reads is derived on first use and kept.
+    """
 
     indptr: DeviceArray
     indices: DeviceArray
@@ -85,6 +99,14 @@ class DeviceCSR:
     @property
     def device(self) -> Device:
         return self.val.device
+
+    @cached_property
+    def substrate(self) -> Substrate:
+        """The product arrays over the device buffers (no copy)."""
+        return Substrate(
+            self.shape[0], self.indices.data, self.val.data,
+            indptr=self.indptr.data,
+        )
 
     def row_lengths(self):
         """Per-row nonzero counts (host-side view of ``indptr`` deltas).
@@ -111,6 +133,7 @@ class DeviceCSR:
         self.indptr.free()
         self.indices.free()
         self.val.free()
+        self.__dict__.pop("substrate", None)  # release the host arrays too
 
 
 def coo_to_device(device: Device, coo: COOMatrix) -> DeviceCOO:

@@ -1,4 +1,4 @@
-"""Row-partitioned sparse matrices and the multi-device SpMV.
+"""Row-partitioned sparse matrices and the multi-device SpMV/SpMM.
 
 The multi-GPU eigensolver follows the classic distributed-memory Lanczos
 recipe (1-D row partitioning with communication/computation overlap):
@@ -6,10 +6,10 @@ recipe (1-D row partitioning with communication/computation overlap):
 * the matrix is split into contiguous **row blocks**, one per device,
   balanced by nnz (row-count splits starve or overload devices on skewed
   degree distributions);
-* on each device the set's columns are split into a **local** part
+* on each device the block's columns are split into a **local** part
   (columns owned by this device — the x entries are already resident)
   and a **halo** part (columns owned by peers);
-* per SpMV, the local kernel launches immediately while the halo
+* per product, the local kernel launches immediately while the halo
   segments of the iteration vector travel device-to-device over the
   modeled bus (``cudaMemcpyPeerAsync`` on a dedicated copy stream per
   device); the halo kernel is enqueued right behind the local kernel on
@@ -19,13 +19,14 @@ recipe (1-D row partitioning with communication/computation overlap):
 
 Bit-identity invariant
 ----------------------
-Numerics never change with the device count or the row layout:
-:func:`spmv_partitioned` computes the product through the canonical
-CSR-order substrate triple — the identical ``np.bincount`` that
-:func:`~repro.cusparse.spmv.csrmv` performs on one device.  Partitioning
-changes only the *charged time* (and where the bytes flow), never a
-float, which is what pins multi-device spectra to the single-device
-path bit-for-bit.
+Numerics never change with the device count: a :class:`PartitionedCSR`
+shares the :class:`~repro.cusparse.substrate.Substrate` of the matrix it
+was split from, so :func:`spmv_partitioned`/:func:`spmm_partitioned`
+compute the one substrate product that
+:func:`~repro.cusparse.spmv.csrmv`/:func:`~repro.cusparse.spmm.csrmm`
+compute on one device.  Partitioning changes only the *charged time*
+(and where the bytes flow), never a float, which is what pins
+multi-device spectra to the single-device path bit-for-bit.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ from repro.cuda.device import Device
 from repro.cuda.memory import BufferGroup, DeviceArray
 from repro.cuda.stream import Stream
 from repro.cusparse.matrices import DeviceCSR
+from repro.cusparse.substrate import Substrate, charge
 from repro.errors import SparseValueError
 from repro.hw.costmodel import TransferCostModel
 from repro.hw.topology import paper_topology
-from repro.precision import as_f64, kernel_letter
+from repro.precision import kernel_letter
 
 
 def _check_split(n: int, n_devices: int) -> None:
@@ -82,26 +84,6 @@ def partition_bounds_nnz(indptr: np.ndarray, n_devices: int) -> np.ndarray:
     return bounds
 
 
-def partition_rows(
-    indptr: np.ndarray, n_devices: int
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Per-device row sets of the nnz-balanced contiguous partition.
-
-    Returns ``(row_sets, owner, bounds)`` where ``row_sets[d]`` is the
-    sorted global row ids device ``d`` owns, ``owner`` maps every row to
-    its device, and ``bounds`` is the block boundary array.
-    """
-    bounds = partition_bounds_nnz(indptr, n_devices)
-    owner = np.repeat(
-        np.arange(n_devices, dtype=np.int64), np.diff(bounds)
-    )
-    row_sets = [
-        np.arange(bounds[d], bounds[d + 1], dtype=np.int64)
-        for d in range(n_devices)
-    ]
-    return row_sets, owner, bounds
-
-
 def device_group(device: Device, n_devices: int) -> list[Device]:
     """``device`` plus ``n_devices - 1`` peers sharing its timeline.
 
@@ -122,18 +104,19 @@ def device_group(device: Device, n_devices: int) -> list[Device]:
     ]
 
 
+
+
 @dataclass
 class CSRShard:
-    """One device's row set, stored as split local + halo CSR parts.
+    """One device's row block, stored as split local + halo CSR parts.
 
-    ``rows`` holds the global row ids this device owns (sorted; a
-    contiguous range unless explicit row sets were passed).
-    ``local_indices`` are offsets into the device's own x shard;
+    ``rows`` holds the global row ids this device owns (a contiguous
+    range).  ``local_indices`` are offsets into the device's own x shard;
     ``halo_indices`` are offsets into ``halo_buf``, the receive buffer
     the peer copies land in.  ``halo_cols`` (host metadata) maps
     those slots back to global column ids, and ``halo_src_counts[e]``
     says how many of them device ``e`` owns — one peer copy per nonzero
-    entry per SpMV.
+    entry per product.
     """
 
     device: Device
@@ -178,19 +161,15 @@ class CSRShard:
 
 @dataclass
 class PartitionedCSR:
-    """A CSR matrix split into per-device row sets (plus the canonical
-    host-side substrate mirror used for the reference arithmetic)."""
+    """A CSR matrix split into per-device row blocks, computing through
+    the source matrix's substrate."""
 
     shape: tuple[int, int]
     nnz: int
-    #: device id per global row
-    owner: np.ndarray
-    #: contiguous block boundaries (None when built from explicit row sets)
-    bounds: np.ndarray | None
+    #: contiguous block boundaries: device ``d`` owns ``bounds[d]:bounds[d+1]``
+    bounds: np.ndarray
     shards: list[CSRShard]
-    sub_rows: np.ndarray = field(repr=False)
-    sub_cols: np.ndarray = field(repr=False)
-    sub_vals: np.ndarray = field(repr=False)
+    substrate: Substrate = field(repr=False)
 
     @property
     def n_devices(self) -> int:
@@ -231,34 +210,20 @@ def _split_row_block(
     indptr: np.ndarray,
     indices: np.ndarray,
     vals: np.ndarray,
-    rows_d: np.ndarray,
-    owner: np.ndarray,
-    local_slot: np.ndarray,
+    bounds: np.ndarray,
     d: int,
-    n_devices: int,
 ):
-    """Host-side split of device ``d``'s row set into local/halo pieces.
-
-    ``owner`` maps every global row/column to its device and
-    ``local_slot`` to its position within the owner's sorted row set, so
-    arbitrary (non-contiguous) row sets split exactly like contiguous
-    blocks did.
-    """
-    nd = int(rows_d.size)
-    starts = indptr[rows_d]
-    counts = indptr[rows_d + 1] - starts
-    total = int(counts.sum())
-    if total:
-        # gather the nnz of all owned rows: for each row, a run of
-        # consecutive source offsets starting at indptr[row]
-        shift = np.cumsum(counts) - counts
-        idx = np.arange(total, dtype=np.int64) + np.repeat(starts - shift, counts)
-    else:
-        idx = np.empty(0, dtype=np.int64)
-    seg_rows = np.repeat(np.arange(nd, dtype=np.int64), counts)
-    seg_cols = indices[idx]
-    seg_vals = vals[idx]
-    local_mask = owner[seg_cols] == d
+    """Host-side split of device ``d``'s row block into local/halo pieces
+    (a column is local when it falls inside the block's row range)."""
+    lo, hi = int(bounds[d]), int(bounds[d + 1])
+    nd = hi - lo
+    start, end = int(indptr[lo]), int(indptr[hi])
+    seg_rows = np.repeat(
+        np.arange(nd, dtype=np.int64), np.diff(indptr[lo : hi + 1])
+    )
+    seg_cols = indices[start:end]
+    seg_vals = vals[start:end]
+    local_mask = (seg_cols >= lo) & (seg_cols < hi)
 
     def _csr_piece(mask):
         piece_counts = np.bincount(seg_rows[mask], minlength=nd)
@@ -267,7 +232,7 @@ def _split_row_block(
         return piece_indptr
 
     local_indptr = _csr_piece(local_mask)
-    local_cols = local_slot[seg_cols[local_mask]]
+    local_cols = seg_cols[local_mask] - lo
     local_vals = seg_vals[local_mask]
 
     halo_mask = ~local_mask
@@ -275,27 +240,21 @@ def _split_row_block(
     halo_global = seg_cols[halo_mask]
     halo_cols, halo_slots = np.unique(halo_global, return_inverse=True)
     halo_vals = seg_vals[halo_mask]
-    src_counts = np.bincount(owner[halo_cols], minlength=n_devices)
+    owner = np.searchsorted(bounds, halo_cols, side="right") - 1
+    src_counts = np.bincount(owner, minlength=bounds.size - 1)
     return (
         local_indptr, local_cols, local_vals,
         halo_indptr, halo_slots.astype(np.int64), halo_vals,
         halo_cols, src_counts,
-        total,
+        end - start,
     )
 
 
-def partition_csr(
-    A: DeviceCSR,
-    devices: list[Device],
-    rows_cache: np.ndarray | None = None,
-    row_sets: list[np.ndarray] | None = None,
-) -> PartitionedCSR:
-    """Split ``A`` into per-device row sets with local/halo column parts.
+def partition_csr(A: DeviceCSR, devices: list[Device]) -> PartitionedCSR:
+    """Split ``A`` into nnz-balanced contiguous row blocks
+    (:func:`partition_bounds_nnz`) with local/halo column parts.
 
-    Rows split into nnz-balanced contiguous blocks (:func:`partition_rows`)
-    unless ``row_sets`` passes a partition computed once elsewhere.
-
-    Device 0 (which holds ``A``) keeps its row set in place; every other
+    Device 0 (which holds ``A``) keeps its row block in place; every other
     device receives its raw rows over the modeled bus as one peer copy on
     its halo copy stream (``indptr`` slice + column indices + values),
     concurrently across devices.  Each device then runs one streaming
@@ -316,53 +275,27 @@ def partition_csr(
             raise SparseValueError(
                 "all devices must share one timeline (one simulated platform)"
             )
-    p = len(devices)
     indptr = A.indptr.data
     indices = A.indices.data
     vals = A.val.data
-    bounds: np.ndarray | None
-    if row_sets is not None:
-        if len(row_sets) != p:
-            raise SparseValueError(
-                f"{len(row_sets)} row sets for {p} devices"
-            )
-        owner = np.full(n, -1, dtype=np.int64)
-        for d, rows_d in enumerate(row_sets):
-            owner[rows_d] = d
-        if (owner < 0).any():
-            raise SparseValueError("row sets do not cover every row")
-        bounds = None
-    else:
-        row_sets, owner, bounds = partition_rows(indptr, p)
-    local_slot = np.empty(n, dtype=np.int64)
-    for rows_d in row_sets:
-        local_slot[rows_d] = np.arange(rows_d.size, dtype=np.int64)
-    if rows_cache is None:
-        sub_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    else:
-        sub_rows = rows_cache
-    sub_cols = indices.copy()
-    sub_vals = vals.copy()
+    bounds = partition_bounds_nnz(indptr, len(devices))
 
     shards: list[CSRShard] = []
     bufs = BufferGroup()
     block_nnz: list[int] = []
     try:
         for d, dev in enumerate(devices):
-            rows_d = np.asarray(row_sets[d], dtype=np.int64)
             (
                 l_indptr, l_cols, l_vals,
                 h_indptr, h_slots, h_vals,
                 h_cols, src_counts,
                 rnnz,
-            ) = _split_row_block(
-                indptr, indices, vals, rows_d, owner, local_slot, d, p
-            )
-            nd = int(rows_d.size)
+            ) = _split_row_block(indptr, indices, vals, bounds, d)
+            nd = int(bounds[d + 1] - bounds[d])
             shard = CSRShard(
                 device=dev,
                 index=d,
-                rows=rows_d,
+                rows=np.arange(bounds[d], bounds[d + 1], dtype=np.int64),
                 local_indptr=bufs.add(dev.empty(nd + 1, dtype=np.int64)),
                 local_indices=bufs.add(
                     dev.empty(max(l_cols.size, 1), dtype=np.int64)
@@ -424,28 +357,41 @@ def partition_csr(
     out = PartitionedCSR(
         shape=A.shape,
         nnz=A.nnz,
-        owner=owner,
         bounds=bounds,
         shards=shards,
-        sub_rows=sub_rows,
-        sub_cols=sub_cols,
-        sub_vals=sub_vals,
+        substrate=A.substrate,
     )
     out._shard_upload_bytes = upload_bytes
     return out
 
 
-def spmv_partitioned(
-    P: PartitionedCSR, x: np.ndarray, y: np.ndarray | None = None
-) -> np.ndarray:
-    """One multi-device SpMV over the row-partitioned operator.
+def _shard_costs(cost, shard: CSRShard, width: int | None, vs: int):
+    """``(local s, local bytes, halo s, halo bytes)`` of one shard's
+    product: SpMV when ``width`` is None, else a ``width``-column SpMM."""
+    r, zl, zh = shard.n_rows, shard.nnz_local, shard.nnz_halo
+    if width is None:
+        return (
+            cost.spmv_time(r, zl, itemsize=vs), cost.spmv_bytes(r, zl, vs),
+            cost.spmv_halo_time(r, zh, itemsize=vs),
+            cost.spmv_halo_bytes(r, zh, vs),
+        )
+    return (
+        cost.spmm_time(r, zl, width, itemsize=vs),
+        cost.spmm_bytes(r, zl, width, vs),
+        cost.spmm_halo_time(r, zh, width, itemsize=vs),
+        cost.spmm_halo_bytes(r, zh, width, vs),
+    )
 
-    Per device, three things are laid onto the shared timeline at a
-    common start ``t0``:
+
+def _charge_shards(P: PartitionedCSR, x: np.ndarray, width: int | None) -> None:
+    """Lay one multi-device product onto the shared timeline.
+
+    Per device, at a common start ``t0``:
 
     1. the **local kernel** (owned columns) launches at ``t0``;
     2. the **halo copies** — one ``cudaMemcpyPeerAsync`` per contributing
-       peer, serialized on the device's halo copy stream (they share the
+       peer carrying ``width`` columns of each off-device x row,
+       serialized on the device's halo copy stream (they share the
        destination's bus link) — also start at ``t0``;
     3. the **halo kernel** starts at ``max(local end, last halo
        arrival)``.  It was enqueued back-to-back behind the local kernel
@@ -453,62 +399,60 @@ def spmv_partitioned(
        (:meth:`~repro.hw.costmodel.GPUCostModel.spmv_halo_time` charges
        no launch overhead).
 
-    The clock advances to the latest end over all devices — the SpMV's
+    The clock advances to the latest end over all devices — the product's
     cost is the makespan, which is where the multi-device speedup (and
-    the small-graph latency floor) comes from.  The returned product is
-    computed through the canonical substrate triple and is bit-identical
-    to single-device :func:`~repro.cusparse.spmv.csrmv`.
+    the small-graph latency floor) comes from.
     """
-    n = P.shape[0]
-    if x.shape != (n,):
-        raise SparseValueError(
-            f"spmv_partitioned: operator is {P.shape}, x has shape {x.shape}"
-        )
     timeline = P.shards[0].device.timeline
     t0 = timeline.clock.now
-    vs = P.sub_vals.dtype.itemsize
-    letter = kernel_letter(vs)
+    vs = P.substrate.vals.dtype.itemsize
+    kernel = "csrmv" if width is None else "csrmm"
+    name = f"cusparse{kernel_letter(vs)}{kernel}"
+    cols = 1 if width is None else width
     for shard in P.shards:
-        dev = shard.device
-        chaos_check("cusparse.csrmv", dev)
-        d = shard.index
-        dt_local = dev.cost.spmv_time(shard.n_rows, shard.nnz_local, itemsize=vs)
-        timeline.record_at(
-            f"cusparse{letter}csrmv[local,dev{d}]", "kernel", t0, dt_local
+        dev, d = shard.device, shard.index
+        chaos_check(f"cusparse.{kernel}", dev)
+        dt_local, local_bytes, dt_halo, halo_bytes = _shard_costs(
+            dev.cost, shard, width, vs
         )
-        dev.kernel_launches += 1
-        dev.spmv_traffic_bytes += dev.cost.spmv_bytes(
-            shard.n_rows, shard.nnz_local, vs
-        )
+        charge(dev, f"{name}[local,dev{d}]", dt_local, local_bytes, start=t0)
         arrival = t0
         for src, count in enumerate(shard.halo_src_counts):
             if count == 0:
                 continue
             _, arrival = shard.copy_stream.enqueue_p2p(
-                int(count) * vs, ready_at=t0, peer=f"dev{src}", src=src
+                int(count) * cols * vs, ready_at=t0, peer=f"dev{src}", src=src
             )
         if shard.nnz_halo > 0:
-            h_start = max(t0 + dt_local, arrival)
-            dt_halo = dev.cost.spmv_halo_time(
-                shard.n_rows, shard.nnz_halo, itemsize=vs
+            charge(
+                dev, f"{name}[halo,dev{d}]", dt_halo, halo_bytes,
+                start=max(t0 + dt_local, arrival),
             )
-            timeline.record_at(
-                f"cusparse{letter}csrmv[halo,dev{d}]", "kernel", h_start, dt_halo
-            )
-            dev.kernel_launches += 1
-            dev.spmv_traffic_bytes += dev.cost.spmv_halo_bytes(
-                shard.n_rows, shard.nnz_halo, vs
-            )
-            # the halo gather reads the freshly landed x segments
-            shard.halo_buf.data[: shard.halo_count] = x[shard.halo_cols]
+            if width is None:
+                # the halo gather reads the freshly landed x segments
+                shard.halo_buf.data[: shard.halo_count] = x[shard.halo_cols]
 
-    prod = np.bincount(
-        P.sub_rows, weights=as_f64(P.sub_vals) * as_f64(x)[P.sub_cols], minlength=n
-    )
-    if y is None:
+
+def _store(prod: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    if out is None:
         return prod
-    y[...] = prod
-    return y
+    out[...] = prod
+    return out
+
+
+def spmv_partitioned(
+    P: PartitionedCSR, x: np.ndarray, y: np.ndarray | None = None
+) -> np.ndarray:
+    """One multi-device SpMV over the row-partitioned operator (charged
+    as in :func:`_charge_shards`); the product is the substrate SpMV,
+    bit-identical to single-device :func:`~repro.cusparse.spmv.csrmv`."""
+    n = P.shape[0]
+    if x.shape != (n,):
+        raise SparseValueError(
+            f"spmv_partitioned: operator is {P.shape}, x has shape {x.shape}"
+        )
+    _charge_shards(P, x, None)
+    return _store(P.substrate.spmv(x), y)
 
 
 def spmm_partitioned(
@@ -516,73 +460,16 @@ def spmm_partitioned(
 ) -> np.ndarray:
     """One multi-device SpMM over the row-partitioned operator.
 
-    Block analogue of :func:`spmv_partitioned` for the power-iteration
-    embedding: per device the local block kernel launches at ``t0`` while
-    the halo *rows* of B (``halo_count × p`` values) travel peer-to-peer
-    on the halo copy stream; the halo block kernel starts at ``max(local
-    end, last halo arrival)`` with its dispatch latency hidden behind the
-    local kernel.
-
-    Bit-identity: the product is row-reduced through the identical
-    ``np.add.reduceat`` substrate as :func:`~repro.cusparse.spmm.csrmm`
-    (and the ELL/HYB ``_substrate_mm``), so the device count never changes
-    a float of the block product — the power embedding is bit-identical
-    from one device to many, exactly like the Lanczos path is for SpMV.
+    Block analogue of :func:`spmv_partitioned` for the power-iteration and
+    compressive embeddings: the halo *rows* of B (``halo_count × p``
+    values) travel peer-to-peer.  The product is the substrate SpMM,
+    bit-identical to :func:`~repro.cusparse.spmm.csrmm` — the device
+    count never changes a float of the block product.
     """
     n = P.shape[0]
     if B.ndim != 2 or B.shape[0] != n:
         raise SparseValueError(
             f"spmm_partitioned: operator is {P.shape}, B has shape {B.shape}"
         )
-    p = B.shape[1]
-    timeline = P.shards[0].device.timeline
-    t0 = timeline.clock.now
-    vs = P.sub_vals.dtype.itemsize
-    letter = kernel_letter(vs)
-    for shard in P.shards:
-        dev = shard.device
-        chaos_check("cusparse.csrmm", dev)
-        d = shard.index
-        dt_local = dev.cost.spmm_time(
-            shard.n_rows, shard.nnz_local, p, itemsize=vs
-        )
-        timeline.record_at(
-            f"cusparse{letter}csrmm[local,dev{d}]", "kernel", t0, dt_local
-        )
-        dev.kernel_launches += 1
-        dev.spmv_traffic_bytes += dev.cost.spmm_bytes(
-            shard.n_rows, shard.nnz_local, p, vs
-        )
-        arrival = t0
-        for src, count in enumerate(shard.halo_src_counts):
-            if count == 0:
-                continue
-            # p columns of every off-device B row land in one copy
-            _, arrival = shard.copy_stream.enqueue_p2p(
-                int(count) * p * vs, ready_at=t0, peer=f"dev{src}", src=src
-            )
-        if shard.nnz_halo > 0:
-            h_start = max(t0 + dt_local, arrival)
-            dt_halo = dev.cost.spmm_halo_time(
-                shard.n_rows, shard.nnz_halo, p, itemsize=vs
-            )
-            timeline.record_at(
-                f"cusparse{letter}csrmm[halo,dev{d}]", "kernel", h_start, dt_halo
-            )
-            dev.kernel_launches += 1
-            dev.spmv_traffic_bytes += dev.cost.spmm_halo_bytes(
-                shard.n_rows, shard.nnz_halo, p, vs
-            )
-
-    gathered = as_f64(P.sub_vals)[:, None] * as_f64(B)[P.sub_cols]
-    row_nnz = np.bincount(P.sub_rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(row_nnz, out=indptr[1:])
-    nonempty = np.flatnonzero(row_nnz > 0)
-    prod = np.zeros((n, p))
-    if nonempty.size:
-        prod[nonempty] = np.add.reduceat(gathered, indptr[nonempty], axis=0)
-    if C is None:
-        return prod
-    C[...] = prod
-    return C
+    _charge_shards(P, B, B.shape[1])
+    return _store(P.substrate.spmm(B), C)

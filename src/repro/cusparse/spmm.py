@@ -4,62 +4,40 @@ the ELL/HYB counterparts).
 The same format trade-off that drives the SpMV autotuner applies to SpMM:
 the padded ELL layout streams coalesced and is read once per launch
 (amortized over the ``p`` columns of B), while CSR pays an irregular
-gather per row segment.  All formats share the reference substrate
-arithmetic (see :mod:`repro.cusparse.formats`): the gathered-B products
-are formed in canonical CSR order and row-reduced with the identical
-``np.add.reduceat`` call, so the format choice changes only the charged
+gather per row segment.  All formats compute through one substrate
+(:mod:`repro.cusparse.substrate`): the gathered-B products in canonical
+CSR order, row-reduced by the same ``np.add.reduceat`` over the same
+non-empty row starts, so the format choice changes only the charged
 time, never a float of C.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.chaos.runtime import chaos_check
 from repro.cuda.memory import DeviceArray
 from repro.cusparse.matrices import DeviceCSR
+from repro.cusparse.substrate import charge, epilogue
 from repro.errors import SparseValueError
-from repro.precision import as_f64, kernel_letter
+from repro.precision import kernel_letter
 
 
-def _substrate_mm(
-    sub_rows: np.ndarray,
-    sub_cols: np.ndarray,
-    sub_vals: np.ndarray,
-    B: DeviceArray,
-    C: DeviceArray,
-    n: int,
-    alpha: float,
-    beta: float,
-) -> None:
-    """Shared reference arithmetic for all SpMM formats.
-
-    ``sub_*`` is the canonical CSR-order triple; the row starts are
-    reconstructed from the row ids, so the ``reduceat`` segments are the
-    exact segments :func:`csrmm` reduces — bit-identical across formats.
-    """
-    p = B.shape[1]
-    gathered = as_f64(sub_vals)[:, None] * as_f64(B.data)[sub_cols]
-    row_nnz = np.bincount(sub_rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(row_nnz, out=indptr[1:])
-    nonempty = np.flatnonzero(row_nnz > 0)
-    prod = np.zeros((n, p))
-    if nonempty.size:
-        prod[nonempty] = np.add.reduceat(gathered, indptr[nonempty], axis=0)
-    if beta == 0.0:
-        C.data[...] = alpha * prod
-    else:
-        C.data[...] = alpha * prod + beta * C.data
-
-
-def _check_operands(A, B, C, n, m):
+def _product(kernel: str, A, B: DeviceArray, C, alpha: float, beta: float):
+    """Chaos site, operand checks and ``C <- alpha * A @ B + beta * C``
+    through the substrate; returns ``(C, device, p, value itemsize)``."""
+    dev = A.device
+    chaos_check(f"cusparse.{kernel}", dev)
+    n, m = A.shape
     if B.ndim != 2 or B.shape[0] != m:
         raise SparseValueError(f"spmm: A is {A.shape}, B is {B.shape}")
     p = B.shape[1]
     if C is not None and C.shape != (n, p):
         raise SparseValueError(f"spmm: C is {C.shape}, expected {(n, p)}")
-    return p
+    sub = A.substrate
+    if C is None:
+        C = dev.empty((n, p), dtype=sub.vals.dtype)
+        beta = 0.0
+    epilogue(C.data, sub.spmm(B.data), alpha, beta)
+    return C, dev, p, sub.vals.dtype.itemsize
 
 
 def csrmm(
@@ -72,40 +50,16 @@ def csrmm(
     """``C <- alpha * A @ B + beta * C`` with sparse A and dense B.
 
     Used when several vectors are multiplied at once (e.g. applying the
-    operator to a block of Lanczos restart vectors).
+    operator to a block of Lanczos restart vectors).  One launch; the
+    matrix structure traffic is amortized across the ``p`` columns.
     """
-    dev = A.device
-    chaos_check("cusparse.csrmm", dev)
-    n, m = A.shape
-    p = _check_operands(A, B, C, n, m)
-    if C is None:
-        C = dev.empty((n, p), dtype=A.val.data.dtype)
-        beta = 0.0
-
-    # per-row segment sums over the gathered B rows; reduceat shares
-    # numpy's pairwise-summation kernel with thrust::reduce_by_key's
-    # substrate, so CSR row sums here are bit-identical to a segmented
-    # reduction over the same element order (operands upcast to fp64
-    # before the reduce; the write into C quantizes to its storage dtype)
-    gathered = as_f64(A.val.data)[:, None] * as_f64(B.data)[A.indices.data]
-    row_nnz = np.diff(A.indptr.data)
-    nonempty = np.flatnonzero(row_nnz > 0)
-    prod = np.zeros((n, p))
-    if nonempty.size:
-        prod[nonempty] = np.add.reduceat(
-            gathered, A.indptr.data[nonempty], axis=0
-        )
-    if beta == 0.0:
-        C.data[...] = alpha * prod
-    else:
-        C.data[...] = alpha * prod + beta * C.data
-
-    # single launch; matrix structure traffic amortized across the p columns
-    vs = A.val.data.dtype.itemsize
-    dt = dev.cost.spmm_time(n, A.nnz, p, itemsize=vs)
-    dev.timeline.record(f"cusparse{kernel_letter(vs)}csrmm", "kernel", dt)
-    dev.kernel_launches += 1
-    dev.spmv_traffic_bytes += dev.cost.spmm_bytes(n, A.nnz, p, vs)
+    C, dev, p, vs = _product("csrmm", A, B, C, alpha, beta)
+    n, nnz = A.shape[0], A.nnz
+    charge(
+        dev, f"cusparse{kernel_letter(vs)}csrmm",
+        dev.cost.spmm_time(n, nnz, p, itemsize=vs),
+        dev.cost.spmm_bytes(n, nnz, p, vs),
+    )
     return C
 
 
@@ -122,20 +76,13 @@ def ellmm(
     lengths (e.g. the k-means membership matrix at exactly one nonzero
     per row) it beats csrmm by skipping the row-pointer indirection.
     """
-    dev = A.device
-    chaos_check("cusparse.ellmm", dev)
-    n, m = A.shape
-    p = _check_operands(A, B, C, n, m)
-    if C is None:
-        C = dev.empty((n, p), dtype=A.sub_vals.dtype)
-        beta = 0.0
-
-    _substrate_mm(A.sub_rows, A.sub_cols, A.sub_vals, B, C, n, alpha, beta)
-    vs = A.sub_vals.dtype.itemsize
-    dt = dev.cost.ellmm_time(n, A.nnz, A.width, p, itemsize=vs)
-    dev.timeline.record(f"cusparse{kernel_letter(vs)}ellmm", "kernel", dt)
-    dev.kernel_launches += 1
-    dev.spmv_traffic_bytes += dev.cost.ellmm_bytes(n, A.nnz, A.width, p, vs)
+    C, dev, p, vs = _product("ellmm", A, B, C, alpha, beta)
+    n = A.shape[0]
+    charge(
+        dev, f"cusparse{kernel_letter(vs)}ellmm",
+        dev.cost.ellmm_time(n, A.nnz, A.width, p, itemsize=vs),
+        dev.cost.ellmm_bytes(n, A.nnz, A.width, p, vs),
+    )
     return C
 
 
@@ -151,32 +98,19 @@ def hybmm(
     Two launches: the coalesced ELL pass plus the atomics-based COO pass
     over the spill tail, mirroring :func:`~repro.cusparse.spmv.hybmv`.
     """
-    dev = A.device
-    chaos_check("cusparse.hybmm", dev)
-    n, m = A.shape
-    p = _check_operands(A, B, C, n, m)
-    if C is None:
-        C = dev.empty((n, p), dtype=A.sub_vals.dtype)
-        beta = 0.0
-
-    _substrate_mm(A.sub_rows, A.sub_cols, A.sub_vals, B, C, n, alpha, beta)
-    vs = A.sub_vals.dtype.itemsize
-    letter = kernel_letter(vs)
-    dev.timeline.record(
-        f"cusparse{letter}hybmm[ell]",
-        "kernel",
+    C, dev, p, vs = _product("hybmm", A, B, C, alpha, beta)
+    n, letter = A.shape[0], kernel_letter(vs)
+    charge(
+        dev, f"cusparse{letter}hybmm[ell]",
         dev.cost.ellmm_time(n, A.nnz_ell, A.width, p, itemsize=vs),
+        dev.cost.ellmm_bytes(n, A.nnz_ell, A.width, p, vs),
     )
-    dev.kernel_launches += 1
-    dev.spmv_traffic_bytes += dev.cost.ellmm_bytes(n, A.nnz_ell, A.width, p, vs)
     if A.nnz_coo > 0:
-        dev.timeline.record(
-            f"cusparse{letter}hybmm[coo]",
-            "kernel",
+        charge(
+            dev, f"cusparse{letter}hybmm[coo]",
             dev.cost.spmm_time(n, A.nnz_coo, p, itemsize=vs) * 2.0,
+            dev.cost.spmm_bytes(n, A.nnz_coo, p, vs),
         )
-        dev.kernel_launches += 1
-        dev.spmv_traffic_bytes += dev.cost.spmm_bytes(n, A.nnz_coo, p, vs)
     return C
 
 

@@ -6,17 +6,39 @@ iteration, with the vector shuttling over PCIe each time (Algorithm 3).
 The cost model charges gather-class bandwidth, which is why the GPU's
 advantage over a CPU SpMV is the ~5-10x the paper reports rather than the
 raw flops ratio.
+
+Every kernel here is three steps: check the operands, compute through the
+operand's :class:`~repro.cusparse.substrate.Substrate` (one product for
+all formats), and charge its launches through
+:func:`~repro.cusparse.substrate.charge`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.chaos.runtime import chaos_check
 from repro.cuda.memory import DeviceArray
 from repro.cusparse.matrices import DeviceCOO, DeviceCSR
+from repro.cusparse.substrate import charge, epilogue
 from repro.errors import SparseValueError
-from repro.precision import as_f64, kernel_letter
+from repro.precision import kernel_letter
+
+
+def _product(kernel: str, A, x: DeviceArray, y, alpha: float, beta: float):
+    """Chaos site, operand checks and ``y <- alpha * A @ x + beta * y``
+    through the substrate; returns ``(y, device, value itemsize)``."""
+    dev = A.device
+    chaos_check(f"cusparse.{kernel}", dev)
+    n, m = A.shape
+    if x.size != m:
+        raise SparseValueError(f"{kernel}: A is {A.shape}, x has length {x.size}")
+    sub = A.substrate
+    if y is None:
+        y = dev.empty(n, dtype=sub.vals.dtype)
+        beta = 0.0
+    elif y.size != n:
+        raise SparseValueError(f"{kernel}: A is {A.shape}, y has length {y.size}")
+    epilogue(y.data, sub.spmv(x.data), alpha, beta)
+    return y, dev, sub.vals.dtype.itemsize
 
 
 def csrmv(
@@ -25,52 +47,14 @@ def csrmv(
     y: DeviceArray | None = None,
     alpha: float = 1.0,
     beta: float = 0.0,
-    rows_cache: np.ndarray | None = None,
 ) -> DeviceArray:
-    """``y <- alpha * A @ x + beta * y`` (``cusparseDcsrmv``).
-
-    Parameters
-    ----------
-    rows_cache:
-        Optional precomputed per-nonzero row expansion (``repeat`` of row
-        ids); callers running thousands of iterations (the eigensolver)
-        pass this to keep the host-side simulation overhead amortized.
-        It does not affect the simulated cost.
-    """
-    dev = A.device
-    chaos_check("cusparse.csrmv", dev)
-    n, m = A.shape
-    if x.size != m:
-        raise SparseValueError(f"csrmv: A is {A.shape}, x has length {x.size}")
-    if y is None:
-        y = dev.empty(n, dtype=A.val.data.dtype)
-        beta = 0.0
-    elif y.size != n:
-        raise SparseValueError(f"csrmv: A is {A.shape}, y has length {y.size}")
-
-    if rows_cache is None:
-        rows_cache = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(A.indptr.data)
-        )
-    # fp64 accumulation regardless of storage width: operands upcast
-    # before the multiply-reduce (as_f64 is the identity on float64, so
-    # the exact path runs the expression it always did); the write into
-    # y quantizes to y's storage dtype.
-    prod = np.bincount(
-        rows_cache,
-        weights=as_f64(A.val.data) * as_f64(x.data)[A.indices.data],
-        minlength=n,
+    """``y <- alpha * A @ x + beta * y`` (``cusparseDcsrmv``)."""
+    y, dev, vs = _product("csrmv", A, x, y, alpha, beta)
+    n, nnz = A.shape[0], A.nnz
+    charge(
+        dev, f"cusparse{kernel_letter(vs)}csrmv",
+        dev.cost.spmv_time(n, nnz, itemsize=vs), dev.cost.spmv_bytes(n, nnz, vs),
     )
-    if beta == 0.0:
-        y.data[...] = alpha * prod
-    else:
-        y.data[...] = alpha * prod + beta * y.data
-
-    vs = A.val.data.dtype.itemsize
-    dt = dev.cost.spmv_time(n, A.nnz, itemsize=vs)
-    dev.timeline.record(f"cusparse{kernel_letter(vs)}csrmv", "kernel", dt)
-    dev.kernel_launches += 1
-    dev.spmv_traffic_bytes += dev.cost.spmv_bytes(n, A.nnz, vs)
     return y
 
 
@@ -87,53 +71,15 @@ def coomv(
     this with an extra penalty over csrmv — the reason the pipeline converts
     to CSR before the eigensolver (§IV.B, and the format ablation bench).
     """
-    dev = A.device
-    chaos_check("cusparse.coomv", dev)
-    n, m = A.shape
-    if x.size != m:
-        raise SparseValueError(f"coomv: A is {A.shape}, x has length {x.size}")
-    if y is None:
-        y = dev.empty(n, dtype=A.val.data.dtype)
-        beta = 0.0
-    elif y.size != n:
-        raise SparseValueError(f"coomv: A is {A.shape}, y has length {y.size}")
-
-    prod = np.bincount(
-        A.row.data,
-        weights=as_f64(A.val.data) * as_f64(x.data)[A.col.data],
-        minlength=n,
+    y, dev, vs = _product("coomv", A, x, y, alpha, beta)
+    n, nnz = A.shape[0], A.nnz
+    # atomic contention: ~2x the csrmv time at the same bytes
+    charge(
+        dev, f"cusparse{kernel_letter(vs)}coomv",
+        dev.cost.spmv_time(n, nnz, itemsize=vs) * 2.0,
+        dev.cost.spmv_bytes(n, nnz, vs),
     )
-    if beta == 0.0:
-        y.data[...] = alpha * prod
-    else:
-        y.data[...] = alpha * prod + beta * y.data
-
-    # atomic contention: ~2x the csrmv bytes at gather efficiency
-    vs = A.val.data.dtype.itemsize
-    dt = dev.cost.spmv_time(n, A.nnz, itemsize=vs) * 2.0
-    dev.timeline.record(f"cusparse{kernel_letter(vs)}coomv", "kernel", dt)
-    dev.kernel_launches += 1
-    dev.spmv_traffic_bytes += dev.cost.spmv_bytes(n, A.nnz, vs)
     return y
-
-
-def _substrate_product(A, x: DeviceArray, y, alpha: float, beta: float, n: int):
-    """Shared reference arithmetic for the padded formats.
-
-    ELL/HYB objects carry the canonical CSR-order triple
-    (``sub_rows``/``sub_cols``/``sub_vals``); computing the product through
-    it — the identical ``np.bincount`` csrmv performs — is what guarantees
-    bit-identical results across formats (see ``formats`` module docstring).
-    """
-    prod = np.bincount(
-        A.sub_rows,
-        weights=as_f64(A.sub_vals) * as_f64(x.data)[A.sub_cols],
-        minlength=n,
-    )
-    if beta == 0.0:
-        y.data[...] = alpha * prod
-    else:
-        y.data[...] = alpha * prod + beta * y.data
 
 
 def ellmv(
@@ -148,23 +94,13 @@ def ellmv(
     One fully-coalesced kernel over the padded layout; cheap on uniform row
     lengths, pays for every padding slot on skewed ones.
     """
-    dev = A.device
-    chaos_check("cusparse.ellmv", dev)
-    n, m = A.shape
-    if x.size != m:
-        raise SparseValueError(f"ellmv: A is {A.shape}, x has length {x.size}")
-    if y is None:
-        y = dev.empty(n, dtype=A.sub_vals.dtype)
-        beta = 0.0
-    elif y.size != n:
-        raise SparseValueError(f"ellmv: A is {A.shape}, y has length {y.size}")
-
-    _substrate_product(A, x, y, alpha, beta, n)
-    vs = A.sub_vals.dtype.itemsize
-    dt = dev.cost.ellmv_time(n, A.nnz, A.width, itemsize=vs)
-    dev.timeline.record(f"cusparse{kernel_letter(vs)}ellmv", "kernel", dt)
-    dev.kernel_launches += 1
-    dev.spmv_traffic_bytes += dev.cost.ellmv_bytes(n, A.nnz, A.width, vs)
+    y, dev, vs = _product("ellmv", A, x, y, alpha, beta)
+    n = A.shape[0]
+    charge(
+        dev, f"cusparse{kernel_letter(vs)}ellmv",
+        dev.cost.ellmv_time(n, A.nnz, A.width, itemsize=vs),
+        dev.cost.ellmv_bytes(n, A.nnz, A.width, vs),
+    )
     return y
 
 
@@ -180,35 +116,19 @@ def hybmv(
     Two launches: the coalesced ELL pass over the regular part, then the
     atomics-based COO pass over the spill tail.
     """
-    dev = A.device
-    chaos_check("cusparse.hybmv", dev)
-    n, m = A.shape
-    if x.size != m:
-        raise SparseValueError(f"hybmv: A is {A.shape}, x has length {x.size}")
-    if y is None:
-        y = dev.empty(n, dtype=A.sub_vals.dtype)
-        beta = 0.0
-    elif y.size != n:
-        raise SparseValueError(f"hybmv: A is {A.shape}, y has length {y.size}")
-
-    _substrate_product(A, x, y, alpha, beta, n)
-    vs = A.sub_vals.dtype.itemsize
-    letter = kernel_letter(vs)
-    dev.timeline.record(
-        f"cusparse{letter}hybmv[ell]",
-        "kernel",
+    y, dev, vs = _product("hybmv", A, x, y, alpha, beta)
+    n, letter = A.shape[0], kernel_letter(vs)
+    charge(
+        dev, f"cusparse{letter}hybmv[ell]",
         dev.cost.ellmv_time(n, A.nnz_ell, A.width, itemsize=vs),
+        dev.cost.ellmv_bytes(n, A.nnz_ell, A.width, vs),
     )
-    dev.kernel_launches += 1
-    dev.spmv_traffic_bytes += dev.cost.ellmv_bytes(n, A.nnz_ell, A.width, vs)
     if A.nnz_coo > 0:
-        dev.timeline.record(
-            f"cusparse{letter}hybmv[coo]",
-            "kernel",
+        charge(
+            dev, f"cusparse{letter}hybmv[coo]",
             dev.cost.spmv_time(n, A.nnz_coo, itemsize=vs) * 2.0,
+            dev.cost.spmv_bytes(n, A.nnz_coo, vs),
         )
-        dev.kernel_launches += 1
-        dev.spmv_traffic_bytes += dev.cost.spmv_bytes(n, A.nnz_coo, vs)
     return y
 
 
@@ -218,13 +138,12 @@ def spmv_any(
     y: DeviceArray | None = None,
     alpha: float = 1.0,
     beta: float = 0.0,
-    rows_cache: np.ndarray | None = None,
 ) -> DeviceArray:
     """Format-dispatching SpMV: CSR, ELL or HYB operand, same semantics."""
     from repro.cusparse.formats import DeviceELL, DeviceHYB
 
     if isinstance(A, DeviceCSR):
-        return csrmv(A, x, y, alpha=alpha, beta=beta, rows_cache=rows_cache)
+        return csrmv(A, x, y, alpha=alpha, beta=beta)
     if isinstance(A, DeviceELL):
         return ellmv(A, x, y, alpha=alpha, beta=beta)
     if isinstance(A, DeviceHYB):

@@ -316,16 +316,12 @@ def kmeans_device(
             dOld = bufs.add(device.empty(n, dtype=np.int64))
             dChanges = bufs.add(device.empty(1, dtype=np.int64))
             dHist = bufs.add(device.empty(max_iter, dtype=np.float64))
-        membership = None
         if centroid_update == "spmm":
             dCounts = bufs.add(device.empty(k + 1, dtype=np.int64))
             dIndptr = bufs.add(device.empty(k + 1, dtype=np.int64))
             dIdx = bufs.add(device.empty(n, dtype=np.int64))
             dOnes = bufs.add(device.full(n, 1.0))
             dSums = bufs.add(device.empty((k, d), dtype=np.float64))
-            membership = DeviceCSR(
-                indptr=dIndptr, indices=dIdx, val=dOnes, shape=(k, n)
-            )
         #: resolved on the first iteration's row stats when 'auto'
         spmm_fmt = None if spmm_format == "auto" else spmm_format
         spmm_decision = None
@@ -412,6 +408,11 @@ def kmeans_device(
                 launch(
                     membership_scatter, grid_1d(n, block),
                     dlabels, dIndptr, dIdx, n_threads=n,
+                )
+                # a fresh operand over the rewritten buffers: its product
+                # substrate follows this trip's structure
+                membership = DeviceCSR(
+                    indptr=dIndptr, indices=dIdx, val=dOnes, shape=(k, n)
                 )
                 if spmm_fmt is None:
                     # rank CSR/ELL/HYB once on the first membership's row

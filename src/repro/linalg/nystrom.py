@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cusparse.substrate import Substrate
 from repro.precision import as_f64, ritz_tolerance
 
 #: ritz values closer to zero than this are clamped before the 1/θ
@@ -38,21 +39,13 @@ _THETA_FLOOR = 1e-12
 
 
 def csr_row_reduce(indptr: np.ndarray, vals2d: np.ndarray) -> np.ndarray:
-    """Segment-sum ``vals2d`` rows by the CSR row pointer.
-
-    The exact ``np.add.reduceat`` call :func:`repro.cusparse.spmm.csrmm`
-    uses, factored out so host fallbacks reproduce device products bit
-    for bit.  ``vals2d`` may be 1-D (degrees) or 2-D (gathered basis
-    rows).
-    """
-    n = indptr.shape[0] - 1
-    row_nnz = np.diff(indptr)
-    nonempty = np.flatnonzero(row_nnz > 0)
-    shape = (n,) if vals2d.ndim == 1 else (n, vals2d.shape[1])
-    out = np.zeros(shape)
-    if nonempty.size:
-        out[nonempty] = np.add.reduceat(vals2d, indptr[nonempty], axis=0)
-    return out
+    """Segment-sum ``vals2d`` rows by the CSR row pointer — the substrate
+    row reduction :func:`repro.cusparse.spmm.csrmm` uses, so host
+    fallbacks reproduce device products bit for bit.  ``vals2d`` may be
+    1-D (degrees) or 2-D (gathered basis rows)."""
+    return Substrate(indptr.shape[0] - 1, None, None, indptr=indptr).reduce_rows(
+        vals2d
+    )
 
 
 def nystrom_product(
@@ -61,10 +54,11 @@ def nystrom_product(
     vals: np.ndarray,
     basis: np.ndarray,
 ) -> np.ndarray:
-    """``S @ basis`` with the identical gather/reduceat arithmetic as the
-    device ``cusparseDcsrmm`` substrate (fp64 accumulation)."""
-    gathered = as_f64(vals)[:, None] * as_f64(basis)[indices]
-    return csr_row_reduce(indptr, gathered)
+    """``S @ basis`` through the device ``cusparseDcsrmm`` substrate
+    (fp64 accumulation)."""
+    return Substrate(indptr.shape[0] - 1, indices, vals, indptr=indptr).spmm(
+        basis
+    )
 
 
 def nystrom_degrees(indptr: np.ndarray, vals: np.ndarray) -> np.ndarray:

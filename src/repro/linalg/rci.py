@@ -161,10 +161,9 @@ class TransferLedger:
     halo_pairs:
         Peer copies issued per SpMV (nonzero (dst, src) pairs).
     row_counts:
-        Rows owned per device.  Empty means the uniform ``linspace``
-        split (the PR-5 row-balanced partitioner); the nnz-balanced and
-        min-cut modes pass their actual row counts so scatter/gather
-        slices follow the real layout.
+        Rows owned per device (the partition's row blocks), so
+        scatter/gather slices follow the real layout.  Required when
+        ``n_devices > 1``.
     """
 
     n: int
@@ -232,20 +231,18 @@ class TransferLedger:
     def shard_split(self, total: int) -> tuple[int, ...]:
         """Split ``total`` bytes across the row blocks, exactly.
 
-        Proportional to rows with the rounding remainder charged to
-        device 0, so per-device scatter/gather slices always sum to the
+        Proportional to ``row_counts`` with the rounding remainder charged
+        to device 0, so per-device scatter/gather slices always sum to the
         single-device total — the consistency tests rely on this.
         """
         if self.n_devices <= 1:
             return (total,)
-        import numpy as np
-
-        if self.row_counts:
-            rows = np.asarray(self.row_counts, dtype=np.int64)
-        else:
-            bounds = np.linspace(0, self.n, self.n_devices + 1).astype(np.int64)
-            rows = np.diff(bounds)
-        parts = [int(total * int(r) // self.n) for r in rows]
+        if len(self.row_counts) != self.n_devices:
+            raise EigensolverError(
+                f"shard_split over {self.n_devices} devices needs their "
+                f"row_counts, got {self.row_counts!r}"
+            )
+        parts = [int(total * int(r) // self.n) for r in self.row_counts]
         parts[0] += total - sum(parts)
         return tuple(parts)
 

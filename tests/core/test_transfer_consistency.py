@@ -6,12 +6,15 @@ pin the two together byte-for-byte for full eigensolver runs, single- and
 multi-device.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.workflow import hybrid_eigensolver
 from repro.cuda.device import Device
 from repro.cuda.profiler import Profiler
 from repro.cusparse.matrices import coo_to_device
+from repro.cusparse.partition import partition_bounds_nnz
+from repro.errors import EigensolverError
 from repro.graph.laplacian import device_sym_normalize
 from repro.linalg.rci import TransferLedger
 
@@ -112,11 +115,15 @@ class TestMultiDeviceConsistency:
         assert part["step_halo_bytes"] == ledger.step_halo_bytes()
 
     def test_seed_scatter_sums_exactly(self, sbm_graph):
-        _, _, n = _build(sbm_graph)
-        ledger = TransferLedger(n=n, m=30, k=6, n_devices=3)
+        _, op, n = _build(sbm_graph)
+        rows = tuple(np.diff(partition_bounds_nnz(op.indptr.data, 3)))
+        ledger = TransferLedger(n=n, m=30, k=6, n_devices=3, row_counts=rows)
         split = ledger.shard_split(ledger.seed_h2d_bytes())
         assert len(split) == 3
         assert sum(split) == ledger.seed_h2d_bytes()
+        # a multi-device split without the partition's rows is refused
+        with pytest.raises(EigensolverError):
+            TransferLedger(n=n, m=30, k=6, n_devices=3).shard_split(64)
 
     def test_multi_device_same_pcie_totals_as_single(self, sbm_graph):
         """The peer bus is extra; the PCIe d2h plan is unchanged, and h2d

@@ -173,86 +173,21 @@ class TestAutotuner:
         assert d["padding_ratio"] >= 1.0
 
 
-class TestMeasuredEvidence:
-    def test_no_measurements_means_all_predicted(self, device, dcsr):
-        d = autotune_format(dcsr.indptr.data, device.cost)
-        assert d.measured_s == {}
-        assert all(v == "predicted" for v in d.evidence.values())
-        assert set(d.evidence) == set(d.predicted_s)
-
-    def test_measured_time_overrides_prediction(self, device):
-        # uniform rows predict ELL cheapest; a measured CSR time far below
-        # every prediction must win the ranking
-        indptr = _uniform_indptr(1000, 8)
-        base = autotune_format(indptr, device.cost)
-        assert base.format == "ell"
-        fast_csr = min(base.predicted_s.values()) / 10.0
-        d = autotune_format(indptr, device.cost, measured={"csr": fast_csr})
-        assert d.format == "csr"
-        assert d.evidence["csr"] == "measured"
-        assert d.evidence["ell"] == "predicted"
-        assert d.measured_s == {"csr": fast_csr}
-
-    def test_measured_equal_to_predicted_keeps_ranking(self, device, dcsr):
-        # simulated measurements replay the cost model, so feeding the
-        # winner's own prediction back must not flip the decision
-        base = autotune_format(dcsr.indptr.data, device.cost)
-        d = autotune_format(
-            dcsr.indptr.data, device.cost,
-            measured={base.format: base.predicted_s[base.format]},
-        )
-        assert d.format == base.format
-        assert d.evidence[base.format] == "measured"
-
-    def test_irrelevant_measurements_ignored(self, device):
-        # a measurement for a format outside the candidate set is dropped
-        d = autotune_format(
-            _uniform_indptr(100, 4), device.cost, formats=("csr",),
-            measured={"ell": 1e-9},
-        )
-        assert d.format == "csr"
-        assert d.measured_s == {}
-
-    def test_as_dict_includes_measured_keys(self, device, dcsr):
-        d = autotune_format(
-            dcsr.indptr.data, device.cost, measured={"csr": 1e-3}
-        ).as_dict()
-        assert d["measured_spmv_s"] == {"csr": 1e-3}
-        assert d["evidence"]["csr"] == "measured"
-
-
-class TestDeviceMeasurementFeedback:
-    """The device accumulates per-(format, shape) SpMV timings and the
-    eigensolver replays them into the next autotune call."""
-
-    def test_note_and_average(self, device):
-        device.note_spmv_time("csr", 100, 500, 2e-5)
-        device.note_spmv_time("csr", 100, 500, 4e-5)
-        device.note_spmv_time("ell", 100, 500, 1e-5)
-        device.note_spmv_time("csr", 200, 900, 9e-5)  # different shape
-        out = device.measured_spmv_times(100, 500)
-        assert out["csr"] == pytest.approx(3e-5)
-        assert out["ell"] == pytest.approx(1e-5)
-        assert "hyb" not in out
-        assert device.measured_spmv_times(999, 1) == {}
-
-    def test_second_solve_reports_measured_evidence(self, sbm_graph):
+class TestRepeatFits:
+    def test_repeat_fits_on_one_device_agree(self, sbm_graph):
+        """The autotuner is a pure function of the operator and the
+        device spec: a second fit on the same device picks the same
+        format and every clustering bit matches."""
         from repro.core.pipeline import SpectralClustering
         from repro.cuda.device import Device
 
         W, _ = sbm_graph
         dev = Device()
         m1 = SpectralClustering(n_clusters=6, seed=0, device=dev).fit(graph=W)
-        fd1 = m1.eig_stats["format_decision"]
-        assert set(fd1["evidence"].values()) == {"predicted"}
-        assert fd1["n_spmv_timed"] > 0
-        assert fd1["format"] in fd1["observed_spmv_s"]
         m2 = SpectralClustering(n_clusters=6, seed=0, device=dev).fit(graph=W)
+        fd1 = m1.eig_stats["format_decision"]
         fd2 = m2.eig_stats["format_decision"]
-        assert fd2["evidence"][fd2["format"]] == "measured"
-        # the replayed measurement equals the model's charge, so the
-        # decision (and every clustering bit) is unchanged
-        assert fd2["format"] == fd1["format"]
+        assert fd2 == fd1
         assert np.array_equal(m1.labels, m2.labels)
 
 

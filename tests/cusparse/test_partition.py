@@ -233,8 +233,8 @@ class TestSpmvPartitioned:
 
 
 class TestPartitionModes:
-    """nnz-balanced partitioning on skewed graphs: balance, bit-identity,
-    and reuse of explicit row sets."""
+    """nnz-balanced partitioning on skewed graphs: balance and
+    bit-identity."""
 
     def _skewed(self, rng, n=120):
         """A graph whose first rows are far denser than the rest."""
@@ -267,10 +267,9 @@ class TestPartitionModes:
         assert abs(nnzs[0] - nnzs[1]) < 0.2 * A.nnz
         assert list(P.bounds) == list(partition_bounds_nnz(host.indptr, 2))
 
-    @pytest.mark.parametrize("layout", ["rows", "nnz", "interleaved"])
+    @pytest.mark.parametrize("layout", ["nnz"])
     def test_bit_identical_across_modes(self, rng, layout):
-        """The default nnz blocks and explicit row sets — an even row
-        split or an interleaved ownership — all reproduce one device."""
+        """The nnz-balanced row blocks reproduce one device."""
         host = self._skewed(rng)
         x = rng.standard_normal(120)
         ref_dev = Device()
@@ -280,27 +279,8 @@ class TestPartitionModes:
         csrmv(dA, dx, dy)
         ref = dy.data.copy()
 
-        all_rows = np.arange(120, dtype=np.int64)
-        row_sets = {
-            "rows": np.array_split(all_rows, 3),
-            "nnz": None,
-            "interleaved": [all_rows[d::3] for d in range(3)],
-        }[layout]
         devices = make_devices(3)
         A = csr_to_device(devices[0], host)
-        P = partition_csr(A, devices, row_sets=row_sets)
+        P = partition_csr(A, devices)
         y = spmv_partitioned(P, x)
         assert y.tobytes() == ref.tobytes()
-
-    def test_explicit_row_sets_reused(self, rng):
-        host = random_sparse(60, 60, 0.1, rng=rng).to_csr()
-        devices = make_devices(2)
-        A = csr_to_device(devices[0], host)
-        sets = [np.arange(0, 20, dtype=np.int64), np.arange(20, 60, dtype=np.int64)]
-        P = partition_csr(A, devices, row_sets=sets)
-        assert P.row_counts == (20, 40)
-        bad = [np.arange(0, 20, dtype=np.int64), np.arange(25, 60, dtype=np.int64)]
-        devices2 = make_devices(2)
-        A2 = csr_to_device(devices2[0], host)
-        with pytest.raises(SparseValueError):
-            partition_csr(A2, devices2, row_sets=bad)

@@ -33,11 +33,14 @@ class TestCsrmv:
         assert np.allclose(dy.data, 2.0 * (host.to_dense() @ x) + 0.5 * y0)
 
     def test_rows_cache_gives_same_answer(self, device, setup):
+        """The operand expands its row ids once; the cached expansion is
+        the row pointer's, and repeat products are bit-identical."""
         host, dcsr, x, dx = setup
+        y1 = csrmv(dcsr, dx).data.copy()
         cache = np.repeat(np.arange(30), np.diff(dcsr.indptr.data))
-        y1 = csrmv(dcsr, dx)
-        y2 = csrmv(dcsr, dx, rows_cache=cache)
-        assert np.allclose(y1.data, y2.data)
+        assert np.array_equal(dcsr.substrate.rows, cache)
+        y2 = csrmv(dcsr, dx).data
+        assert y1.tobytes() == y2.tobytes()
 
     def test_dim_mismatch(self, device, setup):
         _, dcsr, _, _ = setup
