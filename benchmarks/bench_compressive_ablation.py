@@ -37,7 +37,7 @@ enforce them in CI:
   aspirational targets.
 
 The grid is recomputed at most once per process (the large cell costs
-minutes of wall time); ``bench_regression.py`` reuses the memoized
+about 25 s of wall time on a 2-vCPU VM); ``bench_regression.py`` reuses the memoized
 summary when both files run in one pytest invocation.
 """
 

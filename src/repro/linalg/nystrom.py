@@ -38,13 +38,11 @@ from repro.precision import as_f64, ritz_tolerance
 _THETA_FLOOR = 1e-12
 
 
-def csr_row_reduce(indptr: np.ndarray, vals2d: np.ndarray) -> np.ndarray:
-    """Segment-sum ``vals2d`` rows by the CSR row pointer — the substrate
-    row reduction :func:`repro.cusparse.spmm.csrmm` uses, so host
-    fallbacks reproduce device products bit for bit.  ``vals2d`` may be
-    1-D (degrees) or 2-D (gathered basis rows)."""
+def csr_row_reduce(indptr: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Segment-sum the 1-D per-nonzero ``vals`` by the CSR row pointer
+    (the Nyström degrees); empty rows are zero."""
     return Substrate(indptr.shape[0] - 1, None, None, indptr=indptr).reduce_rows(
-        vals2d
+        vals
     )
 
 

@@ -11,18 +11,24 @@ against frozen values:
   the device group.
 
 The frozen table is the simulator's contract: a refactor of the sparse
-substrate or of the kernel charges may not move one bit of it.
+substrate or of the kernel charges may not move one bit of it.  The SpMM
+cells run twice: at the default block budget (one block) and at a budget
+small enough that every product spans many row blocks.
 """
 
 from __future__ import annotations
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.workflow import CPUPlacement, Solve
 from repro.cuda.device import Device
+from repro.cusparse import substrate
 from repro.cusparse.formats import csr_to_ell, csr_to_hyb
 from repro.cusparse.matrices import DeviceCOO, cast_csr, csr_to_device
 from repro.cusparse.partition import (
@@ -34,11 +40,19 @@ from repro.cusparse.partition import (
 from repro.cusparse.spmm import csrmm, ellmm, hybmm
 from repro.cusparse.spmv import coomv, csrmv, ellmv, hybmv
 from repro.linalg.nystrom import nystrom_product
-from repro.precision import PRECISION_DTYPES, quantize, quantize_roundtrip
+from repro.precision import (
+    PRECISION_DTYPES,
+    as_f64,
+    quantize,
+    quantize_roundtrip,
+)
 from repro.sparse.coo import COOMatrix
 
 N = 48
 P_COLS = 3
+#: block budget (nonzeros × columns) that splits the table's matrix into
+#: blocks of a few rows at ``P_COLS`` columns
+SMALL_BUDGET = 12 * P_COLS
 ALPHA_BETA = ((1.0, 0.0), (0.5, 2.0))
 
 _KERNELS = {
@@ -439,3 +453,79 @@ def test_product_parity(cell):
     entry, precision, ab = cell.split("-")
     alpha, beta = (float(v) for v in ab.split(","))
     assert _run(entry, precision, alpha, beta) == EXPECTED[cell]
+
+
+_SPMM_CELLS = [
+    c for c in _cells()
+    if c.split("-")[0] in ("csrmm", "ellmm", "hybmm", "spmm_partitioned",
+                           "cpu_spmm", "nystrom_product")
+]
+
+
+@pytest.mark.parametrize("cell", _SPMM_CELLS)
+def test_product_parity_small_blocks(cell, monkeypatch):
+    """The same frozen SpMM cells with every product split into blocks."""
+    monkeypatch.setattr(substrate, "_BLOCK_ELEMS", SMALL_BUDGET)
+    entry, precision, ab = cell.split("-")
+    alpha, beta = (float(v) for v in ab.split(","))
+    assert _run(entry, precision, alpha, beta) == EXPECTED[cell]
+
+
+def test_small_budget_blocks_reach_the_edges(monkeypatch):
+    """At the small budget every empty row falls in a block that scatters
+    its reduction around it, and the long row 9 is a block of its own."""
+    monkeypatch.setattr(substrate, "_BLOCK_ELEMS", SMALL_BUDGET)
+    host = _host_matrix().to_csr()
+    sub = substrate.Substrate(N, host.indices, host.data, indptr=host.indptr)
+    _, blocks = sub._row_blocks(P_COLS)
+    targets = [t for _, _, _, t in blocks]
+    firsts = [t.start if isinstance(t, slice) else t[0] for t in targets]
+    spans = list(zip(firsts, firsts[1:] + [N]))
+    assert len(blocks) > 10
+    assert spans[firsts.index(9)] == (9, 10)
+    for row in (5, 17, 30):
+        i = next(i for i, (a, b) in enumerate(spans) if a <= row < b)
+        assert not isinstance(targets[i], slice) and row not in targets[i]
+
+
+def _unblocked(sub: substrate.Substrate, B: np.ndarray) -> np.ndarray:
+    """The oracle: the whole product as one gather → multiply → reduce."""
+    out = np.zeros((sub.n_rows, B.shape[1]))
+    if sub.nonempty.size:
+        out[sub.nonempty] = np.add.reduceat(
+            as_f64(sub.vals)[:, None] * as_f64(B)[sub.cols], sub.starts, axis=0
+        )
+    return out
+
+
+#: row lengths with runs of empty rows
+_row_lengths = st.lists(
+    st.one_of(st.just(0), st.integers(0, 12)), max_size=40
+)
+
+
+@given(
+    lengths=_row_lengths,
+    n_cols=st.integers(1, 16),
+    p=st.sampled_from([0, 1, 2, 3, 22, 49]),
+    precision=st.sampled_from(sorted(PRECISION_DTYPES)),
+    budget=st.sampled_from([1, 7, 64, 500, substrate._BLOCK_ELEMS]),
+    seed=st.integers(0, 2**16),
+)
+@example(lengths=[], n_cols=3, p=3, precision="fp64", budget=7, seed=0)
+@example(lengths=[0, 0, 0], n_cols=3, p=22, precision="fp32", budget=7, seed=0)
+@settings(max_examples=150, deadline=None)
+def test_blocked_spmm_matches_unblocked(lengths, n_cols, p, precision, budget, seed):
+    rng = np.random.default_rng(seed)
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    nnz = int(indptr[-1])
+    dtype = PRECISION_DTYPES[precision]
+    cols = rng.integers(0, n_cols, nnz)
+    vals = quantize(rng.standard_normal(nnz), dtype)
+    B = quantize(rng.standard_normal((n_cols, p)), dtype)
+    with mock.patch.object(substrate, "_BLOCK_ELEMS", budget):
+        sub = substrate.Substrate(len(lengths), cols, vals, indptr=indptr)
+        got = sub.spmm(B)
+    want = _unblocked(sub, B)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

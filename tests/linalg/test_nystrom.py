@@ -38,14 +38,6 @@ class TestRowReduce:
         indptr, _, vals, dense = _dense_csr(rng, 13, 7)
         assert np.allclose(csr_row_reduce(indptr, vals), dense.sum(axis=1))
 
-    def test_matches_dense_2d(self, rng):
-        indptr, cols, vals, dense = _dense_csr(rng, 9, 6)
-        B = rng.standard_normal((vals.size, 4))
-        expect = np.zeros((9, 4))
-        for i in range(9):
-            expect[i] = B[indptr[i]:indptr[i + 1]].sum(axis=0)
-        assert np.allclose(csr_row_reduce(indptr, B), expect)
-
     def test_empty_rows_stay_zero(self):
         indptr = np.array([0, 0, 2, 2], dtype=np.int64)
         vals = np.array([1.5, 2.5])
@@ -54,6 +46,15 @@ class TestRowReduce:
 
 
 class TestNystromProduct:
+    def test_sums_gathered_basis_rows(self, rng):
+        indptr, cols, vals, _ = _dense_csr(rng, 9, 6)
+        U = rng.standard_normal((6, 4))
+        expect = np.zeros((9, 4))
+        for i in range(9):
+            seg = slice(indptr[i], indptr[i + 1])
+            expect[i] = (vals[seg, None] * U[cols[seg]]).sum(axis=0)
+        assert np.allclose(nystrom_product(indptr, cols, vals, U), expect)
+
     def test_equals_dense_matmul(self, rng):
         indptr, cols, vals, dense = _dense_csr(rng, 11, 8)
         U = rng.standard_normal((8, 3))
