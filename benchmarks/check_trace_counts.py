@@ -7,7 +7,7 @@ asserts the per-op launch, call, byte and timeline-record counts below.
 They are deterministic for seed 0, so a refactor that drops or adds one
 kernel launch, transfer byte or sparse-product call fails here.
 
-It also holds one loose wall-clock bound: a layer's traced self time per
+It also holds loose wall-clock bounds: a layer's traced self time per
 op, divided by the run's ``machine.calibration_s`` loop so that the
 bound carries across machines, must stay under the value in
 ``WALL_BOUNDS``.
@@ -53,9 +53,13 @@ EXPECTED = {
 
 #: metric -> upper bound on ``value / machine.calibration_s`` per workload.
 #: On a 2-vCPU VM the row-blocked SpMM read 24–32 over four traced runs
-#: and the whole-matrix product it replaced read 74–98.
+#: and the whole-matrix product it replaced read 74–98.  Over six traced
+#: runs each, k-means read 12–19 with kernel bodies that index views of
+#: their thread range, and 21–28 with bodies that gathered copies through
+#: an index vector.
 WALL_BOUNDS = {
     "fit-sbm50k-compressive": {"cusparse.spmm_any.self_s": 50.0},
+    "serve-mixed": {"kmeans.kmeans_device.self_s": 20.0},
 }
 
 

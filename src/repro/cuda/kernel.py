@@ -3,10 +3,13 @@
 A :class:`Kernel` couples three things:
 
 * a **body** — a Python function with signature ``body(tid, *args)`` where
-  ``tid`` is the *vector of global thread indices* covered by the launch.
-  Bodies are written the way a CUDA kernel is written ("thread ``i`` handles
-  element ``i``") but execute vectorized over all threads at once, which is
-  the honest Python equivalent of SIMT execution;
+  ``tid`` is the *contiguous range of threads* the launch covers, the slice
+  ``slice(0, n_threads)``.  Bodies are written the way a CUDA kernel is
+  written ("thread ``i`` handles element ``i``") but execute vectorized over
+  all threads at once, which is the honest Python equivalent of SIMT
+  execution.  Indexing an operand with ``tid`` gives a view, never a
+  gathered copy, so a body costs its arithmetic; a body that needs the
+  thread ids as numbers writes ``np.arange(n)[tid]``;
 * a **cost descriptor** — ``cost(n_threads, *args) -> (flops, bytes)``
   describing the work one launch performs, fed to the device roofline model;
 * a **kind** — ``"stream"``, ``"dense"`` or ``"gather"`` selecting which
@@ -21,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from repro.chaos.runtime import chaos_check
 from repro.cuda.device import Device
@@ -122,9 +123,10 @@ def launch(
         Kernel arguments.  ``DeviceArray`` operands are unwrapped to raw
         buffers for the body; all must live on the same device.
     n_threads:
-        Logical thread count (≤ grid·block).  Defaults to grid·block; bodies
-        receive ``tid = arange(n_threads)`` so trailing threads that a real
-        kernel would mask off simply never materialize.
+        Logical thread count (0 ≤ n_threads ≤ grid·block).  Defaults to
+        grid·block.  Bodies receive ``tid = slice(0, n_threads)``, so
+        ``x[tid]`` is a view of the first ``n_threads`` elements and the
+        trailing threads a real kernel would mask off never touch memory.
     """
     if not isinstance(config, LaunchConfig):
         config = LaunchConfig(*config)
@@ -137,6 +139,8 @@ def launch(
         raise InvalidKernelLaunch(
             f"n_threads={n_threads} exceeds launch capacity {config.n_threads}"
         )
+    if n_threads < 0:
+        raise InvalidKernelLaunch(f"n_threads must be non-negative, got {n_threads}")
 
     unwrapped = []
     for a in args:
@@ -151,8 +155,7 @@ def launch(
     # consulted before the body touches any operand (retry stays safe)
     chaos_check(f"cuda.kernel:{k.name}", device)
 
-    tid = np.arange(n_threads, dtype=np.int64)
-    k.body(tid, *unwrapped)
+    k.body(slice(0, n_threads), *unwrapped)
 
     flops, bytes_moved = k.cost(n_threads, *unwrapped)
     return device.charge_kernel(

@@ -57,7 +57,7 @@ def _compute_similarity_body(tid, X, norm, src, dst, val):
     j = dst[tid]
     dots = np.einsum("ed,ed->e", X[i], X[j])
     denom = norm[i] * norm[j]
-    out = np.zeros(tid.size)
+    out = np.zeros(i.size)
     ok = denom > 0
     out[ok] = dots[ok] / denom[ok]
     val[tid] = out

@@ -120,10 +120,14 @@ def _fused_assign_body(tid, S, V, C, Vnorm, Cnorm, labels, old, changes, reset):
     # Eq. 15 init, Eq. 16 gemm, row argmin, and the label-change count in
     # one pass over the tile.  The arithmetic is expression-for-expression
     # the unfused init_distances / cublas.gemm(alpha=-2, beta=1) /
-    # argmin_rows sequence, so fusion changes charged time, never a bit.
-    S[tid] = Vnorm[tid, None] + Cnorm[None, :]
-    S[tid] = -2.0 * (V[tid] @ C.T) + 1.0 * S[tid]
-    labels[tid] = np.argmin(S[tid], axis=1)
+    # argmin_rows sequence, so fusion changes charged time, never a bit:
+    # -2·(VCᵀ) is scaled in place and added to S (the 1.0·S is exact).
+    s = S[tid]
+    np.add(Vnorm[tid, None], Cnorm, out=s)
+    g = V[tid] @ C.T
+    g *= -2.0
+    np.add(g, s, out=s)
+    labels[tid] = np.argmin(s, axis=1)
     if reset:
         changes[0] = 0
     changes[0] += np.count_nonzero(labels[tid] != old[tid])
@@ -182,7 +186,8 @@ membership_scatter = Kernel(
 
 
 def _tile_inertia_body(tid, V, C, labels, out, slot):
-    diff = V[tid] - C[labels[tid]]
+    diff = C.take(labels[tid], axis=0)
+    np.subtract(V[tid], diff, out=diff)
     out[slot] = np.einsum("nd,nd->", diff, diff)
 
 #: charged replacement for the host inertia sweep: same einsum arithmetic

@@ -271,7 +271,7 @@ def exclusive_scan(
     with dev.scratch(_cub_temp_bytes(a.size)):
         np.cumsum(a.data, out=out.data)
         out.data[1:] = out.data[:-1]
-        out.data[0] = 0
+        out.data[:1] = 0  # a no-op on an empty scan
         if init:
             np.add(out.data, init, out=out.data)
         dev.charge_kernel(

@@ -81,9 +81,66 @@ class TestLaunch:
         launch(triple, (1, 16), x, out)
         assert np.allclose(out.data, 3.0 * x.data)
 
+    def test_negative_n_threads_rejected(self, device, rng):
+        x = device.to_device(rng.random(10))
+        with pytest.raises(InvalidKernelLaunch):
+            launch(square, (1, 32), x, x, n_threads=-1)
+
     def test_bad_kind_rejected_at_definition(self):
         with pytest.raises(ValueError):
             Kernel("k", lambda tid: None, lambda nt: (0, 0), kind="warp-magic")
+
+
+class TestBodyContract:
+    """Bodies get ``tid = slice(0, n_threads)``: operands index to views."""
+
+    @staticmethod
+    def _probe(seen):
+        def body(tid, x, out):
+            seen.append((np.shares_memory(x[tid], x), x[tid].shape))
+            out[tid] = x[tid] + 1.0
+
+        return Kernel("probe", body, lambda nt, x, out: (nt, 16.0 * nt))
+
+    def test_operand_reads_are_views(self, device, rng):
+        seen = []
+        x = device.to_device(rng.random((40, 3)))
+        out = device.empty((40, 3))
+        launch(self._probe(seen), grid_1d(40, 16), x, out, n_threads=40)
+        assert seen == [(True, (40, 3))]
+
+    def test_views_of_view_rows_operands(self, device, rng):
+        seen = []
+        base = device.to_device(rng.random(50))
+        out = device.zeros(50)
+        launch(
+            self._probe(seen), grid_1d(20, 16),
+            base.view_rows(7, 27), out.view_rows(7, 27), n_threads=20,
+        )
+        assert seen == [(True, (20,))]
+        assert np.array_equal(out.data[7:27], base.data[7:27] + 1.0)
+        assert not out.data[:7].any() and not out.data[27:].any()
+
+    def test_trailing_masked_threads_never_touched(self, device, rng):
+        # 64 threads launched, 10 live: elements 10.. of each operand are
+        # outside the view and keep their sentinel
+        seen = []
+        x = device.to_device(rng.random(16))
+        out = device.full(16, -7.0)
+        launch(self._probe(seen), grid_1d(10, 32), x, out, n_threads=10)
+        assert seen == [(True, (10,))]
+        assert np.array_equal(out.data[:10], x.data[:10] + 1.0)
+        assert np.all(out.data[10:] == -7.0)
+
+    def test_zero_threads_runs_body_on_empty_views(self, device, rng):
+        seen = []
+        x = device.to_device(rng.random(8))
+        out = device.full(8, -7.0)
+        launches0 = device.kernel_launches
+        launch(self._probe(seen), (1, 32), x, out, n_threads=0)
+        assert seen == [(False, (0,))]  # an empty view shares no bytes
+        assert np.all(out.data == -7.0)
+        assert device.kernel_launches == launches0 + 1
 
 
 class TestGrid1d:

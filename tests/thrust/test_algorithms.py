@@ -130,6 +130,26 @@ class TestReductionsScans:
         a = device.to_device(np.array([1.0, 2.0]))
         assert thrust.exclusive_scan(a, init=10).data.tolist() == [10.0, 11.0]
 
+    @pytest.mark.parametrize("init", [0, 10])
+    def test_scans_of_empty_array(self, init):
+        """Both scans return an empty array and charge one empty launch."""
+        charged = {}
+        for scan, kw in (
+            (thrust.inclusive_scan, {}),
+            (thrust.exclusive_scan, {"init": init}),
+        ):
+            device = Device()
+            a = device.to_device(np.empty(0, dtype=np.int64))
+            n0, launches0 = len(device.timeline), device.kernel_launches
+            out = scan(a, **kw)
+            assert out.shape == (0,) and out.dtype == np.int64
+            charged[scan.__name__] = (
+                [ev.duration for ev in device.timeline.events[n0:]],
+                device.kernel_launches - launches0,
+            )
+        assert charged["exclusive_scan"] == charged["inclusive_scan"]
+        assert charged["inclusive_scan"][1] == 1
+
 
 class TestSortSearch:
     def test_sort(self, device):
