@@ -1,4 +1,4 @@
-"""Ablation — sparse format for the eigensolver's SpMV: COO vs CSR vs BSR.
+"""Ablation — sparse format for the eigensolver's SpMV: COO vs CSR.
 
 §IV.B converts the similarity matrix "to the CSR format to perform the
 sparse matrix-vector multiplication at the next step"; this bench
@@ -60,31 +60,12 @@ def test_conversion_amortized_over_iterations(graph):
     assert t_conv < 20 * t_spmv
 
 
-@pytest.fixture(scope="module")
-def host_formats(graph):
+def test_bench_host_csr_matvec(benchmark, graph):
     csr = graph.to_csr()
-    return graph, csr, csr.to_csc(), csr.to_bsr(4)
-
-
-def test_bench_host_csr_matvec(benchmark, host_formats):
-    _, csr, _, _ = host_formats
     x = np.ones(csr.shape[1])
     benchmark(csr.matvec, x)
 
 
-def test_bench_host_coo_matvec(benchmark, host_formats):
-    coo, _, _, _ = host_formats
-    x = np.ones(coo.shape[1])
-    benchmark(coo.matvec, x)
-
-
-def test_bench_host_csc_matvec(benchmark, host_formats):
-    _, _, csc, _ = host_formats
-    x = np.ones(csc.shape[1])
-    benchmark(csc.matvec, x)
-
-
-def test_bench_host_bsr_matvec(benchmark, host_formats):
-    _, _, _, bsr = host_formats
-    x = np.ones(bsr.shape[1])
-    benchmark(bsr.matvec, x)
+def test_bench_host_coo_matvec(benchmark, graph):
+    x = np.ones(graph.shape[1])
+    benchmark(graph.matvec, x)

@@ -7,6 +7,11 @@ library.  This bench freezes a record per dataset under
 run against it with zero tolerance for the simulated columns.
 
 Delete the records to re-baseline after an intentional cost-model change.
+
+The records hold only at a fixed BLAS thread count: multithreaded
+OpenBLAS reorders float sums, so k-means can take a different number of
+Lloyd trips and end on other labels.  ``conftest.py`` pins one thread
+(the count the records were made with) before numpy loads.
 """
 
 from pathlib import Path

@@ -14,9 +14,23 @@ tables are also written to ``benchmarks/out/`` for inspection after a
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
+
+# Multithreaded OpenBLAS reorders float sums, so a fit's k-means can take
+# a different iteration count, and the frozen records in
+# ``benchmarks/records/`` and ``BENCH_regression.json`` hold only at the
+# one BLAS thread they were recorded with.  These are the thread keys of
+# perfbench's ``PINNED_ENV``; they only take effect before numpy loads.
+assert "numpy" not in sys.modules, (
+    "numpy was imported before benchmarks/conftest.py could pin BLAS to one "
+    "thread; run the benchmarks in their own pytest process"
+)
+for _key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ[_key] = "1"
 
 from repro.bench.runner import ComparisonResult, run_comparison
 

@@ -18,7 +18,7 @@ Subpackages
 ``repro.cuda`` / ``repro.cublas`` / ``repro.cusparse`` / ``repro.thrust``
     The simulated CUDA runtime and libraries.
 ``repro.sparse``
-    From-scratch COO/CSR/CSC/BSR sparse formats.
+    From-scratch COO/CSR sparse formats.
 ``repro.linalg``
     The ARPACK-style implicitly restarted Lanczos eigensolver with the
     reverse communication interface.

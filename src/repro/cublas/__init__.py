@@ -1,14 +1,5 @@
 """Simulated cuBLAS: dense BLAS on device arrays with modeled K20c costs."""
 
-from repro.cublas.blas import (
-    axpy,
-    dot,
-    gemm,
-    gemv,
-    ger,
-    nrm2,
-    scal,
-    syrk,
-)
+from repro.cublas.blas import gemm
 
-__all__ = ["axpy", "dot", "gemm", "gemv", "ger", "nrm2", "scal", "syrk"]
+__all__ = ["gemm"]

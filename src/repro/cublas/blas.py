@@ -1,12 +1,8 @@
-"""Dense BLAS routines over device arrays.
+"""Dense BLAS over device arrays: ``cublasDgemm`` → :func:`gemm`.
 
-Naming and semantics follow cuBLAS level-1/2/3 conventions
-(``cublasDgemm`` → :func:`gemm`, …).  Costs:
-
-* level-3 routines are compute-bound at the device gemm efficiency;
-* level-1/2 routines are bandwidth-bound streaming kernels;
-* routines returning host scalars (``dot``, ``nrm2``) additionally charge
-  the scalar D2H read, like cuBLAS in host-pointer mode.
+The paper's k-means (Algorithm 4) makes one cuBLAS call, the distance
+update ``S -= 2 V Cᵀ``; it is charged compute-bound at the device gemm
+efficiency.
 """
 
 from __future__ import annotations
@@ -36,111 +32,6 @@ def _device_of(*arrays: DeviceArray) -> Device:
 
 def _maybe_t(a: np.ndarray, trans: bool) -> np.ndarray:
     return a.T if trans else a
-
-
-# ---------------------------------------------------------------------------
-# level 1
-# ---------------------------------------------------------------------------
-
-
-def scal(alpha: float, x: DeviceArray) -> DeviceArray:
-    """``x <- alpha * x`` (``cublasDscal``)."""
-    dev = _device_of(x)
-    chaos_check("cublas.scal", dev)
-    np.multiply(x.data, alpha, out=x.data)
-    dev.charge_kernel("cublasDscal", flops=x.size, bytes_moved=2 * x.nbytes)
-    return x
-
-
-def axpy(alpha: float, x: DeviceArray, y: DeviceArray) -> DeviceArray:
-    """``y <- alpha * x + y`` (``cublasDaxpy``)."""
-    dev = _device_of(x, y)
-    chaos_check("cublas.axpy", dev)
-    if x.shape != y.shape:
-        raise DeviceArrayError(f"axpy shape mismatch {x.shape} vs {y.shape}")
-    np.add(y.data, alpha * x.data, out=y.data)
-    dev.charge_kernel(
-        "cublasDaxpy", flops=2 * x.size, bytes_moved=x.nbytes + 2 * y.nbytes
-    )
-    return y
-
-
-def dot(x: DeviceArray, y: DeviceArray) -> float:
-    """``<x, y>`` returned to the host (``cublasDdot``)."""
-    dev = _device_of(x, y)
-    chaos_check("cublas.dot", dev)
-    if x.size != y.size:
-        raise DeviceArrayError(f"dot length mismatch {x.size} vs {y.size}")
-    v = float(np.dot(x.data.ravel(), y.data.ravel()))
-    dev.charge_kernel("cublasDdot", flops=2 * x.size, bytes_moved=x.nbytes + y.nbytes)
-    dev._record_d2h(8)
-    return v
-
-
-def nrm2(x: DeviceArray) -> float:
-    """Euclidean norm returned to the host (``cublasDnrm2``)."""
-    dev = _device_of(x)
-    chaos_check("cublas.nrm2", dev)
-    v = float(np.linalg.norm(x.data.ravel()))
-    dev.charge_kernel("cublasDnrm2", flops=2 * x.size, bytes_moved=x.nbytes)
-    dev._record_d2h(8)
-    return v
-
-
-# ---------------------------------------------------------------------------
-# level 2
-# ---------------------------------------------------------------------------
-
-
-def gemv(
-    A: DeviceArray,
-    x: DeviceArray,
-    y: DeviceArray | None = None,
-    alpha: float = 1.0,
-    beta: float = 0.0,
-    trans: bool = False,
-) -> DeviceArray:
-    """``y <- alpha * op(A) @ x + beta * y`` (``cublasDgemv``)."""
-    dev = _device_of(A, x)
-    chaos_check("cublas.gemv", dev)
-    Aop = _maybe_t(A.data, trans)
-    m, n = Aop.shape
-    if x.size != n:
-        raise DeviceArrayError(f"gemv: op(A) is {m}x{n} but x has {x.size}")
-    if y is None:
-        y = dev.zeros(m, dtype=A.dtype)
-        beta = 0.0
-    elif y.size != m:
-        raise DeviceArrayError(f"gemv: op(A) is {m}x{n} but y has {y.size}")
-    _device_of(A, y)
-    y.data[...] = alpha * (Aop @ x.data.ravel()) + beta * y.data
-    dev.charge_kernel(
-        "cublasDgemv",
-        flops=2.0 * m * n,
-        bytes_moved=A.nbytes + x.nbytes + 2 * y.nbytes,
-    )
-    return y
-
-
-def ger(alpha: float, x: DeviceArray, y: DeviceArray, A: DeviceArray) -> DeviceArray:
-    """Rank-1 update ``A <- alpha * x yᵀ + A`` (``cublasDger``)."""
-    dev = _device_of(x, y, A)
-    chaos_check("cublas.ger", dev)
-    m, n = A.shape
-    if x.size != m or y.size != n:
-        raise DeviceArrayError(
-            f"ger: A is {m}x{n} but x has {x.size}, y has {y.size}"
-        )
-    np.add(A.data, alpha * np.outer(x.data.ravel(), y.data.ravel()), out=A.data)
-    dev.charge_kernel(
-        "cublasDger", flops=2.0 * m * n, bytes_moved=2 * A.nbytes + x.nbytes + y.nbytes
-    )
-    return A
-
-
-# ---------------------------------------------------------------------------
-# level 3
-# ---------------------------------------------------------------------------
 
 
 def gemm(
@@ -178,35 +69,5 @@ def gemm(
         C.data[...] = alpha * (Aop @ Bop) + beta * C.data
     dt = dev.cost.gemm_time(m, n, k, itemsize=A.itemsize)
     dev.timeline.record("cublasDgemm", "kernel", dt)
-    dev.kernel_launches += 1
-    return C
-
-
-def syrk(
-    A: DeviceArray,
-    C: DeviceArray | None = None,
-    alpha: float = 1.0,
-    beta: float = 0.0,
-    trans: bool = False,
-) -> DeviceArray:
-    """Symmetric rank-k update ``C <- alpha * op(A) op(A)ᵀ + beta * C``."""
-    dev = _device_of(A)
-    chaos_check("cublas.syrk", dev)
-    Aop = _maybe_t(A.data, trans)
-    m, k = Aop.shape
-    if C is None:
-        C = dev.empty((m, m), dtype=A.dtype)
-        beta = 0.0
-    else:
-        _device_of(A, C)
-        if C.shape != (m, m):
-            raise DeviceArrayError(f"syrk: C is {C.shape}, expected {(m, m)}")
-    prod = Aop @ Aop.T
-    if beta == 0.0:
-        C.data[...] = alpha * prod
-    else:
-        C.data[...] = alpha * prod + beta * C.data
-    dt = dev.cost.gemm_time(m, m, k, itemsize=A.itemsize) * 0.5
-    dev.timeline.record("cublasDsyrk", "kernel", dt)
     dev.kernel_launches += 1
     return C

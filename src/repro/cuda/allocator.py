@@ -43,7 +43,7 @@ allocator.
 
 **Thrust scratch** rides the same free lists through
 ``allocate_scratch``/``release_scratch`` (the ``ThrustAllocator`` pattern:
-``thrust::sort`` double buffers and CUB scan tile state come from the
+``thrust::sort_by_key`` double buffers and CUB scan tile state come from the
 caching allocator, not raw ``cudaMalloc``).  Scratch traffic keeps its own
 counters so the steady-state *array* allocation counts — e.g. the k-means
 zero-allocs-per-iteration invariant — stay meaningful.

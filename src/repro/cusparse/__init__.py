@@ -4,7 +4,7 @@ Provides the calls Algorithm 2 and 3 of the paper make:
 
 * ``cusparseDcsrmv``  → :func:`~repro.cusparse.spmv.csrmv`
 * ``cusparseXcoo2csr`` → :func:`~repro.cusparse.conversions.coo2csr`
-* plus ``coomv``, ``csr2csc``, ``csrmm`` and host↔device sparse movement.
+* plus ``coomv``, ``csrmm`` and host↔device sparse movement.
 """
 
 from repro.cusparse.matrices import DeviceCOO, DeviceCSR, coo_to_device, csr_to_device
@@ -20,7 +20,7 @@ from repro.cusparse.formats import (
     csr_to_hyb,
     row_stats,
 )
-from repro.cusparse.conversions import coo2csr, csr2csc, csr2coo
+from repro.cusparse.conversions import coo2csr, csr2coo
 from repro.cusparse.partition import (
     CSRShard,
     PartitionedCSR,
@@ -53,7 +53,6 @@ __all__ = [
     "coo_to_device",
     "csr_to_device",
     "coo2csr",
-    "csr2csc",
     "csr2coo",
     "coomv",
     "csrmv",

@@ -88,33 +88,3 @@ def csr2coo(csr: DeviceCSR) -> DeviceCOO:
         bufs.free_all()
         raise
     return DeviceCOO(row=row, col=col, val=val, shape=csr.shape)
-
-
-def csr2csc(csr: DeviceCSR) -> DeviceCSR:
-    """Transpose-compress: returns the CSC of A, represented as the CSR of Aᵀ
-    (the two are byte-identical, which is how cuSPARSE treats them)."""
-    from repro.sparse.csr import CSRMatrix
-
-    dev = csr.device
-    # operate directly on the device buffers: csr2csc never crosses PCIe
-    host_view = CSRMatrix(
-        csr.indptr.data, csr.indices.data, csr.val.data, csr.shape, check=False
-    )
-    t = host_view.transpose()
-    bufs = BufferGroup()
-    try:
-        indptr = bufs.add(dev.empty(t.indptr.size, dtype=np.int64))
-        indptr.data[...] = t.indptr
-        indices = bufs.add(dev.empty(t.indices.size, dtype=np.int64))
-        indices.data[...] = t.indices
-        val = bufs.add(dev.empty(t.data.size, dtype=np.float64))
-        val.data[...] = t.data
-        dev.timeline.record(
-            "cusparseDcsr2csc", "kernel", dev.cost.sort_time(csr.nnz)
-        )
-    except BaseException:
-        bufs.free_all()
-        raise
-    return DeviceCSR(
-        indptr=indptr, indices=indices, val=val, shape=(csr.shape[1], csr.shape[0])
-    )

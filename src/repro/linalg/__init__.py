@@ -2,9 +2,9 @@
 
 This subpackage is the stand-in for ARPACK/ARPACK++ (paper §III.C, §IV.B):
 
-* :mod:`repro.linalg.tridiag` — symmetric tridiagonal eigensolver
-  (implicit QL with Wilkinson shifts, an EISPACK ``tql2``-style routine);
-* :mod:`repro.linalg.qr` — Householder QR and Givens rotations;
+* :mod:`repro.linalg.tridiag` — the tridiagonal Ritz solve (LAPACK);
+* :mod:`repro.linalg.qr` — Givens rotations and the implicit shifted QR
+  sweep that applies the restart shifts;
 * :mod:`repro.linalg.lanczos` — the m-step Lanczos factorization with
   full (DGKS) reorthogonalization;
 * :mod:`repro.linalg.iram` — the implicitly restarted Lanczos method with
@@ -17,14 +17,11 @@ This subpackage is the stand-in for ARPACK/ARPACK++ (paper §III.C, §IV.B):
   of the paper's Algorithm 3, plus a one-call :func:`eigsh` driver.
 
 Like ARPACK itself (which defers small dense eigenproblems to LAPACK), the
-inner m×m dense operations default to LAPACK via ``numpy.linalg``; the
-from-scratch QL/QR routines are selectable and cross-validated in the test
-suite.
+inner m×m dense eigenproblems go to LAPACK via ``numpy.linalg``.
 """
 
-from repro.linalg.tridiag import eigh_tridiagonal, eigh_tridiagonal_ql
-from repro.linalg.eigh import eigh, householder_tridiagonalize
-from repro.linalg.qr import givens, householder_qr
+from repro.linalg.tridiag import eigh_tridiagonal
+from repro.linalg.qr import givens
 from repro.linalg.utils import dgks_orthogonalize, normalize_columns
 from repro.linalg.lanczos import LanczosState
 from repro.linalg.iram import IRLMResult, irlm_generator
@@ -38,11 +35,7 @@ from repro.linalg.eigsolver import SymEigProblem, eigsh, eigsh_generalized_diag
 
 __all__ = [
     "eigh_tridiagonal",
-    "eigh_tridiagonal_ql",
-    "eigh",
-    "householder_tridiagonalize",
     "givens",
-    "householder_qr",
     "dgks_orthogonalize",
     "normalize_columns",
     "LanczosState",

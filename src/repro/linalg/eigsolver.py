@@ -52,8 +52,7 @@ class SymEigProblem:
         maxiter: int | None = None,
         v0: np.ndarray | None = None,
         seed: int | None = 0,
-        dense_eig: str = "lapack",
-        checkpoint: LanczosCheckpoint | None = None,
+            checkpoint: LanczosCheckpoint | None = None,
         checkpoint_cb: "Callable[[LanczosCheckpoint], None] | None" = None,
         restart_cb: "Callable[[int], None] | None" = None,
     ) -> None:
@@ -66,7 +65,7 @@ class SymEigProblem:
         self._user_checkpoint_cb = checkpoint_cb
         self._gen = irlm_generator(
             n=n, k=k, which=which, m=m, tol=tol, maxiter=maxiter,
-            v0=v0, seed=seed, dense_eig=dense_eig,
+            v0=v0, seed=seed,
             checkpoint=checkpoint, checkpoint_cb=self._on_checkpoint,
         )
         self._status = RCIStatus.INITIAL
@@ -191,7 +190,6 @@ def eigsh(
     maxiter: int | None = None,
     v0: np.ndarray | None = None,
     seed: int | None = 0,
-    dense_eig: str = "lapack",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Host-side convenience driver: solve with a callable or matrix.
 
@@ -222,7 +220,7 @@ def eigsh(
 
     prob = SymEigProblem(
         n=n, k=k, which=which, m=m, tol=tol, maxiter=maxiter,
-        v0=v0, seed=seed, dense_eig=dense_eig,
+        v0=v0, seed=seed,
     )
     while not prob.converged():
         prob.take_step()

@@ -91,7 +91,6 @@ def irlm_generator(
     maxiter: int | None = None,
     v0: np.ndarray | None = None,
     seed: int | None = 0,
-    dense_eig: str = "lapack",
     checkpoint: LanczosCheckpoint | None = None,
     checkpoint_cb: Callable[[LanczosCheckpoint], None] | None = None,
 ) -> Generator[np.ndarray, np.ndarray, IRLMResult]:
@@ -118,8 +117,6 @@ def irlm_generator(
         Maximum implicit restarts (default 300, ARPACK-like).
     v0:
         Start vector (default: seeded random).
-    dense_eig:
-        'lapack' or 'ql' — inner tridiagonal eigensolver selection.
     checkpoint:
         Resume from this :class:`~repro.linalg.rci.LanczosCheckpoint`
         instead of starting fresh.  The problem parameters must match the
@@ -206,7 +203,7 @@ def irlm_generator(
 
         # ---- Ritz decomposition of the projected tridiagonal -----------
         alpha, beta = state.tridiagonal()
-        theta, S = eigh_tridiagonal(alpha, beta, method=dense_eig)
+        theta, S = eigh_tridiagonal(alpha, beta)
         assert S is not None
         beta_m = float(np.linalg.norm(state.f))
         wanted, unwanted = _select(theta, k, which)

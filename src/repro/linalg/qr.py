@@ -1,10 +1,8 @@
-"""QR factorizations from scratch: Givens rotations and Householder QR.
+"""Givens rotations and the implicit shifted QR sweep.
 
-These are the building blocks ARPACK's restart machinery is made of.  The
-restart path defaults to LAPACK (``numpy.linalg.qr``) for the small dense
-m×m problems — the same division of labor as real ARPACK — but these
-implementations are selectable (``Config.qr_impl``) and are validated
-against LAPACK in the test suite.
+These are the building blocks of ARPACK's restart machinery: the IRLM
+applies its exact shifts with :func:`implicit_qr_sweep`, a bulge chase of
+:func:`givens` rotations on the projected tridiagonal matrix.
 """
 
 from __future__ import annotations
@@ -31,80 +29,6 @@ def givens(a: float, b: float) -> tuple[float, float, float]:
     b1 = b / scale
     r1 = float(np.hypot(a1, b1))
     return a1 / r1, b1 / r1, scale * r1
-
-
-def apply_givens_right(M: np.ndarray, i: int, j: int, c: float, s: float) -> None:
-    """In-place ``M <- M @ G(i, j, c, s)ᵀ`` — rotate columns ``i`` and ``j``."""
-    ci = M[:, i].copy()
-    cj = M[:, j]
-    M[:, i] = c * ci + s * cj
-    M[:, j] = -s * ci + c * cj
-
-
-def householder_qr(
-    A: np.ndarray, mode: str = "reduced"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR factorization ``A = Q R``.
-
-    Parameters
-    ----------
-    A:
-        ``(m, n)`` real matrix.
-    mode:
-        ``"reduced"`` returns Q ``(m, min(m, n))``, R ``(min(m, n), n)``;
-        ``"complete"`` returns square Q ``(m, m)``, R ``(m, n)``.
-
-    The sign convention matches LAPACK's ``dgeqrf`` up to column signs; tests
-    compare ``Q @ R`` and orthogonality, not the factors elementwise.
-    """
-    A = np.array(A, dtype=np.float64, copy=True)
-    m, n = A.shape
-    t = min(m, n)
-    Q = np.eye(m)
-    for k in range(t):
-        x = A[k:, k]
-        normx = np.linalg.norm(x)
-        if normx == 0.0:
-            continue
-        alpha = -np.sign(x[0]) * normx if x[0] != 0 else -normx
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        # A[k:, k:] -= 2 v (vᵀ A[k:, k:]);  Q[:, k:] -= 2 (Q[:, k:] v) vᵀ
-        A[k:, k:] -= 2.0 * np.outer(v, v @ A[k:, k:])
-        Q[:, k:] -= 2.0 * np.outer(Q[:, k:] @ v, v)
-    # zero out the strictly-lower numerical noise
-    R = np.triu(A)
-    if mode == "reduced":
-        return Q[:, :t], R[:t, :]
-    if mode == "complete":
-        return Q, R
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def qr_shift_step(
-    T: np.ndarray, mu: float, use_lapack: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """One explicit shifted QR step: factor ``T - mu I = Q R`` and return
-    ``(T', Q)`` with ``T' = R Q + mu I = Qᵀ T Q``.
-
-    .. warning::
-        With *exact* shifts (Ritz values of ``T`` itself, as IRAM uses)
-        ``T - mu I`` is singular and the explicit step is forward unstable —
-        the restart machinery uses :func:`implicit_qr_sweep` instead.  This
-        routine is kept for testing and for well-separated shifts.
-    """
-    m = T.shape[0]
-    shifted = T - mu * np.eye(m)
-    if use_lapack:
-        Q, R = np.linalg.qr(shifted)
-    else:
-        Q, R = householder_qr(shifted, mode="complete")
-    T_new = R @ Q + mu * np.eye(m)
-    return T_new, Q
 
 
 def implicit_qr_sweep(T: np.ndarray, mu: float, Q: np.ndarray) -> None:

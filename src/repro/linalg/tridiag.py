@@ -1,45 +1,24 @@
 """Symmetric tridiagonal eigensolver.
 
-:func:`eigh_tridiagonal_ql` is a from-scratch implicit-QL-with-shifts
-routine in the lineage of EISPACK's ``tql2`` (the algorithm LAPACK's
-``dsteqr`` descends from): for each eigenvalue it chases a bulge of Givens
-rotations down the matrix with a Wilkinson-style shift, accumulating the
-rotations into the eigenvector matrix.
-
-:func:`eigh_tridiagonal` is the dispatching front door used by the IRLM
-restart machinery; it defaults to LAPACK (``numpy.linalg.eigh`` on the
-assembled dense matrix) for speed on the small m×m projected problems —
-mirroring how ARPACK itself calls LAPACK — with ``method="ql"`` selecting
-the from-scratch path.
+:func:`eigh_tridiagonal` is the Ritz solve of the IRLM restart machinery:
+it hands the small m×m projected problem to LAPACK (``numpy.linalg.eigh``
+on the assembled dense matrix), mirroring how ARPACK itself calls LAPACK.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConvergenceError
 
-_EPS = np.finfo(np.float64).eps
-
-
-def eigh_tridiagonal_ql(
+def eigh_tridiagonal(
     alpha: np.ndarray,
     beta: np.ndarray,
     compute_vectors: bool = True,
-    max_sweeps: int = 50,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigendecomposition of the symmetric tridiagonal ``T(alpha, beta)``.
 
-    Parameters
-    ----------
-    alpha:
-        Diagonal, length ``n``.
-    beta:
-        Subdiagonal, length ``n - 1``.
-    compute_vectors:
-        Accumulate eigenvectors (columns of the returned ``Z``).
-    max_sweeps:
-        QL iterations allowed per eigenvalue before declaring failure.
+    Assembles the dense matrix and calls LAPACK (``numpy.linalg.eigh``):
+    the projected matrices inside IRLM are small.
 
     Returns
     -------
@@ -47,104 +26,12 @@ def eigh_tridiagonal_ql(
         Eigenvalues ascending and (optionally) the orthonormal eigenvector
         matrix with ``T @ Z[:, i] = w[i] * Z[:, i]``.
     """
-    d = np.array(alpha, dtype=np.float64, copy=True).ravel()
-    n = d.size
-    if n == 0:
-        return d, (np.zeros((0, 0)) if compute_vectors else None)
-    e = np.zeros(n)
-    if n > 1:
-        b = np.asarray(beta, dtype=np.float64).ravel()
-        if b.size != n - 1:
-            raise ValueError(f"beta must have length {n - 1}, got {b.size}")
-        e[: n - 1] = b
-    Z = np.eye(n) if compute_vectors else None
-
-    for l in range(n):
-        sweeps = 0
-        while True:
-            # locate the first negligible subdiagonal at or beyond l
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break  # d[l] has converged
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise ConvergenceError(
-                    f"tridiagonal QL failed to converge for eigenvalue {l} "
-                    f"after {max_sweeps} sweeps"
-                )
-            # Wilkinson-style shift from the leading 2x2
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = float(np.hypot(g, 1.0))
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0 else -r))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b2 = c * e[i]
-                r = float(np.hypot(f, g))
-                e[i + 1] = r
-                if r == 0.0:
-                    # recover from underflow: skip this sweep
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b2
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b2
-                if Z is not None:
-                    zi1 = Z[:, i + 1].copy()
-                    Z[:, i + 1] = s * Z[:, i] + c * zi1
-                    Z[:, i] = c * Z[:, i] - s * zi1
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-
-    order = np.argsort(d, kind="stable")
-    d = d[order]
-    if Z is not None:
-        Z = Z[:, order]
-    return d, Z
-
-
-def eigh_tridiagonal(
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    compute_vectors: bool = True,
-    method: str = "lapack",
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Front door: eigendecomposition of a symmetric tridiagonal matrix.
-
-    ``method="lapack"`` assembles the dense matrix and calls
-    ``numpy.linalg.eigh`` (fast, and the projected matrices inside IRLM are
-    small); ``method="ql"`` runs the from-scratch implicit QL routine.
-    """
-    if method == "ql":
-        return eigh_tridiagonal_ql(alpha, beta, compute_vectors=compute_vectors)
-    if method != "lapack":
-        raise ValueError(f"unknown method {method!r}; expected 'lapack' or 'ql'")
     alpha = np.asarray(alpha, dtype=np.float64).ravel()
     beta = np.asarray(beta, dtype=np.float64).ravel()
     n = alpha.size
     if beta.size != max(0, n - 1):
         raise ValueError(f"beta must have length {n - 1}, got {beta.size}")
-    T = np.diag(alpha)
-    if n > 1:
-        idx = np.arange(n - 1)
-        T[idx, idx + 1] = beta
-        T[idx + 1, idx] = beta
+    T = tridiag_to_dense(alpha, beta)
     if compute_vectors:
         w, Z = np.linalg.eigh(T)
         return w, Z

@@ -29,7 +29,6 @@ from repro.serve.metrics import (
     LatencyStats,
     ServiceReport,
     build_report,
-    merge_service_reports,
     percentile,
 )
 from repro.serve.persist import FORMAT_VERSION, PersistentStore, StoreStats
@@ -96,7 +95,6 @@ __all__ = [
     "StoreStats",
     "StreamScheduler",
     "build_report",
-    "merge_service_reports",
     "embedding_key",
     "graph_fingerprint",
     "model_key",

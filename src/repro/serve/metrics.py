@@ -320,103 +320,3 @@ def build_report(responses, scheduler, queue_stats, batch_stats, cache_stats,
         occupancy=scheduler.occupancy(),
         profile=profile,
     )
-
-
-#: dict keys that summarize a high-water mark or a distribution point —
-#: merged by maximum; every other numeric key is a count and sums
-_MAX_KEYS = frozenset(
-    {"max_occupancy", "max_batch", "mean", "p50", "p95", "p99", "max"}
-)
-#: ratio keys recomputed from the merged counts (never summed)
-_DERIVED_KEYS = frozenset({"hit_rate", "mean_batch_size"})
-
-
-def _merge_counts(dicts) -> dict:
-    """Merge stat dicts: counts sum, high-water marks / percentiles max,
-    derived ratios are dropped (recomputed by the caller)."""
-    out: dict = {}
-    for d in dicts:
-        for k, v in d.items():
-            if k in _DERIVED_KEYS:
-                continue
-            if isinstance(v, dict):
-                out[k] = _merge_counts([out[k], v]) if k in out else \
-                    _merge_counts([v])
-            elif isinstance(v, (int, float)):
-                if k in _MAX_KEYS:
-                    out[k] = max(out.get(k, v), v)
-                else:
-                    out[k] = out.get(k, 0) + v
-            else:
-                out.setdefault(k, v)
-    return out
-
-
-def merge_service_reports(reports) -> ServiceReport:
-    """Merge several :class:`ServiceReport` into one summary.
-
-    Counts — requests, deadline misses, preemptions, speculation hits,
-    cache/disk traffic — **sum**, so a fleet of serve lanes (or a
-    restarted process pair) reports one consistent total instead of
-    whichever scheduler's counter a caller remembered to read.  Derived
-    ratios (hit rate, mean batch size) are recomputed from the merged
-    counts.  Distribution summaries (latency percentiles, occupancy)
-    merge as element-wise maxima — a conservative worst-lane bound, since
-    pooled percentiles are not derivable from summaries.  Device
-    profiles merge through
-    :func:`~repro.cuda.profiler.merge_reports`.  Makespan is the max;
-    throughput is total ok work over that makespan.
-    """
-    from repro.cuda.profiler import merge_reports as _merge_profiles
-
-    reports = list(reports)
-    if not reports:
-        return ServiceReport()
-
-    def _latency(stats_list) -> LatencyStats:
-        return LatencyStats(
-            mean=max(s.mean for s in stats_list),
-            p50=max(s.p50 for s in stats_list),
-            p95=max(s.p95 for s in stats_list),
-            p99=max(s.p99 for s in stats_list),
-            max=max(s.max for s in stats_list),
-        )
-
-    queue = _merge_counts([r.queue for r in reports])
-    batches = _merge_counts([r.batches for r in reports])
-    cache = _merge_counts([r.cache for r in reports])
-    predict = _merge_counts([r.predict for r in reports if r.predict])
-    sched = _merge_counts([r.scheduler for r in reports if r.scheduler])
-    hits, misses = cache.get("hits", 0), cache.get("misses", 0)
-    if hits or misses:
-        cache["hit_rate"] = hits / (hits + misses)
-    if batches.get("n_batches"):
-        batches["mean_batch_size"] = (
-            batches.get("total_batched", 0) / batches["n_batches"]
-        )
-    occupancy: dict = {}
-    for r in reports:
-        for dev, occ in r.occupancy.items():
-            occupancy[dev] = max(occupancy.get(dev, 0.0), occ)
-    profiles = [r.profile for r in reports if r.profile is not None]
-    makespan = max(r.makespan for r in reports)
-    n_ok = sum(r.n_ok for r in reports)
-    return ServiceReport(
-        n_requests=sum(r.n_requests for r in reports),
-        n_ok=n_ok,
-        n_rejected=sum(r.n_rejected for r in reports),
-        n_failed=sum(r.n_failed for r in reports),
-        n_cache_hits=sum(r.n_cache_hits for r in reports),
-        n_degraded=sum(r.n_degraded for r in reports),
-        queue=queue,
-        batches=batches,
-        cache=cache,
-        predict=predict,
-        scheduler=sched,
-        latency=_latency([r.latency for r in reports]),
-        queue_wait=_latency([r.queue_wait for r in reports]),
-        makespan=makespan,
-        throughput_rps=n_ok / makespan if makespan > 0 else 0.0,
-        occupancy=occupancy,
-        profile=_merge_profiles(profiles) if profiles else None,
-    )

@@ -2,9 +2,9 @@
 
 The paper stores the similarity graph in Coordinate (COO) format during
 construction and converts to Compressed Sparse Row (CSR) for the
-eigensolver's matrix-vector products; CSC and BSR are "also supported in our
-implementation" (§IV.A).  This subpackage provides all four with validated
-constructors, conversions, and vectorized reference kernels — no scipy.
+eigensolver's matrix-vector products (§IV.A).  This subpackage provides
+both with validated constructors, conversions, and vectorized reference
+kernels — no scipy.
 
 These are *host-side* structures; their device-resident counterparts live in
 ``repro.cusparse``.
@@ -12,27 +12,20 @@ These are *host-side* structures; their device-resident counterparts live in
 
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.csc import CSCMatrix
-from repro.sparse.bsr import BSRMatrix
 from repro.sparse.construct import (
     diags,
     from_edge_list,
     identity,
     random_sparse,
 )
-from repro.sparse.ops import spmm, row_sums, scale_rows, scale_cols
+from repro.sparse.ops import row_sums
 
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
-    "CSCMatrix",
-    "BSRMatrix",
     "diags",
     "from_edge_list",
     "identity",
     "random_sparse",
-    "spmm",
     "row_sums",
-    "scale_rows",
-    "scale_cols",
 ]

@@ -15,7 +15,6 @@ import numpy as np
 from repro.errors import SparseFormatError, SparseValueError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sparse.csc import CSCMatrix
     from repro.sparse.csr import CSRMatrix
 
 
@@ -141,19 +140,6 @@ class COOMatrix:
         np.cumsum(indptr, out=indptr)
         return CSRMatrix(
             indptr, self.col[order], self.data[order], self.shape, check=False
-        )
-
-    def to_csc(self) -> "CSCMatrix":
-        from repro.sparse.csc import CSCMatrix
-
-        m = self.shape[1]
-        order = np.argsort(self.col * self.shape[0] + self.row, kind="stable")
-        cols = self.col[order]
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.add.at(indptr, cols + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return CSCMatrix(
-            indptr, self.row[order], self.data[order], self.shape, check=False
         )
 
     def to_coo(self) -> "COOMatrix":

@@ -17,8 +17,6 @@ from repro.errors import SparseFormatError, SparseValueError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sparse.coo import COOMatrix
-    from repro.sparse.csc import CSCMatrix
-    from repro.sparse.bsr import BSRMatrix
 
 
 class CSRMatrix:
@@ -115,16 +113,8 @@ class CSRMatrix:
             self.shape, check=False,
         )
 
-    def to_csc(self) -> "CSCMatrix":
-        return self.to_coo().to_csc()
-
     def to_csr(self) -> "CSRMatrix":
         return self
-
-    def to_bsr(self, block_size: int) -> "BSRMatrix":
-        from repro.sparse.bsr import BSRMatrix
-
-        return BSRMatrix.from_csr(self, block_size)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape)

@@ -6,58 +6,11 @@ import numpy as np
 
 from repro.errors import SparseValueError
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 
-AnySparse = COOMatrix | CSRMatrix | CSCMatrix
 
-
-def row_sums(A: AnySparse) -> np.ndarray:
+def row_sums(A: COOMatrix | CSRMatrix) -> np.ndarray:
     """Per-row sums for any format (degree vector of a similarity graph)."""
     if isinstance(A, (COOMatrix, CSRMatrix)):
         return A.row_sums()
-    if isinstance(A, CSCMatrix):
-        return np.bincount(A.indices, weights=A.data, minlength=A.shape[0])
     raise SparseValueError(f"unsupported sparse type {type(A).__name__}")
-
-
-def scale_rows(A: AnySparse, s: np.ndarray) -> AnySparse:
-    """``diag(s) @ A`` preserving the input format."""
-    if isinstance(A, (COOMatrix, CSRMatrix)):
-        return A.scale_rows(s)
-    if isinstance(A, CSCMatrix):
-        s = np.asarray(s, dtype=np.float64).ravel()
-        if s.size != A.shape[0]:
-            raise SparseValueError(
-                f"scale_rows: matrix has {A.shape[0]} rows, s has {s.size}"
-            )
-        return CSCMatrix(A.indptr, A.indices, A.data * s[A.indices], A.shape, check=False)
-    raise SparseValueError(f"unsupported sparse type {type(A).__name__}")
-
-
-def scale_cols(A: AnySparse, s: np.ndarray) -> AnySparse:
-    """``A @ diag(s)`` preserving the input format."""
-    s = np.asarray(s, dtype=np.float64).ravel()
-    if s.size != A.shape[1]:
-        raise SparseValueError(
-            f"scale_cols: matrix has {A.shape[1]} cols, s has {s.size}"
-        )
-    if isinstance(A, COOMatrix):
-        return COOMatrix(A.row, A.col, A.data * s[A.col], A.shape, check=False)
-    if isinstance(A, CSRMatrix):
-        return A.scale_cols(s)
-    if isinstance(A, CSCMatrix):
-        return CSCMatrix(
-            A.indptr, A.indices, A.data * s[A._cols()], A.shape, check=False
-        )
-    raise SparseValueError(f"unsupported sparse type {type(A).__name__}")
-
-
-def spmm(A: AnySparse, X: np.ndarray) -> np.ndarray:
-    """Sparse × dense product ``A @ X`` for any format."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        return A.matvec(X)
-    if isinstance(A, CSRMatrix):
-        return A.matmat(X)
-    return A.to_csr().matmat(X)

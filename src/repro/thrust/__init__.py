@@ -8,40 +8,20 @@ Thrust library.
 
 from repro.thrust.algorithms import (
     copy,
-    count,
     exclusive_scan,
-    fill,
-    gather,
     inclusive_scan,
     lower_bound,
-    max_element,
-    min_element,
-    reduce,
     reduce_by_key,
-    scatter,
-    sequence,
-    sort,
     sort_by_key,
     transform,
-    upper_bound,
 )
 
 __all__ = [
     "copy",
-    "count",
     "exclusive_scan",
-    "fill",
-    "gather",
     "inclusive_scan",
     "lower_bound",
-    "max_element",
-    "min_element",
-    "reduce",
     "reduce_by_key",
-    "scatter",
-    "sequence",
-    "sort",
     "sort_by_key",
     "transform",
-    "upper_bound",
 ]

@@ -6,7 +6,7 @@ Every algorithm
 * executes the real computation vectorized on the backing buffers,
 * charges the owning device a cost appropriate to the primitive
   (radix-sort throughput for sorts, streaming bandwidth for scans and
-  transforms, gather bandwidth for permutations).
+  transforms, gather bandwidth for searches).
 
 Binary ``transform`` functors are named strings (``"plus"``, ``"minus"``,
 ``"multiplies"`` …) rather than arbitrary Python callables, mirroring how
@@ -42,12 +42,6 @@ _UNARY_OPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "identity": lambda x: x,
 }
 
-_REDUCE_OPS = {
-    "plus": np.sum,
-    "maximum": np.max,
-    "minimum": np.min,
-}
-
 #: cub::DeviceScan/DeviceReduceByKey tile granularity (items per tile) and
 #: per-tile descriptor footprint for the modeled ``temp_storage_bytes``
 _CUB_TILE_ITEMS = 2048
@@ -80,24 +74,8 @@ def _device_of(*arrays: DeviceArray) -> Device:
 
 
 # ---------------------------------------------------------------------------
-# generation / movement
+# movement
 # ---------------------------------------------------------------------------
-
-
-def sequence(device: Device, n: int, start: int = 0, dtype=np.int64) -> DeviceArray:
-    """``thrust::sequence`` — fill a new vector with start, start+1, …"""
-    out = device.empty(n, dtype=dtype)
-    out.data[:] = np.arange(start, start + n, dtype=dtype)
-    device.charge_kernel("thrust::sequence", flops=n, bytes_moved=out.nbytes)
-    return out
-
-
-def fill(arr: DeviceArray, value) -> DeviceArray:
-    """``thrust::fill`` — in-place constant fill."""
-    dev = _device_of(arr)
-    arr.data.fill(value)
-    dev.charge_kernel("thrust::fill", flops=0, bytes_moved=arr.nbytes)
-    return arr
 
 
 def copy(src: DeviceArray, dst: DeviceArray) -> DeviceArray:
@@ -107,37 +85,6 @@ def copy(src: DeviceArray, dst: DeviceArray) -> DeviceArray:
         raise DeviceArrayError(f"copy shape mismatch {src.shape} vs {dst.shape}")
     np.copyto(dst.data, src.data)
     dev.charge_kernel("thrust::copy", flops=0, bytes_moved=2 * src.nbytes)
-    return dst
-
-
-def gather(index_map: DeviceArray, src: DeviceArray) -> DeviceArray:
-    """``thrust::gather`` — ``out[i] = src[map[i]]``."""
-    dev = _device_of(index_map, src)
-    out_shape = (index_map.size,) + src.shape[1:]
-    out = dev.empty(out_shape, dtype=src.dtype)
-    out.data[...] = src.data[index_map.data]
-    row_bytes = src.itemsize * int(np.prod(src.shape[1:], initial=1))
-    dev.charge_kernel(
-        "thrust::gather",
-        flops=0,
-        bytes_moved=index_map.size * (row_bytes * 2 + index_map.itemsize),
-        kind="gather",
-    )
-    return out
-
-
-def scatter(src: DeviceArray, index_map: DeviceArray, dst: DeviceArray) -> DeviceArray:
-    """``thrust::scatter`` — ``dst[map[i]] = src[i]``."""
-    dev = _device_of(src, index_map, dst)
-    if src.size != index_map.size:
-        raise DeviceArrayError("scatter: src and map size mismatch")
-    dst.data[index_map.data] = src.data
-    dev.charge_kernel(
-        "thrust::scatter",
-        flops=0,
-        bytes_moved=src.nbytes * 2 + index_map.nbytes,
-        kind="gather",
-    )
     return dst
 
 
@@ -192,60 +139,8 @@ def transform(
 
 
 # ---------------------------------------------------------------------------
-# reductions / scans
+# scans
 # ---------------------------------------------------------------------------
-
-
-def reduce(a: DeviceArray, op: str = "plus") -> float:
-    """``thrust::reduce`` — full reduction to a host scalar."""
-    dev = _device_of(a)
-    try:
-        fn = _REDUCE_OPS[op]
-    except KeyError:
-        raise ValueError(
-            f"unknown reduce op {op!r}; expected one of {sorted(_REDUCE_OPS)}"
-        ) from None
-    value = fn(a.data) if a.size else _reduce_identity(op, a.dtype)
-    dev.charge_kernel(f"thrust::reduce[{op}]", flops=a.size, bytes_moved=a.nbytes)
-    dev._record_d2h(a.itemsize)
-    return value
-
-
-def _reduce_identity(op: str, dtype) -> float:
-    if op == "plus":
-        return dtype.type(0)
-    raise ValueError(f"reduce of empty range has no identity for {op!r}")
-
-
-def min_element(a: DeviceArray) -> int:
-    """``thrust::min_element`` — index of the minimum (host int)."""
-    dev = _device_of(a)
-    if a.size == 0:
-        raise DeviceArrayError("min_element of empty range")
-    idx = int(np.argmin(a.data))
-    dev.charge_kernel("thrust::min_element", flops=a.size, bytes_moved=a.nbytes)
-    dev._record_d2h(8)
-    return idx
-
-
-def max_element(a: DeviceArray) -> int:
-    """``thrust::max_element`` — index of the maximum (host int)."""
-    dev = _device_of(a)
-    if a.size == 0:
-        raise DeviceArrayError("max_element of empty range")
-    idx = int(np.argmax(a.data))
-    dev.charge_kernel("thrust::max_element", flops=a.size, bytes_moved=a.nbytes)
-    dev._record_d2h(8)
-    return idx
-
-
-def count(a: DeviceArray, value) -> int:
-    """``thrust::count`` — occurrences of ``value`` (host int)."""
-    dev = _device_of(a)
-    c = int(np.count_nonzero(a.data == value))
-    dev.charge_kernel("thrust::count", flops=a.size, bytes_moved=a.nbytes)
-    dev._record_d2h(8)
-    return c
 
 
 def inclusive_scan(a: DeviceArray, out: DeviceArray | None = None) -> DeviceArray:
@@ -285,26 +180,13 @@ def exclusive_scan(
 # ---------------------------------------------------------------------------
 
 
-def sort(a: DeviceArray) -> DeviceArray:
-    """``thrust::sort`` — in-place ascending sort.
-
-    Radix sort ping-pongs through a double buffer; the scratch rides the
-    caching allocator (ThrustAllocator pattern) rather than a raw
-    per-call ``cudaMalloc``.
-    """
-    dev = _device_of(a)
-    with dev.scratch(a.nbytes):
-        a.data.sort()
-        dev.timeline.record("thrust::sort", "kernel", dev.cost.sort_time(a.size))
-    return a
-
-
 def sort_by_key(keys: DeviceArray, values: DeviceArray) -> tuple[DeviceArray, DeviceArray]:
     """``thrust::sort_by_key`` — stable in-place sort of (keys, values).
 
     ``values`` may be 2-D (one row per key), matching the k-means use where
     the payload is a d-dimensional point.  The radix double buffer covers
-    both arrays; like :func:`sort` it comes from the caching allocator.
+    both arrays; it comes from the caching allocator (ThrustAllocator
+    pattern) rather than a raw per-call ``cudaMalloc``.
     """
     dev = _device_of(keys, values)
     if keys.size != values.shape[0]:
@@ -370,20 +252,6 @@ def lower_bound(sorted_arr: DeviceArray, queries: DeviceArray) -> DeviceArray:
     out.data[...] = np.searchsorted(sorted_arr.data, queries.data, side="left")
     dev.charge_kernel(
         "thrust::lower_bound",
-        flops=queries.size * max(1, int(np.log2(max(2, sorted_arr.size)))),
-        bytes_moved=queries.nbytes + out.nbytes,
-        kind="gather",
-    )
-    return out
-
-
-def upper_bound(sorted_arr: DeviceArray, queries: DeviceArray) -> DeviceArray:
-    """``thrust::upper_bound`` — first position greater than each query."""
-    dev = _device_of(sorted_arr, queries)
-    out = dev.empty(queries.shape, dtype=np.int64)
-    out.data[...] = np.searchsorted(sorted_arr.data, queries.data, side="right")
-    dev.charge_kernel(
-        "thrust::upper_bound",
         flops=queries.size * max(1, int(np.log2(max(2, sorted_arr.size)))),
         bytes_moved=queries.nbytes + out.nbytes,
         kind="gather",

@@ -1,9 +1,9 @@
-"""Device format conversions (coo2csr / csr2coo / csr2csc)."""
+"""Device format conversions (coo2csr / csr2coo)."""
 
 import numpy as np
 import pytest
 
-from repro.cusparse.conversions import coo2csr, csr2coo, csr2csc
+from repro.cusparse.conversions import coo2csr, csr2coo
 from repro.cusparse.matrices import coo_to_device, csr_to_device
 from repro.errors import SparseFormatError
 from repro.sparse.construct import random_sparse
@@ -55,17 +55,3 @@ class TestCsr2Coo:
         d = csr_to_device(device, host.to_csr())
         dcoo = csr2coo(d)
         assert np.array_equal(dcoo.to_host().to_dense(), host.to_dense())
-
-
-class TestCsr2Csc:
-    def test_is_transpose_compress(self, device, host):
-        d = csr_to_device(device, host.to_csr())
-        dcsc = csr2csc(d)
-        # the CSC of A stored as the CSR of A^T
-        assert np.array_equal(dcsc.to_host().to_dense(), host.to_dense().T)
-
-    def test_no_pcie_traffic(self, device, host):
-        d = csr_to_device(device, host.to_csr())
-        comm0 = device.timeline.communication_time()
-        csr2csc(d)
-        assert device.timeline.communication_time() == comm0

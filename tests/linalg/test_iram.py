@@ -51,16 +51,6 @@ class TestAgainstScipy:
         G = res.eigenvectors.T @ res.eigenvectors
         assert np.allclose(G, np.eye(k), atol=1e-9)
 
-    def test_dense_eig_ql_path(self, rng):
-        n, k = 100, 6
-        A = random_sparse(n, n, 0.1, rng=rng, symmetric=True).to_csr()
-        res = drive(
-            irlm_generator(n, k, tol=1e-10, seed=3, dense_eig="ql"), A.matvec
-        )
-        ref = spla.eigsh(scipy_of(A), k=k, which="LA", return_eigenvectors=False)
-        ref.sort()
-        assert np.allclose(res.eigenvalues, ref, atol=1e-8)
-
 
 class TestBehavior:
     def test_m_equals_n_is_exact(self, rng):

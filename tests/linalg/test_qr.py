@@ -1,17 +1,11 @@
-"""QR building blocks: Givens, Householder, and the implicit shift sweep."""
+"""QR building blocks: Givens rotations and the implicit shift sweep."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg.qr import (
-    apply_givens_right,
-    givens,
-    householder_qr,
-    implicit_qr_sweep,
-    qr_shift_step,
-)
+from repro.linalg.qr import givens, implicit_qr_sweep
 from repro.linalg.tridiag import tridiag_to_dense
 
 
@@ -30,63 +24,10 @@ class TestGivens:
         c, s, _ = givens(a, b)
         assert c * c + s * s == pytest.approx(1.0, abs=1e-9)
 
-    def test_apply_right(self, rng):
-        M = rng.standard_normal((4, 4))
-        ref = M.copy()
-        c, s, _ = givens(1.0, 2.0)
-        G = np.eye(4)
-        G[1, 1], G[1, 2], G[2, 1], G[2, 2] = c, s, -s, c
-        apply_givens_right(M, 1, 2, c, s)
-        assert np.allclose(M, ref @ G.T)
-
-
-class TestHouseholderQR:
-    @pytest.mark.parametrize("shape", [(5, 5), (8, 4), (4, 8), (1, 1)])
-    def test_factorization(self, rng, shape):
-        A = rng.standard_normal(shape)
-        Q, R = householder_qr(A)
-        assert np.allclose(Q @ R, A, atol=1e-12)
-        assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-12)
-        assert np.allclose(R, np.triu(R))
-
-    def test_complete_mode(self, rng):
-        A = rng.standard_normal((6, 3))
-        Q, R = householder_qr(A, mode="complete")
-        assert Q.shape == (6, 6)
-        assert R.shape == (6, 3)
-        assert np.allclose(Q @ R, A, atol=1e-12)
-        assert np.allclose(Q @ Q.T, np.eye(6), atol=1e-12)
-
-    def test_rank_deficient(self):
-        A = np.ones((4, 4))
-        Q, R = householder_qr(A)
-        assert np.allclose(Q @ R, A, atol=1e-12)
-
-    def test_agrees_with_lapack_up_to_signs(self, rng):
-        A = rng.standard_normal((7, 7))
-        Q1, R1 = householder_qr(A)
-        Q2, R2 = np.linalg.qr(A)
-        sgn = np.sign(np.diag(R1) * np.diag(R2))
-        assert np.allclose(Q1 * sgn, Q2, atol=1e-10)
-
-    def test_unknown_mode(self, rng):
-        with pytest.raises(ValueError):
-            householder_qr(rng.standard_normal((3, 3)), mode="economy")
-
 
 class TestShiftSteps:
     def _random_tridiag(self, rng, m):
         return tridiag_to_dense(rng.standard_normal(m), rng.standard_normal(m - 1))
-
-    def test_explicit_step_is_similarity(self, rng):
-        T = self._random_tridiag(rng, 8)
-        T2, Q = qr_shift_step(T, 0.7)
-        assert np.allclose(Q.T @ T @ Q, T2, atol=1e-10)
-
-    def test_explicit_with_householder(self, rng):
-        T = self._random_tridiag(rng, 6)
-        T2, Q = qr_shift_step(T, -0.3, use_lapack=False)
-        assert np.allclose(Q.T @ T @ Q, T2, atol=1e-10)
 
     def test_implicit_matches_explicit_for_safe_shift(self, rng):
         T0 = self._random_tridiag(rng, 9)

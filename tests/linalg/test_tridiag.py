@@ -7,66 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.linalg.tridiag import (
-    eigh_tridiagonal,
-    eigh_tridiagonal_ql,
-    tridiag_to_dense,
-)
+from repro.linalg.tridiag import eigh_tridiagonal, tridiag_to_dense
 
 
-class TestQLRoutine:
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
-    def test_eigenvalues_match_lapack(self, rng, n):
-        a = rng.standard_normal(n)
-        b = rng.standard_normal(max(0, n - 1))
-        w, _ = eigh_tridiagonal_ql(a, b)
-        ref = np.linalg.eigvalsh(tridiag_to_dense(a, b))
-        assert np.allclose(w, ref, atol=1e-10)
-
-    def test_eigenvectors_satisfy_definition(self, rng):
-        n = 30
-        a = rng.standard_normal(n)
-        b = rng.standard_normal(n - 1)
-        w, Z = eigh_tridiagonal_ql(a, b)
+class TestEighTridiagonal:
+    def test_lapack_path(self, rng):
+        a = rng.standard_normal(12)
+        b = rng.standard_normal(11)
+        w, Z = eigh_tridiagonal(a, b)
         T = tridiag_to_dense(a, b)
-        assert np.allclose(T @ Z, Z * w, atol=1e-9)
-        assert np.allclose(Z.T @ Z, np.eye(n), atol=1e-10)
-
-    def test_ascending_order(self, rng):
-        w, _ = eigh_tridiagonal_ql(rng.standard_normal(20), rng.standard_normal(19))
-        assert np.all(np.diff(w) >= 0)
+        assert np.allclose(T @ Z, Z * w, atol=1e-10)
 
     def test_no_vectors_mode(self, rng):
-        w, Z = eigh_tridiagonal_ql(
+        w, Z = eigh_tridiagonal(
             rng.standard_normal(10), rng.standard_normal(9), compute_vectors=False
         )
         assert Z is None
         assert w.size == 10
 
-    def test_diagonal_matrix(self):
-        w, Z = eigh_tridiagonal_ql(np.array([3.0, 1.0, 2.0]), np.zeros(2))
-        assert np.allclose(w, [1, 2, 3])
-
-    def test_zero_matrix(self):
-        w, _ = eigh_tridiagonal_ql(np.zeros(5), np.zeros(4))
-        assert np.allclose(w, 0.0)
-
     def test_empty(self):
-        w, Z = eigh_tridiagonal_ql(np.zeros(0), np.zeros(0))
+        w, Z = eigh_tridiagonal(np.zeros(0), np.zeros(0))
         assert w.size == 0
         assert Z.shape == (0, 0)
-
-    def test_wrong_beta_length(self, rng):
-        with pytest.raises(ValueError):
-            eigh_tridiagonal_ql(np.zeros(5), np.zeros(2))
-
-    def test_clustered_eigenvalues(self):
-        # near-degenerate spectrum: 1, 1+1e-12, 5
-        a = np.array([1.0, 1.0 + 1e-12, 5.0])
-        b = np.array([1e-13, 1e-13])
-        w, Z = eigh_tridiagonal_ql(a, b)
-        T = tridiag_to_dense(a, b)
-        assert np.allclose(T @ Z, Z * w, atol=1e-9)
 
     @given(
         a=hnp.arrays(np.float64, st.integers(1, 20),
@@ -77,33 +39,13 @@ class TestQLRoutine:
     def test_property_matches_scipy(self, a, seed):
         n = a.size
         b = np.random.default_rng(seed).uniform(-5, 5, max(0, n - 1))
-        w, _ = eigh_tridiagonal_ql(a, b)
+        w, _ = eigh_tridiagonal(a, b)
         ref = (
             sla.eigh_tridiagonal(a, b, eigvals_only=True)
             if n > 1
             else a.copy()
         )
         assert np.allclose(np.sort(w), np.sort(ref), atol=1e-8)
-
-
-class TestDispatcher:
-    def test_lapack_path(self, rng):
-        a = rng.standard_normal(12)
-        b = rng.standard_normal(11)
-        w, Z = eigh_tridiagonal(a, b, method="lapack")
-        T = tridiag_to_dense(a, b)
-        assert np.allclose(T @ Z, Z * w, atol=1e-10)
-
-    def test_paths_agree(self, rng):
-        a = rng.standard_normal(15)
-        b = rng.standard_normal(14)
-        w1, _ = eigh_tridiagonal(a, b, method="lapack")
-        w2, _ = eigh_tridiagonal(a, b, method="ql")
-        assert np.allclose(w1, w2, atol=1e-9)
-
-    def test_unknown_method(self, rng):
-        with pytest.raises(ValueError):
-            eigh_tridiagonal(np.zeros(3), np.zeros(2), method="divide")
 
     def test_beta_length_checked(self):
         with pytest.raises(ValueError):

@@ -120,10 +120,6 @@ class TestConversions:
         A = simple_coo()
         assert np.array_equal(A.to_csr().to_dense(), A.to_dense())
 
-    def test_to_csc_round_trip(self):
-        A = simple_coo()
-        assert np.array_equal(A.to_csc().to_dense(), A.to_dense())
-
     def test_to_coo_is_self(self):
         A = simple_coo()
         assert A.to_coo() is A
@@ -131,7 +127,6 @@ class TestConversions:
     def test_empty_matrix_conversions(self):
         A = COOMatrix([], [], [], (4, 4))
         assert A.to_csr().nnz == 0
-        assert A.to_csc().nnz == 0
         assert np.array_equal(A.to_dense(), np.zeros((4, 4)))
 
     def test_rectangular(self, rng):

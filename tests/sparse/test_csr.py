@@ -121,10 +121,6 @@ class TestConversionsStructure:
         A = simple_csr()
         assert np.array_equal(A.to_coo().to_csr().to_dense(), A.to_dense())
 
-    def test_to_csc_round_trip(self):
-        A = simple_csr()
-        assert np.array_equal(A.to_csc().to_dense(), A.to_dense())
-
     def test_row_expansion_cached(self):
         A = simple_csr()
         r1 = A._rows()

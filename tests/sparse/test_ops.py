@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import SparseValueError
 from repro.sparse.construct import random_sparse
-from repro.sparse.ops import row_sums, scale_cols, scale_rows, spmm
+from repro.sparse.ops import row_sums
 
 
 @pytest.fixture
@@ -18,35 +18,6 @@ class TestGenericOps:
         ref = A.to_dense().sum(axis=1)
         assert np.allclose(row_sums(A), ref)
         assert np.allclose(row_sums(A.to_csr()), ref)
-        assert np.allclose(row_sums(A.to_csc()), ref)
-
-    def test_scale_rows_all_formats(self, A, rng):
-        s = rng.random(12)
-        ref = np.diag(s) @ A.to_dense()
-        for M in (A, A.to_csr(), A.to_csc()):
-            out = scale_rows(M, s)
-            assert type(out) is type(M)
-            assert np.allclose(out.to_dense(), ref)
-
-    def test_scale_cols_all_formats(self, A, rng):
-        s = rng.random(9)
-        ref = A.to_dense() @ np.diag(s)
-        for M in (A, A.to_csr(), A.to_csc()):
-            assert np.allclose(scale_cols(M, s).to_dense(), ref)
-
-    def test_scale_wrong_length(self, A):
-        with pytest.raises(SparseValueError):
-            scale_cols(A, np.ones(5))
-
-    def test_spmm_vector_fallback(self, A, rng):
-        x = rng.random(9)
-        assert np.allclose(spmm(A, x), A.to_dense() @ x)
-
-    def test_spmm_matrix_all_formats(self, A, rng):
-        X = rng.random((9, 4))
-        ref = A.to_dense() @ X
-        for M in (A, A.to_csr(), A.to_csc()):
-            assert np.allclose(spmm(M, X), ref)
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(SparseValueError):

@@ -11,7 +11,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse.bsr import BSRMatrix
 from repro.sparse.coo import COOMatrix
 
 
@@ -42,9 +41,7 @@ def coo_matrices(draw):
 def test_format_round_trips_preserve_dense(A):
     d = A.to_dense()
     assert np.allclose(A.to_csr().to_dense(), d)
-    assert np.allclose(A.to_csc().to_dense(), d)
     assert np.allclose(A.to_csr().to_coo().to_dense(), d)
-    assert np.allclose(A.to_csc().to_csr().to_dense(), d)
     assert np.allclose(A.sum_duplicates().to_dense(), d)
 
 
@@ -55,17 +52,6 @@ def test_all_matvecs_agree_with_dense(A, seed):
     ref = A.to_dense() @ x
     assert np.allclose(A.matvec(x), ref)
     assert np.allclose(A.to_csr().matvec(x), ref)
-    assert np.allclose(A.to_csc().matvec(x), ref)
-
-
-@given(coo_matrices(), st.integers(1, 5))
-@settings(max_examples=40, deadline=None)
-def test_bsr_matvec_any_block_size(A, b):
-    csr = A.to_csr()
-    B = BSRMatrix.from_csr(csr, b)
-    x = np.arange(A.shape[1], dtype=np.float64)
-    assert np.allclose(B.matvec(x), A.to_dense() @ x)
-    assert np.allclose(B.to_dense(), A.sum_duplicates().eliminate_zeros().to_dense())
 
 
 @given(coo_matrices())
@@ -100,4 +86,3 @@ def test_rmatvec_is_transpose_matvec(A, seed):
     x = np.random.default_rng(seed).standard_normal(A.shape[0])
     ref = A.to_dense().T @ x
     assert np.allclose(A.to_csr().rmatvec(x), ref)
-    assert np.allclose(A.to_csc().rmatvec(x), ref)

@@ -80,3 +80,38 @@ def test_fit_signature_stability():
 
     params = inspect.signature(repro.SpectralClustering.fit).parameters
     assert {"X", "edges", "graph"} <= set(params)
+
+
+#: the exact export table of each library layer, so that re-adding an
+#: alternate implementation is a deliberate edit here
+PINNED_SURFACES = {
+    "repro.linalg": {
+        "IRLMResult", "LanczosCheckpoint", "LanczosState", "MatvecRequest",
+        "RCIStatus", "SymEigProblem", "TransferLedger", "dgks_orthogonalize",
+        "eigh_tridiagonal", "eigsh", "eigsh_generalized_diag", "givens",
+        "irlm_generator", "normalize_columns",
+    },
+    "repro.sparse": {
+        "COOMatrix", "CSRMatrix", "diags", "from_edge_list", "identity",
+        "random_sparse", "row_sums",
+    },
+    "repro.cublas": {"gemm"},
+    "repro.thrust": {
+        "copy", "exclusive_scan", "inclusive_scan", "lower_bound",
+        "reduce_by_key", "sort_by_key", "transform",
+    },
+    "repro.cusparse": {
+        "CSRShard", "DeviceCOO", "DeviceCSR", "DeviceELL", "DeviceHYB",
+        "FormatDecision", "PartitionedCSR", "RowStats", "autotune_format",
+        "autotune_spmm_format", "convert_for_spmv", "coo2csr", "coo_to_device",
+        "coomv", "csr2coo", "csr_to_device", "csr_to_ell", "csr_to_hyb",
+        "csrmm", "csrmv", "ellmm", "ellmv", "hybmm", "hybmv", "partition_csr",
+        "row_stats", "spmm_any", "spmv_any", "spmv_partitioned",
+    },
+}
+
+
+@pytest.mark.parametrize("modname", sorted(PINNED_SURFACES))
+def test_library_surface_is_pinned(modname):
+    exported = importlib.import_module(modname).__all__
+    assert sorted(exported) == sorted(PINNED_SURFACES[modname])

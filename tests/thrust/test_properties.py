@@ -85,33 +85,6 @@ def test_inclusive_scan_matches_cumsum(vals):
     assert device.allocator.used_bytes == 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    src=hnp.arrays(
-        np.float64,
-        st.integers(min_value=1, max_value=64),
-        elements=finite_doubles,
-    ),
-    data=st.data(),
-)
-def test_gather_matches_fancy_indexing(src, data):
-    idx = data.draw(
-        hnp.arrays(
-            np.int64,
-            st.integers(min_value=0, max_value=64),
-            elements=st.integers(min_value=0, max_value=src.size - 1),
-        )
-    )
-    device = Device()
-    dsrc = device.to_device(src)
-    didx = device.to_device(idx)
-    out = thrust.gather(didx, dsrc)
-    assert np.array_equal(out.data, src[idx])
-    for b in (dsrc, didx, out):
-        b.free()
-    assert device.allocator.used_bytes == 0
-
-
 @settings(max_examples=40, deadline=None)
 @given(keys=keys_arrays, data=st.data())
 def test_sort_then_reduce_consistent_with_bincount(keys, data):
