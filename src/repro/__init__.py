@@ -23,7 +23,7 @@ Subpackages
     The ARPACK-style implicitly restarted Lanczos eigensolver with the
     reverse communication interface.
 ``repro.graph``
-    Similarity measures, ε/kNN/λ graph construction, Laplacians.
+    Similarity measures, ε-neighbour graph construction, Laplacians.
 ``repro.kmeans``
     GPU k-means (Algorithm 4) with k-means++ seeding (Algorithm 5).
 ``repro.baselines``
@@ -34,7 +34,6 @@ Subpackages
 
 from repro._version import __version__
 from repro.core.config import ClusterConfig
-from repro.core.embedding import spectral_embedding
 from repro.core.pipeline import SpectralClustering
 from repro.core.result import ClusteringResult, StageTimings
 from repro.errors import ReproError
@@ -43,7 +42,6 @@ __all__ = [
     "__version__",
     "SpectralClustering",
     "ClusterConfig",
-    "spectral_embedding",
     "ClusteringResult",
     "StageTimings",
     "ReproError",

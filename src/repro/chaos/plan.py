@@ -58,12 +58,9 @@ KNOWN_SITES = (
     "cusparse.csrmv",
     "cusparse.coomv",
     "cusparse.ellmv",
-    "cusparse.hybmv",
     "cusparse.csrmm",
     "cusparse.ellmm",
-    "cusparse.hybmm",
     "cusparse.csr2ell",
-    "cusparse.csr2hyb",
     "cublas.*",
     "compressive.filter",
     "compressive.gather",

@@ -9,7 +9,6 @@ accounting; :mod:`repro.core.result` defines the result records.
 """
 
 from repro.core.config import ClusterConfig
-from repro.core.embedding import spectral_embedding
 from repro.core.model import (
     ApplyDeltaResult,
     FittedSpectralModel,
@@ -22,7 +21,6 @@ from repro.core.workflow import hybrid_eigensolver, EigStats
 __all__ = [
     "ClusterConfig",
     "SpectralClustering",
-    "spectral_embedding",
     "ApplyDeltaResult",
     "FittedSpectralModel",
     "PredictResult",

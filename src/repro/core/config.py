@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compressive.lift import LIFT_MODES
-from repro.core.workflow import EMBEDDING_MODES
+from repro.core.workflow import EMBEDDING_MODES, SPMV_FORMAT_CHOICES
 from repro.errors import ClusteringError
 from repro.precision import PRECISIONS
 
@@ -37,7 +37,7 @@ _CHOICES = {
     "objective": ("ncut", "ratiocut"),
     "handle_isolated": ("remove", "error"),
     "eig_residency": ("device", "host"),
-    "eig_spmv_format": ("auto", "csr", "ell", "hyb"),
+    "eig_spmv_format": SPMV_FORMAT_CHOICES,
     "kmeans_update": ("spmm", "sort"),
 }
 #: ... and knobs limited to a registry that the CLI offers as choices
@@ -92,8 +92,8 @@ class ClusterConfig:
         produce bit-identical eigenpairs.
     eig_spmv_format:
         SpMV operand format for the eigensolver: 'auto' (default) lets
-        the row-length-statistics autotuner choose between 'csr', 'ell'
-        and 'hyb'; or force one.  Format only changes charged time.
+        the row-length-statistics autotuner choose between 'csr' and
+        'ell'; or force one.  Format only changes charged time.
     devices:
         Simulated GPUs the fit spans (default 1).  The normalized
         operator splits into nnz-balanced row blocks with local/halo

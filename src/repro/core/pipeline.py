@@ -14,20 +14,15 @@ platform:
 Graph input (FB/DBLP/Syn200-style) enters directly at step 2, exactly as
 §II notes.
 
-Staged entry points
--------------------
+Staged serving
+--------------
 :meth:`SpectralClustering.fit` runs all four stages.  The serving layer
-(:mod:`repro.serve`) needs to reuse intermediate artifacts across
-requests, so the stages are also exposed as composable entry points with
-identical arithmetic:
-
-* :meth:`SpectralClustering.embed` — stages 1-3, returning an
-  :class:`~repro.core.result.EmbeddingResult` (the cacheable artifact);
-* :meth:`SpectralClustering.fit_embedding` — stage 4 on a precomputed
-  embedding, returning a full :class:`~repro.core.result.ClusteringResult`.
-
-``fit(graph=W)`` and ``fit_embedding(embed(graph=W))`` perform the same
-operations in the same order, so labels and embeddings agree bit for bit.
+(:mod:`repro.serve`) reuses intermediate artifacts across requests, so it
+composes the private stage methods itself (similarity, Laplacian,
+eigensolver, k-means) and caches the
+:class:`~repro.core.result.EmbeddingResult` between them; the stages run
+the same operations in the same order, so a cached embedding's labels
+agree with a cold ``fit`` bit for bit.
 
 Fault injection and resilience
 ------------------------------
@@ -64,7 +59,7 @@ from repro.compressive.sampling import (
 )
 from repro.core.config import ClusterConfig
 from repro.core.model import FittedSpectralModel
-from repro.core.result import ClusteringResult, EmbeddingResult, StageTimings
+from repro.core.result import ClusteringResult, StageTimings
 from repro.core.workflow import hybrid_eigensolver
 from repro.cuda.device import Device
 from repro.cuda.profiler import Profiler
@@ -234,77 +229,6 @@ class SpectralClustering:
         with scope:
             return self._fit_under_plan(device, policy, plan, X, edges, graph)
 
-    def embed(
-        self,
-        X: np.ndarray | None = None,
-        edges: np.ndarray | None = None,
-        graph: COOMatrix | CSRMatrix | None = None,
-    ) -> EmbeddingResult:
-        """Run stages 1-3 only and return the reusable spectral embedding.
-
-        The returned :class:`~repro.core.result.EmbeddingResult` is the
-        artifact the serving layer caches: feeding it to
-        :meth:`fit_embedding` on an estimator with the same parameters
-        reproduces :meth:`fit` bit for bit while skipping the Laplacian
-        build and the Lanczos solve.
-        """
-        self._check_inputs(X, edges, graph)
-        device, policy, plan, scope = self._context()
-        with scope:
-            prof = Profiler(device)
-            prof.start()
-            timings = StageTimings()
-            resilience: dict[str, dict] = {}
-            theta, embedding, kept, n_total, stats = self._embed_stages(
-                device, policy, X, edges, graph, timings, resilience
-            )
-            return EmbeddingResult(
-                embedding=embedding,
-                eigenvalues=theta,
-                kept=kept,
-                n_total=n_total,
-                timings=timings,
-                profile=prof.stop(),
-                eig_stats=stats.as_dict(),
-                resilience=resilience,
-                fault_events=plan.schedule if plan is not None else (),
-            )
-
-    def fit_embedding(self, emb: EmbeddingResult) -> ClusteringResult:
-        """Run stage 4 (k-means) on a precomputed spectral embedding.
-
-        The cache-hit path of the serving layer: no similarity build, no
-        Laplacian, no eigensolve — only the k-means stage charges
-        simulated time.  ``emb`` must come from :meth:`embed` on an
-        estimator with the same embedding-relevant parameters for the
-        result to match a cold :meth:`fit`.
-        """
-        if emb.embedding.ndim != 2:
-            raise ClusteringError(
-                f"embedding must be 2-D, got shape {emb.embedding.shape}"
-            )
-        device, policy, plan, scope = self._context()
-        with scope:
-            prof = Profiler(device)
-            prof.start()
-            timings = StageTimings()
-            resilience: dict[str, dict] = {}
-            km = self._kmeans_stage(device, policy, emb.embedding, timings, resilience)
-            labels_full = np.full(emb.n_total, -1, dtype=np.int64)
-            labels_full[emb.kept] = km.labels
-            return ClusteringResult(
-                labels=labels_full,
-                eigenvalues=emb.eigenvalues,
-                embedding=emb.embedding,
-                kmeans=km,
-                timings=timings,
-                profile=prof.stop(),
-                eig_stats=dict(emb.eig_stats),
-                kept=emb.kept,
-                resilience=resilience,
-                fault_events=plan.schedule if plan is not None else (),
-            )
-
     # ------------------------------------------------------------------
     def _fit_under_plan(
         self, device, policy, plan, X, edges, graph
@@ -419,8 +343,14 @@ class SpectralClustering:
         t0 = time.perf_counter()
         sim_start = device.elapsed
         point_input = X is not None
+        values = np.asarray(X) if point_input else graph.data
+        # NaN fails every comparison, so a non-finite value would reach the
+        # ``deg > 0`` isolated-node test below as an isolated vertex
+        if not np.isfinite(values).all():
+            what = "X" if point_input else "graph weights"
+            raise ClusteringError(f"{what} must be finite (found NaN or inf)")
         if point_input:
-            X_arr = np.asarray(X)
+            X_arr = values
             edges_arr = np.asarray(edges)
             n_total = X_arr.shape[0]
             n_edges = max(1, int(edges_arr.shape[0]))
@@ -705,10 +635,10 @@ class SpectralClustering:
         k-means on the sampled sketch rows, and label lifting back to
         all vertices.  The whole stage is a deterministic function of
         ``(embedding, seed, knobs)``, so the serve cache-hit path
-        (:meth:`fit_embedding`) reproduces a cold :meth:`fit` bit for
-        bit.  On small graphs the default sample fraction saturates at
-        1.0 and the stage degenerates to plain k-means (no gather, no
-        lift).  Everything is charged inside the ``kmeans`` timing
+        reproduces a cold :meth:`fit` bit for bit.  On small graphs the
+        default sample fraction saturates at 1.0 and the stage
+        degenerates to plain k-means (no gather, no lift).  Everything is
+        charged inside the ``kmeans`` timing
         window; the Chrome trace separates ``sampling`` / ``kmeans`` /
         ``lift`` stage tags.
         """

@@ -48,9 +48,10 @@ class EmbeddingResult:
     """Stages 1-3 of the pipeline: the reusable spectral embedding.
 
     This is the expensive artifact worth caching across requests (the
-    Laplacian build and Lanczos solve dominate pipeline cost); the serving
-    layer's embedding cache stores exactly this record, keyed by a content
-    fingerprint of the graph plus the solver parameters.
+    Laplacian build and Lanczos solve dominate pipeline cost).  The serving
+    layer's solve unit builds it from the estimator's private stages; its
+    embedding cache and persistent store hold exactly this record, keyed
+    by a content fingerprint of the graph plus the solver parameters.
 
     Attributes
     ----------
@@ -85,10 +86,6 @@ class EmbeddingResult:
     eig_stats: dict
     resilience: dict = field(default_factory=dict)
     fault_events: tuple = ()
-
-    @property
-    def n_components(self) -> int:
-        return int(self.embedding.shape[1])
 
     @property
     def nbytes(self) -> int:

@@ -39,6 +39,7 @@ from repro.cuda.device import Device
 from repro.cuda.memory import BufferGroup
 from repro.cuda.stream import Stream
 from repro.cusparse.formats import (
+    SPMV_FORMATS,
     autotune_format,
     autotune_spmm_format,
     convert_for_spmv,
@@ -72,7 +73,7 @@ from repro.precision import (
 #: iteration-vector placements for :func:`hybrid_eigensolver`
 RESIDENCY_MODES = ("device", "host")
 #: SpMV format requests (``"auto"`` = cost-model autotune over row stats)
-SPMV_FORMAT_CHOICES = ("auto", "csr", "ell", "hyb")
+SPMV_FORMAT_CHOICES = ("auto",) + SPMV_FORMATS
 #: embedding algorithms: full IRLM or the block power iteration of
 #: Boutsidis et al. (q = O(log n) SpMMs, no restarts)
 EMBEDDING_MODES = ("lanczos", "power")
@@ -356,12 +357,7 @@ class PlacedOperator:
         """Materialize the operator in the solve's format (the conversion
         kernel is charged once, amortized over the attempt)."""
         if self.fmt != "csr" and self.op is self.s.A_solve:
-            hyb_width = (
-                self.decision.hyb_width if self.decision is not None else None
-            )
-            self.op = convert_for_spmv(
-                self.s.A_solve, self.fmt, hyb_width=hyb_width
-            )
+            self.op = convert_for_spmv(self.s.A_solve, self.fmt)
 
     def upload(self, nbytes: int) -> None:
         """Ship the seed (or a resumed factorization) to the device."""
@@ -402,15 +398,10 @@ class PlacedOperator:
     def bytes_per_application(self, width: int) -> float:
         """Analytic device-memory bytes of one ``width``-column block
         product through the materialized operator — the exact expressions
-        ``csrmm``/``ellmm``/``hybmm`` charge to the traffic meter."""
+        ``csrmm``/``ellmm`` charge to the traffic meter."""
         cost, op, n, vs = self.s.device.cost, self.op, self.s.n, self.s.vs
         if self.fmt == "ell":
             return cost.ellmm_bytes(n, op.nnz, op.width, width, vs)
-        if self.fmt == "hyb":
-            total = cost.ellmm_bytes(n, op.nnz_ell, op.width, width, vs)
-            if op.nnz_coo > 0:
-                total += cost.spmm_bytes(n, op.nnz_coo, width, vs)
-            return total
         return cost.spmm_bytes(n, op.nnz, width, vs)
 
     # ---- charges -----------------------------------------------------
@@ -932,7 +923,7 @@ def hybrid_eigensolver(
         ``"host"`` selects :class:`HostPlacement`, the paper's original
         Algorithm 3: the vector ships over PCIe twice per Lanczos step.
     spmv_format:
-        ``"auto"`` (default) picks CSR/ELL/HYB per matrix from row-length
+        ``"auto"`` (default) picks CSR or ELL per matrix from row-length
         statistics via the cost-model autotuner; or force one format.
         All formats share one reference substrate arithmetic, so this only
         changes charged time.
@@ -1177,7 +1168,7 @@ def _refine_apply(s: Solve):
 #: name fragments identifying SpMV/SpMM kernels on the timeline (any
 #: precision letter, any device suffix) — the byte-traffic meter's twin
 _SPMV_KERNEL_SUBSTRINGS = (
-    "csrmv", "coomv", "ellmv", "hybmv", "csrmm", "ellmm", "hybmm",
+    "csrmv", "coomv", "ellmv", "csrmm", "ellmm",
 )
 
 

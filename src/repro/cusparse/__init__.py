@@ -10,14 +10,12 @@ Provides the calls Algorithm 2 and 3 of the paper make:
 from repro.cusparse.matrices import DeviceCOO, DeviceCSR, coo_to_device, csr_to_device
 from repro.cusparse.formats import (
     DeviceELL,
-    DeviceHYB,
     FormatDecision,
     RowStats,
     autotune_format,
     autotune_spmm_format,
     convert_for_spmv,
     csr_to_ell,
-    csr_to_hyb,
     row_stats,
 )
 from repro.cusparse.conversions import coo2csr, csr2coo
@@ -27,24 +25,21 @@ from repro.cusparse.partition import (
     partition_csr,
     spmv_partitioned,
 )
-from repro.cusparse.spmv import coomv, csrmv, ellmv, hybmv, spmv_any
-from repro.cusparse.spmm import csrmm, ellmm, hybmm, spmm_any
+from repro.cusparse.spmv import coomv, csrmv, ellmv, spmv_any
+from repro.cusparse.spmm import csrmm, ellmm, spmm_any
 
 __all__ = [
     "DeviceCOO",
     "DeviceCSR",
     "DeviceELL",
-    "DeviceHYB",
     "FormatDecision",
     "RowStats",
     "autotune_format",
     "autotune_spmm_format",
     "convert_for_spmv",
     "csr_to_ell",
-    "csr_to_hyb",
     "row_stats",
     "ellmv",
-    "hybmv",
     "spmv_any",
     "CSRShard",
     "PartitionedCSR",
@@ -58,6 +53,5 @@ __all__ = [
     "csrmv",
     "csrmm",
     "ellmm",
-    "hybmm",
     "spmm_any",
 ]

@@ -1,13 +1,11 @@
-"""ELL/HYB device sparse formats and the SpMV format autotuner.
+"""The ELL device sparse format and the SpMV/SpMM format autotuner.
 
 cuSPARSE ships one SpMV kernel per storage format because no single layout
 wins everywhere:
 
 * **CSR** is compact but every row read is an irregular gather;
 * **ELL** pads all rows to the longest one — fully coalesced reads, so it
-  flies on near-uniform row lengths and drowns in padding on skewed ones;
-* **HYB** stores the first ``K`` entries of each row in ELL and spills the
-  tail to a COO list, splitting the difference for power-law graphs.
+  flies on near-uniform row lengths and drowns in padding on skewed ones.
 
 :func:`autotune_format` picks the format per matrix from row-length
 statistics (mean / max / variance over ``indptr``), by evaluating the
@@ -17,7 +15,7 @@ inspector/executor split ``cusparseDcsrmv`` callers do by hand.
 Bit-identity invariant
 ----------------------
 All formats compute through one substrate (:mod:`repro.cusparse.substrate`):
-an ELL or HYB operand shares the :class:`~repro.cusparse.substrate.Substrate`
+an ELL operand shares the :class:`~repro.cusparse.substrate.Substrate`
 of the CSR matrix it was converted from, so every SpMV and SpMM reduces
 the same canonical CSR-order arrays in the same order as
 :func:`~repro.cusparse.spmv.csrmv`.  Format choice changes only the
@@ -41,7 +39,7 @@ from repro.errors import SparseFormatError
 from repro.hw.costmodel import GPUCostModel
 from repro.precision import kernel_letter
 
-SPMV_FORMATS = ("csr", "ell", "hyb")
+SPMV_FORMATS = ("csr", "ell")
 
 
 @dataclass(frozen=True)
@@ -116,61 +114,6 @@ class DeviceELL:
         self.val.free()
 
 
-@dataclass
-class DeviceHYB:
-    """HYB matrix on the device: ELL part of width ``K`` plus a COO tail."""
-
-    ell_cols: DeviceArray
-    ell_val: DeviceArray
-    coo_row: DeviceArray
-    coo_col: DeviceArray
-    coo_val: DeviceArray
-    shape: tuple[int, int]
-    nnz: int
-    substrate: Substrate = field(repr=False)
-
-    @property
-    def width(self) -> int:
-        return self.ell_cols.shape[1] if self.ell_cols.ndim == 2 else 0
-
-    @property
-    def nnz_ell(self) -> int:
-        return self.nnz - self.coo_val.size
-
-    @property
-    def nnz_coo(self) -> int:
-        return self.coo_val.size
-
-    @property
-    def device(self):
-        return self.ell_val.device
-
-    def free(self) -> None:
-        self.ell_cols.free()
-        self.ell_val.free()
-        self.coo_row.free()
-        self.coo_col.free()
-        self.coo_val.free()
-
-
-def _padded_layout(
-    A: DeviceCSR, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scatter the first ``width`` entries of each CSR row into the padded
-    ``(n_rows, width)`` ELL arrays; returns (cols, vals, kept-entry mask)."""
-    n = A.shape[0]
-    counts = A.row_lengths()
-    offsets = np.repeat(A.indptr.data[:-1], counts)
-    slot = np.arange(A.nnz, dtype=np.int64) - offsets  # position within row
-    mask = slot < width
-    cols = np.full((n, max(width, 1)), -1, dtype=np.int64)
-    vals = np.zeros((n, max(width, 1)), dtype=A.val.data.dtype)
-    rows = A.substrate.rows
-    cols[rows[mask], slot[mask]] = A.indices.data[mask]
-    vals[rows[mask], slot[mask]] = A.val.data[mask]
-    return cols, vals, mask
-
-
 def csr_to_ell(A: DeviceCSR, width: int | None = None) -> DeviceELL:
     """Convert CSR -> ELL on the device (``cusparseDcsr2ell``).
 
@@ -180,14 +123,13 @@ def csr_to_ell(A: DeviceCSR, width: int | None = None) -> DeviceELL:
     dev = A.device
     chaos_check("cusparse.csr2ell", dev)
     n, _ = A.shape
+    counts = A.row_lengths()
+    longest = int(counts.max()) if counts.size else 0
     if width is None:
-        counts = A.row_lengths()
-        width = int(counts.max()) if counts.size else 0
-    cols_host, vals_host, mask = _padded_layout(A, width)
-    if not mask.all():
+        width = longest
+    elif width < longest:
         raise SparseFormatError(
-            f"ELL width {width} drops entries (longest row is larger); "
-            "use HYB for skewed matrices"
+            f"ELL width {width} drops entries (longest row is {longest})"
         )
     bufs = BufferGroup()
     try:
@@ -196,8 +138,12 @@ def csr_to_ell(A: DeviceCSR, width: int | None = None) -> DeviceELL:
     except BaseException:
         bufs.free_all()
         raise
-    cols.data[...] = cols_host
-    val.data[...] = vals_host
+    # entry e of row r lands in slot e - indptr[r]; padding is (-1, 0)
+    slot = np.arange(A.nnz, dtype=np.int64) - np.repeat(A.indptr.data[:-1], counts)
+    cols.data.fill(-1)
+    val.data.fill(0)
+    cols.data[A.substrate.rows, slot] = A.indices.data
+    val.data[A.substrate.rows, slot] = A.val.data
     vs = A.val.data.dtype.itemsize
     dt = dev.cost.format_conversion_time(A.nnz, n * width, itemsize=vs)
     dev.timeline.record(f"cusparse{kernel_letter(vs)}csr2ell", "kernel", dt)
@@ -205,55 +151,6 @@ def csr_to_ell(A: DeviceCSR, width: int | None = None) -> DeviceELL:
     return DeviceELL(
         cols=cols,
         val=val,
-        shape=A.shape,
-        nnz=A.nnz,
-        substrate=A.substrate,
-    )
-
-
-def hyb_ell_width(stats: RowStats) -> int:
-    """cuSPARSE's ``CUSPARSE_HYB_PARTITION_AUTO`` heuristic: the ELL part
-    covers the *typical* row, the tail spills to COO."""
-    return max(1, int(math.ceil(stats.mean)))
-
-
-def csr_to_hyb(A: DeviceCSR, width: int | None = None) -> DeviceHYB:
-    """Convert CSR -> HYB on the device (``cusparseDcsr2hyb``)."""
-    dev = A.device
-    chaos_check("cusparse.csr2hyb", dev)
-    n, _ = A.shape
-    if width is None:
-        width = hyb_ell_width(row_stats(A.indptr.data))
-    cols_host, vals_host, mask = _padded_layout(A, width)
-    spill = ~mask
-    bufs = BufferGroup()
-    try:
-        ell_cols = bufs.add(dev.empty((n, width), dtype=np.int64))
-        ell_val = bufs.add(dev.empty((n, width), dtype=A.val.data.dtype))
-        n_coo = max(int(spill.sum()), 0)
-        coo_row = bufs.add(dev.empty(n_coo, dtype=np.int64))
-        coo_col = bufs.add(dev.empty(n_coo, dtype=np.int64))
-        coo_val = bufs.add(dev.empty(n_coo, dtype=A.val.data.dtype))
-    except BaseException:
-        bufs.free_all()
-        raise
-    ell_cols.data[...] = cols_host
-    ell_val.data[...] = vals_host
-    coo_row.data[...] = A.substrate.rows[spill]
-    coo_col.data[...] = A.indices.data[spill]
-    coo_val.data[...] = A.val.data[spill]
-    vs = A.val.data.dtype.itemsize
-    dt = dev.cost.format_conversion_time(
-        A.nnz, n * width + 3 * coo_val.size, itemsize=vs
-    )
-    dev.timeline.record(f"cusparse{kernel_letter(vs)}csr2hyb", "kernel", dt)
-    dev.kernel_launches += 1
-    return DeviceHYB(
-        ell_cols=ell_cols,
-        ell_val=ell_val,
-        coo_row=coo_row,
-        coo_col=coo_col,
-        coo_val=coo_val,
         shape=A.shape,
         nnz=A.nnz,
         substrate=A.substrate,
@@ -268,14 +165,11 @@ class FormatDecision:
     stats: RowStats
     #: predicted per-SpMV seconds for each candidate format
     predicted_s: dict[str, float]
-    #: ELL partition width a HYB conversion would use
-    hyb_width: int
 
     def as_dict(self) -> dict:
         return {
             "format": self.format,
             "predicted_spmv_s": dict(self.predicted_s),
-            "hyb_width": self.hyb_width,
             "row_mean": self.stats.mean,
             "row_max": self.stats.max,
             "row_variance": self.stats.variance,
@@ -284,55 +178,38 @@ class FormatDecision:
 
 
 def autotune_format(
-    indptr: np.ndarray,
-    cost: GPUCostModel,
-    formats: tuple[str, ...] = SPMV_FORMATS,
-    itemsize: int = 8,
+    indptr: np.ndarray, cost: GPUCostModel, itemsize: int = 8
 ) -> FormatDecision:
     """Choose the cheapest SpMV format from row-length statistics.
 
-    Evaluates the calibrated cost-model kernel for each candidate format on
-    this matrix's shape and picks the minimum time; ties (and empty
-    matrices) fall back to CSR.  The decision is a pure function of
-    ``indptr`` and the device spec — deterministic and free of measurement
-    noise, an analytic stand-in for the probe-and-measure autotuners real
-    libraries use.  (A simulated kernel's measured time *is* the model's
-    prediction, so timing earlier solves adds no evidence.)
+    Evaluates the calibrated cost-model kernel for each format on this
+    matrix's shape and picks the minimum time; ties (and empty matrices)
+    fall back to CSR.  The decision is a pure function of ``indptr`` and
+    the device spec — deterministic and free of measurement noise, an
+    analytic stand-in for the probe-and-measure autotuners real libraries
+    use.  (A simulated kernel's measured time *is* the model's prediction,
+    so timing earlier solves adds no evidence.)
 
     ``itemsize`` is the value-storage width the predictions price — pass
     the reduced width when tuning for an fp32/fp16 operand.
     """
-    for f in formats:
-        if f not in SPMV_FORMATS:
-            raise SparseFormatError(f"unknown SpMV format {f!r}")
     stats = row_stats(indptr)
-    K = hyb_ell_width(stats)
-    predicted: dict[str, float] = {}
-    if "csr" in formats:
-        predicted["csr"] = cost.spmv_time(stats.n_rows, stats.nnz, itemsize=itemsize)
+    predicted = {
+        "csr": cost.spmv_time(stats.n_rows, stats.nnz, itemsize=itemsize)
+    }
     if stats.nnz and stats.n_rows:
-        counts = np.diff(indptr)
-        if "ell" in formats:
-            predicted["ell"] = cost.ellmv_time(
-                stats.n_rows, stats.nnz, stats.max, itemsize=itemsize
-            )
-        if "hyb" in formats:
-            nnz_ell = int(np.minimum(counts, K).sum())
-            predicted["hyb"] = cost.hybmv_time(
-                stats.n_rows, nnz_ell, K, stats.nnz - nnz_ell, itemsize=itemsize
-            )
-    if not predicted:
-        raise SparseFormatError("no candidate formats to autotune over")
+        predicted["ell"] = cost.ellmv_time(
+            stats.n_rows, stats.nnz, stats.max, itemsize=itemsize
+        )
     return FormatDecision(
-        format=_cheapest(predicted), stats=stats, predicted_s=predicted,
-        hyb_width=K,
+        format=_cheapest(predicted), stats=stats, predicted_s=predicted
     )
 
 
 def _cheapest(effective: dict[str, float]) -> str:
     """The minimum-time format; CSR (no conversion) wins ties."""
     best = min(sorted(effective), key=lambda f: effective[f])
-    if effective.get("csr", float("inf")) <= effective[best]:
+    if effective["csr"] <= effective[best]:
         best = "csr"
     return best
 
@@ -341,7 +218,6 @@ def autotune_spmm_format(
     indptr: np.ndarray,
     cost: GPUCostModel,
     p: int,
-    formats: tuple[str, ...] = SPMV_FORMATS,
     conversion_uses: int | None = None,
     itemsize: int = 8,
 ) -> FormatDecision:
@@ -349,15 +225,15 @@ def autotune_spmm_format(
 
     The SpMM twin of :func:`autotune_format`, reusing the same row-length
     evidence and :class:`FormatDecision` reporting: the calibrated
-    per-format SpMM kernels (``spmm_time``/``ellmm_time``/``hybmm_time``)
-    are evaluated on this matrix's shape and the minimum picked.  Ties
-    fall back to CSR (no conversion needed).
+    per-format SpMM kernels (``spmm_time``/``ellmm_time``) are evaluated
+    on this matrix's shape and the minimum picked.  Ties fall back to CSR
+    (no conversion needed).
 
-    ``conversion_uses`` charges each non-CSR candidate its CSR->X
-    conversion kernel amortized over that many SpMM launches — pass ``1``
-    when the operand is rebuilt per product (the k-means membership
-    matrix changes every Lloyd iteration), leave ``None`` when the
-    conversion happens once outside the measured loop.
+    ``conversion_uses`` charges the ELL candidate its CSR->ELL conversion
+    kernel amortized over that many SpMM launches — pass ``1`` when the
+    operand is rebuilt per product (the k-means membership matrix changes
+    every Lloyd iteration), leave ``None`` when the conversion happens
+    once outside the measured loop.
     """
     if p < 1:
         raise SparseFormatError(f"spmm autotune needs p >= 1 columns, got {p}")
@@ -365,56 +241,28 @@ def autotune_spmm_format(
         raise SparseFormatError(
             f"conversion_uses must be >= 1, got {conversion_uses}"
         )
-    for f in formats:
-        if f not in SPMV_FORMATS:
-            raise SparseFormatError(f"unknown SpMM format {f!r}")
     stats = row_stats(indptr)
-    K = hyb_ell_width(stats)
-    predicted: dict[str, float] = {}
-    conversion: dict[str, float] = {}
-    if "csr" in formats:
-        predicted["csr"] = cost.spmm_time(
-            stats.n_rows, stats.nnz, p, itemsize=itemsize
-        )
+    predicted = {
+        "csr": cost.spmm_time(stats.n_rows, stats.nnz, p, itemsize=itemsize)
+    }
+    effective = dict(predicted)
     if stats.nnz and stats.n_rows:
-        counts = np.diff(indptr)
-        if "ell" in formats:
-            predicted["ell"] = cost.ellmm_time(
-                stats.n_rows, stats.nnz, stats.max, p, itemsize=itemsize
-            )
-            conversion["ell"] = cost.format_conversion_time(
+        predicted["ell"] = effective["ell"] = cost.ellmm_time(
+            stats.n_rows, stats.nnz, stats.max, p, itemsize=itemsize
+        )
+        if conversion_uses is not None:
+            effective["ell"] += cost.format_conversion_time(
                 stats.nnz, stats.n_rows * stats.max, itemsize=itemsize
-            )
-        if "hyb" in formats:
-            nnz_ell = int(np.minimum(counts, K).sum())
-            predicted["hyb"] = cost.hybmm_time(
-                stats.n_rows, nnz_ell, K, stats.nnz - nnz_ell, p, itemsize=itemsize
-            )
-            conversion["hyb"] = cost.format_conversion_time(
-                stats.nnz, stats.n_rows * K + 3 * (stats.nnz - nnz_ell), itemsize=itemsize
-            )
-    if not predicted:
-        raise SparseFormatError("no candidate formats to autotune over")
-    effective = predicted
-    if conversion_uses is not None:
-        effective = {
-            f: t + conversion.get(f, 0.0) / conversion_uses
-            for f, t in predicted.items()
-        }
+            ) / conversion_uses
     return FormatDecision(
-        format=_cheapest(effective), stats=stats, predicted_s=predicted,
-        hyb_width=K,
+        format=_cheapest(effective), stats=stats, predicted_s=predicted
     )
 
 
-def convert_for_spmv(
-    A: DeviceCSR, fmt: str, hyb_width: int | None = None
-) -> "DeviceCSR | DeviceELL | DeviceHYB":
+def convert_for_spmv(A: DeviceCSR, fmt: str) -> "DeviceCSR | DeviceELL":
     """Materialize ``A`` in ``fmt`` (no-op for ``"csr"``)."""
     if fmt == "csr":
         return A
     if fmt == "ell":
         return csr_to_ell(A)
-    if fmt == "hyb":
-        return csr_to_hyb(A, width=hyb_width)
     raise SparseFormatError(f"unknown SpMV format {fmt!r}")

@@ -1,5 +1,5 @@
 """Sparse × dense matrix products on the device (``cusparseDcsrmm`` and
-the ELL/HYB counterparts).
+its ELL counterpart).
 
 The same format trade-off that drives the SpMV autotuner applies to SpMM:
 the padded ELL layout streams coalesced and is read once per launch
@@ -86,34 +86,6 @@ def ellmm(
     return C
 
 
-def hybmm(
-    A,
-    B: DeviceArray,
-    C: DeviceArray | None = None,
-    alpha: float = 1.0,
-    beta: float = 0.0,
-) -> DeviceArray:
-    """``C <- alpha * A @ B + beta * C`` for a :class:`DeviceHYB` matrix.
-
-    Two launches: the coalesced ELL pass plus the atomics-based COO pass
-    over the spill tail, mirroring :func:`~repro.cusparse.spmv.hybmv`.
-    """
-    C, dev, p, vs = _product("hybmm", A, B, C, alpha, beta)
-    n, letter = A.shape[0], kernel_letter(vs)
-    charge(
-        dev, f"cusparse{letter}hybmm[ell]",
-        dev.cost.ellmm_time(n, A.nnz_ell, A.width, p, itemsize=vs),
-        dev.cost.ellmm_bytes(n, A.nnz_ell, A.width, p, vs),
-    )
-    if A.nnz_coo > 0:
-        charge(
-            dev, f"cusparse{letter}hybmm[coo]",
-            dev.cost.spmm_time(n, A.nnz_coo, p, itemsize=vs) * 2.0,
-            dev.cost.spmm_bytes(n, A.nnz_coo, p, vs),
-        )
-    return C
-
-
 def spmm_any(
     A,
     B: DeviceArray,
@@ -121,13 +93,11 @@ def spmm_any(
     alpha: float = 1.0,
     beta: float = 0.0,
 ) -> DeviceArray:
-    """Format-dispatching SpMM: CSR, ELL or HYB operand, same semantics."""
-    from repro.cusparse.formats import DeviceELL, DeviceHYB
+    """Format-dispatching SpMM: CSR or ELL operand, same semantics."""
+    from repro.cusparse.formats import DeviceELL
 
     if isinstance(A, DeviceCSR):
         return csrmm(A, B, C, alpha=alpha, beta=beta)
     if isinstance(A, DeviceELL):
         return ellmm(A, B, C, alpha=alpha, beta=beta)
-    if isinstance(A, DeviceHYB):
-        return hybmm(A, B, C, alpha=alpha, beta=beta)
     raise SparseValueError(f"spmm: unsupported operand type {type(A).__name__}")

@@ -104,34 +104,6 @@ def ellmv(
     return y
 
 
-def hybmv(
-    A,
-    x: DeviceArray,
-    y: DeviceArray | None = None,
-    alpha: float = 1.0,
-    beta: float = 0.0,
-) -> DeviceArray:
-    """``y <- alpha * A @ x + beta * y`` for a :class:`DeviceHYB` matrix.
-
-    Two launches: the coalesced ELL pass over the regular part, then the
-    atomics-based COO pass over the spill tail.
-    """
-    y, dev, vs = _product("hybmv", A, x, y, alpha, beta)
-    n, letter = A.shape[0], kernel_letter(vs)
-    charge(
-        dev, f"cusparse{letter}hybmv[ell]",
-        dev.cost.ellmv_time(n, A.nnz_ell, A.width, itemsize=vs),
-        dev.cost.ellmv_bytes(n, A.nnz_ell, A.width, vs),
-    )
-    if A.nnz_coo > 0:
-        charge(
-            dev, f"cusparse{letter}hybmv[coo]",
-            dev.cost.spmv_time(n, A.nnz_coo, itemsize=vs) * 2.0,
-            dev.cost.spmv_bytes(n, A.nnz_coo, vs),
-        )
-    return y
-
-
 def spmv_any(
     A,
     x: DeviceArray,
@@ -139,15 +111,13 @@ def spmv_any(
     alpha: float = 1.0,
     beta: float = 0.0,
 ) -> DeviceArray:
-    """Format-dispatching SpMV: CSR, ELL or HYB operand, same semantics."""
-    from repro.cusparse.formats import DeviceELL, DeviceHYB
+    """Format-dispatching SpMV: CSR or ELL operand, same semantics."""
+    from repro.cusparse.formats import DeviceELL
 
     if isinstance(A, DeviceCSR):
         return csrmv(A, x, y, alpha=alpha, beta=beta)
     if isinstance(A, DeviceELL):
         return ellmv(A, x, y, alpha=alpha, beta=beta)
-    if isinstance(A, DeviceHYB):
-        return hybmv(A, x, y, alpha=alpha, beta=beta)
     if isinstance(A, DeviceCOO):
         return coomv(A, x, y, alpha=alpha, beta=beta)
     raise SparseValueError(f"spmv: unsupported operand type {type(A).__name__}")

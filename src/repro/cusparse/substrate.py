@@ -1,8 +1,8 @@
 """The one sparse product substrate every format, placement and fallback
 computes through.
 
-Every simulated sparse kernel — ``csrmv``/``coomv``/``ellmv``/``hybmv``,
-``csrmm``/``ellmm``/``hybmm``, the row-partitioned multi-device products,
+Every simulated sparse kernel — ``csrmv``/``coomv``/``ellmv``,
+``csrmm``/``ellmm``, the row-partitioned multi-device products,
 the CPU-fallback placement and the Nyström predict product — owns one
 :class:`Substrate`: the operand's canonical CSR-order ``(rows, cols,
 vals)`` host arrays.  The product itself is written once here:

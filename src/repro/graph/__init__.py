@@ -2,9 +2,9 @@
 
 * :mod:`repro.graph.similarity` — the three similarity measures of Eqs. 6-8
   (cosine, cross-correlation, exponential decay);
-* :mod:`repro.graph.neighbors` — ε-distance and k-nearest-neighbor edge
-  enumeration (uniform-grid spatial index for volumetric data, blockwise
-  brute force in general dimension);
+* :mod:`repro.graph.neighbors` — ε-distance edge enumeration
+  (uniform-grid spatial index for volumetric data, blockwise brute force
+  in general dimension);
 * :mod:`repro.graph.build` — Algorithm 1: the GPU similarity-matrix
   builder producing a COO graph, plus the host reference path;
 * :mod:`repro.graph.laplacian` — Algorithm 2: degree computation and
@@ -22,12 +22,10 @@ from repro.graph.similarity import (
 from repro.graph.neighbors import (
     epsilon_neighbors,
     epsilon_neighbors_grid,
-    knn_neighbors,
 )
 from repro.graph.build import (
     build_similarity_graph,
     build_similarity_device,
-    threshold_graph,
 )
 from repro.graph.laplacian import (
     degrees,
@@ -49,10 +47,8 @@ __all__ = [
     "pairwise_similarity",
     "epsilon_neighbors",
     "epsilon_neighbors_grid",
-    "knn_neighbors",
     "build_similarity_graph",
     "build_similarity_device",
-    "threshold_graph",
     "degrees",
     "device_rw_normalize",
     "device_shifted_laplacian",

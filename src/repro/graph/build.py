@@ -246,39 +246,3 @@ def build_similarity_graph(
         edges, val = edges[keep], val[keep]
     n = np.asarray(X).shape[0]
     return from_edge_list(edges, weights=val, n_nodes=n, symmetrize=True)
-
-
-def threshold_graph(
-    X: np.ndarray,
-    lam: float,
-    measure: str = "crosscorr",
-    block: int = 1024,
-) -> COOMatrix:
-    """The λ-threshold graph of §IV.A: connect pairs whose similarity
-    exceeds ``lam`` (dense sweep, blocked; for moderate n)."""
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        pairs_i = np.repeat(np.arange(lo, hi), n)
-        pairs_j = np.tile(np.arange(n), hi - lo)
-        keep = pairs_i < pairs_j
-        pairs = np.column_stack([pairs_i[keep], pairs_j[keep]])
-        if pairs.size == 0:
-            continue
-        sim = pairwise_similarity(X, pairs, measure)
-        mask = sim > lam
-        rows.append(pairs[mask, 0])
-        cols.append(pairs[mask, 1])
-        vals.append(sim[mask])
-    if not rows:
-        return COOMatrix(
-            np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), (n, n)
-        )
-    edges = np.column_stack([np.concatenate(rows), np.concatenate(cols)])
-    return from_edge_list(
-        edges, weights=np.concatenate(vals), n_nodes=n, symmetrize=True
-    )

@@ -1,11 +1,11 @@
-"""Neighborhood enumeration: ε-distance and k-nearest-neighbor edge lists.
+"""Neighborhood enumeration: ε-distance edge lists (Algorithm 1's input).
 
 The DTI experiment's edge list ("all pairs of voxels within 4 mm") comes
 from positions on a regular 3-D grid, for which a uniform-grid spatial index
 enumerates candidate pairs in O(n · c) rather than O(n²)
-(:func:`epsilon_neighbors_grid`).  For general high-dimensional data a
-blockwise brute-force sweep is provided; both return deduplicated
-``i < j`` pairs.
+(:func:`epsilon_neighbors_grid`).  The blockwise brute-force sweep
+(:func:`epsilon_neighbors`) serves general dimension and is the grid's
+reference; both return deduplicated ``i < j`` pairs.
 """
 
 from __future__ import annotations
@@ -133,41 +133,3 @@ def epsilon_neighbors_grid(P: np.ndarray, eps: float) -> np.ndarray:
     key = allp[:, 0] * n + allp[:, 1]
     _, first = np.unique(key, return_index=True)
     return allp[np.sort(first)].astype(np.int64)
-
-
-def knn_neighbors(
-    X: np.ndarray, k: int, metric: str = "euclidean", block: int = 1024
-) -> np.ndarray:
-    """Symmetric k-nearest-neighbor pairs (paper's kNN graph definition:
-    connect ``i`` and ``j`` if either is among the other's k nearest).
-
-    Returns deduplicated ``i < j`` pairs.
-    """
-    X = _as_points(X)
-    n = X.shape[0]
-    if not 0 < k < n:
-        raise GraphConstructionError(f"need 0 < k < n, got k={k}, n={n}")
-    if metric not in ("euclidean", "cosine"):
-        raise GraphConstructionError(f"unknown metric {metric!r}")
-    if metric == "cosine":
-        norms = np.linalg.norm(X, axis=1, keepdims=True)
-        X = X / np.where(norms > 0, norms, 1.0)
-    sq = np.einsum("nd,nd->n", X, X)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (X[lo:hi] @ X.T)
-        np.put_along_axis(
-            d2, np.arange(lo, hi)[:, None] - 0, np.inf, axis=1
-        )  # mask self-distances
-        nn = np.argpartition(d2, kth=k - 1, axis=1)[:, :k]
-        rows.append(np.repeat(np.arange(lo, hi), k))
-        cols.append(nn.ravel())
-    i = np.concatenate(rows)
-    j = np.concatenate(cols)
-    lo_ = np.minimum(i, j)
-    hi_ = np.maximum(i, j)
-    key = lo_ * n + hi_
-    _, first = np.unique(key, return_index=True)
-    return np.column_stack([lo_[first], hi_[first]]).astype(np.int64)

@@ -210,7 +210,7 @@ class GPUCostModel(CostModel):
             return self.gpu.kernel_launch_overhead_s
         return self.gpu.kernel_launch_overhead_s + n_keys / self.gpu.sort_keys_per_s
 
-    # -- sparse format kernels (the CSR/ELL/HYB autotuning family) ------
+    # -- sparse format kernels (the CSR/ELL autotuning family) ------
     def ellmv_time(
         self, n_rows: int, nnz: int, width: int, itemsize: int = 8
     ) -> float:
@@ -232,23 +232,6 @@ class GPUCostModel(CostModel):
         t_compute = flops / f_rate
         return self.gpu.kernel_launch_overhead_s + max(t_compute, t_memory)
 
-    def hybmv_time(
-        self,
-        n_rows: int,
-        nnz_ell: int,
-        width: int,
-        nnz_coo: int,
-        itemsize: int = 8,
-    ) -> float:
-        """HYB SpMV (cusparseDhybmv): a coalesced ELL pass over the regular
-        part plus an atomics-based COO pass over the spill tail — two kernel
-        launches, with the COO leg paying the same 2x contention penalty as
-        :func:`~repro.cusparse.spmv.coomv`."""
-        t = self.ellmv_time(n_rows, nnz_ell, width, itemsize=itemsize)
-        if nnz_coo > 0:
-            t += self.spmv_time(n_rows, nnz_coo, itemsize=itemsize) * 2.0
-        return t
-
     def ellmm_time(
         self, n_rows: int, nnz: int, width: int, p: int, itemsize: int = 8
     ) -> float:
@@ -269,27 +252,10 @@ class GPUCostModel(CostModel):
         t_compute = flops / f_rate
         return self.gpu.kernel_launch_overhead_s + max(t_compute, t_memory)
 
-    def hybmm_time(
-        self,
-        n_rows: int,
-        nnz_ell: int,
-        width: int,
-        nnz_coo: int,
-        p: int,
-        itemsize: int = 8,
-    ) -> float:
-        """HYB SpMM: the coalesced ELL pass plus an atomics-based COO tail,
-        mirroring :meth:`hybmv_time` (the COO leg pays the same 2x
-        contention penalty, scaled to ``p`` columns)."""
-        t = self.ellmm_time(n_rows, nnz_ell, width, p, itemsize=itemsize)
-        if nnz_coo > 0:
-            t += self.spmm_time(n_rows, nnz_coo, p, itemsize=itemsize) * 2.0
-        return t
-
     def format_conversion_time(
         self, nnz: int, padded: int, itemsize: int = 8
     ) -> float:
-        """CSR -> ELL/HYB conversion (cusparseDcsr2ell/csr2hyb): one
+        """CSR -> ELL conversion (cusparseDcsr2ell): one
         streaming pass reading the CSR arrays and writing the padded
         layout."""
         bytes_moved = nnz * (itemsize + 4) + padded * (itemsize + 4)

@@ -48,7 +48,11 @@ from repro.cuda.device import Device
 from repro.cuda.kernel import Kernel, launch
 from repro.cuda.launch import grid_1d
 from repro.cuda.memory import BufferGroup, DeviceArray
-from repro.cusparse.formats import autotune_spmm_format, convert_for_spmv
+from repro.cusparse.formats import (
+    SPMV_FORMATS,
+    autotune_spmm_format,
+    convert_for_spmv,
+)
 from repro.cusparse.matrices import DeviceCSR
 from repro.cusparse.spmm import csrmm, spmm_any
 from repro.errors import ClusteringError
@@ -261,7 +265,7 @@ def kmeans_device(
         'auto' (default) runs the SpMM cost-model autotuner on the first
         iteration's row-length stats (the one-hot membership has exactly
         one nonzero per column, so the near-uniform ELL layout usually
-        wins); or force 'csr', 'ell', 'hyb'.  All formats share the
+        wins); or force 'csr' or 'ell'.  Both formats share the
         reference substrate arithmetic — centroid sums are bit-identical,
         only the charged kernel/conversion time changes.
     """
@@ -273,9 +277,9 @@ def kmeans_device(
         raise ClusteringError(
             f"centroid_update must be 'spmm' or 'sort', got {centroid_update!r}"
         )
-    if spmm_format not in ("auto", "csr", "ell", "hyb"):
+    if spmm_format != "auto" and spmm_format not in SPMV_FORMATS:
         raise ClusteringError(
-            f"spmm_format must be 'auto', 'csr', 'ell' or 'hyb', "
+            f"spmm_format must be 'auto' or one of {SPMV_FORMATS}, "
             f"got {spmm_format!r}"
         )
     use_fused = bool(fused) and distance_method == "gemm"
@@ -329,7 +333,6 @@ def kmeans_device(
             dSums = bufs.add(device.empty((k, d), dtype=np.float64))
         #: resolved on the first iteration's row stats when 'auto'
         spmm_fmt = None if spmm_format == "auto" else spmm_format
-        spmm_decision = None
         if tile_rows is None:
             # every live/parked block can waste up to one allocator granule
             # to rounding, and the Lloyd loop keeps ~24 of them — budget the
@@ -420,26 +423,19 @@ def kmeans_device(
                     indptr=dIndptr, indices=dIdx, val=dOnes, shape=(k, n)
                 )
                 if spmm_fmt is None:
-                    # rank CSR/ELL/HYB once on the first membership's row
+                    # rank CSR/ELL once on the first membership's row
                     # lengths; the one-nonzero-per-column structure barely
                     # shifts between iterations, so the decision holds
-                    spmm_decision = autotune_spmm_format(
+                    spmm_fmt = autotune_spmm_format(
                         dIndptr.data, device.cost, p=d, conversion_uses=1
-                    )
-                    spmm_fmt = spmm_decision.format
+                    ).format
                 if spmm_fmt == "csr":
                     csrmm(membership, dV, C=dSums, beta=0.0)
                 else:
                     # conversion kernel + padded buffers charged per trip;
                     # the autotuner already priced that against the csrmm
                     # it replaces
-                    m_op = convert_for_spmv(
-                        membership, spmm_fmt,
-                        hyb_width=(
-                            spmm_decision.hyb_width
-                            if spmm_decision is not None else None
-                        ),
-                    )
+                    m_op = convert_for_spmv(membership, spmm_fmt)
                     try:
                         spmm_any(m_op, dV, C=dSums, beta=0.0)
                     finally:

@@ -31,7 +31,7 @@ from repro.linalg.rci import (
     RCIStatus,
     TransferLedger,
 )
-from repro.linalg.eigsolver import SymEigProblem, eigsh, eigsh_generalized_diag
+from repro.linalg.eigsolver import SymEigProblem, eigsh
 
 __all__ = [
     "eigh_tridiagonal",
@@ -47,5 +47,4 @@ __all__ = [
     "TransferLedger",
     "SymEigProblem",
     "eigsh",
-    "eigsh_generalized_diag",
 ]

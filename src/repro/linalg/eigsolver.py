@@ -227,56 +227,3 @@ def eigsh(
         if prob.needs_matvec():
             prob.put_vector(apply_op(prob.get_vector()))
     return prob.find_eigenvectors()
-
-
-def eigsh_generalized_diag(
-    A,
-    d: np.ndarray,
-    k: int = 6,
-    which: str = "SA",
-    m: int | None = None,
-    tol: float = 0.0,
-    maxiter: int | None = None,
-    seed: int | None = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the generalized problem ``A x = λ D x`` with *diagonal* ``D``.
-
-    This is the paper's §II formulation — "the k generalized eigenvectors
-    corresponding to the smallest k eigenvalues of Lx = λDx" — realized by
-    the similarity transform ``D^{-1/2} A D^{-1/2} u = λ u`` with
-    ``x = D^{-1/2} u``; D must be positive.
-
-    Parameters
-    ----------
-    A:
-        Symmetric operator with ``matvec`` and square ``shape`` (our
-        sparse matrices).
-    d:
-        The diagonal of ``D`` (strictly positive).
-
-    Returns
-    -------
-    (w, X):
-        Generalized eigenvalues ascending and D-orthonormal eigenvector
-        columns (``Xᵀ D X = I``).
-    """
-    d = np.asarray(d, dtype=np.float64).ravel()
-    shape = getattr(A, "shape", None)
-    if shape is None or shape[0] != shape[1]:
-        raise EigensolverError(f"operator must be square, got shape {shape}")
-    n = shape[0]
-    if d.size != n:
-        raise EigensolverError(f"diagonal has length {d.size}, expected {n}")
-    if np.any(d <= 0):
-        raise EigensolverError("D must be positive definite (all d_i > 0)")
-    inv_sqrt = 1.0 / np.sqrt(d)
-
-    def transformed(x: np.ndarray) -> np.ndarray:
-        return inv_sqrt * A.matvec(inv_sqrt * x)
-
-    w, U = eigsh(
-        transformed, n=n, k=k, which=which, m=m, tol=tol,
-        maxiter=maxiter, seed=seed,
-    )
-    X = U * inv_sqrt[:, None]
-    return w, X

@@ -21,8 +21,10 @@ warms from disk instead:
 - **bit-identical round-trip** — arrays are serialized with ``np.savez``
   (dtype- and byte-exact); metadata rides as canonical JSON.  What does
   *not* round-trip is documented: an embedding's device
-  :class:`~repro.cuda.profiler.ProfileReport` and wall-clock timings are
-  process-local observations, not results, and come back empty;
+  :class:`~repro.cuda.profiler.ProfileReport` and wall-clock timings
+  (including ``eig_stats["wall_seconds"]``) are process-local
+  observations, not results, and are not written, so the stored bytes
+  of an entry do not depend on how long it took to compute;
 - **taint rule preserved** — an artifact whose resilience record is
   non-empty (it recovered from injected faults) is refused with a typed
   error.  The LRU already never offers one; the store double-checks.
@@ -173,10 +175,15 @@ class PersistentStore:
         if isinstance(value, EmbeddingResult):
             kind = _KIND_EMBEDDING
             arrays = {name: getattr(value, name) for name in _EMBEDDING_ARRAYS}
+            # wall time is a process-local observation (left out like the
+            # profile), and its varying repr would make the bytes drift
+            stats = {
+                k: v for k, v in value.eig_stats.items() if k != "wall_seconds"
+            }
             extra = {
                 "n_total": int(value.n_total),
                 "timings_simulated": _sanitize(value.timings.simulated),
-                "eig_stats": _sanitize(value.eig_stats),
+                "eig_stats": _sanitize(stats),
             }
         elif isinstance(value, FittedSpectralModel):
             kind = _KIND_MODEL

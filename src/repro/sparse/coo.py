@@ -110,13 +110,6 @@ class COOMatrix:
             uniq // self.shape[1], uniq % self.shape[1], summed, self.shape, check=False
         )
 
-    def eliminate_zeros(self) -> "COOMatrix":
-        """Return a copy with explicitly stored zeros removed."""
-        mask = self.data != 0
-        return COOMatrix(
-            self.row[mask], self.col[mask], self.data[mask], self.shape, check=False
-        )
-
     def sorted_by_row(self) -> "COOMatrix":
         """Return a copy sorted by (row, col) — the precondition of coo2csr."""
         keys = self.row * self.shape[1] + self.col
@@ -171,22 +164,3 @@ class COOMatrix:
     def row_sums(self) -> np.ndarray:
         """Per-row sums of stored values (the degree vector for a graph)."""
         return np.bincount(self.row, weights=self.data, minlength=self.shape[0])
-
-    def scale_rows(self, s: np.ndarray) -> "COOMatrix":
-        """Return ``diag(s) @ A`` — the ``ScaleElements`` kernel of Alg. 2."""
-        s = np.asarray(s, dtype=np.float64).ravel()
-        if s.size != self.shape[0]:
-            raise SparseValueError(
-                f"scale_rows: matrix has {self.shape[0]} rows, s has {s.size}"
-            )
-        return COOMatrix(
-            self.row, self.col, self.data * s[self.row], self.shape, check=False
-        )
-
-    def diagonal(self) -> np.ndarray:
-        """Main diagonal as a dense vector (duplicates summed)."""
-        k = min(self.shape)
-        mask = self.row == self.col
-        out = np.zeros(k)
-        np.add.at(out, self.row[mask], self.data[mask])
-        return out

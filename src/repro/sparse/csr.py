@@ -129,11 +129,6 @@ class CSRMatrix:
     def T(self) -> "CSRMatrix":
         return self.transpose()
 
-    def sort_indices(self) -> "CSRMatrix":
-        """Return a copy with column indices sorted within each row."""
-        coo = self.to_coo()
-        return coo.to_csr()  # coo->csr sorts by (row, col)
-
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
@@ -151,29 +146,6 @@ class CSRMatrix:
             np.copyto(out, y)
             return out
         return y
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """``y = Aᵀ @ x`` without materializing the transpose."""
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.size != self.shape[0]:
-            raise SparseValueError(
-                f"rmatvec: matrix is {self.shape}, x has length {x.size}"
-            )
-        return np.bincount(
-            self.indices, weights=self.data * x[self._rows()], minlength=self.shape[1]
-        )
-
-    def matmat(self, X: np.ndarray) -> np.ndarray:
-        """``Y = A @ X`` for dense ``X`` (n_cols × p), one column at a time
-        fused: products scattered per row with ``np.add.at``."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.shape[1]:
-            raise SparseValueError(
-                f"matmat: matrix is {self.shape}, X is {X.shape}"
-            )
-        Y = np.zeros((self.shape[0], X.shape[1]))
-        np.add.at(Y, self._rows(), self.data[:, None] * X[self.indices])
-        return Y
 
     def row_sums(self) -> np.ndarray:
         return np.bincount(self._rows(), weights=self.data, minlength=self.shape[0])
@@ -201,13 +173,6 @@ class CSRMatrix:
             self.indptr, self.indices, self.data * s[self.indices],
             self.shape, check=False,
         )
-
-    def diagonal(self) -> np.ndarray:
-        k = min(self.shape)
-        mask = self._rows() == self.indices
-        out = np.zeros(k)
-        np.add.at(out, self.indices[mask], self.data[mask])
-        return out
 
     def getrow(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(column indices, values) of row ``i``."""

@@ -212,9 +212,7 @@ class TestEverySiteFires:
             ("cusparse.csrmv", None, {"eig_spmv_format": "csr"}),
             ("cusparse.coomv", None, {}),
             ("cusparse.ellmv", None, {"eig_spmv_format": "ell"}),
-            ("cusparse.hybmv", None, {"eig_spmv_format": "hyb"}),
             ("cusparse.csr2ell", None, {"eig_spmv_format": "ell"}),
-            ("cusparse.csr2hyb", None, {"eig_spmv_format": "hyb"}),
             ("cuda.kernel:fused_assign", "kmeans", {}),
             ("cuda.kernel:label_histogram", "kmeans", {}),
             ("cublas.*", "kmeans", {"kmeans_fused": False}),

@@ -63,17 +63,6 @@ class TestDeterminism:
             ).fit(graph=W)
             assert adjusted_rand_index(res.labels, truth) > 0.9
 
-    def test_staged_api_parity(self, sbm_graph):
-        """embed() + fit_embedding() (the serve cache path) must equal
-        a monolithic fit()."""
-        W, _ = sbm_graph
-        sc = SpectralClustering(n_clusters=K, seed=0, embedding="compressive")
-        fit_res = sc.fit(graph=W)
-        emb = sc.embed(graph=W)
-        staged = sc.fit_embedding(emb)
-        assert emb.embedding.tobytes() == fit_res.embedding.tobytes()
-        assert np.array_equal(staged.labels, fit_res.labels)
-
 
 class TestConfiguration:
     def test_knobs_flow_through(self, sbm_graph):

@@ -140,6 +140,28 @@ class TestValidation:
         with pytest.raises(ClusteringError, match="non-isolated"):
             SpectralClustering(n_clusters=3).fit(graph=W)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_graph_weight_rejected(self, bad):
+        """A NaN degree fails ``deg > 0``, so one bad weight used to drop
+        its vertex as isolated (label -1) instead of failing the fit."""
+        W = from_edge_list(
+            np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]),
+            n_nodes=6,
+        )
+        W.data[np.flatnonzero((W.row == 5) & (W.col == 3))] = bad
+        for graph in (W, W.to_csr()):
+            with pytest.raises(ClusteringError, match="finite"):
+                SpectralClustering(n_clusters=2, seed=0).fit(graph=graph)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, rng, bad):
+        X = rng.standard_normal((40, 5))
+        X[3, 1] = bad
+        edges = np.argwhere(np.triu(np.ones((40, 40)), 1))
+        est = SpectralClustering(n_clusters=2, seed=0, similarity="cosine")
+        with pytest.raises(ClusteringError, match="finite"):
+            est.fit(X=X, edges=edges)
+
 
 class TestDeviceSharing:
     def test_external_device_accumulates_timeline(self, sbm_graph):
@@ -201,15 +223,16 @@ class TestMultiDevicePipeline:
             SpectralClustering(n_clusters=3, devices=2, eig_residency="host")
         with pytest.raises(ClusteringError):
             SpectralClustering(
-                n_clusters=3, devices=2, eig_spmv_format="hyb"
+                n_clusters=3, devices=2, eig_spmv_format="ell"
             )
+        with pytest.raises(ClusteringError):
+            SpectralClustering(n_clusters=3, eig_spmv_format="hyb")
         # more devices than graph rows is refused, naming the knob, before
-        # the Laplacian is built — on both entry points
+        # the Laplacian is built
         six_nodes = from_edge_list(
             np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]),
             n_nodes=6,
         )
         est = SpectralClustering(n_clusters=2, devices=8)
-        for entry in (est.fit, est.embed):
-            with pytest.raises(ClusteringError, match=r"devices=8.* 6 non-"):
-                entry(graph=six_nodes)
+        with pytest.raises(ClusteringError, match=r"devices=8.* 6 non-"):
+            est.fit(graph=six_nodes)

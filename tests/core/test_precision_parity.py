@@ -27,7 +27,7 @@ ARI_BANDS = {"fp64": 0.95, "fp32": 0.95, "fp16": 0.90}
 
 #: fp64 lanczos cells that must be bit-identical to the default fit
 EXACT_GRID = [
-    (1, "auto"), (1, "csr"), (1, "ell"), (1, "hyb"),
+    (1, "auto"), (1, "csr"), (1, "ell"),
     (2, "auto"), (2, "csr"),
 ]
 

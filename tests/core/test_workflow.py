@@ -83,14 +83,15 @@ class TestHybridEigensolver:
         assert d["n_op"] > 0
         assert d["wall_seconds"] > 0
         assert d["residency"] == "device"
-        assert d["spmv_format"] in ("csr", "ell", "hyb")
+        assert d["spmv_format"] in ("csr", "ell")
 
     def test_bad_residency_and_format(self, device, operator):
         dcsr, _ = operator
         with pytest.raises(ValueError):
             hybrid_eigensolver(device, dcsr, k=3, residency="gpu")
-        with pytest.raises(ValueError):
-            hybrid_eigensolver(device, dcsr, k=3, spmv_format="bsr")
+        for fmt in ("bsr", "hyb"):
+            with pytest.raises(ValueError):
+                hybrid_eigensolver(device, dcsr, k=3, spmv_format=fmt)
 
 
 class TestDeviceResidency:
@@ -154,7 +155,7 @@ class TestDeviceResidency:
         d = stats.format_decision
         assert d is not None
         assert d["format"] == stats.spmv_format
-        assert set(d["predicted_spmv_s"]) == {"csr", "ell", "hyb"}
+        assert set(d["predicted_spmv_s"]) == {"csr", "ell"}
         assert d["row_mean"] > 0
 
     def test_forced_formats_identical_results(self, device, operator):
@@ -162,7 +163,7 @@ class TestDeviceResidency:
 
         dcsr, W = operator
         results = {}
-        for fmt in ("csr", "ell", "hyb"):
+        for fmt in ("csr", "ell"):
             dev = Device()
             dcoo = coo_to_device(dev, W.sorted_by_row())
             op = device_sym_normalize(dcoo)
@@ -172,9 +173,8 @@ class TestDeviceResidency:
             assert stats.spmv_format == fmt
             results[fmt] = (theta, U)
         theta_ref, U_ref = results["csr"]
-        for fmt in ("ell", "hyb"):
-            assert np.array_equal(results[fmt][0], theta_ref)
-            assert np.array_equal(results[fmt][1], U_ref)
+        assert np.array_equal(results["ell"][0], theta_ref)
+        assert np.array_equal(results["ell"][1], U_ref)
 
 
 class TestMultiDeviceEigensolver:

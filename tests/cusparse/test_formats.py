@@ -1,4 +1,4 @@
-"""ELL/HYB device formats and the SpMV format autotuner."""
+"""The ELL device format and the SpMV format autotuner."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,10 @@ from repro.cusparse.formats import (
     autotune_format,
     convert_for_spmv,
     csr_to_ell,
-    csr_to_hyb,
-    hyb_ell_width,
     row_stats,
 )
 from repro.cusparse.matrices import csr_to_device
-from repro.cusparse.spmv import csrmv, ellmv, hybmv, spmv_any
+from repro.cusparse.spmv import csrmv, ellmv, spmv_any
 from repro.errors import SparseFormatError
 from repro.sparse.construct import random_sparse
 
@@ -68,16 +66,6 @@ class TestConversions:
         with pytest.raises(SparseFormatError):
             csr_to_ell(dcsr, width=1)
 
-    def test_hyb_splits_ell_plus_coo(self, device, dcsr):
-        hyb = csr_to_hyb(dcsr)
-        assert hyb.nnz_ell + hyb.nnz_coo == dcsr.nnz
-        assert hyb.width == hyb_ell_width(row_stats(dcsr.indptr.data))
-
-    def test_hyb_tail_holds_the_spill(self, device, dcsr):
-        counts = dcsr.row_lengths()
-        hyb = csr_to_hyb(dcsr, width=2)
-        assert hyb.nnz_coo == int(np.maximum(counts - 2, 0).sum())
-
     def test_conversion_charges_a_kernel(self, device, dcsr):
         n0 = device.kernel_launches
         t0 = device.elapsed
@@ -99,16 +87,14 @@ class TestBitIdenticalSpmv:
         changes charged time, never a float."""
         y_csr = csrmv(dcsr, dx).data.copy()
         y_ell = ellmv(csr_to_ell(dcsr), dx).data.copy()
-        y_hyb = hybmv(csr_to_hyb(dcsr), dx).data.copy()
         assert np.array_equal(y_csr, y_ell)
-        assert np.array_equal(y_csr, y_hyb)
 
     def test_alpha_beta_semantics(self, device, dcsr, dx, rng):
         y0 = rng.standard_normal(dcsr.shape[0])
         ref = device.to_device(y0.copy())
         csrmv(dcsr, dx, ref, alpha=2.0, beta=-0.5)
         out = device.to_device(y0.copy())
-        hybmv(csr_to_hyb(dcsr), dx, out, alpha=2.0, beta=-0.5)
+        ellmv(csr_to_ell(dcsr), dx, out, alpha=2.0, beta=-0.5)
         assert np.array_equal(ref.data, out.data)
 
     def test_spmv_any_dispatches_on_type(self, device, dcsr, dx):
@@ -142,23 +128,13 @@ class TestAutotuner:
             [np.arange(1000, dtype=np.int64), [999 + 500]]
         )
         d = autotune_format(indptr, device.cost)
-        assert d.format != "ell"
-        assert d.predicted_s["ell"] > d.predicted_s["hyb"]
+        assert d.format == "csr"
+        assert d.predicted_s["ell"] > d.predicted_s["csr"]
 
     def test_picks_predicted_minimum(self, device, dcsr):
         d = autotune_format(dcsr.indptr.data, device.cost)
         best = min(d.predicted_s.values())
         assert d.predicted_s[d.format] == pytest.approx(best)
-
-    def test_restricted_candidates(self, device):
-        d = autotune_format(
-            _uniform_indptr(100, 4), device.cost, formats=("csr",)
-        )
-        assert d.format == "csr"
-        assert set(d.predicted_s) == {"csr"}
-        with pytest.raises(SparseFormatError):
-            autotune_format(_uniform_indptr(100, 4), device.cost,
-                            formats=("dia",))
 
     def test_decision_is_deterministic(self, device, dcsr):
         a = autotune_format(dcsr.indptr.data, device.cost)
@@ -195,7 +171,7 @@ class TestConvertForSpmv:
     def test_csr_is_identity(self, device, dcsr):
         assert convert_for_spmv(dcsr, "csr") is dcsr
 
-    @pytest.mark.parametrize("fmt", ["ell", "hyb"])
+    @pytest.mark.parametrize("fmt", ["ell"])
     def test_converted_operand_matches(self, device, dcsr, dx, fmt):
         op = convert_for_spmv(dcsr, fmt)
         assert np.array_equal(spmv_any(op, dx).data, csrmv(dcsr, dx).data)

@@ -73,13 +73,13 @@ class TestCsrmm:
 
 
 class TestFormatSpmm:
-    """ELL/HYB SpMM paths: bit-identical products, dispatch, autotuning."""
+    """ELL SpMM path: bit-identical products, dispatch, autotuning."""
 
     def _operand(self, device, rng, n=60, m=40, density=0.15):
         host = random_sparse(n, m, density, rng=rng)
         return csr_to_device(device, host.to_csr()), host
 
-    @pytest.mark.parametrize("fmt", ["ell", "hyb"])
+    @pytest.mark.parametrize("fmt", ["ell"])
     def test_bit_identical_to_csrmm(self, device, rng, fmt):
         from repro.cusparse.formats import convert_for_spmv
         from repro.cusparse.spmm import spmm_any
@@ -92,7 +92,7 @@ class TestFormatSpmm:
         assert C.data.tobytes() == ref.data.tobytes()
         A.free()
 
-    @pytest.mark.parametrize("fmt", ["ell", "hyb"])
+    @pytest.mark.parametrize("fmt", ["ell"])
     def test_alpha_beta_accumulate(self, device, rng, fmt):
         from repro.cusparse.formats import convert_for_spmv
         from repro.cusparse.spmm import spmm_any
@@ -121,10 +121,8 @@ class TestFormatSpmm:
         d, _ = self._operand(device, rng)
         B = device.zeros((40, 4))
         spmm_any(convert_for_spmv(d, "ell"), B)
-        spmm_any(convert_for_spmv(d, "hyb"), B)
         names = [e.name for e in device.timeline if e.category == "kernel"]
         assert any(n == "cusparseDellmm" for n in names)
-        assert any(n.startswith("cusparseDhybmm") for n in names)
 
 
 class TestSpmmAutotune:
@@ -176,6 +174,5 @@ class TestSpmmAutotune:
 
         host = random_sparse(200, 200, 0.05, rng=rng).to_csr()
         d = autotune_spmm_format(host.indptr, device.cost, p=8)
-        assert set(d.predicted_s) == {"csr", "ell", "hyb"}
+        assert set(d.predicted_s) == {"csr", "ell"}
         assert d.format in d.predicted_s
-        assert d.hyb_width >= 1

@@ -2,7 +2,7 @@
 
 Each cell runs one entry point at one storage precision (and, where the
 kernel takes them, one ``(alpha, beta)`` pair) on a matrix with empty
-rows and one long row (so HYB spills into its COO tail), and compares
+rows and one long row, and compares
 against frozen values:
 
 * the SHA-256 of the output bytes (dtype and shape included);
@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.core.workflow import CPUPlacement, Solve
 from repro.cuda.device import Device
 from repro.cusparse import substrate
-from repro.cusparse.formats import csr_to_ell, csr_to_hyb
+from repro.cusparse.formats import csr_to_ell
 from repro.cusparse.matrices import DeviceCOO, cast_csr, csr_to_device
 from repro.cusparse.partition import (
     device_group,
@@ -37,8 +37,8 @@ from repro.cusparse.partition import (
     spmm_partitioned,
     spmv_partitioned,
 )
-from repro.cusparse.spmm import csrmm, ellmm, hybmm
-from repro.cusparse.spmv import coomv, csrmv, ellmv, hybmv
+from repro.cusparse.spmm import csrmm, ellmm
+from repro.cusparse.spmv import coomv, csrmv, ellmv
 from repro.linalg.nystrom import nystrom_product
 from repro.precision import (
     PRECISION_DTYPES,
@@ -56,8 +56,8 @@ SMALL_BUDGET = 12 * P_COLS
 ALPHA_BETA = ((1.0, 0.0), (0.5, 2.0))
 
 _KERNELS = {
-    "csrmv": csrmv, "coomv": coomv, "ellmv": ellmv, "hybmv": hybmv,
-    "csrmm": csrmm, "ellmm": ellmm, "hybmm": hybmm,
+    "csrmv": csrmv, "coomv": coomv, "ellmv": ellmv,
+    "csrmm": csrmm, "ellmm": ellmm,
 }
 #: entry points without an alpha/beta epilogue run the (1, 0) cell only
 _PLAIN = (
@@ -70,7 +70,7 @@ def _host_matrix() -> COOMatrix:
     rng = np.random.default_rng(2024)
     dense = (rng.random((N, N)) < 0.12) * rng.standard_normal((N, N))
     dense[[5, 17, 30]] = 0.0  # empty rows
-    dense[9] = rng.standard_normal(N)  # one long row: HYB spills to COO
+    dense[9] = rng.standard_normal(N)  # one long row
     rows, cols = np.nonzero(dense)
     return COOMatrix(rows, cols, dense[rows, cols], shape=(N, N))
 
@@ -116,9 +116,6 @@ def _run(entry: str, precision: str, alpha: float, beta: float):
             )
         elif entry.startswith("ell"):
             op = csr_to_ell(A)
-        elif entry.startswith("hyb"):
-            op = csr_to_hyb(A)
-            assert op.nnz_coo > 0
         else:
             op = A
         dx = dev.to_device(quantize(x64 if vector else B64, dtype))
@@ -242,39 +239,6 @@ EXPECTED: dict = {'csrmv-fp64-1,0': ('dc6003290a5f339572001d4c3629da6148762e2668
                       [('cusparseHellmv', 8.10076923076923e-06)],
                       1,
                       14584.0),
- 'hybmv-fp64-1,0': ('dc6003290a5f339572001d4c3629da6148762e2668b3258765cd2ae5f9b99598',
-                    [('cudaMalloc', 1e-05),
-                     ('cusparseDhybmv[ell]', 8.059846153846153e-06),
-                     ('cusparseDhybmv[coo]', 1.6084153846153845e-05)],
-                    2,
-                    8116.0),
- 'hybmv-fp64-0.5,2': ('ad690cb832390bf7bc524ce18790bde331d23a1a4dcb225d070b5188844201d6',
-                      [('cusparseDhybmv[ell]', 8.059846153846153e-06),
-                       ('cusparseDhybmv[coo]', 1.6084153846153845e-05)],
-                      2,
-                      8116.0),
- 'hybmv-fp32-1,0': ('3b9ccb375a3565b6dc8cbba00f585d9bf96873a79e777cd84f2b5075c6347586',
-                    [('cudaMalloc', 1e-05),
-                     ('cusparseShybmv[ell]', 8.033615384615384e-06),
-                     ('cusparseShybmv[coo]', 1.604753846153846e-05)],
-                    2,
-                    4776.0),
- 'hybmv-fp32-0.5,2': ('ba188bfd91a0454974201c251fb0c777f2267eb5f028755edfdbc55dd22ef6dd',
-                      [('cusparseShybmv[ell]', 8.033615384615384e-06),
-                       ('cusparseShybmv[coo]', 1.604753846153846e-05)],
-                      2,
-                      4776.0),
- 'hybmv-fp16-1,0': ('a595fa67fda75ea5664aa51d5bab3612523201b043c80191dc46e32411929fff',
-                    [('cudaMalloc', 1e-05),
-                     ('cusparseHhybmv[ell]', 8.020499999999999e-06),
-                     ('cusparseHhybmv[coo]', 1.602923076923077e-05)],
-                    2,
-                    3106.0),
- 'hybmv-fp16-0.5,2': ('4e1a280a9b5e80c9168cf9846ac45c955c32c73b0909d44a89645efa2afd4ad5',
-                      [('cusparseHhybmv[ell]', 8.020499999999999e-06),
-                       ('cusparseHhybmv[coo]', 1.602923076923077e-05)],
-                      2,
-                      3106.0),
  'csrmm-fp64-1,0': ('91860bba18c32698124b0c0d6cd22a84e987bc246f9b3b8c859df9f2796a45f5',
                     [('cudaMalloc', 1e-05), ('cusparseDcsrmm', 8.248461538461539e-06)],
                     1,
@@ -323,39 +287,6 @@ EXPECTED: dict = {'csrmv-fp64-1,0': ('dc6003290a5f339572001d4c3629da6148762e2668
                       [('cusparseHellmm', 8.125076923076923e-06)],
                       1,
                       16104.0),
- 'hybmm-fp64-1,0': ('91860bba18c32698124b0c0d6cd22a84e987bc246f9b3b8c859df9f2796a45f5',
-                    [('cudaMalloc', 1e-05),
-                     ('cusparseDhybmm[ell]', 8.135230769230769e-06),
-                     ('cusparseDhybmm[coo]', 1.6202e-05)],
-                    2,
-                    16124.0),
- 'hybmm-fp64-0.5,2': ('4fd82a2fd15bb85ae20cf2a3a843941f2bddd7529d678b5074b04a5767713b5c',
-                      [('cusparseDhybmm[ell]', 8.135230769230769e-06),
-                       ('cusparseDhybmm[coo]', 1.6202e-05)],
-                      2,
-                      16124.0),
- 'hybmm-fp32-1,0': ('34a5a99e25e9a329285b13a27127232f23a8af3e295ab1826f3a94cc7f5aa951',
-                    [('cudaMalloc', 1e-05),
-                     ('cusparseShybmm[ell]', 8.071307692307691e-06),
-                     ('cusparseShybmm[coo]', 1.6114e-05)],
-                    2,
-                    8976.0),
- 'hybmm-fp32-0.5,2': ('eec71065ddfc321bb94c0e73a9a2cdef39f61d2df8021386c5259dd8223d1fd4',
-                      [('cusparseShybmm[ell]', 8.071307692307691e-06),
-                       ('cusparseShybmm[coo]', 1.6114e-05)],
-                      2,
-                      8976.0),
- 'hybmm-fp16-1,0': ('4e58bf05601a5786c12ad1da0d95f4c7623b578e38bc242cbbe36ebfa26ed2d2',
-                    [('cudaMalloc', 1e-05),
-                     ('cusparseHhybmm[ell]', 8.039346153846154e-06),
-                     ('cusparseHhybmm[coo]', 1.607e-05)],
-                    2,
-                    5402.0),
- 'hybmm-fp16-0.5,2': ('4f2931d36c20bfc97cca7069f3e7861448a6ea9687dc49c189db36f72d45f27b',
-                      [('cusparseHhybmm[ell]', 8.039346153846154e-06),
-                       ('cusparseHhybmm[coo]', 1.607e-05)],
-                      2,
-                      5402.0),
  'spmv_partitioned-fp64-1,0': ('dc6003290a5f339572001d4c3629da6148762e2668b3258765cd2ae5f9b99598',
                                [('cusparseDcsrmv[local,dev0]', 8.029538461538462e-06),
                                 ('memcpyPeerAsync[216B<-dev1]', 1.0036e-05),
@@ -457,7 +388,7 @@ def test_product_parity(cell):
 
 _SPMM_CELLS = [
     c for c in _cells()
-    if c.split("-")[0] in ("csrmm", "ellmm", "hybmm", "spmm_partitioned",
+    if c.split("-")[0] in ("csrmm", "ellmm", "spmm_partitioned",
                            "cpu_spmm", "nystrom_product")
 ]
 

@@ -5,11 +5,7 @@ import pytest
 
 from repro.cuda.device import Device
 from repro.errors import GraphConstructionError
-from repro.graph.build import (
-    build_similarity_device,
-    build_similarity_graph,
-    threshold_graph,
-)
+from repro.graph.build import build_similarity_device, build_similarity_graph
 from repro.graph.neighbors import epsilon_neighbors
 from repro.graph.similarity import pairwise_similarity
 
@@ -138,25 +134,3 @@ class TestDeviceBuilder:
         t += gpu.kernel_time(3 * n * d, 2 * n * d * 8)
         t += gpu.kernel_time(2 * nnz * d, 2 * nnz * d * 8)
         assert 0.01 < t < 0.5
-
-
-class TestThresholdGraph:
-    def test_respects_lambda(self, rng):
-        X = rng.standard_normal((25, 8))
-        W = threshold_graph(X, lam=0.3)
-        assert np.all(W.data > 0.3)
-
-    def test_symmetric(self, rng):
-        X = rng.standard_normal((20, 5))
-        d = threshold_graph(X, lam=0.0).to_dense()
-        assert np.allclose(d, d.T)
-
-    def test_high_lambda_empty(self, rng):
-        X = rng.standard_normal((15, 5))
-        assert threshold_graph(X, lam=0.9999).nnz == 0
-
-    def test_blocking_invariant(self, rng):
-        X = rng.standard_normal((30, 6))
-        a = threshold_graph(X, 0.2, block=7).to_dense()
-        b = threshold_graph(X, 0.2, block=1024).to_dense()
-        assert np.allclose(a, b)

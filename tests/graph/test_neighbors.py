@@ -1,4 +1,4 @@
-"""Neighborhood enumeration: grid index vs brute force, kNN semantics."""
+"""Neighborhood enumeration: grid index vs brute force."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphConstructionError
-from repro.graph.neighbors import (
-    epsilon_neighbors,
-    epsilon_neighbors_grid,
-    knn_neighbors,
-)
+from repro.graph.neighbors import epsilon_neighbors, epsilon_neighbors_grid
 
 
 def pair_set(pairs):
@@ -89,47 +85,3 @@ class TestEpsilonGrid:
         counts = np.bincount(pairs.ravel(), minlength=125)
         center = 2 * 25 + 2 * 5 + 2
         assert counts[center] == 32
-
-
-class TestKNN:
-    def test_each_node_has_at_least_k_edges_total(self, rng):
-        X = rng.random((40, 3))
-        pairs = knn_neighbors(X, 3)
-        deg = np.bincount(pairs.ravel(), minlength=40)
-        assert np.all(deg >= 3)
-
-    def test_mutual_definition_includes_either_direction(self):
-        # an outlier is in nobody's top-k but still keeps its own edges
-        X = np.concatenate([np.zeros((5, 1)) + np.arange(5)[:, None] * 0.1,
-                            [[100.0]]])
-        pairs = knn_neighbors(X, 2)
-        deg = np.bincount(pairs.ravel(), minlength=6)
-        assert deg[5] >= 2
-
-    def test_no_self_loops_no_duplicates(self, rng):
-        X = rng.random((30, 4))
-        pairs = knn_neighbors(X, 4)
-        assert np.all(pairs[:, 0] < pairs[:, 1])
-        assert len(pair_set(pairs)) == pairs.shape[0]
-
-    def test_k_bounds(self, rng):
-        X = rng.random((10, 2))
-        with pytest.raises(GraphConstructionError):
-            knn_neighbors(X, 0)
-        with pytest.raises(GraphConstructionError):
-            knn_neighbors(X, 10)
-
-    def test_cosine_metric(self, rng):
-        X = rng.standard_normal((25, 6))
-        pairs = knn_neighbors(X, 3, metric="cosine")
-        assert pairs.shape[0] >= 25 * 3 // 2
-
-    def test_unknown_metric(self, rng):
-        with pytest.raises(GraphConstructionError):
-            knn_neighbors(rng.random((10, 2)), 2, metric="manhattan")
-
-    def test_blocking_invariant(self, rng):
-        X = rng.random((50, 3))
-        a = knn_neighbors(X, 3, block=8)
-        b = knn_neighbors(X, 3, block=1024)
-        assert pair_set(a) == pair_set(b)

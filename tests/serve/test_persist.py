@@ -73,6 +73,19 @@ class TestStoreRoundTrip:
         assert back.profile.communication == 0.0
         assert store.stats.saves == 1 and store.stats.loads == 1
 
+    def test_saved_bytes_independent_of_wall_time(self, tmp_path):
+        """Two saves of one entry that differ only in the measured wall
+        seconds write byte-identical files (wall time is not persisted)."""
+        blobs = []
+        for i, wall in enumerate((0.1, 0.12345678901234568)):
+            emb = _embedding()
+            emb.eig_stats["wall_seconds"] = wall
+            store = PersistentStore(tmp_path / str(i))
+            store.save(KEY, emb)
+            blobs.append(store.path_for(KEY).read_bytes())
+            assert "wall_seconds" not in store.load(KEY).eig_stats
+        assert blobs[0] == blobs[1]
+
     def test_model_bit_identical(self, tmp_path, small_graph):
         store = PersistentStore(tmp_path)
         model = _fitted_model(small_graph).model

@@ -128,6 +128,18 @@ class TestServiceCorrectness:
         cold = req.estimator().fit(X=X, edges=edges)
         assert np.array_equal(resp.labels, cold.labels)
 
+    def test_non_finite_graph_fails_alone(self, make_request, small_graph):
+        """The build unit runs the estimator's similarity stage, so a NaN
+        weight fails its request with the typed error, not a -1 label."""
+        bad = small_graph.copy()
+        bad.data[7] = np.nan
+        responses, _ = _service().process(
+            [make_request(graph=bad), make_request()]
+        )
+        assert not responses[0].ok
+        assert responses[0].error.startswith("ClusteringError: graph weights")
+        assert responses[1].ok
+
 
 class TestServiceThroughput:
     def test_batched_cached_at_least_2x_sequential(self, make_request):

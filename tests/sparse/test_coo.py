@@ -75,29 +75,11 @@ class TestOps:
     def test_row_sums(self):
         assert np.allclose(simple_coo().row_sums(), [3.0, 3.0, 4.0])
 
-    def test_scale_rows(self):
-        A = simple_coo()
-        s = np.array([2.0, 3.0, 4.0])
-        assert np.allclose(A.scale_rows(s).to_dense(), np.diag(s) @ A.to_dense())
-
-    def test_scale_rows_bad_length(self):
-        with pytest.raises(SparseValueError):
-            simple_coo().scale_rows(np.ones(2))
-
-    def test_diagonal(self):
-        A = COOMatrix([0, 1, 1], [0, 1, 1], [5.0, 1.0, 2.0], (2, 2))
-        assert np.allclose(A.diagonal(), [5.0, 3.0])
-
     def test_sum_duplicates(self):
         A = COOMatrix([0, 0, 1], [1, 1, 0], [1.0, 2.0, 5.0], (2, 2))
         B = A.sum_duplicates()
         assert B.nnz == 2
         assert np.array_equal(B.to_dense(), A.to_dense())
-
-    def test_eliminate_zeros(self):
-        A = COOMatrix([0, 1], [0, 1], [0.0, 2.0], (2, 2))
-        B = A.eliminate_zeros()
-        assert B.nnz == 1
 
     def test_sorted_by_row(self):
         A = COOMatrix([2, 0, 1], [0, 1, 2], [1.0, 2.0, 3.0], (3, 3))

@@ -56,20 +56,6 @@ class TestArithmetic:
         with pytest.raises(SparseValueError):
             simple_csr().matvec(np.zeros(2))
 
-    def test_rmatvec(self, rng):
-        A = simple_csr()
-        x = rng.random(3)
-        assert np.allclose(A.rmatvec(x), A.to_dense().T @ x)
-
-    def test_matmat(self, rng):
-        A = simple_csr()
-        X = rng.random((3, 5))
-        assert np.allclose(A.matmat(X), A.to_dense() @ X)
-
-    def test_matmat_shape_check(self, rng):
-        with pytest.raises(SparseValueError):
-            simple_csr().matmat(rng.random((4, 2)))
-
     def test_row_sums(self):
         assert np.allclose(simple_csr().row_sums(), [3.0, 3.0, 4.0])
 
@@ -98,10 +84,6 @@ class TestArithmetic:
             simple_csr().scaled(-2.0).to_dense(), -2.0 * simple_csr().to_dense()
         )
 
-    def test_diagonal(self):
-        A = CSRMatrix([0, 1, 2], [0, 1], [7.0, 8.0], (2, 2))
-        assert np.allclose(A.diagonal(), [7.0, 8.0])
-
     def test_getrow(self):
         idx, vals = simple_csr().getrow(0)
         assert idx.tolist() == [0, 1]
@@ -126,12 +108,6 @@ class TestConversionsStructure:
         r1 = A._rows()
         r2 = A._rows()
         assert r1 is r2
-
-    def test_sort_indices(self):
-        A = CSRMatrix([0, 2], [1, 0], [2.0, 1.0], (1, 2))
-        B = A.sort_indices()
-        assert B.indices.tolist() == [0, 1]
-        assert np.array_equal(A.to_dense(), B.to_dense())
 
     def test_row_lengths(self):
         assert simple_csr().row_lengths().tolist() == [2, 1, 1]

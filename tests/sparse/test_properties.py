@@ -78,11 +78,3 @@ def test_agrees_with_scipy(A):
 def test_row_sums_match_dense(A):
     assert np.allclose(A.row_sums(), A.to_dense().sum(axis=1))
     assert np.allclose(A.to_csr().row_sums(), A.to_dense().sum(axis=1))
-
-
-@given(coo_matrices(), st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_rmatvec_is_transpose_matvec(A, seed):
-    x = np.random.default_rng(seed).standard_normal(A.shape[0])
-    ref = A.to_dense().T @ x
-    assert np.allclose(A.to_csr().rmatvec(x), ref)
