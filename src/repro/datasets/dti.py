@@ -30,6 +30,9 @@ import numpy as np
 from repro.errors import DatasetError
 from repro.graph.neighbors import epsilon_neighbors_grid
 
+#: voxel-seed distances the nearest-seed labelling evaluates per row block
+_LABEL_BLOCK_PAIRS = 1 << 16
+
 
 @dataclass
 class DTIVolume:
@@ -112,10 +115,15 @@ def make_dti_volume(
             f"grid yields only {n} voxels for {n_regions} regions; enlarge it"
         )
 
-    # spatially contiguous ground truth: nearest of n_regions seed voxels
-    seeds = rng.choice(n, size=n_regions, replace=False)
-    d2 = ((pos[:, None, :] - pos[seeds][None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1).astype(np.int64)
+    # spatially contiguous ground truth: nearest of n_regions seed voxels,
+    # over row blocks so the voxel × seed difference stays small
+    seed_pos = pos[rng.choice(n, size=n_regions, replace=False)]
+    rows = max(1, _LABEL_BLOCK_PAIRS // n_regions)
+    labels = np.empty(n, dtype=np.int64)
+    for r0 in range(0, n, rows):
+        block = slice(r0, r0 + rows)
+        d2 = ((pos[block, None, :] - seed_pos[None, :, :]) ** 2).sum(axis=2)
+        labels[block] = np.argmin(d2, axis=1)
 
     prototypes = rng.standard_normal((n_regions, profile_dim))
     prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)

@@ -1,9 +1,12 @@
 """Synthetic DTI volume generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.datasets.dti import make_dti_volume
+from repro.datasets.registry import load_dataset
 from repro.errors import DatasetError
 
 
@@ -85,3 +88,41 @@ class TestDTIVolume:
     def test_positions_in_millimetres(self, vol):
         # 2 mm spacing: coordinates are even
         assert np.allclose(vol.positions % 2.0, 0.0)
+
+
+#: scale -> sha256 of the seed-0 volume's arrays, recorded before the
+#: nearest-seed labelling and the ε-grid were blocked
+VOLUME_DIGESTS = {
+    0.02: {
+        "positions": "547ab3dc2381d76a020f8dadbd29480b03d7edfb7aba16c6e83595c38d7721d9",
+        "labels": "c305d6acef20eca193970af9050b61191e3bdebb12c90798504727545d61836a",
+        "profiles": "0b22b3e9f1e2503d4149e7293f78938e58902fdd37291102009ab864f3faa092",
+        "edges": "a977dd44a5eb9ac83a43d53db1b091d1683cd6f1765dc59b625cca205a2dd078",
+    },
+    0.1: {
+        "positions": "5d19781b3b6fe9ba5fb5e5a8f04a252d3e8353aab6e0e68ccdebcc4ef28fe3e2",
+        "labels": "45233536a90e11c63fcfea1c780fdc3b3ad6936309b8940faa324780828e268c",
+        "profiles": "697bafddb1d417b8be4423e9c4a7058f341051dd9adb8489b019091d56229885",
+        "edges": "eb60eae4f2832e98338646d7970aa114d4af6bb586bf85e2482efc01373b3ebd",
+    },
+}
+
+
+@pytest.mark.parametrize("scale", sorted(VOLUME_DIGESTS))
+def test_registry_volume_digests(scale):
+    # positions are not on the Dataset: rebuild the volume with the
+    # registry's grid and region-count formulas for "dti"
+    base = np.array([60, 72, 60], dtype=np.float64)
+    grid = tuple(np.maximum(6, np.round(base * scale ** (1 / 3))).astype(int))
+    vol = make_dti_volume(grid=grid, n_regions=max(4, round(500 * scale)), seed=0)
+    ds = load_dataset("dti", scale=scale, seed=0)
+    got = {
+        name: hashlib.sha256(a.tobytes()).hexdigest()
+        for name, a in (
+            ("positions", vol.positions),
+            ("labels", ds.labels),
+            ("profiles", ds.points),
+            ("edges", ds.edges),
+        )
+    }
+    assert got == VOLUME_DIGESTS[scale]
