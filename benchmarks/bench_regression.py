@@ -113,8 +113,6 @@ def test_emit_machine_readable_summary(comparison):
     assert pre["miss_reduction"] >= pre["min_miss_reduction"]
     assert pre["throughput_ratio"] >= pre["min_throughput_ratio"]
     assert pre["labels_bit_identical"] is True
-    assert sd["speculation"]["spec_hits"] > 0
-    assert sd["speculation"]["labels_bit_identical"] is True
     assert sd["persistence"]["cold_fits_restarted"] == 0
     assert sd["persistence"]["labels_bit_identical"] is True
     assert written["kmeans_ablation"]["bit_identical"] is True

@@ -1,6 +1,6 @@
-"""Deadline-driven serving: preemption, speculation, and the disk cache.
+"""Deadline-driven serving: preemption and the disk cache.
 
-Three serving-tier claims on the simulated clock, each measured against
+Two serving-tier claims on the simulated clock, each measured against
 its own observational baseline on the identical trace:
 
 * **preemption** — on a deadline-heavy workload (background fit batches
@@ -8,8 +8,6 @@ its own observational baseline on the identical trace:
   mid-burst) preemptive EDF converts every baseline miss into a meet
   (>=30% miss reduction gated) at equal throughput, and the arithmetic
   is bit-identical because preemption only rewrites placement;
-* **speculation** — on a recurring-fingerprint trace a non-zero
-  speculation window coalesces arrivals into fewer, larger batches;
 * **persistence** — a restarted service warms from the on-disk cache:
   zero cold fits the second time around, bit-identical labels.
 
@@ -49,11 +47,10 @@ def _graph():
     return from_edge_list(edges, n_nodes=sum(sizes))
 
 
-def _config(preemption=True, speculation_window=0.0, cache_dir=None):
+def _config(preemption=True, cache_dir=None):
     return ServiceConfig(
         n_devices=1, streams_per_device=1, max_batch=4, cache_entries=32,
-        preemption=preemption, speculation_window=speculation_window,
-        cache_dir=cache_dir,
+        preemption=preemption, cache_dir=cache_dir,
     )
 
 
@@ -133,15 +130,6 @@ def _labels_by_id(responses):
     }
 
 
-def _recurring_trace(graph, gap, n):
-    return [
-        ClusterRequest(
-            request_id=f"r{i}", arrival=i * gap, graph=graph, config=_K4
-        )
-        for i in range(n)
-    ]
-
-
 def _preemption_section(graph, shared):
     trace = _deadline_trace(graph, shared)
     runs = {}
@@ -179,33 +167,6 @@ def _preemption_section(graph, shared):
     }
 
 
-def _speculation_section(graph):
-    # calibrate the metronome gap off one lone request's makespan
-    probe = ClusterService(_config())
-    _, rep = probe.process(_recurring_trace(graph, 0.0, 1))
-    gap = 4.0 * rep.makespan
-    trace = _recurring_trace(graph, gap, 8)
-    base_r, base = ClusterService(_config()).process(trace)
-    spec_r, spec = ClusterService(
-        _config(speculation_window=1.5 * gap)
-    ).process(trace)
-    return {
-        "gap_s": gap,
-        "window_s": 1.5 * gap,
-        "spec_holds": spec.batches["spec_holds"],
-        "spec_hits": spec.batches["spec_hits"],
-        "spec_misses": spec.batches["spec_misses"],
-        "spec_hold_s": spec.batches["spec_hold_s"],
-        "n_batches_baseline": base.batches["n_batches"],
-        "n_batches_speculative": spec.batches["n_batches"],
-        "mean_batch_baseline": base.batches["mean_batch_size"],
-        "mean_batch_speculative": spec.batches["mean_batch_size"],
-        "labels_bit_identical": (
-            _labels_by_id(base_r) == _labels_by_id(spec_r)
-        ),
-    }
-
-
 def _persistence_section(graph, shared):
     trace = _background(graph, shared)
     with tempfile.TemporaryDirectory() as root:
@@ -237,7 +198,6 @@ def serve_deadline_summary() -> dict:
         shared = _fit_spec(graph)
         _SUMMARY_CACHE["summary"] = {
             "preemption": _preemption_section(graph, shared),
-            "speculation": _speculation_section(graph),
             "persistence": _persistence_section(graph, shared),
         }
     return _SUMMARY_CACHE["summary"]
@@ -279,15 +239,6 @@ def test_preemption_results_bit_identical(summary):
     assert summary["preemption"]["labels_bit_identical"] is True
 
 
-def test_speculation_coalesces_batches(summary):
-    spec = summary["speculation"]
-    assert spec["spec_holds"] > 0
-    assert spec["spec_hits"] > 0
-    assert spec["n_batches_speculative"] < spec["n_batches_baseline"]
-    assert spec["mean_batch_speculative"] > spec["mean_batch_baseline"]
-    assert spec["labels_bit_identical"] is True
-
-
 def test_restart_warms_from_disk(summary):
     per = summary["persistence"]
     assert per["disk_writes_first"] > 0
@@ -299,7 +250,6 @@ def test_restart_warms_from_disk(summary):
 
 def test_report_table(summary, write_table):
     pre = summary["preemption"]
-    spec = summary["speculation"]
     per = summary["persistence"]
     lines = [
         "deadline-driven serving",
@@ -312,10 +262,6 @@ def test_report_table(summary, write_table):
         f"({pre['preemption_splits']} splits, "
         f"{pre['preemption_inserts']} inserts)",
         f"throughput ratio (on/off)     : {pre['throughput_ratio']:.3f}",
-        f"spec holds/hits               : "
-        f"{spec['spec_holds']}/{spec['spec_hits']}",
-        f"batches baseline -> spec      : {spec['n_batches_baseline']} -> "
-        f"{spec['n_batches_speculative']}",
         f"restart disk hits             : {per['disk_hits_restarted']} "
         f"(cold fits {per['cold_fits_first']} -> "
         f"{per['cold_fits_restarted']})",

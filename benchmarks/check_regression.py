@@ -122,9 +122,10 @@ def _compare_serve_deadline(
     """Gate the deadline-driven serving tier: preemption keeps cutting
     deadline misses >=30% against the observational baseline at equal
     throughput (within tolerance), placement rewrites stay bit-identical
-    to FIFO arithmetic, speculation keeps coalescing the recurring
-    trace, and a restarted service keeps warming from disk with zero
-    cold fits and bit-identical labels."""
+    to FIFO arithmetic, and a restarted service keeps warming from disk
+    with zero cold fits and bit-identical labels.  The persisted entry's
+    size is a pure function of the entry, so the bytes the first process
+    writes must equal the baseline's exactly."""
     failures: list[str] = []
     base = baseline.get("serve_deadline")
     cur = current.get("serve_deadline")
@@ -156,16 +157,6 @@ def _compare_serve_deadline(
             "serve_deadline.preemption: labels diverged between the "
             "preemptive and observational schedules"
         )
-    spec = cur.get("speculation", {})
-    if spec.get("spec_hits", 0) <= 0:
-        failures.append(
-            "serve_deadline.speculation: no speculation hit on the "
-            "recurring-fingerprint trace"
-        )
-    if spec.get("labels_bit_identical") is not True:
-        failures.append(
-            "serve_deadline.speculation: labels diverged under holds"
-        )
     per = cur.get("persistence", {})
     if per.get("cold_fits_restarted", 1) != 0:
         failures.append(
@@ -177,6 +168,14 @@ def _compare_serve_deadline(
         failures.append(
             "serve_deadline.persistence: disk-warmed labels diverged "
             "from the first process"
+        )
+    old_bytes = base.get("persistence", {}).get("disk_bytes_written_first")
+    new_bytes = per.get("disk_bytes_written_first")
+    if old_bytes is not None and new_bytes != old_bytes:
+        failures.append(
+            f"serve_deadline.persistence.disk_bytes_written_first: "
+            f"{old_bytes!r} -> {new_bytes!r} (the persisted entry size "
+            "must be identical)"
         )
     return failures
 
@@ -520,7 +519,6 @@ def main(argv: list[str] | None = None) -> int:
             f"->{pre['deadline_misses_preemptive']} "
             f"({pre['miss_reduction']:.0%} cut, "
             f"{pre['preemptions']} preemptions)  "
-            f"spec hits {sd['speculation']['spec_hits']}  "
             f"restart cold fits {sd['persistence']['cold_fits_restarted']}  "
             "ok"
         )

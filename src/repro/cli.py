@@ -172,7 +172,6 @@ def _cmd_serve(args) -> int:
         streams_per_device=args.streams,
         cache_entries=args.cache_capacity,
         preemption=not args.no_preemption,
-        speculation_window=args.speculation_window,
         cache_dir=args.cache_dir,
     ))
     responses, report = service.process(requests)
@@ -366,11 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist the embedding/model cache to DIR so a "
                        "restarted service warms from disk (default: "
                        "in-process only)")
-    srv_p.add_argument("--speculation-window", type=float, default=0.0,
-                       metavar="S",
-                       help="hold an under-full batch open up to S simulated "
-                       "seconds when a compatible arrival is predicted "
-                       "(default 0 = off)")
     srv_p.add_argument("--no-preemption", action="store_true",
                        help="disable EDF preemption at stage boundaries "
                        "(deadlines become observational, as before)")

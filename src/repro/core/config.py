@@ -95,14 +95,15 @@ class ClusterConfig:
         the row-length-statistics autotuner choose between 'csr' and
         'ell'; or force one.  Format only changes charged time.
     devices:
-        Simulated GPUs the fit spans (default 1).  The normalized
-        operator splits into nnz-balanced row blocks with local/halo
-        column separation; each SpMV overlaps the local kernel with
+        Simulated GPUs the embedding solve spans (default 1).  The
+        normalized operator splits into nnz-balanced row blocks with
+        local/halo column separation; each SpMV or SpMM of the Lanczos,
+        power or compressive solve overlaps the local kernel with
         device-to-device halo exchange on copy streams
-        (:mod:`repro.cusparse.partition`).  The whole fit runs as one
-        multi-device plan when the config :attr:`composes`, otherwise
-        only the embedding stage is sharded.  Either way the answer
-        matches ``devices=1`` — only the charged makespan changes.
+        (:mod:`repro.cusparse.partition`).  Only that solve is sharded:
+        the similarity and Laplacian stages and k-means run on the
+        primary device.  The answer matches ``devices=1`` — only the
+        charged makespan changes.
         Requires ``eig_residency='device'`` and a CSR-compatible
         ``eig_spmv_format`` ('auto' or 'csr').
     precision:

@@ -3,8 +3,7 @@
 A replay-driven serving layer over the spectral clustering pipeline:
 bounded admission, micro-batching of fingerprint-compatible requests,
 an LRU embedding cache with bit-identical hits (optionally spilled to an
-on-disk cross-process store), speculative batch formation driven by an
-online arrival predictor, a predict fast lane that serves out-of-sample
+on-disk cross-process store), a predict fast lane that serves out-of-sample
 requests from cached fitted models under deadline/priority dispatch with
 EDF preemption at stage boundaries, and a multi-stream / multi-device
 scheduler that charges queueing and overlap to the simulated clock.  See
@@ -12,7 +11,6 @@ scheduler that charges queueing and overlap to the simulated clock.  See
 """
 
 from repro.serve.batcher import (
-    ArrivalPredictor,
     Batch,
     BatcherStats,
     MicroBatcher,
@@ -44,7 +42,7 @@ from repro.serve.request import (
     PredictResponse,
 )
 from repro.serve.scheduler import (
-    DEFAULT_CTX_SWITCH_S,
+    CTX_SWITCH_S,
     ScheduledUnit,
     SchedulerStats,
     StreamScheduler,
@@ -68,14 +66,13 @@ from repro.serve.traceio import (
 
 __all__ = [
     "AdmissionQueue",
-    "ArrivalPredictor",
     "Batch",
     "BatcherStats",
     "CacheStats",
     "ClusterRequest",
     "ClusterResponse",
     "ClusterService",
-    "DEFAULT_CTX_SWITCH_S",
+    "CTX_SWITCH_S",
     "DEFAULT_REQUEST_CONFIG",
     "EmbeddingCache",
     "FORMAT_VERSION",

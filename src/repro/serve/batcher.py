@@ -10,26 +10,10 @@ single Lanczos solve, and every request runs its own k-means.
 Compatibility is content-based (see :mod:`repro.serve.fingerprint`), so a
 replayed trace in which the same dataset reference recurs batches exactly
 like live traffic submitting the same in-memory graph.
-
-Speculative batch formation
----------------------------
-Plain micro-batching only coalesces requests *already queued* — on a
-recurring-fingerprint workload (the trace shape
-:func:`~repro.serve.traceio.synthetic_trace` models) a batch routinely
-dispatches moments before the next compatible request lands.  The
-:class:`ArrivalPredictor` learns each operator key's inter-arrival gap
-online (mean of the most recent gaps, arrivals only — it never peeks at
-the future trace); the service consults it before dispatching an
-under-full batch and, when a compatible arrival is predicted inside the
-configured *speculation window*, holds the batch open.  The hold's cost
-is modeled honestly: the head request's queue wait grows by the full
-hold, win or lose, and both outcomes are metered (``spec_hits`` /
-``spec_misses`` in :class:`BatcherStats`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,14 +51,6 @@ class BatcherStats:
         self.n_batches = 0
         self.total_batched = 0
         self.max_batch = 0
-        #: speculative holds entered (a batch kept open on a prediction)
-        self.spec_holds = 0
-        #: holds that won: a compatible request joined before dispatch
-        self.spec_hits = 0
-        #: holds that lost: the window expired with no compatible arrival
-        self.spec_misses = 0
-        #: total simulated seconds batches were held open speculatively
-        self.spec_hold_s = 0.0
 
     @property
     def mean_batch_size(self) -> float:
@@ -86,57 +62,7 @@ class BatcherStats:
             "total_batched": self.total_batched,
             "max_batch": self.max_batch,
             "mean_batch_size": self.mean_batch_size,
-            "spec_holds": self.spec_holds,
-            "spec_hits": self.spec_hits,
-            "spec_misses": self.spec_misses,
-            "spec_hold_s": self.spec_hold_s,
         }
-
-
-class ArrivalPredictor:
-    """Online per-key inter-arrival model (mean of recent gaps).
-
-    Deliberately simple and strictly causal: it observes admitted
-    arrival timestamps only, so a replayed trace and a live service see
-    identical predictions.  ``predict_next`` answers "when is the next
-    request with this key expected?" — None until two arrivals have been
-    seen, and None once the prediction is already overdue (an overdue
-    prediction is evidence the recurring stream ended, not a reason to
-    wait).
-    """
-
-    def __init__(self, history: int = 8) -> None:
-        if history < 1:
-            raise ServiceError(f"history must be >= 1, got {history}")
-        self.history = history
-        #: key -> recent arrival timestamps (most recent last)
-        self._arrivals: dict[tuple, deque] = {}
-
-    def observe(self, key: tuple, arrival: float) -> None:
-        """Record one arrival of ``key`` at simulated time ``arrival``."""
-        times = self._arrivals.setdefault(
-            key, deque(maxlen=self.history + 1)
-        )
-        times.append(float(arrival))
-
-    def mean_gap(self, key: tuple) -> float | None:
-        """Mean inter-arrival gap over the retained history, or None."""
-        times = self._arrivals.get(key)
-        if times is None or len(times) < 2:
-            return None
-        return (times[-1] - times[0]) / (len(times) - 1)
-
-    def predict_next(self, key: tuple, now: float) -> float | None:
-        """Predicted next-arrival time for ``key``, or None.
-
-        None when there is no usable history or the predicted time is
-        not in the future of ``now``.
-        """
-        gap = self.mean_gap(key)
-        if gap is None:
-            return None
-        t = self._arrivals[key][-1] + gap
-        return t if t > now else None
 
 
 class MicroBatcher:
@@ -160,17 +86,7 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.key_of = key_of
         self.stats = BatcherStats()
-        self.predictor = ArrivalPredictor()
         self._next_id = 0
-
-    def observe(self, req: ClusterRequest) -> None:
-        """Feed one admitted arrival to the arrival predictor."""
-        self.predictor.observe(self.key_of(req), req.arrival)
-
-    def compatible_queued(self, queue: AdmissionQueue) -> tuple[tuple, int]:
-        """The head's operator key and how many queued requests share it."""
-        key = self.key_of(queue.peek())
-        return key, sum(1 for r in queue if self.key_of(r) == key)
 
     def form(self, queue: AdmissionQueue) -> Batch:
         """Claim the next batch from the queue (raises on an empty queue)."""

@@ -169,15 +169,6 @@ class ServiceReport:
                 f"{'  ctx switch (sim s)':<28}"
                 f"{self.scheduler.get('ctx_switch_s', 0.0):>16.6f}",
             ])
-        if self.batches.get("spec_holds"):
-            lines.extend([
-                f"{'speculative holds':<28}"
-                f"{self.batches.get('spec_holds', 0):>16}",
-                f"{'  hits':<28}{self.batches.get('spec_hits', 0):>16}",
-                f"{'  misses':<28}{self.batches.get('spec_misses', 0):>16}",
-                f"{'  held (sim s)':<28}"
-                f"{self.batches.get('spec_hold_s', 0.0):>16.4f}",
-            ])
         if self.cache.get("disk_hits") or self.cache.get("disk_writes"):
             lines.extend([
                 f"{'cache disk hits':<28}{self.cache.get('disk_hits', 0):>16}",

@@ -50,9 +50,6 @@ class AdmissionQueue:
     def __bool__(self) -> bool:
         return bool(self._queue)
 
-    def __iter__(self):
-        return iter(self._queue)
-
     def submit(self, request: ClusterRequest) -> None:
         """Admit one request or raise :class:`AdmissionError` when full."""
         if len(self._queue) >= self.capacity:

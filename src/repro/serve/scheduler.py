@@ -33,8 +33,8 @@ for a *preemptive slot* on the lanes of the device it executed on:
   at its next stage boundary (the :mod:`~repro.cuda.boundaries` marks a
   k-means Lloyd iteration or Lanczos restart fired during execution),
   the urgent unit runs in the gap, and the victim's remainder resumes
-  afterwards.  Both switches charge ``ctx_switch_s`` of lane-occupying
-  overhead — preemption is never free;
+  afterwards.  Both switches charge :data:`CTX_SWITCH_S` of
+  lane-occupying overhead — preemption is never free;
 - **queue-jump insert** — the urgent unit slips in front of placed but
   not-yet-started preemptible units (a batch-member boundary), shifting
   them later; no state is saved mid-flight, so no context-switch cost.
@@ -60,10 +60,10 @@ from repro.errors import ReproError, ServiceError
 from repro.hw.spec import GPUSpec, K20C, PCIE_X16_GEN2, PCIeSpec
 from repro.hw.timeline import Timeline, TimelineEvent
 
-#: default simulated cost of one context save *or* restore when a
-#: preemption splits a running unit (a mid-flight k-means suspend writes
-#: back its iteration buffers; ~tens of µs at PCIe gen2 rates)
-DEFAULT_CTX_SWITCH_S = 2e-5
+#: simulated cost of one context save *or* restore when a preemption
+#: splits a running unit (a mid-flight k-means suspend writes back its
+#: iteration buffers; ~tens of µs at PCIe gen2 rates)
+CTX_SWITCH_S = 2e-5
 
 
 @dataclass
@@ -193,17 +193,12 @@ class StreamScheduler:
         spec: GPUSpec = K20C,
         pcie: PCIeSpec = PCIE_X16_GEN2,
         preemption: bool = True,
-        ctx_switch_s: float = DEFAULT_CTX_SWITCH_S,
     ) -> None:
         if n_devices < 1:
             raise ServiceError(f"need at least one device, got {n_devices}")
         if streams_per_device < 1:
             raise ServiceError(
                 f"need at least one stream per device, got {streams_per_device}"
-            )
-        if ctx_switch_s < 0:
-            raise ServiceError(
-                f"ctx_switch_s must be >= 0, got {ctx_switch_s}"
             )
         self.devices = [Device(spec, pcie) for _ in range(n_devices)]
         self.lanes: list[Stream] = [
@@ -215,8 +210,6 @@ class StreamScheduler:
         self.schedule = Timeline()
         #: EDF preemption on/off (off = PR 9's observational deadlines)
         self.preemption = bool(preemption)
-        #: simulated seconds per context save / restore on a split
-        self.ctx_switch_s = float(ctx_switch_s)
         self.stats = SchedulerStats()
         #: per-lane placements, kept sorted by start time
         self._placements: dict[str, list[_Placement]] = {
@@ -341,7 +334,7 @@ class StreamScheduler:
             slot = self._lane_slot(lane, ready_at, duration)
             if slot is None:
                 continue
-            delta = self.ctx_switch_s if slot.split is not None else 0.0
+            delta = CTX_SWITCH_S if slot.split is not None else 0.0
             end = slot.at + delta + duration
             if end < best_end:
                 best, best_end = slot, end
@@ -406,20 +399,19 @@ class StreamScheduler:
         urgent unit's (start, end, event, victim label)."""
         lane = slot.lane
         split = slot.split
-        delta = self.ctx_switch_s if split is not None else 0.0
+        delta = CTX_SWITCH_S if split is not None else 0.0
         shift = duration + 2.0 * delta
         victim = (split or slot.tail[0]).unit.label
         if split is not None:
             self._split_placement(split, slot.at, shift)
-            if delta > 0:
-                self.schedule.record_at(
-                    f"ctx-save[{victim}]", "overhead",
-                    slot.at, delta, tag=lane.name,
-                )
-                self.schedule.record_at(
-                    f"ctx-restore[{victim}]", "overhead",
-                    slot.at + delta + duration, delta, tag=lane.name,
-                )
+            self.schedule.record_at(
+                f"ctx-save[{victim}]", "overhead",
+                slot.at, delta, tag=lane.name,
+            )
+            self.schedule.record_at(
+                f"ctx-restore[{victim}]", "overhead",
+                slot.at + delta + duration, delta, tag=lane.name,
+            )
             self.stats.preemption_splits += 1
             self.stats.ctx_switch_s += 2.0 * delta
         else:
@@ -590,9 +582,7 @@ class StreamScheduler:
             ):
                 cand = self._best_slot(ready_at, duration, dev)
                 if cand is not None:
-                    delta = (
-                        self.ctx_switch_s if cand.split is not None else 0.0
-                    )
+                    delta = CTX_SWITCH_S if cand.split is not None else 0.0
                     cand_end = cand.at + delta + duration
                     # preempt only to convert the miss into a meet
                     if cand_end <= deadline and cand_end < fifo_end:

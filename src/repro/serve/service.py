@@ -75,12 +75,26 @@ from repro.serve.request import (
     PredictRequest,
     PredictResponse,
 )
-from repro.serve.scheduler import DEFAULT_CTX_SWITCH_S, StreamScheduler
+from repro.serve.scheduler import StreamScheduler
+
+#: count fields of :class:`ServiceConfig` and the least value each takes
+_COUNTS = {
+    "queue_capacity": 1,
+    "max_batch": 1,
+    "n_devices": 1,
+    "streams_per_device": 1,
+    "cache_entries": 0,
+}
 
 
 @dataclass
 class ServiceConfig:
-    """Tunables of one service instance."""
+    """Tunables of one service instance.
+
+    Every count field must be an ``int`` (``bool`` is not one) at or
+    above its least value; anything else raises
+    :class:`~repro.errors.ServiceError` naming the field.
+    """
 
     queue_capacity: int = 64
     max_batch: int = 8
@@ -91,14 +105,21 @@ class ServiceConfig:
     pcie: PCIeSpec = PCIE_X16_GEN2
     #: EDF preemption at stage boundaries (off = observational deadlines)
     preemption: bool = True
-    #: simulated cost of one context save / restore on a preemption split
-    ctx_switch_s: float = DEFAULT_CTX_SWITCH_S
-    #: max simulated seconds to hold an under-full batch open when the
-    #: arrival predictor expects a compatible request; 0 disables
-    speculation_window: float = 0.0
     #: directory for the persistent cache tier; None keeps the cache
     #: in-process only
     cache_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        for name, least in _COUNTS.items():
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, int)
+                or value < least
+            ):
+                raise ServiceError(
+                    f"{name} must be an int >= {least}, got {value!r}"
+                )
 
 
 @dataclass
@@ -136,7 +157,6 @@ class ClusterService:
             spec=self.config.spec,
             pcie=self.config.pcie,
             preemption=self.config.preemption,
-            ctx_switch_s=self.config.ctx_switch_s,
         )
         self.queue = AdmissionQueue(self.config.queue_capacity)
         store = (
@@ -161,9 +181,6 @@ class ClusterService:
         #: response finalizers for units whose placement may still be
         #: rewritten by a preemption; run once the schedule is final
         self._deferred: list = []
-        #: active speculative hold: (operator key, compatible count at
-        #: hold start, hold deadline on the simulated clock)
-        self._hold: tuple | None = None
 
     # ------------------------------------------------------------------
     # workload resolution
@@ -230,62 +247,6 @@ class ClusterService:
         return wrapped
 
     # ------------------------------------------------------------------
-    # speculative batch formation
-    # ------------------------------------------------------------------
-    def _spec_hold(self, clock: float, next_arrival: float | None):
-        """Decide whether to hold the head batch open; returns the clock
-        to advance to while holding, or None to dispatch now.
-
-        Strictly causal: the decision reads only the arrival predictor's
-        history (admitted arrivals so far), never the future trace.
-        Advancing the clock to ``min(hold deadline, next arrival)`` is
-        ordinary discrete-event stepping — the arrival merely ends the
-        wait early, it does not inform the decision to wait.
-        """
-        window = self.config.speculation_window
-        stats = self.batcher.stats
-        if window <= 0.0 or self.batcher.max_batch <= 1:
-            return None
-        key, count = self.batcher.compatible_queued(self.queue)
-        if self._hold is not None:
-            hkey, hcount, hdeadline = self._hold
-            if hkey != key:  # defensive: the held head was dispatched
-                self._hold = None
-                stats.spec_misses += 1
-            elif count > hcount:
-                # the prediction came true: a compatible request joined
-                self._hold = None
-                stats.spec_hits += 1
-            elif clock >= hdeadline:
-                # window expired with no compatible arrival
-                self._hold = None
-                stats.spec_misses += 1
-            else:
-                target = hdeadline
-                if next_arrival is not None:
-                    target = min(target, next_arrival)
-                if target <= clock:
-                    return None
-                stats.spec_hold_s += target - clock
-                return target
-        if count >= self.batcher.max_batch:
-            return None  # batch already full: nothing to speculate for
-        predicted = self.batcher.predictor.predict_next(key, clock)
-        if predicted is None or predicted > clock + window:
-            return None
-        stats.spec_holds += 1
-        self._hold = (key, count, clock + window)
-        target = clock + window
-        if next_arrival is not None:
-            target = min(target, next_arrival)
-        if target <= clock:
-            self._hold = None
-            stats.spec_holds -= 1
-            return None
-        stats.spec_hold_s += target - clock
-        return target
-
-    # ------------------------------------------------------------------
     # the replay loop
     # ------------------------------------------------------------------
     def process(
@@ -333,7 +294,6 @@ class ClusterService:
                 try:
                     self._fingerprint(req)  # resolve + fingerprint up front
                     self.queue.submit(req)
-                    self.batcher.observe(req)
                 except AdmissionError as err:
                     responses[req.request_id] = ClusterResponse(
                         request_id=req.request_id,
@@ -352,24 +312,16 @@ class ClusterService:
                         completed=req.arrival,
                         error=f"{type(err).__name__}: {err}",
                     )
-            upcoming = []
-            if i < len(pending):
-                upcoming.append(pending[i].arrival)
-            if j < len(ppending):
-                upcoming.append(ppending[j].arrival)
-            next_arrival = min(upcoming) if upcoming else None
             if not self.queue:
-                if next_arrival is not None:
-                    clock = max(clock, next_arrival)
+                upcoming = []
+                if i < len(pending):
+                    upcoming.append(pending[i].arrival)
+                if j < len(ppending):
+                    upcoming.append(ppending[j].arrival)
+                if upcoming:
+                    clock = max(clock, min(upcoming))
                     continue
                 break
-            held = self._spec_hold(clock, next_arrival)
-            if held is not None:
-                # holding the head batch open for a predicted compatible
-                # arrival: advance the clock (to the arrival or the hold
-                # deadline, whichever first) and re-evaluate
-                clock = held
-                continue
             batch = self.batcher.form(self.queue)
             self._serve_batch(batch, clock, responses)
             # dispatch the next batch as soon as any lane frees up (or

@@ -13,7 +13,10 @@ class TestAdmissionQueue:
         for r in reqs:
             q.submit(r)
         assert q.peek() is reqs[0]
-        assert [r.request_id for r in q] == [r.request_id for r in reqs]
+        drained = q.take(lambda r: True, limit=len(q))
+        assert [r.request_id for r in drained] == [
+            r.request_id for r in reqs
+        ]
 
     def test_rejection_is_typed_and_carries_occupancy(self, make_request):
         q = AdmissionQueue(capacity=2)
@@ -36,7 +39,8 @@ class TestAdmissionQueue:
             reqs[0].request_id, reqs[2].request_id
         ]
         # untaken requests keep their relative order
-        assert [r.request_id for r in q] == [
+        rest = q.take(lambda r: True, limit=len(q))
+        assert [r.request_id for r in rest] == [
             reqs[1].request_id, reqs[3].request_id,
             reqs[4].request_id, reqs[5].request_id,
         ]

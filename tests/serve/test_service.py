@@ -26,6 +26,32 @@ def _service(**kw):
     return ClusterService(ServiceConfig(**kw))
 
 
+class TestServiceConfigValidation:
+    """Every count field is checked once, at construction, with a typed
+    error naming the field."""
+
+    @pytest.mark.parametrize("name,value", [
+        ("queue_capacity", 2.5),
+        ("max_batch", 2.5),
+        ("cache_entries", 2.5),
+        ("n_devices", True),
+        ("n_devices", 1.5),
+        ("streams_per_device", 1.5),
+        ("max_batch", "4"),
+        ("streams_per_device", False),
+        ("queue_capacity", 0),
+        ("max_batch", 0),
+        ("n_devices", 0),
+        ("streams_per_device", 0),
+        ("cache_entries", -1),
+    ])
+    def test_bad_count_rejected(self, name, value):
+        from repro.errors import ServiceError
+
+        with pytest.raises(ServiceError, match=name):
+            ServiceConfig(**{name: value})
+
+
 class TestServiceCorrectness:
     def test_single_request_matches_direct_fit(self, make_request, small_graph):
         req = make_request()

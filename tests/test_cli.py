@@ -121,12 +121,6 @@ class TestCLIServe:
         payload = self._serve_json(tmp_path, ["--no-preemption"])
         assert payload["scheduler"]["preemptions"] == 0
 
-    def test_serve_speculation_window_flag(self, tmp_path):
-        payload = self._serve_json(
-            tmp_path, ["--speculation-window", "0.5"]
-        )
-        assert "spec_holds" in payload["batches"]
-
     def test_serve_cache_dir_warm_restart(self, tmp_path):
         """Two processes over one trace: the second warms from disk and
         reproduces the first's labels bit for bit."""

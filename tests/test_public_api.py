@@ -125,6 +125,21 @@ PINNED_SURFACES = {
         "ellmm", "ellmv", "partition_csr", "row_stats", "spmm_any",
         "spmv_any", "spmv_partitioned",
     },
+    "repro.serve": {
+        "AdmissionQueue", "Batch", "BatcherStats", "CTX_SWITCH_S",
+        "CacheStats", "ClusterRequest", "ClusterResponse", "ClusterService",
+        "DEFAULT_REQUEST_CONFIG", "EmbeddingCache", "FORMAT_VERSION",
+        "LatencyStats", "MicroBatcher", "PersistentStore", "PredictRequest",
+        "PredictResponse", "QueueStats", "STATUS_FAILED", "STATUS_OK",
+        "STATUS_REJECTED", "ScheduledUnit", "SchedulerStats",
+        "ServiceConfig", "ServiceReport", "StoreStats", "StreamScheduler",
+        "build_report", "embedding_key", "graph_fingerprint", "model_key",
+        "operator_key", "percentile", "points_fingerprint",
+        "predict_from_dict", "predict_to_dict", "read_trace",
+        "request_from_dict", "request_to_dict", "run_sequential",
+        "synthetic_predict_trace", "synthetic_trace", "verify_against_cold",
+        "write_trace",
+    },
 }
 
 
@@ -132,3 +147,19 @@ PINNED_SURFACES = {
 def test_library_surface_is_pinned(modname):
     exported = importlib.import_module(modname).__all__
     assert sorted(exported) == sorted(PINNED_SURFACES[modname])
+
+
+def test_serving_knobs_are_pinned():
+    """The service and scheduler take exactly these knobs; the
+    context-switch cost is the constant ``CTX_SWITCH_S``."""
+    import dataclasses
+
+    from repro.serve import ServiceConfig, StreamScheduler
+
+    assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+        "queue_capacity", "max_batch", "n_devices", "streams_per_device",
+        "cache_entries", "spec", "pcie", "preemption", "cache_dir",
+    ]
+    assert list(inspect.signature(StreamScheduler).parameters) == [
+        "n_devices", "streams_per_device", "spec", "pcie", "preemption",
+    ]
