@@ -68,6 +68,7 @@ def test_emit_machine_readable_summary(comparison):
     from bench_serve_predict import serve_predict_summary
     from bench_serve_throughput import serve_summary
     from bench_topology_composition import topology_composition_summary
+    from check_regression import compare
 
     payload = {"schema_version": 1, "datasets": {}}
     for name in sorted(BENCH_SCALES):
@@ -100,44 +101,5 @@ def test_emit_machine_readable_summary(comparison):
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     written = json.loads(out.read_text())
     assert written["datasets"].keys() == BENCH_SCALES.keys()
-    assert written["serve"]["speedup"] >= 2.0
-    sp = written["serve_predict"]
-    assert sp["throughput_win"] >= sp["min_throughput_win"]
-    assert sp["warm_cold_ratio"] >= sp["min_warm_cold_ratio"]
-    assert sp["ledger_mismatches"] == 0
-    for wl in sp["refit_parity"].values():
-        assert wl["labels_bit_identical"] is True
-    sd = written["serve_deadline"]
-    pre = sd["preemption"]
-    assert pre["deadline_misses_baseline"] > 0
-    assert pre["miss_reduction"] >= pre["min_miss_reduction"]
-    assert pre["throughput_ratio"] >= pre["min_throughput_ratio"]
-    assert pre["labels_bit_identical"] is True
-    assert sd["persistence"]["cold_fits_restarted"] == 0
-    assert sd["persistence"]["labels_bit_identical"] is True
-    assert written["kmeans_ablation"]["bit_identical"] is True
-    assert written["kmeans_ablation"]["speedup_default_vs_baseline"] > 1.0
-    assert written["multigpu_eig"]["bit_identical"] is True
-    for wl in written["multigpu_eig"]["workloads"].values():
-        assert wl["configs"]["2"]["speedup_vs_1dev"] > 1.0
-    prec = written["precision_ablation"]
-    assert prec["fp64_bit_identical"] is True
-    for wl in prec["datasets"].values():
-        assert (
-            wl["cells"]["fp32_lanczos"]["byte_reduction_vs_fp64"]
-            >= prec["min_fp32_byte_reduction"]
-        )
-    comp = written["compressive_ablation"]
-    assert comp["fp32_ledger_ok"] is True
-    assert comp["large"]["n"] >= comp["large"]["min_n"]
-    assert comp["large"]["ari"] >= comp["large"]["ari_floor"]
-    assert comp["large"]["total_simulated_s"] <= comp["large"]["sim_budget_s"]
-    for wl in comp["datasets"].values():
-        cell = wl["cells"][comp["default_cell"]]
-        assert cell["ledger_ok"] is True
-        assert (
-            cell["ari"]
-            >= comp["min_ari_ratio_vs_exact"] * wl["ari_exact"]
-        )
-    topo = written["topology_composition"]
-    assert topo["bit_identical"] is True
+    # every bar of the record, from the gate table CI checks it with
+    assert compare(written, written, 0.0) == []

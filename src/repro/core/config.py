@@ -13,7 +13,9 @@ are not configuration and stay on the estimator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 from repro.compressive.lift import LIFT_MODES
 from repro.core.workflow import EMBEDDING_MODES, SPMV_FORMAT_CHOICES
@@ -46,6 +48,13 @@ _REGISTRIES = {
     "embedding": PIPELINE_EMBEDDINGS,
     "lift": LIFT_MODES,
 }
+#: integer knobs -> least value; numpy integers pass, bools and floats
+#: do not
+_COUNTS = {"n_clusters": 2, "kmeans_max_iter": 1, "devices": 1}
+#: integer knobs that may also be None (derived at fit time)
+_OPTIONAL_COUNTS = {
+    "m": 1, "eig_maxiter": 1, "filter_order": 1, "n_signals": 1, "seed": 0,
+}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -62,7 +71,7 @@ class ClusterConfig:
         Measure for the point-input path: 'crosscorr' (paper's DTI
         choice), 'cosine' or 'expdecay'.
     sigma:
-        Bandwidth for 'expdecay'.
+        Bandwidth for 'expdecay' (finite, > 0).
     operator:
         'sym' (default) iterates with the symmetric ``D^{-1/2}WD^{-1/2}``
         and maps eigenvectors back through ``D^{-1/2}`` — the numerically
@@ -81,7 +90,7 @@ class ClusterConfig:
         Lanczos basis size (default ``min(n, max(2k+1, 20))``, the paper's
         ``m = 2k`` rule).
     eig_tol:
-        Eigensolver relative tolerance (0 = machine eps).
+        Eigensolver relative tolerance (finite, >= 0; 0 = machine eps).
     eig_maxiter:
         Restart cap.
     eig_residency:
@@ -163,7 +172,8 @@ class ClusterConfig:
         'remove' (default) drops zero-degree nodes and labels them ``-1``;
         'error' raises (the paper's stated assumption is ``D_ii > 0``).
     seed:
-        Seeds the eigensolver start vector and the k-means initialization.
+        Seeds the eigensolver start vector and the k-means initialization
+        (a non-negative int, or None).
     """
 
     n_clusters: int
@@ -192,9 +202,27 @@ class ClusterConfig:
     seed: int | None = 0
 
     def __post_init__(self) -> None:
-        if self.n_clusters < 2:
+        for name, least in (*_COUNTS.items(), *_OPTIONAL_COUNTS.items()):
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_COUNTS:
+                continue
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, Integral)
+                or value < least
+            ):
+                spelled = " or None" if name in _OPTIONAL_COUNTS else ""
+                raise ClusteringError(
+                    f"{name} must be an int >= {least}{spelled}, "
+                    f"got {value!r}"
+                )
+        if not _finite(self.eig_tol) or self.eig_tol < 0:
             raise ClusteringError(
-                f"n_clusters must be >= 2, got {self.n_clusters}"
+                f"eig_tol must be finite and >= 0, got {self.eig_tol!r}"
+            )
+        if not _finite(self.sigma) or self.sigma <= 0:
+            raise ClusteringError(
+                f"sigma must be finite and > 0, got {self.sigma!r}"
             )
         for name, choices in _CHOICES.items():
             value = getattr(self, name)
@@ -210,10 +238,6 @@ class ClusterConfig:
                 raise ClusteringError(
                     f"{name} must be one of {choices}, got {value!r}"
                 )
-        if not isinstance(self.devices, int) or self.devices < 1:
-            raise ClusteringError(
-                f"devices must be an int >= 1, got {self.devices!r}"
-            )
         if self.devices > 1 and self.eig_residency != "device":
             raise ClusteringError("devices > 1 requires eig_residency='device'")
         if self.devices > 1 and self.eig_spmv_format not in ("auto", "csr"):
@@ -227,12 +251,6 @@ class ClusterConfig:
                 "Chebyshev filter's pass band targets the normalized "
                 "operators' top-k spectrum)"
             )
-        for name in ("filter_order", "n_signals"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 1):
-                raise ClusteringError(
-                    f"{name} must be an int >= 1, got {value!r}"
-                )
         if self.sample_frac is not None and not (
             0.0 < float(self.sample_frac) <= 1.0
         ):
@@ -241,3 +259,12 @@ class ClusterConfig:
             )
         # frozen: normalize through object.__setattr__
         object.__setattr__(self, "kmeans_fused", bool(self.kmeans_fused))
+
+
+def _finite(value) -> bool:
+    """A real, finite number (bools are not numbers here)."""
+    return (
+        isinstance(value, Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )

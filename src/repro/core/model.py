@@ -51,6 +51,7 @@ from repro.linalg.nystrom import (
     DeltaLedger,
     PredictLedger,
     drift_threshold,
+    ledger_matches_meter,
     nystrom_degrees,
     nystrom_product,
     nystrom_scale,
@@ -104,10 +105,6 @@ class ApplyDeltaResult:
     ledger_ok: bool | None = None
     result: object | None = None
     simulated_time: float = 0.0
-
-
-def _fresh_rec() -> dict:
-    return {"retries": 0, "degrade_steps": 0, "resumes": 0, "fallback": None}
 
 
 @dataclass
@@ -431,14 +428,8 @@ class FittedSpectralModel:
         if audit is not None:
             meter0, sim_time = audit
         if clean:
-            meter1 = device.transfer_stats()
-            ledger_ok = (
-                meter1["bytes_h2d"] - meter0["bytes_h2d"]
-                == ledger.total_h2d_bytes()
-                and meter1["bytes_d2h"] - meter0["bytes_d2h"]
-                == ledger.total_d2h_bytes()
-                and meter1["n_h2d"] - meter0["n_h2d"] == ledger.n_h2d
-                and meter1["n_d2h"] - meter0["n_d2h"] == ledger.n_d2h
+            ledger_ok = ledger_matches_meter(
+                ledger, meter0, device.transfer_stats()
             )
         resilience = {}
         if any((rec["retries"], rec["degrade_steps"], rec["resumes"],
@@ -536,14 +527,8 @@ class FittedSpectralModel:
                     for a in bufs:
                         a.free()
                 sim_time = device.elapsed - t0
-                meter1 = device.transfer_stats()
-                ledger_ok = (
-                    meter1["bytes_h2d"] - meter0["bytes_h2d"]
-                    == ledger.total_h2d_bytes()
-                    and meter1["bytes_d2h"] - meter0["bytes_d2h"]
-                    == ledger.total_d2h_bytes()
-                    and meter1["n_h2d"] - meter0["n_h2d"] == ledger.n_h2d
-                    and meter1["n_d2h"] - meter0["n_d2h"] == ledger.n_d2h
+                ledger_ok = ledger_matches_meter(
+                    ledger, meter0, device.transfer_stats()
                 )
             self.graph = W_new
             self.degrees = deg_new

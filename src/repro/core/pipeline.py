@@ -95,7 +95,7 @@ def _run_resilient(device, policy, stage, gpu_attempts, cpu_fn):
     Returns ``(value, record)`` where ``record`` tallies the recovery
     actions taken (all zero/None on a clean first attempt).
     """
-    rec = {"retries": 0, "degrade_steps": 0, "resumes": 0, "fallback": None}
+    rec = _fresh_rec()
 
     def count(_attempt: int) -> None:
         rec["retries"] += 1

@@ -200,6 +200,21 @@ class DeltaLedger:
         return 1
 
 
+def ledger_matches_meter(
+    ledger: PredictLedger | DeltaLedger, meter0: dict, meter1: dict
+) -> bool:
+    """``ledger == meter``: the byte plan equals the device meter's
+    ``transfer_stats()`` delta from ``meter0`` to ``meter1`` in bytes and
+    transfer count, both directions."""
+    return (
+        meter1["bytes_h2d"] - meter0["bytes_h2d"] == ledger.total_h2d_bytes()
+        and meter1["bytes_d2h"] - meter0["bytes_d2h"]
+        == ledger.total_d2h_bytes()
+        and meter1["n_h2d"] - meter0["n_h2d"] == ledger.n_h2d
+        and meter1["n_d2h"] - meter0["n_d2h"] == ledger.n_d2h
+    )
+
+
 # ---------------------------------------------------------------------------
 # drift bound (Weyl)
 # ---------------------------------------------------------------------------

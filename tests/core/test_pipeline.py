@@ -135,6 +135,32 @@ class TestValidation:
         with pytest.raises(ClusteringError):
             SpectralClustering(n_clusters=3, handle_isolated="ignore")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_clusters", 2.5), ("n_clusters", 3.0),
+        ("kmeans_max_iter", 2.5), ("kmeans_max_iter", -3),
+        ("kmeans_max_iter", 0),
+        ("seed", 1.5), ("seed", -1),
+        ("m", 10.5), ("m", 0),
+        ("devices", True), ("filter_order", True),
+        ("eig_maxiter", 2.5), ("eig_maxiter", -1), ("eig_maxiter", 0),
+        ("eig_tol", -1.0), ("eig_tol", np.nan), ("eig_tol", np.inf),
+        ("sigma", np.nan), ("sigma", 0.0), ("sigma", -1.0),
+    ])
+    def test_bad_number_rejected_naming_the_field(self, field, value):
+        """Each of these used to end in a bare TypeError/ValueError deep in
+        the fit, or to fit silently (``kmeans_max_iter=0`` labelled every
+        vertex -1)."""
+        with pytest.raises(ClusteringError, match=field):
+            SpectralClustering(**{"n_clusters": 3, field: value})
+
+    def test_numpy_integers_accepted(self, sbm_graph):
+        W, _ = sbm_graph
+        res = SpectralClustering(
+            n_clusters=np.int64(6), seed=np.int64(0), devices=np.int32(1),
+            kmeans_max_iter=np.int64(50),
+        ).fit(graph=W)
+        assert len(np.unique(res.labels)) == 6
+
     def test_k_exceeds_nodes(self):
         W = from_edge_list(np.array([[0, 1], [1, 2]]), n_nodes=3)
         with pytest.raises(ClusteringError, match="non-isolated"):
