@@ -66,9 +66,7 @@ def _refit_parity(name: str, scale: float) -> dict:
     if ds.graph is not None:
         res = SpectralClustering(**est).fit(graph=ds.graph)
     else:
-        res = SpectralClustering(
-            similarity="crosscorr", **est
-        ).fit(X=ds.points, edges=ds.edges)
+        res = SpectralClustering(**est).fit(X=ds.points, edges=ds.edges)
     model = res.model
     picks = model.kept[:6]
     big = np.column_stack([picks[:3], picks[3:]])

@@ -77,11 +77,17 @@ def check(out_dir: Path) -> list[str]:
         record = json.loads(path.read_text())
         metrics = record["result"]["metrics"]
         for name, want in expected.items():
+            if name not in metrics:
+                failures.append(f"{workload}: {name} missing")
+                continue
             got = metrics[name]["value"]
             if got != want:
                 failures.append(f"{workload}: {name} = {got}, expected {want}")
         calibration = record["machine"]["calibration_s"]
         for name, bound in WALL_BOUNDS.get(workload, {}).items():
+            if name not in metrics:
+                failures.append(f"{workload}: {name} missing")
+                continue
             ratio = metrics[name]["value"] / calibration
             if ratio > bound:
                 failures.append(

@@ -14,6 +14,12 @@ per command to audit; the hits accumulate.  ``report`` lists the
 functions of ``src/`` (every ``def``, nested ones included) that no
 recorded process entered, grouped by module, with their line spans.
 ``coverage`` is not needed.
+
+The function-level list cannot see a knob value whose branch sits inside
+an entered function, so the hook also reads ``self`` at every
+``ClusterConfig``/``ServiceConfig.__post_init__`` and records each field
+whose value differs from its default; ``report`` lists, per field, the
+non-default values any audited process constructed.
 """
 
 from __future__ import annotations
@@ -31,14 +37,29 @@ SRC = ROOT / "src"
 
 #: installed as ``sitecustomize`` in every audited process
 _SITECUSTOMIZE = '''\
-import atexit, os, sys, threading
+import atexit, dataclasses, os, sys, threading
 
 _seen = set()
+_configs = set()
+_CONFIGS = ("ClusterConfig", "ServiceConfig")
+
+
+def _note_config(obj):
+    cls = type(obj)
+    for f in dataclasses.fields(cls):
+        value = getattr(obj, f.name)
+        if f.default is dataclasses.MISSING or value != f.default:
+            _configs.add(f"{cls.__name__}\\t{f.name}\\t{value!r}")
 
 
 def _hook(frame, event, arg):
     if event == "call":
-        _seen.add(frame.f_code)
+        code = frame.f_code
+        _seen.add(code)
+        if code.co_name == "__post_init__" and code.co_filename.startswith(_SRC):
+            obj = frame.f_locals.get("self")
+            if type(obj).__name__ in _CONFIGS:
+                _note_config(obj)
 
 
 def _dump():
@@ -48,6 +69,9 @@ def _dump():
     path = os.path.join(_DIR, f"hits-{os.getpid()}-{id(_seen)}.txt")
     with open(path, "w") as fh:
         fh.write("\\n".join(sorted(hits)))
+    path = os.path.join(_DIR, f"configs-{os.getpid()}-{id(_seen)}.txt")
+    with open(path, "w") as fh:
+        fh.write("\\n".join(sorted(_configs)))
 
 
 _DIR = os.environ["REACH_AUDIT_DIR"]
@@ -111,7 +135,33 @@ def report(audit_dir: Path) -> dict:
         "n_unreached": sum(len(v) for v in unreached.values()),
         "unreached_lines": sum(f[2] for v in unreached.values() for f in v),
         "unreached": unreached,
+        "config_values": _config_values(audit_dir),
     }
+
+
+def _config_values(audit_dir: Path) -> dict:
+    """``{"Class.field": [non-default value reprs]}`` over every field of
+    the audited config classes, an empty list for a field no recorded
+    process set away from its default."""
+    sys.path.insert(0, str(SRC))
+    from dataclasses import fields
+
+    from repro.core.config import ClusterConfig
+    from repro.serve.service import ServiceConfig
+
+    values = {
+        f"{cls.__name__}.{f.name}": set()
+        for cls in (ClusterConfig, ServiceConfig) for f in fields(cls)
+    }
+    for config_file in audit_dir.glob("configs-*.txt"):
+        for line in config_file.read_text().splitlines():
+            cls, name, value = line.split("\t", 2)
+            values.setdefault(f"{cls}.{name}", set()).add(value)
+    return {name: sorted(seen) for name, seen in values.items()}
+
+
+#: non-default values printed per config field before eliding the rest
+_SHOWN = 6
 
 
 def _print_report(rep: dict) -> None:
@@ -121,6 +171,11 @@ def _print_report(rep: dict) -> None:
             print(f"    {name}  line {first}, {n_lines} lines")
     print(f"{rep['n_unreached']} of {rep['n_functions']} functions never entered "
           f"({rep['unreached_lines']} lines)")
+    print("config fields and the non-default values constructed:")
+    for name, seen in rep["config_values"].items():
+        shown = ", ".join(seen[:_SHOWN]) + (
+            f", ... ({len(seen)} values)" if len(seen) > _SHOWN else "")
+        print(f"    {name}  {shown or '(default only)'}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -34,10 +34,10 @@ def main() -> None:
         f"{vol.n_regions} parcels, d={vol.d}"
     )
 
-    # --- hybrid pipeline -------------------------------------------------
+    # --- hybrid pipeline (point input is weighted by Eq. 7's
+    # cross-correlation, the paper's DTI measure) -------------------------
     model = SpectralClustering(
         n_clusters=vol.n_regions,
-        similarity="crosscorr",  # Eq. 7, the paper's DTI measure
         eig_tol=1e-8,
         seed=0,
     )

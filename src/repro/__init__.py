@@ -23,7 +23,7 @@ Subpackages
     The ARPACK-style implicitly restarted Lanczos eigensolver with the
     reverse communication interface.
 ``repro.graph``
-    Similarity measures, ε-neighbour graph construction, Laplacians.
+    The cross-correlation measure, ε-neighbour graph construction, Laplacians.
 ``repro.kmeans``
     GPU k-means (Algorithm 4) with k-means++ seeding (Algorithm 5).
 ``repro.baselines``

@@ -22,7 +22,6 @@ def run_python_like(
     edges: np.ndarray | None = None,
     graph=None,
     n_clusters: int = 2,
-    similarity: str = "crosscorr",
     seed: int | None = 0,
     m: int | None = None,
     eig_tol: float = 0.0,
@@ -33,7 +32,7 @@ def run_python_like(
     :class:`~repro.baselines.matlab_like.BaselineRun`."""
     ref = reference_spectral_clustering(
         X=X, edges=edges, graph=graph, n_clusters=n_clusters,
-        similarity=similarity, m=m, eig_tol=eig_tol,
+        m=m, eig_tol=eig_tol,
         kmeans_init=PYTHON_27.kmeans_init, kmeans_max_iter=kmeans_max_iter,
         seed=seed,
     )

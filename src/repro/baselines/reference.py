@@ -27,7 +27,6 @@ from repro.graph.laplacian import sym_normalized_adjacency
 from repro.kmeans.cpu import kmeans_cpu
 from repro.kmeans.utils import KMeansResult
 from repro.linalg.eigsolver import SymEigProblem
-from repro.linalg.utils import normalize_rows as _normalize_rows
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
@@ -52,14 +51,11 @@ def reference_spectral_clustering(
     edges: np.ndarray | None = None,
     graph: COOMatrix | CSRMatrix | None = None,
     n_clusters: int = 2,
-    similarity: str = "crosscorr",
-    sigma: float = 1.0,
     m: int | None = None,
     eig_tol: float = 0.0,
     eig_maxiter: int | None = None,
     kmeans_init: str = "k-means++",
     kmeans_max_iter: int = 300,
-    normalize_rows: bool = False,
     seed: int | None = 0,
 ) -> ReferenceResult:
     """Run the full pipeline on the host.  Arguments mirror
@@ -73,9 +69,7 @@ def reference_spectral_clustering(
     if point_input:
         if edges is None:
             raise ClusteringError("point input requires edges")
-        W = build_similarity_graph(
-            np.asarray(X), np.asarray(edges), measure=similarity, sigma=sigma
-        )
+        W = build_similarity_graph(np.asarray(X), np.asarray(edges))
         n_total = W.shape[0]
     else:
         assert graph is not None
@@ -109,8 +103,7 @@ def reference_spectral_clustering(
     theta = theta[order]
     U = U[:, order]
     inv_sqrt = 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0))
-    U = U * inv_sqrt[:, None]
-    embedding = _normalize_rows(U) if normalize_rows else U
+    embedding = U * inv_sqrt[:, None]
     wall["eigensolver"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -66,7 +66,7 @@ def _cmd_run(args) -> int:
         devices=args.devices,
         precision=args.precision, embedding=args.embedding,
         filter_order=args.filter_order, n_signals=args.n_signals,
-        sample_frac=args.sample_frac, lift=args.lift,
+        sample_frac=args.sample_frac,
         chaos=args.chaos,
         resilience=DISABLED if args.no_resilience else None,
     )
@@ -255,7 +255,7 @@ def _cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.core.config import LIFT_MODES, PIPELINE_EMBEDDINGS, PRECISIONS
+    from repro.core.config import PIPELINE_EMBEDDINGS, PRECISIONS
 
     p = argparse.ArgumentParser(
         prog="repro",
@@ -310,10 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compressive: fraction of vertices k-means "
                        "sees before the label lift (default "
                        "O(k log k / n), capped at 1)")
-    run_p.add_argument("--lift", default="interp",
-                       choices=LIFT_MODES,
-                       help="compressive: label lift mode — regularized "
-                       "interpolation or nearest sampled centroid")
     run_p.add_argument("--chaos", type=int, default=None, metavar="SEED",
                        help="inject a deterministic fault schedule derived "
                        "from SEED (see repro.chaos)")

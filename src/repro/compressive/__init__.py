@@ -19,11 +19,7 @@ from repro.compressive.filters import (
     jackson_damping,
     random_signals,
 )
-from repro.compressive.lift import (
-    LIFT_MODES,
-    lift_labels_device,
-    lift_labels_host,
-)
+from repro.compressive.lift import lift_labels_device, lift_labels_host
 from repro.compressive.sampling import (
     coherence_weights,
     default_sample_frac,
@@ -41,7 +37,6 @@ __all__ = [
     "filter_response",
     "jackson_damping",
     "random_signals",
-    "LIFT_MODES",
     "lift_labels_device",
     "lift_labels_host",
     "coherence_weights",

@@ -1,23 +1,19 @@
 """Label lifting: from the sampled k-means back to all ``n`` vertices.
 
 After k-means labels the coherence-sampled sketch rows, every other
-vertex still needs a cluster.  Two lift modes:
+vertex still needs a cluster.  The lift is regularized least-squares
+interpolation in sketch space: fit a ridge model
+``W = (F_sᵀF_s + λI)⁻¹ F_sᵀ Y`` from the sampled rows to their one-hot
+labels, score every vertex as ``F W``, and take the argmax.  This is the
+cheap stand-in for Tremblay et al.'s graph-regularized decoder: the
+sketch rows already embed the k-band subspace, so a linear decoder in
+sketch space recovers the cluster indicators without touching the graph
+again.
 
-* ``"interp"`` (default) — regularized least-squares interpolation in
-  sketch space: fit a ridge model ``W = (F_sᵀF_s + λI)⁻¹ F_sᵀ Y`` from
-  the sampled rows to their one-hot labels, score every vertex as
-  ``F W``, and take the argmax.  This is the cheap stand-in for
-  Tremblay et al.'s graph-regularized decoder: the sketch rows already
-  embed the k-band subspace, so a linear decoder in sketch space
-  recovers the cluster indicators without touching the graph again.
-* ``"nearest"`` — assign every vertex to the nearest sampled-k-means
-  centroid in sketch space.  One distance pass; the cheap mode.
-
-Both modes are deterministic functions of ``(F, idx, labels_s)`` and
-are implemented with identical arithmetic on the device-charged and
-host-fallback paths, so lifted labels never depend on where the lift
-ran.  The interpolation solve carries its own chaos fault site
-(``compressive.solve``).
+The lift is a deterministic function of ``(F, idx, labels_s, k)`` with
+identical arithmetic on the device-charged and host-fallback paths, so
+lifted labels never depend on where it ran.  The solve carries its own
+chaos fault site (``compressive.solve``).
 """
 
 from __future__ import annotations
@@ -26,12 +22,8 @@ import numpy as np
 
 from repro.chaos.runtime import chaos_check
 from repro.cuda.device import Device
-from repro.errors import ClusteringError
 from repro.hw.costmodel import CPUCostModel
 from repro.hw.spec import XEON_E5_2690
-
-#: lift modes accepted by the pipeline / CLI
-LIFT_MODES = ("interp", "nearest")
 
 #: relative ridge: λ = _RIDGE_REL · trace(F_sᵀF_s)/d keeps the normal
 #: equations well-posed when the sample under-determines a direction
@@ -54,74 +46,42 @@ def _interp_scores(
     return F @ W
 
 
-def _nearest_labels(F: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest-centroid assignment (all paths)."""
-    d2 = (
-        np.einsum("ij,ij->i", F, F)[:, None]
-        - 2.0 * (F @ centroids.T)
-        + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    )
-    return np.argmin(d2, axis=1)
-
-
 def lift_labels_device(
     device: Device,
     F: np.ndarray,
     idx: np.ndarray,
     labels_s: np.ndarray,
-    centroids: np.ndarray,
-    mode: str = "interp",
+    k: int,
 ) -> np.ndarray:
     """Lift sampled labels to all ``n`` vertices on the device.
 
     ``idx``/``labels_s`` are the sampled vertex indices and their
-    k-means labels; ``centroids`` the sampled-k-means centroids (used
-    by ``mode="nearest"``).  Charges the dense kernels to the timeline;
-    the interpolation solve is guarded by the ``compressive.solve``
+    k-means labels over ``k`` clusters.  Charges the dense kernels to
+    the timeline; the solve is guarded by the ``compressive.solve``
     fault site.
     """
-    if mode not in LIFT_MODES:
-        raise ClusteringError(
-            f"lift mode must be one of {LIFT_MODES}, got {mode!r}"
-        )
     n, d = F.shape
-    k = int(centroids.shape[0])
-    if mode == "nearest":
-        device.charge_kernel(
-            "cublasDgemm[lift-dist]",
-            flops=2.0 * n * d * k,
-            bytes_moved=float((n * d + d * k + n * k) * 8),
-            kind="dense",
-        )
-        device.charge_kernel(
-            "argmin[lift]",
-            flops=float(n * k),
-            bytes_moved=float(n * k * 8 + n * 4),
-            kind="stream",
-        )
-        labels = _nearest_labels(F, centroids)
-    else:
-        chaos_check("compressive.solve", device)
-        n_s = int(idx.shape[0])
-        device.charge_kernel(
-            "cublasDgemm[lift-gram]",
-            flops=2.0 * n_s * d * d + 2.0 * n_s * d * k,
-            bytes_moved=float((n_s * d + d * d + d * k) * 8),
-            kind="dense",
-        )
-        device.charge_kernel(
-            "cusolverDpotrf[lift]",
-            flops=(d ** 3) / 3.0 + 2.0 * d * d * k,
-            bytes_moved=float(d * d * 8),
-            kind="dense",
-        )
-        device.charge_kernel(
-            "cublasDgemm[lift-scores]",
-            flops=2.0 * n * d * k,
-            bytes_moved=float((n * d + d * k + 2 * n * k) * 8),
-            kind="dense",
-        )
-        labels = np.argmax(_interp_scores(F, F[idx], labels_s, k), axis=1)
+    chaos_check("compressive.solve", device)
+    n_s = int(idx.shape[0])
+    device.charge_kernel(
+        "cublasDgemm[lift-gram]",
+        flops=2.0 * n_s * d * d + 2.0 * n_s * d * k,
+        bytes_moved=float((n_s * d + d * d + d * k) * 8),
+        kind="dense",
+    )
+    device.charge_kernel(
+        "cusolverDpotrf[lift]",
+        flops=(d ** 3) / 3.0 + 2.0 * d * d * k,
+        bytes_moved=float(d * d * 8),
+        kind="dense",
+    )
+    device.charge_kernel(
+        "cublasDgemm[lift-scores]",
+        flops=2.0 * n * d * k,
+        bytes_moved=float((n * d + d * k + 2 * n * k) * 8),
+        kind="dense",
+    )
+    labels = np.argmax(_interp_scores(F, F[idx], labels_s, k), axis=1)
     return labels.astype(labels_s.dtype, copy=False)
 
 
@@ -130,34 +90,22 @@ def lift_labels_host(
     F: np.ndarray,
     idx: np.ndarray,
     labels_s: np.ndarray,
-    centroids: np.ndarray,
-    mode: str = "interp",
+    k: int,
     cpu: CPUCostModel | None = None,
 ) -> np.ndarray:
     """CPU-fallback lift: the *same arithmetic* as the device path
     (lifted labels are placement-independent), charged as host BLAS."""
-    if mode not in LIFT_MODES:
-        raise ClusteringError(
-            f"lift mode must be one of {LIFT_MODES}, got {mode!r}"
-        )
     cpu = cpu or CPUCostModel(XEON_E5_2690)
     n, d = F.shape
-    k = int(centroids.shape[0])
-    if mode == "nearest":
-        device.charge_cpu(
-            "lift-dist[host]", cpu.blas3_time(2.0 * n * d * k)
-        )
-        labels = _nearest_labels(F, centroids)
-    else:
-        n_s = int(idx.shape[0])
-        device.charge_cpu(
-            "lift-solve[host]",
-            cpu.blas3_time(
-                2.0 * n_s * d * d
-                + 2.0 * n_s * d * k
-                + (d ** 3) / 3.0
-                + 2.0 * n * d * k
-            ),
-        )
-        labels = np.argmax(_interp_scores(F, F[idx], labels_s, k), axis=1)
+    n_s = int(idx.shape[0])
+    device.charge_cpu(
+        "lift-solve[host]",
+        cpu.blas3_time(
+            2.0 * n_s * d * d
+            + 2.0 * n_s * d * k
+            + (d ** 3) / 3.0
+            + 2.0 * n * d * k
+        ),
+    )
+    labels = np.argmax(_interp_scores(F, F[idx], labels_s, k), axis=1)
     return labels.astype(labels_s.dtype, copy=False)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
-from repro.compressive.lift import LIFT_MODES
 from repro.core.workflow import EMBEDDING_MODES, SPMV_FORMAT_CHOICES
 from repro.errors import ClusteringError
 from repro.precision import PRECISIONS
@@ -28,7 +27,6 @@ PIPELINE_EMBEDDINGS = (*EMBEDDING_MODES, "compressive")
 
 __all__ = [
     "ClusterConfig",
-    "LIFT_MODES",
     "PIPELINE_EMBEDDINGS",
     "PRECISIONS",
 ]
@@ -37,16 +35,13 @@ __all__ = [
 _CHOICES = {
     "operator": ("sym", "rw"),
     "objective": ("ncut", "ratiocut"),
-    "handle_isolated": ("remove", "error"),
     "eig_residency": ("device", "host"),
     "eig_spmv_format": SPMV_FORMAT_CHOICES,
-    "kmeans_update": ("spmm", "sort"),
 }
 #: ... and knobs limited to a registry that the CLI offers as choices
 _REGISTRIES = {
     "precision": PRECISIONS,
     "embedding": PIPELINE_EMBEDDINGS,
-    "lift": LIFT_MODES,
 }
 #: integer knobs -> least value; numpy integers pass, bools and floats
 #: do not
@@ -61,17 +56,16 @@ _OPTIONAL_COUNTS = {
 class ClusterConfig:
     """The knobs of one spectral clustering fit, validated on construction.
 
-    Invalid values raise :class:`~repro.errors.ClusteringError`.
+    Invalid values raise :class:`~repro.errors.ClusteringError`.  The
+    paper's fixed choices are not knobs: point input is weighted by
+    cross-correlation (Eq. 7), k-means is seeded by k-means++ on the
+    embedding rows as they come, and zero-degree vertices are dropped
+    and labelled ``-1``.
 
     Parameters
     ----------
     n_clusters:
         Number of clusters k.
-    similarity:
-        Measure for the point-input path: 'crosscorr' (paper's DTI
-        choice), 'cosine' or 'expdecay'.
-    sigma:
-        Bandwidth for 'expdecay' (finite, > 0).
     operator:
         'sym' (default) iterates with the symmetric ``D^{-1/2}WD^{-1/2}``
         and maps eigenvectors back through ``D^{-1/2}`` — the numerically
@@ -146,39 +140,14 @@ class ClusterConfig:
         Fraction of vertices the compressive k-means clusters (default:
         the ``O(k log k / n)`` heuristic, saturating at 1.0 on small
         graphs, where downsampling and lifting are skipped entirely).
-    lift:
-        Label-lifting mode for ``embedding='compressive'``: 'interp'
-        (default) is the regularized sketch-space interpolation;
-        'nearest' assigns by nearest sampled centroid (cheap mode).
-    kmeans_init:
-        'k-means++' (paper's choice) or 'random'.
     kmeans_max_iter:
         Lloyd iteration cap.
-    kmeans_update:
-        Centroid update for Algorithm 4: 'spmm' (default) builds the
-        one-hot membership CSR on-device and computes centroid sums with
-        one ``cusparseDcsrmm``; 'sort' is the paper's §IV.C
-        sort + segmented-reduction formulation.  Results are bit-identical;
-        only charged time differs.
-    kmeans_fused:
-        Fuse the per-tile distance init, gemm, argmin and label-change
-        count into one kernel (default True), with inertia computed by a
-        charged device kernel.  False keeps the discrete kernel sequence
-        for ablation; bit-identical results either way.
-    normalize_rows:
-        Scale embedding rows to unit norm before k-means (the
-        Ng-Jordan-Weiss variant; the paper does not, so default False).
-    handle_isolated:
-        'remove' (default) drops zero-degree nodes and labels them ``-1``;
-        'error' raises (the paper's stated assumption is ``D_ii > 0``).
     seed:
         Seeds the eigensolver start vector and the k-means initialization
         (a non-negative int, or None).
     """
 
     n_clusters: int
-    similarity: str = "crosscorr"
-    sigma: float = 1.0
     operator: str = "sym"
     objective: str = "ncut"
     m: int | None = None
@@ -192,13 +161,7 @@ class ClusterConfig:
     filter_order: int | None = None
     n_signals: int | None = None
     sample_frac: float | None = None
-    lift: str = "interp"
-    kmeans_init: str = "k-means++"
     kmeans_max_iter: int = 300
-    kmeans_update: str = "spmm"
-    kmeans_fused: bool = True
-    normalize_rows: bool = False
-    handle_isolated: str = "remove"
     seed: int | None = 0
 
     def __post_init__(self) -> None:
@@ -219,10 +182,6 @@ class ClusterConfig:
         if not _finite(self.eig_tol) or self.eig_tol < 0:
             raise ClusteringError(
                 f"eig_tol must be finite and >= 0, got {self.eig_tol!r}"
-            )
-        if not _finite(self.sigma) or self.sigma <= 0:
-            raise ClusteringError(
-                f"sigma must be finite and > 0, got {self.sigma!r}"
             )
         for name, choices in _CHOICES.items():
             value = getattr(self, name)
@@ -257,8 +216,6 @@ class ClusterConfig:
             raise ClusteringError(
                 f"sample_frac must be in (0, 1], got {self.sample_frac!r}"
             )
-        # frozen: normalize through object.__setattr__
-        object.__setattr__(self, "kmeans_fused", bool(self.kmeans_fused))
 
 
 def _finite(value) -> bool:

@@ -45,7 +45,7 @@ from repro.cusparse.matrices import DeviceCSR
 from repro.cusparse.spmm import csrmm
 from repro.errors import ClusteringError
 from repro.graph.delta import apply_edge_delta
-from repro.graph.similarity import pairwise_similarity
+from repro.graph.similarity import cross_correlation
 from repro.kmeans.utils import assign_nearest
 from repro.linalg.nystrom import (
     DeltaLedger,
@@ -57,7 +57,6 @@ from repro.linalg.nystrom import (
     nystrom_scale,
     ritz_drift_bound,
 )
-from repro.linalg.utils import normalize_rows
 from repro.precision import PRECISION_DTYPES, quantize
 from repro.sparse.csr import CSRMatrix
 
@@ -115,8 +114,7 @@ class FittedSpectralModel:
     ----------
     basis:
         ``(n_anchor, k)`` fp64 eigenvector block *after* the sym→rw
-        back-mapping but *before* optional row normalization — the
-        Nyström formula's ``U``.
+        back-mapping — the Nyström formula's ``U``.
     eigenvalues:
         The k kept Ritz values ``θ`` (descending).
     degrees:
@@ -126,8 +124,8 @@ class FittedSpectralModel:
     labels:
         Fit labels on the original indexing (isolated nodes ``-1``).
     embedding:
-        ``(n_anchor, k)`` final embedding rows (post normalization) —
-        reused verbatim by the lazy delta path.
+        ``(n_anchor, k)`` embedding rows k-means clustered — reused
+        verbatim by the lazy delta path.
     kept:
         Original indices of the anchor (non-isolated) vertices.
     graph:
@@ -222,7 +220,7 @@ class FittedSpectralModel:
         indexing.  Two input forms:
 
         * feature path — ``X_new`` given: similarity values are computed
-          against the stored anchor feature rows with the fit's measure
+          against the stored anchor feature rows by cross-correlation
           (requires a point-input fit);
         * weights path — ``weights_new`` given: the caller supplies the
           precomputed similarity values (the only form available after a
@@ -280,19 +278,16 @@ class FittedSpectralModel:
         if feature_path:
             stacked = np.vstack([self.anchors, Xn])
             spairs = np.column_stack([self.n_anchor + rows, cols])
-            measure = self.config.similarity
-            kw = {"sigma": self.config.sigma} if measure == "expdecay" else {}
-            vals = pairwise_similarity(stacked, spairs, measure=measure, **kw)
-            if measure != "expdecay":
-                # mirror the fit-time graph build: correlation-style
-                # measures keep positive-affinity edges only
-                pos = vals > 0
-                rows, cols, vals = rows[pos], cols[pos], vals[pos]
-                if vals.size == 0:
-                    raise ClusteringError(
-                        "no positive-similarity pairs survive; the new points "
-                        "are unconnected to the fitted graph"
-                    )
+            vals = cross_correlation(stacked, spairs)
+            # mirror the fit-time graph build: keep positive-affinity
+            # edges only
+            pos = vals > 0
+            rows, cols, vals = rows[pos], cols[pos], vals[pos]
+            if vals.size == 0:
+                raise ClusteringError(
+                    "no positive-similarity pairs survive; the new points "
+                    "are unconnected to the fitted graph"
+                )
         else:
             vals = np.asarray(weights_new, dtype=np.float64).ravel()
             if vals.size != pairs.shape[0]:
@@ -318,16 +313,12 @@ class FittedSpectralModel:
             feature_path=feature_path, itemsize=int(np.dtype(store_dtype).itemsize),
         )
 
-        do_normalize = self.config.normalize_rows
-
         def host_path():
             deg = nystrom_degrees(indptr, vals_q)
             emb = nystrom_scale(
                 nystrom_product(indptr, cols, vals_q, self.basis),
                 deg, self.eigenvalues,
             )
-            if do_normalize:
-                emb = normalize_rows(emb)
             return assign_nearest(emb, self.centroids), emb, deg, None
 
         if device is None:
@@ -383,13 +374,6 @@ class FittedSpectralModel:
                         "nystrom_scale", 2.0 * m * self.k, 3.0 * m * self.k * 8
                     )
                     C.data[...] = nystrom_scale(C.data, deg, self.eigenvalues)
-                    if do_normalize:
-                        device.charge_kernel(
-                            "normalize_rows",
-                            3.0 * m * self.k,
-                            2.0 * m * self.k * 8,
-                        )
-                        C.data[...] = normalize_rows(C.data)
                     alloc(lambda: device.to_device(self.centroids))
                     dlabels = alloc(
                         lambda: device.empty((m,), dtype=np.int64)

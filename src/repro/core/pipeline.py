@@ -95,7 +95,7 @@ def _run_resilient(device, policy, stage, gpu_attempts, cpu_fn):
     Returns ``(value, record)`` where ``record`` tallies the recovery
     actions taken (all zero/None on a clean first attempt).
     """
-    rec = _fresh_rec()
+    rec = {"retries": 0, "degrade_steps": 0, "resumes": 0, "fallback": None}
 
     def count(_attempt: int) -> None:
         rec["retries"] += 1
@@ -124,10 +124,6 @@ def _run_resilient(device, policy, stage, gpu_attempts, cpu_fn):
         return cpu_fn(), rec
     assert last_err is not None
     raise last_err
-
-
-def _fresh_rec() -> dict:
-    return {"retries": 0, "degrade_steps": 0, "resumes": 0, "fallback": None}
 
 
 def _note(resilience: dict, stage: str, rec: dict) -> None:
@@ -349,6 +345,13 @@ class SpectralClustering:
         if not np.isfinite(values).all():
             what = "X" if point_input else "graph weights"
             raise ClusteringError(f"{what} must be finite (found NaN or inf)")
+        # the Laplacian machinery assumes W >= 0 (correlation graphs drop
+        # their non-positive edges in Algorithm 1)
+        if not point_input and (values < 0).any():
+            raise ClusteringError(
+                f"graph weights must be non-negative (found "
+                f"{int((values < 0).sum())} negative)"
+            )
         if point_input:
             X_arr = values
             edges_arr = np.asarray(edges)
@@ -357,14 +360,11 @@ class SpectralClustering:
 
             def build_gpu(chunk):
                 return lambda: build_similarity_device(
-                    device, X_arr, edges_arr,
-                    measure=cfg.similarity, sigma=cfg.sigma, edge_chunk=chunk,
+                    device, X_arr, edges_arr, edge_chunk=chunk,
                 )
 
             def build_cpu():
-                W = build_similarity_graph(
-                    X_arr, edges_arr, measure=cfg.similarity, sigma=cfg.sigma
-                )
+                W = build_similarity_graph(X_arr, edges_arr)
                 with device.stage("similarity"):
                     return with_retry(
                         lambda: coo_to_device(device, W.sorted_by_row()),
@@ -382,12 +382,6 @@ class SpectralClustering:
             deg = np.bincount(dcoo.row.data, weights=dcoo.val.data, minlength=n_total)
             kept = np.flatnonzero(deg > 0)
             if kept.size < n_total:
-                if cfg.handle_isolated == "error":
-                    dcoo.free()
-                    raise ClusteringError(
-                        f"{n_total - kept.size} isolated nodes; the paper "
-                        "requires D_ii > 0 (use handle_isolated='remove')"
-                    )
                 host_coo = COOMatrix(
                     dcoo.row.data, dcoo.col.data, dcoo.val.data,
                     dcoo.shape, check=False,
@@ -419,12 +413,7 @@ class SpectralClustering:
             n_total = graph.shape[0]
             csr = graph if isinstance(graph, CSRMatrix) else graph.to_csr()
             W_sub, kept = remove_isolated(csr)
-            if cfg.handle_isolated == "error" and kept.size < n_total:
-                raise ClusteringError(
-                    f"{n_total - kept.size} isolated nodes; the paper "
-                    "requires D_ii > 0 (use handle_isolated='remove')"
-                )
-            rec = _fresh_rec()
+            rec = {"retries": 0, "degrade_steps": 0, "resumes": 0, "fallback": None}
             with device.stage("similarity"):
                 dcoo = upload(
                     lambda: coo_to_device(device, W_sub.to_coo().sorted_by_row()),
@@ -581,14 +570,13 @@ class SpectralClustering:
                 U = U * inv_sqrt[:, None]
         cap = getattr(self, "_capture", None)
         if cap is not None:
-            # the Nyström extension needs the basis before optional row
-            # normalization, plus the degree scaling it was built under
+            # the Nyström extension needs the basis plus the degree
+            # scaling it was built under
             cap["basis"] = U
             cap["degrees"] = deg_kept
-        embedding = normalize_rows(U) if cfg.normalize_rows else U
         timings.wall["eigensolver"] = time.perf_counter() - t0
         timings.simulated["eigensolver"] = device.elapsed - eig_start
-        return theta, embedding, stats
+        return theta, U, stats
 
     def _kmeans_stage(self, device, policy, embedding, timings, resilience):
         """Stage 4 (Algorithms 4-5): cluster the embedding rows."""
@@ -599,33 +587,32 @@ class SpectralClustering:
             )
         t0 = time.perf_counter()
         km_start = device.elapsed
-        n_emb = embedding.shape[0]
+        km = self._lloyd(device, policy, embedding, resilience)
+        timings.wall["kmeans"] = time.perf_counter() - t0
+        timings.simulated["kmeans"] = device.elapsed - km_start
+        return km
+
+    def _lloyd(self, device, policy, V, resilience):
+        """k-means on the rows of ``V``: the device solve at full, 1/4
+        and 1/16 distance-tile height, then the host solve, as the
+        resilience ladder of the ``kmeans`` stage."""
+        cfg = self.config
+        n = V.shape[0]
 
         def km_gpu(tile):
             return lambda: kmeans_device(
-                device, embedding, cfg.n_clusters,
-                init=cfg.kmeans_init, max_iter=cfg.kmeans_max_iter,
+                device, V, cfg.n_clusters, max_iter=cfg.kmeans_max_iter,
                 seed=cfg.seed, tile_rows=tile,
-                centroid_update=cfg.kmeans_update, fused=cfg.kmeans_fused,
-            )
-
-        def km_cpu():
-            return kmeans_cpu(
-                embedding, cfg.n_clusters,
-                init=cfg.kmeans_init, max_iter=cfg.kmeans_max_iter,
-                seed=cfg.seed,
             )
 
         km, rec = _run_resilient(
             device, policy, "kmeans",
-            [km_gpu(None),
-             km_gpu(max(1, n_emb // 4)),
-             km_gpu(max(1, n_emb // 16))],
-            km_cpu,
+            [km_gpu(None), km_gpu(max(1, n // 4)), km_gpu(max(1, n // 16))],
+            lambda: kmeans_cpu(
+                V, cfg.n_clusters, max_iter=cfg.kmeans_max_iter, seed=cfg.seed
+            ),
         )
         _note(resilience, "kmeans", rec)
-        timings.wall["kmeans"] = time.perf_counter() - t0
-        timings.simulated["kmeans"] = device.elapsed - km_start
         return km
 
     def _compressive_kmeans_stage(
@@ -668,41 +655,17 @@ class SpectralClustering:
                 )
                 _note(resilience, "sampling", rec)
 
-        def km_gpu(tile):
-            return lambda: kmeans_device(
-                device, F_s, k,
-                init=cfg.kmeans_init, max_iter=cfg.kmeans_max_iter,
-                seed=cfg.seed, tile_rows=tile,
-                centroid_update=cfg.kmeans_update, fused=cfg.kmeans_fused,
-            )
-
-        def km_cpu():
-            return kmeans_cpu(
-                F_s, k,
-                init=cfg.kmeans_init, max_iter=cfg.kmeans_max_iter,
-                seed=cfg.seed,
-            )
-
-        km, rec = _run_resilient(
-            device, policy, "kmeans",
-            [km_gpu(None),
-             km_gpu(max(1, n_s // 4)),
-             km_gpu(max(1, n_s // 16))],
-            km_cpu,
-        )
-        _note(resilience, "kmeans", rec)
+        km = self._lloyd(device, policy, F_s, resilience)
 
         if idx.size < n_emb:
             with device.stage("lift"):
                 labels_full, rec = _run_resilient(
                     device, policy, "lift",
                     [lambda: lift_labels_device(
-                        device, embedding, idx, km.labels, km.centroids,
-                        mode=cfg.lift,
+                        device, embedding, idx, km.labels, k
                     )],
                     lambda: lift_labels_host(
-                        device, embedding, idx, km.labels, km.centroids,
-                        mode=cfg.lift,
+                        device, embedding, idx, km.labels, k
                     ),
                 )
                 _note(resilience, "lift", rec)

@@ -1,7 +1,7 @@
 """Similarity-graph construction (paper §IV.A) and Laplacian operators (§IV.B).
 
-* :mod:`repro.graph.similarity` — the three similarity measures of Eqs. 6-8
-  (cosine, cross-correlation, exponential decay);
+* :mod:`repro.graph.similarity` — the cross-correlation measure of Eq. 7
+  (the host reference of Algorithm 1's kernel);
 * :mod:`repro.graph.neighbors` — ε-distance edge enumeration
   (uniform-grid spatial index for volumetric data, blockwise brute force
   in general dimension);
@@ -13,12 +13,7 @@
   handling (the paper removes isolated nodes before the eigensolver).
 """
 
-from repro.graph.similarity import (
-    cosine_similarity,
-    cross_correlation,
-    exp_decay,
-    pairwise_similarity,
-)
+from repro.graph.similarity import cross_correlation
 from repro.graph.neighbors import (
     epsilon_neighbors,
     epsilon_neighbors_grid,
@@ -41,10 +36,7 @@ from repro.graph.delta import apply_edge_delta
 
 __all__ = [
     "apply_edge_delta",
-    "cosine_similarity",
     "cross_correlation",
-    "exp_decay",
-    "pairwise_similarity",
     "epsilon_neighbors",
     "epsilon_neighbors_grid",
     "build_similarity_graph",

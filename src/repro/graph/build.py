@@ -8,9 +8,8 @@ The device path mirrors the paper's three kernels:
    *e*'s endpoint pair.
 
 The edge list plus the value vector form the graph in COO format, resident
-on the device and ready for Algorithm 2.  The cosine and exponential-decay
-measures reuse the same structure (centering skipped / distances instead),
-so the whole preprocessing family is covered by one builder.
+on the device and ready for Algorithm 2.  The measure is the paper's
+cross-correlation (Eq. 7).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.cuda.launch import grid_1d
 from repro.cuda.memory import BufferGroup
 from repro.cusparse.matrices import DeviceCOO
 from repro.errors import GraphConstructionError
-from repro.graph.similarity import pairwise_similarity
+from repro.graph.similarity import cross_correlation
 from repro.sparse.coo import COOMatrix
 from repro.sparse.construct import from_edge_list
 
@@ -72,27 +71,11 @@ compute_similarity = Kernel(
     kind="stream",
 )
 
-def _compute_expdecay_body(tid, X, src, dst, sigma, val):
-    diff = X[src[tid]] - X[dst[tid]]
-    val[tid] = np.exp(-np.einsum("ed,ed->e", diff, diff) / (2.0 * sigma * sigma))
-
-compute_expdecay = Kernel(
-    name="compute_expdecay",
-    body=_compute_expdecay_body,
-    cost=lambda nt, X, src, dst, sigma, val: (
-        3.0 * nt * X.shape[1],
-        2.0 * nt * X.shape[1] * X.itemsize + nt * 24.0,
-    ),
-    kind="stream",
-)
-
 
 def build_similarity_device(
     device: Device,
     X: np.ndarray,
     edges: np.ndarray,
-    measure: str = "crosscorr",
-    sigma: float = 1.0,
     block: int = 256,
     drop_nonpositive: bool = True,
     edge_chunk: int | None = None,
@@ -106,10 +89,8 @@ def build_similarity_device(
     edges:
         ``(nnz, 2)`` index pairs with ``i < j`` (an undirected edge list
         as the DTI preprocessing provides); the output contains each edge
-        mirrored so the COO matrix is symmetric.
-    measure:
-        'crosscorr' (Eq. 7, the paper's choice), 'cosine' (Eq. 6, skips
-        centering), or 'expdecay' (Eq. 8).
+        mirrored so the COO matrix is symmetric.  Must be an integer
+        array: float indices are refused rather than truncated.
     drop_nonpositive:
         Remove edges whose similarity is ≤ 0 — correlation graphs must be
         non-negatively weighted for the Laplacian machinery to apply.
@@ -128,7 +109,12 @@ def build_similarity_device(
         and sorted by (row, col) — ready for ``cusparseXcoo2csr``.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
-    edges = np.asarray(edges, dtype=np.int64)
+    edges = np.asarray(edges)
+    if edges.size and not np.issubdtype(edges.dtype, np.integer):
+        raise GraphConstructionError(
+            f"edges must be an integer array, got dtype {edges.dtype}"
+        )
+    edges = edges.astype(np.int64, copy=False)
     if X.ndim != 2:
         raise GraphConstructionError(f"X must be (n, d), got {X.shape}")
     if edges.ndim != 2 or edges.shape[1] != 2:
@@ -136,8 +122,6 @@ def build_similarity_device(
     n, d = X.shape
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise GraphConstructionError(f"edge index out of range [0, {n})")
-    if measure not in ("crosscorr", "cosine", "expdecay"):
-        raise GraphConstructionError(f"unknown measure {measure!r}")
 
     nnz = edges.shape[0]
     tmp = BufferGroup()   # working buffers, always released
@@ -149,17 +133,10 @@ def build_similarity_device(
         dnorm = tmp.add(device.empty(n, dtype=np.float64))
 
         # per-row preprocessing (steps 4-5)
-        if measure == "crosscorr":
-            davg = tmp.add(device.empty(n, dtype=np.float64))
-            launch(compute_average, grid_1d(n, block), dX, davg, n_threads=n)
-            launch(update_data, grid_1d(n, block), dX, davg, dnorm, n_threads=n)
-            davg.free()
-        elif measure == "cosine":
-            dnorm.data[...] = np.sqrt(np.einsum("nd,nd->n", dX.data, dX.data))
-            device.charge_kernel(
-                "compute_norm", flops=2.0 * X.size,
-                bytes_moved=X.nbytes + dnorm.nbytes,
-            )
+        davg = tmp.add(device.empty(n, dtype=np.float64))
+        launch(compute_average, grid_1d(n, block), dX, davg, n_threads=n)
+        launch(update_data, grid_1d(n, block), dX, davg, dnorm, n_threads=n)
+        davg.free()
 
         # edge staging size: full list if it fits comfortably, else chunks
         if edge_chunk is None:
@@ -180,16 +157,10 @@ def build_similarity_device(
             dsrc = tmp.add(device.to_device(edges[lo:hi, 0]))
             ddst = tmp.add(device.to_device(edges[lo:hi, 1]))
             dval = tmp.add(device.empty(c, dtype=np.float64))
-            if measure == "expdecay":
-                launch(
-                    compute_expdecay, grid_1d(c, block),
-                    dX, dsrc, ddst, sigma, dval, n_threads=c,
-                )
-            else:
-                launch(
-                    compute_similarity, grid_1d(c, block),
-                    dX, dnorm, dsrc, ddst, dval, n_threads=c,
-                )
+            launch(
+                compute_similarity, grid_1d(c, block),
+                dX, dnorm, dsrc, ddst, dval, n_threads=c,
+            )
             val[lo:hi] = dval.data
             dsrc.free()
             ddst.free()
@@ -201,7 +172,7 @@ def build_similarity_device(
         # on the GPU this is a thrust sort over the doubled edge list.
         src = edges[:, 0]
         dst = edges[:, 1]
-        if drop_nonpositive and measure != "expdecay":
+        if drop_nonpositive:
             keep = val > 0
             src, dst, val = src[keep], dst[keep], val[keep]
         row = np.concatenate([src, dst])
@@ -231,17 +202,12 @@ def build_similarity_device(
 def build_similarity_graph(
     X: np.ndarray,
     edges: np.ndarray,
-    measure: str = "crosscorr",
-    sigma: float = 1.0,
     drop_nonpositive: bool = True,
 ) -> COOMatrix:
     """Host reference of Algorithm 1: same inputs, a host COO matrix out."""
     edges = np.asarray(edges, dtype=np.int64)
-    if measure == "expdecay":
-        val = pairwise_similarity(X, edges, measure, sigma=sigma)
-    else:
-        val = pairwise_similarity(X, edges, measure)
-    if drop_nonpositive and measure != "expdecay":
+    val = cross_correlation(X, edges)
+    if drop_nonpositive:
         keep = val > 0
         edges, val = edges[keep], val[keep]
     n = np.asarray(X).shape[0]

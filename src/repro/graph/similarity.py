@@ -1,10 +1,9 @@
-"""Similarity measures between data points (paper Eqs. 6-8).
+"""The similarity measure between data points: cross-correlation (Eq. 7).
 
-Host reference implementations, vectorized over an edge list: given
-``X (n, d)`` and pairs ``(i, j)``, each function returns the per-pair
-similarity.  The device path (Algorithm 1) lives in
-:mod:`repro.graph.build` and must agree with these to rounding error —
-a property test enforces it.
+The host reference implementation, vectorized over an edge list: given
+``X (n, d)`` and pairs ``(i, j)``, it returns the per-pair similarity.
+The device path (Algorithm 1) lives in :mod:`repro.graph.build` and must
+agree with it to rounding error — a property test enforces it.
 """
 
 from __future__ import annotations
@@ -12,17 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphConstructionError
-
-#: available similarity measures, name -> callable(X, pairs, **kw)
-MEASURES = {}
-
-
-def _register(name):
-    def deco(fn):
-        MEASURES[name] = fn
-        return fn
-
-    return deco
 
 
 def _check(X: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -39,24 +27,6 @@ def _check(X: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X, pairs
 
 
-@_register("cosine")
-def cosine_similarity(X: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Eq. 6: ``<x_i, x_j> / (||x_i|| ||x_j||)`` per pair.
-
-    Pairs touching an all-zero row get similarity 0 (no direction defined).
-    """
-    X, pairs = _check(X, pairs)
-    norms = np.linalg.norm(X, axis=1)
-    i, j = pairs[:, 0], pairs[:, 1]
-    dots = np.einsum("ed,ed->e", X[i], X[j])
-    denom = norms[i] * norms[j]
-    out = np.zeros(pairs.shape[0])
-    ok = denom > 0
-    out[ok] = dots[ok] / denom[ok]
-    return out
-
-
-@_register("crosscorr")
 def cross_correlation(X: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Eq. 7: the Pearson correlation of the mean-centered rows.
 
@@ -73,31 +43,3 @@ def cross_correlation(X: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     ok = denom > 0
     out[ok] = dots[ok] / denom[ok]
     return out
-
-
-@_register("expdecay")
-def exp_decay(X: np.ndarray, pairs: np.ndarray, sigma: float = 1.0) -> np.ndarray:
-    """Eq. 8: the Gaussian kernel ``exp(-||x_i - x_j||² / (2σ²))``.
-
-    (The paper's Eq. 8 omits the minus sign — an obvious typo; a decaying
-    similarity requires it, and the standard RBF kernel is reproduced here.)
-    """
-    if sigma <= 0:
-        raise GraphConstructionError(f"sigma must be positive, got {sigma}")
-    X, pairs = _check(X, pairs)
-    diff = X[pairs[:, 0]] - X[pairs[:, 1]]
-    sq = np.einsum("ed,ed->e", diff, diff)
-    return np.exp(-sq / (2.0 * sigma * sigma))
-
-
-def pairwise_similarity(
-    X: np.ndarray, pairs: np.ndarray, measure: str = "crosscorr", **kwargs
-) -> np.ndarray:
-    """Dispatch on a named measure (the host reference path)."""
-    try:
-        fn = MEASURES[measure]
-    except KeyError:
-        raise GraphConstructionError(
-            f"unknown measure {measure!r}; expected one of {sorted(MEASURES)}"
-        ) from None
-    return fn(X, pairs, **kwargs)

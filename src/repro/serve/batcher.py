@@ -27,7 +27,7 @@ class Batch:
     """One scheduling unit: requests sharing an operator build."""
 
     batch_id: int
-    #: the shared (fingerprint, operator, objective, handle_isolated) key
+    #: the shared (fingerprint, operator, objective) key
     group_key: tuple
     requests: list[ClusterRequest] = field(default_factory=list)
 

@@ -10,8 +10,8 @@ clustering problem.  Object identity is useless across a replayed trace
   matter how they were constructed (COO entry order, duplicate
   accumulation, format).
 * :func:`points_fingerprint` — the point-input analogue: SHA-256 over the
-  profile matrix, the ε-edge list, and the similarity measure parameters
-  (which determine the graph Algorithm 1 would build).
+  profile matrix and the ε-edge list (which determine the graph
+  Algorithm 1 would build).
 
 On top of the workload fingerprint sit two composite keys:
 
@@ -58,35 +58,22 @@ def graph_fingerprint(graph: COOMatrix | CSRMatrix) -> str:
     return h.hexdigest()
 
 
-def points_fingerprint(
-    X: np.ndarray, edges: np.ndarray, measure: str, sigma: float
-) -> str:
-    """SHA-256 content hash of a point-input workload (Algorithm 1 inputs).
-
-    ``sigma`` only parameterizes the exponential-decay measure; cosine and
-    cross-correlation ignore it entirely, so it is canonicalized to the
-    default before hashing.  A request that spells out ``sigma=2.5`` with
-    ``similarity='crosscorr'`` builds the exact same graph as the default
-    and must share its cache slot.
-    """
+def points_fingerprint(X: np.ndarray, edges: np.ndarray) -> str:
+    """SHA-256 content hash of a point-input workload (Algorithm 1 inputs;
+    the measure is always cross-correlation)."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     edges = np.ascontiguousarray(edges, dtype=np.int64)
-    h = hashlib.sha256(b"repro.points.v1")
+    h = hashlib.sha256(b"repro.points.v2")
     _h64(h, X.shape[0], X.shape[1] if X.ndim > 1 else 1, edges.shape[0])
     h.update(X.tobytes())
     h.update(edges.tobytes())
-    h.update(measure.encode("utf-8"))
-    sigma_canon = float(sigma) if measure == "expdecay" else 1.0
-    h.update(np.float64(sigma_canon).tobytes())
     return h.hexdigest()
 
 
-def operator_key(
-    fingerprint: str, operator: str, objective: str, handle_isolated: str
-) -> tuple:
+def operator_key(fingerprint: str, operator: str, objective: str) -> tuple:
     """Batch-compatibility key: requests sharing it can share one graph
     upload + Laplacian build (stages 1-2)."""
-    return (fingerprint, operator, objective, handle_isolated)
+    return (fingerprint, operator, objective)
 
 
 # Every ClusterConfig field has exactly one cache-key role: it is in the
@@ -99,34 +86,27 @@ def operator_key(
 #: embeddings, so an fp16 or power solve never shadows an exact one;
 #: ``filter_order``/``n_signals`` shape the compressive sketch.
 EMBEDDING_KEY_FIELDS = (
-    "operator", "objective", "handle_isolated", "n_clusters", "m",
-    "eig_tol", "eig_maxiter", "seed", "normalize_rows", "precision",
-    "embedding", "filter_order", "n_signals",
+    "operator", "objective", "n_clusters", "m", "eig_tol", "eig_maxiter",
+    "seed", "precision", "embedding", "filter_order", "n_signals",
 )
 
-#: Model key: the k-means knobs that shape the centroids (``seed`` is
+#: Model key: the k-means knob that shapes the centroids (``seed`` is
 #: already in the embedding key and seeds the k-means initialization)
-MODEL_KEY_FIELDS = ("kmeans_init", "kmeans_max_iter")
+MODEL_KEY_FIELDS = ("kmeans_max_iter",)
 
 #: Fields in neither key, and why leaving them out cannot alias results
 UNKEYED_FIELDS = {
     "devices": "bit-identical placement: a sharded solve equals one device",
     "eig_residency": "bit-identical placement of the Lanczos vectors",
     "eig_spmv_format": "bit-identical placement: format only changes time",
-    "kmeans_update": "bit-identical placement of the centroid update",
-    "kmeans_fused": "bit-identical placement of the assignment kernels",
     "sample_frac": "compressive-only stage-4 knob; compressive fits cache "
                    "no model",
-    "lift": "compressive-only stage-4 knob; compressive fits cache no model",
-    "similarity": "already in the workload fingerprint",
-    "sigma": "already in the workload fingerprint",
 }
 
 #: the cast that canonicalizes a keyed value (other fields key as is)
 _CASTS = {
-    "n_clusters": int, "eig_tol": float, "normalize_rows": bool,
-    "precision": str, "embedding": str, "filter_order": int,
-    "n_signals": int, "kmeans_init": str, "kmeans_max_iter": int,
+    "n_clusters": int, "eig_tol": float, "precision": str, "embedding": str,
+    "filter_order": int, "n_signals": int, "kmeans_max_iter": int,
 }
 
 

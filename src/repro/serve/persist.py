@@ -54,8 +54,10 @@ from repro.sparse.csr import CSRMatrix
 #: bump when the on-disk layout changes; readers treat any other value
 #: as a miss.  Version 2: stored model ``params`` carry the single
 #: ``devices`` knob; version-1 params name per-stage device knobs the
-#: estimator no longer accepts, so refitting from them would raise
-FORMAT_VERSION = 2
+#: estimator no longer accepts, so refitting from them would raise.
+#: Version 3: the cache keys and stored ``params`` lose the similarity,
+#: row-normalization, isolated-node, k-means-variant and lift knobs
+FORMAT_VERSION = 3
 
 _KIND_EMBEDDING = "embedding"
 _KIND_MODEL = "model"

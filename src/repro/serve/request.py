@@ -123,9 +123,7 @@ class ClusterRequest:
         if self.graph is not None:
             return graph_fingerprint(self.graph)
         if self.X is not None:
-            return points_fingerprint(
-                self.X, self.edges, self.config.similarity, self.config.sigma
-            )
+            return points_fingerprint(self.X, self.edges)
         raise RequestError(
             f"request {self.request_id!r} is by-reference; resolve the "
             "dataset before fingerprinting"
@@ -133,9 +131,7 @@ class ClusterRequest:
 
     def operator_key(self, fingerprint: str) -> tuple:
         cfg = self.config
-        return operator_key(
-            fingerprint, cfg.operator, cfg.objective, cfg.handle_isolated
-        )
+        return operator_key(fingerprint, cfg.operator, cfg.objective)
 
     def embedding_key(self, fingerprint: str) -> tuple:
         return embedding_key(fingerprint, self.config)

@@ -174,7 +174,7 @@ class ClusterService:
         self._plans: dict[str, object] = {}
         #: memoized dataset resolution
         self._datasets: dict[tuple, object] = {}
-        #: (dataset, scale, seed, measure, sigma) -> content fingerprint
+        #: (dataset, scale, seed) -> content fingerprint
         self._fp_by_ref: dict[tuple, str] = {}
         #: embedding key -> simulated time its cached entry became available
         self._cache_ready: dict[tuple, float] = {}
@@ -203,11 +203,9 @@ class ClusterService:
         """Content fingerprint of a fit spec (memoized for dataset refs)."""
         from repro.serve.fingerprint import graph_fingerprint, points_fingerprint
 
-        cfg = req.config
         ref = None
         if req.dataset is not None:
-            sigma = cfg.sigma if cfg.similarity == "expdecay" else 1.0
-            ref = (req.dataset, req.scale, req.data_seed, cfg.similarity, sigma)
+            ref = (req.dataset, req.scale, req.data_seed)
             fp = self._fp_by_ref.get(ref)
             if fp is not None:
                 return fp
@@ -215,7 +213,7 @@ class ClusterService:
         if graph is not None:
             fp = graph_fingerprint(graph)
         else:
-            fp = points_fingerprint(X, edges, cfg.similarity, cfg.sigma)
+            fp = points_fingerprint(X, edges)
         if ref is not None:
             self._fp_by_ref[ref] = fp
         return fp

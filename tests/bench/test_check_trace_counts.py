@@ -72,6 +72,22 @@ def test_wall_ratio_over_bound_fails(tmp_path, workload):
     assert failures[0].startswith(f"{workload}: {metric} / calibration_s")
 
 
+@pytest.mark.parametrize(
+    "workload, metric",
+    [(w, "hw.timeline_record.calls") for w in sorted(EXPECTED)]
+    + [(w, m) for w, bounds in sorted(WALL_BOUNDS.items()) for m in bounds],
+)
+def test_missing_metric_fails_naming_it(tmp_path, capsys, workload, metric):
+    _write_records(tmp_path)
+    path = tmp_path / f"{workload}-seed0-trace1.json"
+    record = json.loads(path.read_text())
+    del record["result"]["metrics"][metric]
+    path.write_text(json.dumps(record))
+    assert check_trace_counts.check(tmp_path) == [f"{workload}: {metric} missing"]
+    assert check_trace_counts.main(["check", str(tmp_path)]) == 1
+    assert f"FAIL {workload}: {metric} missing" in capsys.readouterr().err
+
+
 def test_missing_record_fails(tmp_path, capsys):
     _write_records(tmp_path)
     missing = next(iter(EXPECTED))

@@ -1,7 +1,6 @@
 """Allocator hygiene: no run — clean, recovered, or failed — leaks device
 memory."""
 
-import numpy as np
 import pytest
 
 from repro.chaos import DISABLED, FaultPlan, FaultSpec
@@ -26,18 +25,12 @@ class TestZeroLiveBytes:
         assert device.allocator.used_bytes == 0
         assert device.allocator.peak_bytes > 0
 
-    def test_clean_point_run(self, blobs):
-        X, _, k = blobs
-        n = X.shape[0]
-        ii, jj = np.triu_indices(n, 1)
-        d2 = ((X[ii] - X[jj]) ** 2).sum(axis=1)
-        sel = d2 < np.quantile(d2, 0.04)
-        edges = np.stack([ii[sel], jj[sel]], axis=1)
+    def test_clean_point_run(self, dti_volume):
+        v = dti_volume
         device = Device()
         SpectralClustering(
-            n_clusters=k, similarity="expdecay", sigma=2.0, seed=0,
-            device=device,
-        ).fit(X=X, edges=edges)
+            n_clusters=4, seed=0, device=device
+        ).fit(X=v.profiles, edges=v.edges)
         assert device.allocator.used_bytes == 0
 
     @pytest.mark.parametrize(

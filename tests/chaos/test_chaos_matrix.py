@@ -17,6 +17,7 @@ from repro.core.pipeline import SpectralClustering
 from repro.cuda.device import Device
 from repro.cuda.stream import Stream
 from repro.errors import ReproError
+from repro.kmeans.gpu import kmeans_device
 from repro.metrics.external import adjusted_rand_index
 
 #: one representative fault site per (stage, fault-type) cell
@@ -168,15 +169,9 @@ class TestCpuFallback:
 
 
 class TestPointInputChaos:
-    def test_similarity_stage_falls_back_to_host_build(self, blobs):
-        X, truth, k = blobs
-        n = X.shape[0]
-        rng = np.random.default_rng(0)
-        ii, jj = np.triu_indices(n, 1)
-        d2 = ((X[ii] - X[jj]) ** 2).sum(axis=1)
-        sel = d2 < np.quantile(d2, 0.04)
-        edges = np.stack([ii[sel], jj[sel]], axis=1)
-        kw = dict(n_clusters=k, similarity="expdecay", sigma=2.0, seed=0)
+    def test_similarity_stage_falls_back_to_host_build(self, dti_volume):
+        X, edges = dti_volume.profiles, dti_volume.edges
+        kw = dict(n_clusters=4, seed=0)
         clean = SpectralClustering(**kw).fit(X=X, edges=edges)
         plan = FaultPlan(
             [FaultSpec(site="cuda.kernel:*", fault="transient",
@@ -215,12 +210,21 @@ class TestEverySiteFires:
             ("cusparse.csr2ell", None, {"eig_spmv_format": "ell"}),
             ("cuda.kernel:fused_assign", "kmeans", {}),
             ("cuda.kernel:label_histogram", "kmeans", {}),
-            ("cublas.*", "kmeans", {"kmeans_fused": False}),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )
     def test_pipeline_reaches_site(self, sbm_graph, site, stage, kw):
         self._pipeline_sites(sbm_graph, site, stage, **kw)
+
+    def test_unfused_kmeans_reaches_cublas(self, device, blobs):
+        """The discrete kernel sequence (an ablation-only path of
+        ``kmeans_device``) issues the cuBLAS gemm."""
+        X, _, k = blobs
+        plan = FaultPlan([FaultSpec(site="cublas.*", fault="transient", nth=1)])
+        with chaos(plan):
+            with pytest.raises(ReproError):
+                kmeans_device(device, X, k, seed=0, fused=False)
+        assert plan.n_fired == 1
 
     @pytest.mark.parametrize("site", ["cuda.stream.sync", "cuda.stream.event"])
     def test_stream_sites(self, device, site):

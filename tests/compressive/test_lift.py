@@ -1,14 +1,8 @@
 """Label lifting (`repro.compressive.lift`)."""
 
 import numpy as np
-import pytest
 
-from repro.compressive.lift import (
-    LIFT_MODES,
-    lift_labels_device,
-    lift_labels_host,
-)
-from repro.errors import ClusteringError
+from repro.compressive.lift import lift_labels_device, lift_labels_host
 
 
 def _sketch(seed=0):
@@ -19,60 +13,42 @@ def _sketch(seed=0):
     F = centers[truth] + 0.2 * rng.standard_normal((120, 3))
     idx = np.sort(rng.choice(120, size=30, replace=False)).astype(np.int64)
     labels_s = truth[idx].astype(np.int64)
-    centroids = np.stack([F[idx][labels_s == c].mean(axis=0)
-                          for c in range(3)])
-    return F, idx, labels_s, centroids, truth
+    return F, idx, labels_s, truth
 
 
 class TestLift:
-    @pytest.mark.parametrize("mode", LIFT_MODES)
-    def test_recovers_all_labels(self, device, mode):
-        F, idx, labels_s, centroids, truth = _sketch()
-        labels = lift_labels_device(device, F, idx, labels_s, centroids,
-                                    mode=mode)
+    def test_recovers_all_labels(self, device):
+        F, idx, labels_s, truth = _sketch()
+        labels = lift_labels_device(device, F, idx, labels_s, 3)
         assert labels.shape == truth.shape
         assert labels.dtype == labels_s.dtype
         assert np.array_equal(labels, truth)
 
-    @pytest.mark.parametrize("mode", LIFT_MODES)
-    def test_host_matches_device_bitwise(self, device, mode):
-        F, idx, labels_s, centroids, _ = _sketch()
-        a = lift_labels_device(device, F, idx, labels_s, centroids, mode=mode)
-        b = lift_labels_host(device, F, idx, labels_s, centroids, mode=mode)
+    def test_host_matches_device_bitwise(self, device):
+        F, idx, labels_s, _ = _sketch()
+        a = lift_labels_device(device, F, idx, labels_s, 3)
+        b = lift_labels_host(device, F, idx, labels_s, 3)
         assert a.tobytes() == b.tobytes()
 
     def test_sampled_rows_keep_their_labels_interp(self, device):
         """The ridge is weak enough that the sampled rows themselves stay
         on their assigned side."""
-        F, idx, labels_s, centroids, _ = _sketch()
-        labels = lift_labels_device(device, F, idx, labels_s, centroids)
+        F, idx, labels_s, _ = _sketch()
+        labels = lift_labels_device(device, F, idx, labels_s, 3)
         assert np.array_equal(labels[idx], labels_s)
 
     def test_device_charges_kernels(self, device):
-        F, idx, labels_s, centroids, _ = _sketch()
+        F, idx, labels_s, _ = _sketch()
         before = device.kernel_launches
-        lift_labels_device(device, F, idx, labels_s, centroids, mode="interp")
+        lift_labels_device(device, F, idx, labels_s, 3)
         assert device.kernel_launches == before + 3  # gram, potrf, scores
-        before = device.kernel_launches
-        lift_labels_device(device, F, idx, labels_s, centroids, mode="nearest")
-        assert device.kernel_launches == before + 2  # dist, argmin
-
-    def test_bad_mode_raises(self, device):
-        F, idx, labels_s, centroids, _ = _sketch()
-        with pytest.raises(ClusteringError):
-            lift_labels_device(device, F, idx, labels_s, centroids,
-                               mode="spline")
-        with pytest.raises(ClusteringError):
-            lift_labels_host(device, F, idx, labels_s, centroids,
-                             mode="spline")
 
     def test_degenerate_single_sample_per_cluster(self, device):
         """A minimal sample (one row per cluster) must still produce a
         full labeling without blowing up the ridge solve."""
-        F, _, _, _, truth = _sketch()
+        F, _, _, truth = _sketch()
         idx = np.array([0, 40, 80], dtype=np.int64)
         labels_s = truth[idx].astype(np.int64)
-        centroids = F[idx]
-        labels = lift_labels_device(device, F, idx, labels_s, centroids)
+        labels = lift_labels_device(device, F, idx, labels_s, 3)
         assert labels.shape == truth.shape
         assert set(np.unique(labels)) <= {0, 1, 2}

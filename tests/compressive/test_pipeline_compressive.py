@@ -30,9 +30,8 @@ class TestQuality:
 
     def test_sampled_lift_recovers(self, sbm_graph):
         W, truth = sbm_graph
-        for lift in ("interp", "nearest"):
-            res = _fit(W, embedding="compressive", sample_frac=0.5, lift=lift)
-            assert adjusted_rand_index(res.labels, truth) > 0.9
+        res = _fit(W, embedding="compressive", sample_frac=0.5)
+        assert adjusted_rand_index(res.labels, truth) > 0.9
 
     def test_point_input_path(self):
         from repro.datasets.dti import make_dti_volume
@@ -99,16 +98,13 @@ class TestConfiguration:
             SpectralClustering(n_clusters=K, sample_frac=0.0)
         with pytest.raises(ClusteringError):
             SpectralClustering(n_clusters=K, sample_frac=1.5)
-        with pytest.raises(ClusteringError):
-            SpectralClustering(n_clusters=K, lift="spline")
 
     def test_exact_path_unchanged_by_new_params(self, sbm_graph):
         """The exact fp64 path must stay bit-identical: the compressive
         knobs are inert outside embedding='compressive'."""
         W, _ = sbm_graph
         base = _fit(W)
-        with_knobs = _fit(W, filter_order=8, n_signals=4, sample_frac=0.5,
-                          lift="nearest")
+        with_knobs = _fit(W, filter_order=8, n_signals=4, sample_frac=0.5)
         assert np.array_equal(base.labels, with_knobs.labels)
         assert base.embedding.tobytes() == with_knobs.embedding.tobytes()
 

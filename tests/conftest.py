@@ -51,3 +51,13 @@ def blobs(rng):
     labels = np.repeat(np.arange(k), per)
     X = centers[labels] + 0.4 * rng.standard_normal((k * per, d))
     return X, labels, k
+
+
+@pytest.fixture
+def dti_volume():
+    """A small synthetic DTI volume: 280 voxels with 90-dimensional
+    connectivity profiles (the cross-correlation input) and their
+    ε-neighbour edges."""
+    from repro.datasets.dti import make_dti_volume
+
+    return make_dti_volume(grid=(8, 8, 8), n_regions=4, noise=0.2, seed=0)

@@ -127,9 +127,6 @@ def _kernel_args(name: str, ops: _Operands) -> tuple:
         norm[src[[2, 11]]] = 0.0  # zero-norm endpoints take the masked branch
         return (build.compute_similarity, ops.shared(X), ops.shared(norm),
                 ops.rows(src), ops.rows(dst), ops.rows(np.full(T, -1.0)))
-    if name == "compute_expdecay":
-        return (build.compute_expdecay, ops.shared(X), ops.rows(src),
-                ops.rows(dst), 1.3, ops.rows(np.full(T, -1.0)))
     if name == "ScaleElements":
         return (scale_elements, ops.rows(src), ops.rows(rng.random(T)),
                 ops.shared(rng.random(N_POINTS)))
@@ -142,7 +139,7 @@ def _kernel_args(name: str, ops: _Operands) -> tuple:
 KERNELS = (
     "compute_norms", "init_distances", "argmin_rows", "direct_distances",
     "fused_assign", "label_histogram", "membership_scatter", "tile_inertia",
-    "compute_average", "update_data", "compute_similarity", "compute_expdecay",
+    "compute_average", "update_data", "compute_similarity",
     "ScaleElements", "ScaleElementsSym",
 )
 
@@ -235,18 +232,6 @@ EXPECTED: dict = {'ScaleElements-view': (['c5116e1160b50d38661fcce73a5aa163e31c9
                                             '2f244cf7d31c38f0f413975d0d78e6e8d49ab56d8085103fe0c60a508811482a'],
                                            [('compute_average', 8.007435897435897e-06)],
                                            1),
-                 'compute_expdecay-view': (['f428ea0412a731c688e0829b39ae77e6847c39ccd9f5742e5274b020e041f0fe',
-                                            '4686448e7579bcdbc4f14bd6878cedb9ca49b642405b95622165e7cb0bb99fbf',
-                                            'beb2693e060fc1040fdfd7eb71c71605bcc42189c01469d499e0b9b3bc27b06d',
-                                            '8db8b106d49d8f76611ad2f9c3890bebd634a0a068a7cb9f123393bf47a85df5'],
-                                           [('compute_expdecay', 8.016358974358974e-06)],
-                                           1),
-                 'compute_expdecay-whole': (['f428ea0412a731c688e0829b39ae77e6847c39ccd9f5742e5274b020e041f0fe',
-                                             'd7da4efd9aab1b6dc4a140cdacb39c9d2803f5e136175ce817baa12b833fc64a',
-                                             'b31b85b53879c4eab19e1b9706798ee71bfa150fad7c145a4807fd495b49b6e4',
-                                             'a3505cd2e6fc12a7379b70637a12d620b9e42dfbc664b277d609e470737d1b27'],
-                                            [('compute_expdecay', 8.016358974358974e-06)],
-                                            1),
                  'compute_norms-view': (['1259accd717f202e7281e20494fa40afac3325be1cde97ca1e65af812e45d0b2',
                                          '75d64cf832a19092412808181f492859b1e0e96e2b00e5fb24ff2d8ad71c983d'],
                                         [('compute_norms', 8.007435897435897e-06)],

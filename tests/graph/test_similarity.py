@@ -1,4 +1,4 @@
-"""Similarity measures (Eqs. 6-8): reference semantics and properties."""
+"""The cross-correlation measure (Eq. 7): reference semantics and properties."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphConstructionError
-from repro.graph.similarity import (
-    MEASURES,
-    cosine_similarity,
-    cross_correlation,
-    exp_decay,
-    pairwise_similarity,
-)
+from repro.graph.similarity import cross_correlation
 
 
 @pytest.fixture
@@ -23,30 +17,6 @@ def X(rng):
 def all_pairs(n):
     i, j = np.triu_indices(n, k=1)
     return np.column_stack([i, j])
-
-
-class TestCosine:
-    def test_self_similarity_is_one(self, X):
-        pairs = np.column_stack([np.arange(30), np.arange(30)])
-        assert np.allclose(cosine_similarity(X, pairs), 1.0)
-
-    def test_scale_invariant(self, X):
-        pairs = all_pairs(30)
-        s1 = cosine_similarity(X, pairs)
-        s2 = cosine_similarity(X * 7.5, pairs)
-        assert np.allclose(s1, s2)
-
-    def test_range(self, X):
-        s = cosine_similarity(X, all_pairs(30))
-        assert np.all(s <= 1.0 + 1e-12) and np.all(s >= -1.0 - 1e-12)
-
-    def test_orthogonal_vectors(self):
-        X = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert cosine_similarity(X, np.array([[0, 1]]))[0] == pytest.approx(0.0)
-
-    def test_zero_row_gets_zero(self):
-        X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert cosine_similarity(X, np.array([[0, 1]]))[0] == 0.0
 
 
 class TestCrossCorrelation:
@@ -70,65 +40,19 @@ class TestCrossCorrelation:
         X = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
         assert cross_correlation(X, np.array([[0, 1]]))[0] == pytest.approx(-1.0)
 
-
-class TestExpDecay:
-    def test_identical_points_similarity_one(self, X):
-        pairs = np.column_stack([np.arange(30), np.arange(30)])
-        assert np.allclose(exp_decay(X, pairs), 1.0)
-
-    def test_monotone_in_distance(self):
-        X = np.array([[0.0], [1.0], [5.0]])
-        s = exp_decay(X, np.array([[0, 1], [0, 2]]), sigma=1.0)
-        assert s[0] > s[1]
-
-    def test_sigma_controls_width(self):
-        X = np.array([[0.0], [2.0]])
-        narrow = exp_decay(X, np.array([[0, 1]]), sigma=0.5)[0]
-        wide = exp_decay(X, np.array([[0, 1]]), sigma=5.0)[0]
-        assert wide > narrow
-
-    def test_sigma_positive(self, X):
-        with pytest.raises(GraphConstructionError):
-            exp_decay(X, all_pairs(3), sigma=0.0)
-
-    def test_known_value(self):
-        X = np.array([[0.0], [1.0]])
-        assert exp_decay(X, np.array([[0, 1]]), sigma=1.0)[0] == pytest.approx(
-            np.exp(-0.5)
-        )
-
-
-class TestDispatch:
-    def test_all_registered(self):
-        assert set(MEASURES) == {"cosine", "crosscorr", "expdecay"}
-
-    def test_dispatch(self, X):
-        pairs = all_pairs(5)
-        assert np.allclose(
-            pairwise_similarity(X[:5], pairs, "cosine"),
-            cosine_similarity(X[:5], pairs),
-        )
-
-    def test_unknown_measure(self, X):
-        with pytest.raises(GraphConstructionError, match="unknown measure"):
-            pairwise_similarity(X, all_pairs(3), "hamming")
-
     def test_bad_pairs_shape(self, X):
         with pytest.raises(GraphConstructionError):
-            cosine_similarity(X, np.zeros((3, 3), dtype=np.int64))
+            cross_correlation(X, np.zeros((3, 3), dtype=np.int64))
 
     def test_pair_index_out_of_range(self, X):
         with pytest.raises(GraphConstructionError):
-            cosine_similarity(X, np.array([[0, 99]]))
+            cross_correlation(X, np.array([[0, 99]]))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_symmetry_property(self, seed):
         r = np.random.default_rng(seed)
         X = r.standard_normal((8, 5))
-        pairs = np.array([[1, 4]])
-        rev = np.array([[4, 1]])
-        for name in MEASURES:
-            assert pairwise_similarity(X, pairs, name)[0] == pytest.approx(
-                pairwise_similarity(X, rev, name)[0]
-            )
+        assert cross_correlation(X, np.array([[1, 4]]))[0] == pytest.approx(
+            cross_correlation(X, np.array([[4, 1]]))[0]
+        )

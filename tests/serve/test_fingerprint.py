@@ -24,8 +24,6 @@ _COMPRESSIVE = {"embedding": "compressive"}
 #: knobs it is changed from (the compressive knobs act only there)
 FIELD_CHANGES = {
     "n_clusters": ({}, 5),
-    "similarity": ({}, "cosine"),
-    "sigma": ({}, 2.5),
     "operator": ({}, "rw"),
     "objective": ({}, "ratiocut"),
     "m": ({}, 32),
@@ -39,13 +37,7 @@ FIELD_CHANGES = {
     "filter_order": (_COMPRESSIVE, 96),
     "n_signals": (_COMPRESSIVE, 8),
     "sample_frac": (_COMPRESSIVE, 0.5),
-    "lift": (_COMPRESSIVE, "nearest"),
-    "kmeans_init": ({}, "random"),
     "kmeans_max_iter": ({}, 50),
-    "kmeans_update": ({}, "sort"),
-    "kmeans_fused": ({}, False),
-    "normalize_rows": ({}, True),
-    "handle_isolated": ({}, "error"),
     "seed": ({}, 1),
 }
 
@@ -85,51 +77,19 @@ class TestPointsFingerprint:
     def test_sensitive_to_all_inputs(self, rng):
         X = rng.random((20, 4))
         edges = np.array([[0, 1], [1, 2], [3, 4]], dtype=np.int64)
-        base = points_fingerprint(X, edges, "crosscorr", 1.0)
-        assert points_fingerprint(X, edges, "crosscorr", 1.0) == base
-        assert points_fingerprint(X * 1.01, edges, "crosscorr", 1.0) != base
-        assert points_fingerprint(X, edges[:-1], "crosscorr", 1.0) != base
-        assert points_fingerprint(X, edges, "gaussian", 1.0) != base
-        assert points_fingerprint(X, edges, "expdecay", 2.0) != \
-            points_fingerprint(X, edges, "expdecay", 1.0)
-
-    def test_sigma_canonicalized_for_non_expdecay(self, rng):
-        """sigma only parameterizes expdecay: an explicit non-default
-        sigma under cosine/crosscorr builds the identical graph, so it
-        must share the fingerprint (and therefore every cache slot
-        derived from it) with the default."""
-        X = rng.random((20, 4))
-        edges = np.array([[0, 1], [1, 2], [3, 4]], dtype=np.int64)
-        for measure in ("crosscorr", "cosine"):
-            assert points_fingerprint(X, edges, measure, 2.5) == \
-                points_fingerprint(X, edges, measure, 1.0), measure
-        # expdecay genuinely depends on sigma — no canonicalization there
-        assert points_fingerprint(X, edges, "expdecay", 2.5) != \
-            points_fingerprint(X, edges, "expdecay", 1.0)
-
-    def test_explicit_default_sigma_request_shares_cache_slot(self, rng):
-        """The PR-7 rule at the request level: two by-value requests that
-        differ only in an inert sigma produce equal embedding keys."""
-        from repro.serve.request import ClusterRequest
-
-        X = rng.random((15, 3))
-        edges = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64)
-        a = ClusterRequest(request_id="a", X=X, edges=edges, config=replace(
-            DEFAULT_REQUEST_CONFIG, similarity="crosscorr", sigma=1.0))
-        b = ClusterRequest(request_id="b", X=X, edges=edges, config=replace(
-            DEFAULT_REQUEST_CONFIG, similarity="crosscorr", sigma=3.0))
-        fa, fb = a.workload_fingerprint(), b.workload_fingerprint()
-        assert fa == fb
-        assert a.embedding_key(fa) == b.embedding_key(fb)
-        assert a.model_key(fa) == b.model_key(fb)
+        base = points_fingerprint(X, edges)
+        assert points_fingerprint(X, edges) == base
+        assert points_fingerprint(X * 1.01, edges) != base
+        assert points_fingerprint(X, edges[:-1]) != base
 
 
 class TestCompositeKeys:
     def test_operator_key_partitions(self):
-        a = operator_key("fp", "sym", "ncut", "remove")
-        assert a == operator_key("fp", "sym", "ncut", "remove")
-        assert a != operator_key("fp", "rw", "ncut", "remove")
-        assert a != operator_key("other", "sym", "ncut", "remove")
+        a = operator_key("fp", "sym", "ncut")
+        assert a == operator_key("fp", "sym", "ncut")
+        assert a != operator_key("fp", "rw", "ncut")
+        assert a != operator_key("fp", "sym", "ratiocut")
+        assert a != operator_key("other", "sym", "ncut")
 
     @pytest.mark.parametrize(
         "name", [f.name for f in fields(ClusterConfig)]
@@ -163,11 +123,11 @@ class TestCompositeKeys:
         they replaced."""
         emb = embedding_key("fp", DEFAULT_REQUEST_CONFIG)
         assert emb == (
-            "fp", "sym", "ncut", "remove", 2, None, 1e-08, None, 0, False,
-            "fp64", "lanczos", None, None,
+            "fp", "sym", "ncut", 2, None, 1e-08, None, 0, "fp64", "lanczos",
+            None, None,
         )
         assert model_key(emb, DEFAULT_REQUEST_CONFIG) == (
-            ("model",) + emb + ("k-means++", 300)
+            ("model",) + emb + (300,)
         )
         comp = replace(DEFAULT_REQUEST_CONFIG, n_clusters=5, **_COMPRESSIVE)
         assert embedding_key("fp", comp)[-2:] == (48, 16)
@@ -234,11 +194,10 @@ class TestCompressiveKeyPartitioning:
         assert a.embedding_key(fp) == b.embedding_key(fp)
 
     def test_stage4_knobs_excluded(self, make_request):
-        """sample_frac / lift act after the embedding is built; two
-        requests differing only there share the embedding slot."""
+        """sample_frac acts after the embedding is built; two requests
+        differing only there share the embedding slot."""
         a = make_request(embedding="compressive")
-        b = make_request(embedding="compressive", sample_frac=0.5,
-                         lift="nearest")
+        b = make_request(embedding="compressive", sample_frac=0.5)
         fp = a.workload_fingerprint()
         assert a.embedding_key(fp) == b.embedding_key(fp)
 
@@ -258,15 +217,13 @@ class TestModelKey:
         fp = req.workload_fingerprint()
         mk = req.model_key(fp)
         assert mk[0] == "model"
-        assert mk[1:-2] == req.embedding_key(fp)
+        assert mk[1:-1] == req.embedding_key(fp)
 
     def test_kmeans_knobs_partition(self, make_request):
         a = make_request()
         b = make_request(kmeans_max_iter=50)
-        c = make_request(kmeans_init="random")
         fp = a.workload_fingerprint()
         assert a.model_key(fp) != b.model_key(fp)
-        assert a.model_key(fp) != c.model_key(fp)
 
     def test_never_collides_with_embedding_slot(self, make_request):
         """Models and embeddings share one LRU cache; the 'model' prefix

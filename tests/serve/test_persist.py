@@ -194,6 +194,31 @@ class TestStoreInvalidation:
         assert store.stats.stale == 1
         assert store.stats.errors == 0
 
+    def test_previous_format_entry_is_stale(
+        self, tmp_path, monkeypatch, small_graph
+    ):
+        """An entry written one format back stores knobs the config no
+        longer declares; it counts as stale, not as an ``errors`` miss."""
+        from repro.serve import persist
+
+        model = _fitted_model(small_graph).model
+        params = {**asdict(model.config), "similarity": "crosscorr",
+                  "sigma": 1.0, "normalize_rows": False,
+                  "handle_isolated": "remove", "kmeans_init": "k-means++",
+                  "kmeans_update": "spmm", "kmeans_fused": True,
+                  "lift": "interp"}
+        key = ("model", "fpm", 4)
+        store = PersistentStore(tmp_path)
+        monkeypatch.setattr(
+            "repro.serve.persist.FORMAT_VERSION", persist.FORMAT_VERSION - 1
+        )
+        store.save(key, model)
+        monkeypatch.undo()
+        _with_stored_params(store.path_for(key), params)
+        assert store.load(key) is None
+        assert store.stats.stale == 1
+        assert store.stats.errors == 0
+
     @pytest.mark.parametrize("add, drop", [
         ({"eig_" + "devices": 1}, ()),  # a knob the config does not declare
         ({"precision": "fp8"}, ()),  # a value the config rejects

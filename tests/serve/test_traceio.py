@@ -21,13 +21,11 @@ from repro.serve.traceio import (
 #: every knob away from its request default; ``devices > 1`` needs the
 #: device residency and a CSR format, so it gets a second config
 _ALL_CHANGED = replace(
-    DEFAULT_REQUEST_CONFIG, n_clusters=5, similarity="cosine", sigma=2.5,
-    operator="rw", objective="ratiocut", m=32, eig_tol=1e-6, eig_maxiter=10,
-    eig_residency="host", eig_spmv_format="ell", precision="fp32",
-    embedding="power", filter_order=96, n_signals=8, sample_frac=0.5,
-    lift="nearest", kmeans_init="random", kmeans_max_iter=50,
-    kmeans_update="sort", kmeans_fused=False, normalize_rows=True,
-    handle_isolated="error", seed=1,
+    DEFAULT_REQUEST_CONFIG, n_clusters=5, operator="rw", objective="ratiocut",
+    m=32, eig_tol=1e-6, eig_maxiter=10, eig_residency="host",
+    eig_spmv_format="ell", precision="fp32", embedding="power",
+    filter_order=96, n_signals=8, sample_frac=0.5, kmeans_max_iter=50,
+    seed=1,
 )
 _MULTI_DEVICE = replace(
     _ALL_CHANGED, devices=2, eig_residency="device", eig_spmv_format="csr"

@@ -58,8 +58,8 @@ class TestSpectralBeatsDirectKMeans:
         for spectral methods (paper §I: 'able to discover non-convex
         regions')."""
         from repro.graph.neighbors import epsilon_neighbors
-        from repro.graph.build import build_similarity_graph
         from repro.kmeans.cpu import kmeans_cpu
+        from repro.sparse.construct import from_edge_list
 
         rng = np.random.default_rng(0)
         n_per = 200
@@ -72,9 +72,13 @@ class TestSpectralBeatsDirectKMeans:
         direct = kmeans_cpu(X, 2, seed=0)
         ari_direct = adjusted_rand_index(direct.labels, truth)
 
-        # ε large enough that each ring stays one connected component
+        # ε large enough that each ring stays one connected component;
+        # Gaussian weights exp(-d²/2σ²) with σ = 0.5 on the ε-edges
         edges = epsilon_neighbors(X, 0.7)
-        W = build_similarity_graph(X, edges, measure="expdecay", sigma=0.5)
+        d2 = ((X[edges[:, 0]] - X[edges[:, 1]]) ** 2).sum(axis=1)
+        W = from_edge_list(
+            edges, weights=np.exp(-d2 / 0.5), n_nodes=X.shape[0]
+        )
         res = SpectralClustering(n_clusters=2, seed=0).fit(graph=W)
         ari_spectral = adjusted_rand_index(res.labels, truth)
 

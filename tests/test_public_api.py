@@ -64,9 +64,8 @@ def test_estimator_signature_stability():
         f.name: f.default for f in dataclasses.fields(repro.ClusterConfig)
     }
     for expected in (
-        "n_clusters", "similarity", "sigma", "operator", "objective", "m",
-        "eig_tol", "kmeans_init", "normalize_rows", "handle_isolated",
-        "seed", "device",
+        "n_clusters", "operator", "objective", "m", "eig_tol",
+        "kmeans_max_iter", "seed", "device",
     ):
         assert expected in params or expected in knobs, expected
         if expected in knobs and expected != "n_clusters":
@@ -96,11 +95,11 @@ PINNED_SURFACES = {
     "repro.graph": {
         "apply_edge_delta", "build_similarity_device",
         "build_similarity_graph", "connected_components",
-        "cosine_similarity", "cross_correlation", "degrees",
-        "device_rw_normalize", "device_shifted_laplacian",
-        "device_sym_normalize", "epsilon_neighbors", "epsilon_neighbors_grid",
-        "exp_decay", "laplacian", "pairwise_similarity", "remove_isolated",
-        "rw_normalized_adjacency", "sym_normalized_adjacency",
+        "cross_correlation", "degrees", "device_rw_normalize",
+        "device_shifted_laplacian", "device_sym_normalize",
+        "epsilon_neighbors", "epsilon_neighbors_grid", "laplacian",
+        "remove_isolated", "rw_normalized_adjacency",
+        "sym_normalized_adjacency",
     },
     "repro.linalg": {
         "IRLMResult", "LanczosCheckpoint", "LanczosState", "MatvecRequest",
