@@ -26,6 +26,34 @@ from conftest import BENCH_SCALES
 RECORDS = Path(__file__).parent / "records"
 
 
+def similarity_host_peak_bytes() -> int:
+    """The ``tracemalloc`` peak of one device similarity build (Algorithm
+    1) of the bench's DTI workload, after a warm-up build.
+
+    A build that gathers each launch's endpoint rows whole peaks at
+    ``2 × nnz × d`` fp64 values more than the blocked kernel body does.
+    The figure moves by a few hundred bytes with what the process ran
+    before (Python-level caches), so it is gated as creep.
+    """
+    import gc
+    import tracemalloc
+
+    from repro.cuda.device import Device
+    from repro.datasets import load_dataset
+    from repro.graph.build import build_similarity_device
+
+    ds = load_dataset("dti", scale=BENCH_SCALES["dti"], seed=0)
+    build_similarity_device(Device(), ds.points, ds.edges)
+    device = Device()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build_similarity_device(device, ds.points, ds.edges)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("name", sorted(BENCH_SCALES))
 def test_simulated_times_frozen(name, comparison):
     r = comparison(name)
@@ -89,6 +117,9 @@ def test_emit_machine_readable_summary(comparison):
             "computation_s": r.comp,
             "ari_cuda": r.quality.get("cuda"),
         }
+    payload["datasets"]["dti"]["similarity_host_peak_bytes"] = (
+        similarity_host_peak_bytes()
+    )
     payload["serve"] = serve_summary()
     payload["serve_predict"] = serve_predict_summary()
     payload["serve_deadline"] = serve_deadline_summary()

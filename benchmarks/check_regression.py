@@ -52,6 +52,8 @@ GATES = (
     ("datasets.*.communication_s", "creep"),
     ("datasets.*.total_simulated_s", "creep"),
     ("datasets.*.ari_cuda", "same"),
+    # host memory of Algorithm 1's edge gather (blocked, not whole-launch)
+    ("datasets.dti.similarity_host_peak_bytes", "creep"),
     # micro-batched serving against one-at-a-time
     ("serve.speedup", "at_least", 2.0),
     # predict fast path

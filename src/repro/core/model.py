@@ -123,9 +123,6 @@ class FittedSpectralModel:
         ``(k, k)`` k-means centroids in embedding space.
     labels:
         Fit labels on the original indexing (isolated nodes ``-1``).
-    embedding:
-        ``(n_anchor, k)`` embedding rows k-means clustered — reused
-        verbatim by the lazy delta path.
     kept:
         Original indices of the anchor (non-isolated) vertices.
     graph:
@@ -145,7 +142,6 @@ class FittedSpectralModel:
     degrees: np.ndarray
     centroids: np.ndarray
     labels: np.ndarray
-    embedding: np.ndarray
     kept: np.ndarray
     n_total: int
     graph: CSRMatrix
@@ -166,12 +162,18 @@ class FittedSpectralModel:
         return int(self.basis.shape[0])
 
     @property
+    def embedding(self) -> np.ndarray:
+        """The ``(n_anchor, k)`` rows k-means clustered: the exact path
+        clusters the basis itself, so this is ``basis`` (stored once)."""
+        return self.basis
+
+    @property
     def nbytes(self) -> int:
         """Cached footprint (the embedding-cache accounting unit)."""
         total = (
             self.basis.nbytes + self.eigenvalues.nbytes + self.degrees.nbytes
             + self.centroids.nbytes + self.labels.nbytes
-            + self.embedding.nbytes + self.kept.nbytes
+            + self.kept.nbytes
             + self.graph.indptr.nbytes + self.graph.indices.nbytes
             + self.graph.data.nbytes
         )
@@ -543,7 +545,6 @@ class FittedSpectralModel:
         self.eigenvalues = refit_model.eigenvalues
         self.degrees = refit_model.degrees
         self.centroids = refit_model.centroids
-        self.embedding = refit_model.embedding
         self.graph = refit_model.graph
         if self.anchors is not None:
             self.anchors = self.anchors[refit_model.kept]

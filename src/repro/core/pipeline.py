@@ -261,7 +261,6 @@ class SpectralClustering:
                     degrees=cap["degrees"],
                     centroids=km.centroids,
                     labels=labels_full,
-                    embedding=embedding,
                     kept=kept,
                     n_total=n_total,
                     graph=cap["graph"],

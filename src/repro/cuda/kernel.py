@@ -9,7 +9,11 @@ A :class:`Kernel` couples three things:
   all threads at once, which is the honest Python equivalent of SIMT
   execution.  Indexing an operand with ``tid`` gives a view, never a
   gathered copy, so a body costs its arithmetic; a body that needs the
-  thread ids as numbers writes ``np.arange(n)[tid]``;
+  thread ids as numbers writes ``np.arange(n)[tid]``.  A body that
+  gathers by index (thread ``e`` reading rows ``X[src[e]]``) works through
+  the threads in cache-sized blocks, as
+  :func:`~repro.graph.similarity.edge_similarity` does, so its host
+  memory is a block's gather, not ``n_threads`` rows at once;
 * a **cost descriptor** — ``cost(n_threads, *args) -> (flops, bytes)``
   describing the work one launch performs, fed to the device roofline model;
 * a **kind** — ``"stream"``, ``"dense"`` or ``"gather"`` selecting which

@@ -5,7 +5,10 @@ The device path mirrors the paper's three kernels:
 1. ``compute_average`` — thread *i* computes the mean of data row *i*;
 2. ``update_data``     — thread *i* centers row *i* and computes its norm;
 3. ``compute_similarity`` — thread *e* computes the similarity of edge
-   *e*'s endpoint pair.
+   *e*'s endpoint pair.  Where a CUDA thread reads its two rows straight
+   from device memory, the vectorized body gathers them one cache-sized
+   block of edges at a time (:func:`~repro.graph.similarity.edge_similarity`),
+   never the whole launch's ``(nnz, d)`` pair of copies.
 
 The edge list plus the value vector form the graph in COO format, resident
 on the device and ready for Algorithm 2.  The measure is the paper's
@@ -22,7 +25,7 @@ from repro.cuda.launch import grid_1d
 from repro.cuda.memory import BufferGroup
 from repro.cusparse.matrices import DeviceCOO
 from repro.errors import GraphConstructionError
-from repro.graph.similarity import cross_correlation
+from repro.graph.similarity import cross_correlation, edge_similarity
 from repro.sparse.coo import COOMatrix
 from repro.sparse.construct import from_edge_list
 
@@ -52,14 +55,7 @@ update_data = Kernel(
 )
 
 def _compute_similarity_body(tid, X, norm, src, dst, val):
-    i = src[tid]
-    j = dst[tid]
-    dots = np.einsum("ed,ed->e", X[i], X[j])
-    denom = norm[i] * norm[j]
-    out = np.zeros(i.size)
-    ok = denom > 0
-    out[ok] = dots[ok] / denom[ok]
-    val[tid] = out
+    val[tid] = edge_similarity(X, norm, src[tid], dst[tid])
 
 compute_similarity = Kernel(
     name="compute_similarity",
@@ -77,7 +73,6 @@ def build_similarity_device(
     X: np.ndarray,
     edges: np.ndarray,
     block: int = 256,
-    drop_nonpositive: bool = True,
     edge_chunk: int | None = None,
 ) -> DeviceCOO:
     """Algorithm 1 on the simulated device.
@@ -90,9 +85,8 @@ def build_similarity_device(
         ``(nnz, 2)`` index pairs with ``i < j`` (an undirected edge list
         as the DTI preprocessing provides); the output contains each edge
         mirrored so the COO matrix is symmetric.  Must be an integer
-        array: float indices are refused rather than truncated.
-    drop_nonpositive:
-        Remove edges whose similarity is ≤ 0 — correlation graphs must be
+        array: float indices are refused rather than truncated.  Edges
+        whose similarity is ≤ 0 are dropped — correlation graphs must be
         non-negatively weighted for the Laplacian machinery to apply.
     edge_chunk:
         Edges staged on the device at once.  ``None`` auto-sizes: the full
@@ -172,9 +166,8 @@ def build_similarity_device(
         # on the GPU this is a thrust sort over the doubled edge list.
         src = edges[:, 0]
         dst = edges[:, 1]
-        if drop_nonpositive:
-            keep = val > 0
-            src, dst, val = src[keep], dst[keep], val[keep]
+        keep = val > 0
+        src, dst, val = src[keep], dst[keep], val[keep]
         row = np.concatenate([src, dst])
         col = np.concatenate([dst, src])
         v2 = np.concatenate([val, val])
@@ -199,16 +192,12 @@ def build_similarity_device(
     return DeviceCOO(row=drow, col=dcol, val=dv, shape=(n, n))
 
 
-def build_similarity_graph(
-    X: np.ndarray,
-    edges: np.ndarray,
-    drop_nonpositive: bool = True,
-) -> COOMatrix:
-    """Host reference of Algorithm 1: same inputs, a host COO matrix out."""
+def build_similarity_graph(X: np.ndarray, edges: np.ndarray) -> COOMatrix:
+    """Host reference of Algorithm 1: same inputs, a host COO matrix out
+    (edges of similarity ≤ 0 dropped, as on the device)."""
     edges = np.asarray(edges, dtype=np.int64)
     val = cross_correlation(X, edges)
-    if drop_nonpositive:
-        keep = val > 0
-        edges, val = edges[keep], val[keep]
+    keep = val > 0
+    edges, val = edges[keep], val[keep]
     n = np.asarray(X).shape[0]
     return from_edge_list(edges, weights=val, n_nodes=n, symmetrize=True)

@@ -56,17 +56,15 @@ from repro.sparse.csr import CSRMatrix
 #: ``devices`` knob; version-1 params name per-stage device knobs the
 #: estimator no longer accepts, so refitting from them would raise.
 #: Version 3: the cache keys and stored ``params`` lose the similarity,
-#: row-normalization, isolated-node, k-means-variant and lift knobs
-FORMAT_VERSION = 3
+#: row-normalization, isolated-node, k-means-variant and lift knobs.
+#: Version 4: a model stores its basis once; the loaded model's
+#: ``embedding`` is an alias of ``basis``, not a second array
+FORMAT_VERSION = 4
 
 _KIND_EMBEDDING = "embedding"
 _KIND_MODEL = "model"
 
 _EMBEDDING_ARRAYS = ("embedding", "eigenvalues", "kept")
-_MODEL_ARRAYS = (
-    "basis", "eigenvalues", "degrees", "centroids", "labels",
-    "embedding", "kept", "graph_indptr", "graph_indices", "graph_data",
-)
 
 
 def canonical_key(key: tuple) -> str:
@@ -195,7 +193,6 @@ class PersistentStore:
                 "degrees": value.degrees,
                 "centroids": value.centroids,
                 "labels": value.labels,
-                "embedding": value.embedding,
                 "kept": value.kept,
                 "graph_indptr": value.graph.indptr,
                 "graph_indices": value.graph.indices,
@@ -320,7 +317,6 @@ class PersistentStore:
             degrees=npz["degrees"],
             centroids=npz["centroids"],
             labels=npz["labels"],
-            embedding=npz["embedding"],
             kept=npz["kept"],
             n_total=int(meta["n_total"]),
             graph=graph,

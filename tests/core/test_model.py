@@ -64,6 +64,21 @@ class TestFitReturnsModel:
         assert model.anchors is not None
         assert model.nbytes > 0
 
+    def test_embedding_is_the_basis(self, blob_fit):
+        """The exact path clusters the basis itself, so the model keeps
+        one array and counts it once."""
+        _, _, res = blob_fit
+        model = res.model
+        assert model.embedding is model.basis
+        assert res.embedding is model.basis
+        assert model.nbytes - model.basis.nbytes == sum(
+            a.nbytes for a in (
+                model.eigenvalues, model.degrees, model.centroids,
+                model.labels, model.kept, model.graph.indptr,
+                model.graph.indices, model.graph.data, model.anchors,
+            )
+        )
+
     def test_graph_fit_has_no_anchors(self, graph_fit):
         _, res = graph_fit
         assert res.model is not None

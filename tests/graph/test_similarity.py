@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphConstructionError
+from repro.graph import similarity
+from repro.graph.build import compute_similarity
 from repro.graph.similarity import cross_correlation
 
 
@@ -56,3 +58,60 @@ class TestCrossCorrelation:
         assert cross_correlation(X, np.array([[1, 4]]))[0] == pytest.approx(
             cross_correlation(X, np.array([[4, 1]]))[0]
         )
+
+
+def _whole_launch(Xc, norms, pairs):
+    """Eq. 7 gathering every edge's rows at once (the unblocked form)."""
+    i, j = pairs[:, 0], pairs[:, 1]
+    dots = np.einsum("ed,ed->e", Xc[i], Xc[j])
+    denom = norms[i] * norms[j]
+    out = np.zeros(i.size)
+    ok = denom > 0
+    out[ok] = dots[ok] / denom[ok]
+    return out
+
+
+class TestBlockedGather:
+    """Blocking the edge gather changes no bit of the result: each edge
+    is one dot product over ``d`` whatever block holds it."""
+
+    @pytest.fixture(params=[7, 90])
+    def data(self, request, rng):
+        d = request.param
+        X = rng.standard_normal((200, d))
+        X[3] = 1.5  # a constant row: its edges get similarity 0
+        return X
+
+    @staticmethod
+    def _pairs(rng, X, nnz):
+        pairs = rng.integers(0, X.shape[0], size=(nnz, 2))
+        if nnz:
+            pairs[0] = (3, 4)
+        return pairs
+
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+        ids=["0", "1", "b-1", "b", "b+1", "3b+5"],
+    )
+    def test_byte_identical_to_whole_launch(self, rng, data, blocks, extra):
+        X = data
+        nnz = blocks * (similarity._BLOCK_ELEMS // X.shape[1]) + extra
+        pairs = self._pairs(rng, X, nnz)
+
+        # host reference: numpy-centered rows, linalg norms
+        Xc = X - X.mean(axis=1, keepdims=True)
+        want = _whole_launch(Xc, np.linalg.norm(Xc, axis=1), pairs)
+        got = cross_correlation(X, pairs)
+        assert got.tobytes() == want.tobytes()
+
+        # device kernel body: the update_data centering and norms
+        Xd = X - X.mean(axis=1)[:, None]
+        norm = np.sqrt(np.einsum("nd,nd->n", Xd, Xd))
+        want = _whole_launch(Xd, norm, pairs)
+        val = np.full(nnz, np.nan)
+        compute_similarity.body(
+            slice(0, nnz), Xd, norm, pairs[:, 0], pairs[:, 1], val
+        )
+        assert val.tobytes() == want.tobytes()
+        if nnz:
+            assert val[0] == 0.0  # the constant row's edge

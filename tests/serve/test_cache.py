@@ -90,7 +90,6 @@ def _model(n_anchor=8, k=3, d=None):
         degrees=np.full(n_anchor, 2.0),
         centroids=np.zeros((k, k)),
         labels=np.zeros(n_anchor, dtype=np.int64),
-        embedding=np.zeros((n_anchor, k)),
         kept=np.arange(n_anchor, dtype=np.int64),
         n_total=n_anchor,
         graph=graph,

@@ -108,6 +108,20 @@ class TestStoreRoundTrip:
         else:
             assert np.array_equal(model.anchors, back.anchors)
 
+    def test_model_stores_basis_once(self, tmp_path, small_graph):
+        """The embedding k-means clustered is the basis itself: the file
+        holds no second copy and the loaded model aliases the two."""
+        store = PersistentStore(tmp_path)
+        model = _fitted_model(small_graph).model
+        store.save(("m",), model)
+        with np.load(store.path_for(("m",)), allow_pickle=False) as npz:
+            assert "embedding" not in npz.files
+            assert "basis" in npz.files
+        back = store.load(("m",))
+        assert back.embedding is back.basis
+        assert back.basis.tobytes() == model.basis.tobytes()
+        assert back.embedding.tobytes() == model.embedding.tobytes()
+
     def test_reloaded_model_predicts_identically(self, tmp_path, small_graph):
         from repro.cuda.device import Device
 
