@@ -54,6 +54,46 @@ def similarity_host_peak_bytes() -> int:
         tracemalloc.stop()
 
 
+def eigensolver_host_peak_bytes() -> int:
+    """The ``tracemalloc`` peak of one ``hybrid_eigensolver`` (Algorithm
+    3) on the bench's DTI operator, the normalized similarity graph, after
+    a warm-up solve.
+
+    A driver that copies the Lanczos basis into every restart checkpoint,
+    or backs the device basis buffer with host storage, peaks several
+    ``n × m`` blocks higher.  Gated as creep, like
+    :func:`similarity_host_peak_bytes`.
+    """
+    import gc
+    import tracemalloc
+
+    from repro.core.workflow import hybrid_eigensolver
+    from repro.cuda.device import Device
+    from repro.cusparse.conversions import csr2coo
+    from repro.cusparse.matrices import csr_to_device
+    from repro.datasets import load_dataset
+    from repro.graph.build import build_similarity_graph
+    from repro.graph.components import remove_isolated
+    from repro.graph.laplacian import device_sym_normalize
+
+    ds = load_dataset("dti", scale=BENCH_SCALES["dti"], seed=0)
+    W = remove_isolated(build_similarity_graph(ds.points, ds.edges))[0]
+
+    def solve():
+        device = Device()
+        op = device_sym_normalize(csr2coo(csr_to_device(device, W)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            hybrid_eigensolver(device, op, k=ds.n_clusters, tol=1e-8, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    solve()
+    return solve()
+
+
 @pytest.mark.parametrize("name", sorted(BENCH_SCALES))
 def test_simulated_times_frozen(name, comparison):
     r = comparison(name)
@@ -119,6 +159,9 @@ def test_emit_machine_readable_summary(comparison):
         }
     payload["datasets"]["dti"]["similarity_host_peak_bytes"] = (
         similarity_host_peak_bytes()
+    )
+    payload["datasets"]["dti"]["eigensolver_host_peak_bytes"] = (
+        eigensolver_host_peak_bytes()
     )
     payload["serve"] = serve_summary()
     payload["serve_predict"] = serve_predict_summary()

@@ -54,6 +54,8 @@ GATES = (
     ("datasets.*.ari_cuda", "same"),
     # host memory of Algorithm 1's edge gather (blocked, not whole-launch)
     ("datasets.dti.similarity_host_peak_bytes", "creep"),
+    # host memory of Algorithm 3's Lanczos basis (one copy per restart)
+    ("datasets.dti.eigensolver_host_peak_bytes", "creep"),
     # micro-batched serving against one-at-a-time
     ("serve.speedup", "at_least", 2.0),
     # predict fast path

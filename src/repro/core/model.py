@@ -124,7 +124,7 @@ class FittedSpectralModel:
     labels:
         Fit labels on the original indexing (isolated nodes ``-1``).
     kept:
-        Original indices of the anchor (non-isolated) vertices.
+        Original indices of the anchor (non-isolated) vertices, ascending.
     graph:
         Host mirror of the fitted similarity CSR over the anchors (the
         simulated device-resident copy the delta path patches).
@@ -185,16 +185,17 @@ class FittedSpectralModel:
     # index mapping helpers
     # ------------------------------------------------------------------
     def _anchor_positions(self, ids: np.ndarray, what: str) -> np.ndarray:
-        """Map original vertex ids to anchor-subgraph positions."""
-        lookup = np.full(self.n_total, -1, dtype=np.int64)
-        lookup[self.kept] = np.arange(self.kept.size, dtype=np.int64)
+        """Map original vertex ids to anchor-subgraph positions (a binary
+        search of the ascending ``kept``, so no ``n_total`` lookup table
+        is built per call)."""
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.n_total):
             raise ClusteringError(
                 f"{what}: vertex id outside [0, {self.n_total})"
             )
-        pos = lookup[ids]
-        if np.any(pos < 0):
+        pos = np.searchsorted(self.kept, ids)
+        hit = self.kept[np.minimum(pos, self.kept.size - 1)] == ids
+        if not np.all(hit):
             raise ClusteringError(
                 f"{what}: references an isolated vertex dropped at fit time"
             )
@@ -278,8 +279,12 @@ class FittedSpectralModel:
         # similarity values (host substrate; the device path charges the
         # kernel over the same arithmetic)
         if feature_path:
-            stacked = np.vstack([self.anchors, Xn])
-            spairs = np.column_stack([self.n_anchor + rows, cols])
+            # only the anchor rows the pairs touch, then the new rows: a
+            # row's mean and norm depend on that row alone, so the values
+            # are the bits the whole anchor matrix would give
+            touched, at = np.unique(cols, return_inverse=True)
+            stacked = np.vstack([self.anchors[touched], Xn])
+            spairs = np.column_stack([touched.size + rows, at])
             vals = cross_correlation(stacked, spairs)
             # mirror the fit-time graph build: keep positive-affinity
             # edges only

@@ -331,7 +331,9 @@ class PlacedOperator:
     def workspace(self, cols: int | None, basis: int = 0) -> None:
         """Allocate the ping-pong operand pair (vectors when ``cols`` is
         None, else ``cols``-wide blocks) plus a ``basis``-row block, per
-        device; a transient or OOM hiccup is retryable."""
+        device; a transient or OOM hiccup is retryable.  The basis block is
+        reserved, not backed: the driver's host workspace holds its
+        values."""
         s = self.s
 
         def alloc():
@@ -343,7 +345,7 @@ class PlacedOperator:
                     pairs.append(group.add(dev.empty(shape, dtype=s.dtype)))
                     pairs.append(group.add(dev.empty(shape, dtype=s.dtype)))
                     if basis:
-                        group.add(dev.empty((basis, rows), dtype=s.dtype))
+                        group.add(dev.reserve((basis, rows), dtype=s.dtype))
             except BaseException:
                 group.free_all()
                 raise
@@ -444,7 +446,11 @@ class DevicePlacement(PlacedOperator):
     """GPU-resident: the operand pair (and the Lanczos basis) live in
     persistent device buffers across reverse-communication steps, so only
     ARPACK's small tridiagonal state crosses the bus — at restart
-    boundaries, with the Q upload hidden on the copy engine."""
+    boundaries, with the Q upload hidden on the copy engine.
+
+    The basis buffer is accounting-only (:meth:`Device.reserve`): it holds
+    the allocator request and the bytes the gemv/gemm charges price, while
+    the values live once, in the IRLM driver's host workspace."""
 
     residency = "device"
 

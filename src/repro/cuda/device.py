@@ -230,6 +230,16 @@ class Device:
         """``cudaMalloc`` without initialization."""
         return self._new_array(np.empty(shape, dtype=dtype))
 
+    def reserve(
+        self, shape: int | Sequence[int], dtype=np.float64
+    ) -> DeviceArray:
+        """``cudaMalloc`` of a buffer only the cost model reads: the same
+        fault site, allocator request and timeline events as :meth:`empty`,
+        backed by no host storage (a read-only zero-stride view)."""
+        return self._new_array(
+            np.broadcast_to(np.zeros((), dtype=dtype), shape)
+        )
+
     def zeros(self, shape: int | Sequence[int], dtype=np.float64) -> DeviceArray:
         """Allocate and ``cudaMemset`` to zero (charges a streaming kernel)."""
         arr = self._new_array(np.zeros(shape, dtype=dtype))

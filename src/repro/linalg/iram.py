@@ -126,8 +126,10 @@ def irlm_generator(
         operator being deterministic).
     checkpoint_cb:
         Called with a fresh snapshot at every restart boundary (including
-        once before the first cycle).  Snapshots are defensive copies and
-        may be stored across the generator's lifetime.
+        once before the first cycle).  A snapshot may be stored across the
+        generator's lifetime: its basis block is the restart's rotated
+        block, handed over read-only rather than copied, and the driver
+        keeps no reference to it.
     """
     if not 0 < k < n:
         raise EigensolverError(f"need 0 < k < n, got k={k}, n={n}")
@@ -144,6 +146,9 @@ def irlm_generator(
     rng = np.random.default_rng(seed)
 
     state = LanczosState.allocate(n, m)
+    # the basis block the next snapshot takes over: the input checkpoint's
+    # on a resume, the rotated block after each restart
+    kept: np.ndarray | None = np.empty((0, n))
     if checkpoint is not None:
         checkpoint.validate(n, k, m, which)
         state.V[: checkpoint.j] = checkpoint.V
@@ -156,6 +161,8 @@ def irlm_generator(
         rng.bit_generator.state = copy.deepcopy(checkpoint.rng_state)
         n_op = checkpoint.n_op
         n_restarts = checkpoint.n_restarts
+        kept = checkpoint.V
+        checkpoint = None  # its block lives on in the first snapshot only
     else:
         if v0 is not None:
             v0 = np.asarray(v0, dtype=np.float64).ravel()
@@ -168,14 +175,16 @@ def irlm_generator(
         n_restarts = 0
     exhausted = n_restarts >= maxiter
 
-    def snapshot() -> LanczosCheckpoint:
-        # alpha/beta are saved to length j (beta's last valid slot may hold
-        # a stale value the extension's breakdown test reads; preserving it
-        # keeps the resumed cycle bit-identical to the original).
+    def snapshot(V: np.ndarray) -> LanczosCheckpoint:
+        # V holds the same values as state.V[:j] in storage nothing writes
+        # again, so the snapshot owns it without a copy.  alpha/beta are
+        # saved to length j (beta's last valid slot may hold a stale value
+        # the extension's breakdown test reads; preserving it keeps the
+        # resumed cycle bit-identical to the original).
         j = state.j
         return LanczosCheckpoint(
             n=n, k=k, m=m, which=which, j=j,
-            V=state.V[:j].copy(),
+            V=V,
             alpha=state.alpha[:j].copy(),
             beta=state.beta[:j].copy(),
             f=np.array(state.f, dtype=np.float64),
@@ -188,7 +197,9 @@ def irlm_generator(
 
     while True:
         if checkpoint_cb is not None:
-            checkpoint_cb(snapshot())
+            checkpoint_cb(snapshot(kept))
+        # whoever holds the snapshot keeps its block alive, not the driver
+        kept = None
 
         # ---- extend the factorization to m steps -----------------------
         ext = extend_factorization(state, m, rng)
@@ -247,12 +258,15 @@ def irlm_generator(
         new_alpha = np.diag(T).copy()
         new_beta = np.diag(T, -1).copy()
 
-        Vm = state.basis()
         # rows 0..kp of the rotated basis (kp+1 rows: kept block + link row)
-        VQ = Q[:, : kp + 1].T @ Vm
+        VQ = Q[:, : kp + 1].T @ state.basis()
         f_new = VQ[kp] * T[kp, kp - 1] + state.f * Q[m - 1, kp - 1]
 
         state.V[:kp] = VQ[:kp]
+        # the next snapshot owns the rotated block; nothing writes it again
+        kept = VQ[:kp]
+        kept.flags.writeable = False
+        del VQ
         state.alpha[:kp] = new_alpha[:kp]
         state.beta[: kp - 1] = new_beta[: kp - 1]
         state.j = kp

@@ -73,8 +73,11 @@ class LanczosCheckpoint:
     Captures the kept block of the Lanczos factorization (``A V_j = V_j
     T_j + f e_jᵀ``), the iteration counters, and the RNG state — everything
     needed to recreate a generator that continues *bit-identically* with
-    the same operator.  All arrays are defensive copies; a checkpoint stays
-    valid while the live solver mutates its workspace.
+    the same operator.  The basis block ``V`` is the restart's rotated
+    block itself, not a copy of the solver's workspace: a read-only array
+    nobody writes, which a resume reads and hands on to its own first
+    snapshot.  ``alpha``, ``beta`` and ``f`` are copies.  A checkpoint
+    stays valid while the live solver mutates its workspace.
 
     Attributes
     ----------
@@ -121,10 +124,15 @@ class LanczosCheckpoint:
 
     @property
     def nbytes(self) -> int:
-        """Host memory held by the snapshot arrays."""
-        return (
-            self.V.nbytes + self.alpha.nbytes + self.beta.nbytes + self.f.nbytes
-        )
+        """Host memory the snapshot keeps alive: whole buffers, so a ``V``
+        that views its restart's ``kp + 1``-row rotated block counts the
+        link row too."""
+        total = 0
+        for a in (self.V, self.alpha, self.beta, self.f):
+            while isinstance(a.base, np.ndarray):  # up to the buffer's owner
+                a = a.base
+            total += a.nbytes
+        return total
 
 
 @dataclass(frozen=True)

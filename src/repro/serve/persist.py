@@ -40,6 +40,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -268,7 +270,11 @@ class PersistentStore:
                 else:
                     self.stats.stale += 1
                     return None
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
+        except (
+            OSError, ValueError, KeyError, json.JSONDecodeError,
+            # a truncated or damaged zip archive, or member stream
+            zipfile.BadZipFile, EOFError, zlib.error,
+        ):
             self.stats.errors += 1
             return None
         self.stats.loads += 1

@@ -88,6 +88,54 @@ class TestCheckpointResume:
         assert all(isinstance(cp, LanczosCheckpoint) for cp in cps)
         assert all(cp.nbytes > 0 for cp in cps)
 
+    def test_restart_basis_is_read_only_and_not_the_workspace(
+        self, small_sym_csr
+    ):
+        """A restart snapshot owns the rotated block: read-only, apart from
+        the live basis, and unchanged by the rest of the solve."""
+        A = small_sym_csr
+        cps, seen = [], []
+
+        def note(cp):
+            state = prob._gen.gi_frame.f_locals["state"]
+            seen.append((np.shares_memory(cp.V, state.V), cp.V.copy()))
+            cps.append(cp)
+
+        prob = SymEigProblem(n=A.shape[0], k=4, seed=0, checkpoint_cb=note)
+        while not prob.converged():
+            prob.take_step()
+            if prob.needs_matvec():
+                prob.put_vector(A.matvec(prob.get_vector()))
+        restarts = cps[1:]
+        assert restarts, "solver should restart on this operator"
+        for cp, (shared, at_capture) in zip(restarts, seen[1:]):
+            assert not cp.V.flags.writeable
+            assert not shared
+            assert cp.V.shape == (cp.j, cp.n)
+            assert np.array_equal(cp.V, at_capture)
+            with pytest.raises(ValueError):
+                cp.V[0, 0] = 0.0
+
+    def test_nbytes_counts_the_memory_kept_alive(self, small_sym_csr):
+        """A restart snapshot's V views its ``kp + 1``-row rotated block,
+        so the link row is held (and counted) too."""
+        cps = []
+        _solve(small_sym_csr, cps=cps)
+        fresh, restarts = cps[0], cps[1:]
+        assert fresh.nbytes == fresh.f.nbytes  # j = 0: no basis, no T
+        for cp in restarts:
+            small = cp.alpha.nbytes + cp.beta.nbytes + cp.f.nbytes
+            assert cp.nbytes == (cp.j + 1) * cp.n * 8 + small
+
+    def test_resume_hands_its_block_through(self, small_sym_csr):
+        cps = []
+        _solve(small_sym_csr, cps=cps)
+        cp = cps[len(cps) // 2]
+        resumed = []
+        _solve(small_sym_csr, checkpoint=cp, cps=resumed)
+        assert resumed[0].V is cp.V
+        assert resumed[0].j == cp.j and resumed[0].n_op == cp.n_op
+
 
 class TestHybridResume:
     def test_midsolve_fault_resumes_from_checkpoint(

@@ -112,6 +112,80 @@ class TestPredictFeaturePath:
         assert out.ledger_ok is None  # host path: nothing to audit
         assert out.embedding.shape == (4, 3)
 
+    def test_values_byte_identical_to_whole_anchor_stack(
+        self, blob_fit, monkeypatch
+    ):
+        """Centering only the touched anchor rows gives the bits the whole
+        stacked anchor matrix gives (a row's mean and norm are its own)."""
+        import repro.core.model as model_mod
+        from repro.graph.similarity import cross_correlation
+
+        X, _, res = blob_fit
+        model = res.model
+        rng = np.random.default_rng(5)
+        X_new = np.vstack([X[model.kept[[2, 47]]], np.full((1, 5), 3.0)])
+        X_new[:2] += 0.05 * rng.standard_normal((2, 5))
+        # duplicate anchors, a constant new row, anchors in no order
+        anchor_ids = model.kept[[61, 3, 3, 88, 40, 12, 61, 0]]
+        rows = np.array([0, 0, 1, 1, 2, 2, 0, 1])
+        pairs = np.column_stack([rows, anchor_ids])
+        seen = []
+
+        def spy(stacked, spairs):
+            out = cross_correlation(stacked, spairs)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(model_mod, "cross_correlation", spy)
+        model.predict(X_new=X_new, pairs_new=pairs)
+        positions = np.searchsorted(model.kept, anchor_ids)
+        whole = cross_correlation(
+            np.vstack([model.anchors, X_new]),
+            np.column_stack([model.n_anchor + rows, positions]),
+        )
+        assert seen[0].tobytes() == whole.tobytes()
+
+    def test_host_peak_does_not_grow_with_anchor_count(self):
+        """A 1-point, 3-pair predict traces about the same bytes against
+        2,000 or 20,000 anchor rows of d = 90: no stacked copy of the
+        anchor matrix, no per-call id lookup table."""
+        import gc
+        import tracemalloc
+
+        from repro.core.config import ClusterConfig
+        from repro.core.model import FittedSpectralModel
+        from repro.sparse.csr import CSRMatrix
+
+        k, d = 4, 90
+        rng = np.random.default_rng(0)
+        X_new = rng.standard_normal((1, d))
+        peaks = []
+        for n in (2_000, 20_000):
+            kept = np.arange(0, 2 * n, 2, dtype=np.int64)
+            model = FittedSpectralModel(
+                basis=rng.standard_normal((n, k)),
+                eigenvalues=np.linspace(1.0, 0.9, k),
+                degrees=rng.random(n) + 1.0,
+                centroids=rng.standard_normal((k, k)),
+                labels=rng.integers(0, k, 2 * n),
+                kept=kept, n_total=2 * n,
+                graph=CSRMatrix(np.zeros(n + 1, dtype=np.int64),
+                                np.zeros(0, dtype=np.int64), np.zeros(0),
+                                (n, n)),
+                anchors=np.vstack([X_new + 0.1 * rng.standard_normal((3, d)),
+                                   rng.standard_normal((n - 3, d))]),
+                config=ClusterConfig(n_clusters=k),
+            )
+            pairs = np.array([[0, kept[0]], [0, kept[1]], [0, kept[2]]])
+            gc.collect()
+            tracemalloc.start()
+            try:
+                model.predict(X_new=X_new, pairs_new=pairs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 64 * 1024, peaks
+
     def test_device_matches_host_bitwise(self, blob_fit):
         X, _, res = blob_fit
         model = res.model

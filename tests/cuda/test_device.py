@@ -54,6 +54,52 @@ class TestDeviceAccounting:
         assert "K20c" in repr(device)
 
 
+class TestReserve:
+    #: allocate/free sequence: misses, cache hits, a split and a large block
+    SEQUENCE = (("a", (101, 1000)), ("b", 500), ("free", "a"),
+                ("c", (101, 1000)), ("d", (3, 7)), ("free", "b"),
+                ("e", (4096, 1024)), ("free", "e"), ("f", (2048, 1024)))
+
+    def _replay(self, dev, alloc):
+        live = {}
+        for name, arg in self.SEQUENCE:
+            if name == "free":
+                live.pop(arg).free()
+            else:
+                live[name] = alloc(dev, arg)
+        return [(ev.name, ev.category, ev.duration) for ev in dev.timeline]
+
+    def test_same_allocator_and_timeline_as_empty(self):
+        empty, reserve = Device(), Device()
+        ev_empty = self._replay(empty, lambda d, s: d.empty(s))
+        ev_reserve = self._replay(reserve, lambda d, s: d.reserve(s))
+        assert ev_reserve == ev_empty
+        assert any(name == "cudaMalloc" for name, _, _ in ev_empty)
+        assert reserve.alloc_stats() == empty.alloc_stats()
+        assert reserve.memory_info() == empty.memory_info()
+
+    def test_holds_no_host_storage_and_refuses_writes(self, device):
+        buf = device.reserve((101, 13_536), dtype=np.float32)
+        assert buf.shape == (101, 13_536) and buf.dtype == np.float32
+        assert buf.nbytes == 101 * 13_536 * 4
+        assert buf.data.strides == (0, 0)
+        with pytest.raises(ValueError):
+            buf.data[...] = 1.0
+        with pytest.raises(ValueError):
+            buf.data[0, 0] = 1.0
+        buf.free()
+        assert device.allocator.used_bytes == 0
+
+    def test_is_the_alloc_fault_site(self, device):
+        from repro.chaos import FaultPlan, FaultSpec, chaos
+        from repro.errors import DeviceMemoryError
+
+        plan = FaultPlan([FaultSpec(site="cuda.alloc", fault="oom", nth=1)])
+        with chaos(plan), pytest.raises(DeviceMemoryError):
+            device.reserve((64, 64))
+        assert plan.n_fired == 1
+
+
 class TestDefaultDevice:
     def test_lazy_creation(self):
         set_default_device(None)

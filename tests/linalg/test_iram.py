@@ -113,6 +113,40 @@ class TestBehavior:
         assert np.allclose(res.eigenvalues, 5.0, atol=1e-8)
 
 
+class TestHostMemory:
+    def test_one_rotated_block_per_restart(self):
+        """The kept checkpoint is the restart's rotated block itself, so at
+        a restart the traced peak holds the live basis, the previous
+        checkpoint's block and the new one, each ``kp + 1`` rows, plus a
+        few vectors; copying snapshots adds a ``kp``-row block or two."""
+        import gc
+        import tracemalloc
+
+        n, k, m = 20_000, 20, 41
+        diag = np.random.default_rng(0).standard_normal(n)
+        latest, kp = [], [0]
+
+        def keep(cp):
+            latest[:] = [cp]
+            kp[0] = max(kp[0], cp.j)
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = drive(
+                irlm_generator(n, k, m=m, seed=0, maxiter=4,
+                               checkpoint_cb=keep),
+                lambda x: diag * x,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_restarts == 4
+        vec = n * 8
+        bound = m * vec + 2 * (kp[0] + 1) * vec + 12 * vec
+        assert peak < bound, (peak, bound)
+
+
 class TestValidation:
     def test_k_bounds(self):
         with pytest.raises(EigensolverError):

@@ -278,6 +278,37 @@ class TestStoreInvalidation:
         assert store.load(KEY) is None
         assert store.stats.errors == 1
 
+    @pytest.mark.parametrize("kind", ["embedding", "model"])
+    @pytest.mark.parametrize("frac", [0.3, 0.6, 0.9, 0.99])
+    def test_truncated_entry_is_an_error_miss(
+        self, tmp_path, small_graph, kind, frac
+    ):
+        """A write cut short (a crash mid-save, a full disk) leaves a
+        truncated zip: ``load`` counts it as an error and misses."""
+        store = PersistentStore(tmp_path)
+        value = _embedding() if kind == "embedding" else _fitted_model(
+            small_graph
+        ).model
+        store.save(KEY, value)
+        path = store.path_for(KEY)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: int(len(blob) * frac)])
+        assert store.load(KEY) is None
+        assert store.stats.errors == 1 and store.stats.loads == 0
+
+    def test_damaged_member_is_an_error_miss(self, tmp_path):
+        """A member whose bytes rot in place fails its read (a bad CRC
+        or a short stream), not the whole service."""
+        store = PersistentStore(tmp_path)
+        store.save(KEY, _embedding())
+        path = store.path_for(KEY)
+        blob = bytearray(path.read_bytes())
+        at = blob.index(b"embedding.npy") + 200
+        blob[at:at + 64] = bytes(64)
+        path.write_bytes(bytes(blob))
+        assert store.load(KEY) is None
+        assert store.stats.errors == 1
+
     def test_tainted_artifact_refused(self, tmp_path):
         store = PersistentStore(tmp_path)
         with pytest.raises(ServiceError, match="tainted"):
