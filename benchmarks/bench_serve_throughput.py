@@ -9,6 +9,8 @@ synthetic trace and pins the speedup; the wall-time axis rides along via
 pytest-benchmark on the batched path.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -43,17 +45,39 @@ def sequential(trace):
     return run_sequential(trace)
 
 
-def serve_summary(trace=None) -> dict:
-    """Machine-readable serving summary (consumed by BENCH_regression.json)."""
-    trace = trace if trace is not None else synthetic_trace(
-        n_requests=N_REQUESTS, mean_interarrival=0.001, seed=0
-    )
+def _replays(trace):
+    """The batched and the one-at-a-time reports of ``trace``; the
+    services and their responses are dropped on return."""
     service = ClusterService(ServiceConfig(
         max_batch=8, cache_entries=32, n_devices=1, streams_per_device=2,
     ))
     _, rep = service.process(trace)
     _, seq = run_sequential(trace)
+    return rep, seq
+
+
+def serve_summary(trace=None) -> dict:
+    """Machine-readable serving summary (consumed by BENCH_regression.json).
+
+    ``cyclic_garbage_objects`` is what a collection finds after both
+    replays ran with the collector disabled: state that reference
+    counting could not free once the services were dropped, and that a
+    process replaying back to back would hold until the collector runs.
+    """
+    trace = trace if trace is not None else synthetic_trace(
+        n_requests=N_REQUESTS, mean_interarrival=0.001, seed=0
+    )
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rep, seq = _replays(trace)
+        cyclic = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
     return {
+        "cyclic_garbage_objects": cyclic,
         "n_requests": len(trace),
         "makespan_s": rep.makespan,
         "sequential_makespan_s": seq.makespan,

@@ -58,6 +58,8 @@ GATES = (
     ("datasets.dti.eigensolver_host_peak_bytes", "creep"),
     # micro-batched serving against one-at-a-time
     ("serve.speedup", "at_least", 2.0),
+    # a finished replay is freed by reference counting
+    ("serve.cyclic_garbage_objects", "equals", 0),
     # predict fast path
     ("serve_predict.throughput_win", "at_least",
      "serve_predict.min_throughput_win"),

@@ -94,6 +94,13 @@ def _run_resilient(device, policy, stage, gpu_attempts, cpu_fn):
 
     Returns ``(value, record)`` where ``record`` tallies the recovery
     actions taken (all zero/None on a clean first attempt).
+
+    A failure is re-raised from inside its ``except`` clause and never
+    bound to a local.  A caught error kept in a local outlives the clause,
+    and its traceback holds this frame: a cycle that keeps the whole fit
+    (device, timeline, arrays) alive until the cyclic collector runs,
+    after a degrade that then succeeds, on the CPU fallback and on the
+    re-raise alike.
     """
     rec = {"retries": 0, "degrade_steps": 0, "resumes": 0, "fallback": None}
 
@@ -103,7 +110,7 @@ def _run_resilient(device, policy, stage, gpu_attempts, cpu_fn):
     if not policy.enabled:
         return gpu_attempts[0](), rec
 
-    last_err: CudaError | None = None
+    fallback = cpu_fn is not None and policy.cpu_fallback
     for rung, attempt in enumerate(gpu_attempts):
         try:
             value = with_retry(
@@ -111,19 +118,17 @@ def _run_resilient(device, policy, stage, gpu_attempts, cpu_fn):
             )
             rec["degrade_steps"] = rung
             return value, rec
-        except DeviceMemoryError as err:
-            last_err = err
-            if not policy.oom_degrade:
-                break
-            # fall through to the next rung with a smaller working set
-        except CudaError as err:
-            last_err = err
-            break
-    if cpu_fn is not None and policy.cpu_fallback:
-        rec["fallback"] = "cpu"
-        return cpu_fn(), rec
-    assert last_err is not None
-    raise last_err
+        except DeviceMemoryError:
+            if policy.oom_degrade and rung + 1 < len(gpu_attempts):
+                continue  # the next rung has a smaller working set
+            if not fallback:
+                raise
+        except CudaError:
+            if not fallback:
+                raise
+        break
+    rec["fallback"] = "cpu"
+    return cpu_fn(), rec
 
 
 def _note(resilience: dict, stage: str, rec: dict) -> None:

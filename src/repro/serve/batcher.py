@@ -73,28 +73,32 @@ class MicroBatcher:
     max_batch:
         Upper bound on requests per batch (admission to a batch, not to
         the service).
-    key_of:
-        Maps a request to its operator key; supplied by the service,
-        which owns workload resolution and fingerprinting.
+
+    The batcher holds no callback into its owner: the operator-key
+    function arrives with each :meth:`form` call.  A stored callback
+    bound to the service would close a reference cycle through it, and
+    everything a replay built would then wait for the cyclic collector
+    instead of being freed when the caller drops the service.
     """
 
-    def __init__(
-        self, max_batch: int, key_of: Callable[[ClusterRequest], tuple]
-    ) -> None:
+    def __init__(self, max_batch: int) -> None:
         if max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
         self.max_batch = max_batch
-        self.key_of = key_of
         self.stats = BatcherStats()
         self._next_id = 0
 
-    def form(self, queue: AdmissionQueue) -> Batch:
-        """Claim the next batch from the queue (raises on an empty queue)."""
+    def form(
+        self, queue: AdmissionQueue, key_of: Callable[[ClusterRequest], tuple]
+    ) -> Batch:
+        """Claim the next batch from the queue (raises on an empty queue).
+
+        ``key_of`` maps a request to its operator key; the service
+        supplies it, since it owns workload resolution and fingerprinting.
+        """
         head = queue.peek()
-        key = self.key_of(head)
-        requests = queue.take(
-            lambda req: self.key_of(req) == key, self.max_batch
-        )
+        key = key_of(head)
+        requests = queue.take(lambda req: key_of(req) == key, self.max_batch)
         batch = Batch(batch_id=self._next_id, group_key=key, requests=requests)
         self._next_id += 1
         self.stats.n_batches += 1

@@ -17,7 +17,8 @@ warms from disk instead:
   treated as a miss (and counted), never a crash, so old caches degrade
   gracefully across format changes.  A model's stored params are
   validated as a :class:`~repro.core.config.ClusterConfig` on load; params
-  that no longer validate are a miss counted in ``errors``;
+  that no longer validate, metadata that is not a JSON object and fields
+  of the wrong type are misses counted in ``errors``;
 - **bit-identical round-trip** — arrays are serialized with ``np.savez``
   (dtype- and byte-exact); metadata rides as canonical JSON.  What does
   *not* round-trip is documented: an embedding's device
@@ -69,6 +70,20 @@ _KIND_MODEL = "model"
 _EMBEDDING_ARRAYS = ("embedding", "eigenvalues", "kept")
 
 
+def _key_json(obj):
+    """A cache-key element as JSON-ready primitives (tuples become lists)."""
+    if isinstance(obj, (tuple, list)):
+        return [_key_json(o) for o in obj]
+    if isinstance(obj, (str, bool)) or obj is None:
+        return obj
+    if isinstance(obj, (int, float, np.integer, np.floating)):
+        # preserve int/float distinction; repr round-trips floats
+        return obj.item() if isinstance(obj, np.generic) else obj
+    raise ServiceError(
+        f"cache key contains a non-serializable element: {obj!r}"
+    )
+
+
 def canonical_key(key: tuple) -> str:
     """Canonical JSON for a cache key (tuples become lists, recursively).
 
@@ -76,19 +91,31 @@ def canonical_key(key: tuple) -> str:
     (:mod:`~repro.serve.fingerprint`), so JSON round-trips them exactly;
     the canonical string is both the hash input and the stored identity.
     """
-    def conv(obj):
-        if isinstance(obj, (tuple, list)):
-            return [conv(o) for o in obj]
-        if isinstance(obj, (str, bool)) or obj is None:
-            return obj
-        if isinstance(obj, (int, float, np.integer, np.floating)):
-            # preserve int/float distinction; repr round-trips floats
-            return obj.item() if isinstance(obj, np.generic) else obj
-        raise ServiceError(
-            f"cache key contains a non-serializable element: {obj!r}"
-        )
+    return json.dumps(_key_json(key), separators=(",", ":"), sort_keys=False)
 
-    return json.dumps(conv(key), separators=(",", ":"), sort_keys=False)
+
+#: JSON numbers a float field accepts
+_NUMBER = (int, float)
+
+
+def _typed(value, kind, what: str):
+    """``value`` when it is a ``kind`` (``bool`` passes only for ``bool``).
+
+    Stored metadata may come from a foreign or damaged writer; a value
+    of the wrong type raises ``ValueError``, which
+    :meth:`PersistentStore.load` counts as an error miss.
+    """
+    is_bool = isinstance(value, bool)
+    if is_bool != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"stored {what} is a {type(value).__name__}")
+    return value
+
+
+def _field(meta: dict, name: str, kind, *default):
+    """``meta[name]`` checked by :func:`_typed`; a missing field reads
+    ``default`` when one is given and raises ``KeyError`` otherwise."""
+    value = meta.get(name, *default) if default else meta[name]
+    return _typed(value, kind, name)
 
 
 def _sanitize(obj):
@@ -256,6 +283,7 @@ class PersistentStore:
         try:
             with np.load(path, allow_pickle=False) as npz:
                 meta = json.loads(bytes(npz["__meta__"].tobytes()).decode())
+                _typed(meta, dict, "metadata")
                 if meta.get("format") != FORMAT_VERSION:
                     self.stats.stale += 1
                     return None
@@ -284,20 +312,20 @@ class PersistentStore:
     def _load_embedding(npz, meta) -> EmbeddingResult:
         timings = StageTimings(
             simulated={
-                str(k): float(v)
-                for k, v in meta.get("timings_simulated", {}).items()
+                str(k): float(_typed(v, _NUMBER, "stage time"))
+                for k, v in _field(meta, "timings_simulated", dict, {}).items()
             },
         )
         return EmbeddingResult(
             embedding=npz["embedding"],
             eigenvalues=npz["eigenvalues"],
             kept=npz["kept"],
-            n_total=int(meta["n_total"]),
+            n_total=_field(meta, "n_total", int),
             timings=timings,
             # device profile and wall timings are process-local
             # observations; a disk-warm entry reports an empty profile
             profile=ProfileReport(communication=0.0, computation=0.0),
-            eig_stats=dict(meta.get("eig_stats", {})),
+            eig_stats=dict(_field(meta, "eig_stats", dict, {})),
             resilience={},
         )
 
@@ -306,15 +334,18 @@ class PersistentStore:
         from repro.core.model import FittedSpectralModel
 
         try:
-            config = ClusterConfig(**meta["params"])
+            config = ClusterConfig(**_field(meta, "params", dict))
         except (TypeError, ClusteringError) as err:
             # an unknown or invalid knob would only fail later, at refit
             raise ValueError(f"stored model params: {err}") from err
+        shape = _field(meta, "graph_shape", list)
+        if len(shape) != 2:
+            raise ValueError(f"stored graph_shape has {len(shape)} entries")
         graph = CSRMatrix(
             indptr=npz["graph_indptr"],
             indices=npz["graph_indices"],
             data=npz["graph_data"],
-            shape=tuple(meta["graph_shape"]),
+            shape=tuple(_typed(d, int, "graph_shape entry") for d in shape),
             check=False,
         )
         return FittedSpectralModel(
@@ -324,12 +355,17 @@ class PersistentStore:
             centroids=npz["centroids"],
             labels=npz["labels"],
             kept=npz["kept"],
-            n_total=int(meta["n_total"]),
+            n_total=_field(meta, "n_total", int),
             graph=graph,
-            anchors=npz["anchors"] if meta.get("has_anchors") else None,
+            anchors=(
+                npz["anchors"] if _field(meta, "has_anchors", bool, False)
+                else None
+            ),
             config=config,
             resilience={},
-            drift_scale=float(meta.get("drift_scale", 1.0)),
-            n_refits=int(meta.get("n_refits", 0)),
-            _accumulated_drift=float(meta.get("accumulated_drift", 0.0)),
+            drift_scale=float(_field(meta, "drift_scale", _NUMBER, 1.0)),
+            n_refits=_field(meta, "n_refits", int, 0),
+            _accumulated_drift=float(
+                _field(meta, "accumulated_drift", _NUMBER, 0.0)
+            ),
         )

@@ -164,10 +164,7 @@ class ClusterService:
             if self.config.cache_dir is not None else None
         )
         self.cache = EmbeddingCache(self.config.cache_entries, store=store)
-        self.batcher = MicroBatcher(
-            self.config.max_batch,
-            key_of=lambda req: req.operator_key(self._fingerprint(req)),
-        )
+        self.batcher = MicroBatcher(self.config.max_batch)
         #: request_id -> content fingerprint (filled at admission)
         self._fps: dict[str, str] = {}
         #: request_id -> the one FaultPlan instance scoped to its units
@@ -224,6 +221,9 @@ class ClusterService:
             fp = self._fingerprint_of(req)
             self._fps[req.request_id] = fp
         return fp
+
+    def _operator_key(self, req: ClusterRequest) -> tuple:
+        return req.operator_key(self._fingerprint(req))
 
     def _plan(self, req: ClusterRequest):
         if req.request_id not in self._plans:
@@ -320,7 +320,7 @@ class ClusterService:
                     clock = max(clock, min(upcoming))
                     continue
                 break
-            batch = self.batcher.form(self.queue)
+            batch = self.batcher.form(self.queue, self._operator_key)
             self._serve_batch(batch, clock, responses)
             # dispatch the next batch as soon as any lane frees up (or
             # immediately, if a lane is already idle) — batches are

@@ -7,10 +7,12 @@ from repro.serve.batcher import MicroBatcher
 from repro.serve.queue import AdmissionQueue
 
 
+def _key_of(req):
+    return req.operator_key(req.workload_fingerprint())
+
+
 def _batcher(max_batch=4):
-    return MicroBatcher(
-        max_batch, key_of=lambda r: r.operator_key(r.workload_fingerprint())
-    )
+    return MicroBatcher(max_batch)
 
 
 class TestMicroBatcher:
@@ -18,7 +20,7 @@ class TestMicroBatcher:
         q = AdmissionQueue(capacity=8)
         for k in (2, 3, 4):
             q.submit(make_request(n_clusters=k))  # same graph, different k
-        batch = _batcher().form(q)
+        batch = _batcher().form(q, _key_of)
         assert len(batch) == 3
         assert not q
 
@@ -27,7 +29,7 @@ class TestMicroBatcher:
         for _ in range(5):
             q.submit(make_request())
         batcher = _batcher(max_batch=2)
-        assert len(batcher.form(q)) == 2
+        assert len(batcher.form(q, _key_of)) == 2
         assert len(q) == 3
 
     def test_incompatible_requests_left_queued(self, make_request, other_graph):
@@ -37,7 +39,7 @@ class TestMicroBatcher:
         c = make_request()
         for r in (a, b, c):
             q.submit(r)
-        batch = _batcher().form(q)
+        batch = _batcher().form(q, _key_of)
         assert [r.request_id for r in batch.requests] == [
             a.request_id, c.request_id
         ]
@@ -48,14 +50,14 @@ class TestMicroBatcher:
         q = AdmissionQueue(capacity=8)
         q.submit(make_request(graph=other_graph))
         q.submit(make_request())
-        batch = _batcher().form(q)
+        batch = _batcher().form(q, _key_of)
         assert len(batch) == 1  # the incompatible head got its own batch
 
     def test_embedding_groups_split_by_k(self, make_request):
         q = AdmissionQueue(capacity=8)
         for k in (3, 4, 3):
             q.submit(make_request(n_clusters=k))
-        batch = _batcher().form(q)
+        batch = _batcher().form(q, _key_of)
         groups = batch.embedding_groups(
             lambda r: r.embedding_key(r.workload_fingerprint())
         )
@@ -66,8 +68,8 @@ class TestMicroBatcher:
         for _ in range(3):
             q.submit(make_request())
         batcher = _batcher(max_batch=2)
-        batcher.form(q)
-        batcher.form(q)
+        batcher.form(q, _key_of)
+        batcher.form(q, _key_of)
         assert batcher.stats.n_batches == 2
         assert batcher.stats.total_batched == 3
         assert batcher.stats.max_batch == 2
@@ -78,8 +80,8 @@ class TestMicroBatcher:
         q.submit(make_request())
         q.submit(make_request())
         batcher = _batcher(max_batch=1)
-        assert batcher.form(q).batch_id == 0
-        assert batcher.form(q).batch_id == 1
+        assert batcher.form(q, _key_of).batch_id == 0
+        assert batcher.form(q, _key_of).batch_id == 1
 
     def test_bad_max_batch(self):
         with pytest.raises(ServiceError):

@@ -39,15 +39,48 @@ def _fitted_model(small_graph):
     return req.estimator().fit(graph=small_graph)
 
 
-def _with_stored_params(path, params) -> None:
-    """Rewrite the params in the metadata of a stored model entry."""
+def _rewrite_meta(path, edit) -> None:
+    """Replace the metadata of a stored entry with ``edit(metadata)``."""
     with np.load(path, allow_pickle=False) as npz:
         arrays = {name: npz[name] for name in npz.files}
-    meta = json.loads(arrays["__meta__"].tobytes().decode())
-    meta["params"] = params
+    meta = edit(json.loads(arrays["__meta__"].tobytes().decode()))
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+def _with_stored_params(path, params) -> None:
+    """Rewrite the params in the metadata of a stored model entry."""
+    _rewrite_meta(path, lambda meta: {**meta, "params": params})
+
+
+#: (entry kind, edit of its stored metadata): what a foreign or garbled
+#: writer could leave behind; each must load as an ``errors`` miss
+GARBLED_META = [
+    pytest.param("embedding", lambda m: [m], id="meta-list"),
+    pytest.param("model", lambda m: 4, id="meta-number"),
+    pytest.param("embedding", lambda m: {**m, "timings_simulated": [0.5]},
+                 id="timings-list"),
+    pytest.param("embedding",
+                 lambda m: {**m, "timings_simulated": {"eigensolver": [0.5]}},
+                 id="timing-value-list"),
+    pytest.param("embedding", lambda m: {**m, "eig_stats": 3},
+                 id="eig_stats-number"),
+    pytest.param("embedding", lambda m: {**m, "n_total": [m["n_total"]]},
+                 id="n_total-list"),
+    pytest.param("model", lambda m: {**m, "n_total": [m["n_total"]]},
+                 id="model-n_total-list"),
+    pytest.param("model", lambda m: {**m, "graph_shape": 100},
+                 id="graph_shape-number"),
+    pytest.param("model", lambda m: {**m, "graph_shape": [[100], 100]},
+                 id="graph_shape-nested"),
+    pytest.param("model", lambda m: {**m, "n_refits": [0]},
+                 id="n_refits-list"),
+    pytest.param("model", lambda m: {**m, "drift_scale": {}},
+                 id="drift_scale-object"),
+    pytest.param("model", lambda m: {**m, "has_anchors": "yes"},
+                 id="has_anchors-string"),
+]
 
 
 KEY = ("emb", "fp123", 3, 1e-8, True, None)
@@ -259,6 +292,21 @@ class TestStoreInvalidation:
         # the untouched entry still loads with an equal config
         store.save(key, model)
         assert store.load(key).config == model.config
+
+    @pytest.mark.parametrize("kind, edit", GARBLED_META)
+    def test_garbled_metadata_is_an_error_miss(
+        self, tmp_path, small_graph, kind, edit
+    ):
+        """``load`` never raises: metadata of the wrong shape or a field
+        of the wrong type is a miss counted in ``errors``."""
+        store = PersistentStore(tmp_path)
+        value = _embedding() if kind == "embedding" else _fitted_model(
+            small_graph
+        ).model
+        store.save(KEY, value)
+        _rewrite_meta(store.path_for(KEY), edit)
+        assert store.load(KEY) is None
+        assert store.stats.errors == 1 and store.stats.loads == 0
 
     def test_embedded_key_verified(self, tmp_path):
         import shutil
