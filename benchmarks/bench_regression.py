@@ -14,6 +14,9 @@ Lloyd trips and end on other labels.  ``conftest.py`` pins one thread
 (the count the records were made with) before numpy loads.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,14 +29,37 @@ from conftest import BENCH_SCALES
 RECORDS = Path(__file__).parent / "records"
 
 
+def in_fresh_interpreter(name: str) -> int:
+    """Run the ``name`` function of this module in a new Python process
+    and return its result.
+
+    A ``tracemalloc`` peak counts the Python-level caches (imports,
+    interned objects, ufunc and dispatch tables) a measured call fills,
+    so in a process that ran other benches first it moves by a few
+    hundred to a few thousand bytes with what ran before.  A fresh
+    interpreter that imports ``conftest`` first (one BLAS thread) gives
+    the same figure on every run.
+    """
+    here = Path(__file__).parent
+    paths = [str(here.parent / "src"), str(here)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    code = f"import conftest, bench_regression; print(bench_regression.{name}())"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=here,
+        capture_output=True, text=True, check=True,
+    )
+    return int(out.stdout.split()[-1])
+
+
 def similarity_host_peak_bytes() -> int:
     """The ``tracemalloc`` peak of one device similarity build (Algorithm
     1) of the bench's DTI workload, after a warm-up build.
 
     A build that gathers each launch's endpoint rows whole peaks at
     ``2 × nnz × d`` fp64 values more than the blocked kernel body does.
-    The figure moves by a few hundred bytes with what the process ran
-    before (Python-level caches), so it is gated as creep.
+    Measured by :func:`in_fresh_interpreter` and gated as creep.
     """
     import gc
     import tracemalloc
@@ -61,7 +87,7 @@ def eigensolver_host_peak_bytes() -> int:
 
     A driver that copies the Lanczos basis into every restart checkpoint,
     or backs the device basis buffer with host storage, peaks several
-    ``n × m`` blocks higher.  Gated as creep, like
+    ``n × m`` blocks higher.  Measured and gated like
     :func:`similarity_host_peak_bytes`.
     """
     import gc
@@ -92,6 +118,38 @@ def eigensolver_host_peak_bytes() -> int:
 
     solve()
     return solve()
+
+
+def fit_host_peak_bytes() -> int:
+    """The ``tracemalloc`` peak of one point-input fit (Algorithm 1 through
+    k-means) on the bench's DTI points and edges, after a warm-up fit.
+
+    The data set is loaded before the trace starts, so a fit that keeps a
+    copy of ``X`` (the model's anchor rows) through the eigensolver, or
+    fills a padded ELL layout no product reads, peaks that many bytes
+    higher.  Measured and gated like :func:`similarity_host_peak_bytes`.
+    """
+    import gc
+    import tracemalloc
+
+    from repro.core.pipeline import SpectralClustering
+    from repro.datasets import load_dataset
+
+    ds = load_dataset("dti", scale=BENCH_SCALES["dti"], seed=0)
+
+    def fit():
+        return SpectralClustering(
+            n_clusters=ds.n_clusters, eig_tol=1e-8, seed=0,
+        ).fit(X=ds.points, edges=ds.edges)
+
+    fit()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fit()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_SCALES))
@@ -157,12 +215,10 @@ def test_emit_machine_readable_summary(comparison):
             "computation_s": r.comp,
             "ari_cuda": r.quality.get("cuda"),
         }
-    payload["datasets"]["dti"]["similarity_host_peak_bytes"] = (
-        similarity_host_peak_bytes()
-    )
-    payload["datasets"]["dti"]["eigensolver_host_peak_bytes"] = (
-        eigensolver_host_peak_bytes()
-    )
+    for peak in ("similarity", "eigensolver", "fit"):
+        payload["datasets"]["dti"][f"{peak}_host_peak_bytes"] = (
+            in_fresh_interpreter(f"{peak}_host_peak_bytes")
+        )
     payload["serve"] = serve_summary()
     payload["serve_predict"] = serve_predict_summary()
     payload["serve_deadline"] = serve_deadline_summary()

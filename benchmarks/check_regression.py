@@ -56,6 +56,8 @@ GATES = (
     ("datasets.dti.similarity_host_peak_bytes", "creep"),
     # host memory of Algorithm 3's Lanczos basis (one copy per restart)
     ("datasets.dti.eigensolver_host_peak_bytes", "creep"),
+    # host memory of one point-input fit (late anchor copy, reserved ELL)
+    ("datasets.dti.fit_host_peak_bytes", "creep"),
     # micro-batched serving against one-at-a-time
     ("serve.speedup", "at_least", 2.0),
     # a finished replay is freed by reference counting

@@ -174,6 +174,10 @@ def apply_chebyshev_filter(
     filter is ``p`` operator applications — no orthogonalization, no
     restarts, no extra memory beyond the three-term window.
 
+    The recurrence updates the fresh product block, ``Y`` and one scratch
+    block in place, applying the out-of-place expressions' operations in
+    their order, so every bit of ``Y`` is theirs.
+
     Returns ``(Y, n_applications)``.
     """
     scale = lmax - lmin
@@ -189,14 +193,37 @@ def apply_chebyshev_filter(
     Y = coeffs[0] * R
     if len(coeffs) == 1:
         return Y, n_applications
-    t_cur = (apply_block(R) - alpha * R) / beta
+    scratch = np.empty_like(Y)
+    # t_cur = (A R - alpha R) / beta
+    t_cur = _own(apply_block(R), R, Y)
     n_applications += 1
-    Y = Y + coeffs[1] * t_cur
+    np.subtract(t_cur, np.multiply(alpha, R, out=scratch), out=t_cur)
+    np.divide(t_cur, beta, out=t_cur)
+    # Y = Y + c_1 t_cur
+    np.add(Y, np.multiply(coeffs[1], t_cur, out=scratch), out=Y)
     for cj in coeffs[2:]:
-        t_next = (
-            2.0 * (apply_block(t_cur) - alpha * t_cur) / beta - t_prev
-        )
+        # t_next = 2 (A t_cur - alpha t_cur) / beta - t_prev
+        t_next = _own(apply_block(t_cur), t_prev, t_cur, Y)
         n_applications += 1
-        Y = Y + cj * t_next
+        np.subtract(t_next, np.multiply(alpha, t_cur, out=scratch), out=t_next)
+        np.multiply(2.0, t_next, out=t_next)
+        np.divide(t_next, beta, out=t_next)
+        np.subtract(t_next, t_prev, out=t_next)
+        # Y = Y + c_j t_next
+        np.add(Y, np.multiply(cj, t_next, out=scratch), out=Y)
         t_prev, t_cur = t_cur, t_next
     return Y, n_applications
+
+
+def _own(Z, *live: np.ndarray) -> np.ndarray:
+    """An ``apply_block`` product as an fp64 block the recurrence may
+    overwrite: ``Z`` itself when it is a writable fp64 array sharing no
+    memory with a ``live`` block, else an fp64 copy (the upcast the
+    out-of-place expression would have made)."""
+    Z = np.asarray(Z)
+    if (
+        Z.dtype != np.float64 or not Z.flags.writeable
+        or any(np.may_share_memory(Z, a) for a in live)
+    ):
+        Z = np.array(Z, dtype=np.float64)
+    return Z

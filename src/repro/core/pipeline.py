@@ -241,8 +241,9 @@ class SpectralClustering:
         resilience: dict[str, dict] = {}
 
         # stage-level capture of the artifacts the fitted model reuses
-        # (similarity graph, pre-normalization basis, degrees); only the
-        # parameterizations with a Nyström extension capture anything
+        # (similarity graph, input points, pre-normalization basis,
+        # degrees); only the parameterizations with a Nyström extension
+        # capture anything
         self._capture = (
             {}
             if cfg.objective == "ncut" and cfg.embedding != "compressive"
@@ -269,7 +270,10 @@ class SpectralClustering:
                     kept=kept,
                     n_total=n_total,
                     graph=cap["graph"],
-                    anchors=cap.get("anchors"),
+                    anchors=(
+                        None if cap["points"] is None
+                        else np.asarray(cap["points"][kept], dtype=np.float64)
+                    ),
                     config=self.config,
                     resilience=dict(resilience),
                 )
@@ -402,7 +406,9 @@ class SpectralClustering:
             cap = getattr(self, "_capture", None)
             if cap is not None:
                 # the fitted model keeps a host mirror of the resident
-                # graph plus the anchor feature rows for predict
+                # graph plus the anchor feature rows for predict; the
+                # rows are copied when the model is built, after k-means,
+                # so no stage in between holds a second copy of X
                 if kept.size < n_total:
                     cap["graph"] = W_sub
                 else:
@@ -410,7 +416,7 @@ class SpectralClustering:
                         dcoo.row.data.copy(), dcoo.col.data.copy(),
                         dcoo.val.data.copy(), dcoo.shape, check=False,
                     ).to_csr()
-                cap["anchors"] = np.asarray(X_arr[kept], dtype=np.float64)
+                cap["points"] = X_arr
             _note(resilience, "similarity", rec)
         else:
             assert graph is not None
@@ -426,7 +432,7 @@ class SpectralClustering:
             cap = getattr(self, "_capture", None)
             if cap is not None:
                 cap["graph"] = W_sub
-                cap["anchors"] = None
+                cap["points"] = None
             _note(resilience, "similarity", rec)
         timings.wall["similarity"] = time.perf_counter() - t0
         timings.simulated["similarity"] = device.elapsed - sim_start

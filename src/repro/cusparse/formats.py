@@ -21,7 +21,8 @@ the same canonical CSR-order arrays in the same order as
 :func:`~repro.cusparse.spmv.csrmv`.  Format choice changes only the
 *charged time* and the device-memory footprint, never a float — which is
 what lets the pipeline autotune freely while keeping cluster labels
-bit-identical.
+bit-identical.  The ELL arrays are therefore accounting-only: they are
+reserved at the padded layout's size but never materialized on the host.
 """
 
 from __future__ import annotations
@@ -84,9 +85,11 @@ def row_stats(indptr: np.ndarray) -> RowStats:
 class DeviceELL:
     """ELLPACK matrix on the device: ``(n_rows, width)`` padded layout.
 
-    ``cols`` uses ``-1`` for padding slots and ``val`` zero-fills them; the
-    device arrays are the format's real memory footprint.  Products read
-    the source CSR's ``substrate`` — see the module docstring.
+    ``cols`` and ``val`` are accounting-only: reserved with
+    :meth:`~repro.cuda.device.Device.reserve`, they charge the padded
+    layout's device footprint to the allocator but hold no host storage
+    (read-only zero-stride views).  Products read the source CSR's
+    ``substrate`` — see the module docstring.
     """
 
     cols: DeviceArray
@@ -117,8 +120,11 @@ class DeviceELL:
 def csr_to_ell(A: DeviceCSR, width: int | None = None) -> DeviceELL:
     """Convert CSR -> ELL on the device (``cusparseDcsr2ell``).
 
-    Charges one streaming conversion kernel; allocates the padded layout
-    through the device allocator.  ``width`` defaults to the longest row.
+    Charges one streaming conversion kernel and reserves the padded
+    layout through the device allocator (the same ``cuda.alloc`` fault
+    site, request and bytes as allocating it); no padded copy is written,
+    since every product reads the CSR substrate.  ``width`` defaults to
+    the longest row.
     """
     dev = A.device
     chaos_check("cusparse.csr2ell", dev)
@@ -133,17 +139,11 @@ def csr_to_ell(A: DeviceCSR, width: int | None = None) -> DeviceELL:
         )
     bufs = BufferGroup()
     try:
-        cols = bufs.add(dev.empty((n, max(width, 1)), dtype=np.int64))
-        val = bufs.add(dev.empty((n, max(width, 1)), dtype=A.val.data.dtype))
+        cols = bufs.add(dev.reserve((n, max(width, 1)), dtype=np.int64))
+        val = bufs.add(dev.reserve((n, max(width, 1)), dtype=A.val.data.dtype))
     except BaseException:
         bufs.free_all()
         raise
-    # entry e of row r lands in slot e - indptr[r]; padding is (-1, 0)
-    slot = np.arange(A.nnz, dtype=np.int64) - np.repeat(A.indptr.data[:-1], counts)
-    cols.data.fill(-1)
-    val.data.fill(0)
-    cols.data[A.substrate.rows, slot] = A.indices.data
-    val.data[A.substrate.rows, slot] = A.val.data
     vs = A.val.data.dtype.itemsize
     dt = dev.cost.format_conversion_time(A.nnz, n * width, itemsize=vs)
     dev.timeline.record(f"cusparse{kernel_letter(vs)}csr2ell", "kernel", dt)

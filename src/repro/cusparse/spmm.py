@@ -13,6 +13,8 @@ time, never a float of C.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.chaos.runtime import chaos_check
 from repro.cuda.memory import DeviceArray
 from repro.cusparse.matrices import DeviceCSR
@@ -36,7 +38,15 @@ def _product(kernel: str, A, B: DeviceArray, C, alpha: float, beta: float):
     if C is None:
         C = dev.empty((n, p), dtype=sub.vals.dtype)
         beta = 0.0
-    epilogue(C.data, sub.spmm(B.data), alpha, beta)
+    out = C.data
+    if (
+        alpha == 1.0 and beta == 0.0 and out.dtype == np.float64
+        and out.flags.c_contiguous and not np.may_share_memory(out, B.data)
+    ):
+        # ``1.0 * prod`` is ``prod`` bit for bit: reduce straight into C
+        sub.spmm(B.data, out=out)
+    else:
+        epilogue(out, sub.spmm(B.data), alpha, beta)
     return C, dev, p, sub.vals.dtype.itemsize
 
 

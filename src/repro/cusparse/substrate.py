@@ -11,7 +11,9 @@ vals)`` host arrays.  The product itself is written once here:
 * :meth:`Substrate.spmm` is the gathered-row ``np.add.reduceat`` over the
   non-empty CSR row starts (the segmented reduction
   ``thrust::reduce_by_key`` performs over the same element order);
-* :func:`epilogue` applies ``y <- alpha * prod + beta * y``.
+* :func:`epilogue` applies ``y <- alpha * prod + beta * y``; an SpMM
+  with ``alpha == 1, beta == 0`` into an fp64 output skips it and reduces
+  straight into the output (``1.0 * prod`` is ``prod``, bit for bit).
 
 The SpMM runs one block of whole rows at a time: it gathers the block's
 rows of ``B`` into one reused scratch buffer, scales them by the block's
@@ -96,12 +98,12 @@ class Substrate:
         return self.indptr[self.nonempty]
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x`` in fp64."""
-        return np.bincount(
-            self.rows,
-            weights=as_f64(self.vals) * as_f64(x)[self.cols],
-            minlength=self.n_rows,
-        )
+        """``A @ x`` in fp64.  The gathered ``x[cols]`` is the one
+        ``nnz`` temporary: it is scaled by the values in place (``vals *
+        x[cols]``, the same operands in the same order)."""
+        weights = np.take(as_f64(x), self.cols)
+        np.multiply(self.vals, weights, out=weights)
+        return np.bincount(self.rows, weights=weights, minlength=self.n_rows)
 
     def reduce_rows(self, values: np.ndarray) -> np.ndarray:
         """Segment-sum 1-D per-nonzero ``values`` by matrix row; empty
@@ -143,12 +145,17 @@ class Substrate:
         plan = self._blocks[p] = (widest, blocks)
         return plan
 
-    def spmm(self, B: np.ndarray) -> np.ndarray:
+    def spmm(self, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A @ B`` in fp64 for a dense block ``B``, one row block at a
-        time (see the module docstring)."""
+        time (see the module docstring).  ``out``, when given, is an fp64
+        ``(n_rows, p)`` array sharing no memory with ``B``; the rows reduce
+        straight into it."""
         B = as_f64(B)
         p = B.shape[1]
-        out = np.zeros((self.n_rows, p))
+        if out is None:
+            out = np.zeros((self.n_rows, p))
+        else:
+            out.fill(0.0)
         widest, blocks = self._row_blocks(p)
         buf = np.empty((widest, p))
         for s, e, starts, target in blocks:

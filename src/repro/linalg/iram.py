@@ -264,8 +264,10 @@ def irlm_generator(
 
         state.V[:kp] = VQ[:kp]
         # the next snapshot owns the rotated block; nothing writes it again
+        # (``setflags``: a ``flags.writeable`` write leaves a run-dependent
+        # number of small objects alive, which moves traced peaks)
         kept = VQ[:kp]
-        kept.flags.writeable = False
+        kept.setflags(write=False)
         del VQ
         state.alpha[:kp] = new_alpha[:kp]
         state.beta[: kp - 1] = new_beta[: kp - 1]

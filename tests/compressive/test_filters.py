@@ -113,6 +113,35 @@ class TestApply:
         _, n_apps = apply_chebyshev_filter(ap, np.eye(20, 2), c)
         assert calls == n_apps == 17
 
+    @pytest.mark.parametrize("product", ["fresh", "fp32", "read_only", "alias"])
+    def test_bytes_match_the_out_of_place_recurrence(self, product):
+        """The in-place updates give the out-of-place expressions' bytes,
+        also when ``apply_block`` hands back a block the recurrence may
+        not overwrite (a narrower dtype, a read-only view, its input)."""
+        A, _, _ = _sym(40)
+        apply_block = {
+            "fresh": lambda B: A @ B,
+            "fp32": lambda B: (A @ B).astype(np.float32),
+            "read_only": lambda B: np.broadcast_to(A @ B, B.shape),
+            "alias": lambda B: B,
+        }[product]
+        lmin, lmax = -1.1, 1.3  # alpha != 0, beta != 1
+        c = chebyshev_filter_coefficients(24, 0.2, lmin=lmin, lmax=lmax)
+        R = np.random.default_rng(5).standard_normal((40, 6))
+        Y, n_apps = apply_chebyshev_filter(apply_block, R, c, lmin, lmax)
+
+        alpha, beta = 0.5 * (lmax + lmin), 0.5 * (lmax - lmin)
+        t_prev, Y_ref = R, c[0] * R
+        t_cur = (apply_block(R) - alpha * R) / beta
+        Y_ref = Y_ref + c[1] * t_cur
+        for cj in c[2:]:
+            t_next = 2.0 * (apply_block(t_cur) - alpha * t_cur) / beta - t_prev
+            Y_ref = Y_ref + cj * t_next
+            t_prev, t_cur = t_cur, t_next
+        assert n_apps == 24
+        assert Y.dtype == Y_ref.dtype == np.float64
+        assert Y.tobytes() == Y_ref.tobytes()
+
     def test_degenerate_interval_raises(self):
         with pytest.raises(EigensolverError):
             apply_chebyshev_filter(lambda B: B, np.eye(4, 2),

@@ -8,11 +8,11 @@ from repro.cuda.device import Device
 from repro.errors import ClusteringError
 
 
-@pytest.fixture(scope="module")
-def blob_fit():
-    """A point-input fit (feature-path predicts available)."""
+def _blob_points(d=5, n_isolated=0):
+    """Three blobs with their in-blob (and a few cross-blob) edges; the
+    last ``n_isolated`` points have no edge at all."""
     rng = np.random.default_rng(7)
-    k, per, d = 3, 30, 5
+    k, per = 3, 30
     centers = rng.standard_normal((k, d)) * 9.0
     X = centers[np.repeat(np.arange(k), per)] + 0.3 * rng.standard_normal(
         (k * per, d)
@@ -21,10 +21,17 @@ def blob_fit():
     pairs = [
         (i, j)
         for i in range(n) for j in range(i + 1, n)
-        if abs(i // per - j // per) == 0 or rng.random() < 0.02
+        if i // per == j // per or rng.random() < 0.02
     ]
-    edges = np.asarray(pairs, dtype=np.int64)
-    res = SpectralClustering(n_clusters=k, seed=0).fit(X=X, edges=edges)
+    X = np.vstack([X, rng.standard_normal((n_isolated, d))])
+    return X, np.asarray(pairs, dtype=np.int64)
+
+
+@pytest.fixture(scope="module")
+def blob_fit():
+    """A point-input fit (feature-path predicts available)."""
+    X, edges = _blob_points()
+    res = SpectralClustering(n_clusters=3, seed=0).fit(X=X, edges=edges)
     return X, edges, res
 
 
@@ -97,6 +104,55 @@ class TestFitReturnsModel:
             n_clusters=3, embedding="compressive", seed=0
         ).fit(graph=W)
         assert res.model is None
+
+
+class TestAnchors:
+    """The model's anchor rows are copied from ``X`` when the model is
+    built, after k-means, and are the fp64 rows of ``X[kept]``."""
+
+    @pytest.mark.parametrize("case", ["all_kept", "isolated", "float32"])
+    def test_anchors_are_the_kept_rows_of_x(self, case):
+        X, edges = _blob_points(n_isolated=4 if case == "isolated" else 0)
+        if case == "float32":
+            X = X.astype(np.float32)
+        res = SpectralClustering(n_clusters=3, seed=0).fit(X=X, edges=edges)
+        if case == "isolated":
+            assert res.kept.size == X.shape[0] - 4
+        else:
+            assert res.kept.size == X.shape[0]
+        want = np.asarray(X[res.kept], dtype=np.float64)
+        assert res.model.anchors.dtype == np.float64
+        assert res.model.anchors.shape == want.shape
+        assert res.model.anchors.tobytes() == want.tobytes()
+        assert not np.shares_memory(res.model.anchors, X)
+
+    def test_eigensolver_holds_no_copy_of_x(self, monkeypatch):
+        """Traced from the fit's entry (``X`` itself predates the trace),
+        the eigensolver stage peaks below ``X.nbytes``: no stage before
+        the model is built holds a copy of the points."""
+        import tracemalloc
+
+        X, edges = _blob_points(d=6000)
+        stage = SpectralClustering._eigensolver_stage
+        peaks = []
+
+        def traced(self, *args, **kwargs):
+            tracemalloc.reset_peak()
+            try:
+                return stage(self, *args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(SpectralClustering, "_eigensolver_stage", traced)
+        est = SpectralClustering(n_clusters=3, seed=0)
+        tracemalloc.start()
+        try:
+            res = est.fit(X=X, edges=edges)
+        finally:
+            tracemalloc.stop()
+        assert res.model.anchors.nbytes == X.nbytes
+        assert len(peaks) == 1
+        assert peaks[0] < X.nbytes
 
 
 class TestPredictFeaturePath:

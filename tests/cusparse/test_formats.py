@@ -11,7 +11,9 @@ from repro.cusparse.formats import (
     csr_to_ell,
     row_stats,
 )
-from repro.cusparse.matrices import csr_to_device
+from repro.cuda.device import Device
+from repro.cusparse.matrices import cast_csr, csr_to_device
+from repro.cusparse.spmm import csrmm, ellmm
 from repro.cusparse.spmv import csrmv, ellmv, spmv_any
 from repro.errors import SparseFormatError
 from repro.sparse.construct import random_sparse
@@ -50,13 +52,42 @@ class TestRowStats:
 
 
 class TestConversions:
-    def test_ell_preserves_every_entry(self, device, dcsr):
+    def test_ell_layout_is_reserved_not_materialized(
+        self, device, dcsr, small_sym_csr
+    ):
+        """The padded arrays hold no host storage but charge the allocator
+        exactly what allocating them with ``empty`` did."""
+        n, width = dcsr.shape[0], int(dcsr.row_lengths().max())
+        twin = Device()
+        csr_to_device(twin, small_sym_csr)
+        for dtype in (np.int64, dcsr.val.data.dtype):
+            twin.empty((n, width), dtype=dtype)
         ell = csr_to_ell(dcsr)
-        dense = np.zeros(dcsr.shape)
-        mask = ell.cols.data >= 0
-        rows = np.nonzero(mask)[0]
-        dense[rows, ell.cols.data[mask]] = ell.val.data[mask]
-        assert np.array_equal(dense, dcsr.to_host().to_dense())
+        for arr in (ell.cols, ell.val):
+            assert arr.shape == (n, width)
+            assert arr.data.strides == (0, 0)
+        assert ell.cols.dtype == np.int64
+        assert ell.val.dtype == dcsr.val.data.dtype
+        assert device.allocator.used_bytes == twin.allocator.used_bytes
+        assert device.memory_info() == twin.memory_info()
+        assert device.alloc_stats() == twin.alloc_stats()
+
+    @pytest.mark.parametrize("site, fault, nth", [
+        ("cusparse.csr2ell", "transient", 1),  # the conversion's own site
+        ("cuda.alloc", "oom", 1),  # reserving cols
+        ("cuda.alloc", "oom", 2),  # reserving val: cols is released
+    ])
+    def test_ell_layout_is_the_alloc_fault_site(self, device, dcsr, site,
+                                                fault, nth):
+        from repro.chaos import FaultPlan, FaultSpec, chaos
+        from repro.chaos.plan import FAULT_ERRORS
+
+        used0 = device.allocator.used_bytes
+        plan = FaultPlan([FaultSpec(site=site, fault=fault, nth=nth)])
+        with chaos(plan), pytest.raises(FAULT_ERRORS[fault]):
+            csr_to_ell(dcsr)
+        assert plan.n_fired == 1
+        assert device.allocator.used_bytes == used0
 
     def test_ell_width_defaults_to_longest_row(self, device, dcsr):
         ell = csr_to_ell(dcsr)
@@ -88,6 +119,22 @@ class TestBitIdenticalSpmv:
         y_csr = csrmv(dcsr, dx).data.copy()
         y_ell = ellmv(csr_to_ell(dcsr), dx).data.copy()
         assert np.array_equal(y_csr, y_ell)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_ell_products_equal_csr_bytes(self, device, dcsr, rng, dtype):
+        """ellmv/ellmm read the substrate, not the reserved layout."""
+        A = cast_csr(device, dcsr, dtype)
+        ell = csr_to_ell(A)
+        n = A.shape[0]
+        x = device.to_device(rng.standard_normal(n).astype(dtype))
+        B = device.to_device(rng.standard_normal((n, 4)).astype(dtype))
+        assert ellmv(ell, x).data.tobytes() == csrmv(A, x).data.tobytes()
+        assert ellmm(ell, B).data.tobytes() == csrmm(A, B).data.tobytes()
+        C0 = rng.standard_normal((n, 4)).astype(dtype)
+        C_ell, C_csr = device.to_device(C0), device.to_device(C0)
+        ellmm(ell, B, C_ell, alpha=2.0, beta=-0.5)
+        csrmm(A, B, C_csr, alpha=2.0, beta=-0.5)
+        assert C_ell.data.tobytes() == C_csr.data.tobytes()
 
     def test_alpha_beta_semantics(self, device, dcsr, dx, rng):
         y0 = rng.standard_normal(dcsr.shape[0])

@@ -1,11 +1,17 @@
 """Device sparse x dense products (csrmm)."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.cusparse.formats import csr_to_ell
 from repro.cusparse.matrices import csr_to_device
-from repro.cusparse.spmm import csrmm
+from repro.cusparse.spmm import csrmm, ellmm
+from repro.cusparse.substrate import epilogue
 from repro.errors import SparseValueError
+from repro.sparse.coo import COOMatrix
 from repro.sparse.construct import random_sparse
 
 
@@ -176,3 +182,66 @@ class TestSpmmAutotune:
         d = autotune_spmm_format(host.indptr, device.cost, p=8)
         assert set(d.predicted_s) == {"csr", "ell"}
         assert d.format in d.predicted_s
+
+
+class TestReduceIntoC:
+    """An fp64, C-contiguous ``C`` that shares no memory with ``B`` takes
+    the row reductions directly when ``alpha == 1, beta == 0``; every
+    other call keeps the ``epilogue``.  Both must give the epilogue's
+    bytes."""
+
+    @pytest.mark.parametrize("kernel", ["csrmm", "ellmm"])
+    @pytest.mark.parametrize("c_dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (2.0, 0.0), (1.0, -0.5)])
+    def test_bytes_match_the_epilogue(self, device, rng, kernel, c_dtype,
+                                      alpha, beta):
+        A, B, C0 = self._operands(device, rng)
+        want = C0.astype(c_dtype)
+        epilogue(want, A.substrate.spmm(B.data), alpha, beta)
+        C = device.to_device(C0.astype(c_dtype))
+        with self._spy() as calls:
+            out = self._kernel(kernel, A)(B, C, alpha=alpha, beta=beta)
+        assert out is C
+        assert C.data.tobytes() == want.tobytes()
+        direct = c_dtype == np.float64 and (alpha, beta) == (1.0, 0.0)
+        assert calls == ([] if direct else ["epilogue"])
+
+    @pytest.mark.parametrize("kernel", ["csrmm", "ellmm"])
+    def test_c_aliasing_b_takes_the_copy_path(self, device, rng, kernel):
+        A, B, _ = self._operands(device, rng)
+        want = B.data.copy()
+        epilogue(want, A.substrate.spmm(B.data.copy()), 1.0, 0.0)
+        with self._spy() as calls:
+            self._kernel(kernel, A)(B, B)
+        assert calls == ["epilogue"]
+        assert B.data.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _operands(device, rng):
+        n = 30
+        dense = (rng.random((n, n)) < 0.25) * rng.standard_normal((n, n))
+        dense[[4, 11]] = 0.0  # empty rows
+        rows, cols = np.nonzero(dense)
+        host = COOMatrix(rows, cols, dense[rows, cols], shape=(n, n))
+        A = csr_to_device(device, host.to_csr())
+        B = device.to_device(rng.standard_normal((n, 3)))
+        return A, B, rng.standard_normal((n, 3))
+
+    @staticmethod
+    def _kernel(name, A):
+        if name == "ellmm":
+            ell = csr_to_ell(A)
+            return lambda B, C, **kw: ellmm(ell, B, C, **kw)
+        return lambda B, C, **kw: csrmm(A, B, C, **kw)
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _spy():
+        calls = []
+
+        def spy(*args):
+            calls.append("epilogue")
+            epilogue(*args)
+
+        with mock.patch("repro.cusparse.spmm.epilogue", spy):
+            yield calls

@@ -6,7 +6,9 @@ import pytest
 from repro.cusparse.conversions import coo2csr
 from repro.cusparse.matrices import coo_to_device, csr_to_device
 from repro.cusparse.spmv import coomv, csrmv
+from repro.cusparse.substrate import Substrate
 from repro.errors import SparseValueError
+from repro.precision import as_f64
 from repro.sparse.construct import random_sparse
 
 
@@ -88,3 +90,32 @@ class TestCoomv:
         dcoo = coo_to_device(device, host)
         with pytest.raises(SparseValueError):
             coomv(dcoo, device.zeros(6))
+
+
+class TestSubstrateSpmv:
+    """``Substrate.spmv`` scales its one gathered temporary in place; the
+    bytes must be those of the two-temporary expression it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    def test_bytes_match_the_out_of_place_expression(self, rng, dtype):
+        n = 40
+        dense = (rng.random((n, n)) < 0.2) * rng.standard_normal((n, n))
+        dense[[3, 17, 29]] = 0.0  # empty rows
+        dense[5, :2] = 0.0
+        rows, cols = np.nonzero(dense)
+        vals = dense[rows, cols]
+        # stored signed zeros in row 5
+        rows = np.concatenate([rows, [5, 5]])
+        cols = np.concatenate([cols, [0, 1]])
+        vals = np.concatenate([vals, [0.0, -0.0]])
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order].astype(dtype)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        x = rng.standard_normal(n).astype(dtype)
+        x[[0, 7]] = [-0.0, 0.0]
+        got = Substrate(n, cols, vals, indptr=indptr).spmv(x)
+        want = np.bincount(
+            rows, weights=as_f64(vals) * as_f64(x)[cols], minlength=n
+        )
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
