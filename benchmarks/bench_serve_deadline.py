@@ -62,12 +62,14 @@ def _fit_spec(graph):
 
 def _background(graph, shared):
     """One model-warming predict, then a stream of fit batches whose
-    k-means tails are the preemption victims."""
+    k-means tails are the preemption victims.  Each fit has a solver
+    seed of its own: a fit of the warmed spec would be a cache hit,
+    which runs no k-means and so offers no victim."""
     trace = [PredictRequest(request_id="pwarm", fit=shared, arrival=0.0)]
     for i in range(N_FITS):
         trace.append(ClusterRequest(
             request_id=f"f{i}", arrival=0.005 + i * 1e-4,
-            graph=graph, config=_K4,
+            graph=graph, config=replace(_K4, seed=i + 1),
         ))
     return trace
 

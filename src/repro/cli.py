@@ -10,7 +10,7 @@ Commands
     with the paper-scale projection.
 ``serve``
     Replay (or synthesize) a request trace through the clustering
-    service: micro-batching, embedding cache, multi-stream scheduling.
+    service: micro-batching, model cache, multi-stream scheduling.
 ``datasets``
     List the registered workloads with paper-scale statistics.
 """
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv_p.add_argument("--max-batch", type=int, default=8,
                        help="micro-batch size cap (default 8)")
     srv_p.add_argument("--cache-capacity", type=int, default=32,
-                       help="embedding cache entries, 0 disables (default 32)")
+                       help="model cache entries, 0 disables (default 32)")
     srv_p.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="persist the embedding/model cache to DIR so a "
                        "restarted service warms from disk (default: "

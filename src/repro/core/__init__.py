@@ -15,7 +15,7 @@ from repro.core.model import (
     PredictResult,
 )
 from repro.core.pipeline import SpectralClustering
-from repro.core.result import ClusteringResult, EmbeddingResult, StageTimings
+from repro.core.result import ClusteringResult, StageTimings
 from repro.core.workflow import hybrid_eigensolver, EigStats
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "FittedSpectralModel",
     "PredictResult",
     "ClusteringResult",
-    "EmbeddingResult",
     "StageTimings",
     "hybrid_eigensolver",
     "EigStats",

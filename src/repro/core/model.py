@@ -36,7 +36,7 @@ Three serving-tier entry points:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -59,6 +59,20 @@ from repro.linalg.nystrom import (
 )
 from repro.precision import PRECISION_DTYPES, quantize
 from repro.sparse.csr import CSRMatrix
+
+
+#: why a predict against a ratiocut or compressive fit cannot run
+NO_NYSTROM = (
+    "fit parameterization has no Nyström extension "
+    "(ratiocut objective or compressive embedding)"
+)
+
+
+def has_nystrom(config: ClusterConfig) -> bool:
+    """Whether a fit under ``config`` yields a Nyström-capable model: the
+    extension is derived for the normalized adjacency operators (ncut)
+    and needs an eigenvector basis, not the compressive sketch."""
+    return config.objective == "ncut" and config.embedding != "compressive"
 
 
 @dataclass
@@ -110,24 +124,34 @@ class ApplyDeltaResult:
 class FittedSpectralModel:
     """Everything a fit learned, packaged for predict-many serving.
 
+    It is also the serving layer's one cache entry: a fit request that
+    hits it returns its ``labels``, ``eigenvalues`` and ``embedding``,
+    and a predict runs the Nyström extension on it.  Ratiocut and
+    compressive fits have no Nyström extension; their entries are
+    *labels-only* (``graph``, ``degrees`` and ``anchors`` are None, and
+    :meth:`predict` refuses them).
+
     Attributes
     ----------
     basis:
-        ``(n_anchor, k)`` fp64 eigenvector block *after* the sym→rw
-        back-mapping — the Nyström formula's ``U``.
+        The ``(n_anchor, k)`` embedding rows k-means clustered.  For a
+        Nyström-capable fit this is the fp64 eigenvector block *after*
+        the sym→rw back-mapping — the Nyström formula's ``U``.
     eigenvalues:
         The k kept Ritz values ``θ`` (descending).
     degrees:
-        Fitted degree vector over the anchor vertices.
+        Fitted degree vector over the anchor vertices (None for a
+        labels-only entry).
     centroids:
-        ``(k, k)`` k-means centroids in embedding space.
+        k-means centroids in embedding space.
     labels:
         Fit labels on the original indexing (isolated nodes ``-1``).
     kept:
         Original indices of the anchor (non-isolated) vertices, ascending.
     graph:
         Host mirror of the fitted similarity CSR over the anchors (the
-        simulated device-resident copy the delta path patches).
+        simulated device-resident copy the delta path patches); None for
+        a labels-only entry.
     anchors:
         ``(n_anchor, d)`` feature rows of the anchor vertices, or None
         for graph-input fits (predict then requires precomputed
@@ -139,18 +163,62 @@ class FittedSpectralModel:
 
     basis: np.ndarray
     eigenvalues: np.ndarray
-    degrees: np.ndarray
+    degrees: np.ndarray | None
     centroids: np.ndarray
     labels: np.ndarray
     kept: np.ndarray
     n_total: int
-    graph: CSRMatrix
+    graph: CSRMatrix | None
     anchors: np.ndarray | None
     config: ClusterConfig
     resilience: dict = field(default_factory=dict)
     drift_scale: float = 1.0
     n_refits: int = 0
     _accumulated_drift: float = 0.0
+
+    @classmethod
+    def from_stages(
+        cls, config, km, theta, embedding, kept, n_total, *,
+        degrees=None, graph=None, points=None, resilience=None,
+    ) -> "FittedSpectralModel":
+        """The model of one fit, from the k-means result ``km`` over the
+        ``embedding`` rows of the ``kept`` vertices: the one constructor
+        of :meth:`SpectralClustering.fit` and the serving batch path.
+
+        It is labels-only unless ``config`` has a Nyström extension and
+        ``graph`` (the host mirror of the fitted similarity CSR) is
+        given.  The anchor rows of point input are copied here, after
+        k-means, so no stage before holds a second copy of ``points``.
+        """
+        labels = np.full(n_total, -1, dtype=np.int64)
+        labels[kept] = km.labels
+        nystrom = graph is not None and has_nystrom(config)
+        return cls(
+            basis=embedding,
+            eigenvalues=theta,
+            degrees=degrees if nystrom else None,
+            centroids=km.centroids,
+            labels=labels,
+            kept=kept,
+            n_total=n_total,
+            graph=graph if nystrom else None,
+            anchors=(
+                np.asarray(np.asarray(points)[kept], dtype=np.float64)
+                if nystrom and points is not None else None
+            ),
+            config=config,
+            resilience=dict(resilience or {}),
+        )
+
+    def relabeled(self, config, km, resilience=None) -> "FittedSpectralModel":
+        """This solve's model under other label knobs: ``config``'s, with
+        its k-means result ``km`` over the same embedding."""
+        labels = np.full(self.n_total, -1, dtype=np.int64)
+        labels[self.kept] = km.labels
+        return replace(
+            self, centroids=km.centroids, labels=labels, config=config,
+            resilience=dict(resilience or {}),
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -169,17 +237,27 @@ class FittedSpectralModel:
 
     @property
     def nbytes(self) -> int:
-        """Cached footprint (the embedding-cache accounting unit)."""
-        total = (
-            self.basis.nbytes + self.eigenvalues.nbytes + self.degrees.nbytes
-            + self.centroids.nbytes + self.labels.nbytes
-            + self.kept.nbytes
-            + self.graph.indptr.nbytes + self.graph.indices.nbytes
-            + self.graph.data.nbytes
-        )
-        if self.anchors is not None:
-            total += self.anchors.nbytes
-        return int(total)
+        """Cached host footprint (the cache's accounting unit)."""
+        arrays = [
+            self.basis, self.eigenvalues, self.degrees, self.centroids,
+            self.labels, self.kept, self.anchors,
+        ]
+        if self.graph is not None:
+            arrays += [self.graph.indptr, self.graph.indices, self.graph.data]
+        return int(sum(a.nbytes for a in arrays if a is not None))
+
+    @property
+    def _resident(self) -> dict:
+        """Device -> the copy of ``basis`` a ``keep_basis`` predict left
+        resident there (freed by :meth:`release`).  An instance
+        attribute, not a field: :func:`dataclasses.replace` and the
+        store never carry a device buffer over."""
+        return self.__dict__.setdefault("_device_basis", {})
+
+    def release(self) -> None:
+        """Free the device-resident basis copies (an evicted entry's)."""
+        for dbasis in self.__dict__.pop("_device_basis", {}).values():
+            dbasis.free()
 
     # ------------------------------------------------------------------
     # index mapping helpers
@@ -215,6 +293,7 @@ class FittedSpectralModel:
         n_new: int | None = None,
         device=None,
         policy=None,
+        keep_basis: bool = False,
     ) -> PredictResult:
         """Label new points via the Nyström extension.
 
@@ -231,12 +310,12 @@ class FittedSpectralModel:
 
         Runs on ``device`` under ``policy``'s resilience ladder when a
         device is provided; otherwise on the bit-identical host path.
+        ``keep_basis=True`` leaves the uploaded basis resident on
+        ``device`` for later calls (a cached model's), so only the first
+        call there uploads it; :meth:`release` frees it.
         """
-        if self.config.objective == "ratiocut":
-            raise ClusteringError(
-                "predict requires the ncut objective: the Nyström extension "
-                "is derived for the normalized adjacency operators"
-            )
+        if self.graph is None or not has_nystrom(self.config):
+            raise ClusteringError(NO_NYSTROM)
         if pairs_new is None:
             raise ClusteringError("predict requires pairs_new (new, anchor) pairs")
         pairs = np.asarray(pairs_new, dtype=np.int64)
@@ -318,6 +397,8 @@ class FittedSpectralModel:
         ledger = PredictLedger(
             n_new=m, n_anchor=self.n_anchor, k=self.k, nnz=nnz, d=d,
             feature_path=feature_path, itemsize=int(np.dtype(store_dtype).itemsize),
+            n_touched=int(touched.size) if feature_path else 0,
+            basis_resident=device in self._resident,
         )
 
         def host_path():
@@ -349,7 +430,8 @@ class FittedSpectralModel:
                 with device.stage("predict"):
                     if feature_path:
                         alloc(lambda: device.to_device(Xn))
-                        alloc(lambda: device.to_device(self.anchors))
+                        # only the anchor rows the pairs touch
+                        alloc(lambda: device.to_device(stacked[:touched.size]))
                         alloc(lambda: device.to_device(rows))
                         dcols = alloc(lambda: device.to_device(cols))
                         device.charge_kernel(
@@ -371,7 +453,13 @@ class FittedSpectralModel:
                         nnz * ledger.itemsize + m * 8.0,
                     )
                     deg = nystrom_degrees(indptr, vals_q)
-                    dbasis = alloc(lambda: device.to_device(self.basis))
+                    dbasis = self._resident.get(device)
+                    if dbasis is None:
+                        dbasis = device.to_device(self.basis)
+                        if keep_basis:
+                            self._resident[device] = dbasis
+                        else:
+                            bufs.append(dbasis)
                     S_dev = DeviceCSR(dptr, dcols, dvals, (m, self.n_anchor))
                     C = alloc(
                         lambda: device.empty((m, self.k), dtype=np.float64)
@@ -465,6 +553,11 @@ class FittedSpectralModel:
         lazy updates, and once it exceeds half the fitted spectral gap a
         full (bit-identical) refit on the patched graph runs instead.
         """
+        if self.graph is None:
+            raise ClusteringError(
+                "apply_delta needs the fitted graph; a labels-only entry "
+                "keeps none"
+            )
 
         def map_edges(edges, what):
             if edges is None:
@@ -546,6 +639,7 @@ class FittedSpectralModel:
         labels_global = np.full(self.n_total, -1, dtype=np.int64)
         labels_global[self.kept] = res.labels
 
+        self.release()  # the resident copies hold the old basis
         self.basis = refit_model.basis
         self.eigenvalues = refit_model.eigenvalues
         self.degrees = refit_model.degrees

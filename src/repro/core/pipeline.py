@@ -17,12 +17,12 @@ Graph input (FB/DBLP/Syn200-style) enters directly at step 2, exactly as
 Staged serving
 --------------
 :meth:`SpectralClustering.fit` runs all four stages.  The serving layer
-(:mod:`repro.serve`) reuses intermediate artifacts across requests, so it
-composes the private stage methods itself (similarity, Laplacian,
-eigensolver, k-means) and caches the
-:class:`~repro.core.result.EmbeddingResult` between them; the stages run
-the same operations in the same order, so a cached embedding's labels
-agree with a cold ``fit`` bit for bit.
+(:mod:`repro.serve`) shares stages across requests, so it composes the
+private stage methods itself (similarity, Laplacian, eigensolver,
+k-means) and builds its cache entry through the same
+:meth:`~repro.core.model.FittedSpectralModel.from_stages` as ``fit``; the
+stages run the same operations in the same order, so a cached model's
+labels agree with a cold ``fit`` bit for bit.
 
 Fault injection and resilience
 ------------------------------
@@ -58,7 +58,7 @@ from repro.compressive.sampling import (
     sample_vertices,
 )
 from repro.core.config import ClusterConfig
-from repro.core.model import FittedSpectralModel
+from repro.core.model import FittedSpectralModel, has_nystrom
 from repro.core.result import ClusteringResult, StageTimings
 from repro.core.workflow import hybrid_eigensolver
 from repro.cuda.device import Device
@@ -179,8 +179,6 @@ class SpectralClustering:
         self.device = device
         self.chaos = chaos
         self.resilience = resilience
-        # stage-capture scratch for the fitted model (fit-scoped)
-        self._capture: dict | None = None
 
     # ------------------------------------------------------------------
     def _fault_plan(self) -> FaultPlan | None:
@@ -240,48 +238,20 @@ class SpectralClustering:
         timings = StageTimings()
         resilience: dict[str, dict] = {}
 
-        # stage-level capture of the artifacts the fitted model reuses
-        # (similarity graph, input points, pre-normalization basis,
-        # degrees); only the parameterizations with a Nyström extension
-        # capture anything
-        self._capture = (
-            {}
-            if cfg.objective == "ncut" and cfg.embedding != "compressive"
-            else None
-        )
-        try:
-            theta, embedding, kept, n_total, stats = self._embed_stages(
+        theta, embedding, kept, n_total, stats, graph_host, deg_kept = (
+            self._embed_stages(
                 device, policy, X, edges, graph, timings, resilience
             )
-            km = self._kmeans_stage(
-                device, policy, embedding, timings, resilience
-            )
-            labels_full = np.full(n_total, -1, dtype=np.int64)
-            labels_full[kept] = km.labels
-            model = None
-            cap = self._capture
-            if cap is not None and "graph" in cap and "basis" in cap:
-                model = FittedSpectralModel(
-                    basis=cap["basis"],
-                    eigenvalues=theta,
-                    degrees=cap["degrees"],
-                    centroids=km.centroids,
-                    labels=labels_full,
-                    kept=kept,
-                    n_total=n_total,
-                    graph=cap["graph"],
-                    anchors=(
-                        None if cap["points"] is None
-                        else np.asarray(cap["points"][kept], dtype=np.float64)
-                    ),
-                    config=self.config,
-                    resilience=dict(resilience),
-                )
-        finally:
-            self._capture = None
+        )
+        km = self._kmeans_stage(device, policy, embedding, timings, resilience)
+        model = FittedSpectralModel.from_stages(
+            cfg, km, theta, embedding, kept, n_total,
+            degrees=deg_kept, graph=graph_host, points=X,
+            resilience=resilience,
+        )
 
         return ClusteringResult(
-            labels=labels_full,
+            labels=model.labels,
             eigenvalues=theta,
             embedding=embedding,
             kmeans=km,
@@ -291,16 +261,21 @@ class SpectralClustering:
             kept=kept,
             resilience=resilience,
             fault_events=plan.schedule if plan is not None else (),
-            model=model,
+            # a labels-only model has nothing to offer beyond the result
+            model=model if model.graph is not None else None,
         )
 
     # ------------------------------------------------------------------
     # stages (each charges its own simulated + wall time into `timings`)
     # ------------------------------------------------------------------
     def _embed_stages(self, device, policy, X, edges, graph, timings, resilience):
-        """Stages 1-3: similarity graph → operator → eigenvectors."""
+        """Stages 1-3: similarity graph → operator → eigenvectors.
+
+        Returns ``(eigenvalues, embedding, kept, n_total, stats,
+        host graph, kept-degree vector)``; the host graph is None unless
+        the fit has a Nyström extension."""
         cfg = self.config
-        dcoo, n_total, kept = self._similarity_stage(
+        dcoo, n_total, kept, graph_host = self._similarity_stage(
             device, policy, X, edges, graph, timings, resilience
         )
         n = dcoo.shape[0]
@@ -327,12 +302,21 @@ class SpectralClustering:
             dcoo.free()
             if dcsr is not None:
                 dcsr.free()
-        return theta, embedding, kept, n_total, stats
+        return theta, embedding, kept, n_total, stats, graph_host, deg_kept
 
-    def _similarity_stage(self, device, policy, X, edges, graph, timings, resilience):
+    def _similarity_stage(
+        self, device, policy, X, edges, graph, timings, resilience,
+        keep_graph: bool | None = None,
+    ):
         """Stage 1: build/upload the similarity graph; returns
-        ``(device COO, n_total, kept)``."""
-        cfg = self.config
+        ``(device COO, n_total, kept, host graph)``.
+
+        The host graph — a mirror of the resident one over the kept
+        vertices, which the fitted model keeps for predict — is built
+        when ``keep_graph`` says so; by default only for fits with a
+        Nyström extension (None otherwise)."""
+        if keep_graph is None:
+            keep_graph = has_nystrom(self.config)
 
         def upload(fn, stage_name: str, rec: dict):
             # uploads are idempotent, so even an injected OOM is retryable
@@ -403,20 +387,12 @@ class SpectralClustering:
                         ),
                         "similarity", rec,
                     )
-            cap = getattr(self, "_capture", None)
-            if cap is not None:
-                # the fitted model keeps a host mirror of the resident
-                # graph plus the anchor feature rows for predict; the
-                # rows are copied when the model is built, after k-means,
-                # so no stage in between holds a second copy of X
-                if kept.size < n_total:
-                    cap["graph"] = W_sub
-                else:
-                    cap["graph"] = COOMatrix(
-                        dcoo.row.data.copy(), dcoo.col.data.copy(),
-                        dcoo.val.data.copy(), dcoo.shape, check=False,
-                    ).to_csr()
-                cap["points"] = X_arr
+            graph_host = None
+            if keep_graph:
+                graph_host = W_sub if kept.size < n_total else COOMatrix(
+                    dcoo.row.data.copy(), dcoo.col.data.copy(),
+                    dcoo.val.data.copy(), dcoo.shape, check=False,
+                ).to_csr()
             _note(resilience, "similarity", rec)
         else:
             assert graph is not None
@@ -429,14 +405,11 @@ class SpectralClustering:
                     lambda: coo_to_device(device, W_sub.to_coo().sorted_by_row()),
                     "similarity", rec,
                 )
-            cap = getattr(self, "_capture", None)
-            if cap is not None:
-                cap["graph"] = W_sub
-                cap["points"] = None
+            graph_host = W_sub if keep_graph else None
             _note(resilience, "similarity", rec)
         timings.wall["similarity"] = time.perf_counter() - t0
         timings.simulated["similarity"] = device.elapsed - sim_start
-        return dcoo, n_total, kept
+        return dcoo, n_total, kept, graph_host
 
     def _operator_stage(self, device, policy, dcoo, timings, resilience):
         """Stage 2 (Algorithm 2): normalized operator in device CSR;
@@ -578,12 +551,6 @@ class SpectralClustering:
                 # map eigenvectors of D^{-1/2}WD^{-1/2} to those of D^{-1}W
                 inv_sqrt = 1.0 / np.sqrt(np.where(deg_kept > 0, deg_kept, 1.0))
                 U = U * inv_sqrt[:, None]
-        cap = getattr(self, "_capture", None)
-        if cap is not None:
-            # the Nyström extension needs the basis plus the degree
-            # scaling it was built under
-            cap["basis"] = U
-            cap["degrees"] = deg_kept
         timings.wall["eigensolver"] = time.perf_counter() - t0
         timings.simulated["eigensolver"] = device.elapsed - eig_start
         return theta, U, stats

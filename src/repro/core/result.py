@@ -44,58 +44,6 @@ class StageTimings:
 
 
 @dataclass
-class EmbeddingResult:
-    """Stages 1-3 of the pipeline: the reusable spectral embedding.
-
-    This is the expensive artifact worth caching across requests (the
-    Laplacian build and Lanczos solve dominate pipeline cost).  The serving
-    layer's solve unit builds it from the estimator's private stages; its
-    embedding cache and persistent store hold exactly this record, keyed
-    by a content fingerprint of the graph plus the solver parameters.
-
-    Attributes
-    ----------
-    embedding:
-        ``(n_kept, k)`` spectral embedding rows, post back-mapping and
-        optional row normalization — exactly what stage 4 consumes.
-    eigenvalues:
-        The k leading eigenvalues (same ordering convention as
-        :class:`ClusteringResult`).
-    kept:
-        Original indices of non-isolated nodes.
-    n_total:
-        Node count before isolated-node removal (labels length).
-    timings:
-        Per-stage simulated + wall times of stages 1-3.
-    profile:
-        Device profile over the embedding computation.
-    eig_stats:
-        Eigensolver counters.
-    resilience:
-        Per-stage fault-recovery record (see :class:`ClusteringResult`).
-    fault_events:
-        Chaos events fired while computing the embedding.
-    """
-
-    embedding: np.ndarray
-    eigenvalues: np.ndarray
-    kept: np.ndarray
-    n_total: int
-    timings: StageTimings
-    profile: ProfileReport
-    eig_stats: dict
-    resilience: dict = field(default_factory=dict)
-    fault_events: tuple = ()
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate cached footprint (embedding + eigenvalues + kept)."""
-        return int(
-            self.embedding.nbytes + self.eigenvalues.nbytes + self.kept.nbytes
-        )
-
-
-@dataclass
 class ClusteringResult:
     """Everything a pipeline run produces.
 

@@ -103,14 +103,19 @@ class PredictLedger:
     feature_path: bool = False
     #: similarity value storage itemsize (fit precision)
     itemsize: int = 8
+    #: distinct anchor rows the pairs touch (feature path)
+    n_touched: int = 0
+    #: the basis is already resident on the device: no upload
+    basis_resident: bool = False
 
     def x_new_h2d_bytes(self) -> int:
         """New-point feature rows (feature path only)."""
         return self.n_new * self.d * 8 if self.feature_path else 0
 
     def anchors_h2d_bytes(self) -> int:
-        """Anchor feature rows for the similarity kernel (feature path)."""
-        return self.n_anchor * self.d * 8 if self.feature_path else 0
+        """The touched anchor feature rows for the similarity kernel
+        (feature path)."""
+        return self.n_touched * self.d * 8 if self.feature_path else 0
 
     def pairs_h2d_bytes(self) -> int:
         """Edge endpoint uploads: src+dst (feature path) or the CSR
@@ -126,8 +131,8 @@ class PredictLedger:
         return (self.n_new + 1) * 8
 
     def basis_h2d_bytes(self) -> int:
-        """The anchor eigenvector block for the SpMM."""
-        return self.n_anchor * self.k * 8
+        """The anchor eigenvector block for the SpMM, unless resident."""
+        return 0 if self.basis_resident else self.n_anchor * self.k * 8
 
     def centroids_h2d_bytes(self) -> int:
         return self.k * self.k * 8
@@ -156,8 +161,8 @@ class PredictLedger:
     def n_h2d(self) -> int:
         """Transfer count: X_new, anchors, src, dst, indptr, basis,
         centroids (feature path) vs indices, values, indptr, basis,
-        centroids (weights path)."""
-        return 7 if self.feature_path else 5
+        centroids (weights path); a resident basis is not uploaded."""
+        return (7 if self.feature_path else 5) - int(self.basis_resident)
 
     @property
     def n_d2h(self) -> int:

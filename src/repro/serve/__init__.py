@@ -2,9 +2,10 @@
 
 A replay-driven serving layer over the spectral clustering pipeline:
 bounded admission, micro-batching of fingerprint-compatible requests,
-an LRU embedding cache with bit-identical hits (optionally spilled to an
-on-disk cross-process store), a predict fast lane that serves out-of-sample
-requests from cached fitted models under deadline/priority dispatch with
+an LRU cache of fitted models with bit-identical hits, shared by fit and
+predict requests (optionally spilled to an on-disk cross-process store),
+a predict fast lane that serves out-of-sample requests from the cached
+models under deadline/priority dispatch with
 EDF preemption at stage boundaries, and a multi-stream / multi-device
 scheduler that charges queueing and overlap to the simulated clock.  See
 ``docs/serving.md`` for the model.
@@ -19,7 +20,6 @@ from repro.serve.cache import CacheStats, EmbeddingCache
 from repro.serve.fingerprint import (
     embedding_key,
     graph_fingerprint,
-    model_key,
     operator_key,
     points_fingerprint,
 )
@@ -94,7 +94,6 @@ __all__ = [
     "build_report",
     "embedding_key",
     "graph_fingerprint",
-    "model_key",
     "operator_key",
     "percentile",
     "points_fingerprint",

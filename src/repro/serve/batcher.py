@@ -5,7 +5,7 @@ The batcher claims the oldest waiting request and every queued request
 same Algorithm 2 parameters), up to ``max_batch``.  One graph upload +
 Laplacian build then serves the whole batch; within the batch, requests
 that also share an embedding key (same k/solver seed/tolerances) share a
-single Lanczos solve, and every request runs its own k-means.
+single Lanczos solve and one k-means per distinct set of label knobs.
 
 Compatibility is content-based (see :mod:`repro.serve.fingerprint`), so a
 replayed trace in which the same dataset reference recurs batches exactly

@@ -1,14 +1,17 @@
-"""The LRU embedding cache.
+"""The LRU model cache.
 
 The spectral embedding is the pipeline's expensive, reusable artifact
 (Tremblay et al.'s compressive clustering makes the same observation from
 the other direction): for repeat queries on the same graph with the same
-solver parameters, stages 1-3 are pure recomputation.  The cache stores
-:class:`~repro.core.result.EmbeddingResult` records keyed by the
-embedding fingerprint (see :mod:`repro.serve.fingerprint`), so a hit
-skips straight to k-means and — because the key covers every parameter
-that influenced the cached arrays — returns bit-identical labels and
-embeddings to a cold run.
+solver parameters, stages 1-4 are pure recomputation.  The cache holds one
+entry per solved problem — the
+:class:`~repro.core.model.FittedSpectralModel` the fit built — keyed by
+the embedding fingerprint (see :mod:`repro.serve.fingerprint`).  Fit and
+predict requests share it: a fit hit returns the entry's labels, a
+predict runs the Nyström extension on it, and because the key covers
+every parameter that influenced the cached arrays, both are
+bit-identical to a cold run.  Ratiocut and compressive fits cache a
+labels-only model.
 
 Entries computed while a fault fired are never inserted (the service
 checks the resilience record first); recovered runs are *believed*
@@ -21,7 +24,8 @@ the entry to the LRU (evicting as usual) and counts as both a hit and a
 ``disk_hit``.  Memory eviction never deletes the disk copy; that is the
 point — warmth survives both eviction and process death.  The taint
 rule extends to disk: an artifact with a non-empty resilience record is
-never written (the store refuses it too).
+never written (the store refuses it too).  Eviction frees the device
+copies of an entry's basis (:meth:`FittedSpectralModel.release`).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.core.result import EmbeddingResult
+from repro.core.model import FittedSpectralModel
 from repro.errors import ServiceError
 
 
@@ -41,7 +45,7 @@ class CacheStats:
     misses: int = 0
     insertions: int = 0
     evictions: int = 0
-    #: bytes currently held (embedding + eigenvalues + kept per entry)
+    #: host bytes currently held (each entry's ``nbytes``)
     bytes_held: int = 0
     #: hits served from the persistent store (subset of ``hits``)
     disk_hits: int = 0
@@ -73,7 +77,7 @@ class CacheStats:
 
 
 class EmbeddingCache:
-    """Bounded LRU map from embedding keys to :class:`EmbeddingResult`.
+    """Bounded LRU map from embedding keys to fitted models.
 
     Parameters
     ----------
@@ -91,7 +95,7 @@ class EmbeddingCache:
             raise ServiceError(f"cache capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self.store = store
-        self._entries: OrderedDict[tuple, EmbeddingResult] = OrderedDict()
+        self._entries: OrderedDict[tuple, FittedSpectralModel] = OrderedDict()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -109,6 +113,7 @@ class EmbeddingCache:
             _, evicted = self._entries.popitem(last=False)
             self.stats.evictions += 1
             self.stats.bytes_held -= evicted.nbytes
+            evicted.release()
 
     def get(self, key: tuple):
         """Look up an entry; counts a hit/miss and refreshes recency.
@@ -133,7 +138,7 @@ class EmbeddingCache:
         self.stats.misses += 1
         return None
 
-    def put(self, key: tuple, emb) -> bool:
+    def put(self, key: tuple, model: FittedSpectralModel) -> bool:
         """Insert (or refresh) an entry, evicting LRU entries over capacity.
 
         Returns True if the entry is resident afterwards.  With a store
@@ -146,17 +151,19 @@ class EmbeddingCache:
         if key in self._entries:
             self._entries.move_to_end(key)
             return True
-        self._admit(key, emb)
+        self._admit(key, model)
         if self.store is not None:
-            if getattr(emb, "resilience", None):
+            if model.resilience:
                 self.stats.taint_skipped += 1
             else:
-                nbytes = self.store.save(key, emb)
+                nbytes = self.store.save(key, model)
                 self.stats.disk_writes += 1
                 self.stats.disk_bytes_written += nbytes
         return key in self._entries
 
     def clear(self) -> None:
         """Drop the in-memory tier (the persistent store is untouched)."""
+        for model in self._entries.values():
+            model.release()
         self._entries.clear()
         self.stats.bytes_held = 0

@@ -19,15 +19,14 @@ On top of the workload fingerprint sit two composite keys:
   output).  Requests with equal operator keys can share one graph upload +
   one Laplacian normalization in a micro-batch.
 * :func:`embedding_key` — identifies a *spectral embedding* (Algorithm 3
-  output).  This is the embedding-cache key: it adds every solver
-  parameter that influences the Lanczos iteration or the eigenvector
-  post-processing, so a cache hit is bit-identical to a cold solve by
-  construction — the cached array was produced by the exact computation
-  the key describes.
-* :func:`model_key` — the fitted-model key: embedding key + k-means knobs.
+  output).  This is the service's one cache key, shared by fit and
+  predict requests: it adds every solver parameter that influences the
+  Lanczos iteration or the eigenvector post-processing, so the cached
+  model's embedding is bit-identical to a cold solve by construction —
+  it was produced by the exact computation the key describes.
 
-Both read a :class:`~repro.core.config.ClusterConfig` through the role
-tables below, which give every config field exactly one role.
+The key reads a :class:`~repro.core.config.ClusterConfig` through the
+role tables below, which give every config field exactly one role.
 """
 
 from __future__ import annotations
@@ -76,9 +75,10 @@ def operator_key(fingerprint: str, operator: str, objective: str) -> tuple:
     return (fingerprint, operator, objective)
 
 
-# Every ClusterConfig field has exactly one cache-key role: it is in the
-# embedding key, in the model key, or deliberately not keyed (with the
-# reason).  tests/serve/test_fingerprint.py fails when a field has none.
+# Every ClusterConfig field has exactly one cache role: it is in the
+# embedding key, it selects the cached labels, or it is deliberately not
+# keyed (with the reason).  tests/serve/test_fingerprint.py fails when a
+# field has none.
 
 #: Embedding key: the fields that change the embedding (stages 1-3), in
 #: key order.  ``seed`` seeds the Lanczos start vector; ``precision`` and
@@ -90,23 +90,26 @@ EMBEDDING_KEY_FIELDS = (
     "seed", "precision", "embedding", "filter_order", "n_signals",
 )
 
-#: Model key: the k-means knob that shapes the centroids (``seed`` is
-#: already in the embedding key and seeds the k-means initialization)
-MODEL_KEY_FIELDS = ("kmeans_max_iter",)
+#: Label fields: the stage-4 knobs that shape the k-means labels and
+#: centroids (``seed``, in the key, also seeds the k-means start).  They
+#: are not keyed — a request that differs from a cached entry only here
+#: still reuses its solve — but a request reuses the entry's labels only
+#: when all of them equal the entry's (:func:`same_labels`); otherwise it
+#: reruns stage 4 on the cached embedding.
+LABEL_FIELDS = ("kmeans_max_iter", "sample_frac")
 
-#: Fields in neither key, and why leaving them out cannot alias results
+#: Fields in neither role, and why leaving them out cannot alias results
 UNKEYED_FIELDS = {
     "devices": "bit-identical placement: a sharded solve equals one device",
     "eig_residency": "bit-identical placement of the Lanczos vectors",
     "eig_spmv_format": "bit-identical placement: format only changes time",
-    "sample_frac": "compressive-only stage-4 knob; compressive fits cache "
-                   "no model",
 }
 
 #: the cast that canonicalizes a keyed value (other fields key as is)
 _CASTS = {
     "n_clusters": int, "eig_tol": float, "precision": str, "embedding": str,
     "filter_order": int, "n_signals": int, "kmeans_max_iter": int,
+    "sample_frac": float,
 }
 
 
@@ -119,7 +122,7 @@ def _keyed(values: dict, names: tuple) -> tuple:
 
 
 def embedding_key(fingerprint: str, config: ClusterConfig) -> tuple:
-    """Embedding-cache key: the workload fingerprint plus the
+    """The cache key: the workload fingerprint plus the
     :data:`EMBEDDING_KEY_FIELDS` values of ``config``.
 
     The compressive knobs are resolved to the engine defaults, so an
@@ -139,18 +142,7 @@ def embedding_key(fingerprint: str, config: ClusterConfig) -> tuple:
     return (fingerprint,) + _keyed(values, EMBEDDING_KEY_FIELDS)
 
 
-def model_key(embedding_key: tuple, config: ClusterConfig) -> tuple:
-    """Fitted-model cache key: the embedding key plus the
-    :data:`MODEL_KEY_FIELDS` values that shape the centroids.
-
-    A :class:`~repro.core.model.FittedSpectralModel` adds exactly one
-    artifact on top of the embedding — the k-means centroids — so its
-    identity is the embedding's identity extended by the k-means
-    parameters.  Predict-side knobs (payload size, deadline, priority,
-    chaos plan) are deliberately *outside* the key: every predict
-    against the same fit shares one cached model.
-    """
-    return (
-        ("model",) + tuple(embedding_key)
-        + _keyed(vars(config), MODEL_KEY_FIELDS)
-    )
+def same_labels(a: ClusterConfig, b: ClusterConfig) -> bool:
+    """Whether configs with equal embedding keys give the same labels:
+    their :data:`LABEL_FIELDS` agree."""
+    return _keyed(vars(a), LABEL_FIELDS) == _keyed(vars(b), LABEL_FIELDS)

@@ -2,9 +2,9 @@
 
 The in-process LRU (:class:`~repro.serve.cache.EmbeddingCache`) dies
 with the service, so every restart pays the warm-up all over again —
-one cold fit per model, one Lanczos solve per embedding group.  This
-module spills cache entries to an on-disk store so a restarted process
-warms from disk instead:
+one cold solve per distinct problem.  This module spills its entries
+(one :class:`~repro.core.model.FittedSpectralModel` each) to an on-disk
+store so a restarted process warms from disk instead:
 
 - **content-fingerprint keyed** — files are named by the SHA-256 of the
   canonicalized cache key (the same tuples
@@ -20,12 +20,10 @@ warms from disk instead:
   that no longer validate, metadata that is not a JSON object and fields
   of the wrong type are misses counted in ``errors``;
 - **bit-identical round-trip** — arrays are serialized with ``np.savez``
-  (dtype- and byte-exact); metadata rides as canonical JSON.  What does
-  *not* round-trip is documented: an embedding's device
-  :class:`~repro.cuda.profiler.ProfileReport` and wall-clock timings
-  (including ``eig_stats["wall_seconds"]``) are process-local
-  observations, not results, and are not written, so the stored bytes
-  of an entry do not depend on how long it took to compute;
+  (dtype- and byte-exact); metadata rides as canonical JSON.  Only
+  results are written: no device profile, timing or other process-local
+  observation, so the stored bytes of an entry do not depend on how
+  long it took to compute;
 - **taint rule preserved** — an artifact whose resilience record is
   non-empty (it recovered from injected faults) is refused with a typed
   error.  The LRU already never offers one; the store double-checks.
@@ -49,8 +47,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import ClusterConfig
-from repro.core.result import EmbeddingResult, StageTimings
-from repro.cuda.profiler import ProfileReport
 from repro.errors import ClusteringError, ServiceError
 from repro.sparse.csr import CSRMatrix
 
@@ -61,13 +57,14 @@ from repro.sparse.csr import CSRMatrix
 #: Version 3: the cache keys and stored ``params`` lose the similarity,
 #: row-normalization, isolated-node, k-means-variant and lift knobs.
 #: Version 4: a model stores its basis once; the loaded model's
-#: ``embedding`` is an alias of ``basis``, not a second array
-FORMAT_VERSION = 4
+#: ``embedding`` is an alias of ``basis``, not a second array.
+#: Version 5: one entry type — every entry is a fitted model (labels-only
+#: for ratiocut and compressive fits); the embedding kind is gone
+FORMAT_VERSION = 5
 
-_KIND_EMBEDDING = "embedding"
-_KIND_MODEL = "model"
-
-_EMBEDDING_ARRAYS = ("embedding", "eigenvalues", "kept")
+#: the arrays every entry stores; a Nyström-capable model adds its
+#: degrees, graph and (point input) anchors
+_MODEL_ARRAYS = ("basis", "eigenvalues", "centroids", "labels", "kept")
 
 
 def _key_json(obj):
@@ -185,69 +182,46 @@ class PersistentStore:
     # ------------------------------------------------------------------
     # save
     # ------------------------------------------------------------------
-    def save(self, key: tuple, value) -> int:
-        """Persist one cache entry; returns bytes written.
+    def save(self, key: tuple, model) -> int:
+        """Persist one cache entry (a fitted model); returns bytes written.
 
-        ``value`` is an :class:`EmbeddingResult` or a
-        :class:`~repro.core.model.FittedSpectralModel`.  Tainted
-        artifacts (non-empty resilience record) are refused — recovered
-        computations are *believed* correct, and this store only keeps
-        provably clean ones, exactly like the in-memory cache.
+        Tainted models (non-empty resilience record) are refused —
+        recovered computations are *believed* correct, and this store
+        only keeps provably clean ones, exactly like the in-memory cache.
         """
         from repro.core.model import FittedSpectralModel
 
-        if getattr(value, "resilience", None):
+        if not isinstance(model, FittedSpectralModel):
+            raise ServiceError(
+                f"cannot persist a {type(model).__name__}; expected a "
+                "FittedSpectralModel"
+            )
+        if model.resilience:
             raise ServiceError(
                 "refusing to persist a tainted artifact (non-empty "
-                f"resilience record {sorted(value.resilience)})"
+                f"resilience record {sorted(model.resilience)})"
             )
-        if isinstance(value, EmbeddingResult):
-            kind = _KIND_EMBEDDING
-            arrays = {name: getattr(value, name) for name in _EMBEDDING_ARRAYS}
-            # wall time is a process-local observation (left out like the
-            # profile), and its varying repr would make the bytes drift
-            stats = {
-                k: v for k, v in value.eig_stats.items() if k != "wall_seconds"
-            }
-            extra = {
-                "n_total": int(value.n_total),
-                "timings_simulated": _sanitize(value.timings.simulated),
-                "eig_stats": _sanitize(stats),
-            }
-        elif isinstance(value, FittedSpectralModel):
-            kind = _KIND_MODEL
-            arrays = {
-                "basis": value.basis,
-                "eigenvalues": value.eigenvalues,
-                "degrees": value.degrees,
-                "centroids": value.centroids,
-                "labels": value.labels,
-                "kept": value.kept,
-                "graph_indptr": value.graph.indptr,
-                "graph_indices": value.graph.indices,
-                "graph_data": value.graph.data,
-            }
-            if value.anchors is not None:
-                arrays["anchors"] = value.anchors
-            extra = {
-                "n_total": int(value.n_total),
-                "graph_shape": list(value.graph.shape),
-                "params": _sanitize(asdict(value.config)),
-                "drift_scale": float(value.drift_scale),
-                "n_refits": int(value.n_refits),
-                "accumulated_drift": float(value._accumulated_drift),
-                "has_anchors": value.anchors is not None,
-            }
-        else:
-            raise ServiceError(
-                f"cannot persist a {type(value).__name__}; expected "
-                "EmbeddingResult or FittedSpectralModel"
+        arrays = {name: getattr(model, name) for name in _MODEL_ARRAYS}
+        has_graph = model.graph is not None
+        if has_graph:
+            arrays.update(
+                degrees=model.degrees,
+                graph_indptr=model.graph.indptr,
+                graph_indices=model.graph.indices,
+                graph_data=model.graph.data,
             )
+        if model.anchors is not None:
+            arrays["anchors"] = model.anchors
         meta = {
             "format": FORMAT_VERSION,
-            "kind": kind,
             "key": json.loads(canonical_key(key)),
-            **extra,
+            "n_total": int(model.n_total),
+            "graph_shape": list(model.graph.shape) if has_graph else None,
+            "params": _sanitize(asdict(model.config)),
+            "drift_scale": float(model.drift_scale),
+            "n_refits": int(model.n_refits),
+            "accumulated_drift": float(model._accumulated_drift),
+            "has_anchors": model.anchors is not None,
         }
         blob = json.dumps(meta, separators=(",", ":")).encode()
         path = self.path_for(key)
@@ -290,14 +264,7 @@ class PersistentStore:
                 if meta.get("key") != json.loads(canonical_key(key)):
                     self.stats.stale += 1
                     return None
-                kind = meta.get("kind")
-                if kind == _KIND_EMBEDDING:
-                    value = self._load_embedding(npz, meta)
-                elif kind == _KIND_MODEL:
-                    value = self._load_model(npz, meta)
-                else:
-                    self.stats.stale += 1
-                    return None
+                value = self._load_model(npz, meta)
         except (
             OSError, ValueError, KeyError, json.JSONDecodeError,
             # a truncated or damaged zip archive, or member stream
@@ -309,27 +276,6 @@ class PersistentStore:
         return value
 
     @staticmethod
-    def _load_embedding(npz, meta) -> EmbeddingResult:
-        timings = StageTimings(
-            simulated={
-                str(k): float(_typed(v, _NUMBER, "stage time"))
-                for k, v in _field(meta, "timings_simulated", dict, {}).items()
-            },
-        )
-        return EmbeddingResult(
-            embedding=npz["embedding"],
-            eigenvalues=npz["eigenvalues"],
-            kept=npz["kept"],
-            n_total=_field(meta, "n_total", int),
-            timings=timings,
-            # device profile and wall timings are process-local
-            # observations; a disk-warm entry reports an empty profile
-            profile=ProfileReport(communication=0.0, computation=0.0),
-            eig_stats=dict(_field(meta, "eig_stats", dict, {})),
-            resilience={},
-        )
-
-    @staticmethod
     def _load_model(npz, meta):
         from repro.core.model import FittedSpectralModel
 
@@ -338,20 +284,28 @@ class PersistentStore:
         except (TypeError, ClusteringError) as err:
             # an unknown or invalid knob would only fail later, at refit
             raise ValueError(f"stored model params: {err}") from err
-        shape = _field(meta, "graph_shape", list)
-        if len(shape) != 2:
-            raise ValueError(f"stored graph_shape has {len(shape)} entries")
-        graph = CSRMatrix(
-            indptr=npz["graph_indptr"],
-            indices=npz["graph_indices"],
-            data=npz["graph_data"],
-            shape=tuple(_typed(d, int, "graph_shape entry") for d in shape),
-            check=False,
-        )
+        shape = meta["graph_shape"]  # None: a labels-only entry
+        graph = degrees = None
+        if shape is not None:
+            _typed(shape, list, "graph_shape")
+            if len(shape) != 2:
+                raise ValueError(
+                    f"stored graph_shape has {len(shape)} entries"
+                )
+            graph = CSRMatrix(
+                indptr=npz["graph_indptr"],
+                indices=npz["graph_indices"],
+                data=npz["graph_data"],
+                shape=tuple(
+                    _typed(d, int, "graph_shape entry") for d in shape
+                ),
+                check=False,
+            )
+            degrees = npz["degrees"]
         return FittedSpectralModel(
             basis=npz["basis"],
             eigenvalues=npz["eigenvalues"],
-            degrees=npz["degrees"],
+            degrees=degrees,
             centroids=npz["centroids"],
             labels=npz["labels"],
             kept=npz["kept"],

@@ -28,7 +28,6 @@ from repro.errors import RequestError
 from repro.serve.fingerprint import (
     embedding_key,
     graph_fingerprint,
-    model_key,
     operator_key,
     points_fingerprint,
 )
@@ -134,11 +133,9 @@ class ClusterRequest:
         return operator_key(fingerprint, cfg.operator, cfg.objective)
 
     def embedding_key(self, fingerprint: str) -> tuple:
+        """The cache key of this fit, shared with every predict against
+        it."""
         return embedding_key(fingerprint, self.config)
-
-    def model_key(self, fingerprint: str) -> tuple:
-        """Fitted-model cache key (embedding key + k-means knobs)."""
-        return model_key(self.embedding_key(fingerprint), self.config)
 
 
 @dataclass
@@ -243,7 +240,7 @@ class PredictResponse:
     embedding: np.ndarray | None = None
 
     # -- service facts ---------------------------------------------------
-    #: the fitted model was already cached (no cold fit charged)
+    #: the fit's solve was already cached (no cold fit charged)
     model_hit: bool = False
     #: this request triggered the cold fit that populated the cache
     cold_fit: bool = False

@@ -13,12 +13,15 @@ over the simulated platform:
    claims the oldest request plus every compatible queued request (same
    graph fingerprint and Algorithm 2 parameters).  The batch shares one
    graph upload + Laplacian build; embedding-compatible subgroups (same
-   k, solver seed, tolerances) share one Lanczos solve; every request
-   runs its own k-means.
-3. **Embedding cache** — before any device work, each subgroup consults
-   the LRU :class:`~repro.serve.cache.EmbeddingCache`; a hit skips
-   stages 1-3 entirely and is bit-identical to a cold run by
-   construction of the key.  Only fault-free computations are inserted.
+   k, solver seed, tolerances) share one Lanczos solve and one k-means
+   per distinct set of label knobs (``kmeans_max_iter``,
+   ``sample_frac``).
+3. **Model cache** — before any device work, each subgroup consults the
+   LRU :class:`~repro.serve.cache.EmbeddingCache`, whose one entry per
+   solved problem is the fitted model.  A hit skips stages 1-4 entirely
+   (other label knobs rerun only k-means on the cached embedding) and
+   is bit-identical to a cold run by construction of the key.  Only
+   fault-free computations are inserted.
 4. **Scheduling** — units execute through the
    :class:`~repro.serve.scheduler.StreamScheduler`, which lays their
    cost-model durations onto ``n_devices × streams_per_device`` lanes;
@@ -27,7 +30,8 @@ over the simulated platform:
 Fault isolation
 ---------------
 Each request's chaos plan is scoped to the units it *leads* (shared
-stages run under the FIFO leader's plan) plus its own k-means.  When a
+stages run under the FIFO leader's plan) plus any k-means run for its
+labels (a cache hit that reuses the entry's labels runs none).  When a
 shared unit fails terminally, the leader gets a ``failed`` response and
 the unit is retried for the remaining members without the poisoned plan —
 a faulted job can therefore degrade (resilience recovers, recorded in its
@@ -40,29 +44,35 @@ micro-batching entirely: a predict never waits for a batch to form and
 is never shed by the bounded queue.  Ready predicts dispatch in
 deadline/priority order (:meth:`StreamScheduler.dispatch_order`) with
 ``ready_at`` equal to their arrival, so an idle stream serves them while
-heavy fit batches occupy the other lanes.  The fitted model is shared
-through the same LRU cache as the embeddings under
-:func:`~repro.serve.fingerprint.model_key` (fit identity only — predict
-knobs stay outside the key): a miss charges one cold fit, every
-subsequent predict against that fit pays only the Nyström extension.
-A cold fit that recovered from injected faults is tainted and never
-cached, exactly like the embedding-cache rule.
+heavy fit batches occupy the other lanes.  Fit and predict requests
+share one cache entry per problem under
+:func:`~repro.serve.fingerprint.embedding_key` (fit identity only —
+predict knobs stay outside the key): a predict against a problem a fit
+batch (or an earlier predict) solved pays only the Nyström extension,
+and a miss charges one cold fit whose model later fits hit too.  A
+cached model keeps its basis resident on the device, so a device
+predict uploads only its own payload.  A cold fit that recovered from
+injected faults is tainted and never cached.  A predict against a
+ratiocut or compressive fit, which has no Nyström extension, fails at
+arrival.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.chaos.runtime import chaos as _chaos_scope
-from repro.core.result import EmbeddingResult, StageTimings
+from repro.core.model import NO_NYSTROM, FittedSpectralModel, has_nystrom
+from repro.core.result import StageTimings
 from repro.cuda.profiler import Profiler, merge_reports
 from repro.errors import AdmissionError, ClusteringError, ReproError, ServiceError
 from repro.hw.spec import GPUSpec, K20C, PCIE_X16_GEN2, PCIeSpec
 from repro.serve.batcher import Batch, MicroBatcher
 from repro.serve.cache import EmbeddingCache
+from repro.serve.fingerprint import same_labels
 from repro.serve.metrics import ServiceReport, build_report
 from repro.serve.persist import PersistentStore
 from repro.serve.queue import AdmissionQueue
@@ -124,16 +134,19 @@ class ServiceConfig:
 
 @dataclass
 class _OperatorBuild:
-    """Stages 1-2 output shared by a batch (device-resident)."""
+    """Stages 1-2 output shared by a batch (device-resident), plus the
+    host inputs a fitted model keeps: the graph mirror (None when no
+    group can predict) and the point input (None for graph input)."""
 
     dcsr: object
     shift: float
     deg_kept: np.ndarray
     kept: np.ndarray
     n_total: int
+    graph: object
+    points: np.ndarray | None
     timings: StageTimings
     resilience: dict
-    profile: object
 
     @property
     def n(self) -> int:
@@ -173,8 +186,9 @@ class ClusterService:
         self._datasets: dict[tuple, object] = {}
         #: (dataset, scale, seed) -> content fingerprint
         self._fp_by_ref: dict[tuple, str] = {}
-        #: embedding key -> simulated time its cached entry became available
-        self._cache_ready: dict[tuple, float] = {}
+        #: embedding key -> the unit whose end made its cached entry
+        #: available (absent for an entry loaded from disk)
+        self._entry_units: dict[tuple, object] = {}
         #: response finalizers for units whose placement may still be
         #: rewritten by a preemption; run once the schedule is final
         self._deferred: list = []
@@ -358,22 +372,16 @@ class ClusterService:
             error=f"{type(err).__name__}: {err}",
         )
 
-    def _serve_batch(self, batch: Batch, t_batch: float, responses) -> float:
-        """Serve one batch; returns the simulated completion time."""
+    def _serve_batch(self, batch: Batch, t_batch: float, responses) -> None:
+        """Serve one batch: cache lookups, then the shared stages for the
+        groups that missed, then each request's labels."""
         fp = batch.group_key[0]
         groups = batch.embedding_groups(lambda r: r.embedding_key(fp))
 
         # --- consult the cache per embedding group -----------------------
-        cached: dict[tuple, EmbeddingResult] = {}
-        misses: list[tuple] = []
-        for key in groups:
-            hit = self.cache.get(key)
-            if hit is not None:
-                cached[key] = hit
-            else:
-                misses.append(key)
+        cached = {key: self.cache.get(key) for key in groups}
+        misses = [key for key, entry in cached.items() if entry is None]
 
-        batch_end = t_batch
         op: _OperatorBuild | None = None
         op_unit = None
         dead: set[str] = set()
@@ -386,14 +394,17 @@ class ClusterService:
                 ]
                 order = {r.request_id: j for j, r in enumerate(batch.requests)}
                 miss_members.sort(key=lambda r: order[r.request_id])
+                # one host graph mirror serves every group that can predict
+                keep_graph = any(has_nystrom(r.config) for r in miss_members)
                 while miss_members:
                     leader = miss_members[0]
                     unit = self.scheduler.run(
                         f"b{batch.batch_id}:operator",
                         ready_at=t_batch,
-                        fn=self._scoped(leader, self._build_fn(leader)),
+                        fn=self._scoped(
+                            leader, self._build_fn(leader, keep_graph)
+                        ),
                     )
-                    batch_end = max(batch_end, unit.end)
                     if unit.ok:
                         op = unit.value
                         op_unit = unit
@@ -409,13 +420,7 @@ class ClusterService:
                     misses = []
 
             # --- stage 3 per embedding group -----------------------------
-            # a hit can piggyback on an entry whose solve is still in
-            # flight on another lane: k-means then waits for availability
-            ready: dict[tuple, float] = {
-                key: max(t_batch, self._cache_ready.get(key, t_batch))
-                for key in cached
-            }
-            solved: dict[tuple, EmbeddingResult] = {}
+            solved: dict[tuple, tuple] = {}
             for key in misses:
                 members = [
                     r for r in groups[key] if r.request_id not in dead
@@ -446,14 +451,8 @@ class ClusterService:
                             len(self.scheduler.lanes),
                         ),
                     )
-                    batch_end = max(batch_end, unit.end)
                     if unit.ok:
-                        emb = unit.value
-                        solved[key] = emb
-                        ready[key] = unit.end
-                        if not emb.resilience and not op.resilience:
-                            if self.cache.put(key, emb):
-                                self._cache_ready[key] = unit.end
+                        solved[key] = (unit,) + unit.value
                         break
                     self._fail(
                         responses, leader, unit.error, batch, t_batch, unit.end
@@ -463,87 +462,124 @@ class ClusterService:
 
             # --- stage 4 per request -------------------------------------
             for key, members in groups.items():
-                emb = cached.get(key) or solved.get(key)
-                if emb is None:
-                    continue  # group never produced an embedding
-                for req in members:
-                    if req.request_id in dead:
-                        continue
-                    unit = self.scheduler.run(
-                        f"b{batch.batch_id}:kmeans[{req.request_id}]",
-                        ready_at=ready[key],
-                        fn=self._scoped(req, self._kmeans_fn(req, emb)),
-                        # the canonical preemption victim: a deadline
-                        # predict may suspend it at a Lloyd-iteration
-                        # boundary or jump in front of it before it starts
-                        preemptible=True,
-                    )
-                    batch_end = max(batch_end, unit.end)
-                    if not unit.ok:
-                        # preemption may still shift this unit: read its
-                        # end time only once the schedule is final
-                        self._deferred.append(
-                            lambda u=unit, r=req: self._fail(
-                                responses, r, u.error, batch, t_batch, u.end
-                            )
-                        )
-                        continue
-                    km, km_timings, km_resil = unit.value
-                    labels_full = np.full(emb.n_total, -1, dtype=np.int64)
-                    labels_full[emb.kept] = km.labels
-                    timings = StageTimings(
-                        simulated=dict(emb.timings.simulated),
-                        wall=dict(emb.timings.wall),
-                    ) if key in solved else StageTimings()
-                    timings.simulated.update(km_timings.simulated)
-                    timings.wall.update(km_timings.wall)
-                    resilience = dict(emb.resilience) if key in solved else {}
-                    resilience.update(km_resil)
-
-                    # results are final (arithmetic already executed), but
-                    # a later preemption may still push the placement —
-                    # defer only the completion-time read
-                    def _finish(
-                        u=unit, r=req, labels=labels_full, e=emb,
-                        hit=key in cached, tm=timings, rs=resilience,
-                    ):
-                        responses[r.request_id] = ClusterResponse(
-                            request_id=r.request_id,
-                            status=STATUS_OK,
-                            labels=labels,
-                            eigenvalues=e.eigenvalues,
-                            embedding=e.embedding,
-                            cache_hit=hit,
-                            batch_id=batch.batch_id,
-                            batch_size=len(batch),
-                            arrival=r.arrival,
-                            batch_start=t_batch,
-                            completed=u.end,
-                            timings=tm,
-                            resilience=rs,
-                        )
-
-                    self._deferred.append(_finish)
+                self._serve_labels(
+                    batch, t_batch, key, members, cached[key],
+                    solved.get(key), op, dead, responses,
+                )
         finally:
             if op is not None:
                 op.dcsr.free()
-        return batch_end
+
+    def _serve_labels(
+        self, batch, t_batch, key, members, entry, solve, op, dead, responses,
+    ) -> None:
+        """Stage 4 of one embedding group: each member's labels.
+
+        A member reuses the labels of ``entry`` (the cached model, or
+        the one this group's first clean k-means just built) when its
+        label knobs equal the entry's; only the others run k-means.  The
+        first clean k-means of a group that solved here builds the entry
+        and caches it — unless a fault fired anywhere on its path.
+        """
+        hit = entry is not None
+        entry_unit = entry_timings = None
+
+        def respond(req, model, unit, timings, resilience):
+            def finish():
+                responses[req.request_id] = ClusterResponse(
+                    request_id=req.request_id,
+                    status=STATUS_OK,
+                    labels=model.labels,
+                    eigenvalues=model.eigenvalues,
+                    embedding=model.embedding,
+                    cache_hit=hit,
+                    batch_id=batch.batch_id,
+                    batch_size=len(batch),
+                    arrival=req.arrival,
+                    batch_start=t_batch,
+                    completed=max(t_batch, unit.end) if unit else t_batch,
+                    timings=timings,
+                    resilience=resilience,
+                )
+
+            # the results are final, but a later preemption may still push
+            # ``unit``: read its end only once the schedule has settled
+            self._deferred.append(finish)
+
+        if hit:
+            embedding, theta = entry.embedding, entry.eigenvalues
+            base_timings, base_resil = StageTimings(), {}
+            entry_unit = self._entry_units.get(key)
+        elif solve is not None:
+            solve_unit, theta, embedding, base_timings, base_resil = solve
+        else:
+            return  # the group never produced an embedding
+        for req in members:
+            if req.request_id in dead:
+                continue
+            if entry is not None and same_labels(entry.config, req.config):
+                respond(
+                    req, entry, entry_unit,
+                    StageTimings() if hit else entry_timings, {},
+                )
+                continue
+            after = entry_unit if hit else solve_unit
+            unit = self.scheduler.run(
+                f"b{batch.batch_id}:kmeans[{req.request_id}]",
+                ready_at=max(t_batch, after.end) if after else t_batch,
+                fn=self._scoped(req, self._kmeans_fn(req, embedding)),
+                # the canonical preemption victim: a deadline predict may
+                # suspend it at a Lloyd-iteration boundary or jump in
+                # front of it before it starts
+                preemptible=True,
+                depends_on=(after,) if after else (),
+            )
+            if not unit.ok:
+                # preemption may still shift this unit: read its end time
+                # only once the schedule is final
+                self._deferred.append(
+                    lambda u=unit, r=req: self._fail(
+                        responses, r, u.error, batch, t_batch, u.end
+                    )
+                )
+                continue
+            km, km_timings, km_resil = unit.value
+            timings = StageTimings(
+                simulated={**base_timings.simulated, **km_timings.simulated},
+                wall={**base_timings.wall, **km_timings.wall},
+            )
+            resilience = {**base_resil, **km_resil}
+            if hit:
+                # other label knobs on a cached solve: these labels are
+                # served, not cached
+                model = entry.relabeled(req.config, km, resilience)
+            else:
+                model = FittedSpectralModel.from_stages(
+                    req.config, km, theta, embedding, op.kept, op.n_total,
+                    degrees=op.deg_kept, graph=op.graph, points=op.points,
+                    resilience=resilience,
+                )
+            if entry is None and not resilience:
+                # the group's first clean labels become its entry
+                entry, entry_unit, entry_timings = model, unit, timings
+                if self.cache.put(key, model):
+                    self._entry_units[key] = unit
+            respond(req, model, unit, timings, resilience)
 
     # ------------------------------------------------------------------
     # unit builders (arithmetic identical to SpectralClustering.fit)
     # ------------------------------------------------------------------
-    def _build_fn(self, leader: ClusterRequest):
+    def _build_fn(self, leader: ClusterRequest, keep_graph: bool):
         graph, X, edges = self._resolve(leader)
         est = leader.estimator()
         policy = leader.policy()
 
         def run(dev) -> _OperatorBuild:
-            prof = Profiler(dev)
-            prof.start()
             timings = StageTimings()
             resil: dict = {}
-            dcoo, n_total, kept = est._similarity_stage(
-                dev, policy, X, edges, graph, timings, resil
+            dcoo, n_total, kept, graph_host = est._similarity_stage(
+                dev, policy, X, edges, graph, timings, resil,
+                keep_graph=keep_graph,
             )
             try:
                 dcsr, shift, deg_kept = est._operator_stage(
@@ -553,8 +589,8 @@ class ClusterService:
                 dcoo.free()
             return _OperatorBuild(
                 dcsr=dcsr, shift=shift, deg_kept=deg_kept, kept=kept,
-                n_total=n_total, timings=timings, resilience=resil,
-                profile=prof.stop(),
+                n_total=n_total, graph=graph_host, points=X,
+                timings=timings, resilience=resil,
             )
 
         return run
@@ -563,40 +599,29 @@ class ClusterService:
         est = leader.estimator()
         policy = leader.policy()
 
-        def run(dev) -> EmbeddingResult:
-            prof = Profiler(dev)
-            prof.start()
+        def run(dev):
+            """``(eigenvalues, embedding, timings, resilience)``, the
+            timings and resilience folding in the shared build's."""
             timings = StageTimings()
             resil: dict = {}
-            theta, embedding, stats = est._eigensolver_stage(
+            theta, embedding, _stats = est._eigensolver_stage(
                 dev, policy, op.dcsr, op.shift, op.deg_kept, timings, resil,
                 free_operator=False,
             )
-            # fold the shared build into the group's embedding record so a
-            # later cache hit reports the full provenance
             timings.simulated = {**op.timings.simulated, **timings.simulated}
             timings.wall = {**op.timings.wall, **timings.wall}
-            return EmbeddingResult(
-                embedding=embedding,
-                eigenvalues=theta,
-                kept=op.kept,
-                n_total=op.n_total,
-                timings=timings,
-                profile=merge_reports([op.profile, prof.stop()]),
-                eig_stats=stats.as_dict(),
-                resilience={**op.resilience, **resil},
-            )
+            return theta, embedding, timings, {**op.resilience, **resil}
 
         return run
 
-    def _kmeans_fn(self, req: ClusterRequest, emb: EmbeddingResult):
+    def _kmeans_fn(self, req: ClusterRequest, embedding: np.ndarray):
         est = req.estimator()
         policy = req.policy()
 
         def run(dev):
             timings = StageTimings()
             resil: dict = {}
-            km = est._kmeans_stage(dev, policy, emb.embedding, timings, resil)
+            km = est._kmeans_stage(dev, policy, embedding, timings, resil)
             return km, timings, resil
 
         return run
@@ -617,70 +642,75 @@ class ClusterService:
         )
 
     def _serve_predict(self, preq: PredictRequest, responses) -> None:
-        """Serve one fast-lane predict: model cache → (cold fit) → Nyström.
+        """Serve one fast-lane predict: cached model → (cold fit) → Nyström.
 
         The predict bypasses the admission queue and the batcher; its
         units dispatch with ``ready_at = arrival`` so an idle stream
         picks them up immediately, even while a fit batch holds the
-        other lanes.
+        other lanes.  A fit parameterization with no Nyström extension
+        fails at arrival, before any unit runs.
         """
         fit = preq.fit
         try:
-            fp = self._fingerprint_of(fit)
-            key = fit.model_key(fp)
+            if not has_nystrom(fit.config):
+                raise ClusteringError(NO_NYSTROM)
+            key = fit.embedding_key(self._fingerprint_of(fit))
         except ReproError as err:
             self._fail_predict(responses, preq, err, preq.arrival)
             return
 
-        model = self.cache.get(key)
-        model_hit = model is not None
-        cold_fit = False
-        cold_unit = None
-        cold_resilience: dict = {}
-        ready = preq.arrival
-        if model_hit:
-            # piggyback on an entry whose fit may still be in flight
-            ready = max(ready, self._cache_ready.get(key, ready))
-        else:
-            cold_unit = self.scheduler.run(
+        entry = self.cache.get(key)
+        model_hit = entry is not None
+        relabel = model_hit and not same_labels(entry.config, fit.config)
+        # the unit whose end the predict waits for; retired before its
+        # end is read, so no later preemption can move it
+        after = self._entry_units.get(key) if model_hit else None
+        if not model_hit:
+            after = self.scheduler.run(
                 f"predict[{preq.request_id}]:coldfit",
                 ready_at=preq.arrival,
                 fn=self._scoped(preq, self._coldfit_fn(fit)),
                 priority=preq.priority,
-                # a cold fit suspends at its Lanczos-restart boundaries;
-                # on failure nothing consumes its end time, so it stays a
-                # live preemption victim — defer reading its times
+                # a cold fit suspends at its Lanczos-restart boundaries
                 preemptible=True,
             )
-            if not cold_unit.ok:
-                self._deferred.append(
-                    lambda u=cold_unit: self._fail_predict(
-                        responses, preq, u.error, u.end
-                    )
+        elif relabel:
+            # other label knobs on the cached solve: k-means only, and
+            # the model it gives is served, not cached
+            after = self.scheduler.run(
+                f"predict[{preq.request_id}]:kmeans",
+                ready_at=max(preq.arrival, after.end) if after else preq.arrival,
+                fn=self._scoped(preq, self._kmeans_fn(fit, entry.basis)),
+                priority=preq.priority,
+                preemptible=True,
+                depends_on=(after,) if after else (),
+            )
+        if after is not None and not after.ok:
+            # nothing consumes a failed unit's end, so it stays a live
+            # preemption victim — defer reading its times
+            self._deferred.append(
+                lambda u=after: self._fail_predict(
+                    responses, preq, u.error, u.end
                 )
-                return
-            result = cold_unit.value
-            model = result.model
-            if model is None:
-                err = ClusteringError(
-                    "fit parameterization has no Nyström extension "
-                    "(ratiocut objective or compressive embedding)"
-                )
-                # the response consumes the fit's end time: freeze it
-                self.scheduler.retire(cold_unit)
-                self._fail_predict(responses, preq, err, cold_unit.end)
-                return
-            cold_fit = True
-            cold_resilience = dict(result.resilience)
-            # downstream work consumes the fit's end time: freeze the
-            # span so no later preemption can rewrite it
-            self.scheduler.retire(cold_unit)
-            ready = cold_unit.end
+            )
+            return
+        ready = preq.arrival
+        if after is not None:
+            self.scheduler.retire(after)
+            ready = max(ready, after.end)
+        model, resilience = entry, {}
+        if relabel:
+            km, _timings, resilience = after.value
+            model = entry.relabeled(fit.config, km, resilience)
+        elif not model_hit:
+            model = after.value.model
+            resilience = dict(model.resilience)
             # taint rule: a fit that recovered from faults never caches
-            if not result.resilience:
-                if self.cache.put(key, model):
-                    self._cache_ready[key] = cold_unit.end
-
+            if not resilience and self.cache.put(key, model):
+                self._entry_units[key] = after
+                entry = model
+        # only the cached model keeps its basis resident on the device
+        keep_basis = model is entry
         try:
             payload = self._predict_payload(preq, model)
         except ReproError as err:
@@ -690,18 +720,19 @@ class ClusterService:
         unit = self.scheduler.run(
             f"predict[{preq.request_id}]",
             ready_at=ready,
-            fn=self._scoped(preq, self._predict_fn(preq, model, payload)),
+            fn=self._scoped(
+                preq, self._predict_fn(preq, model, payload, keep_basis)
+            ),
             priority=preq.priority,
             deadline=preq.deadline,
             # a predict with no deadline is a final-stage unit: nothing
             # reads its times until response finalization, so an urgent
             # deadline predict may jump the queue ahead of it
             preemptible=preq.deadline is None,
-            depends_on=(cold_unit,) if cold_unit is not None else (),
         )
 
         def _finish(
-            u=unit, r=preq, hit=model_hit, cold=cold_fit, rs=cold_resilience
+            u=unit, r=preq, hit=model_hit, rs=resilience
         ):
             if not u.ok:
                 self._fail_predict(responses, r, u.error, u.end)
@@ -713,7 +744,7 @@ class ClusterService:
                 labels=pres.labels,
                 embedding=pres.embedding,
                 model_hit=hit,
-                cold_fit=cold,
+                cold_fit=not hit,
                 ledger_ok=pres.ledger_ok,
                 n_new=pres.n_new,
                 arrival=r.arrival,
@@ -721,9 +752,9 @@ class ClusterService:
                 completed=u.end,
                 deadline=r.deadline,
                 priority=r.priority,
-                # the cold fit's recovery record rides along: it explains
-                # why the model was (not) cached and flags the response
-                # degraded
+                # the recovery record of the fit or k-means run for this
+                # predict rides along: it explains why the model was
+                # (not) cached and flags the response degraded
                 resilience={**rs, **pres.resilience},
             )
 
@@ -745,11 +776,15 @@ class ClusterService:
 
         return run
 
-    def _predict_fn(self, preq: PredictRequest, model, payload: dict):
+    def _predict_fn(
+        self, preq: PredictRequest, model, payload: dict, keep_basis: bool
+    ):
         policy = preq.policy()
 
         def run(dev):
-            return model.predict(device=dev, policy=policy, **payload)
+            return model.predict(
+                device=dev, policy=policy, keep_basis=keep_basis, **payload
+            )
 
         return run
 
@@ -826,43 +861,54 @@ def run_sequential(
 
 
 def verify_against_cold(
-    responses: list[ClusterResponse],
-    requests: list[ClusterRequest],
+    responses: list,
+    requests: list,
 ) -> list[str]:
     """Check every ok response against a cold single-request fit.
 
-    Re-runs each served request through ``SpectralClustering.fit`` on a
-    fresh device and compares labels and embeddings bit for bit.  Returns
-    human-readable mismatch lines (empty = verified).  Requests that
-    failed or were rejected in the service are skipped, as are chaos
-    requests (a cold run replays the same fault schedule from a different
-    site sequence, so recovery paths may legitimately differ).
+    Re-runs each served fit request — and the fit behind each served
+    predict — through ``SpectralClustering.fit`` on a fresh device.  A
+    fit's labels and embedding must equal the cold run's bit for bit; a
+    predict's must equal the cold model's host-path predict on the same
+    payload.  Returns human-readable mismatch lines (empty = verified).
+    Requests that failed or were rejected in the service are skipped, as
+    are chaos requests (a cold run replays the same fault schedule from a
+    different site sequence, so recovery paths may legitimately differ).
+    One cold fit serves every response whose fit has the same workload
+    content and the same config.
     """
     by_id = {r.request_id: r for r in requests}
     service = ClusterService()  # fresh resolver for cold runs
+    colds: dict[tuple, object] = {}
     problems: list[str] = []
     for resp in responses:
         if not resp.ok:
             continue
         req = by_id[resp.request_id]
-        if not isinstance(req, ClusterRequest):
-            continue  # predict parity is audited by its transfer ledger
-        if req.chaos is not None:
+        fit = req.fit if isinstance(req, PredictRequest) else req
+        if req.chaos is not None or fit.chaos is not None:
             continue
-        graph, X, edges = service._resolve(req)
-        est = req.estimator()
-        cold = (
-            est.fit(graph=graph) if graph is not None
-            else est.fit(X=X, edges=edges)
-        )
+        spec = (service._fingerprint_of(fit), fit.config)
+        if spec not in colds:
+            graph, X, edges = service._resolve(fit)
+            est = fit.estimator()
+            colds[spec] = (
+                est.fit(graph=graph) if graph is not None
+                else est.fit(X=X, edges=edges)
+            )
+        cold = colds[spec]
+        if isinstance(req, PredictRequest):
+            payload = service._predict_payload(req, cold.model)
+            cold = cold.model.predict(**payload)
+            hit = f"model_hit={resp.model_hit}"
+        else:
+            hit = f"cache_hit={resp.cache_hit}"
         if not np.array_equal(cold.labels, resp.labels):
             problems.append(
-                f"{resp.request_id}: labels differ from cold run "
-                f"(cache_hit={resp.cache_hit})"
+                f"{resp.request_id}: labels differ from cold run ({hit})"
             )
         if not np.array_equal(cold.embedding, resp.embedding):
             problems.append(
-                f"{resp.request_id}: embedding differs from cold run "
-                f"(cache_hit={resp.cache_hit})"
+                f"{resp.request_id}: embedding differs from cold run ({hit})"
             )
     return problems

@@ -205,7 +205,7 @@ def synthetic_trace(
     Workloads cycle through ``datasets`` (each a ``(name, scale)`` pair
     with a fixed generator seed), so the same graph fingerprint recurs
     throughout the trace — exactly the traffic shape micro-batching and
-    the embedding cache exist for.  ``k_choices`` varies ``n_clusters``
+    the model cache exist for.  ``k_choices`` varies ``n_clusters``
     across requests sharing a graph; ``chaos_every > 0`` arms every
     n-th request with a deterministic fault seed.
     """

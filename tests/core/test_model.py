@@ -242,6 +242,60 @@ class TestPredictFeaturePath:
                 tracemalloc.stop()
         assert max(peaks) < 64 * 1024, peaks
 
+    def test_device_peak_does_not_grow_with_anchor_count(self):
+        """The device path of the same 1-point, 3-pair predict, against a
+        basis left resident by an earlier call: it uploads the 3 touched
+        anchor rows, not the anchor matrix, and no copy of the basis, so
+        its traced bytes stay flat from 2,000 to 20,000 anchors."""
+        import gc
+        import tracemalloc
+
+        from repro.core.config import ClusterConfig
+        from repro.core.model import FittedSpectralModel
+        from repro.sparse.csr import CSRMatrix
+
+        k, d = 4, 90
+        rng = np.random.default_rng(0)
+        X_new = rng.standard_normal((1, d))
+        peaks = []
+        for n in (2_000, 20_000):
+            kept = np.arange(0, 2 * n, 2, dtype=np.int64)
+            model = FittedSpectralModel(
+                basis=rng.standard_normal((n, k)),
+                eigenvalues=np.linspace(1.0, 0.9, k),
+                degrees=rng.random(n) + 1.0,
+                centroids=rng.standard_normal((k, k)),
+                labels=rng.integers(0, k, 2 * n),
+                kept=kept, n_total=2 * n,
+                graph=CSRMatrix(np.zeros(n + 1, dtype=np.int64),
+                                np.zeros(0, dtype=np.int64), np.zeros(0),
+                                (n, n)),
+                anchors=np.vstack([X_new + 0.1 * rng.standard_normal((3, d)),
+                                   rng.standard_normal((n - 3, d))]),
+                config=ClusterConfig(n_clusters=k),
+            )
+            pairs = np.array([[0, kept[0]], [0, kept[1]], [0, kept[2]]])
+            device = Device()
+            first = model.predict(
+                X_new=X_new, pairs_new=pairs, device=device, keep_basis=True
+            )
+            assert not first.ledger.basis_resident and first.ledger_ok
+            gc.collect()
+            tracemalloc.start()
+            try:
+                out = model.predict(
+                    X_new=X_new, pairs_new=pairs, device=device,
+                    keep_basis=True,
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert out.ledger.basis_resident and out.ledger_ok is True
+            assert out.ledger.anchors_h2d_bytes() == 3 * d * 8
+            assert np.array_equal(out.labels, first.labels)
+            model.release()
+        assert max(peaks) < 64 * 1024, peaks
+
     def test_device_matches_host_bitwise(self, blob_fit):
         X, _, res = blob_fit
         model = res.model

@@ -105,13 +105,23 @@ class TestPredictLedger:
 
     def test_feature_path_counts(self):
         led = PredictLedger(
-            n_new=4, n_anchor=20, k=2, nnz=9, d=6, feature_path=True
+            n_new=4, n_anchor=20, k=2, nnz=9, d=6, feature_path=True,
+            n_touched=5,
         )
         assert led.n_h2d == 7
+        # only the 5 touched anchor rows ride H2D, not all 20
         assert led.total_h2d_bytes() == (
-            4 * 6 * 8 + 20 * 6 * 8 + 9 * 8 + 9 * 8 + 5 * 8
+            4 * 6 * 8 + 5 * 6 * 8 + 9 * 8 + 9 * 8 + 5 * 8
             + 20 * 2 * 8 + 2 * 2 * 8
         )
+
+    def test_resident_basis_is_not_charged(self):
+        cold = PredictLedger(n_new=10, n_anchor=40, k=3, nnz=25)
+        warm = PredictLedger(
+            n_new=10, n_anchor=40, k=3, nnz=25, basis_resident=True
+        )
+        assert warm.n_h2d == cold.n_h2d - 1
+        assert warm.total_h2d_bytes() == cold.total_h2d_bytes() - 40 * 3 * 8
 
     def test_reduced_precision_itemsize(self):
         full = PredictLedger(n_new=4, n_anchor=10, k=2, nnz=8)

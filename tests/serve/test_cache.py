@@ -1,24 +1,28 @@
-"""LRU embedding cache semantics."""
+"""LRU model cache semantics."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import ClusterConfig
-from repro.core.result import EmbeddingResult, StageTimings
-from repro.cuda.profiler import ProfileReport
+from repro.core.model import FittedSpectralModel
+from repro.cuda.device import Device
 from repro.errors import ServiceError
 from repro.serve.cache import EmbeddingCache
 
 
 def _entry(n=10, k=3):
-    return EmbeddingResult(
-        embedding=np.zeros((n, k)),
+    """A labels-only entry (what a ratiocut or compressive fit caches)."""
+    return FittedSpectralModel(
+        basis=np.zeros((n, k)),
         eigenvalues=np.zeros(k),
+        degrees=None,
+        centroids=np.zeros((k, k)),
+        labels=np.zeros(n, dtype=np.int64),
         kept=np.arange(n),
         n_total=n,
-        timings=StageTimings(),
-        profile=ProfileReport(communication=0.0, computation=0.0),
-        eig_stats={},
+        graph=None,
+        anchors=None,
+        config=ClusterConfig(n_clusters=k, objective="ratiocut"),
     )
 
 
@@ -99,18 +103,16 @@ def _model(n_anchor=8, k=3, d=None):
 
 
 class TestMixedFitPredictLoad:
-    """Models and embeddings share one LRU: the 'model' key prefix keeps
-    the spaces disjoint while eviction and accounting stay uniform."""
+    """Labels-only entries and Nyström models share one LRU: eviction
+    and accounting stay uniform."""
 
-    def test_disjoint_key_spaces_coexist(self):
+    def test_both_entry_kinds_coexist(self):
         cache = EmbeddingCache(capacity=4)
-        ekey = ("fp", "sym", 4)
-        mkey = ("model",) + ekey
-        cache.put(ekey, _entry())
-        cache.put(mkey, _model())
+        cache.put(("fp", "ratiocut"), _entry())
+        cache.put(("fp", "ncut"), _model())
         assert len(cache) == 2
-        assert isinstance(cache.get(ekey), EmbeddingResult)
-        assert cache.get(mkey) is not None
+        assert cache.get(("fp", "ratiocut")).graph is None
+        assert cache.get(("fp", "ncut")).graph is not None
 
     def test_model_nbytes_feeds_accounting(self):
         cache = EmbeddingCache(capacity=4)
@@ -121,8 +123,26 @@ class TestMixedFitPredictLoad:
         assert cache.stats.bytes_held == m.nbytes + e.nbytes
         assert m.nbytes > _model(n_anchor=16).nbytes  # anchors counted
 
+    def test_eviction_frees_the_resident_basis(self):
+        """An evicted model releases the basis copy a ``keep_basis``
+        predict left on the device."""
+        device = Device()
+        cache = EmbeddingCache(capacity=1)
+        m = _model()
+        cache.put(("model", "m"), m)
+        pairs = np.array([[0, 1], [0, 2]])
+        m.predict(
+            weights_new=np.ones(2), pairs_new=pairs, device=device,
+            keep_basis=True,
+        )
+        resident = m._resident[device]
+        assert resident.is_valid
+        cache.put(("model", "m2"), _model())
+        assert not resident.is_valid and not m._resident
+
     def test_lru_order_spans_both_kinds(self):
-        """A hot model keeps its slot while a stale embedding evicts."""
+        """A hot model keeps its slot while a stale labels-only entry
+        evicts."""
         cache = EmbeddingCache(capacity=2)
         cache.put(("model", "m"), _model())
         cache.put(("e",), _entry())

@@ -8,13 +8,13 @@ import pytest
 from repro.core.config import ClusterConfig
 from repro.serve.fingerprint import (
     EMBEDDING_KEY_FIELDS,
-    MODEL_KEY_FIELDS,
+    LABEL_FIELDS,
     UNKEYED_FIELDS,
     embedding_key,
     graph_fingerprint,
-    model_key,
     operator_key,
     points_fingerprint,
+    same_labels,
 )
 from repro.serve.request import DEFAULT_REQUEST_CONFIG
 
@@ -96,10 +96,10 @@ class TestCompositeKeys:
     )
     def test_every_field_has_one_key_role(self, name):
         """Each config field is in exactly one of the embedding key, the
-        model key or the unkeyed table; changing it changes exactly the
-        keys its role says."""
+        label fields or the unkeyed table; changing it changes exactly
+        what its role says: the key, or only which labels are reusable."""
         roles = [
-            role for role in (EMBEDDING_KEY_FIELDS, MODEL_KEY_FIELDS,
+            role for role in (EMBEDDING_KEY_FIELDS, LABEL_FIELDS,
                               UNKEYED_FIELDS)
             if name in role
         ]
@@ -108,15 +108,14 @@ class TestCompositeKeys:
         base = replace(DEFAULT_REQUEST_CONFIG, **base_knobs)
         changed = replace(base, **{name: value})
         assert getattr(base, name) != value
-        emb = embedding_key("fp", base)
-        emb_changed = embedding_key("fp", changed)
-        model_changed = model_key(emb_changed, changed) != model_key(emb, base)
+        key_changed = embedding_key("fp", changed) != embedding_key("fp", base)
+        labels_changed = not same_labels(base, changed)
         if roles[0] is EMBEDDING_KEY_FIELDS:
-            assert emb_changed != emb
-        elif roles[0] is MODEL_KEY_FIELDS:
-            assert emb_changed == emb and model_changed
+            assert key_changed
+        elif roles[0] is LABEL_FIELDS:
+            assert not key_changed and labels_changed
         else:
-            assert emb_changed == emb and not model_changed
+            assert not key_changed and not labels_changed
 
     def test_default_request_key(self):
         """The key tuples are value-identical to the per-argument form
@@ -125,9 +124,6 @@ class TestCompositeKeys:
         assert emb == (
             "fp", "sym", "ncut", 2, None, 1e-08, None, 0, "fp64", "lanczos",
             None, None,
-        )
-        assert model_key(emb, DEFAULT_REQUEST_CONFIG) == (
-            ("model",) + emb + (300,)
         )
         comp = replace(DEFAULT_REQUEST_CONFIG, n_clusters=5, **_COMPRESSIVE)
         assert embedding_key("fp", comp)[-2:] == (48, 16)
@@ -209,28 +205,27 @@ class TestCompressiveKeyPartitioning:
 
 
 class TestModelKey:
-    """The fitted-model cache key: embedding identity + k-means knobs,
-    predict knobs excluded."""
+    """The one cache key: fit and predict requests share it, the label
+    knobs stay outside it, and so do the predict knobs."""
 
-    def test_extends_embedding_key(self, make_request):
-        req = make_request()
-        fp = req.workload_fingerprint()
-        mk = req.model_key(fp)
-        assert mk[0] == "model"
-        assert mk[1:-1] == req.embedding_key(fp)
+    def test_fit_and_predict_share_one_key(self, make_request):
+        """A predict looks up the very key its fit request caches under."""
+        from repro.serve.request import PredictRequest
+
+        fit = make_request()
+        fp = fit.workload_fingerprint()
+        pred = PredictRequest(request_id="p", fit=fit)
+        assert pred.fit.embedding_key(fp) == fit.embedding_key(fp)
 
     def test_kmeans_knobs_partition(self, make_request):
+        """kmeans_max_iter separates labels, not solves: the key is
+        shared, the labels are not."""
         a = make_request()
         b = make_request(kmeans_max_iter=50)
         fp = a.workload_fingerprint()
-        assert a.model_key(fp) != b.model_key(fp)
-
-    def test_never_collides_with_embedding_slot(self, make_request):
-        """Models and embeddings share one LRU cache; the 'model' prefix
-        keeps the key spaces disjoint."""
-        req = make_request()
-        fp = req.workload_fingerprint()
-        assert req.model_key(fp) != req.embedding_key(fp)
+        assert a.embedding_key(fp) == b.embedding_key(fp)
+        assert not same_labels(a.config, b.config)
+        assert same_labels(a.config, make_request().config)
 
     def test_predict_knobs_outside_key(self, make_request):
         """Two predicts differing in payload / deadline / priority against
@@ -242,4 +237,4 @@ class TestModelKey:
         a = PredictRequest(request_id="pa", fit=fit, n_new=4, priority=2,
                            deadline=1.0, arrival=0.5)
         b = PredictRequest(request_id="pb", fit=fit, n_new=64, new_seed=9)
-        assert a.fit.model_key(fp) == b.fit.model_key(fp)
+        assert a.fit.embedding_key(fp) == b.fit.embedding_key(fp)

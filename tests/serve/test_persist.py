@@ -6,25 +6,28 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from repro.core.result import EmbeddingResult, StageTimings
-from repro.cuda.profiler import ProfileReport
+from repro.core.config import ClusterConfig
+from repro.core.model import FittedSpectralModel
 from repro.errors import ServiceError
 from repro.serve.cache import EmbeddingCache
 from repro.serve.persist import PersistentStore, canonical_key
 from repro.serve.service import ClusterService, ServiceConfig
 
 
-def _embedding(seed=0, n=40, k=3, resilience=None) -> EmbeddingResult:
+def _embedding(seed=0, n=40, k=3, resilience=None) -> FittedSpectralModel:
+    """A labels-only entry (what a ratiocut or compressive fit caches)."""
     rng = np.random.default_rng(seed)
-    kept = np.arange(n, dtype=np.int64)
-    return EmbeddingResult(
-        embedding=rng.standard_normal((n, k)),
+    return FittedSpectralModel(
+        basis=rng.standard_normal((n, k)),
         eigenvalues=np.sort(rng.random(k)),
-        kept=kept,
+        degrees=None,
+        centroids=rng.standard_normal((k, k)),
+        labels=rng.integers(0, k, n),
+        kept=np.arange(n, dtype=np.int64),
         n_total=n,
-        timings=StageTimings(simulated={"eigensolver": 0.5}),
-        profile=ProfileReport(communication=0.1, computation=0.9),
-        eig_stats={"iterations": 12, "restarts": 2},
+        graph=None,
+        anchors=None,
+        config=ClusterConfig(n_clusters=k, embedding="compressive"),
         resilience=dict(resilience or {}),
     )
 
@@ -59,15 +62,11 @@ def _with_stored_params(path, params) -> None:
 GARBLED_META = [
     pytest.param("embedding", lambda m: [m], id="meta-list"),
     pytest.param("model", lambda m: 4, id="meta-number"),
-    pytest.param("embedding", lambda m: {**m, "timings_simulated": [0.5]},
-                 id="timings-list"),
-    pytest.param("embedding",
-                 lambda m: {**m, "timings_simulated": {"eigensolver": [0.5]}},
-                 id="timing-value-list"),
-    pytest.param("embedding", lambda m: {**m, "eig_stats": 3},
-                 id="eig_stats-number"),
     pytest.param("embedding", lambda m: {**m, "n_total": [m["n_total"]]},
                  id="n_total-list"),
+    pytest.param("embedding",
+                 lambda m: {k: v for k, v in m.items() if k != "graph_shape"},
+                 id="graph_shape-missing"),
     pytest.param("model", lambda m: {**m, "n_total": [m["n_total"]]},
                  id="model-n_total-list"),
     pytest.param("model", lambda m: {**m, "graph_shape": 100},
@@ -88,35 +87,34 @@ KEY = ("emb", "fp123", 3, 1e-8, True, None)
 
 class TestStoreRoundTrip:
     def test_embedding_bit_identical(self, tmp_path):
+        """A labels-only entry round-trips bit for bit, and comes back
+        labels-only."""
         store = PersistentStore(tmp_path)
         emb = _embedding()
         nbytes = store.save(KEY, emb)
         assert nbytes > 0
         back = store.load(KEY)
         assert back is not None
-        for name in ("embedding", "eigenvalues", "kept"):
+        for name in ("embedding", "eigenvalues", "centroids", "labels",
+                     "kept"):
             a, b = getattr(emb, name), getattr(back, name)
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
         assert back.n_total == emb.n_total
-        assert back.timings.simulated == emb.timings.simulated
-        assert back.eig_stats["iterations"] == 12
+        assert back.config == emb.config
+        assert back.graph is None and back.degrees is None
+        assert back.anchors is None
         assert back.resilience == {}
-        # process-local observations come back empty, by design
-        assert back.profile.communication == 0.0
         assert store.stats.saves == 1 and store.stats.loads == 1
 
-    def test_saved_bytes_independent_of_wall_time(self, tmp_path):
-        """Two saves of one entry that differ only in the measured wall
-        seconds write byte-identical files (wall time is not persisted)."""
+    def test_saved_bytes_independent_of_wall_time(self, tmp_path, small_graph):
+        """Two fits of one problem, which took different wall times,
+        write byte-identical files (no timing is persisted)."""
         blobs = []
-        for i, wall in enumerate((0.1, 0.12345678901234568)):
-            emb = _embedding()
-            emb.eig_stats["wall_seconds"] = wall
+        for i in range(2):
             store = PersistentStore(tmp_path / str(i))
-            store.save(KEY, emb)
+            store.save(KEY, _fitted_model(small_graph).model)
             blobs.append(store.path_for(KEY).read_bytes())
-            assert "wall_seconds" not in store.load(KEY).eig_stats
         assert blobs[0] == blobs[1]
 
     def test_model_bit_identical(self, tmp_path, small_graph):
@@ -266,6 +264,27 @@ class TestStoreInvalidation:
         assert store.stats.stale == 1
         assert store.stats.errors == 0
 
+    def test_version4_embedding_entry_is_stale(self, tmp_path):
+        """A version-4 store held a second entry kind, the bare embedding
+        a fit request cached; such a file counts as stale, not as an
+        error, and never comes back as a model."""
+        store = PersistentStore(tmp_path)
+        meta = {
+            "format": 4, "kind": "embedding",
+            "key": json.loads(canonical_key(KEY)), "n_total": 40,
+            "timings_simulated": {"eigensolver": 0.5}, "eig_stats": {},
+        }
+        emb = _embedding()
+        with open(store.path_for(KEY), "wb") as fh:
+            np.savez(
+                fh,
+                __meta__=np.frombuffer(json.dumps(meta).encode(), np.uint8),
+                embedding=emb.basis, eigenvalues=emb.eigenvalues,
+                kept=emb.kept,
+            )
+        assert store.load(KEY) is None
+        assert store.stats.stale == 1 and store.stats.errors == 0
+
     @pytest.mark.parametrize("add, drop", [
         ({"eig_" + "devices": 1}, ()),  # a knob the config does not declare
         ({"precision": "fp8"}, ()),  # a value the config rejects
@@ -351,7 +370,7 @@ class TestStoreInvalidation:
         store.save(KEY, _embedding())
         path = store.path_for(KEY)
         blob = bytearray(path.read_bytes())
-        at = blob.index(b"embedding.npy") + 200
+        at = blob.index(b"basis.npy") + 200
         blob[at:at + 64] = bytes(64)
         path.write_bytes(bytes(blob))
         assert store.load(KEY) is None
@@ -457,12 +476,13 @@ class TestServiceWarmRestart:
         ]
         first = ClusterService(self._config(tmp_path))
         r1, rep1 = first.process(trace)
-        assert rep1.cache["disk_writes"] >= 2  # embedding + model
+        # one entry serves both fits and both predicts
+        assert rep1.cache["disk_writes"] == 1
         assert rep1.cache["disk_hits"] == 0
 
         second = ClusterService(self._config(tmp_path))
         r2, rep2 = second.process(trace)
-        assert rep2.cache["disk_hits"] >= 2
+        assert rep2.cache["disk_hits"] == 1
         # the restarted process pays no cold fit and no eigensolve
         assert rep2.predict["cold_fits"] == 0
         assert rep2.predict["model_hits"] == rep2.predict["ok"]
@@ -478,7 +498,8 @@ class TestServiceWarmRestart:
     def test_mixed_fit_predict_eviction_under_persistence(
         self, tmp_path, make_request, make_predict, small_graph, other_graph
     ):
-        """Embeddings and models share the tiny LRU; disk keeps them all."""
+        """Two problems churn a one-entry LRU; disk keeps both, and the
+        predict finds its fit's entry there."""
         trace = [
             make_request(arrival=0.0, request_id="f0"),
             make_request(arrival=5.0, request_id="g0", graph=other_graph,
@@ -490,9 +511,10 @@ class TestServiceWarmRestart:
         assert all(r.ok for r in responses)
         # capacity-1 LRU churned, but every clean artifact reached disk
         assert report.cache["evictions"] >= 2
-        assert report.cache["disk_writes"] >= 3
+        assert report.cache["disk_writes"] == 2
+        assert report.cache["disk_hits"] == 1  # p0 rides on f0's entry
         store = PersistentStore(tmp_path / "store")
-        assert len(store) >= 3
+        assert len(store) == 2
 
         # a restart serves all three shapes disk-warm
         svc2 = ClusterService(self._config(tmp_path, cache_entries=1))
@@ -504,7 +526,7 @@ class TestServiceWarmRestart:
     def test_chaos_fit_stays_out_of_the_store(
         self, tmp_path, make_request
     ):
-        """A recovered (tainted) embedding must never reach disk."""
+        """A recovered (tainted) model must never reach disk."""
         trace = [make_request(arrival=0.0, request_id="c0", chaos=1234)]
         svc = ClusterService(self._config(tmp_path))
         responses, report = svc.process(trace)

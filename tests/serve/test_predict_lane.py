@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.serve.request import PredictRequest, PredictResponse
-from repro.serve.service import ClusterService, ServiceConfig, run_sequential
+from repro.serve.service import (
+    ClusterService,
+    ServiceConfig,
+    run_sequential,
+    verify_against_cold,
+)
 from repro.serve.traceio import (
     read_trace,
     synthetic_predict_trace,
@@ -91,6 +96,47 @@ class TestFastLane:
         assert not resp.ok
         assert "no Nyström extension" in resp.error
         assert report.predict["failed"] == 1
+
+    @pytest.mark.parametrize("knobs", [
+        {"objective": "ratiocut"}, {"embedding": "compressive"},
+    ], ids=["ratiocut", "compressive"])
+    def test_unpredictable_fit_spec_fails_at_arrival(
+        self, make_predict, make_request, knobs
+    ):
+        """A predict that can never succeed runs no unit: no cold fit,
+        nothing cached, and it fails the moment it arrives — every time."""
+        fit = make_request(**knobs)
+        svc = _service()
+        reqs = [make_predict(arrival=0.5 * i, fit=fit) for i in range(3)]
+        responses, report = svc.process(reqs)
+        assert len(svc.scheduler.schedule.events) == 0
+        for req, resp in zip(reqs, responses):
+            assert not resp.ok and "no Nyström extension" in resp.error
+            assert resp.completed == req.arrival
+        assert report.cache["misses"] == 0
+
+    def test_predict_rides_on_a_fit_batch_entry(
+        self, make_predict, make_request
+    ):
+        """A predict after a fit of the same spec reuses the fit's cache
+        entry: one solve, no cold fit, and the basis goes to the device
+        once — the second predict uploads only its own payload."""
+        fit = make_request(request_id="fit")
+        svc = _service()
+        reqs = [
+            fit,
+            make_predict(arrival=10.0, fit=fit),
+            make_predict(arrival=20.0, fit=fit),
+        ]
+        responses, report = svc.process(reqs)
+        _, first, second = responses
+        assert first.model_hit and not first.cold_fit
+        assert second.model_hit and report.predict["cold_fits"] == 0
+        names = [ev.name for ev in svc.scheduler.schedule]
+        assert sum("eigensolve" in n for n in names) == 1
+        assert not any("coldfit" in n for n in names)
+        assert first.ledger_ok is True and second.ledger_ok is True
+        assert verify_against_cold(responses, reqs) == []
 
     def test_duplicate_predict_id_rejected(self, make_predict):
         from repro.errors import ServiceError

@@ -236,8 +236,11 @@ class TestServicePreemption:
 
     def _trace(self, make_request, make_predict, arrival, deadline):
         warm = make_predict(arrival=0.0, request_id="warmup")
+        # a seed of their own makes each fit a miss that runs k-means (a
+        # fit of the warmed spec would hit and run none)
         fits = [
-            make_request(arrival=0.01, request_id=f"f{i}") for i in range(3)
+            make_request(arrival=0.01, request_id=f"f{i}", seed=i + 1)
+            for i in range(3)
         ]
         urgent = make_predict(
             arrival=arrival, request_id="urgent", deadline=deadline,

@@ -91,8 +91,33 @@ class TestServiceCorrectness:
         responses, _ = _service().process([a, b])
         hit = responses[1]
         assert "eigensolver" not in hit.timings.simulated
-        assert "kmeans" in hit.timings.simulated
         assert hit.latency < responses[0].latency
+
+    def test_cache_hit_returns_the_entry_labels(self, make_request):
+        """A hit fit reuses the labels the solve's k-means produced: no
+        k-means unit is scheduled for it, and it completes on arrival."""
+        a, b = make_request(), make_request(arrival=10.0)
+        service = _service()
+        responses, _ = service.process([a, b])
+        hit = responses[1]
+        assert hit.cache_hit and hit.latency == 0.0
+        assert "kmeans" not in hit.timings.simulated
+        assert np.array_equal(hit.labels, responses[0].labels)
+        names = [ev.name for ev in service.scheduler.schedule]
+        assert sum(":kmeans[" in n for n in names) == 1
+        assert not any(b.request_id in n for n in names)
+
+    def test_label_knobs_reuse_the_cached_solve(self, make_request):
+        """A request that differs only in kmeans_max_iter hits the solve
+        but reruns k-means, and its labels equal a cold fit's."""
+        reqs = [make_request(), make_request(arrival=1.0, kmeans_max_iter=2)]
+        service = _service()
+        responses, report = service.process(reqs)
+        assert [r.cache_hit for r in responses] == [False, True]
+        names = [ev.name for ev in service.scheduler.schedule]
+        assert sum("eigensolve" in n for n in names) == 1
+        assert sum(":kmeans[" in n for n in names) == 2
+        assert verify_against_cold(responses, reqs) == []
 
     def test_different_seeds_do_not_share_cache(self, make_request):
         a, b = make_request(seed=0), make_request(arrival=1.0, seed=1)
@@ -123,6 +148,27 @@ class TestServiceCorrectness:
         reqs = [make_request(n_clusters=k) for k in (3, 4, 3)]
         responses, _ = _service().process(reqs)
         assert verify_against_cold(responses, reqs) == []
+
+    def test_verify_against_cold_audits_predicts(self, make_request):
+        """A fit, then predicts on its spec: the predicts ride on the
+        fit's entry, and the audit recomputes each one on a cold fit's
+        model — a corrupted predict label is caught."""
+        from repro.serve.request import PredictRequest
+
+        fit = make_request(request_id="fit")
+        reqs = [fit] + [
+            PredictRequest(
+                request_id=f"p{i}", fit=fit, arrival=1.0 + i, new_seed=i
+            )
+            for i in range(2)
+        ]
+        responses, _ = _service().process(reqs)
+        assert all(r.ok and r.model_hit for r in responses[1:])
+        assert verify_against_cold(responses, reqs) == []
+        responses[2].labels = responses[2].labels.copy()
+        responses[2].labels[0] += 1
+        problems = verify_against_cold(responses, reqs)
+        assert len(problems) == 1 and problems[0].startswith("p1: labels")
 
     def test_responses_in_request_order(self, make_request):
         reqs = [make_request(arrival=0.5), make_request(arrival=0.0)]

@@ -73,7 +73,6 @@ class TestTraceRoundTrip:
         for a, b in zip(reqs, read_trace(path), strict=True):
             assert b.config == a.config
             assert b.embedding_key("fp") == a.embedding_key("fp")
-            assert b.model_key("fp") == a.model_key("fp")
             assert request_to_dict(b) == request_to_dict(a)
 
     def test_synthetic_trace_bytes_stable(self, tmp_path):

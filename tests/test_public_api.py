@@ -89,7 +89,7 @@ PINNED_SURFACES = {
     },
     "repro.core": {
         "ApplyDeltaResult", "ClusterConfig", "ClusteringResult", "EigStats",
-        "EmbeddingResult", "FittedSpectralModel", "PredictResult",
+        "FittedSpectralModel", "PredictResult",
         "SpectralClustering", "StageTimings", "hybrid_eigensolver",
     },
     "repro.graph": {
@@ -132,7 +132,7 @@ PINNED_SURFACES = {
         "PredictResponse", "QueueStats", "STATUS_FAILED", "STATUS_OK",
         "STATUS_REJECTED", "ScheduledUnit", "SchedulerStats",
         "ServiceConfig", "ServiceReport", "StoreStats", "StreamScheduler",
-        "build_report", "embedding_key", "graph_fingerprint", "model_key",
+        "build_report", "embedding_key", "graph_fingerprint",
         "operator_key", "percentile", "points_fingerprint",
         "predict_from_dict", "predict_to_dict", "read_trace",
         "request_from_dict", "request_to_dict", "run_sequential",

@@ -183,13 +183,21 @@ def test_apply_delta(graph):
 
 
 def _trace(graph, chaos_every=0):
-    """Two fit specs, repeated, plus predicts against one of them."""
+    """Two fit specs, repeated, plus predicts against one of them.  A
+    chaos fit gets a solver seed of its own, so it misses the cache and
+    its faults fire in a solve and a k-means (a hit runs neither)."""
+
+    def chaos(i):
+        return chaos_every and (i + 1) % chaos_every == 0
+
     fits = [
         ClusterRequest(
             request_id=f"r{i}", arrival=0.001 * i, graph=graph,
-            config=replace(DEFAULT_REQUEST_CONFIG, n_clusters=3 + i % 2),
-            chaos=(1010 + i) if chaos_every and (i + 1) % chaos_every == 0
-            else None,
+            config=replace(
+                DEFAULT_REQUEST_CONFIG, n_clusters=3 + i % 2,
+                seed=i if chaos(i) else 0,
+            ),
+            chaos=(1010 + i) if chaos(i) else None,
         )
         for i in range(6)
     ]
