@@ -169,3 +169,32 @@ def kmeans_time(
     )
     init = per_iter if profile.kmeans_init == "k-means++" else 0.0
     return iters * per_iter + init
+
+
+def baseline_stages(
+    profile: InterpreterProfile,
+    n: int,
+    nnz: int,
+    k: int,
+    m: int,
+    n_op: int,
+    n_restarts: int,
+    kmeans_iters: int,
+    point_input: bool,
+) -> dict[str, float]:
+    """Modeled seconds per stage of one baseline column.
+
+    ``n`` counts the clustered (non-isolated) vertices and ``nnz`` the
+    directed edges: the serial similarity loop visits each once, and the
+    operator stores both directions.  The iteration history (``m``,
+    ``n_op``, ``n_restarts``, ``kmeans_iters``) is the one the baseline
+    would run; graph input has no similarity stage.
+    """
+    stages = {}
+    if point_input:
+        stages["similarity"] = similarity_serial_time(profile, nnz)
+    stages["eigensolver"] = eigensolver_time(
+        profile, n=n, nnz=2 * nnz, k=k, m=m, n_op=n_op, n_restarts=n_restarts,
+    )
+    stages["kmeans"] = kmeans_time(profile, n=n, d=k, k=k, iters=kmeans_iters)
+    return stages

@@ -1,8 +1,10 @@
 """Experiment runner: one Table II workload through all three columns.
 
 :func:`run_comparison` executes the hybrid CUDA pipeline (simulated K20c
-times) and the Matlab-like / Python-like baselines (modeled Xeon times) on
-a scaled-down instance, collecting per-stage numbers, clustering quality
+times) once on a scaled-down instance and charges the Matlab and Python
+baseline columns (modeled Xeon times) from its counters: the baselines run
+the same IRLM and Lloyd iteration, and only Matlab's random k-means
+seeding differs.  It collects per-stage numbers, clustering quality
 against ground truth, and the iteration counts the paper-scale projection
 needs.
 
@@ -21,15 +23,17 @@ import numpy as np
 
 from repro.baselines import cost as bcost
 from repro.baselines.cost import MATLAB_2015A, PYTHON_27
-from repro.baselines.matlab_like import run_matlab_like
-from repro.baselines.python_like import run_python_like
 from repro.bench.paperdata import PAPER_TABLES, TABLE_OF_DATASET
 from repro.core.pipeline import SpectralClustering
 from repro.cuda.device import Device
 from repro.datasets.registry import PAPER_STATS, load_dataset
 from repro.hw.costmodel import CPUCostModel, GPUCostModel, TransferCostModel
 from repro.hw.spec import K20C, PCIE_X16_GEN2, XEON_E5_2690
+from repro.kmeans.cpu import kmeans_cpu
 from repro.metrics.external import adjusted_rand_index
+
+#: the baseline columns and the environment each one models
+_BASELINES = (("matlab", MATLAB_2015A), ("python", PYTHON_27))
 
 
 @dataclass
@@ -64,7 +68,7 @@ def run_comparison(
     kmeans_max_iter: int = 100,
     project: bool = True,
 ) -> ComparisonResult:
-    """Run one dataset through CUDA + Matlab-like + Python-like columns."""
+    """Run one dataset through the CUDA, Matlab and Python columns."""
     ds = load_dataset(name, scale=scale, seed=seed)
     point_input = ds.points is not None
     kw: dict = (
@@ -82,47 +86,53 @@ def run_comparison(
         device=device,
     )
     res = sc.fit(**kw)
-
-    mat = run_matlab_like(
-        n_clusters=ds.n_clusters, seed=seed, eig_tol=eig_tol,
-        kmeans_max_iter=kmeans_max_iter, **kw,
-    )
-    py = run_python_like(
-        n_clusters=ds.n_clusters, seed=seed, eig_tol=eig_tol,
-        kmeans_max_iter=kmeans_max_iter, **kw,
+    # sklearn seeds k-means with k-means++ as the CUDA fit does, so the
+    # Python column's Lloyd run is the fit's own; Matlab seeds at random
+    mat_km = kmeans_cpu(
+        res.embedding, ds.n_clusters, init=MATLAB_2015A.kmeans_init,
+        max_iter=kmeans_max_iter, seed=seed,
     )
 
-    stage_names = (
-        ["similarity", "eigensolver", "kmeans"]
-        if point_input
-        else ["eigensolver", "kmeans"]
+    stats = res.eig_stats
+    counters = dict(
+        n_op=stats["n_op"],
+        n_restarts=stats["n_restarts"],
+        m=stats["m"],
+        cuda_kmeans_iters=res.kmeans.n_iter,
+        matlab_kmeans_iters=mat_km.n_iter,
+        python_kmeans_iters=res.kmeans.n_iter,
     )
+    nnz_dir = ds.edges.shape[0] if point_input else ds.graph.nnz // 2
+    modeled = {
+        col: bcost.baseline_stages(
+            profile, n=res.kept.size, nnz=nnz_dir, k=ds.n_clusters,
+            m=stats["m"], n_op=stats["n_op"], n_restarts=stats["n_restarts"],
+            kmeans_iters=counters[f"{col}_kmeans_iters"],
+            point_input=point_input,
+        )
+        for col, profile in _BASELINES
+    }
     stages = {
         s: {
             "cuda": res.timings.simulated.get(s, 0.0)
             + (res.timings.simulated.get("laplacian", 0.0) if s == "eigensolver" else 0.0),
-            "matlab": mat.modeled[s],
-            "python": py.modeled[s],
+            "matlab": modeled["matlab"][s],
+            "python": modeled["python"][s],
         }
-        for s in stage_names
+        for s in modeled["matlab"]
     }
 
     quality = {}
     if ds.labels is not None:
+        cuda_ari = adjusted_rand_index(res.labels, ds.labels)
+        mat_labels = np.full(res.labels.size, -1, dtype=np.int64)
+        mat_labels[res.kept] = mat_km.labels
         quality = {
-            "cuda": adjusted_rand_index(res.labels, ds.labels),
-            "matlab": adjusted_rand_index(mat.labels, ds.labels),
-            "python": adjusted_rand_index(py.labels, ds.labels),
+            "cuda": cuda_ari,
+            "matlab": adjusted_rand_index(mat_labels, ds.labels),
+            "python": cuda_ari,
         }
 
-    counters = dict(
-        n_op=res.eig_stats["n_op"],
-        n_restarts=res.eig_stats["n_restarts"],
-        m=res.eig_stats["m"],
-        cuda_kmeans_iters=res.kmeans.n_iter,
-        matlab_kmeans_iters=mat.result.kmeans.n_iter,
-        python_kmeans_iters=py.result.kmeans.n_iter,
-    )
     out = ComparisonResult(
         dataset=name,
         scale=scale,
@@ -216,17 +226,26 @@ def project_paper_scale(name: str, counters: dict) -> dict:
     nnz_dir = stats["edges"]
     nnz_sym = 2 * nnz_dir
     k = stats["clusters"]
-    d = stats.get("dim", k)  # embedding dim for kmeans is k
     m = min(n, 2 * k + 1)
     restarts = counters["n_restarts"]
     n_op = m + restarts * (m - k)
 
+    point_input = "dim" in stats
+    baseline = {
+        col: bcost.baseline_stages(
+            profile, n=n, nnz=nnz_dir, k=k, m=m, n_op=n_op,
+            n_restarts=restarts, kmeans_iters=counters[f"{col}_kmeans_iters"],
+            point_input=point_input,
+        )
+        for col, profile in _BASELINES
+    }
+
     proj: dict = {}
-    if name == "dti":
+    if point_input:
         proj["similarity"] = {
             "cuda": _cuda_similarity_projection(n, stats["dim"], nnz_dir),
-            "matlab": bcost.similarity_serial_time(MATLAB_2015A, nnz_dir),
-            "python": bcost.similarity_serial_time(PYTHON_27, nnz_dir),
+            "matlab": baseline["matlab"]["similarity"],
+            "python": baseline["python"]["similarity"],
             "matlab_vectorized": bcost.similarity_vectorized_time(
                 MATLAB_2015A, nnz_dir
             ),
@@ -238,22 +257,12 @@ def project_paper_scale(name: str, counters: dict) -> dict:
     proj["eigensolver"] = {
         "cuda": comp + comm,
         "cuda_communication": comm,
-        "matlab": bcost.eigensolver_time(
-            MATLAB_2015A, n=n, nnz=nnz_sym, k=k, m=m,
-            n_op=n_op, n_restarts=restarts,
-        ),
-        "python": bcost.eigensolver_time(
-            PYTHON_27, n=n, nnz=nnz_sym, k=k, m=m,
-            n_op=n_op, n_restarts=restarts,
-        ),
+        "matlab": baseline["matlab"]["eigensolver"],
+        "python": baseline["python"]["eigensolver"],
     }
     proj["kmeans"] = {
         "cuda": _cuda_kmeans_projection(n, k, k, counters["cuda_kmeans_iters"]),
-        "matlab": bcost.kmeans_time(
-            MATLAB_2015A, n=n, d=k, k=k, iters=counters["matlab_kmeans_iters"]
-        ),
-        "python": bcost.kmeans_time(
-            PYTHON_27, n=n, d=k, k=k, iters=counters["python_kmeans_iters"]
-        ),
+        "matlab": baseline["matlab"]["kmeans"],
+        "python": baseline["python"]["kmeans"],
     }
     return proj

@@ -71,6 +71,7 @@ class ScheduledUnit:
     """Outcome of one scheduled unit of work."""
 
     label: str
+    #: what the unit computed, until :meth:`take` hands it over
     value: object | None
     error: ReproError | None
     start: float
@@ -89,6 +90,16 @@ class ScheduledUnit:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    def take(self):
+        """Hand ``value`` to its one reader and drop the unit's reference.
+
+        The scheduler keeps every unit for its lifetime, so a unit that
+        kept its value would pin it there, e.g. a cached model long
+        after the cache evicted it.
+        """
+        value, self.value = self.value, None
+        return value
 
     @property
     def duration(self) -> float:

@@ -406,7 +406,7 @@ class ClusterService:
                         ),
                     )
                     if unit.ok:
-                        op = unit.value
+                        op = unit.take()
                         op_unit = unit
                         break
                     self._fail(
@@ -452,7 +452,7 @@ class ClusterService:
                         ),
                     )
                     if unit.ok:
-                        solved[key] = (unit,) + unit.value
+                        solved[key] = (unit,) + unit.take()
                         break
                     self._fail(
                         responses, leader, unit.error, batch, t_batch, unit.end
@@ -543,7 +543,7 @@ class ClusterService:
                     )
                 )
                 continue
-            km, km_timings, km_resil = unit.value
+            km, km_timings, km_resil = unit.take()
             timings = StageTimings(
                 simulated={**base_timings.simulated, **km_timings.simulated},
                 wall={**base_timings.wall, **km_timings.wall},
@@ -700,10 +700,10 @@ class ClusterService:
             ready = max(ready, after.end)
         model, resilience = entry, {}
         if relabel:
-            km, _timings, resilience = after.value
+            km, _timings, resilience = after.take()
             model = entry.relabeled(fit.config, km, resilience)
         elif not model_hit:
-            model = after.value.model
+            model = after.take().model
             resilience = dict(model.resilience)
             # taint rule: a fit that recovered from faults never caches
             if not resilience and self.cache.put(key, model):
@@ -737,7 +737,7 @@ class ClusterService:
             if not u.ok:
                 self._fail_predict(responses, r, u.error, u.end)
                 return
-            pres = u.value
+            pres = u.take()
             responses[r.request_id] = PredictResponse(
                 request_id=r.request_id,
                 status=STATUS_OK,

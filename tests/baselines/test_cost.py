@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.cost import (
     MATLAB_2015A,
     PYTHON_27,
+    baseline_stages,
     eigensolver_time,
     kmeans_time,
     similarity_serial_time,
@@ -91,3 +92,22 @@ class TestOrderings:
     def test_profiles_frozen(self):
         with pytest.raises(AttributeError):
             MATLAB_2015A.blas_threads = 16  # type: ignore[misc]
+
+
+class TestBaselineStages:
+    def test_charges_each_stage_model(self):
+        """One column's stages: the serial similarity loop over the
+        directed edges, the eigensolver on the symmetric operator (both
+        directions stored) and Lloyd k-means in the embedding."""
+        stages = baseline_stages(
+            PYTHON_27, n=1000, nnz=8000, k=10, m=21, n_op=120, n_restarts=9,
+            kmeans_iters=7, point_input=True,
+        )
+        assert stages == {
+            "similarity": similarity_serial_time(PYTHON_27, 8000),
+            "eigensolver": eigensolver_time(
+                PYTHON_27, n=1000, nnz=16000, k=10, m=21, n_op=120,
+                n_restarts=9,
+            ),
+            "kmeans": kmeans_time(PYTHON_27, n=1000, d=10, k=10, iters=7),
+        }

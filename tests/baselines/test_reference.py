@@ -5,8 +5,31 @@ import pytest
 
 from repro.baselines.reference import reference_spectral_clustering
 from repro.core.pipeline import SpectralClustering
+from repro.datasets.registry import load_dataset
 from repro.errors import ClusteringError
+from repro.kmeans.cpu import kmeans_cpu
 from repro.metrics.external import adjusted_rand_index
+
+#: the workloads of benchmarks/conftest.py's BENCH_SCALES
+BENCH_SCALES = {"dti": 0.01, "fb": 0.5, "syn200": 0.1, "dblp": 0.02}
+
+
+@pytest.fixture(scope="module", params=sorted(BENCH_SCALES))
+def bench_pair(request):
+    """The reference and hybrid runs of one bench workload with the
+    comparison's settings: (k, reference result, hybrid result)."""
+    name = request.param
+    ds = load_dataset(name, scale=BENCH_SCALES[name], seed=0)
+    inputs = (
+        dict(X=ds.points, edges=ds.edges) if ds.points is not None
+        else dict(graph=ds.graph)
+    )
+    opts = dict(
+        n_clusters=ds.n_clusters, eig_tol=1e-8, kmeans_max_iter=100, seed=0,
+    )
+    ref = reference_spectral_clustering(**inputs, **opts)
+    hyb = SpectralClustering(**opts).fit(**inputs)
+    return ds.n_clusters, ref, hyb
 
 
 class TestReferencePipeline:
@@ -15,20 +38,38 @@ class TestReferencePipeline:
         ref = reference_spectral_clustering(graph=W, n_clusters=6, seed=0)
         assert adjusted_rand_index(ref.labels, truth) > 0.95
 
-    def test_matches_hybrid_partition(self, sbm_graph):
-        """Same numerics, same seeds -> same partition as the CUDA path."""
-        W, _ = sbm_graph
-        ref = reference_spectral_clustering(graph=W, n_clusters=6, seed=0)
-        hyb = SpectralClustering(n_clusters=6, seed=0).fit(graph=W)
-        assert adjusted_rand_index(ref.labels, hyb.labels) > 0.99
+    def test_matches_hybrid_partition(self, bench_pair):
+        """Same numerics, same seeds -> the CUDA fit's partition, in the
+        same number of Lloyd iterations (k-means++ seeding, sklearn's and
+        the CUDA fit's)."""
+        _, ref, hyb = bench_pair
+        np.testing.assert_array_equal(ref.labels, hyb.labels)
+        assert ref.kmeans.n_iter == hyb.kmeans.n_iter
 
-    def test_matches_hybrid_eigenvalues(self, sbm_graph):
-        W, _ = sbm_graph
-        ref = reference_spectral_clustering(graph=W, n_clusters=6, seed=0)
-        hyb = SpectralClustering(n_clusters=6, seed=0).fit(graph=W)
+    def test_matches_hybrid_eigenvalues(self, bench_pair):
+        _, ref, hyb = bench_pair
         assert np.allclose(
             np.sort(ref.eigenvalues), np.sort(hyb.eigenvalues), atol=1e-8
         )
+
+    def test_matches_hybrid_counters(self, bench_pair):
+        """The IRLM history the baseline columns are charged from: the
+        host run takes the CUDA fit's restarts, operator applications
+        and basis size."""
+        _, ref, hyb = bench_pair
+        for key in ("n_restarts", "n_op", "m"):
+            assert ref.eig_stats[key] == hyb.eig_stats[key], key
+
+    def test_matches_hybrid_random_init_kmeans(self, bench_pair):
+        """Matlab's random seeding gives the same labels and iterations
+        on the CUDA embedding as on the reference embedding."""
+        k, ref, hyb = bench_pair
+        on_ref, on_hyb = (
+            kmeans_cpu(emb, k, init="random", max_iter=100, seed=0)
+            for emb in (ref.embedding, hyb.embedding)
+        )
+        np.testing.assert_array_equal(on_ref.labels, on_hyb.labels)
+        assert on_ref.n_iter == on_hyb.n_iter
 
     def test_eig_stats_populated(self, sbm_graph):
         W, _ = sbm_graph

@@ -1,5 +1,7 @@
 """Benchmark runner and paper-scale projection."""
 
+import sys
+
 import pytest
 
 from repro.bench.report import format_comparison, format_paper_check, speedup
@@ -38,6 +40,30 @@ class TestRunComparison:
 
     def test_paper_rows_attached(self, fb_result):
         assert "eigensolver" in fb_result.paper
+
+    def test_one_eigensolve_and_no_reference_rerun(self):
+        """Both baseline columns are charged from the CUDA fit's counters,
+        so a comparison solves its eigenproblem once and never reruns the
+        host reference pipeline."""
+        from repro.baselines.reference import reference_spectral_clustering
+        from repro.linalg.eigsolver import SymEigProblem
+
+        watched = {
+            SymEigProblem.__init__.__code__: "eigensolve",
+            reference_spectral_clustering.__code__: "reference",
+        }
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls.append(watched[frame.f_code])
+
+        sys.setprofile(profile)
+        try:
+            run_comparison("fb", scale=0.1, seed=0, eig_tol=1e-8, project=False)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["eigensolve"]
 
 
 class TestProjection:

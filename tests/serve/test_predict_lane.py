@@ -313,3 +313,26 @@ class TestPredictTraceIO:
         )
         with pytest.raises(ServiceError, match="by-value"):
             write_trace([preq], tmp_path / "t.jsonl")
+
+
+class TestEviction:
+    def test_evicted_model_is_freed(self, make_predict, make_request):
+        """The service keeps every scheduled unit for its lifetime (the
+        schedule and the entry-unit map), so a unit must not keep the
+        result it handed over: an evicted model is freed."""
+        import gc
+        import weakref
+
+        svc = _service(cache_entries=1)
+        fits = [make_request(request_id=f"fit{s}", seed=s) for s in range(3)]
+        responses, _ = svc.process([make_predict(fit=fits[0])])
+        assert responses[0].ok and len(svc.cache) == 1
+        (model,) = svc.cache._entries.values()
+        ref = weakref.ref(model)
+        del model
+        responses, _ = svc.process(
+            [make_predict(arrival=10.0 * s, fit=fits[s]) for s in (1, 2)]
+        )
+        assert all(r.ok for r in responses)
+        gc.collect()
+        assert ref() is None

@@ -111,6 +111,12 @@ PINNED_SURFACES = {
         "COOMatrix", "CSRMatrix", "diags", "from_edge_list", "identity",
         "random_sparse", "row_sums",
     },
+    "repro.baselines": {
+        "InterpreterProfile", "MATLAB_2015A", "PYTHON_27", "ReferenceResult",
+        "baseline_stages", "eigensolver_time", "kmeans_time",
+        "reference_spectral_clustering", "similarity_serial_time",
+        "similarity_vectorized_time",
+    },
     "repro.cublas": {"gemm"},
     "repro.thrust": {
         "copy", "exclusive_scan", "inclusive_scan", "lower_bound",
