@@ -4,8 +4,9 @@ Implements the restart scheme of Sorensen (1992) as used by ARPACK's
 ``dsaupd``: build an m-step Lanczos factorization, compute the Ritz pairs of
 the projected tridiagonal, test convergence with the ARPACK bound
 ``|beta_m * s_{m,i}| <= tol * |theta_i|``, and — while unconverged — apply
-the unwanted Ritz values as exact polynomial-filter shifts via explicit
-shifted QR steps on the tridiagonal, contract the factorization back to
+the unwanted Ritz values as exact polynomial-filter shifts via implicit
+shifted QR steps on the tridiagonal (one pipelined sweep over all of a
+restart's shifts), contract the factorization back to
 ``k+`` steps, and extend again.
 
 The driver is a *generator*: every operator application suspends at a
@@ -252,8 +253,7 @@ def irlm_generator(
             T[idx, idx + 1] = beta
             T[idx + 1, idx] = beta
         Q = np.eye(m)
-        for mu in shifts:
-            implicit_qr_sweep(T, float(mu), Q)
+        implicit_qr_sweep(T, shifts, Q)
 
         new_alpha = np.diag(T).copy()
         new_beta = np.diag(T, -1).copy()

@@ -187,11 +187,37 @@ class ClusterService:
         #: (dataset, scale, seed) -> content fingerprint
         self._fp_by_ref: dict[tuple, str] = {}
         #: embedding key -> the unit whose end made its cached entry
-        #: available (absent for an entry loaded from disk)
+        #: available (absent for an entry loaded from disk); holds only
+        #: keys the cache holds
         self._entry_units: dict[tuple, object] = {}
         #: response finalizers for units whose placement may still be
         #: rewritten by a preemption; run once the schedule is final
         self._deferred: list = []
+
+    # ------------------------------------------------------------------
+    # the embedding cache and the units that made its entries
+    # ------------------------------------------------------------------
+    def _lookup(self, key: tuple):
+        """``(entry, unit)``: the cached model under ``key`` (``None`` on
+        a miss) and the unit whose end made it available."""
+        entry = self.cache.get(key)
+        unit = self._entry_units.get(key) if entry is not None else None
+        # a disk hit re-admits its entry and may evict another
+        self._forget_evicted()
+        return entry, unit
+
+    def _cache_put(self, key: tuple, model, unit) -> bool:
+        """Cache ``model``, made available by ``unit``'s end."""
+        if not self.cache.put(key, model):
+            return False
+        self._entry_units[key] = unit
+        self._forget_evicted()
+        return True
+
+    def _forget_evicted(self) -> None:
+        """Drop the units of the entries the cache has evicted."""
+        for key in [k for k in self._entry_units if k not in self.cache]:
+            del self._entry_units[key]
 
     # ------------------------------------------------------------------
     # workload resolution
@@ -379,8 +405,8 @@ class ClusterService:
         groups = batch.embedding_groups(lambda r: r.embedding_key(fp))
 
         # --- consult the cache per embedding group -----------------------
-        cached = {key: self.cache.get(key) for key in groups}
-        misses = [key for key, entry in cached.items() if entry is None]
+        cached = {key: self._lookup(key) for key in groups}
+        misses = [key for key, (entry, _) in cached.items() if entry is None]
 
         op: _OperatorBuild | None = None
         op_unit = None
@@ -463,7 +489,7 @@ class ClusterService:
             # --- stage 4 per request -------------------------------------
             for key, members in groups.items():
                 self._serve_labels(
-                    batch, t_batch, key, members, cached[key],
+                    batch, t_batch, key, members, *cached[key],
                     solved.get(key), op, dead, responses,
                 )
         finally:
@@ -471,7 +497,8 @@ class ClusterService:
                 op.dcsr.free()
 
     def _serve_labels(
-        self, batch, t_batch, key, members, entry, solve, op, dead, responses,
+        self, batch, t_batch, key, members, entry, entry_unit, solve, op,
+        dead, responses,
     ) -> None:
         """Stage 4 of one embedding group: each member's labels.
 
@@ -482,7 +509,7 @@ class ClusterService:
         and caches it — unless a fault fired anywhere on its path.
         """
         hit = entry is not None
-        entry_unit = entry_timings = None
+        entry_timings = None
 
         def respond(req, model, unit, timings, resilience):
             def finish():
@@ -509,7 +536,6 @@ class ClusterService:
         if hit:
             embedding, theta = entry.embedding, entry.eigenvalues
             base_timings, base_resil = StageTimings(), {}
-            entry_unit = self._entry_units.get(key)
         elif solve is not None:
             solve_unit, theta, embedding, base_timings, base_resil = solve
         else:
@@ -562,8 +588,7 @@ class ClusterService:
             if entry is None and not resilience:
                 # the group's first clean labels become its entry
                 entry, entry_unit, entry_timings = model, unit, timings
-                if self.cache.put(key, model):
-                    self._entry_units[key] = unit
+                self._cache_put(key, model, unit)
             respond(req, model, unit, timings, resilience)
 
     # ------------------------------------------------------------------
@@ -659,12 +684,11 @@ class ClusterService:
             self._fail_predict(responses, preq, err, preq.arrival)
             return
 
-        entry = self.cache.get(key)
+        # ``after``: the unit whose end the predict waits for; retired
+        # before its end is read, so no later preemption can move it
+        entry, after = self._lookup(key)
         model_hit = entry is not None
         relabel = model_hit and not same_labels(entry.config, fit.config)
-        # the unit whose end the predict waits for; retired before its
-        # end is read, so no later preemption can move it
-        after = self._entry_units.get(key) if model_hit else None
         if not model_hit:
             after = self.scheduler.run(
                 f"predict[{preq.request_id}]:coldfit",
@@ -706,8 +730,7 @@ class ClusterService:
             model = after.take().model
             resilience = dict(model.resilience)
             # taint rule: a fit that recovered from faults never caches
-            if not resilience and self.cache.put(key, model):
-                self._entry_units[key] = after
+            if not resilience and self._cache_put(key, model, after):
                 entry = model
         # only the cached model keeps its basis resident on the device
         keep_basis = model is entry

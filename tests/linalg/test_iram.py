@@ -102,6 +102,25 @@ class TestBehavior:
         res = drive(irlm_generator(80, 4, tol=1e-10, seed=0), counting)
         assert res.n_op == calls
 
+    def test_one_sweep_per_restart(self, rng, monkeypatch):
+        """Each restart applies all of its shifts in one sweep call."""
+        import repro.linalg.iram as iram
+
+        A = random_sparse(200, 200, 0.05, rng=rng, symmetric=True).to_csr()
+        n_shifts = []
+        sweep = iram.implicit_qr_sweep
+
+        def counting(T, shifts, Q):
+            n_shifts.append(len(shifts))
+            sweep(T, shifts, Q)
+
+        monkeypatch.setattr(iram, "implicit_qr_sweep", counting)
+        res = drive(irlm_generator(200, 8, m=18, tol=1e-10, seed=0), A.matvec)
+        assert res.n_restarts > 1
+        assert len(n_shifts) == res.n_restarts
+        # an exact-shift restart applies at least ceil((m - k) / 2) shifts
+        assert min(n_shifts) >= (18 - 8 + 1) // 2
+
     def test_multiplicity_resolved(self, rng):
         # top eigenvalue with multiplicity 3
         d = np.concatenate([[5.0, 5.0, 5.0], rng.uniform(-1, 1, 47)])

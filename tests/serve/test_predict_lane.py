@@ -317,9 +317,9 @@ class TestPredictTraceIO:
 
 class TestEviction:
     def test_evicted_model_is_freed(self, make_predict, make_request):
-        """The service keeps every scheduled unit for its lifetime (the
-        schedule and the entry-unit map), so a unit must not keep the
-        result it handed over: an evicted model is freed."""
+        """The service keeps every scheduled unit for its lifetime (in
+        the schedule), so a unit must not keep the result it handed
+        over: an evicted model is freed."""
         import gc
         import weakref
 
@@ -336,3 +336,26 @@ class TestEviction:
         assert all(r.ok for r in responses)
         gc.collect()
         assert ref() is None
+
+    def test_entry_units_track_the_cache(self, make_predict, make_request):
+        """The map from cached entries to the units that made them drops
+        an entry's unit when the cache evicts the entry."""
+        svc = _service(cache_entries=1)
+        fits = [make_request(request_id=f"fit{s}", seed=s) for s in range(3)]
+        for s in range(3):
+            responses, _ = svc.process(
+                [make_predict(arrival=10.0 * s, fit=fits[s])]
+            )
+            assert responses[0].ok
+            assert len(svc.cache) == 1
+            assert set(svc._entry_units) <= set(svc.cache._entries)
+
+    def test_entry_units_track_the_cache_on_fits(self, make_request):
+        svc = _service(cache_entries=1)
+        responses, _ = svc.process([
+            make_request(request_id=f"fit{s}", seed=s, arrival=10.0 * s)
+            for s in range(3)
+        ])
+        assert all(r.ok for r in responses)
+        assert len(svc.cache) == 1
+        assert set(svc._entry_units) <= set(svc.cache._entries)
