@@ -128,9 +128,11 @@ def irlm_generator(
     checkpoint_cb:
         Called with a fresh snapshot at every restart boundary (including
         once before the first cycle).  A snapshot may be stored across the
-        generator's lifetime: its basis block is the restart's rotated
-        block, handed over read-only rather than copied, and the driver
-        keeps no reference to it.
+        generator's lifetime: its basis block is the first ``kp`` rows of
+        the restart's basis buffer, handed over read-only rather than
+        copied.  The cycle that follows writes only rows ``kp`` and up,
+        and the next restart writes a fresh buffer, so the block never
+        changes; the snapshot keeps the whole ``(m, n)`` buffer alive.
     """
     if not 0 < k < n:
         raise EigensolverError(f"need 0 < k < n, got k={k}, n={n}")
@@ -258,17 +260,24 @@ def irlm_generator(
         new_alpha = np.diag(T).copy()
         new_beta = np.diag(T, -1).copy()
 
-        # rows 0..kp of the rotated basis (kp+1 rows: kept block + link row)
-        VQ = Q[:, : kp + 1].T @ state.basis()
-        f_new = VQ[kp] * T[kp, kp - 1] + state.f * Q[m - 1, kp - 1]
+        # rows 0..kp of the rotated basis (kp+1 rows: kept block + link
+        # row), written into a fresh basis buffer that the next cycle
+        # extends from row kp on.  Every restart allocates a buffer of the
+        # same (m, n) shape, so the heap can reuse the hole of the one it
+        # frees; a separate (kp+1)-row block grew with kp, needed a larger
+        # hole each time and, depending on where small allocations fell,
+        # grew the heap well past what it held.
+        V = np.empty_like(state.V)
+        np.matmul(Q[:, : kp + 1].T, state.basis(), out=V[: kp + 1])
+        f_new = V[kp] * T[kp, kp - 1] + state.f * Q[m - 1, kp - 1]
 
-        state.V[:kp] = VQ[:kp]
-        # the next snapshot owns the rotated block; nothing writes it again
-        # (``setflags``: a ``flags.writeable`` write leaves a run-dependent
-        # number of small objects alive, which moves traced peaks)
-        kept = VQ[:kp]
+        state.V = V
+        # the next snapshot owns the rotated block: no later step writes
+        # rows below kp of this buffer (``setflags``: a ``flags.writeable``
+        # write leaves a run-dependent number of small objects alive, which
+        # moves traced peaks)
+        kept = V[:kp]
         kept.setflags(write=False)
-        del VQ
         state.alpha[:kp] = new_alpha[:kp]
         state.beta[: kp - 1] = new_beta[: kp - 1]
         state.j = kp

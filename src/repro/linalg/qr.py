@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from repro.errors import EigensolverError
+
 #: Steps between two consecutive shifts' chases: rotation ``i`` of shift
 #: ``s`` runs at step ``i + LAG * s``.  Rotation ``i`` reads and writes only
 #: the window ``[i-1, i+2]²`` of ``T`` (and columns ``i, i+1`` of ``Q``), so
@@ -78,12 +80,18 @@ def implicit_qr_sweep(T: np.ndarray, shifts, Q: np.ndarray) -> None:
         Only the tridiagonal band is referenced and written (plus the
         transient bulge, scrubbed to zero once its shift has passed it).
     shifts:
-        The shifts, in the order they are applied.
+        1-D sequence of shifts, in the order they are applied.  A scalar
+        raises :class:`~repro.errors.EigensolverError`.
     Q:
         ``(·, m)`` accumulation matrix, updated in place.
     """
     m = T.shape[0]
-    shifts = np.asarray(shifts, dtype=np.float64).reshape(-1)
+    shifts = np.asarray(shifts, dtype=np.float64)
+    if shifts.ndim != 1:
+        raise EigensolverError(
+            f"shifts must be a 1-D sequence, got an array of shape "
+            f"{shifts.shape}"
+        )
     n_shifts = shifts.size
     if m < 2 or n_shifts == 0:
         return

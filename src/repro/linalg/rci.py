@@ -125,8 +125,8 @@ class LanczosCheckpoint:
     @property
     def nbytes(self) -> int:
         """Host memory the snapshot keeps alive: whole buffers, so a ``V``
-        that views its restart's ``kp + 1``-row rotated block counts the
-        link row too."""
+        that views the first ``kp`` rows of its restart's ``(m, n)`` basis
+        buffer counts the whole buffer."""
         total = 0
         for a in (self.V, self.alpha, self.beta, self.f):
             while isinstance(a.base, np.ndarray):  # up to the buffer's owner

@@ -188,7 +188,7 @@ class ClusterService:
         self._fp_by_ref: dict[tuple, str] = {}
         #: embedding key -> the unit whose end made its cached entry
         #: available (absent for an entry loaded from disk); holds only
-        #: keys the cache holds
+        #: keys the cache can still return
         self._entry_units: dict[tuple, object] = {}
         #: response finalizers for units whose placement may still be
         #: rewritten by a preemption; run once the schedule is final
@@ -215,7 +215,15 @@ class ClusterService:
         return True
 
     def _forget_evicted(self) -> None:
-        """Drop the units of the entries the cache has evicted."""
+        """Drop the units of the entries the cache has evicted for good.
+
+        With a persistent store an evicted entry stays on disk (every
+        entry put here is clean, so it was written through), and a later
+        lookup can bring it back: its unit must stay, or a response
+        served from it would not wait for the fit that made it.
+        """
+        if self.cache.store is not None:
+            return
         for key in [k for k in self._entry_units if k not in self.cache]:
             del self._entry_units[key]
 

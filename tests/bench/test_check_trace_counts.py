@@ -97,4 +97,3 @@ def test_missing_record_fails(tmp_path, capsys):
     assert missing in failures[0] and "missing" in failures[0]
     assert check_trace_counts.main(["check", str(tmp_path)]) == 1
     assert "FAIL" in capsys.readouterr().err
-

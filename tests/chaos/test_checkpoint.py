@@ -92,13 +92,17 @@ class TestCheckpointResume:
         self, small_sym_csr
     ):
         """A restart snapshot owns the rotated block: read-only, apart from
-        the live basis, and unchanged by the rest of the solve."""
+        every basis row the solve writes later, and unchanged by the rest
+        of the solve."""
         A = small_sym_csr
         cps, seen = [], []
 
         def note(cp):
             state = prob._gen.gi_frame.f_locals["state"]
-            seen.append((np.shares_memory(cp.V, state.V), cp.V.copy()))
+            # the cycle after a snapshot writes rows j.. of the basis
+            seen.append(
+                (np.shares_memory(cp.V, state.V[cp.j :]), cp.V.copy())
+            )
             cps.append(cp)
 
         prob = SymEigProblem(n=A.shape[0], k=4, seed=0, checkpoint_cb=note)
@@ -117,15 +121,16 @@ class TestCheckpointResume:
                 cp.V[0, 0] = 0.0
 
     def test_nbytes_counts_the_memory_kept_alive(self, small_sym_csr):
-        """A restart snapshot's V views its ``kp + 1``-row rotated block,
-        so the link row is held (and counted) too."""
+        """A restart snapshot's V views the first ``kp`` rows of its
+        restart's ``(m, n)`` basis buffer, so the whole buffer is held (and
+        counted)."""
         cps = []
         _solve(small_sym_csr, cps=cps)
         fresh, restarts = cps[0], cps[1:]
         assert fresh.nbytes == fresh.f.nbytes  # j = 0: no basis, no T
         for cp in restarts:
             small = cp.alpha.nbytes + cp.beta.nbytes + cp.f.nbytes
-            assert cp.nbytes == (cp.j + 1) * cp.n * 8 + small
+            assert cp.nbytes == cp.m * cp.n * 8 + small
 
     def test_resume_hands_its_block_through(self, small_sym_csr):
         cps = []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import EigensolverError
 from repro.linalg.qr import givens, implicit_qr_sweep
 from repro.linalg.tridiag import tridiag_to_dense
 
@@ -95,6 +96,12 @@ class TestShiftSteps:
         Q = np.eye(1)
         implicit_qr_sweep(T, [1.0], Q)  # no-op, no crash
         assert T[0, 0] == 2.0
+
+    def test_scalar_shift_is_rejected(self, rng):
+        """The one-shift form ``implicit_qr_sweep(T, mu, Q)`` is gone."""
+        T = _random_tridiag(rng, 5)
+        with pytest.raises(EigensolverError, match="1-D"):
+            implicit_qr_sweep(T, 0.5, np.eye(5))
 
 
 def _sweep_case(m, n_shifts, case, seed=0):

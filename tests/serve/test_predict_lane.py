@@ -359,3 +359,25 @@ class TestEviction:
         assert all(r.ok for r in responses)
         assert len(svc.cache) == 1
         assert set(svc._entry_units) <= set(svc.cache._entries)
+
+    def test_disk_hit_waits_for_the_fit_that_made_the_model(
+        self, make_predict, make_request, tmp_path
+    ):
+        """An entry the LRU evicted stays on disk; when a lookup brings it
+        back, a predict still waits for the cold fit that made it."""
+        svc = _service(cache_entries=1, cache_dir=str(tmp_path / "store"))
+        fits = [make_request(request_id=f"fit{s}", seed=s) for s in (0, 1)]
+        responses, report = svc.process([
+            make_predict(arrival=0.0, fit=fits[s], request_id=f"p{j}")
+            for j, s in enumerate((0, 1, 0))
+        ])
+        assert all(r.ok for r in responses)
+        assert report.cache["disk_hits"] == 1
+        fit_end = max(
+            ev.end for ev in svc.scheduler.schedule
+            if ev.name.startswith("predict[p0]:coldfit")
+        )
+        # p2 arrives before p0's cold fit ends, so it must wait for it
+        assert responses[2].arrival < fit_end
+        assert responses[2].model_hit
+        assert responses[2].start >= fit_end
