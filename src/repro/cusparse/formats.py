@@ -18,7 +18,12 @@ All formats compute through one substrate (:mod:`repro.cusparse.substrate`):
 an ELL operand shares the :class:`~repro.cusparse.substrate.Substrate`
 of the CSR matrix it was converted from, so every SpMV and SpMM reduces
 the same canonical CSR-order arrays in the same order as
-:func:`~repro.cusparse.spmv.csrmv`.  Format choice changes only the
+:func:`~repro.cusparse.spmv.csrmv`: the SpMV through the CSR operand's
+one row-sweep plan (each row summed from +0.0 in element order), the
+SpMM through ``np.add.reduceat``.  COO operands keep the ``bincount``
+scatter, whose sums have the same order, because their values are
+rescaled in place between products and a plan would cache stale ones.
+Format choice changes only the
 *charged time* and the device-memory footprint, never a float — which is
 what lets the pipeline autotune freely while keeping cluster labels
 bit-identical.  The ELL arrays are therefore accounting-only: they are

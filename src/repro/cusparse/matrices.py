@@ -72,8 +72,9 @@ class DeviceCOO:
 class DeviceCSR:
     """CSR matrix on the device.
 
-    The structure is fixed once built: the :attr:`substrate` a product
-    reads is derived on first use and kept.
+    The structure and values are fixed once built: the :attr:`substrate`
+    a product reads, and its SpMV plan (which copies the values), are
+    derived on first use and kept.
     """
 
     indptr: DeviceArray

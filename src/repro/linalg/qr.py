@@ -14,10 +14,12 @@ from repro.errors import EigensolverError
 
 #: Steps between two consecutive shifts' chases: rotation ``i`` of shift
 #: ``s`` runs at step ``i + LAG * s``.  Rotation ``i`` reads and writes only
-#: the window ``[i-1, i+2]²`` of ``T`` (and columns ``i, i+1`` of ``Q``), so
-#: the rotations of one step touch disjoint windows, and every element sees
+#: rows and columns ``i, i+1`` of the window ``[i-1, i+2]²`` of ``T`` (and
+#: columns ``i, i+1`` of ``Q``).  Those crosses are disjoint three planes
+#: apart (the windows share a corner neither rotation touches), so the
+#: rotations of one step touch disjoint elements, and every element sees
 #: its rotations in the order of a shift-by-shift sweep.
-LAG = 4
+LAG = 3
 
 
 def givens(a: float, b: float) -> tuple[float, float, float]:

@@ -34,14 +34,15 @@ class TestCsrmv:
         csrmv(dcsr, dx, dy, alpha=2.0, beta=0.5)
         assert np.allclose(dy.data, 2.0 * (host.to_dense() @ x) + 0.5 * y0)
 
-    def test_rows_cache_gives_same_answer(self, device, setup):
-        """The operand expands its row ids once; the cached expansion is
-        the row pointer's, and repeat products are bit-identical."""
+    def test_plan_cache_gives_same_answer(self, device, setup):
+        """The operand plans its row sweep once, expands no row ids, and
+        repeat products are bit-identical."""
         host, dcsr, x, dx = setup
         y1 = csrmv(dcsr, dx).data.copy()
-        cache = np.repeat(np.arange(30), np.diff(dcsr.indptr.data))
-        assert np.array_equal(dcsr.substrate.rows, cache)
+        sweep = dcsr.substrate.sweep
+        assert dcsr.substrate.rows is None
         y2 = csrmv(dcsr, dx).data
+        assert dcsr.substrate.sweep is sweep
         assert y1.tobytes() == y2.tobytes()
 
     def test_dim_mismatch(self, device, setup):
