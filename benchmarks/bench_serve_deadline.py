@@ -86,7 +86,8 @@ def _deadline_trace(graph, shared):
     probe = ClusterService(_config(preemption=False))
     probe.process(_background(graph, shared))
     events = list(probe.scheduler.schedule.events)
-    kwin = sorted((e.start, e.end) for e in events if ":kmeans[" in e.name)
+    # the fits' k-means spans (the warming predict runs one of its own)
+    kwin = sorted((e.start, e.end) for e in events if ":kmeans[f" in e.name)
     pdur = next(e.duration for e in events if e.name == "predict[pwarm]")
     fifo_free = max(e.end for e in events)
 

@@ -231,6 +231,8 @@ class Substrate:
             # so a product holding a NaN is redone by the scatter.
             if not np.isnan(y).any():
                 return y
+        if not self.cols.size:
+            return np.zeros(self.n_rows)  # ``bincount`` would give int64
         rows = self.rows
         if rows is None:
             rows = np.repeat(

@@ -175,7 +175,7 @@ class PredictRequest:
     deadline: float | None = None
     priority: int = 0
 
-    # -- fault injection (predict stage only) ----------------------------
+    # -- fault injection (its fit's units too, unless the fit spec has one)
     chaos: FaultPlan | int | None = None
     no_resilience: bool = False
 

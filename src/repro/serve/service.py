@@ -49,18 +49,18 @@ share one cache entry per problem under
 :func:`~repro.serve.fingerprint.embedding_key` (fit identity only —
 predict knobs stay outside the key): a predict against a problem a fit
 batch (or an earlier predict) solved pays only the Nyström extension,
-and a miss charges one cold fit whose model later fits hit too.  A
-cached model keeps its basis resident on the device, so a device
-predict uploads only its own payload.  A cold fit that recovered from
-injected faults is tainted and never cached.  A predict against a
-ratiocut or compressive fit, which has no Nyström extension, fails at
-arrival.
+and a miss builds the entry as a fit batch does, as a group of one
+whose units may be preempted.  A cached model keeps its basis resident
+on the device, so a device predict uploads only its own payload.  A
+fit that recovered from injected faults is tainted and never cached.
+A predict against a ratiocut or compressive fit, which has no Nyström
+extension, fails at arrival.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -407,119 +407,11 @@ class ClusterService:
         )
 
     def _serve_batch(self, batch: Batch, t_batch: float, responses) -> None:
-        """Serve one batch: cache lookups, then the shared stages for the
-        groups that missed, then each request's labels."""
+        """Serve one batch's embedding groups (:meth:`_serve_groups`);
+        each response is written once the schedule is final."""
         fp = batch.group_key[0]
-        groups = batch.embedding_groups(lambda r: r.embedding_key(fp))
 
-        # --- consult the cache per embedding group -----------------------
-        cached = {key: self._lookup(key) for key in groups}
-        misses = [key for key, (entry, _) in cached.items() if entry is None]
-
-        op: _OperatorBuild | None = None
-        op_unit = None
-        dead: set[str] = set()
-
-        try:
-            # --- shared stages 1-2 (only if some group must solve) -------
-            if misses:
-                miss_members = [
-                    r for key in misses for r in groups[key]
-                ]
-                order = {r.request_id: j for j, r in enumerate(batch.requests)}
-                miss_members.sort(key=lambda r: order[r.request_id])
-                # one host graph mirror serves every group that can predict
-                keep_graph = any(has_nystrom(r.config) for r in miss_members)
-                while miss_members:
-                    leader = miss_members[0]
-                    unit = self.scheduler.run(
-                        f"b{batch.batch_id}:operator",
-                        ready_at=t_batch,
-                        fn=self._scoped(
-                            leader, self._build_fn(leader, keep_graph)
-                        ),
-                    )
-                    if unit.ok:
-                        op = unit.take()
-                        op_unit = unit
-                        break
-                    self._fail(
-                        responses, leader, unit.error, batch, t_batch, unit.end
-                    )
-                    dead.add(leader.request_id)
-                    miss_members = miss_members[1:]
-                if op is None:
-                    # every miss-group member failed leading the build;
-                    # cache-hit groups still get served below
-                    misses = []
-
-            # --- stage 3 per embedding group -----------------------------
-            solved: dict[tuple, tuple] = {}
-            for key in misses:
-                members = [
-                    r for r in groups[key] if r.request_id not in dead
-                ]
-                while members:
-                    leader = members[0]
-                    k = leader.config.n_clusters
-                    if op.n <= k:
-                        err = ClusteringError(
-                            f"only {op.n} non-isolated nodes for "
-                            f"k={k} clusters"
-                        )
-                        self._fail(
-                            responses, leader, err, batch, t_batch, op_unit.end
-                        )
-                        dead.add(leader.request_id)
-                        members = members[1:]
-                        continue
-                    unit = self.scheduler.run(
-                        f"b{batch.batch_id}:eigensolve[k={k}]",
-                        ready_at=op_unit.end,
-                        fn=self._scoped(leader, self._solve_fn(leader, op)),
-                        device=self.scheduler.devices[op_unit.device_index],
-                        # a row-partitioned solve pins one lane per GPU it
-                        # spans (gang-scheduled from a common start)
-                        width=min(
-                            max(1, leader.config.devices),
-                            len(self.scheduler.lanes),
-                        ),
-                    )
-                    if unit.ok:
-                        solved[key] = (unit,) + unit.take()
-                        break
-                    self._fail(
-                        responses, leader, unit.error, batch, t_batch, unit.end
-                    )
-                    dead.add(leader.request_id)
-                    members = members[1:]
-
-            # --- stage 4 per request -------------------------------------
-            for key, members in groups.items():
-                self._serve_labels(
-                    batch, t_batch, key, members, *cached[key],
-                    solved.get(key), op, dead, responses,
-                )
-        finally:
-            if op is not None:
-                op.dcsr.free()
-
-    def _serve_labels(
-        self, batch, t_batch, key, members, entry, entry_unit, solve, op,
-        dead, responses,
-    ) -> None:
-        """Stage 4 of one embedding group: each member's labels.
-
-        A member reuses the labels of ``entry`` (the cached model, or
-        the one this group's first clean k-means just built) when its
-        label knobs equal the entry's; only the others run k-means.  The
-        first clean k-means of a group that solved here builds the entry
-        and caches it — unless a fault fired anywhere on its path.
-        """
-        hit = entry is not None
-        entry_timings = None
-
-        def respond(req, model, unit, timings, resilience):
+        def serve(req, model, unit, timings, resilience, hit, _resident):
             def finish():
                 responses[req.request_id] = ClusterResponse(
                     request_id=req.request_id,
@@ -541,6 +433,135 @@ class ClusterService:
             # ``unit``: read its end only once the schedule has settled
             self._deferred.append(finish)
 
+        self._serve_groups(
+            f"b{batch.batch_id}", t_batch, batch.requests,
+            batch.embedding_groups(lambda r: r.embedding_key(fp)),
+            serve,
+            lambda req, err, end: self._fail(
+                responses, req, err, batch, t_batch, end
+            ),
+            preemptible=False,
+        )
+
+    def _serve_groups(
+        self, tag, ready_at, requests, groups, serve, fail, preemptible
+    ) -> None:
+        """The one path that builds and caches entries: serve the
+        embedding groups (``groups``: key -> members in the FIFO order of
+        ``requests``) of one operator key.
+
+        A group the cache holds reuses its entry.  The groups it misses
+        share one operator build (stages 1-2) and run one eigensolve each
+        (stage 3); stage 4 is :meth:`_serve_labels`.  A shared unit runs
+        under its leader's chaos plan, the first member still alive: when
+        it fails terminally, the leader fails alone and the unit reruns
+        for the next member.  Units are named ``{tag}:<stage>`` and start
+        no earlier than ``ready_at``.
+
+        ``serve(req, model, unit, timings, resilience, hit, resident)``
+        takes each member's labels, available at ``unit``'s end (at once
+        when ``unit`` is None); ``resident`` says whether ``model`` is the
+        cached entry.  ``fail(req, err, completed)`` takes each member
+        that failed, once the schedule is final.  ``preemptible`` says
+        whether a deadline unit may suspend the solves at their
+        Lanczos-restart boundaries (a predict's, on one lane) or not (a
+        fit batch's, gang-scheduled over ``devices`` lanes).
+        """
+        cached = {key: self._lookup(key) for key in groups}
+        misses = [key for key, (entry, _) in cached.items() if entry is None]
+        dead: set[str] = set()
+
+        def failed(req, err, unit):
+            dead.add(req.request_id)
+            # preemption may still shift ``unit``: read its end time only
+            # once the schedule is final
+            self._deferred.append(lambda: fail(req, err, unit.end))
+
+        op: _OperatorBuild | None = None
+        op_unit = None
+        try:
+            # --- shared stages 1-2 (only if some group must solve) -------
+            if misses:
+                order = {r.request_id: j for j, r in enumerate(requests)}
+                miss_members = sorted(
+                    (r for key in misses for r in groups[key]),
+                    key=lambda r: order[r.request_id],
+                )
+                # one host graph mirror serves every group that can predict
+                keep_graph = any(has_nystrom(r.config) for r in miss_members)
+                for leader in miss_members:
+                    unit = self.scheduler.run(
+                        f"{tag}:operator",
+                        ready_at=ready_at,
+                        fn=self._scoped(
+                            leader, self._build_fn(leader, keep_graph)
+                        ),
+                        preemptible=preemptible,
+                    )
+                    if unit.ok:
+                        op, op_unit = unit.take(), unit
+                        break
+                    failed(leader, unit.error, unit)
+
+            # --- stage 3 per embedding group -----------------------------
+            solved: dict[tuple, tuple] = {}
+            for key in misses if op is not None else ():
+                for leader in groups[key]:
+                    if leader.request_id in dead:
+                        continue
+                    k = leader.config.n_clusters
+                    if op.n <= k:
+                        failed(leader, ClusteringError(
+                            f"only {op.n} non-isolated nodes for "
+                            f"k={k} clusters"
+                        ), op_unit)
+                        continue
+                    unit = self.scheduler.run(
+                        f"{tag}:eigensolve[k={k}]",
+                        ready_at=op_unit.end,
+                        fn=self._scoped(leader, self._solve_fn(leader, op)),
+                        device=self.scheduler.devices[op_unit.device_index],
+                        # a row-partitioned solve pins one lane per GPU it
+                        # spans (gang-scheduled from a common start), but
+                        # only a one-lane unit can be suspended
+                        width=1 if preemptible else min(
+                            max(1, leader.config.devices),
+                            len(self.scheduler.lanes),
+                        ),
+                        preemptible=preemptible,
+                        depends_on=(op_unit,),
+                    )
+                    if unit.ok:
+                        solved[key] = (unit,) + unit.take()
+                        break
+                    failed(leader, unit.error, unit)
+
+            # --- stage 4 per embedding group -----------------------------
+            for key, members in groups.items():
+                self._serve_labels(
+                    tag, ready_at, key, members, *cached[key],
+                    solved.get(key), op, dead, serve, failed,
+                )
+        finally:
+            if op is not None:
+                op.dcsr.free()
+
+    def _serve_labels(
+        self, tag, ready_at, key, members, entry, entry_unit, solve, op,
+        dead, serve, failed,
+    ) -> None:
+        """Stage 4 of one embedding group: each member's labels.
+
+        A member reuses the labels of ``entry`` (the cached model, or
+        the one this group's first clean k-means just built) when its
+        label knobs equal the entry's; only the others run k-means, and
+        a model relabelled from a cached entry is served, not cached.
+        The first clean k-means of a group that solved here builds the
+        entry and caches it — unless a fault fired anywhere on its path
+        (the taint rule).
+        """
+        hit = resident = entry is not None
+        entry_timings = None
         if hit:
             embedding, theta = entry.embedding, entry.eigenvalues
             base_timings, base_resil = StageTimings(), {}
@@ -552,15 +573,16 @@ class ClusterService:
             if req.request_id in dead:
                 continue
             if entry is not None and same_labels(entry.config, req.config):
-                respond(
+                serve(
                     req, entry, entry_unit,
-                    StageTimings() if hit else entry_timings, {},
+                    StageTimings() if hit else entry_timings, {}, hit,
+                    resident,
                 )
                 continue
             after = entry_unit if hit else solve_unit
             unit = self.scheduler.run(
-                f"b{batch.batch_id}:kmeans[{req.request_id}]",
-                ready_at=max(t_batch, after.end) if after else t_batch,
+                f"{tag}:kmeans[{req.request_id}]",
+                ready_at=max(ready_at, after.end) if after else ready_at,
                 fn=self._scoped(req, self._kmeans_fn(req, embedding)),
                 # the canonical preemption victim: a deadline predict may
                 # suspend it at a Lloyd-iteration boundary or jump in
@@ -569,13 +591,7 @@ class ClusterService:
                 depends_on=(after,) if after else (),
             )
             if not unit.ok:
-                # preemption may still shift this unit: read its end time
-                # only once the schedule is final
-                self._deferred.append(
-                    lambda u=unit, r=req: self._fail(
-                        responses, r, u.error, batch, t_batch, u.end
-                    )
-                )
+                failed(req, unit.error, unit)
                 continue
             km, km_timings, km_resil = unit.take()
             timings = StageTimings(
@@ -584,8 +600,6 @@ class ClusterService:
             )
             resilience = {**base_resil, **km_resil}
             if hit:
-                # other label knobs on a cached solve: these labels are
-                # served, not cached
                 model = entry.relabeled(req.config, km, resilience)
             else:
                 model = FittedSpectralModel.from_stages(
@@ -596,8 +610,11 @@ class ClusterService:
             if entry is None and not resilience:
                 # the group's first clean labels become its entry
                 entry, entry_unit, entry_timings = model, unit, timings
-                self._cache_put(key, model, unit)
-            respond(req, model, unit, timings, resilience)
+                resident = self._cache_put(key, model, unit)
+            serve(
+                req, model, unit, timings, resilience, hit,
+                resident and model is entry,
+            )
 
     # ------------------------------------------------------------------
     # unit builders (arithmetic identical to SpectralClustering.fit)
@@ -675,13 +692,17 @@ class ClusterService:
         )
 
     def _serve_predict(self, preq: PredictRequest, responses) -> None:
-        """Serve one fast-lane predict: cached model → (cold fit) → Nyström.
+        """Serve one fast-lane predict: its fit's entry → Nyström.
 
         The predict bypasses the admission queue and the batcher; its
         units dispatch with ``ready_at = arrival`` so an idle stream
         picks them up immediately, even while a fit batch holds the
-        other lanes.  A fit parameterization with no Nyström extension
-        fails at arrival, before any unit runs.
+        other lanes.  Its fit is a group of one through
+        :meth:`_serve_groups`, the path a fit batch takes: a miss runs
+        the operator build, the eigensolve and the k-means as units of
+        their own, each preemptible, and the Nyström unit waits for the
+        one that made its model.  A fit parameterization with no Nyström
+        extension fails at arrival, before any unit runs.
         """
         fit = preq.fit
         try:
@@ -692,56 +713,34 @@ class ClusterService:
             self._fail_predict(responses, preq, err, preq.arrival)
             return
 
-        # ``after``: the unit whose end the predict waits for; retired
-        # before its end is read, so no later preemption can move it
-        entry, after = self._lookup(key)
-        model_hit = entry is not None
-        relabel = model_hit and not same_labels(entry.config, fit.config)
-        if not model_hit:
-            after = self.scheduler.run(
-                f"predict[{preq.request_id}]:coldfit",
-                ready_at=preq.arrival,
-                fn=self._scoped(preq, self._coldfit_fn(fit)),
-                priority=preq.priority,
-                # a cold fit suspends at its Lanczos-restart boundaries
-                preemptible=True,
-            )
-        elif relabel:
-            # other label knobs on the cached solve: k-means only, and
-            # the model it gives is served, not cached
-            after = self.scheduler.run(
-                f"predict[{preq.request_id}]:kmeans",
-                ready_at=max(preq.arrival, after.end) if after else preq.arrival,
-                fn=self._scoped(preq, self._kmeans_fn(fit, entry.basis)),
-                priority=preq.priority,
-                preemptible=True,
-                depends_on=(after,) if after else (),
-            )
-        if after is not None and not after.ok:
-            # nothing consumes a failed unit's end, so it stays a live
-            # preemption victim — defer reading its times
-            self._deferred.append(
-                lambda u=after: self._fail_predict(
-                    responses, preq, u.error, u.end
-                )
-            )
-            return
+        # the fit's units run under the fit spec's chaos plan if it has
+        # one; else under the predict's, which its Nyström unit continues
+        member = replace(
+            fit, request_id=preq.request_id,
+            chaos=preq.chaos if fit.chaos is None else fit.chaos,
+        )
+        served = []
+        self._serve_groups(
+            f"predict[{preq.request_id}]", preq.arrival, [member],
+            {key: [member]},
+            lambda *labels: served.append(labels),
+            lambda _req, err, end: self._fail_predict(
+                responses, preq, err, end
+            ),
+            preemptible=True,
+        )
+        if fit.chaos is not None:
+            # the Nyström unit runs under the predict's own plan
+            self._plans.pop(preq.request_id, None)
+        if not served:
+            return  # the failure is written once the schedule is final
+        _, model, after, _, resilience, hit, keep_basis = served[0]
         ready = preq.arrival
         if after is not None:
+            # retired before its end is read, so no later preemption can
+            # move it
             self.scheduler.retire(after)
             ready = max(ready, after.end)
-        model, resilience = entry, {}
-        if relabel:
-            km, _timings, resilience = after.take()
-            model = entry.relabeled(fit.config, km, resilience)
-        elif not model_hit:
-            model = after.take().model
-            resilience = dict(model.resilience)
-            # taint rule: a fit that recovered from faults never caches
-            if not resilience and self._cache_put(key, model, after):
-                entry = model
-        # only the cached model keeps its basis resident on the device
-        keep_basis = model is entry
         try:
             payload = self._predict_payload(preq, model)
         except ReproError as err:
@@ -762,9 +761,7 @@ class ClusterService:
             preemptible=preq.deadline is None,
         )
 
-        def _finish(
-            u=unit, r=preq, hit=model_hit, rs=resilience
-        ):
+        def _finish(u=unit, r=preq, rs=resilience):
             if not u.ok:
                 self._fail_predict(responses, r, u.error, u.end)
                 return
@@ -795,17 +792,6 @@ class ClusterService:
             self._deferred.append(_finish)
         else:
             _finish()
-
-    def _coldfit_fn(self, fit: ClusterRequest):
-        graph, X, edges = self._resolve(fit)
-
-        def run(dev):
-            est = fit.estimator(device=dev)
-            if graph is not None:
-                return est.fit(graph=graph)
-            return est.fit(X=X, edges=edges)
-
-        return run
 
     def _predict_fn(
         self, preq: PredictRequest, model, payload: dict, keep_basis: bool

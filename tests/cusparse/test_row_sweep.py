@@ -171,3 +171,8 @@ def test_coo_scatter_reads_current_values(rng, dtype):
     fresh = upload()
     fresh.val.data[...] = vals
     assert got.tobytes() == coomv(fresh, x).data.tobytes()
+    # a COO operand with no nonzeros multiplies to fp64 +0.0, as CSR does
+    none = np.array([], dtype=np.int64)
+    empty = substrate.Substrate(3, none, np.array([], dtype), rows=none)
+    y = empty.spmv(np.ones(3))
+    assert y.dtype == np.float64 and y.tobytes() == np.zeros(3).tobytes()

@@ -59,6 +59,33 @@ class TestFastLane:
         assert report.predict["model_hits"] == 1
         assert report.predict["ledger_mismatches"] == 0
 
+    def test_cold_predict_runs_the_fit_batch_stages(
+        self, make_predict, make_request
+    ):
+        """A predict that misses builds its entry by the fit batch's path:
+        an operator build, an eigensolve and a k-means unit of its own,
+        no opaque cold-fit unit; a later fit and predict hit that entry,
+        and every response equals a cold fit's."""
+        svc = _service()
+        reqs = [
+            make_predict(arrival=0.0, request_id="pcold"),
+            make_request(arrival=0.001, request_id="fit"),
+            make_predict(arrival=0.002, request_id="pwarm"),
+        ]
+        responses, _ = svc.process(reqs)
+        cold, fit, warm = responses
+        assert cold.cold_fit and fit.cache_hit and warm.model_hit
+        names = [ev.name for ev in svc.scheduler.schedule]
+        own = sorted(n for n in names if n.startswith("predict[pcold]:"))
+        assert own == [
+            "predict[pcold]:eigensolve[k=4]",
+            "predict[pcold]:kmeans[pcold]",
+            "predict[pcold]:operator",
+        ]
+        assert sum(":operator" in n for n in names) == 1
+        assert not any("coldfit" in n for n in names)
+        assert verify_against_cold(responses, reqs) == []
+
     def test_warm_latency_far_below_cold(self, make_predict):
         responses, _ = _service().process(
             [make_predict(arrival=0.0), make_predict(arrival=50.0)]
@@ -134,7 +161,8 @@ class TestFastLane:
         assert second.model_hit and report.predict["cold_fits"] == 0
         names = [ev.name for ev in svc.scheduler.schedule]
         assert sum("eigensolve" in n for n in names) == 1
-        assert not any("coldfit" in n for n in names)
+        # the predicts run their Nyström units and no fit stage
+        assert not any(n.startswith("predict[") and "]:" in n for n in names)
         assert first.ledger_ok is True and second.ledger_ok is True
         assert verify_against_cold(responses, reqs) == []
 
@@ -248,6 +276,18 @@ class TestTaintRule:
         assert tainted.resilience  # recovery actually happened
         assert retry.ok and retry.cold_fit  # tainted model was not cached
         assert warm.ok and warm.model_hit  # the clean refit was
+
+    def test_fit_spec_plan_stays_on_the_fit_units(
+        self, make_predict, make_request
+    ):
+        """A fit spec's own chaos plan faults only its fit's units: the
+        Nyström unit of a clean predict runs under no plan.  chaos=8
+        recovers in the eigensolve and would fire again in the predict
+        stage, were that plan carried on."""
+        fit = make_request(request_id="fs", chaos=8)
+        responses, _ = _service().process([make_predict(fit=fit)])
+        assert responses[0].ok
+        assert list(responses[0].resilience) == ["eigensolver"]
 
     def test_clean_coldfit_caches(self, make_predict):
         svc = _service()
@@ -375,7 +415,7 @@ class TestEviction:
         assert report.cache["disk_hits"] == 1
         fit_end = max(
             ev.end for ev in svc.scheduler.schedule
-            if ev.name.startswith("predict[p0]:coldfit")
+            if ev.name.startswith("predict[p0]:")
         )
         # p2 arrives before p0's cold fit ends, so it must wait for it
         assert responses[2].arrival < fit_end

@@ -254,9 +254,10 @@ class TestServicePreemption:
             n_devices=1, streams_per_device=1, max_batch=4,
         ))
         svc.process(self._trace(make_request, make_predict, 1e9, None))
+        # the fits' k-means units; the warm-up predict runs one of its own
         kev = [
             ev for ev in svc.scheduler.schedule
-            if ":kmeans[" in ev.name and ev.tag != "preempt"
+            if ":kmeans[f" in ev.name and ev.tag != "preempt"
         ]
         assert len(kev) == 3
         return min(e.start for e in kev), max(e.end for e in kev)
