@@ -15,9 +15,9 @@ Three serving-tier entry points:
     model inherited — then the ``(1/θ)(1/d)`` rescale and an
     embedding-space nearest-centroid assignment.  Runs on the device
     under the same resilience ladder as the pipeline stages, with a
-    bit-identical host fallback, and pins its transfer plan
-    (:class:`~repro.linalg.nystrom.PredictLedger`) against the device
-    meter.
+    bit-identical host fallback, and audits its transfer plan
+    (:func:`predict_plan`, a :class:`~repro.cuda.traffic.TrafficPlan`)
+    against the device meter.
 
 ``predict_embedding(E_new)``
     The microsecond path: callers who already hold embedding-space rows
@@ -27,7 +27,7 @@ Three serving-tier entry points:
 ``apply_delta(edges_added, edges_removed)``
     Incremental graph update.  The edge delta patches the (simulated)
     device-resident CSR in place and is priced as the small H2D/D2H it
-    actually costs (:class:`~repro.linalg.nystrom.DeltaLedger`); a full
+    actually costs (:func:`delta_plan`); a full
     refit happens lazily, only when the accumulated Weyl-style Ritz
     drift bound crosses the spectral-gap threshold — at which point the
     refit is a standard ``fit(graph=...)`` and therefore bit-identical
@@ -41,6 +41,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from repro.core.config import ClusterConfig
+from repro.cuda.traffic import TrafficPlan
 from repro.cusparse.matrices import DeviceCSR
 from repro.cusparse.spmm import csrmm
 from repro.errors import ClusteringError
@@ -48,10 +49,7 @@ from repro.graph.delta import apply_edge_delta
 from repro.graph.similarity import cross_correlation
 from repro.kmeans.utils import assign_nearest
 from repro.linalg.nystrom import (
-    DeltaLedger,
-    PredictLedger,
     drift_threshold,
-    ledger_matches_meter,
     nystrom_degrees,
     nystrom_product,
     nystrom_scale,
@@ -75,12 +73,71 @@ def has_nystrom(config: ClusterConfig) -> bool:
     return config.objective == "ncut" and config.embedding != "compressive"
 
 
+def predict_plan(
+    n_new: int,
+    n_anchor: int,
+    k: int,
+    nnz: int,
+    *,
+    feature_path: bool = False,
+    d: int = 0,
+    n_touched: int = 0,
+    itemsize: int = 8,
+    basis_resident: bool = False,
+) -> TrafficPlan:
+    """The transfers one device-path :meth:`FittedSpectralModel.predict`
+    makes, in the order they happen.
+
+    The feature path uploads the new feature rows, the ``n_touched``
+    anchor rows its pairs touch and both pair endpoints, and forms the
+    similarity values on the device; the weights path uploads the CSR
+    column indices and the values at the fit's storage ``itemsize``.
+    Both then upload the row pointer, the basis (unless it is already
+    resident) and the centroids, and bring the embedding and labels back.
+    """
+    if feature_path:
+        h2d = (
+            ("x_new", n_new * d * 8),
+            ("anchors", n_touched * d * 8),
+            ("src", nnz * 8),
+            ("dst", nnz * 8),
+            ("indptr", (n_new + 1) * 8),
+        )
+    else:
+        h2d = (
+            ("indices", nnz * 8),
+            ("values", nnz * itemsize),
+            ("indptr", (n_new + 1) * 8),
+        )
+    if not basis_resident:
+        h2d += (("basis", n_anchor * k * 8),)
+    return TrafficPlan(
+        h2d=h2d + (("centroids", k * k * 8),),
+        d2h=(("embedding", n_new * k * 8), ("labels", n_new * 8)),
+    )
+
+
+def delta_plan(nnz_delta: int) -> TrafficPlan:
+    """The transfers one under-threshold
+    :meth:`FittedSpectralModel.apply_delta` patch makes: the symmetrized
+    (row, col, value) triple of the edge delta up, and the scalar drift
+    statistic back."""
+    return TrafficPlan(
+        h2d=(
+            ("rows", nnz_delta * 8),
+            ("cols", nnz_delta * 8),
+            ("values", nnz_delta * 8),
+        ),
+        d2h=(("drift", 8),),
+    )
+
+
 @dataclass
 class PredictResult:
     """One out-of-sample predict call.
 
-    ``ledger_ok`` is True when the analytic transfer plan matched the
-    device meter exactly, False on a mismatch, and None when the call
+    ``ledger_ok`` is True when ``plan`` matched the device meter
+    exactly, False on a mismatch, and None when the call
     never had a clean device pass to audit (host path, or resilience
     recovery double-charged transfers).
     """
@@ -88,7 +145,7 @@ class PredictResult:
     labels: np.ndarray
     embedding: np.ndarray
     degrees: np.ndarray
-    ledger: PredictLedger
+    plan: TrafficPlan
     ledger_ok: bool | None
     resilience: dict
     simulated_time: float = 0.0
@@ -105,7 +162,7 @@ class ApplyDeltaResult:
     ``refit`` — whether the drift bound crossed the threshold and the
     model re-fit on the patched graph (``result`` then holds the full
     :class:`~repro.core.result.ClusteringResult`); on the lazy path the
-    cached embedding is reused and ``ledger``/``ledger_ok`` price the
+    cached embedding is reused and ``plan``/``ledger_ok`` price the
     patch transfers.
     """
 
@@ -114,7 +171,7 @@ class ApplyDeltaResult:
     threshold: float
     accumulated_drift: float
     labels: np.ndarray
-    ledger: DeltaLedger | None = None
+    plan: TrafficPlan | None = None
     ledger_ok: bool | None = None
     result: object | None = None
     simulated_time: float = 0.0
@@ -394,11 +451,11 @@ class FittedSpectralModel:
         vals_q = quantize(vals, store_dtype)
         nnz = int(vals_q.size)
         d = int(self.anchors.shape[1]) if feature_path else 0
-        ledger = PredictLedger(
-            n_new=m, n_anchor=self.n_anchor, k=self.k, nnz=nnz, d=d,
-            feature_path=feature_path, itemsize=int(np.dtype(store_dtype).itemsize),
+        itemsize = int(np.dtype(store_dtype).itemsize)
+        plan = predict_plan(
+            m, self.n_anchor, self.k, nnz, feature_path=feature_path, d=d,
             n_touched=int(touched.size) if feature_path else 0,
-            basis_resident=device in self._resident,
+            itemsize=itemsize, basis_resident=device in self._resident,
         )
 
         def host_path():
@@ -412,7 +469,7 @@ class FittedSpectralModel:
         if device is None:
             labels, emb, deg, _ = host_path()
             return PredictResult(
-                labels=labels, embedding=emb, degrees=deg, ledger=ledger,
+                labels=labels, embedding=emb, degrees=deg, plan=plan,
                 ledger_ok=None, resilience={},
             )
 
@@ -450,7 +507,7 @@ class FittedSpectralModel:
                     device.charge_kernel(
                         "predict_degrees",
                         1.0 * nnz,
-                        nnz * ledger.itemsize + m * 8.0,
+                        nnz * itemsize + m * 8.0,
                     )
                     deg = nystrom_degrees(indptr, vals_q)
                     dbasis = self._resident.get(device)
@@ -507,15 +564,13 @@ class FittedSpectralModel:
         if audit is not None:
             meter0, sim_time = audit
         if clean:
-            ledger_ok = ledger_matches_meter(
-                ledger, meter0, device.transfer_stats()
-            )
+            ledger_ok = plan.matches(meter0, device.transfer_stats())
         resilience = {}
         if any((rec["retries"], rec["degrade_steps"], rec["resumes"],
                 rec["fallback"])):
             resilience["predict"] = rec
         return PredictResult(
-            labels=labels, embedding=emb, degrees=deg, ledger=ledger,
+            labels=labels, embedding=emb, degrees=deg, plan=plan,
             ledger_ok=ledger_ok, resilience=resilience,
             simulated_time=sim_time,
         )
@@ -587,7 +642,7 @@ class FittedSpectralModel:
         accumulated = self._accumulated_drift + bound
 
         if accumulated <= threshold:
-            ledger = DeltaLedger(nnz_delta=int(dvals.size), n=self.n_anchor)
+            plan = delta_plan(int(dvals.size))
             ledger_ok: bool | None = None
             sim_time = 0.0
             if device is not None:
@@ -611,16 +666,14 @@ class FittedSpectralModel:
                     for a in bufs:
                         a.free()
                 sim_time = device.elapsed - t0
-                ledger_ok = ledger_matches_meter(
-                    ledger, meter0, device.transfer_stats()
-                )
+                ledger_ok = plan.matches(meter0, device.transfer_stats())
             self.graph = W_new
             self.degrees = deg_new
             self._accumulated_drift = accumulated
             return ApplyDeltaResult(
                 refit=False, drift_bound=bound, threshold=threshold,
                 accumulated_drift=accumulated, labels=self.labels,
-                ledger=ledger, ledger_ok=ledger_ok, simulated_time=sim_time,
+                plan=plan, ledger_ok=ledger_ok, simulated_time=sim_time,
             )
 
         # threshold crossed: full refit on the patched graph — a plain

@@ -60,7 +60,7 @@ from repro.hw.costmodel import CPUCostModel
 from repro.hw.spec import CPUSpec, XEON_E5_2690
 from repro.linalg.eigsolver import SymEigProblem
 from repro.linalg.power import default_power_iterations, power_embedding
-from repro.linalg.rci import LanczosCheckpoint, TransferLedger
+from repro.linalg.rci import LanczosCheckpoint
 from repro.linalg.refine import refine_eigenpairs
 from repro.precision import (
     TOL_FLOORS,
@@ -505,7 +505,7 @@ class DevicePlacement(PlacedOperator):
         # each copy engine *while* the host grinds, and V <- V Q runs as a
         # device gemm.  The staging buffers are priced at the basis
         # storage width (what crosses the bus is the device-side
-        # representation, the TransferLedger convention) and cycle through
+        # representation, as for every traffic plan) and cycle through
         # the caching allocator, so after the first restart they are hits.
         s = self.s
         primary, vs = s.device, s.vs
@@ -600,11 +600,6 @@ class PartitionedPlacement(DevicePlacement):
             Stream(dev, name=f"dev{d}/copyEngine")
             for d, dev in enumerate(s.devices)
         ]
-        # scatter/gather byte splits follow the real row layout
-        self.ledger = TransferLedger(
-            n=s.n, m=0, k=s.k, itemsize=s.vs, n_devices=n_devices,
-            row_counts=self.row_counts,
-        )
         self.part: PartitionedCSR | None = None
         self.halo: tuple | None = None
         self.shard_upload_bytes = 0
@@ -628,10 +623,19 @@ class PartitionedPlacement(DevicePlacement):
         self.part = None
         super().release()
 
+    def shard_split(self, total: int) -> tuple[int, ...]:
+        """Split ``total`` bytes across the row blocks, exactly:
+        proportional to ``row_counts``, the rounding remainder charged to
+        device 0, so the per-device slices sum to the single-device
+        total."""
+        parts = [int(total * r // self.s.n) for r in self.row_counts]
+        parts[0] += total - sum(parts)
+        return tuple(parts)
+
     def upload(self, nbytes: int) -> None:
         # each device uploads its row slice concurrently
         t = self.s.device.timeline.clock.now
-        for dev, part in zip(self.s.devices, self.ledger.shard_split(nbytes)):
+        for dev, part in zip(self.s.devices, self.shard_split(nbytes)):
             if part:
                 dev._record_h2d_at(part, t)
 
@@ -1021,10 +1025,11 @@ def hybrid_eigensolver(
         # kept factorization after a resume (the device lost it)
         pl.workspace(None, basis=m_eff)
         pl.prepare()
+        # the bus carries the device-side storage width, not the host
+        # checkpoint's fp64
         pl.upload(
-            TransferLedger(n=n, m=m_eff, k=k, itemsize=vs).seed_h2d_bytes(
-                latest_cp
-            )
+            n * vs if latest_cp is None
+            else (latest_cp.V.size + latest_cp.f.size) * vs
         )
 
         def on_restart_boundary(_r: int) -> None:

@@ -29,7 +29,6 @@ from repro.linalg.rci import (
     LanczosCheckpoint,
     MatvecRequest,
     RCIStatus,
-    TransferLedger,
 )
 from repro.linalg.eigsolver import SymEigProblem, eigsh
 
@@ -44,7 +43,6 @@ __all__ = [
     "LanczosCheckpoint",
     "MatvecRequest",
     "RCIStatus",
-    "TransferLedger",
     "SymEigProblem",
     "eigsh",
 ]

@@ -1,4 +1,4 @@
-"""Nyström out-of-sample extension: numerics, byte plans, drift bounds.
+"""Nyström out-of-sample extension: numerics and drift bounds.
 
 A fitted spectral model (:class:`repro.core.model.FittedSpectralModel`)
 labels new points without re-running the pipeline: a sparse similarity
@@ -19,14 +19,11 @@ justify the embedding-space nearest-centroid assignment.
 This module holds the *pure* numerics shared by the device path and the
 host fallback (bit-identity by construction: both call the same
 functions; the device path only adds charged kernels and transfers
-around them), plus the analytic transfer ledgers the tests and the serve
-bench pin against the device meter, and the Weyl-style Ritz drift bound
-that gates lazy refits after an incremental graph delta.
+around them), plus the Weyl-style Ritz drift bound that gates lazy
+refits after an incremental graph delta.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,152 +69,6 @@ def nystrom_scale(
     safe_d = np.where(deg > 0, deg, 1.0)
     safe_t = np.where(np.abs(theta) > _THETA_FLOOR, theta, 1.0)
     return prod / safe_d[:, None] / safe_t[None, :]
-
-
-# ---------------------------------------------------------------------------
-# transfer ledgers (analytic byte plans, pinned against the device meter)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PredictLedger:
-    """Byte plan of one device-path :meth:`FittedSpectralModel.predict`.
-
-    Every transfer the predict fast path performs, agreed between the
-    model driver, the tests and the serve bench: the plan must equal the
-    device meter's ``transfer_stats()`` delta exactly (``ledger ==
-    meter``), the same discipline as the eigensolver's
-    :class:`~repro.linalg.rci.TransferLedger`.
-
-    ``feature_path`` — True when similarity values are computed on the
-    device from new-point features (Algorithm-1 style); False when the
-    caller supplied precomputed similarity weights, which then ride H2D
-    themselves.
-    """
-
-    n_new: int
-    n_anchor: int
-    k: int
-    nnz: int
-    d: int = 0
-    feature_path: bool = False
-    #: similarity value storage itemsize (fit precision)
-    itemsize: int = 8
-    #: distinct anchor rows the pairs touch (feature path)
-    n_touched: int = 0
-    #: the basis is already resident on the device: no upload
-    basis_resident: bool = False
-
-    def x_new_h2d_bytes(self) -> int:
-        """New-point feature rows (feature path only)."""
-        return self.n_new * self.d * 8 if self.feature_path else 0
-
-    def anchors_h2d_bytes(self) -> int:
-        """The touched anchor feature rows for the similarity kernel
-        (feature path)."""
-        return self.n_touched * self.d * 8 if self.feature_path else 0
-
-    def pairs_h2d_bytes(self) -> int:
-        """Edge endpoint uploads: src+dst (feature path) or the CSR
-        column indices alone (weights path)."""
-        return 2 * self.nnz * 8 if self.feature_path else self.nnz * 8
-
-    def values_h2d_bytes(self) -> int:
-        """Similarity values (weights path only; the feature path forms
-        them on the device)."""
-        return 0 if self.feature_path else self.nnz * self.itemsize
-
-    def indptr_h2d_bytes(self) -> int:
-        return (self.n_new + 1) * 8
-
-    def basis_h2d_bytes(self) -> int:
-        """The anchor eigenvector block for the SpMM, unless resident."""
-        return 0 if self.basis_resident else self.n_anchor * self.k * 8
-
-    def centroids_h2d_bytes(self) -> int:
-        return self.k * self.k * 8
-
-    def labels_d2h_bytes(self) -> int:
-        return self.n_new * 8
-
-    def embedding_d2h_bytes(self) -> int:
-        return self.n_new * self.k * 8
-
-    def total_h2d_bytes(self) -> int:
-        return (
-            self.x_new_h2d_bytes()
-            + self.anchors_h2d_bytes()
-            + self.pairs_h2d_bytes()
-            + self.values_h2d_bytes()
-            + self.indptr_h2d_bytes()
-            + self.basis_h2d_bytes()
-            + self.centroids_h2d_bytes()
-        )
-
-    def total_d2h_bytes(self) -> int:
-        return self.labels_d2h_bytes() + self.embedding_d2h_bytes()
-
-    @property
-    def n_h2d(self) -> int:
-        """Transfer count: X_new, anchors, src, dst, indptr, basis,
-        centroids (feature path) vs indices, values, indptr, basis,
-        centroids (weights path); a resident basis is not uploaded."""
-        return (7 if self.feature_path else 5) - int(self.basis_resident)
-
-    @property
-    def n_d2h(self) -> int:
-        return 2  # labels + embedding
-
-
-@dataclass(frozen=True)
-class DeltaLedger:
-    """Byte plan of one under-threshold :meth:`apply_delta` patch.
-
-    The whole point of the lazy path: the delta is priced as the small
-    transfers it actually costs — the symmetrized COO triple rides H2D,
-    the patch scatters in place on the resident CSR, and one scalar
-    (the drift statistic) rides back.
-    """
-
-    nnz_delta: int
-    n: int
-
-    def delta_h2d_bytes(self) -> int:
-        """Symmetrized (row, col, value) triple of the edge delta."""
-        return 3 * self.nnz_delta * 8
-
-    def drift_d2h_bytes(self) -> int:
-        """Scalar drift-statistic readback."""
-        return 8
-
-    def total_h2d_bytes(self) -> int:
-        return self.delta_h2d_bytes()
-
-    def total_d2h_bytes(self) -> int:
-        return self.drift_d2h_bytes()
-
-    @property
-    def n_h2d(self) -> int:
-        return 3
-
-    @property
-    def n_d2h(self) -> int:
-        return 1
-
-
-def ledger_matches_meter(
-    ledger: PredictLedger | DeltaLedger, meter0: dict, meter1: dict
-) -> bool:
-    """``ledger == meter``: the byte plan equals the device meter's
-    ``transfer_stats()`` delta from ``meter0`` to ``meter1`` in bytes and
-    transfer count, both directions."""
-    return (
-        meter1["bytes_h2d"] - meter0["bytes_h2d"] == ledger.total_h2d_bytes()
-        and meter1["bytes_d2h"] - meter0["bytes_d2h"]
-        == ledger.total_d2h_bytes()
-        and meter1["n_h2d"] - meter0["n_h2d"] == ledger.n_h2d
-        and meter1["n_d2h"] - meter0["n_d2h"] == ledger.n_d2h
-    )
 
 
 # ---------------------------------------------------------------------------

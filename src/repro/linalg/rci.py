@@ -16,10 +16,10 @@ failure mid-solve resumes from the last restart instead of from scratch —
 on DTI-scale problems the RCI loop performs thousands of PCIe round trips,
 which is too much work to lose to one transfer error.
 
-:class:`TransferLedger` is the bus-traffic plan for a placement of the
-loop: with the iteration vector host-resident every ``ido = 1`` costs a 2n
-round trip; device-resident, only the small tridiagonal state crosses at
-restart boundaries and those round trips are elided.
+Where each ``ido = 1`` product runs, and what it moves over the bus, is
+the placement's business (:mod:`repro.core.workflow`), not the solver's;
+the tests pin those bytes against :class:`~repro.cuda.traffic.TrafficPlan`
+plans.
 """
 
 from __future__ import annotations
@@ -133,129 +133,3 @@ class LanczosCheckpoint:
                 a = a.base
             total += a.nbytes
         return total
-
-
-@dataclass(frozen=True)
-class TransferLedger:
-    """PCIe traffic plan for one placement of the Algorithm 3 loop.
-
-    The host-resident loop (the paper's original) moves the iteration
-    vector both ways on every operator application; the device-resident
-    loop keeps it on the GPU and only exchanges ARPACK's small host-side
-    state at restart boundaries.  The ledger centralizes those byte counts
-    so the driver, the profiler assertions, and the benchmark model all
-    agree on what "should" cross the bus.
-
-    With ``n_devices > 1`` the plan additionally covers the peer bus: one
-    halo exchange per operator application (``halo_counts[d]`` x entries
-    land on device ``d``, one peer copy per contributing (dst, src) pair),
-    the one-time row-block distribution from device 0, a per-restart
-    broadcast of the rotation ``Q`` to every device, and scattered
-    seed/result slices whose per-device byte splits sum exactly to the
-    single-device totals.
-
-    Attributes
-    ----------
-    n, m, k:
-        Problem dimension, Krylov subspace size, and wanted pairs.
-    itemsize:
-        Bytes per element of the iteration vectors at their *storage*
-        precision (8 for the exact fp64 path, 4/2 for the reduced
-        mixed-precision paths — every byte count below scales with it).
-    n_devices:
-        Devices the row-partitioned loop spans (1 = the pinned path).
-    halo_counts:
-        Per-device count of off-device x entries received per SpMV.
-    halo_pairs:
-        Peer copies issued per SpMV (nonzero (dst, src) pairs).
-    row_counts:
-        Rows owned per device (the partition's row blocks), so
-        scatter/gather slices follow the real layout.  Required when
-        ``n_devices > 1``.
-    """
-
-    n: int
-    m: int
-    k: int
-    itemsize: int = 8
-    n_devices: int = 1
-    halo_counts: tuple = ()
-    halo_pairs: int = 0
-    row_counts: tuple = ()
-
-    def step_roundtrip_bytes(self) -> int:
-        """Bytes one host-resident ``ido = 1`` moves (x up, y down)."""
-        return 2 * self.n * self.itemsize
-
-    def restart_d2h_bytes(self) -> int:
-        """Tridiagonal entries (alpha, beta) shipped down per restart."""
-        return 2 * self.m * self.itemsize
-
-    def restart_h2d_bytes(self) -> int:
-        """The implicit-QR rotation product ``Q`` shipped up per restart."""
-        return self.m * self.k * self.itemsize
-
-    def result_d2h_bytes(self) -> int:
-        """The Ritz vectors ``U`` coming down once at the end."""
-        return self.n * self.k * self.itemsize
-
-    def refine_apply_bytes(self) -> int:
-        """One fp64 iterative-refinement block application, each way: the
-        ``(n, k)`` block ships up and the product ships down at *full*
-        width regardless of the solve's storage itemsize — refinement is
-        the correction pass against the fp64 operator.  A refinement pass
-        performs ``len(stats.refine_history) - 1`` applications: one for
-        the residual measurement + in-span polish, one per subspace
-        advance (``stats.refine_steps`` reports the same count)."""
-        return self.n * self.k * 8
-
-    def seed_h2d_bytes(self, checkpoint: "LanczosCheckpoint | None" = None) -> int:
-        """Initial upload: the start vector, or the kept factorization
-        (basis + residual) when resuming after a device failure.
-
-        The checkpoint arrays live on the host in fp64, but what crosses
-        the bus is the device-side *storage* representation — so the
-        element counts are priced at the ledger's itemsize, not at the
-        host arrays' width.
-        """
-        if checkpoint is not None:
-            return (checkpoint.V.size + checkpoint.f.size) * self.itemsize
-        return self.n * self.itemsize
-
-    # -- multi-device (row-partitioned) plan ---------------------------
-    def step_halo_bytes(self) -> int:
-        """Peer-exchange bytes one partitioned SpMV moves over the bus."""
-        return sum(self.halo_counts) * self.itemsize
-
-    def step_halo_transfers(self) -> int:
-        """Peer copies one partitioned SpMV issues."""
-        return self.halo_pairs
-
-    def restart_broadcast_bytes(self) -> int:
-        """``Q`` shipped up per restart: one copy *per device* (each GPU
-        rotates its own basis block)."""
-        return self.n_devices * self.restart_h2d_bytes()
-
-    def shard_split(self, total: int) -> tuple[int, ...]:
-        """Split ``total`` bytes across the row blocks, exactly.
-
-        Proportional to ``row_counts`` with the rounding remainder charged
-        to device 0, so per-device scatter/gather slices always sum to the
-        single-device total — the consistency tests rely on this.
-        """
-        if self.n_devices <= 1:
-            return (total,)
-        if len(self.row_counts) != self.n_devices:
-            raise EigensolverError(
-                f"shard_split over {self.n_devices} devices needs their "
-                f"row_counts, got {self.row_counts!r}"
-            )
-        parts = [int(total * int(r) // self.n) for r in self.row_counts]
-        parts[0] += total - sum(parts)
-        return tuple(parts)
-
-    def solve_p2p_bytes(self, n_matvecs: int, shard_upload_bytes: int) -> int:
-        """Total peer-bus bytes a full partitioned solve moves: the
-        one-time row-block distribution plus one halo exchange per
-        operator application."""
-        return shard_upload_bytes + n_matvecs * self.step_halo_bytes()

@@ -61,3 +61,21 @@ def dti_volume():
     from repro.datasets.dti import make_dti_volume
 
     return make_dti_volume(grid=(8, 8, 8), n_regions=4, noise=0.2, seed=0)
+
+
+@pytest.fixture
+def stray_upload(monkeypatch):
+    """Arm a transfer no traffic plan lists: after ``arm()``, the next
+    ``Device.to_device`` also records one 8-byte host-to-device copy, so
+    the meter moves one transfer more than the audited operation plans."""
+    to_device = Device.to_device
+    armed = []
+
+    def wrapped(self, host, dtype=None):
+        if armed:
+            armed.clear()
+            self._record_h2d(8)
+        return to_device(self, host, dtype)
+
+    monkeypatch.setattr(Device, "to_device", wrapped)
+    return lambda: armed.append(True)

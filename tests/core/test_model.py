@@ -279,7 +279,8 @@ class TestPredictFeaturePath:
             first = model.predict(
                 X_new=X_new, pairs_new=pairs, device=device, keep_basis=True
             )
-            assert not first.ledger.basis_resident and first.ledger_ok
+            assert dict(first.plan.h2d)["basis"] == n * k * 8
+            assert first.ledger_ok
             gc.collect()
             tracemalloc.start()
             try:
@@ -290,8 +291,9 @@ class TestPredictFeaturePath:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert out.ledger.basis_resident and out.ledger_ok is True
-            assert out.ledger.anchors_h2d_bytes() == 3 * d * 8
+            uploads = dict(out.plan.h2d)
+            assert "basis" not in uploads and out.ledger_ok is True
+            assert uploads["anchors"] == 3 * d * 8
             assert np.array_equal(out.labels, first.labels)
             model.release()
         assert max(peaks) < 64 * 1024, peaks
@@ -324,8 +326,22 @@ class TestPredictFeaturePath:
         after = device.transfer_stats()
         assert out.ledger_ok is True
         assert after["bytes_h2d"] - before["bytes_h2d"] == \
-            out.ledger.total_h2d_bytes()
-        assert after["n_h2d"] - before["n_h2d"] == out.ledger.n_h2d == 7
+            out.plan.nbytes("h2d")
+        assert after["n_h2d"] - before["n_h2d"] == out.plan.count("h2d") == 7
+
+    def test_stray_transfer_fails_the_audit(self, blob_fit, stray_upload):
+        """One transfer the plan does not list reads ``ledger_ok is
+        False``; the labels are still served."""
+        X, _, res = blob_fit
+        model = res.model
+        picks = np.array([2, 50])
+        pairs, _ = _clone_payload(model, picks)
+        stray_upload()
+        out = model.predict(
+            X_new=X[model.kept[picks]], pairs_new=pairs, device=Device()
+        )
+        assert out.ledger_ok is False
+        assert np.array_equal(out.labels, res.labels[model.kept[picks]])
 
 
 class TestPredictWeightsPath:
@@ -345,7 +361,7 @@ class TestPredictWeightsPath:
             weights_new=vals, pairs_new=pairs, device=Device()
         )
         assert out.ledger_ok is True
-        assert out.ledger.n_h2d == 5  # weights path skips X/anchor uploads
+        assert out.plan.count("h2d") == 5  # weights path skips X/anchor uploads
 
     def test_predict_embedding_micro_path(self, graph_fit):
         _, res = graph_fit
@@ -406,6 +422,18 @@ class TestApplyDelta:
         assert out.ledger_ok is True
         assert np.array_equal(out.labels, res.labels)
         assert model._accumulated_drift == out.accumulated_drift > 0
+
+    def test_stray_transfer_fails_the_delta_audit(self, stray_upload):
+        _, res = self._fresh()
+        model = res.model
+        a, b = model.kept[0], model.kept[1]
+        stray_upload()
+        out = model.apply_delta(
+            edges_added=np.array([[a, b]]), weights_added=1e-4,
+            device=Device(),
+        )
+        assert out.refit is False
+        assert out.ledger_ok is False
 
     def test_drift_accumulates_then_refits(self):
         _, res = self._fresh()

@@ -1,22 +1,20 @@
-"""TransferLedger vs measured traffic: the plan and the meters must agree.
+"""Eigensolver traffic plans vs measured traffic: they must agree.
 
-The ledger predicts what a solve *should* move (PCIe and peer bus); the
-device counters and the profiler record what it *did* move.  These tests
-pin the two together byte-for-byte for full eigensolver runs, single- and
-multi-device.
+A :class:`TrafficPlan` built from the Algorithm 3 byte formulas predicts
+what a solve *should* move (PCIe and peer bus); the device counters and
+the profiler record what it *did* move.  These tests pin the two together
+byte-for-byte for full eigensolver runs, single- and multi-device.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.workflow import hybrid_eigensolver
+from repro.core.workflow import PartitionedPlacement, Solve, hybrid_eigensolver
 from repro.cuda.device import Device
 from repro.cuda.profiler import Profiler
+from repro.cuda.traffic import TrafficPlan
 from repro.cusparse.matrices import coo_to_device
-from repro.cusparse.partition import partition_bounds_nnz
-from repro.errors import EigensolverError
 from repro.graph.laplacian import device_sym_normalize
-from repro.linalg.rci import TransferLedger
 
 
 def _build(sbm_graph):
@@ -26,24 +24,48 @@ def _build(sbm_graph):
     return dev, device_sym_normalize(dcoo), W.shape[0]
 
 
-def _ledger_h2d(n, stats):
-    ledger = TransferLedger(
-        n=n, m=stats.m, k=stats.k, n_devices=stats.n_devices
-    )
-    seed = ledger.seed_h2d_bytes()
-    if stats.n_devices > 1:
-        per_restart = ledger.restart_broadcast_bytes()
-    else:
-        per_restart = ledger.restart_h2d_bytes()
-    return seed + stats.n_restarts * per_restart
+def step_roundtrip_bytes(n, itemsize=8):
+    """Bytes one host-resident ``ido = 1`` moves (x up, y down)."""
+    return 2 * n * itemsize
 
 
-def _ledger_d2h(n, stats):
-    ledger = TransferLedger(n=n, m=stats.m, k=stats.k)
-    return (
-        stats.n_restarts * ledger.restart_d2h_bytes()
-        + ledger.result_d2h_bytes()
+def step_halo_bytes(part, itemsize=8):
+    """Peer-exchange bytes one partitioned SpMV moves over the bus."""
+    return sum(part["halo_counts"]) * itemsize
+
+
+def solve_plan(n, stats, itemsize=8):
+    """The bus traffic of one uncheckpointed solve of ``stats``' shape.
+
+    PCIe up: the start vector, then per restart the implicit-QR rotation
+    ``Q`` (``m x k``) to every device, each at the storage ``itemsize``.
+    PCIe down: the tridiagonal entries (``2m``) per restart, then the
+    ``(n, k)`` Ritz block once.  Each fp64 refinement application
+    (``stats.refine_steps`` of them; none in an fp64 solve) ships the
+    ``(n, k)`` block up and its product down at *full* width.  The peer
+    bus carries the one-time row-block distribution and one halo
+    exchange per operator application.  Only byte totals are compared:
+    a partitioned seed and each halo exchange split into per-device
+    copies that the plan lists as one transfer.
+    """
+    m, k, vs, apps = stats.m, stats.k, itemsize, stats.refine_steps
+    h2d = (
+        (("seed", n * vs),)
+        + (("Q", m * k * vs),) * (stats.n_restarts * stats.n_devices)
+        + (("refine_block", n * k * 8),) * apps
     )
+    d2h = (
+        (("tridiag", 2 * m * vs),) * stats.n_restarts
+        + (("ritz", n * k * vs),)
+        + (("refine_product", n * k * 8),) * apps
+    )
+    p2p = ()
+    if stats.partition is not None:
+        part = stats.partition
+        p2p = (("shards", part["shard_upload_bytes"]),) + (
+            ("halo", step_halo_bytes(part, vs)),
+        ) * part["n_matvec"]
+    return TrafficPlan(h2d=h2d, d2h=d2h, p2p=p2p)
 
 
 class TestSingleDeviceConsistency:
@@ -60,9 +82,10 @@ class TestSingleDeviceConsistency:
         assert rep.transfers["bytes_h2d"] == stats.bytes_h2d
         assert rep.transfers["bytes_d2h"] == stats.bytes_d2h
         assert rep.transfers["bytes_p2p"] == stats.bytes_p2p == 0
-        # meter == plan: every byte is in the ledger
-        assert stats.bytes_h2d == _ledger_h2d(n, stats)
-        assert stats.bytes_d2h == _ledger_d2h(n, stats)
+        # meter == plan: every byte is in the plan
+        plan = solve_plan(n, stats)
+        assert stats.bytes_h2d == plan.nbytes("h2d")
+        assert stats.bytes_d2h == plan.nbytes("d2h")
 
     def test_elided_roundtrips_match_ledger(self, sbm_graph):
         dev, op, n = _build(sbm_graph)
@@ -72,12 +95,49 @@ class TestSingleDeviceConsistency:
             dev, op, k=6, tol=1e-8, seed=0, spmv_format="csr"
         )
         rep = prof.stop()
-        ledger = TransferLedger(n=n, m=stats.m, k=stats.k)
         assert (
             rep.transfers["bytes_elided"]
-            == stats.n_op * ledger.step_roundtrip_bytes()
+            == stats.n_op * step_roundtrip_bytes(n)
         )
         assert rep.transfers["transfers_elided"] == 2 * stats.n_op
+
+    def test_resume_uploads_the_kept_factorization(
+        self, sbm_graph, monkeypatch
+    ):
+        """A resume re-seeds the device with the checkpoint's kept basis
+        and residual: the solve moves a clean solve's bytes plus that
+        upload, at the storage width."""
+        import repro.core.workflow as workflow
+        from repro.chaos import FaultPlan, FaultSpec, ResiliencePolicy, chaos
+
+        dev, op, n = _build(sbm_graph)
+        _, _, clean = hybrid_eigensolver(
+            dev, op, k=6, tol=1e-8, seed=0, spmv_format="csr"
+        )
+        resumed_from = []
+        problem = workflow.SymEigProblem
+
+        def spy(*args, **kw):
+            resumed_from.append(kw["checkpoint"])
+            return problem(*args, **kw)
+
+        monkeypatch.setattr(workflow, "SymEigProblem", spy)
+        # three stacked faults on one call exhaust its retries mid-solve
+        plan = FaultPlan(
+            [FaultSpec(site="cusparse.csrmv", fault="transient", nth=25)] * 3
+        )
+        dev, op, _ = _build(sbm_graph)
+        with chaos(plan):
+            _, _, stats = hybrid_eigensolver(
+                dev, op, k=6, tol=1e-8, seed=0, spmv_format="csr",
+                policy=ResiliencePolicy(),
+            )
+        assert stats.n_resumes == 1 and stats.n_restarts == clean.n_restarts
+        cp = resumed_from[-1]
+        assert cp.j > 0  # past a restart: the kept block is not empty
+        assert stats.bytes_h2d == (
+            clean.bytes_h2d + (cp.V.size + cp.f.size) * 8
+        )
 
 
 class TestMultiDeviceConsistency:
@@ -88,42 +148,30 @@ class TestMultiDeviceConsistency:
             dev, op, k=6, tol=1e-8, seed=0, n_devices=p
         )
         assert stats.converged
+        assert stats.n_devices == p
         part = stats.partition
-        ledger = TransferLedger(
-            n=n,
-            m=stats.m,
-            k=stats.k,
-            n_devices=p,
-            halo_counts=tuple(part["halo_counts"]),
-            halo_pairs=part["halo_pairs"],
-        )
+        plan = solve_plan(n, stats)
         # PCIe up: scattered seed + per-restart Q broadcast to every GPU
-        assert stats.bytes_h2d == (
-            ledger.seed_h2d_bytes()
-            + stats.n_restarts * ledger.restart_broadcast_bytes()
+        assert stats.bytes_h2d == plan.nbytes("h2d") == (
+            n * 8 + stats.n_restarts * p * stats.m * stats.k * 8
         )
         # PCIe down: tridiagonal entries per restart + the final Ritz block
-        assert stats.bytes_d2h == (
-            stats.n_restarts * ledger.restart_d2h_bytes()
-            + ledger.result_d2h_bytes()
-        )
+        assert stats.bytes_d2h == plan.nbytes("d2h")
         # peer bus: one-time shard distribution + one halo exchange per SpMV
-        assert stats.bytes_p2p == (
+        assert stats.bytes_p2p == plan.nbytes("p2p") == (
             part["shard_upload_bytes"]
-            + part["n_matvec"] * ledger.step_halo_bytes()
+            + part["n_matvec"] * step_halo_bytes(part)
         )
-        assert part["step_halo_bytes"] == ledger.step_halo_bytes()
+        assert part["step_halo_bytes"] == step_halo_bytes(part)
 
     def test_seed_scatter_sums_exactly(self, sbm_graph):
-        _, op, n = _build(sbm_graph)
-        rows = tuple(np.diff(partition_bounds_nnz(op.indptr.data, 3)))
-        ledger = TransferLedger(n=n, m=30, k=6, n_devices=3, row_counts=rows)
-        split = ledger.shard_split(ledger.seed_h2d_bytes())
+        dev, op, n = _build(sbm_graph)
+        pl = PartitionedPlacement(Solve(dev, op, k=6), 3)
+        split = pl.shard_split(n * 8)
         assert len(split) == 3
-        assert sum(split) == ledger.seed_h2d_bytes()
-        # a multi-device split without the partition's rows is refused
-        with pytest.raises(EigensolverError):
-            TransferLedger(n=n, m=30, k=6, n_devices=3).shard_split(64)
+        assert sum(split) == n * 8
+        # each slice follows its device's row block
+        assert split[1:] == tuple(r * 8 for r in pl.row_counts[1:])
 
     def test_multi_device_same_pcie_totals_as_single(self, sbm_graph):
         """The peer bus is extra; the PCIe d2h plan is unchanged, and h2d
@@ -141,12 +189,12 @@ class TestMultiDeviceConsistency:
 
 
 class TestMixedDtypeConsistency:
-    """The ledger's ``itemsize`` axis: every reduced-precision byte count
+    """The plan's ``itemsize`` axis: every reduced-precision byte count
     must be the fp64 plan rescaled to the storage width, with the fp64
     refinement legs (the ``(n, k)`` block each way per operator
     application) priced at full width on top.  These pin the exact totals
     so a reintroduced hard-coded ``* 8`` anywhere in the metering or the
-    ledger fails loudly."""
+    plan fails loudly."""
 
     @pytest.mark.parametrize("precision,vs", [("fp32", 4), ("fp16", 2)])
     def test_single_device_pcie_totals_exact(
@@ -165,22 +213,18 @@ class TestMixedDtypeConsistency:
         # measurement + polish application, plus any subspace advances
         apps = stats.refine_steps
         assert apps == len(stats.refine_history) - 1 >= 1
-        ledger = TransferLedger(
-            n=n, m=stats.m, k=stats.k, itemsize=vs
-        )
+        plan = solve_plan(n, stats, itemsize=vs)
         # PCIe up: seed + per-restart Q at storage width, then the fp64
         # refinement block up once per application
-        assert stats.bytes_h2d == (
-            ledger.seed_h2d_bytes()
-            + stats.n_restarts * ledger.restart_h2d_bytes()
-            + apps * ledger.refine_apply_bytes()
+        assert stats.bytes_h2d == plan.nbytes("h2d") == (
+            n * vs + stats.n_restarts * stats.m * stats.k * vs
+            + apps * n * stats.k * 8
         )
         # PCIe down: tridiagonal + Ritz block at storage width, then the
         # fp64 refinement product down once per application
-        assert stats.bytes_d2h == (
-            stats.n_restarts * ledger.restart_d2h_bytes()
-            + ledger.result_d2h_bytes()
-            + apps * ledger.refine_apply_bytes()
+        assert stats.bytes_d2h == plan.nbytes("d2h") == (
+            stats.n_restarts * 2 * stats.m * vs + n * stats.k * vs
+            + apps * n * stats.k * 8
         )
         # and the profiler saw the same bytes the stats deltas report
         assert rep.transfers["bytes_h2d"] == stats.bytes_h2d
@@ -197,28 +241,17 @@ class TestMixedDtypeConsistency:
         )
         assert stats.converged
         part = stats.partition
-        ledger = TransferLedger(
-            n=n, m=stats.m, k=stats.k, itemsize=vs, n_devices=2,
-            halo_counts=tuple(part["halo_counts"]),
-            halo_pairs=part["halo_pairs"],
-        )
-        # halo entries cross the peer bus at the storage width
-        assert part["step_halo_bytes"] == ledger.step_halo_bytes()
-        assert stats.bytes_p2p == ledger.solve_p2p_bytes(
-            part["n_matvec"], part["shard_upload_bytes"]
-        )
-        # PCIe plan: storage-width seed/broadcast/results + fp64 legs
         apps = stats.refine_steps
-        assert stats.bytes_h2d == (
-            ledger.seed_h2d_bytes()
-            + stats.n_restarts * ledger.restart_broadcast_bytes()
-            + apps * ledger.refine_apply_bytes()
+        plan = solve_plan(n, stats, itemsize=vs)
+        # halo entries cross the peer bus at the storage width
+        assert part["step_halo_bytes"] == step_halo_bytes(part, vs)
+        assert stats.bytes_p2p == plan.nbytes("p2p")
+        # PCIe plan: storage-width seed/broadcast/results + fp64 legs
+        assert stats.bytes_h2d == plan.nbytes("h2d") == (
+            n * vs + stats.n_restarts * 2 * stats.m * stats.k * vs
+            + apps * n * stats.k * 8
         )
-        assert stats.bytes_d2h == (
-            stats.n_restarts * ledger.restart_d2h_bytes()
-            + ledger.result_d2h_bytes()
-            + apps * ledger.refine_apply_bytes()
-        )
+        assert stats.bytes_d2h == plan.nbytes("d2h")
 
     def test_reduced_width_scales_the_plan_not_the_path(self, sbm_graph):
         """fp32 must take the same iteration path as fp64 on this easy
@@ -239,7 +272,7 @@ class TestMixedDtypeConsistency:
         # every planned byte count is linear in itemsize, so netting out
         # the full-width refinement legs the fp32 solve moves exactly
         # half the fp64 bytes — any hard-coded width breaks the ratio
-        ledger32 = TransferLedger(n=n, m=s32.m, k=s32.k, itemsize=4)
-        refine = s32.refine_steps * ledger32.refine_apply_bytes()
+        plan32 = solve_plan(n, s32, itemsize=4)
+        refine = sum(b for t, b in plan32.h2d if t == "refine_block")
         assert (s32.bytes_h2d - refine) * 2 == s64.bytes_h2d
         assert (s32.bytes_d2h - refine) * 2 == s64.bytes_d2h

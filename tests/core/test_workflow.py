@@ -215,7 +215,7 @@ class TestMultiDeviceEigensolver:
         assert d["partition"]["shard_upload_bytes"] > 0
 
     def test_p2p_ledger_matches_partition_exactly(self, sbm_graph):
-        """TransferLedger equation: every peer byte is either the one-time
+        """Peer-bus plan: every peer byte is either the one-time
         shard distribution or a per-matvec halo exchange."""
         W, _ = sbm_graph
         _, _, _, stats = self._solve(W, 2)

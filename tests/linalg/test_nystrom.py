@@ -1,11 +1,11 @@
-"""Nyström extension primitives: segment reduce, scaling, ledgers, drift."""
+"""Nyström extension primitives: segment reduce, scaling, traffic plans,
+drift."""
 
 import numpy as np
 import pytest
 
+from repro.core.model import delta_plan, predict_plan
 from repro.linalg.nystrom import (
-    DeltaLedger,
-    PredictLedger,
     csr_row_reduce,
     drift_threshold,
     nystrom_degrees,
@@ -94,45 +94,50 @@ class TestNystromScale:
 
 
 class TestPredictLedger:
+    """The predict and delta traffic plans: transfer counts and bytes."""
+
     def test_weights_path_counts(self):
-        led = PredictLedger(n_new=10, n_anchor=40, k=3, nnz=25)
-        assert led.n_h2d == 5
-        assert led.n_d2h == 2
-        assert led.total_h2d_bytes() == (
+        plan = predict_plan(n_new=10, n_anchor=40, k=3, nnz=25)
+        assert plan.count("h2d") == 5
+        assert plan.count("d2h") == 2
+        assert plan.nbytes("h2d") == (
             25 * 8 + 25 * 8 + 11 * 8 + 40 * 3 * 8 + 3 * 3 * 8
         )
-        assert led.total_d2h_bytes() == 10 * 8 + 10 * 3 * 8
+        assert plan.nbytes("d2h") == 10 * 8 + 10 * 3 * 8
+        assert plan.p2p == ()
 
     def test_feature_path_counts(self):
-        led = PredictLedger(
+        plan = predict_plan(
             n_new=4, n_anchor=20, k=2, nnz=9, d=6, feature_path=True,
             n_touched=5,
         )
-        assert led.n_h2d == 7
+        assert plan.count("h2d") == 7
         # only the 5 touched anchor rows ride H2D, not all 20
-        assert led.total_h2d_bytes() == (
+        assert dict(plan.h2d)["anchors"] == 5 * 6 * 8
+        assert plan.nbytes("h2d") == (
             4 * 6 * 8 + 5 * 6 * 8 + 9 * 8 + 9 * 8 + 5 * 8
             + 20 * 2 * 8 + 2 * 2 * 8
         )
 
     def test_resident_basis_is_not_charged(self):
-        cold = PredictLedger(n_new=10, n_anchor=40, k=3, nnz=25)
-        warm = PredictLedger(
+        cold = predict_plan(n_new=10, n_anchor=40, k=3, nnz=25)
+        warm = predict_plan(
             n_new=10, n_anchor=40, k=3, nnz=25, basis_resident=True
         )
-        assert warm.n_h2d == cold.n_h2d - 1
-        assert warm.total_h2d_bytes() == cold.total_h2d_bytes() - 40 * 3 * 8
+        assert warm.count("h2d") == cold.count("h2d") - 1
+        assert warm.nbytes("h2d") == cold.nbytes("h2d") - 40 * 3 * 8
+        assert "basis" not in dict(warm.h2d)
 
     def test_reduced_precision_itemsize(self):
-        full = PredictLedger(n_new=4, n_anchor=10, k=2, nnz=8)
-        half = PredictLedger(n_new=4, n_anchor=10, k=2, nnz=8, itemsize=4)
-        assert half.total_h2d_bytes() == full.total_h2d_bytes() - 8 * 4
+        full = predict_plan(n_new=4, n_anchor=10, k=2, nnz=8)
+        half = predict_plan(n_new=4, n_anchor=10, k=2, nnz=8, itemsize=4)
+        assert half.nbytes("h2d") == full.nbytes("h2d") - 8 * 4
 
     def test_delta_ledger(self):
-        led = DeltaLedger(nnz_delta=12, n=100)
-        assert led.n_h2d == 3 and led.n_d2h == 1
-        assert led.total_h2d_bytes() == 3 * 12 * 8
-        assert led.total_d2h_bytes() == 8
+        plan = delta_plan(nnz_delta=12)
+        assert plan.count("h2d") == 3 and plan.count("d2h") == 1
+        assert plan.nbytes("h2d") == 3 * 12 * 8
+        assert plan.nbytes("d2h") == 8
 
 
 class TestDriftBound:

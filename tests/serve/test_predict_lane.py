@@ -114,6 +114,19 @@ class TestFastLane:
         assert report.predict["ledger_checked"] == 2
         assert report.predict["ledger_mismatches"] == 0
 
+    def test_ledger_mismatch_is_counted(self, make_predict, stray_upload):
+        """A warm predict whose meter moves one transfer its plan does not
+        list is served, read ``ledger_ok is False`` and counted."""
+        svc = _service()
+        svc.process([make_predict(arrival=0.0)])
+        stray_upload()
+        responses, report = svc.process([make_predict(arrival=50.0)])
+        (warm,) = responses
+        assert warm.ok and warm.model_hit
+        assert warm.ledger_ok is False
+        assert report.predict["ledger_checked"] == 1
+        assert report.predict["ledger_mismatches"] == 1
+
     def test_ratiocut_fit_spec_fails_cleanly(self, make_predict, make_request):
         fit = make_request(objective="ratiocut")
         responses, report = _service().process(

@@ -119,6 +119,32 @@ class TestServiceCorrectness:
         assert sum(":kmeans[" in n for n in names) == 2
         assert verify_against_cold(responses, reqs) == []
 
+    def test_one_label_set_per_cache_entry(self, make_request, small_graph):
+        """An entry keeps the label set of the request that solved it: each
+        repeat with other label knobs hits the solve but runs its own
+        k-means, and its labels are served, never cached."""
+        from repro.serve.fingerprint import embedding_key, graph_fingerprint
+
+        first = make_request()
+        repeats = [
+            make_request(arrival=1.0 + i, kmeans_max_iter=2) for i in range(2)
+        ]
+        reqs = [first] + repeats
+        service = _service()
+        responses, _ = service.process(reqs)
+        assert [r.cache_hit for r in responses] == [False, True, True]
+        names = [ev.name for ev in service.scheduler.schedule]
+        assert sum("eigensolve" in n for n in names) == 1
+        assert sum(":kmeans[" in n for n in names) == 3
+        for r in repeats:
+            assert any(f":kmeans[{r.request_id}]" in n for n in names)
+        entry = service.cache.get(
+            embedding_key(graph_fingerprint(small_graph), first.config)
+        )
+        assert entry.config.kmeans_max_iter == first.config.kmeans_max_iter != 2
+        assert np.array_equal(entry.labels, responses[0].labels)
+        assert verify_against_cold(responses, reqs) == []
+
     def test_different_seeds_do_not_share_cache(self, make_request):
         a, b = make_request(seed=0), make_request(arrival=1.0, seed=1)
         responses, report = _service().process([a, b])

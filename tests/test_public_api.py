@@ -103,7 +103,7 @@ PINNED_SURFACES = {
     },
     "repro.linalg": {
         "IRLMResult", "LanczosCheckpoint", "LanczosState", "MatvecRequest",
-        "RCIStatus", "SymEigProblem", "TransferLedger", "dgks_orthogonalize",
+        "RCIStatus", "SymEigProblem", "dgks_orthogonalize",
         "eigh_tridiagonal", "eigsh", "givens", "irlm_generator",
         "normalize_columns",
     },
