@@ -53,8 +53,6 @@ KNOWN_SITES = (
     "cuda.d2h",
     "cuda.p2p",
     "cuda.kernel:*",
-    "cuda.stream.sync",
-    "cuda.stream.event",
     "cusparse.csrmv",
     "cusparse.coomv",
     "cusparse.ellmv",
@@ -165,7 +163,16 @@ class FaultPlan:
 
     # ------------------------------------------------------------------
     def check(self, site: str, stage: str = "", nbytes: int = 0) -> None:
-        """Consult the plan at one fault site; raise if a rule fires."""
+        """Consult the plan at one fault site; raise if a rule fires.
+
+        Every rule that matches the call counts it, whether or not another
+        rule fires on it, so a rule's ``nth`` is the N-th matching call of
+        the run.  When several rules fire on one call, each records its
+        fire (in :attr:`log` and against its ``max_fires``) and the call
+        raises the error of the first of them in list order: one call
+        fails once.
+        """
+        first: FaultEvent | None = None
         for i, spec in enumerate(self.specs):
             if not spec.matches(site, stage):
                 continue
@@ -187,11 +194,14 @@ class FaultPlan:
                     spec_index=i, call_index=self._calls[i],
                 )
                 self.log.append(ev)
-                raise FAULT_ERRORS[spec.fault](
-                    f"injected {spec.fault} fault at {site}"
-                    f"{f' (stage {stage})' if stage else ''} "
-                    f"[spec {i}, call {self._calls[i]}]"
-                )
+                if first is None:
+                    first = ev
+        if first is not None:
+            raise FAULT_ERRORS[first.fault](
+                f"injected {first.fault} fault at {site}"
+                f"{f' (stage {stage})' if stage else ''} "
+                f"[spec {first.spec_index}, call {first.call_index}]"
+            )
 
     # ------------------------------------------------------------------
     @property

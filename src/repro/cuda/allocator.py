@@ -1,4 +1,4 @@
-"""Caching device allocator: stream-aware, size-bucketed free lists.
+"""Caching device allocator: size-bucketed free lists.
 
 Real ``cudaMalloc``/``cudaFree`` are expensive (device-wide synchronization
 plus driver work, ~10 us each), which is why every serious CUDA runtime —
@@ -9,8 +9,8 @@ k-means Lloyd iteration allocates and frees seven temporaries per sweep,
 the Lanczos restart loop cycles small staging buffers, and Thrust sorts
 grab scratch space per call.
 
-:class:`CachingAllocator` layers a size-bucketed free list on top of the
-byte-counting :class:`~repro.cuda.memory.Allocator`:
+:class:`CachingAllocator` counts bytes against the device capacity and
+keeps a size-bucketed free list:
 
 * requests are rounded up to a 512 B-granular *bucket*; a freed block
   parks on its bucket's free list rather than shrinking the reservation;
@@ -29,17 +29,8 @@ byte-counting :class:`~repro.cuda.memory.Allocator`:
   working set must not pin the whole device), mirroring the size-class
   split of the real allocators.
 
-**Stream awareness** (the PyTorch per-stream block-pool rule): every parked
-block remembers the stream it was freed on and the simulated time its
-free *event* completes.  A request on the same stream reuses the block
-immediately — stream FIFO ordering guarantees the old use finished — and
-counts as a ``same_stream`` hit.  A request on a *different* stream may
-only take the block once its free event has completed (``now >= ready``),
-an ``event_gated`` hit; before that the block is invisible to other
-streams (``blocked_reuses`` counts requests that had parked bytes they
-were not allowed to touch).  Work on the default stream alone never hits
-the gate, so single-stream behavior is byte-for-byte the pre-stream-aware
-allocator.
+The pipeline runs in order on one stream per device, so a parked block is
+reusable as soon as it is freed and a free list is just a per-bucket count.
 
 **Thrust scratch** rides the same free lists through
 ``allocate_scratch``/``release_scratch`` (the ``ThrustAllocator`` pattern:
@@ -59,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cuda.memory import Allocator
 from repro.errors import DeviceMemoryError
 
 #: smallest bucket handed out — sub-512 B requests round up to this, like
@@ -68,9 +58,6 @@ MIN_BUCKET_BYTES = 512
 
 #: blocks above this size bypass the cache entirely (freed eagerly).
 LARGE_BLOCK_THRESHOLD = 256 * 1024 * 1024
-
-#: stream id of the default (NULL) stream.
-DEFAULT_STREAM = 0
 
 
 def bucket_bytes(nbytes: int) -> int:
@@ -97,28 +84,12 @@ class AllocOutcome:
     latency); ``split`` marks the hits that carved the block out of a
     larger parked one; ``flushed_segments`` counts cached blocks returned
     to the driver by a flush-and-retry before the reservation succeeded
-    (each one is a real ``cudaFree``).  ``same_stream`` / ``event_gated``
-    classify a hit by how the stream rules admitted it.
+    (each one is a real ``cudaFree``).
     """
 
     hit: bool
     flushed_segments: int = 0
     split: bool = False
-    #: hit reused a block freed on the requesting stream (FIFO-safe)
-    same_stream: bool = False
-    #: hit reused another stream's block after its free event completed
-    event_gated: bool = False
-
-
-class _FreeBlock:
-    """One parked block: the stream that freed it and when its free event
-    completes on the simulated clock."""
-
-    __slots__ = ("stream", "ready")
-
-    def __init__(self, stream: int, ready: float) -> None:
-        self.stream = stream
-        self.ready = ready
 
 
 class PinnedHostPool:
@@ -174,13 +145,12 @@ class PinnedHostPool:
         }
 
 
-class CachingAllocator(Allocator):
+class CachingAllocator:
     """Size-bucketed caching allocator over the device byte budget.
 
-    Inherits the byte accounting of :class:`Allocator` — ``used_bytes`` is
-    requested bytes in live arrays, identical to the non-caching allocator —
-    and adds ``reserved_bytes``: the bucket-rounded footprint held from the
-    device, including parked free blocks.
+    ``used_bytes`` is requested bytes in live arrays; ``reserved_bytes`` is
+    the bucket-rounded footprint held from the device, including parked
+    free blocks.
     """
 
     def __init__(
@@ -188,12 +158,18 @@ class CachingAllocator(Allocator):
         capacity_bytes: int,
         large_threshold: int = LARGE_BLOCK_THRESHOLD,
     ) -> None:
-        super().__init__(capacity_bytes)
+        if capacity_bytes <= 0:
+            raise ValueError("device capacity must be positive")
+        self.capacity_bytes = int(capacity_bytes)
+        self.used_bytes = 0
+        self.peak_bytes = 0
+        #: array allocations served (hits + misses; scratch excluded)
+        self.alloc_count = 0
         self.large_threshold = int(large_threshold)
         self.reserved_bytes = 0
         self.peak_reserved_bytes = 0
-        #: bucket size -> parked (freed, reusable) blocks with stream tags
-        self._free_lists: dict[int, list[_FreeBlock]] = {}
+        #: bucket size -> number of parked (freed, reusable) blocks
+        self._free_lists: dict[int, int] = {}
         self.n_hits = 0
         self.n_misses = 0
         self.n_flushes = 0
@@ -201,12 +177,6 @@ class CachingAllocator(Allocator):
         self.n_segment_frees = 0
         self.n_splits = 0
         self.n_coalesces = 0
-        #: stream-rule classification of hits (arrays + scratch)
-        self.n_same_stream_hits = 0
-        self.n_event_gated_hits = 0
-        #: requests that found parked bytes but were denied reuse because
-        #: another stream's free event had not completed yet
-        self.n_blocked_reuses = 0
         #: thrust scratch traffic (kept out of the array hit/miss counters)
         self.n_scratch_requests = 0
         self.n_scratch_hits = 0
@@ -229,21 +199,15 @@ class CachingAllocator(Allocator):
     @property
     def cached_bytes(self) -> int:
         """Bytes parked on free lists (reserved but not in use)."""
-        return sum(b * len(blks) for b, blks in self._free_lists.items())
+        return sum(b * n for b, n in self._free_lists.items())
 
     @property
     def cached_blocks(self) -> int:
-        return sum(len(blks) for blks in self._free_lists.values())
-
-    def parked_blocks(self, bucket: int) -> int:
-        """Number of parked blocks on one bucket's free list (test/debug)."""
-        return len(self._free_lists.get(bucket, ()))
+        return sum(self._free_lists.values())
 
     def empty_cache(self) -> int:
         """Flush every parked block back to the driver (``cudaFree`` each).
 
-        ``cudaFree`` synchronizes the device, so pending free events are
-        moot — every parked block goes back regardless of stream tags.
         Returns the number of segments released, so callers can charge the
         corresponding free latency.
         """
@@ -254,80 +218,45 @@ class CachingAllocator(Allocator):
         self.n_segment_frees += segments
         return segments
 
-    # -- stream admission ------------------------------------------------
-    def _take_usable(
-        self, bucket: int, stream: int, now: float
-    ) -> _FreeBlock | None:
-        """Pop a parked block of ``bucket`` the stream rules admit, or
-        None.  Same-stream blocks win over event-gated ones (no reason to
-        cross streams when a FIFO-safe block exists)."""
-        blocks = self._free_lists.get(bucket)
-        if not blocks:
-            return None
-        pick = None
-        for i, blk in enumerate(blocks):
-            if blk.stream == stream:
-                pick = i
-                break
-            if pick is None and blk.ready <= now:
-                pick = i
-        if pick is None:
-            return None
-        blk = blocks.pop(pick)
-        if not blocks:
+    def _take(self, bucket: int) -> None:
+        """Pop one parked block off ``bucket``'s free list."""
+        n = self._free_lists[bucket] - 1
+        if n:
+            self._free_lists[bucket] = n
+        else:
             del self._free_lists[bucket]
-        return blk
 
-    def _park(self, bucket: int, stream: int, ready: float) -> None:
-        self._free_lists.setdefault(bucket, []).append(
-            _FreeBlock(stream, ready)
-        )
+    def _park(self, bucket: int) -> None:
+        self._free_lists[bucket] = self._free_lists.get(bucket, 0) + 1
 
     # -- allocate / release --------------------------------------------
-    def allocate(
-        self,
-        nbytes: int,
-        stream: int = DEFAULT_STREAM,
-        now: float = 0.0,
-        scratch: bool = False,
-    ) -> AllocOutcome:
+    def allocate(self, nbytes: int, scratch: bool = False) -> AllocOutcome:
         if nbytes < 0:
             raise ValueError("negative allocation")
         bucket = bucket_bytes(nbytes)
         if scratch:
             self.n_scratch_requests += 1
             self.scratch_bytes_served += nbytes
-        had_parked = self.parked_blocks(bucket) > 0
-        if bucket <= self.large_threshold:
-            blk = self._take_usable(bucket, stream, now)
-            if blk is not None:
-                return self._account_hit(
-                    nbytes, blk, stream, scratch, split=False
-                )
-            if had_parked:
-                self.n_blocked_reuses += 1
+        if bucket in self._free_lists:  # large blocks are never parked
+            self._take(bucket)
+            return self._account_hit(nbytes, scratch, split=False)
 
         if 0 < bucket <= self.large_threshold:
-            # no exact-size block usable: carve the request out of the
-            # smallest admissible larger one (best-fit split, as the real
-            # caching allocators do) instead of paying cudaMalloc latency.
-            # The remainder — always a 512 B multiple ≥ 512 B — parks on
-            # its own bucket and can coalesce back when the child is
-            # released.
+            # no exact-size block parked: carve the request out of the
+            # smallest larger one (best-fit split, as the real caching
+            # allocators do) instead of paying cudaMalloc latency.  The
+            # remainder — always a 512 B multiple ≥ 512 B — parks on its
+            # own bucket and can coalesce back when the child is released.
             for parent in sorted(self._free_lists):
                 if parent <= bucket or parent > self.large_threshold:
                     continue
-                blk = self._take_usable(parent, stream, now)
-                if blk is None:
-                    continue
+                self._take(parent)
                 remainder = parent - bucket
-                self._park(remainder, blk.stream, blk.ready)
+                self._park(remainder)
                 pair = (bucket, remainder)
                 self._split_pairs[pair] = self._split_pairs.get(pair, 0) + 1
                 self.n_splits += 1
-                return self._account_hit(
-                    nbytes, blk, stream, scratch, split=True
-                )
+                return self._account_hit(nbytes, scratch, split=True)
 
         flushed = 0
         if self.reserved_bytes + bucket > self.capacity_bytes:
@@ -351,18 +280,8 @@ class CachingAllocator(Allocator):
         return AllocOutcome(hit=False, flushed_segments=flushed)
 
     def _account_hit(
-        self,
-        nbytes: int,
-        blk: _FreeBlock,
-        stream: int,
-        scratch: bool,
-        split: bool,
+        self, nbytes: int, scratch: bool, split: bool
     ) -> AllocOutcome:
-        same = blk.stream == stream
-        if same:
-            self.n_same_stream_hits += 1
-        else:
-            self.n_event_gated_hits += 1
         self.used_bytes += nbytes
         if scratch:
             self.n_scratch_hits += 1
@@ -370,24 +289,11 @@ class CachingAllocator(Allocator):
             self.alloc_count += 1
             self.n_hits += 1
         self.peak_bytes = max(self.peak_bytes, self.used_bytes)
-        return AllocOutcome(
-            hit=True, split=split, same_stream=same, event_gated=not same
-        )
+        return AllocOutcome(hit=True, split=split)
 
-    def release(
-        self,
-        nbytes: int,
-        stream: int = DEFAULT_STREAM,
-        ready: float = 0.0,
-        scratch: bool = False,
-    ) -> bool:
+    def release(self, nbytes: int, scratch: bool = False) -> bool:
         """Return a block to the cache; returns True iff a real ``cudaFree``
-        happened (large blocks bypass the cache).
-
-        ``ready`` is when the freeing stream's in-flight work — and
-        therefore the block's free event — completes; other streams may
-        not reuse the block before then.
-        """
+        happened (large blocks bypass the cache)."""
         if nbytes < 0:
             raise ValueError("negative release")
         self.used_bytes = max(0, self.used_bytes - nbytes)
@@ -403,44 +309,28 @@ class CachingAllocator(Allocator):
         for (child, remainder), cnt in self._split_pairs.items():
             if child != bucket or cnt <= 0:
                 continue
-            rem_blocks = self._free_lists.get(remainder)
-            if not rem_blocks:
+            if remainder not in self._free_lists:
                 continue
             if cnt == 1:
                 del self._split_pairs[(child, remainder)]
             else:
                 self._split_pairs[(child, remainder)] = cnt - 1
-            rem = rem_blocks.pop(0)
-            if not rem_blocks:
-                del self._free_lists[remainder]
-            parent = child + remainder
-            # the merged block is usable only when both halves are: the
-            # remainder's free event and this release's both gate it
-            self._park(parent, stream, max(ready, rem.ready))
+            self._take(remainder)
+            self._park(child + remainder)
             self.n_coalesces += 1
             return False
-        self._park(bucket, stream, ready)
+        self._park(bucket)
         return False
 
     # -- thrust scratch (ThrustAllocator pattern) ------------------------
-    def allocate_scratch(
-        self,
-        nbytes: int,
-        stream: int = DEFAULT_STREAM,
-        now: float = 0.0,
-    ) -> AllocOutcome:
+    def allocate_scratch(self, nbytes: int) -> AllocOutcome:
         """Temporary storage for a thrust/CUB call, served from the same
         free lists as array allocations but counted separately — the
         per-call ``raw_allocate`` of PyTorch's ``ThrustAllocator``."""
-        return self.allocate(nbytes, stream=stream, now=now, scratch=True)
+        return self.allocate(nbytes, scratch=True)
 
-    def release_scratch(
-        self,
-        nbytes: int,
-        stream: int = DEFAULT_STREAM,
-        ready: float = 0.0,
-    ) -> bool:
-        return self.release(nbytes, stream=stream, ready=ready, scratch=True)
+    def release_scratch(self, nbytes: int) -> bool:
+        return self.release(nbytes, scratch=True)
 
     # -- stats -----------------------------------------------------------
     @property
@@ -451,7 +341,6 @@ class CachingAllocator(Allocator):
     def stats(self) -> dict:
         """Counters for Profiler / ServiceReport / CLI surfacing."""
         return {
-            "caching": True,
             "hits": self.n_hits,
             "misses": self.n_misses,
             "hit_rate": self.hit_rate,
@@ -459,9 +348,6 @@ class CachingAllocator(Allocator):
             "segment_frees": self.n_segment_frees,
             "splits": self.n_splits,
             "coalesces": self.n_coalesces,
-            "same_stream_hits": self.n_same_stream_hits,
-            "event_gated_hits": self.n_event_gated_hits,
-            "blocked_reuses": self.n_blocked_reuses,
             "scratch_requests": self.n_scratch_requests,
             "scratch_hits": self.n_scratch_hits,
             "scratch_bytes": self.scratch_bytes_served,

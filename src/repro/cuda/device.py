@@ -2,12 +2,12 @@
 
 A :class:`Device` plays the role of a CUDA context bound to one GPU.  It owns
 
-* an :class:`~repro.cuda.memory.Allocator` sized to the device memory,
+* a :class:`~repro.cuda.allocator.CachingAllocator` sized to the device
+  memory,
 * a :class:`~repro.hw.timeline.Timeline` that accumulates simulated time,
 * the GPU and PCIe cost models derived from its :class:`~repro.hw.spec`.
 
-A module-level *default device* mirrors the CUDA notion of the current
-context; library code (cuBLAS/cuSPARSE/Thrust wrappers, kernels) operates on
+Library code (cuBLAS/cuSPARSE/Thrust wrappers, kernels) operates on
 whatever device owns its operands.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.chaos.runtime import chaos_check
 from repro.cuda.allocator import AllocOutcome, CachingAllocator, PinnedHostPool
-from repro.cuda.memory import Allocator, DeviceArray
+from repro.cuda.memory import DeviceArray
 from repro.hw.costmodel import GPUCostModel, TransferCostModel
 from repro.hw.spec import GPUSpec, K20C, PCIE_X16_GEN2, PCIeSpec
 from repro.hw.timeline import Timeline
@@ -39,10 +39,6 @@ class Device:
     timeline:
         Optionally share a timeline with other components (e.g. so CPU
         phases and GPU phases interleave on one clock).
-    caching:
-        Use the size-bucketed :class:`~repro.cuda.allocator.CachingAllocator`
-        (the default); ``False`` falls back to the plain byte-counting
-        allocator, paying ``cudaMalloc``/``cudaFree`` latency on every call.
     device_index:
         Slot of this device on the node (``cudaSetDevice`` ordinal); used
         to look up per-pair peer links in ``topology``.
@@ -58,26 +54,19 @@ class Device:
         spec: GPUSpec = K20C,
         pcie: PCIeSpec = PCIE_X16_GEN2,
         timeline: Timeline | None = None,
-        caching: bool = True,
         device_index: int = 0,
         topology: PCIeTopology | None = None,
     ) -> None:
         self.spec = spec
         self.pcie = pcie
-        self.caching = caching
         self.device_index = int(device_index)
         self.topology = topology
-        self.allocator = self._make_allocator()
+        self.allocator = CachingAllocator(spec.memory_bytes)
         self.timeline = timeline if timeline is not None else Timeline()
         self.cost = GPUCostModel(spec)
         self.transfer_cost = TransferCostModel(pcie, topology)
         #: pinned-host staging pool every async PCIe leg stages through
         self.host_pool = PinnedHostPool()
-        #: stream whose free lists allocations are tagged with (see
-        #: :meth:`stream_scope`); None means the default stream (id 0)
-        self._alloc_scope = None
-        #: issued stream ids (0 is the default stream)
-        self._stream_ids_issued = 0
         #: cumulative simulated seconds by high-level class, convenience view
         self.kernel_launches = 0
         #: modeled device-memory bytes moved by SpMV/SpMM kernels — the
@@ -85,11 +74,6 @@ class Device:
         #: the precision ablation can gate on storage-width traffic wins
         self.spmv_traffic_bytes = 0.0
         self._reset_transfer_counters()
-
-    def _make_allocator(self) -> Allocator:
-        if self.caching:
-            return CachingAllocator(self.spec.memory_bytes)
-        return Allocator(self.spec.memory_bytes)
 
     def _reset_transfer_counters(self) -> None:
         #: PCIe traffic counters (observability; time lives on the timeline)
@@ -109,76 +93,29 @@ class Device:
     # ------------------------------------------------------------------
     # allocation + movement
     # ------------------------------------------------------------------
-    def _issue_stream_id(self) -> int:
-        """Hand a fresh non-default stream id to a new :class:`Stream`."""
-        self._stream_ids_issued += 1
-        return self._stream_ids_issued
-
-    def _alloc_stream_id(self) -> int:
-        scope = self._alloc_scope
-        return scope.stream_id if scope is not None else 0
-
-    def _alloc_ready(self) -> float:
-        """When the current scope's in-flight work — and therefore the free
-        event of a block released now — completes."""
-        scope = self._alloc_scope
-        if scope is not None:
-            return max(self.elapsed, scope.free_at)
-        return self.elapsed
-
-    @contextlib.contextmanager
-    def stream_scope(self, stream) -> Iterator[None]:
-        """Tag allocations/frees inside the block with ``stream``'s id.
-
-        The allocator analogue of ``cudaStreamSetAttribute``-era stream
-        association: blocks freed under the scope carry the stream's
-        horizon as their free-event time, so other streams may only reuse
-        them once that work has drained (see
-        :class:`~repro.cuda.allocator.CachingAllocator`).
-        """
-        prev = self._alloc_scope
-        self._alloc_scope = stream
-        try:
-            yield
-        finally:
-            self._alloc_scope = prev
-
     def _new_array(self, data: np.ndarray) -> DeviceArray:
         # The fault site runs before the cache is consulted, so injected
         # OOM faults surface even when the request would have been a hit.
         chaos_check("cuda.alloc", self, nbytes=data.nbytes)
-        if isinstance(self.allocator, CachingAllocator):
-            outcome = self.allocator.allocate(
-                data.nbytes, stream=self._alloc_stream_id(), now=self.elapsed
+        self._charge_alloc(self.allocator.allocate(data.nbytes))
+        return DeviceArray(data, self)
+
+    def _charge_alloc(self, outcome: AllocOutcome) -> None:
+        """Charge the driver calls one allocator request made: the
+        ``cudaFree`` of each flushed segment, and ``cudaMalloc`` on a miss."""
+        if outcome.flushed_segments:
+            self.timeline.record(
+                f"cudaFree[cache-trim x{outcome.flushed_segments}]",
+                "overhead",
+                outcome.flushed_segments * self.spec.free_overhead_s,
             )
-        else:
-            outcome = self.allocator.allocate(data.nbytes)
-        if isinstance(outcome, AllocOutcome):
-            if outcome.flushed_segments:
-                self.timeline.record(
-                    f"cudaFree[cache-trim x{outcome.flushed_segments}]",
-                    "overhead",
-                    outcome.flushed_segments * self.spec.free_overhead_s,
-                )
-            if not outcome.hit:
-                self.timeline.record(
-                    "cudaMalloc", "overhead", self.spec.malloc_overhead_s
-                )
-        else:  # plain allocator: every call is a real cudaMalloc
+        if not outcome.hit:
             self.timeline.record(
                 "cudaMalloc", "overhead", self.spec.malloc_overhead_s
             )
-        return DeviceArray(data, self)
 
     def _release(self, nbytes: int) -> None:
-        if isinstance(self.allocator, CachingAllocator):
-            real_free = self.allocator.release(
-                nbytes, stream=self._alloc_stream_id(), ready=self._alloc_ready()
-            )
-        else:
-            real_free = self.allocator.release(nbytes)
-        if real_free is None or real_free:
-            # plain allocator (returns None) or an uncached large block
+        if self.allocator.release(nbytes):  # an uncached large block
             self.timeline.record("cudaFree", "overhead", self.spec.free_overhead_s)
 
     @contextlib.contextmanager
@@ -193,38 +130,11 @@ class Device:
         enclosing thrust call's kernel site already covers injection.
         """
         nbytes = int(nbytes)
-        if isinstance(self.allocator, CachingAllocator):
-            outcome = self.allocator.allocate_scratch(
-                nbytes, stream=self._alloc_stream_id(), now=self.elapsed
-            )
-            if outcome.flushed_segments:
-                self.timeline.record(
-                    f"cudaFree[cache-trim x{outcome.flushed_segments}]",
-                    "overhead",
-                    outcome.flushed_segments * self.spec.free_overhead_s,
-                )
-            if not outcome.hit:
-                self.timeline.record(
-                    "cudaMalloc", "overhead", self.spec.malloc_overhead_s
-                )
-            try:
-                yield
-            finally:
-                self.allocator.release_scratch(
-                    nbytes, stream=self._alloc_stream_id(), ready=self._alloc_ready()
-                )
-        else:  # plain allocator: scratch is a real malloc/free round trip
-            self.allocator.allocate(nbytes)
-            self.timeline.record(
-                "cudaMalloc", "overhead", self.spec.malloc_overhead_s
-            )
-            try:
-                yield
-            finally:
-                self.allocator.release(nbytes)
-                self.timeline.record(
-                    "cudaFree", "overhead", self.spec.free_overhead_s
-                )
+        self._charge_alloc(self.allocator.allocate_scratch(nbytes))
+        try:
+            yield
+        finally:
+            self.allocator.release_scratch(nbytes)
 
     def empty(self, shape: int | Sequence[int], dtype=np.float64) -> DeviceArray:
         """``cudaMalloc`` without initialization."""
@@ -391,29 +301,7 @@ class Device:
 
     def alloc_stats(self) -> dict:
         """Allocator counters (hits/misses/reserve) for profiling surfaces."""
-        if isinstance(self.allocator, CachingAllocator):
-            return self.allocator.stats()
-        return {
-            "caching": False,
-            "hits": 0,
-            "misses": self.allocator.alloc_count,
-            "hit_rate": 0.0,
-            "flushes": 0,
-            "segment_frees": 0,
-            "splits": 0,
-            "coalesces": 0,
-            "same_stream_hits": 0,
-            "event_gated_hits": 0,
-            "blocked_reuses": 0,
-            "scratch_requests": 0,
-            "scratch_hits": 0,
-            "scratch_bytes": 0,
-            "bytes_in_use": self.allocator.used_bytes,
-            "bytes_reserved": self.allocator.used_bytes,
-            "bytes_cached": 0,
-            "peak_bytes_in_use": self.allocator.peak_bytes,
-            "peak_bytes_reserved": self.allocator.peak_bytes,
-        }
+        return self.allocator.stats()
 
     def transfer_stats(self) -> dict:
         """PCIe traffic counters (bytes moved, elisions, overlap) plus the
@@ -435,13 +323,11 @@ class Device:
     def reset(self) -> None:
         """Clear the timeline and allocation statistics (new context)."""
         self.timeline.clear()
-        self.allocator = self._make_allocator()
+        self.allocator = CachingAllocator(self.spec.memory_bytes)
         self.kernel_launches = 0
         self.spmv_traffic_bytes = 0.0
         self._reset_transfer_counters()
         self.host_pool = PinnedHostPool()
-        self._alloc_scope = None
-        self._stream_ids_issued = 0
 
     def __repr__(self) -> str:
         used = self.allocator.used_bytes
@@ -450,31 +336,3 @@ class Device:
             f"t={self.elapsed:.6f}s>"
         )
 
-
-_default_device: Device | None = None
-
-
-def get_default_device() -> Device:
-    """Return the process-wide default device, creating a K20c on first use."""
-    global _default_device
-    if _default_device is None:
-        _default_device = Device()
-    return _default_device
-
-
-def set_default_device(device: Device | None) -> None:
-    """Replace the process-wide default device (None resets to lazy K20c)."""
-    global _default_device
-    _default_device = device
-
-
-@contextlib.contextmanager
-def default_device(device: Device) -> Iterator[Device]:
-    """Temporarily install ``device`` as the default (scoped context)."""
-    global _default_device
-    prev = _default_device
-    _default_device = device
-    try:
-        yield device
-    finally:
-        _default_device = prev

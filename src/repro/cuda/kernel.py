@@ -86,20 +86,6 @@ class Kernel:
         return f"<Kernel {self.name!r} kind={self.kind}>"
 
 
-def kernel(
-    name: str,
-    cost: Callable[..., tuple[float, float]],
-    kind: str = "stream",
-    itemsize: int = 8,
-) -> Callable[[Callable[..., None]], Kernel]:
-    """Decorator form: ``@kernel("compute_average", cost=..., kind=...)``."""
-
-    def wrap(body: Callable[..., None]) -> Kernel:
-        return Kernel(name, body, cost, kind=kind, itemsize=itemsize)
-
-    return wrap
-
-
 def _find_device(args: tuple) -> Device:
     for a in args:
         if isinstance(a, DeviceArray):

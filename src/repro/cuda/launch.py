@@ -1,11 +1,8 @@
-"""Launch-configuration helpers: grid sizing and a simple occupancy model."""
+"""Launch-configuration helpers: grid sizing."""
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import InvalidKernelLaunch
-from repro.hw.spec import GPUSpec
 
 
 def grid_1d(n_threads_needed: int, block_size: int = 256) -> tuple[int, int]:
@@ -21,25 +18,3 @@ def grid_1d(n_threads_needed: int, block_size: int = 256) -> tuple[int, int]:
         return 1, block_size
     return (n_threads_needed + block_size - 1) // block_size, block_size
 
-
-def occupancy(
-    spec: GPUSpec, block_size: int, registers_per_thread: int = 32
-) -> float:
-    """Fraction of maximum resident warps achieved per SM.
-
-    A coarse Kepler model: each SM supports 64 resident warps and has a
-    64K-register file; occupancy is limited by whichever runs out first.
-    Used only for reporting — the cost model folds average occupancy into
-    its efficiency factors.
-    """
-    if block_size <= 0 or block_size > spec.max_threads_per_block:
-        raise InvalidKernelLaunch(f"invalid block size {block_size}")
-    warps_per_block = math.ceil(block_size / spec.warp_size)
-    max_warps = 64
-    regs_per_sm = 65536
-    blocks_by_warps = max_warps // warps_per_block if warps_per_block else 0
-    regs_per_block = registers_per_thread * block_size
-    blocks_by_regs = regs_per_sm // max(1, regs_per_block)
-    # Kepler caps resident blocks per SM at 16.
-    resident_blocks = max(0, min(blocks_by_warps, blocks_by_regs, 16))
-    return min(1.0, resident_blocks * warps_per_block / max_warps)

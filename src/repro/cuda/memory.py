@@ -1,4 +1,4 @@
-"""Device memory: allocator and device-resident arrays.
+"""Device memory: device-resident arrays.
 
 A :class:`DeviceArray` is a handle to memory "on the device".  The backing
 store is a NumPy array (the simulation substrate), but the type system of the
@@ -13,17 +13,18 @@ package treats host and device data as distinct worlds:
   that touches ``DeviceArray.data`` directly — exactly the set of actors that
   may dereference a device pointer in real CUDA.
 
-The allocator enforces the device memory capacity (5 GB on the K20c), so
-oversubscription fails the same way ``cudaMalloc`` would.
+The device's :class:`~repro.cuda.allocator.CachingAllocator` enforces the
+memory capacity (5 GB on the K20c), so oversubscription fails the same way
+``cudaMalloc`` would.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import DeviceArrayError, DeviceMemoryError
+from repro.errors import DeviceArrayError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cuda.device import Device
@@ -158,21 +159,7 @@ class DeviceArray:
         np.copyto(out._data, self._data)
         return out
 
-    # -- shape manipulation (metadata only, free on device) ---------------
-    def reshape(self, *shape: int | Sequence[int]) -> "DeviceArray":
-        self._check_valid()
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])  # type: ignore[assignment]
-        view = self._data.reshape(*shape)
-        out = DeviceArray.__new__(DeviceArray)
-        out._data = view
-        out._device = self._device
-        out._valid = True
-        return out
-
-    def ravel(self) -> "DeviceArray":
-        return self.reshape(self._data.size)
-
+    # -- views (metadata only, free on device) ----------------------------
     def view_rows(self, lo: int, hi: int) -> "DeviceArray":
         """A zero-copy view of rows ``[lo, hi)`` — pointer arithmetic on the
         device buffer, as kernels tiling a large matrix would do."""
@@ -230,56 +217,11 @@ class BufferGroup:
         Idempotent: buffers already freed individually (or by a previous
         ``free_all``) are skipped rather than relying on caller discipline,
         and a repeated call is a no-op.  Each release routes through the
-        owning device's allocator, so with the caching allocator the blocks
-        land back on its free lists.
+        owning device's allocator, so the blocks land back on its free
+        lists.
         """
         bufs, self._bufs = self._bufs, []
         for buf in bufs:
             if buf.is_valid:
                 buf.free()
 
-
-def _as_device_data(x: "DeviceArray | np.ndarray", device: "Device") -> np.ndarray:
-    """Internal: unwrap a DeviceArray, verifying device residency."""
-    if isinstance(x, DeviceArray):
-        if x.device is not device:
-            raise DeviceArrayError("operands live on different devices")
-        return x.data
-    raise DeviceArrayError(
-        f"expected a DeviceArray (device-resident operand), got {type(x).__name__}; "
-        "move host data with Device.to_device first"
-    )
-
-
-class Allocator:
-    """Tracks device memory usage and enforces capacity."""
-
-    def __init__(self, capacity_bytes: int) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("device capacity must be positive")
-        self.capacity_bytes = int(capacity_bytes)
-        self.used_bytes = 0
-        self.peak_bytes = 0
-        self.alloc_count = 0
-
-    def allocate(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("negative allocation")
-        if self.used_bytes + nbytes > self.capacity_bytes:
-            raise DeviceMemoryError(
-                f"out of device memory: requested {nbytes} bytes with "
-                f"{self.capacity_bytes - self.used_bytes} of "
-                f"{self.capacity_bytes} free"
-            )
-        self.used_bytes += nbytes
-        self.alloc_count += 1
-        self.peak_bytes = max(self.peak_bytes, self.used_bytes)
-
-    def release(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("negative release")
-        self.used_bytes = max(0, self.used_bytes - nbytes)
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes

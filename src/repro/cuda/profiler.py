@@ -77,7 +77,6 @@ class Profiler:
     #: bytes_reserved, peaks, ...) are point-in-time gauges.
     _ALLOC_DELTA_KEYS = (
         "hits", "misses", "flushes", "segment_frees", "splits", "coalesces",
-        "same_stream_hits", "event_gated_hits", "blocked_reuses",
         "scratch_requests", "scratch_hits", "scratch_bytes",
     )
 
@@ -146,9 +145,7 @@ def merge_reports(reports) -> ProfileReport:
             merged["count"] += slot["count"]
             merged["seconds"] += slot["seconds"]
         for key, val in rep.allocator.items():
-            if key == "caching":
-                alloc["caching"] = bool(alloc.get("caching")) or bool(val)
-            elif key != "hit_rate":
+            if key != "hit_rate":
                 alloc[key] = alloc.get(key, 0) + val
         for key, val in rep.transfers.items():
             transfers[key] = transfers.get(key, 0) + val

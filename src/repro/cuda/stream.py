@@ -1,56 +1,21 @@
-"""Streams and events on the simulated timeline.
+"""Streams on the simulated timeline.
 
 The paper's pipeline is serialized on the default stream (each eigensolver
-iteration must round-trip the PCIe bus), so for a single job a stream is
-just a view onto the device timeline, and events capture simulated
-timestamps; ``Event.elapsed_time`` reproduces ``cudaEventElapsedTime``
-semantics (milliseconds).
-
-For the serving layer each stream additionally behaves as an in-order
+iteration must round-trip the PCIe bus), so a job's work is recorded
+straight onto the device timeline.  A :class:`Stream` is an in-order
 *lane* with a known horizon: :meth:`Stream.reserve` books a span of
 simulated work onto the stream, starting no earlier than both the caller's
 ready time and the stream's previous work — exactly the FIFO semantics of
-a real CUDA stream.  The scheduler multiplexes jobs over several streams
-per device (and several devices) by reserving spans and taking the
-earliest-available lane.
+a real CUDA stream.  The serving scheduler multiplexes jobs over several
+streams per device (and several devices) by reserving spans and taking the
+earliest-available lane; the copy engines of the pipeline queue their
+asynchronous H2D and peer copies the same way.
 """
 
 from __future__ import annotations
 
-from repro.chaos.runtime import chaos_check
-from repro.cuda.device import Device, get_default_device
+from repro.cuda.device import Device
 from repro.errors import StreamError
-
-
-class Event:
-    """A timestamp marker on a device timeline (``cudaEvent_t``)."""
-
-    def __init__(self, device: Device | None = None) -> None:
-        self.device = device if device is not None else get_default_device()
-        self._time: float | None = None
-
-    def record(self, stream: "Stream | None" = None) -> "Event":
-        if stream is not None and stream.device is not self.device:
-            raise StreamError("event and stream belong to different devices")
-        chaos_check("cuda.stream.event", self.device)
-        self._time = self.device.elapsed
-        return self
-
-    @property
-    def is_recorded(self) -> bool:
-        return self._time is not None
-
-    @property
-    def time(self) -> float:
-        if self._time is None:
-            raise StreamError("event has not been recorded")
-        return self._time
-
-    def elapsed_time(self, end: "Event") -> float:
-        """Milliseconds between this event and ``end`` (CUDA convention)."""
-        if self.device is not end.device:
-            raise StreamError("events recorded on different devices")
-        return (end.time - self.time) * 1e3
 
 
 class Stream:
@@ -59,29 +24,17 @@ class Stream:
     Parameters
     ----------
     device:
-        Owning device (default device if omitted).
+        Owning device.
     name:
         Optional label; lanes created by the serving scheduler are named
         ``"dev<i>/s<j>"`` so schedule exports are readable.
     """
 
-    def __init__(self, device: Device | None = None, name: str = "") -> None:
-        self.device = device if device is not None else get_default_device()
+    def __init__(self, device: Device, name: str = "") -> None:
+        self.device = device
         self.name = name
-        #: device-issued stream id (0 is the default stream; every Stream
-        #: object is a non-default stream) — the tag the stream-aware
-        #: allocator keys its free lists on
-        self.stream_id = self.device._issue_stream_id()
         #: simulated time at which all work queued so far has completed
         self.free_at = 0.0
-
-    def synchronize(self) -> None:
-        """Completes eagerly; still a fault site (``cudaStreamSynchronize``
-        is where asynchronous device errors surface on real hardware)."""
-        chaos_check("cuda.stream.sync", self.device)
-
-    def record_event(self) -> Event:
-        return Event(self.device).record(self)
 
     # ------------------------------------------------------------------
     # lane scheduling (serving layer)
@@ -120,14 +73,6 @@ class Stream:
         """
         start = self.available_at(ready_at)
         dt = self.device._record_h2d_at(nbytes, start)
-        self.free_at = start + dt
-        return start, self.free_at
-
-    def enqueue_d2h(self, nbytes: int, ready_at: float = 0.0) -> tuple[float, float]:
-        """Queue ``cudaMemcpyAsync`` D2H into pinned memory on this stream
-        (see :meth:`enqueue_h2d`)."""
-        start = self.available_at(ready_at)
-        dt = self.device._record_d2h_at(nbytes, start)
         self.free_at = start + dt
         return start, self.free_at
 

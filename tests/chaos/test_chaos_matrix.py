@@ -15,7 +15,6 @@ import pytest
 from repro.chaos import DISABLED, FaultPlan, FaultSpec, ResiliencePolicy, chaos
 from repro.core.pipeline import SpectralClustering
 from repro.cuda.device import Device
-from repro.cuda.stream import Stream
 from repro.errors import ReproError
 from repro.kmeans.gpu import kmeans_device
 from repro.metrics.external import adjusted_rand_index
@@ -224,16 +223,4 @@ class TestEverySiteFires:
         with chaos(plan):
             with pytest.raises(ReproError):
                 kmeans_device(device, X, k, seed=0, fused=False)
-        assert plan.n_fired == 1
-
-    @pytest.mark.parametrize("site", ["cuda.stream.sync", "cuda.stream.event"])
-    def test_stream_sites(self, device, site):
-        plan = FaultPlan([FaultSpec(site=site, fault="transient", nth=1)])
-        stream = Stream(device)
-        with chaos(plan):
-            with pytest.raises(ReproError):
-                if site == "cuda.stream.sync":
-                    stream.synchronize()
-                else:
-                    stream.record_event()
         assert plan.n_fired == 1

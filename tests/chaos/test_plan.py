@@ -63,6 +63,35 @@ class TestTriggers:
             plan.check("cuda.h2d")
         assert plan.n_fired == 1
 
+    def test_every_spec_counts_every_matching_call(self):
+        """A rule that fires does not stop the rules after it from
+        counting the call: nth=3, 4, 5 fire at calls 3, 4 and 5."""
+        plan = FaultPlan([
+            FaultSpec(site="x", fault="transient", nth=n) for n in (3, 4, 5)
+        ])
+        failed = []
+        for call in range(1, 9):
+            try:
+                plan.check("x")
+            except TransientKernelError:
+                failed.append(call)
+        assert failed == [3, 4, 5]
+        assert [ev.call_index for ev in plan.log] == [3, 4, 5]
+
+    def test_one_call_fires_several_specs_raises_the_first(self):
+        plan = FaultPlan([
+            FaultSpec(site="x", fault="transfer", nth=2),
+            FaultSpec(site="x", fault="oom", nth=2),
+        ])
+        plan.check("x")
+        with pytest.raises(TransferError, match=r"\[spec 0, call 2\]"):
+            plan.check("x")
+        # both rules spent their fire on that call
+        assert [(ev.spec_index, ev.call_index) for ev in plan.log] == [
+            (0, 2), (1, 2),
+        ]
+        plan.check("x")
+
     def test_after_bytes_threshold(self):
         plan = FaultPlan(
             [FaultSpec(site="cuda.alloc", fault="oom", after_bytes=100)]

@@ -122,10 +122,11 @@ class TestSingleDeviceConsistency:
             return problem(*args, **kw)
 
         monkeypatch.setattr(workflow, "SymEigProblem", spy)
-        # three stacked faults on one call exhaust its retries mid-solve
-        plan = FaultPlan(
-            [FaultSpec(site="cusparse.csrmv", fault="transient", nth=25)] * 3
-        )
+        # faults on a call and both its retries exhaust them mid-solve
+        plan = FaultPlan([
+            FaultSpec(site="cusparse.csrmv", fault="transient", nth=n)
+            for n in (25, 26, 27)
+        ])
         dev, op, _ = _build(sbm_graph)
         with chaos(plan):
             _, _, stats = hybrid_eigensolver(

@@ -1,14 +1,9 @@
-"""Device context: accounting, stage tags, default-device management."""
+"""Device context: accounting, stage tags, reserve-only buffers."""
 
 import numpy as np
 import pytest
 
-from repro.cuda.device import (
-    Device,
-    default_device,
-    get_default_device,
-    set_default_device,
-)
+from repro.cuda.device import Device
 from repro.hw.spec import K20C
 
 
@@ -99,25 +94,3 @@ class TestReserve:
             device.reserve((64, 64))
         assert plan.n_fired == 1
 
-
-class TestDefaultDevice:
-    def test_lazy_creation(self):
-        set_default_device(None)
-        d = get_default_device()
-        assert isinstance(d, Device)
-        assert get_default_device() is d
-
-    def test_set_and_restore(self):
-        mine = Device()
-        set_default_device(mine)
-        assert get_default_device() is mine
-        set_default_device(None)
-
-    def test_scoped_default(self):
-        set_default_device(None)
-        outer = get_default_device()
-        mine = Device()
-        with default_device(mine) as d:
-            assert d is mine
-            assert get_default_device() is mine
-        assert get_default_device() is outer

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cuda.kernel import Kernel, LaunchConfig, kernel, launch
+from repro.cuda.kernel import Kernel, LaunchConfig, launch
 from repro.cuda.launch import grid_1d
 from repro.errors import InvalidKernelLaunch
 
@@ -70,16 +70,6 @@ class TestLaunch:
         b = d2.to_device(rng.random(4))
         with pytest.raises(InvalidKernelLaunch):
             launch(square, (1, 32), a, b)
-
-    def test_decorator_form(self, device, rng):
-        @kernel("triple", cost=lambda nt, x, out: (nt, 2.0 * nt * 8))
-        def triple(tid, x, out):
-            out[tid] = 3.0 * x[tid]
-
-        x = device.to_device(rng.random(16))
-        out = device.empty(16)
-        launch(triple, (1, 16), x, out)
-        assert np.allclose(out.data, 3.0 * x.data)
 
     def test_negative_n_threads_rejected(self, device, rng):
         x = device.to_device(rng.random(10))

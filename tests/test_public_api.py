@@ -118,6 +118,12 @@ PINNED_SURFACES = {
         "similarity_vectorized_time",
     },
     "repro.cublas": {"gemm"},
+    "repro.cuda": {
+        "Device", "DeviceArray", "Kernel", "LaunchConfig", "ProfileReport",
+        "Profiler", "Stream", "export_chrome_trace", "grid_1d", "launch",
+        "merge_reports", "schedule_to_trace_events",
+        "timeline_to_trace_events",
+    },
     "repro.thrust": {
         "copy", "exclusive_scan", "inclusive_scan", "lower_bound",
         "reduce_by_key", "sort_by_key", "transform",
