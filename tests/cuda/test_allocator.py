@@ -139,6 +139,36 @@ class TestFlushAndRetry:
         assert a.reserved_bytes == 0
 
 
+class TestStreamAwareReuse:
+    """The device runs in order on one stream, so a freed block is
+    reusable (and reclaimable) at once: there is no free event to wait on."""
+
+    def test_flush_reclaims_blocks_regardless_of_pending_events(self):
+        """Blocks freed right behind the work that used them, with no
+        synchronization in between, go back to the driver on a capacity
+        flush: one ``cudaFree`` per segment, and the reserved-bytes
+        invariant holds through it."""
+        from dataclasses import replace
+
+        from repro.hw.spec import K20C
+
+        dev = Device(spec=replace(K20C, memory_bytes=4 * MIN_BUCKET_BYTES))
+        bufs = [dev.to_device(np.ones(64)) for _ in range(4)]
+        for buf in bufs:
+            buf.free()
+        a = dev.allocator
+        assert a.cached_bytes == a.reserved_bytes == 4 * MIN_BUCKET_BYTES
+        n_overhead = dev.timeline.count("overhead")
+        dev.empty(4 * MIN_BUCKET_BYTES // 8)
+        names = [e.name for e in dev.timeline.events[-2:]]
+        assert names == ["cudaFree[cache-trim x4]", "cudaMalloc"]
+        assert dev.timeline.count("overhead") == n_overhead + 2
+        assert a.n_flushes == 1 and a.n_segment_frees == 4
+        assert a.reserved_bytes == 4 * MIN_BUCKET_BYTES
+        assert a.cached_bytes == 0
+        assert a.used_bytes == 4 * MIN_BUCKET_BYTES
+
+
 class TestDeviceIntegration:
     def test_hit_skips_cudamalloc_latency(self, device):
         buf = device.empty(1000)
